@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet kml-vet vet-strict test race fuzz serve-smoke telemetry-smoke trace-smoke online-smoke top-smoke loadgen-smoke postmortem-smoke overhead-check bench-json bench-ratchet ci clean
+.PHONY: all build vet kml-vet vet-strict test race fuzz serve-smoke telemetry-smoke trace-smoke online-smoke top-smoke loadgen-smoke postmortem-smoke overhead-check bench-json bench-ratchet benchmark benchmark-quick ci clean
 
 all: build
 
@@ -111,7 +111,25 @@ overhead-check:
 	$(GO) test -run TestTimeSeriesOverheadBudget -count=1 -v ./internal/telemetry/tsrec/
 	$(GO) test -run TestBlackboxOverheadBudget -count=1 -v ./internal/blackbox/
 
-ci: build vet race fuzz serve-smoke telemetry-smoke trace-smoke online-smoke top-smoke loadgen-smoke postmortem-smoke overhead-check vet-strict bench-ratchet
+# The repo benchmark (BENCHMARK.json, benchmark/README.md): every workload
+# as the driver runs it, end-to-end metrics only. Any failed output check
+# exits non-zero.
+BENCH_WORKLOADS = tune_readrandom_ssd tune_readseq_nvme tune_updaterandom_ssd serve_row serve_batch256
+
+benchmark:
+	@for w in $(BENCH_WORKLOADS); do \
+		$(GO) run ./benchmark --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
+	done
+
+# Two seconds of one tuning and one serving workload: cheap enough for CI,
+# and a broken output check (speedup range, class match, drops, bit-exact
+# repeat) still fails it.
+benchmark-quick:
+	@for w in tune_readseq_nvme serve_row; do \
+		$(GO) run ./benchmark --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done
+
+ci: build vet race fuzz serve-smoke telemetry-smoke trace-smoke online-smoke top-smoke loadgen-smoke postmortem-smoke overhead-check vet-strict bench-ratchet benchmark-quick
 
 clean:
 	$(GO) clean ./...

@@ -153,7 +153,8 @@ func (c Config) withDefaults() Config {
 // Handler consumes a drained batch of samples under the given mode.
 // It runs on the pipeline's training goroutine, so it may freely use
 // floating point and allocate — exactly the work §3.2 offloads off the
-// I/O path.
+// I/O path. batch is the pipeline's drain scratch: it is valid only for
+// the call, and the next drain overwrites it.
 type Handler[S any] func(batch []S, mode Mode)
 
 // ErrReservation reports that the configured memory arena rejected the
@@ -168,6 +169,10 @@ type Pipeline[S any] struct {
 	mode atomic.Int32
 
 	handler Handler[S]
+	// batch is the one drain scratch, BatchSize long. The training thread
+	// and Flush both drain into it; the single-consumer contract already
+	// makes them mutually exclusive.
+	batch   []S
 	wake    chan struct{}
 	stop    chan struct{}
 	done    chan struct{}
@@ -193,6 +198,7 @@ func NewPipeline[S any](cfg Config, handler Handler[S]) (*Pipeline[S], error) {
 		cfg:     cfg,
 		ring:    ring,
 		handler: handler,
+		batch:   make([]S, cfg.BatchSize),
 		wake:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -242,23 +248,23 @@ func (p *Pipeline[S]) Start() error {
 
 func (p *Pipeline[S]) run() {
 	defer close(p.done)
-	batch := make([]S, p.cfg.BatchSize)
 	ticker := time.NewTicker(p.cfg.Poll)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-p.stop:
-			p.drain(batch) // final drain so Stop is lossless
+			p.drain() // final drain so Stop is lossless
 			return
 		case <-p.wake:
-			p.drain(batch)
+			p.drain()
 		case <-ticker.C:
-			p.drain(batch)
+			p.drain()
 		}
 	}
 }
 
-func (p *Pipeline[S]) drain(batch []S) {
+func (p *Pipeline[S]) drain() {
+	batch := p.batch
 	for {
 		n := p.ring.PopBatch(batch)
 		if n == 0 {
@@ -300,10 +306,15 @@ func (p *Pipeline[S]) Stop() {
 // intended for deterministic simulation (virtual time) and tests, where the
 // asynchronous thread's scheduling would introduce nondeterminism. Do not
 // call it concurrently with a started pipeline: it violates the
-// single-consumer contract of the ring.
+// single-consumer contract of the ring, and both sides drain into the
+// pipeline's one scratch batch. Flush allocates nothing, and on an empty
+// ring it is two atomic loads — cheap enough to call once per simulated
+// operation.
 func (p *Pipeline[S]) Flush() {
-	batch := make([]S, p.cfg.BatchSize)
-	p.drain(batch)
+	if p.ring.Len() == 0 {
+		return
+	}
+	p.drain()
 }
 
 // SetMode switches the pipeline between off, training and inference.

@@ -357,3 +357,33 @@ func TestPipelineMetricsOffMode(t *testing.T) {
 		t.Fatalf("processed = %d, want 1 (discarded)", p.Processed())
 	}
 }
+
+// TestPipelineFlushAllocFree gates the drain path the simulation loop
+// calls once per operation: Flush allocates nothing, neither on an empty
+// ring nor when it drains a full batch into the pipeline's scratch.
+func TestPipelineFlushAllocFree(t *testing.T) {
+	seen := 0
+	p, err := NewPipeline[sample](Config{}, func(batch []sample, _ Mode) { seen += len(batch) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetMode(ModeInference)
+	if a := testing.AllocsPerRun(1000, p.Flush); a != 0 {
+		t.Errorf("Flush on an empty ring allocates %.1f/run, want 0", a)
+	}
+	const batch = 256
+	runs := 0
+	if a := testing.AllocsPerRun(100, func() {
+		for i := 0; i < batch; i++ {
+			p.Collect(sample{inode: uint64(i)})
+		}
+		p.Flush()
+		runs++
+	}); a != 0 {
+		t.Errorf("Flush draining %d records allocates %.1f/run, want 0", batch, a)
+	}
+	if seen != runs*batch || p.Processed() != uint64(seen) || p.Dropped() != 0 {
+		t.Errorf("handler saw %d of %d records (processed %d, dropped %d)",
+			seen, runs*batch, p.Processed(), p.Dropped())
+	}
+}

@@ -13,7 +13,9 @@ import (
 // while connection goroutines are still in Collect and operators flip
 // modes at will, so the exact guarantees pinned here are load-bearing:
 // Stop is safe to race with itself, with Collect, and with SetMode, and
-// every sample accepted before producers quiesced is processed.
+// every sample accepted before producers quiesced is processed. The ring
+// takes exactly one producer at a time, so where several goroutines
+// collect they share a mutex, as mserve.Server.collect does.
 
 // TestPipelineConcurrentCollectModeFlipStop runs producers and a mode
 // flipper against a live pipeline, quiesces the producers, and asserts
@@ -37,6 +39,7 @@ func TestPipelineConcurrentCollectModeFlipStop(t *testing.T) {
 		perProducer = 5000
 	)
 	var accepted atomic.Uint64
+	var collectMu sync.Mutex
 	var wg sync.WaitGroup
 	stopFlip := make(chan struct{})
 	wg.Add(1)
@@ -64,7 +67,10 @@ func TestPipelineConcurrentCollectModeFlipStop(t *testing.T) {
 		go func(seed int) {
 			defer prod.Done()
 			for j := 0; j < perProducer; j++ {
-				if p.Collect(seed*perProducer + j) {
+				collectMu.Lock()
+				ok := p.Collect(seed*perProducer + j)
+				collectMu.Unlock()
+				if ok {
 					accepted.Add(1)
 				}
 			}
@@ -161,13 +167,16 @@ func TestPipelineCollectDuringStop(t *testing.T) {
 	}
 	p.SetMode(ModeTraining)
 
+	var collectMu sync.Mutex
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 2000; j++ {
+				collectMu.Lock()
 				p.Collect(j)
+				collectMu.Unlock()
 			}
 		}()
 	}

@@ -142,7 +142,9 @@ func (m *mergeIterator) Seek(key []byte) {
 
 // pick selects the next current source: the minimum (or maximum, reverse)
 // key among valid sources, breaking ties toward the newest run and
-// advancing the stale duplicates past the chosen key.
+// advancing the stale duplicates past the chosen key. best stays valid
+// while other sources advance because a table source's key aliases storage
+// only that source's own moves overwrite.
 func (m *mergeIterator) pick() {
 	m.cur = -1
 	var best []byte
@@ -269,7 +271,8 @@ func (it *Iterator) Next() {
 	it.skipTombstones()
 }
 
-// Key returns the current key.
+// Key returns the current key. Like Value, it may alias a table
+// iterator's block storage: valid until the iterator next moves.
 func (it *Iterator) Key() []byte { return it.m.key() }
 
 // Value returns the current value.

@@ -89,9 +89,21 @@ func (cl *Client) do(typ MsgType, payload []byte) (MsgType, []byte, error) {
 		ws = cl.tb.Begin(dtrace.StageWire, 0, time.Now().UnixNano())
 		cl.tb.SetAux(ws, int64(len(cl.out)))
 	}
-	if _, err := cl.c.Write(cl.out); err != nil {
-		return 0, nil, err
+	if _, werr := cl.c.Write(cl.out); werr != nil {
+		// A server refusing the connection writes its reason and closes,
+		// which can beat this request to the socket: the write fails, but
+		// the reason is still there to read, and is the better error.
+		if _, _, err := cl.readResp(typ, -1); errors.Is(err, ErrRemote) {
+			return MsgError, nil, err
+		}
+		return 0, nil, werr
 	}
+	return cl.readResp(typ, ws)
+}
+
+// readResp reads the response frame to a request of type typ, closing the
+// wire span ws (-1: none).
+func (cl *Client) readResp(typ MsgType, ws int) (MsgType, []byte, error) {
 	if _, err := io.ReadFull(cl.c, cl.hdr[:]); err != nil {
 		return 0, nil, err
 	}

@@ -203,7 +203,10 @@ func (c *coalescer) submit(s *Server, shard int, w *coalWaiter, feats []float64,
 	// different feature width after a hot swap — flushes it first: this
 	// goroutine detaches and executes the old batch, then opens a new one
 	// for itself. Earlier waiters never wait on a later request's shape.
-	if b != nil && (b.nfeat != nfeat || b.rows+rows > c.maxRows) {
+	// The lock is dropped while the old batch runs, so a racing submitter
+	// may have opened a fresh batch this request doesn't fit either:
+	// re-test until it fits or there is no open batch.
+	for b != nil && (b.nfeat != nfeat || b.rows+rows > c.maxRows) {
 		sh.cur = nil
 		b.taken = true
 		sh.mu.Unlock()
@@ -344,7 +347,7 @@ func (s *Server) finishCoalesced(sc *srvConn, tid uint64, class int64, rows int,
 	w := &sc.cw
 	s.inferences.Add(1)
 	s.rows.Add(uint64(rows))
-	s.pipeline.Collect(Sample{Version: w.version, Class: int32(class), Rows: int32(rows)})
+	s.collect(Sample{Version: w.version, Class: int32(class), Rows: int32(rows)})
 	delay := w.startNS - sc.arrivalNS
 	s.queueNanos.Observe(delay)
 	sc.queueDone = true

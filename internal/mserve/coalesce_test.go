@@ -447,3 +447,88 @@ func TestCoalesceAllocFree(t *testing.T) {
 		t.Fatal("alloc gate never exercised the coalescer")
 	}
 }
+
+// TestCoalesceSubmitRefitsAfterFlush is the regression for the batch
+// overflow (`slice bounds out of range [:14] with capacity 8`). A submitter
+// whose request doesn't fit the open batch detaches and executes it with
+// the shard unlocked; a racing submitter can open a fresh near-full batch
+// in that gap, and the first must re-test the fit instead of gathering
+// into whatever it finds. The interleaving is forced, not hunted: the
+// first batch's waiter has an unbuffered done channel, which holds its
+// executor inside runBatch until the test lets go.
+func TestCoalesceSubmitRefitsAfterFlush(t *testing.T) {
+	r, err := OpenRegistry(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(Config{
+		Registry:       r,
+		CoalesceWindow: 100 * time.Millisecond,
+		CoalesceMax:    8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Deploy(KindNN, "m", nnModelBytes(t, 42, 4)); err != nil {
+		t.Fatal(err)
+	}
+	const nfeat = 4
+	sh := &s.coal.shards[0]
+	// awaitCur polls the shard's open batch until it holds rows rows
+	// (0: no open batch).
+	awaitCur := func(rows int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			sh.mu.Lock()
+			got := 0
+			if sh.cur != nil {
+				got = sh.cur.rows
+			}
+			sh.mu.Unlock()
+			if got == rows {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("open batch holds %d rows, want %d", got, rows)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+
+	// An open 2-row batch whose waiter blocks its executor.
+	held := &coalWaiter{done: make(chan struct{}), classes: make([]uint16, 2)}
+	sh.mu.Lock()
+	b := sh.get(s.coal.maxRows, nfeat)
+	b.gatherRows(make([]float64, 2*nfeat))
+	b.entries = append(b.entries, gatherEntry{w: held, rows: 2})
+	b.rows = 2
+	sh.cur = b
+	sh.mu.Unlock()
+
+	var wg sync.WaitGroup
+	waiters := [2]*coalWaiter{}
+	submit := func(i int) {
+		w := &coalWaiter{classes: make([]uint16, 7)}
+		w.ready()
+		waiters[i] = w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !s.coal.submit(s, 0, w, make([]float64, 7*nfeat), 7, nfeat) {
+				t.Error("7-row request refused by an 8-row coalescer")
+			}
+		}()
+	}
+	submit(0) // 2+7 > 8: detaches the held batch, blocks executing it
+	awaitCur(0)
+	submit(1) // no open batch: opens a fresh one with 7 rows and parks
+	awaitCur(7)
+	<-held.done // first submitter re-locks and finds 7 rows it can't join
+	wg.Wait()
+	for i, w := range waiters {
+		if w.failed || w.batchRows != 7 {
+			t.Errorf("submitter %d: failed=%v batchRows=%d, want its own 7-row batch", i, w.failed, w.batchRows)
+		}
+	}
+}

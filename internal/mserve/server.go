@@ -110,9 +110,10 @@ type Server struct {
 	cfg Config
 	dep *Deployment[*Artifact]
 
-	pipeline *core.Pipeline[Sample]
-	tallyMu  sync.Mutex
-	tally    map[uint64]uint64 // rows served per model version
+	pipeline  *core.Pipeline[Sample]
+	collectMu sync.Mutex // the ring is single-producer; connections are many
+	tallyMu   sync.Mutex
+	tally     map[uint64]uint64 // rows served per model version
 
 	ctlMu sync.Mutex // serializes Deploy/Rollback against each other
 
@@ -590,6 +591,15 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
+// collect records one served request into the collection pipeline. Every
+// connection goroutine calls it, and the ring behind Collect takes exactly
+// one producer, so the push is serialized here.
+func (s *Server) collect(smp Sample) {
+	s.collectMu.Lock()
+	s.pipeline.Collect(smp)
+	s.collectMu.Unlock()
+}
+
 // refuse answers an unadmitted connection with one error frame and closes
 // it, so clients see the reason instead of a bare RST.
 func (s *Server) refuse(c net.Conn, msg string) {
@@ -882,7 +892,7 @@ func (s *Server) doInfer(sc *srvConn, p []byte) (MsgType, []byte) {
 	}
 	s.inferences.Add(1)
 	s.rows.Add(1)
-	s.pipeline.Collect(Sample{Version: inst.Version(), Class: int32(class), Rows: 1})
+	s.collect(Sample{Version: inst.Version(), Class: int32(class), Rows: 1})
 	es := sc.tb.Begin(dtrace.StageEncode, 0, time.Now().UnixNano())
 	sc.resp = AppendInferResp(sc.resp[:0], uint16(class), inst.Version())
 	sc.tb.End(es, time.Now().UnixNano())
@@ -945,7 +955,7 @@ func (s *Server) doBatchInfer(sc *srvConn, p []byte) (MsgType, []byte) {
 	}
 	s.inferences.Add(1)
 	s.rows.Add(uint64(rows))
-	s.pipeline.Collect(Sample{Version: inst.Version(), Class: -1, Rows: int32(rows)})
+	s.collect(Sample{Version: inst.Version(), Class: -1, Rows: int32(rows)})
 	es := sc.tb.Begin(dtrace.StageEncode, 0, time.Now().UnixNano())
 	sc.resp = AppendBatchInferResp(sc.resp[:0], sc.classes[:rows], inst.Version())
 	sc.tb.End(es, time.Now().UnixNano())

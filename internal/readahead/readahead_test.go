@@ -372,3 +372,43 @@ func TestTunerUninstrumented(t *testing.T) {
 		t.Error("uninstrumented tuner returned flight entries")
 	}
 }
+
+// TestIdleTickAllocFree gates the call the simulation loop makes between
+// every two operations: mid-window, MaybeTick is a drain (two atomic loads
+// when the ring is empty) and a time compare, and allocates nothing — with
+// or without events to fold into the window.
+func TestIdleTickAllocFree(t *testing.T) {
+	clk := clock.New()
+	dev := blockdev.New(blockdev.NVMe(), clk)
+	tuner, err := NewTuner(dev, fixedClassifier(0), features.Normalizer{}, TunerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileTuner, _, _, fclk := newFileTunerFixture(t, fixedClassifier(0))
+	ev := trace.Event{Point: trace.AddToPageCache, Inode: 1}
+	for _, tc := range []struct {
+		name string
+		hook trace.Hook
+		tick func()
+	}{
+		{"Tuner", tuner.Hook(), func() { tuner.MaybeTick(clk.Now()) }},
+		{"FileTuner", fileTuner.Hook(), func() { fileTuner.MaybeTick(fclk.Now()) }},
+	} {
+		tc.tick() // arms the first window
+		tc.hook(ev)
+		tc.tick() // the file tuner's per-inode window exists from here on
+		if a := testing.AllocsPerRun(1000, tc.tick); a != 0 {
+			t.Errorf("%s: idle MaybeTick allocates %.1f/run, want 0", tc.name, a)
+		}
+		if a := testing.AllocsPerRun(1000, func() {
+			ev.Offset++
+			tc.hook(ev)
+			tc.tick()
+		}); a != 0 {
+			t.Errorf("%s: collect + MaybeTick allocates %.1f/run, want 0", tc.name, a)
+		}
+	}
+	if n := len(tuner.Decisions()) + len(fileTuner.Decisions()); n != 0 {
+		t.Errorf("%d decisions mid-window", n)
+	}
+}

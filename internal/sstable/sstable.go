@@ -253,12 +253,16 @@ func Open(f *vfs.File) (*Table, error) {
 	}
 	t.bloom = bloom
 	t.last = t.index[len(t.index)-1].lastKey
-	// First key: decode the head of block 0.
-	entriesList, err := t.readBlock(0)
-	if err != nil {
+	// First key: decode the head of block 0. The block's storage is
+	// scratch, so the table keeps an owned copy.
+	var b block
+	if err := t.readBlock(0, &b); err != nil {
 		return nil, err
 	}
-	t.first = entriesList[0].key
+	if len(b.entries) == 0 {
+		return nil, fmt.Errorf("%w: block 0 empty", ErrBadTable)
+	}
+	t.first = append([]byte(nil), b.entries[0].key...)
 	return t, nil
 }
 
@@ -281,35 +285,63 @@ type entry struct {
 	key, value []byte
 }
 
-// readBlock reads and decodes data block i through the page cache.
-func (t *Table) readBlock(i int) ([]entry, error) {
+// block is the storage for one decoded data block: the raw bytes and the
+// entries slicing into them. An Iterator owns one and reuses it for every
+// block it crosses, so a scan allocates O(1), not per block.
+type block struct {
+	raw     []byte
+	entries []entry
+}
+
+// readBlock reads data block i through the page cache into b and decodes
+// it in place, overwriting whatever b held. On error b's contents are
+// unspecified.
+func (t *Table) readBlock(i int, b *block) error {
 	e := t.index[i]
-	raw := make([]byte, e.length)
-	if _, err := t.f.ReadAt(raw, e.off); err != nil {
-		return nil, fmt.Errorf("%w: block %d: %v", ErrBadTable, i, err)
+	if int64(cap(b.raw)) < e.length {
+		// Round up to the alignment unit so blocks whose lengths creep
+		// upward (every block is a little short of blockSize) do not
+		// each regrow the buffer.
+		b.raw = make([]byte, e.length, (e.length+blockAlign-1)&^(blockAlign-1))
 	}
-	var out []entry
+	raw := b.raw[:e.length]
+	if _, err := t.f.ReadAt(raw, e.off); err != nil {
+		return fmt.Errorf("%w: block %d: %v", ErrBadTable, i, err)
+	}
+	out := b.entries[:0]
+	if out == nil {
+		// First block: size for the table's mean entries per block so a
+		// uniform table never regrows. The count comes from the footer,
+		// so bound it by what the block could physically hold (an entry
+		// is at least 3 bytes).
+		hint := t.entries/uint64(len(t.index)) + 1
+		if most := uint64(len(raw) / 3); hint > most {
+			hint = most
+		}
+		out = make([]entry, 0, hint)
+	}
 	for len(raw) > 0 {
 		klen, n := binary.Uvarint(raw)
 		if klen == 0 {
 			break // zero key length marks end-of-block padding
 		}
 		if n <= 0 || int(klen) > len(raw)-n {
-			return nil, fmt.Errorf("%w: block %d entry", ErrBadTable, i)
+			return fmt.Errorf("%w: block %d entry", ErrBadTable, i)
 		}
 		raw = raw[n:]
 		key := raw[:klen:klen]
 		raw = raw[klen:]
 		vlen, n := binary.Uvarint(raw)
 		if n <= 0 || int(vlen) > len(raw)-n {
-			return nil, fmt.Errorf("%w: block %d value", ErrBadTable, i)
+			return fmt.Errorf("%w: block %d value", ErrBadTable, i)
 		}
 		raw = raw[n:]
 		val := raw[:vlen:vlen]
 		raw = raw[vlen:]
 		out = append(out, entry{key: key, value: val})
 	}
-	return out, nil
+	b.entries = out
+	return nil
 }
 
 // blockFor returns the index of the first block whose lastKey ≥ key, or
@@ -377,10 +409,15 @@ func (t *Table) Get(key []byte) (value []byte, ok bool, err error) {
 
 // Iterator walks a table forward or backward. The zero position is
 // invalid; call SeekToFirst, SeekToLast, or Seek.
+//
+// The iterator owns the storage of the block it stands in and reuses it
+// when it crosses into another block, so Key and Value are valid only
+// until the iterator next moves (Next, Prev or any Seek); a caller that
+// keeps them longer must copy.
 type Iterator struct {
 	t       *Table
 	blockID int
-	entries []entry
+	block   // the current block; entries is empty when none is loaded
 	pos     int
 	err     error
 }
@@ -392,18 +429,16 @@ func (t *Table) NewIterator() *Iterator {
 
 func (it *Iterator) load(blockID int) bool {
 	if blockID < 0 || blockID >= len(it.t.index) {
-		it.entries = nil
+		it.entries = it.entries[:0]
 		it.blockID = -1
 		return false
 	}
-	entries, err := it.t.readBlock(blockID)
-	if err != nil {
+	if err := it.t.readBlock(blockID, &it.block); err != nil {
 		it.err = err
-		it.entries = nil
+		it.entries = it.entries[:0]
 		return false
 	}
 	it.blockID = blockID
-	it.entries = entries
 	return true
 }
 
@@ -450,7 +485,7 @@ func (it *Iterator) Seek(key []byte) {
 
 // Valid reports whether the iterator is positioned on an entry.
 func (it *Iterator) Valid() bool {
-	return it.err == nil && it.entries != nil && it.pos >= 0 && it.pos < len(it.entries)
+	return it.err == nil && it.pos >= 0 && it.pos < len(it.entries)
 }
 
 // Next advances forward.
@@ -484,10 +519,12 @@ func (it *Iterator) Prev() {
 	}
 }
 
-// Key returns the current key (valid only while Valid).
+// Key returns the current key (valid only while Valid, and only until the
+// iterator next moves).
 func (it *Iterator) Key() []byte { return it.entries[it.pos].key }
 
-// Value returns the current value (valid only while Valid).
+// Value returns the current value (valid only while Valid, and only until
+// the iterator next moves).
 func (it *Iterator) Value() []byte { return it.entries[it.pos].value }
 
 // Err returns the first I/O or decode error the iterator hit.

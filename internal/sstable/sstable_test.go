@@ -2,6 +2,7 @@ package sstable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -323,5 +324,188 @@ func BenchmarkGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tbl.Get(key(i % 10000))
+	}
+}
+
+// refReadBlock is the allocating decoder readBlock replaced — a fresh raw
+// buffer and a fresh entry slice per block — kept as the reference the
+// in-place one is compared against.
+func refReadBlock(t *Table, i int) ([]entry, error) {
+	e := t.index[i]
+	raw := make([]byte, e.length)
+	if _, err := t.f.ReadAt(raw, e.off); err != nil {
+		return nil, fmt.Errorf("%w: block %d: %v", ErrBadTable, i, err)
+	}
+	var out []entry
+	for len(raw) > 0 {
+		klen, n := binary.Uvarint(raw)
+		if klen == 0 {
+			break
+		}
+		if n <= 0 || int(klen) > len(raw)-n {
+			return nil, fmt.Errorf("%w: block %d entry", ErrBadTable, i)
+		}
+		raw = raw[n:]
+		key := raw[:klen:klen]
+		raw = raw[klen:]
+		vlen, n := binary.Uvarint(raw)
+		if n <= 0 || int(vlen) > len(raw)-n {
+			return nil, fmt.Errorf("%w: block %d value", ErrBadTable, i)
+		}
+		raw = raw[n:]
+		val := raw[:vlen:vlen]
+		raw = raw[vlen:]
+		out = append(out, entry{key: key, value: val})
+	}
+	return out, nil
+}
+
+func sameEntries(a, b []entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i].key, b[i].key) || !bytes.Equal(a[i].value, b[i].value) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIteratorAllocsIndependentOfBlocks: a full scan in either direction
+// costs the iterator, its block buffer and its entry slice — a handful of
+// allocations however many blocks it crosses.
+func TestIteratorAllocsIndependentOfBlocks(t *testing.T) {
+	for _, n := range []int{8000, 32000} {
+		tbl := buildTable(t, newFS(), "t", n)
+		if tbl.Blocks() < 64 {
+			t.Fatalf("%d entries make only %d blocks", n, tbl.Blocks())
+		}
+		seen := 0
+		fwd := testing.AllocsPerRun(3, func() {
+			it := tbl.NewIterator()
+			for it.SeekToFirst(); it.Valid(); it.Next() {
+				seen++
+			}
+		})
+		rev := testing.AllocsPerRun(3, func() {
+			it := tbl.NewIterator()
+			for it.SeekToLast(); it.Valid(); it.Prev() {
+				seen++
+			}
+		})
+		if fwd > 4 || rev > 4 {
+			t.Errorf("%d blocks: forward scan allocates %.0f, reverse %.0f, want <= 4 each", tbl.Blocks(), fwd, rev)
+		}
+		if seen != 8*n {
+			t.Errorf("scans visited %d entries, want %d", seen, 8*n)
+		}
+	}
+}
+
+// TestIteratorReusesBlockStorage pins the validity contract from both
+// sides: what the caller copied out before the iterator moved stays intact
+// across every block boundary, in both directions and after seeks, and the
+// sequence equals the one the copying reference decoder produces.
+func TestIteratorReusesBlockStorage(t *testing.T) {
+	tbl := buildTable(t, newFS(), "t", 2000)
+	if tbl.Blocks() < 3 {
+		t.Fatalf("need several blocks, have %d", tbl.Blocks())
+	}
+	var want []entry
+	for i := 0; i < tbl.Blocks(); i++ {
+		es, err := refReadBlock(tbl, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, es...)
+	}
+	collect := func(it *Iterator, step func()) []entry {
+		var got []entry
+		for ; it.Valid(); step() {
+			got = append(got, entry{
+				key:   append([]byte(nil), it.Key()...),
+				value: append([]byte(nil), it.Value()...),
+			})
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	it := tbl.NewIterator()
+	it.SeekToFirst()
+	if got := collect(it, it.Next); !sameEntries(got, want) {
+		t.Error("forward scan differs from the copying reference")
+	}
+	// Same iterator, other direction: the storage is dirty from the pass above.
+	it.SeekToLast()
+	got := collect(it, it.Prev)
+	for i, j := 0, len(got)-1; i < j; i, j = i+1, j-1 {
+		got[i], got[j] = got[j], got[i]
+	}
+	if !sameEntries(got, want) {
+		t.Error("reverse scan differs from the copying reference")
+	}
+	for _, i := range []int{1999, 0, 1000, 7} {
+		it.Seek(want[i].key)
+		if got := collect(it, it.Next); !sameEntries(got, want[i:]) {
+			t.Errorf("scan from a seek to entry %d differs from the copying reference", i)
+		}
+	}
+}
+
+// TestReadBlockRejectsWhatTheReferenceRejects flips bytes through the head
+// of a data block and checks the in-place decoder against the allocating
+// one: same error or same entries, with the block storage reused (and so
+// dirty) from one mutation to the next.
+func TestReadBlockRejectsWhatTheReferenceRejects(t *testing.T) {
+	tbl := buildTable(t, newFS(), "t", 500)
+	f := tbl.File()
+	e := tbl.index[0]
+	var b block
+	rejected := 0
+	for pos := int64(0); pos < 256 && pos < e.length; pos++ {
+		var orig [1]byte
+		if _, err := f.ReadAt(orig[:], e.off+pos); err != nil {
+			t.Fatal(err)
+		}
+		for _, mut := range []byte{0x00, 0x7f, 0x80, 0xff, orig[0] ^ 0x01} {
+			if _, err := f.WriteAt([]byte{mut}, e.off+pos); err != nil {
+				t.Fatal(err)
+			}
+			want, wantErr := refReadBlock(tbl, 0)
+			gotErr := tbl.readBlock(0, &b)
+			switch {
+			case (gotErr == nil) != (wantErr == nil):
+				t.Fatalf("byte %d = %#x: readBlock error %v, reference %v", pos, mut, gotErr, wantErr)
+			case gotErr != nil:
+				rejected++
+				if gotErr.Error() != wantErr.Error() || !errors.Is(gotErr, ErrBadTable) {
+					t.Fatalf("byte %d = %#x: readBlock error %q, reference %q", pos, mut, gotErr, wantErr)
+				}
+			case !sameEntries(b.entries, want):
+				t.Fatalf("byte %d = %#x: decoded entries differ from the reference", pos, mut)
+			}
+		}
+		if _, err := f.WriteAt(orig[:], e.off+pos); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rejected == 0 {
+		t.Error("no mutation was rejected; the test corrupts nothing that matters")
+	}
+}
+
+// TestOpenRejectsEmptyFirstBlock: a first block that decodes to nothing
+// (its leading key length zeroed, which reads as padding) is a bad table,
+// not an index out of range.
+func TestOpenRejectsEmptyFirstBlock(t *testing.T) {
+	tbl := buildTable(t, newFS(), "t", 10)
+	if _, err := tbl.File().WriteAt([]byte{0}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(tbl.File()); !errors.Is(err, ErrBadTable) {
+		t.Errorf("open with an empty first block: %v", err)
 	}
 }

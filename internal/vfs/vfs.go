@@ -174,6 +174,20 @@ func (f *File) grow(size int64) {
 	f.data = grown
 }
 
+// Reserve is a capacity hint: it makes room for the file to grow to n
+// bytes without reallocating, so a writer that knows roughly how much it
+// will write (a table build) skips grow's doubling-and-copying. It is
+// host-memory bookkeeping only — Size, the page cache and virtual time are
+// untouched — and a hint that turns out short just falls back to grow.
+func (f *File) Reserve(n int64) {
+	if n <= int64(cap(f.data)) {
+		return
+	}
+	grown := make([]byte, len(f.data), n)
+	copy(grown, f.data)
+	f.data = grown
+}
+
 // Append writes p at the end of the file and returns the offset the data
 // landed at.
 func (f *File) Append(p []byte) (int64, error) {

@@ -227,3 +227,48 @@ func TestNamesAndTotalBytes(t *testing.T) {
 		t.Errorf("total = %d", fs.TotalBytes())
 	}
 }
+
+// TestReserveIsInvisible: Reserve is host-memory bookkeeping. It changes
+// neither the file's size and contents nor anything simulated (cache
+// state, device counters, virtual time), a file written after a Reserve
+// behaves exactly like one that grew on its own — including zero-fill
+// after a Truncate — and writes inside the reservation do not reallocate.
+func TestReserveIsInvisible(t *testing.T) {
+	fs, dev, clk := newFS(1024)
+	plainFS, plainDev, plainClk := newFS(1024)
+	f, _ := fs.Create("data")
+	plain, _ := plainFS.Create("data")
+
+	f.Reserve(1 << 20)
+	if f.Size() != 0 || fs.Cache().Stats() != plainFS.Cache().Stats() || clk.Now() != plainClk.Now() {
+		t.Fatal("Reserve on an empty file changed size, cache or clock")
+	}
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 4096) // 64 KB
+	for _, file := range []*File{f, plain} {
+		file.WriteAt(payload, 0)
+		file.Truncate(100)
+		file.WriteAt([]byte("tail"), 8192) // regrows over stale bytes
+		file.Sync()
+	}
+	f.Reserve(10)      // below the current capacity: no-op
+	f.Reserve(2 << 20) // grows again, contents must carry over
+	if f.Size() != plain.Size() {
+		t.Fatalf("size %d, want %d", f.Size(), plain.Size())
+	}
+	got, want := make([]byte, f.Size()), make([]byte, plain.Size())
+	f.ReadAt(got, 0)
+	plain.ReadAt(want, 0)
+	if !bytes.Equal(got, want) {
+		t.Error("contents differ from a file that never reserved")
+	}
+	if fs.Cache().Stats() != plainFS.Cache().Stats() || dev.Stats() != plainDev.Stats() || clk.Now() != plainClk.Now() {
+		t.Error("Reserve moved cache, device or clock state")
+	}
+	reserved := cap(f.data)
+	f.Truncate(0)
+	f.WriteAt(payload, 0)
+	f.WriteAt(payload, int64(len(payload)))
+	if reserved < 2<<20 || cap(f.data) != reserved {
+		t.Errorf("capacity %d after writes inside a %d-byte reservation", cap(f.data), reserved)
+	}
+}

@@ -14,6 +14,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"repro/internal/clock"
@@ -136,13 +137,30 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Key formats key i in the fixed-width db_bench style.
-func Key(i int) []byte { return []byte(fmt.Sprintf("key%012d", i)) }
+// appendPadded appends i (non-negative, as every key index is) in decimal,
+// zero-padded to width — the bytes of fmt's "%0*d", without fmt's
+// allocations.
+func appendPadded(dst []byte, i, width int) []byte {
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], int64(i), 10)
+	for pad := width - len(digits); pad > 0; pad-- {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
+}
 
-// Value builds a deterministic value of the configured size.
+// Key formats key i in the fixed-width db_bench style ("key%012d"). The
+// returned slice is fresh; callers may retain it.
+func Key(i int) []byte {
+	return appendPadded(append(make([]byte, 0, 15), "key"...), i, 12)
+}
+
+// Value builds a deterministic value of the configured size: the pattern
+// "v%011d-" repeated. The returned slice is fresh; callers may retain it.
 func Value(cfg Config, i int) []byte {
 	v := make([]byte, cfg.ValueSize)
-	pattern := fmt.Sprintf("v%011d-", i)
+	var buf [24]byte
+	pattern := append(appendPadded(append(buf[:0], 'v'), i, 11), '-')
 	for off := 0; off < len(v); off += len(pattern) {
 		copy(v[off:], pattern)
 	}

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -224,5 +226,42 @@ func TestKeyValueHelpers(t *testing.T) {
 	v := Value(Config{ValueSize: 64}.withDefaults(), 7)
 	if len(v) != 64 {
 		t.Errorf("value len %d", len(v))
+	}
+}
+
+// sink keeps the allocation gates' results alive (escape analysis would
+// otherwise put them on the stack).
+var sink []byte
+
+// TestKeyValueMatchSprintf pins the hand-rolled formatters byte-for-byte
+// against the fmt forms they replaced: every stored key and value in every
+// experiment depends on these bytes.
+func TestKeyValueMatchSprintf(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	cases := []int{0, 1, 9, 10, 999_999_999_999, 1_000_000_000_000, cfg.Keys - 1}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		cases = append(cases, rng.Intn(1<<40))
+	}
+	for _, i := range cases {
+		if got, want := string(Key(i)), fmt.Sprintf("key%012d", i); got != want {
+			t.Fatalf("Key(%d) = %q, want %q", i, got, want)
+		}
+		for _, size := range []int{0, 5, 13, 64, 400} {
+			want := make([]byte, size)
+			pattern := fmt.Sprintf("v%011d-", i)
+			for off := 0; off < size; off += len(pattern) {
+				copy(want[off:], pattern)
+			}
+			if got := Value(Config{ValueSize: size}, i); !bytes.Equal(got, want) {
+				t.Fatalf("Value(size %d, %d) = %q, want %q", size, i, got, want)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { sink = Key(123456) }); a != 1 {
+		t.Errorf("Key allocates %.0f times, want 1", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { sink = Value(cfg, 123456) }); a != 1 {
+		t.Errorf("Value allocates %.0f times, want 1", a)
 	}
 }
