@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet kml-vet vet-strict test race fuzz serve-smoke telemetry-smoke trace-smoke online-smoke top-smoke loadgen-smoke postmortem-smoke overhead-check bench-json bench-ratchet benchmark benchmark-quick ci clean
+.PHONY: all build vet kml-vet vet-strict test race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke top-smoke loadgen-smoke postmortem-smoke overhead-check bench-json bench-ratchet benchmark benchmark-quick ci clean
 
 all: build
 
@@ -28,6 +28,11 @@ test:
 # default 10m per-package limit under the race detector; give headroom.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# Non-amd64 hosts serve with the portable kernel; mserve pins one hash of
+# the served classes that this build and the asm build must both produce.
+purego:
+	$(GO) test -tags purego ./internal/matrix ./internal/nn ./internal/mserve
 
 # Run every fuzz target briefly. Go's fuzzer allows one -fuzz pattern per
 # package invocation, so targets run sequentially.
@@ -110,6 +115,7 @@ overhead-check:
 	$(GO) test -run TestTraceOverheadBudget -count=1 -v ./internal/dtrace/
 	$(GO) test -run TestTimeSeriesOverheadBudget -count=1 -v ./internal/telemetry/tsrec/
 	$(GO) test -run TestBlackboxOverheadBudget -count=1 -v ./internal/blackbox/
+	$(GO) test -run TestServedKernelOverheadBudget -count=1 -v ./internal/mserve/
 
 # The repo benchmark (BENCHMARK.json, benchmark/README.md): every workload
 # as the driver runs it, end-to-end metrics only. Any failed output check
@@ -129,7 +135,7 @@ benchmark-quick:
 		$(GO) run ./benchmark --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
 	done
 
-ci: build vet race fuzz serve-smoke telemetry-smoke trace-smoke online-smoke top-smoke loadgen-smoke postmortem-smoke overhead-check vet-strict bench-ratchet benchmark-quick
+ci: build vet race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke top-smoke loadgen-smoke postmortem-smoke overhead-check vet-strict bench-ratchet benchmark-quick
 
 clean:
 	$(GO) clean ./...

@@ -1,18 +1,23 @@
 // Command kml-inspect examines KML deployment artifacts: the network model
 // file (.kml), the normalizer (.norm), and the decision tree (.dtree) that
 // cmd/kml-train produces — the files a kernel module would load in the
-// paper's deploy step. It prints architecture, parameter statistics, and
-// memory footprints, and verifies the checksums by loading.
+// paper's deploy step. It prints architecture, parameter statistics,
+// memory footprints and, for networks, how often the float32 form they are
+// served in agrees with the float64 graph, and verifies the checksums by
+// loading.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"strings"
 
 	"repro/internal/dtree"
 	"repro/internal/features"
+	"repro/internal/mserve"
 	"repro/internal/nn"
 )
 
@@ -48,7 +53,11 @@ func inspect(path string) error {
 }
 
 func inspectModel(path string) error {
-	net, err := nn.LoadFile(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	net, err := nn.Load(bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
@@ -79,7 +88,52 @@ func inspectModel(path string) error {
 	if f32, err := nn.CompileFloat32(net); err == nil {
 		fmt.Printf("  float32 size:              %d bytes\n", f32.ParamBytes())
 	}
+	agree, err := servedAgreement(net, data)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("  served as float32: %d/%d agree with the float64 graph\n", agree, agreementVectors)
 	return nil
+}
+
+// agreementVectors is how many seeded inputs servedAgreement classifies:
+// half uniform over the ±3 range normalized features are clipped to, half
+// standard normal.
+const agreementVectors = 65536
+
+// servedAgreement instantiates the model exactly as kml-served would —
+// compiled to float32 — and counts the inputs on which it picks the class
+// the float64 training graph picks, so what compiled serving costs this
+// artifact is known before it is deployed.
+func servedAgreement(net *nn.Network, data []byte) (int, error) {
+	art := &mserve.Artifact{Version: mserve.Version{Kind: mserve.KindNN}, Data: data}
+	inst, err := art.Instantiate()
+	if err != nil {
+		return 0, err
+	}
+	const rows = 256
+	d := inst.InDim()
+	rng := rand.New(rand.NewSource(1))
+	block := make([]float64, rows*d)
+	classes := make([]int, rows)
+	var buf nn.PredictBuffer
+	agree := 0
+	for done := 0; done < agreementVectors; done += rows {
+		for i := range block {
+			if done < agreementVectors/2 {
+				block[i] = rng.Float64()*6 - 3
+			} else {
+				block[i] = rng.NormFloat64()
+			}
+		}
+		inst.PredictBatch(block, rows, classes)
+		for r := 0; r < rows; r++ {
+			if classes[r] == net.Predict(block[r*d:(r+1)*d], &buf) {
+				agree++
+			}
+		}
+	}
+	return agree, nil
 }
 
 func inspectNorm(path string) error {

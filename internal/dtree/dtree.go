@@ -190,7 +190,10 @@ func gini(counts []float64, n float64) float64 {
 	return 1 - s
 }
 
-// Predict returns the predicted class for one sample.
+// Predict returns the predicted class for one sample. Traversal reads the
+// tree and writes nothing, so one Tree serves any number of goroutines.
+//
+//kml:hotpath
 func (t *Tree) Predict(features []float64) int {
 	return t.leafFor(features).class
 }
@@ -201,6 +204,7 @@ func (t *Tree) PredictProbs(features []float64) []float64 {
 	return t.leafFor(features).probs
 }
 
+//kml:hotpath
 func (t *Tree) leafFor(features []float64) *node {
 	if len(features) != t.features {
 		panic(fmt.Sprintf("dtree: got %d features, want %d", len(features), t.features))

@@ -9,7 +9,10 @@
 //   - registry.go — a versioned, content-addressed store of serialized KML
 //     models (the nn KMLF format and the dtree format), with CRC and
 //     content-hash validation on every load, an append-only manifest, and
-//     an activation stack supporting rollback;
+//     an activation stack supporting rollback. A loaded Artifact is parsed
+//     once into the form it is served in — networks compiled to the float32
+//     kernel, the float64 training graph never on the request path — and
+//     every connection's Instance shares those parameters;
 //   - deploy.go — Deployment[T], the atomic hot-swap handle. Readers
 //     (server connections, readahead.Tuner, the fixed-point inference
 //     path) dereference the current model with a single atomic pointer

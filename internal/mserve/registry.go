@@ -218,7 +218,7 @@ func (r *Registry) Put(kind ModelKind, name string, data []byte) (Version, error
 	if int64(len(data)) > MaxPayload {
 		return Version{}, ErrModelTooLarge
 	}
-	if _, _, _, _, err := parseModel(kind, data); err != nil {
+	if _, err := parseModel(kind, data); err != nil {
 		return Version{}, err
 	}
 	sum := sha256.Sum256(data)
@@ -325,7 +325,7 @@ func (r *Registry) Rollbacks() uint64 {
 // Artifact loads and validates version number's bytes: size, SHA-256
 // content address and CRC must all match the manifest, and the bytes must
 // still parse — the registry never hands out an artifact it could not
-// serve.
+// serve. The parse is kept: the artifact's instances all share it.
 func (r *Registry) Artifact(number uint64) (*Artifact, error) {
 	r.mu.Lock()
 	v, ok := r.versions[number]
@@ -348,11 +348,13 @@ func (r *Registry) Artifact(number uint64) (*Artifact, error) {
 	if crc32.ChecksumIEEE(data) != v.CRC {
 		return nil, fmt.Errorf("%w: version %d: checksum mismatch", ErrCorruptObject, number)
 	}
-	_, _, inDim, outDim, err := parseModel(v.Kind, data)
+	a := &Artifact{Version: v, Data: data}
+	m, err := a.parsed()
 	if err != nil {
 		return nil, fmt.Errorf("%w: version %d: %v", ErrCorruptObject, number, err)
 	}
-	return &Artifact{Version: v, InDim: inDim, OutDim: outDim, Data: data}, nil
+	a.InDim, a.OutDim = m.inDim, m.outDim
+	return a, nil
 }
 
 // ActiveArtifact loads the active version's artifact.
@@ -457,33 +459,64 @@ func validateName(name string) error {
 	return nil
 }
 
-// Artifact is one immutable deployed model: validated serialized bytes
-// plus metadata. Artifacts are what a Deployment publishes on the server:
-// each connection instantiates its own inference state from the bytes, so
-// concurrent requests never share the mutable forward-pass buffers inside
-// nn.Network.
+// Artifact is one immutable deployed model: validated serialized bytes,
+// metadata, and the model parsed once into the form it is served in.
+// Artifacts are what a Deployment publishes on the server; every
+// connection and coalescer shard draws its Instance from the one parsed
+// model, so a hot swap costs each of them a scratch allocation, not a
+// re-parse. Registry.Artifact parses at load, a literal Artifact on its
+// first Instantiate; do not copy an Artifact after either.
 type Artifact struct {
 	Version Version
 	InDim   int // model input width, from parsing the artifact
 	OutDim  int // model output width (class count), from parsing the artifact
 	Data    []byte
+
+	parse sync.Once
+	model servable
+	err   error
 }
 
-// Instantiate parses the artifact into a ready-to-serve Instance.
+// servable is a parsed model in its shareable form: nothing reachable from
+// it is written after parseModel returns. A network is held as compiled
+// float32 parameters and never run itself — each Instance forks it,
+// sharing the padded weight matrices (which the kernel only reads) and
+// owning the scratch the kernel writes. Tree traversal is pure.
+type servable struct {
+	net           *nn.Float32Network
+	tree          *dtree.Tree
+	inDim, outDim int
+}
+
+func (a *Artifact) parsed() (*servable, error) {
+	a.parse.Do(func() { a.model, a.err = parseModel(a.Version.Kind, a.Data) })
+	return &a.model, a.err
+}
+
+// Instantiate returns a ready-to-serve Instance over the artifact's parsed
+// model, with inference scratch of its own.
 func (a *Artifact) Instantiate() (*Instance, error) {
-	net, tree, inDim, outDim, err := parseModel(a.Version.Kind, a.Data)
+	m, err := a.parsed()
 	if err != nil {
 		return nil, err
 	}
-	return &Instance{
+	inst := &Instance{
 		version: a.Version.Number, kind: a.Version.Kind, name: a.Version.Name,
-		inDim: inDim, outDim: outDim, net: net, tree: tree,
-	}, nil
+		inDim: m.inDim, outDim: m.outDim, tree: m.tree,
+	}
+	if m.net != nil {
+		inst.net = m.net.Fork()
+	}
+	return inst, nil
 }
 
-// Instance is a single-goroutine servable model: a parsed network or tree
-// plus its private inference scratch. It implements core.Classifier, so a
-// registry version can be dropped anywhere the framework deploys models
+// Instance is a single-goroutine servable model: the artifact's shared
+// parameters plus private inference scratch. Networks are served as the
+// compiled float32 kernel — the float64 graph they were trained in stays
+// on the training side — and Predict and PredictBatch run that one kernel,
+// so a row classifies identically alone, in a batch, or gathered into a
+// coalesced batch. Instance implements core.Classifier, so a registry
+// version can be dropped anywhere the framework deploys models
 // (readahead.Tuner, the Table-2 harness).
 type Instance struct {
 	version uint64
@@ -491,8 +524,7 @@ type Instance struct {
 	name    string
 	inDim   int
 	outDim  int
-	net     *nn.Network
-	buf     nn.PredictBuffer
+	net     *nn.Float32Network
 	tree    *dtree.Tree
 }
 
@@ -503,9 +535,12 @@ var (
 
 // Predict implements core.Classifier. It must not be called concurrently
 // on one Instance; give each goroutine its own via Artifact.Instantiate.
+// Both model kinds panic on a feature count other than InDim.
+//
+//kml:hotpath
 func (m *Instance) Predict(features []float64) int {
 	if m.net != nil {
-		return m.net.Predict(features, &m.buf)
+		return m.net.Predict(features)
 	}
 	return m.tree.Predict(features)
 }
@@ -515,10 +550,19 @@ func (m *Instance) Predict(features []float64) int {
 // rows separate ones — where the batch-endpoint speedup comes from); tree
 // traversal is already cheap and pure, so it loops. Like Predict, it must
 // not be called concurrently on one Instance. After the scratch high-water
-// mark is reached it allocates nothing.
+// mark is reached it allocates nothing. It panics, before writing any
+// class, unless len(features) == rows*InDim and len(classes) >= rows.
+//
+//kml:hotpath
 func (m *Instance) PredictBatch(features []float64, rows int, classes []int) {
+	if rows <= 0 || len(features) != rows*m.inDim {
+		panic("mserve: PredictBatch feature length mismatch")
+	}
+	if len(classes) < rows {
+		panic("mserve: PredictBatch classes slice too short")
+	}
 	if m.net != nil {
-		m.net.PredictBatch(features, rows, classes, &m.buf)
+		m.net.InferBatch(features, rows, classes)
 		return
 	}
 	for r := 0; r < rows; r++ {
@@ -543,21 +587,27 @@ func (m *Instance) InDim() int { return m.inDim }
 // predicts over, which sizes the drift monitor's class distribution.
 func (m *Instance) OutDim() int { return m.outDim }
 
-func parseModel(kind ModelKind, data []byte) (*nn.Network, *dtree.Tree, int, int, error) {
+// parseModel validates serialized model bytes and returns their servable
+// form; a network that loads but cannot be compiled is rejected here.
+func parseModel(kind ModelKind, data []byte) (servable, error) {
 	switch kind {
 	case KindNN:
 		net, err := nn.Load(bytes.NewReader(data))
 		if err != nil {
-			return nil, nil, 0, 0, err
+			return servable{}, err
 		}
-		return net, nil, net.InDim(), net.OutDim(), nil
+		f32, err := nn.CompileFloat32(net)
+		if err != nil {
+			return servable{}, err
+		}
+		return servable{net: f32, inDim: f32.InDim(), outDim: f32.OutDim()}, nil
 	case KindDTree:
 		tree, err := dtree.Load(bytes.NewReader(data))
 		if err != nil {
-			return nil, nil, 0, 0, err
+			return servable{}, err
 		}
-		return nil, tree, tree.Features(), tree.Classes(), nil
+		return servable{tree: tree, inDim: tree.Features(), outDim: tree.Classes()}, nil
 	default:
-		return nil, nil, 0, 0, fmt.Errorf("%w: %d", ErrBadKind, uint8(kind))
+		return servable{}, fmt.Errorf("%w: %d", ErrBadKind, uint8(kind))
 	}
 }

@@ -39,7 +39,12 @@ func constTreeBytes(t *testing.T, class, inDim int) []byte {
 	for i := range x[1] {
 		x[1][i] = 1
 	}
-	y := []int{class, class}
+	return trainTreeBytes(t, x, []int{class, class})
+}
+
+// trainTreeBytes trains a 4-class tree on (x, y) and serializes it.
+func trainTreeBytes(t *testing.T, x [][]float64, y []int) []byte {
+	t.Helper()
 	tree, err := dtree.Train(x, y, 4, dtree.Options{})
 	if err != nil {
 		t.Fatalf("train tree: %v", err)
@@ -49,6 +54,24 @@ func constTreeBytes(t *testing.T, class, inDim int) []byte {
 		t.Fatalf("save tree: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// putArtifact registers data in a fresh registry and loads it back.
+func putArtifact(t *testing.T, kind ModelKind, data []byte) *Artifact {
+	t.Helper()
+	r, err := OpenRegistry(t.TempDir())
+	if err != nil {
+		t.Fatalf("open registry: %v", err)
+	}
+	v, err := r.Put(kind, "m", data)
+	if err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	art, err := r.Artifact(v.Number)
+	if err != nil {
+		t.Fatalf("artifact: %v", err)
+	}
+	return art
 }
 
 func TestRegistryPutActivateRollback(t *testing.T) {

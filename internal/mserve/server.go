@@ -681,7 +681,7 @@ func (s *Server) handle(c net.Conn) {
 		s.wg.Done()
 	}()
 	// Per-connection buffers are pooled across connections: a reconnecting
-	// client inherits sized buffers (and often a parsed model instance —
+	// client inherits sized buffers (and often a warm model instance —
 	// instance() revalidates the version), so short-lived connections don't
 	// pay the warm-up allocations again.
 	sc, _ := s.connPool.Get().(*srvConn)
@@ -836,7 +836,8 @@ func (s *Server) TimeSeriesRecorder() *tsrec.Recorder { return s.rec }
 
 // instance returns sc's private model instance for the current snapshot,
 // re-instantiating only when the deployed version changed — the cold half
-// of a hot swap, paid once per connection per deploy.
+// of a hot swap, paid once per connection per deploy, and only a scratch
+// allocation: the artifact was parsed and compiled when it was loaded.
 func (sc *srvConn) instance(snap *Snapshot[*Artifact]) (*Instance, error) {
 	if sc.inst == nil || sc.inst.Version() != snap.Version {
 		inst, err := snap.Model.Instantiate()

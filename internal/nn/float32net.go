@@ -26,13 +26,25 @@ type float32Op struct {
 	kind uint8
 	w    *matrix.Dense[float32]
 	b    *matrix.Dense[float32]
-	out  *matrix.Dense[float32] // batchCap × out scratch (linear only)
+}
+
+// float32Scratch is one linear op's output buffer.
+type float32Scratch struct {
+	out  *matrix.Dense[float32] // batchCap × out, padded
 	view matrix.Dense[float32]  // rows-row view of out for the current call
 }
 
-// Float32Network executes a single-precision chain network.
+// Float32Network executes a single-precision chain network. It is two
+// things with different lifetimes. The ops — layer kinds and padded
+// parameter matrices — are written by CompileFloat32 and only ever read
+// afterwards (the vector kernel reads past the end of w and b into their
+// padding; the only memory it writes past a matrix's end is the
+// scratch's), so any number of goroutines may share them. The scratch is
+// written by every call and belongs to one goroutine; Fork makes a network
+// that shares the first and owns a fresh second.
 type Float32Network struct {
-	ops      []float32Op
+	ops      []float32Op      // immutable after compile; shared across Forks
+	scratch  []float32Scratch // by op index (linear ops only); private
 	inDim    int
 	inBuf    *matrix.Dense[float32] // batchCap × inDim input scratch
 	inView   matrix.Dense[float32]
@@ -158,11 +170,20 @@ func CompileFloat32(n *Network) (*Float32Network, error) {
 			return nil, fmt.Errorf("nn: cannot compile layer %q to float32", l.Name())
 		}
 	}
-	if len(fn.ops) == 0 {
-		return nil, fmt.Errorf("nn: nothing to compile")
+	if fn.OutDim() == 0 {
+		return nil, fmt.Errorf("nn: nothing to compile: no linear layer")
 	}
-	fn.EnsureBatch(1)
-	return fn, nil
+	return fn.Fork(), nil
+}
+
+// Fork returns a network that shares fn's parameters and owns its own
+// scratch, sized for one row: the once-per-model compile is paid by fn,
+// and each goroutine that wants to infer concurrently pays only for the
+// buffers its calls write. A fork predicts bitwise-identically to fn.
+func (fn *Float32Network) Fork() *Float32Network {
+	f := &Float32Network{ops: fn.ops, inDim: fn.inDim, scratch: make([]float32Scratch, len(fn.ops))}
+	f.EnsureBatch(1)
+	return f
 }
 
 // toFloat32 narrows a float64 parameter matrix, allocating kernelPad spare
@@ -205,10 +226,9 @@ func (fn *Float32Network) EnsureBatch(rows int) {
 		return
 	}
 	fn.inBuf = matrix.New[float32](rows, fn.inDim)
-	for i := range fn.ops {
-		op := &fn.ops[i]
+	for i, op := range fn.ops {
 		if op.kind == kindLinear {
-			op.out = matrix.NewPadded[float32](rows, op.w.Cols(), kernelPad)
+			fn.scratch[i].out = matrix.NewPadded[float32](rows, op.w.Cols(), kernelPad)
 		}
 	}
 	fn.batchCap = rows
@@ -218,6 +238,8 @@ func (fn *Float32Network) EnsureBatch(rows int) {
 // the argmax output index. It performs no allocation. It is exactly
 // InferBatch at one row: the two paths share the fused kernel, so their
 // outputs are bitwise-identical by construction.
+//
+//kml:hotpath
 func (fn *Float32Network) Predict(features []float64) int {
 	if len(features) != fn.inDim {
 		panic(fmt.Sprintf("nn: float32 predict got %d features, want %d", len(features), fn.inDim))
@@ -263,13 +285,13 @@ func (fn *Float32Network) InferBatch(features []float64, rows int, classes []int
 // (aliasing internal scratch, valid until the next call).
 func (fn *Float32Network) Logits(features []float64) []float32 {
 	fn.Predict(features) // fills buffers
-	return fn.ops[lastSizing(fn.ops)].view.Row(0)
+	return fn.scratch[lastSizing(fn.ops)].view.Row(0)
 }
 
 // BatchLogits returns the output row for sample r of the most recent
 // InferBatch call (aliasing internal scratch, valid until the next call).
 func (fn *Float32Network) BatchLogits(r int) []float32 {
-	return fn.ops[lastSizing(fn.ops)].view.Row(r)
+	return fn.scratch[lastSizing(fn.ops)].view.Row(r)
 }
 
 func lastSizing(ops []float32Op) int {
@@ -294,9 +316,10 @@ func (fn *Float32Network) forward(rows int) *matrix.Dense[float32] {
 		op := &fn.ops[i]
 		switch op.kind {
 		case kindLinear:
-			op.view = op.out.SliceRows(rows)
-			matrix.MulBias32(&op.view, cur, op.w, op.b)
-			cur = &op.view
+			sc := &fn.scratch[i]
+			sc.view = sc.out.SliceRows(rows)
+			matrix.MulBias32(&sc.view, cur, op.w, op.b)
+			cur = &sc.view
 		case kindSigmoid:
 			sigmoidRows(cur.Data())
 		case kindReLU:

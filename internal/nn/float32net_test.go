@@ -121,3 +121,50 @@ func BenchmarkFloat32Inference(b *testing.B) {
 		f32.Predict(in)
 	}
 }
+
+// TestForkSharesParameters pins the weights/scratch split: a fork reads
+// the very same parameter matrices (no copy, however large the model),
+// writes only buffers of its own, and so computes bitwise what the
+// network it was forked from computes.
+func TestForkSharesParameters(t *testing.T) {
+	f32, err := CompileFloat32(testNet(36))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork := f32.Fork()
+	for i := range f32.ops {
+		if fork.ops[i].w != f32.ops[i].w || fork.ops[i].b != f32.ops[i].b {
+			t.Fatalf("op %d: fork copied its parameters", i)
+		}
+		if out := fork.scratch[i].out; out != nil && out == f32.scratch[i].out {
+			t.Fatalf("op %d: fork shares output scratch", i)
+		}
+	}
+	if fork.inBuf == f32.inBuf {
+		t.Fatal("fork shares input scratch")
+	}
+	if fork.InDim() != f32.InDim() || fork.OutDim() != f32.OutDim() || fork.ParamBytes() != f32.ParamBytes() {
+		t.Error("fork reports a different shape")
+	}
+	const rows = 37
+	feats := randFeatures(rand.New(rand.NewSource(37)), rows, f32.InDim())
+	a, b := make([]int, rows), make([]int, rows)
+	fork.InferBatch(feats, rows, a) // grows the fork's scratch only
+	f32.InferBatch(feats, rows, b)
+	for r := 0; r < rows; r++ {
+		if a[r] != b[r] {
+			t.Fatalf("row %d: fork class %d, original %d", r, a[r], b[r])
+		}
+		for j, v := range f32.BatchLogits(r) {
+			if fork.BatchLogits(r)[j] != v {
+				t.Fatalf("row %d logit %d: fork %v != original %v", r, j, fork.BatchLogits(r)[j], v)
+			}
+		}
+	}
+}
+
+func TestCompileFloat32RejectsNoLinearLayer(t *testing.T) {
+	if _, err := CompileFloat32(NewNetwork(NewSigmoid(), NewSoftmax())); err == nil {
+		t.Error("a network without a linear layer has no output width to serve")
+	}
+}

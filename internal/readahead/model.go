@@ -277,7 +277,6 @@ func (c *FixedClassifier) Name() string { return "readahead-nn-fixed" }
 // core.Classifier — the paper's "floating-point" (vs double) matrix mode.
 type Float32Classifier struct {
 	fnet *nn.Float32Network
-	src  *nn.Network // retained for CloneClassifier recompilation
 }
 
 // NewFloat32Classifier compiles net to float32 inference.
@@ -286,7 +285,7 @@ func NewFloat32Classifier(net *nn.Network) (*Float32Classifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Float32Classifier{fnet: fnet, src: net}, nil
+	return &Float32Classifier{fnet: fnet}, nil
 }
 
 // Predict implements core.Classifier.
@@ -297,14 +296,10 @@ func (c *Float32Classifier) PredictBatch(f []float64, rows int, classes []int) {
 	c.fnet.InferBatch(f, rows, classes)
 }
 
-// CloneClassifier implements core.Cloneable by recompiling the retained
-// source network.
+// CloneClassifier implements core.Cloneable: the clone shares the compiled
+// parameters (read-only) and owns its inference scratch.
 func (c *Float32Classifier) CloneClassifier() core.Classifier {
-	clone, err := NewFloat32Classifier(c.src)
-	if err != nil {
-		panic(err)
-	}
-	return clone
+	return &Float32Classifier{fnet: c.fnet.Fork()}
 }
 
 // Name implements core.Classifier.
