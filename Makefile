@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet kml-vet vet-strict test race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke top-smoke loadgen-smoke postmortem-smoke overhead-check bench-json bench-ratchet benchmark benchmark-quick ci clean
+.PHONY: all build vet kml-vet vet-strict test race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress top-smoke loadgen-smoke postmortem-smoke overhead-check bench-json bench-ratchet benchmark benchmark-quick ci clean
 
 all: build
 
@@ -72,6 +72,12 @@ trace-smoke:
 online-smoke:
 	sh scripts/online_smoke.sh
 
+# Flake detector for the online-learning e2e tests: five back-to-back
+# runs, each with two wire clients hammering the server through the
+# deploy and rollback swaps. Auto-rollback must not depend on timing.
+online-stress:
+	$(GO) test -count=5 -run TestOnline ./internal/olearn
+
 # End-to-end smoke of the serving console: boot kml-served -sim with a
 # fast time-series interval, assert kml-top renders throughput/latency
 # from MsgTimeSeries, the raw capture is non-empty and monotonic, and
@@ -135,7 +141,7 @@ benchmark-quick:
 		$(GO) run ./benchmark --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
 	done
 
-ci: build vet race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke top-smoke loadgen-smoke postmortem-smoke overhead-check vet-strict bench-ratchet benchmark-quick
+ci: build vet race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress top-smoke loadgen-smoke postmortem-smoke overhead-check vet-strict bench-ratchet benchmark-quick
 
 clean:
 	$(GO) clean ./...

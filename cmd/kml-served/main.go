@@ -297,13 +297,13 @@ func runSim(srv *mserve.Server, reg *mserve.Registry, opts simOptions) error {
 	if err != nil {
 		return err
 	}
-	tuner, err := readahead.NewTuner(env.Dev, inst, norm, readahead.TunerConfig{})
+	tuner, err := readahead.NewTuner(env.Dev, inst, norm, readahead.TunerConfig{Outcome: env.Cache.HitMissCounts})
 	if err != nil {
 		return err
 	}
 	tuner.Instrument(srv.MetricsRegistry(), 64)
 	tuner.InstrumentDrift(srv.MetricsRegistry(), opts.driftWin)
-	tuner.EnableTracing(srv.TraceArena(), env.Cache.HitMissCounts)
+	tuner.EnableTracing(srv.TraceArena())
 	env.Tracer.Register(tuner.Hook())
 
 	perPhase := (opts.windows + len(kinds) - 1) / len(kinds)
@@ -354,19 +354,18 @@ func runSimOnline(srv *mserve.Server, reg *mserve.Registry, kinds []workload.Kin
 	// Both values sit inside the offline training sweep {8..1024}, so
 	// the readahead feature stays in-distribution either way.
 	policy := readahead.Policy{256, 8, 8, 8}
-	tuner, err := readahead.NewDeployedTuner(env.Dev, dep, norm, readahead.TunerConfig{Policy: policy})
+	tuner, err := readahead.NewDeployedTuner(env.Dev, dep, norm, readahead.TunerConfig{Policy: policy, Outcome: env.Cache.HitMissCounts})
 	if err != nil {
 		return err
 	}
 	tuner.Instrument(srv.MetricsRegistry(), 64)
 	drift := tuner.InstrumentDrift(srv.MetricsRegistry(), opts.driftWin)
-	tuner.EnableTracing(srv.TraceArena(), env.Cache.HitMissCounts)
+	tuner.EnableTracing(srv.TraceArena())
 	env.Tracer.Register(tuner.Hook())
 
 	ctl, err := olearn.New(olearn.Config{
 		Server:      srv,
 		Drift:       drift,
-		Arena:       srv.TraceArena(),
 		Norm:        norm,
 		TunerDeploy: dep,
 		Trigger:     olearn.TriggerConfig{ShiftBudgetMilliZ: opts.budgetMZ},
@@ -385,7 +384,7 @@ func runSimOnline(srv *mserve.Server, reg *mserve.Registry, kinds []workload.Kin
 	if opts.poison > 0 {
 		ctl.PoisonRetrain(opts.poison)
 	}
-	tuner.SetSampleSink(ctl.AddSample)
+	tuner.SetLearner(ctl)
 	srv.SetLearnSource(ctl.Status)
 
 	perPhase := (opts.windows + len(kinds) - 1) / len(kinds)

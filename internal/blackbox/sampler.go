@@ -1,12 +1,14 @@
 // The sampler: the bridge from the in-memory observability state to
 // the on-disk ring. Each Capture incrementally drains what changed
 // since the last one — new time-series points and new decision traces
-// through the cursor-based ReadNewer APIs (nothing is re-persisted),
-// the learner status only when its state machine moved, and a full
-// metrics snapshot every capture (it is the drift-gauge trajectory a
-// postmortem plots, and cheap relative to the interval). All scratch
-// buffers are owned by the sampler and reused, so a capture allocates
-// only what the registry snapshot itself allocates.
+// through the keep-latest rings' cursor API (nothing is re-persisted;
+// whatever the rings overwrote before a drain is counted in
+// blackbox_points_missed / blackbox_traces_missed on the server
+// registry), the learner status only when its state machine moved, and
+// a full metrics snapshot every capture (it is the drift-gauge
+// trajectory a postmortem plots, and cheap relative to the interval).
+// All scratch buffers are owned by the sampler and reused, so a capture
+// allocates only what the registry snapshot itself allocates.
 //
 // The sampler is not goroutine-safe: it is driven either by the
 // recorder's flusher (Recorder.Start(sampler.Capture)) or by explicit
@@ -16,6 +18,7 @@ package blackbox
 import (
 	"repro/internal/dtrace"
 	"repro/internal/mserve"
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/tsrec"
 )
 
@@ -37,6 +40,8 @@ type Sampler struct {
 	trBuf     []dtrace.Trace
 	tsCursor  uint64
 	trCursor  uint64
+	tsMissed  *telemetry.Counter // blackbox_points_missed
+	trMissed  *telemetry.Counter // blackbox_traces_missed
 	haveLearn bool
 	lastLearn mserve.LearnStatus
 }
@@ -45,11 +50,14 @@ type Sampler struct {
 // so the first Capture persists everything the server has retained so
 // far — history from before the black box was attached is not lost.
 func NewSampler(bb *Recorder, srv *mserve.Server) *Sampler {
+	reg := srv.MetricsRegistry()
 	return &Sampler{
-		bb:    bb,
-		srv:   srv,
-		tsBuf: make([]tsrec.Point, samplerPointBatch),
-		trBuf: make([]dtrace.Trace, samplerTraceBatch),
+		bb:       bb,
+		srv:      srv,
+		tsBuf:    make([]tsrec.Point, samplerPointBatch),
+		trBuf:    make([]dtrace.Trace, samplerTraceBatch),
+		tsMissed: reg.Counter("blackbox_points_missed"),
+		trMissed: reg.Counter("blackbox_traces_missed"),
 	}
 }
 
@@ -57,16 +65,12 @@ func NewSampler(bb *Recorder, srv *mserve.Server) *Sampler {
 // recorder, stamped nowNanos. Durability still requires a flush; the
 // recorder's flusher calls Capture immediately before each one.
 func (s *Sampler) Capture(nowNanos int64) {
-	// Full metrics snapshot: counters, gauges (drift milli-z), latency
-	// histograms, recent flight-recorder decisions.
-	s.scratch = mserve.AppendMetrics(s.scratch[:0], s.srv.Metrics())
-	s.bb.Record(KindMetrics, nowNanos, s.scratch)
-
 	// New time-series points since the last capture.
 	if rec := s.srv.TimeSeriesRecorder(); rec != nil {
 		for {
-			n, cur := rec.ReadNewer(s.tsCursor, s.tsBuf)
+			n, cur, missed := rec.ReadNewer(s.tsCursor, s.tsBuf)
 			s.tsCursor = cur
+			s.tsMissed.Add(missed)
 			if n == 0 {
 				break
 			}
@@ -86,8 +90,9 @@ func (s *Sampler) Capture(nowNanos int64) {
 	// New decision traces since the last capture.
 	if arena := s.srv.TraceArena(); arena != nil {
 		for {
-			n, cur := arena.ReadNewer(s.trCursor, s.trBuf)
+			n, cur, missed := arena.ReadNewer(s.trCursor, s.trBuf)
 			s.trCursor = cur
+			s.trMissed.Add(missed)
 			if n == 0 {
 				break
 			}
@@ -98,6 +103,12 @@ func (s *Sampler) Capture(nowNanos int64) {
 			}
 		}
 	}
+
+	// Full metrics snapshot: counters (including this capture's missed
+	// counts), gauges (drift milli-z), latency histograms, recent
+	// flight-recorder decisions.
+	s.scratch = mserve.AppendMetrics(s.scratch[:0], s.srv.Metrics())
+	s.bb.Record(KindMetrics, nowNanos, s.scratch)
 
 	// Learner status, only on transitions: the state machine moves
 	// orders of magnitude slower than the capture interval, and the

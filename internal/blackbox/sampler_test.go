@@ -117,6 +117,63 @@ func TestSamplerCapturesIncrementally(t *testing.T) {
 	}
 }
 
+// TestSamplerCountsMissed: whatever the keep-latest rings overwrote
+// before a capture drained them lands in blackbox_traces_missed /
+// blackbox_points_missed, and the same capture's metrics record carries
+// the counts — a flat history reads as "lost", not "quiet".
+func TestSamplerCountsMissed(t *testing.T) {
+	reg, err := mserve.OpenRegistry(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := mserve.NewServer(mserve.Config{Registry: reg, TraceCapacity: 4, TimeSeriesCapacity: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Shutdown(time.Second) })
+	path := filepath.Join(t.TempDir(), "bb.bin")
+	bb, err := Open(Config{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSampler(bb, srv)
+	var tb dtrace.Builder
+	for i := 0; i < 10; i++ {
+		tb.Start(srv.TraceArena().NextID(), int64(i))
+		srv.TraceArena().Record(tb.Finish(int64(i + 1)))
+		srv.TimeSeriesRecorder().Tick(int64(i + 1))
+	}
+	s.Capture(100)
+	if err := bb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := ScanFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{"blackbox_traces_missed": 6, "blackbox_points_missed": 6}
+	for _, r := range res.Records {
+		if r.Kind != KindMetrics {
+			continue
+		}
+		snap, err := mserve.ParseMetrics(r.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range snap.Metrics {
+			if w, ok := want[m.Name]; ok {
+				if m.Value != w {
+					t.Errorf("%s = %d, want %d", m.Name, m.Value, w)
+				}
+				delete(want, m.Name)
+			}
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("metrics capture lacks %v", want)
+	}
+}
+
 // TestRecorderFlusherDrivesSampler pins the Start(capture) contract:
 // the background flusher invokes the capture hook before every flush,
 // so a crash loses at most one interval.

@@ -1,154 +1,30 @@
 // Arena: bounded keep-latest retention of completed traces, plus the
-// TraceID mint. The storage is a preallocated power-of-two ring of
-// Trace slots written circularly — under overflow the OLDEST trace is
-// overwritten, because like a flight recorder the recent past is what
-// debugging needs. Unlike telemetry.FlightRecorder (which wraps the
-// SPSC internal/ringbuf and pays a pop+push per eviction), the arena
-// owns its ring directly so Record is exactly one slot copy; the span
-// budget in overhead_test.go is what forces that choice. Recording
-// happens once per decision window — never on the per-event hot path —
-// so a mutex is acceptable and makes Snapshot safe from any goroutine.
+// TraceID mint. Retention is the repo's one keep-latest ring
+// (telemetry.FlightRecorder) — Record is one slot copy of the trace by
+// pointer, and Cursor/ReadNewer/Snapshot follow its cursor contract — so
+// this file owns only the ID mint.
 package dtrace
 
 import (
-	"sync"
 	"sync/atomic"
-)
 
-// MaxArenaCapacity bounds arena sizing, mirroring ringbuf.MaxCapacity's
-// guard against shift overflow in the rounding loop.
-const MaxArenaCapacity = 1 << 20
+	"repro/internal/telemetry"
+)
 
 // Arena retains the most recent completed traces and mints TraceIDs.
 type Arena struct {
-	mu    sync.Mutex
-	slots []Trace
-	mask  uint64
-	w     uint64 // total traces ever recorded
-	next  atomic.Uint64
+	*telemetry.FlightRecorder[Trace]
+	next atomic.Uint64
 }
 
 // NewArena returns an arena retaining the last `capacity` traces
 // (rounded up to a power of two). It panics on a non-positive or
 // excessive capacity — a wiring error, not a runtime condition.
 func NewArena(capacity int) *Arena {
-	if capacity <= 0 || capacity > MaxArenaCapacity {
-		panic("dtrace: arena capacity out of range")
-	}
-	c := 1
-	for c < capacity {
-		c <<= 1
-	}
-	return &Arena{slots: make([]Trace, c), mask: uint64(c - 1)}
+	return &Arena{FlightRecorder: telemetry.NewFlightRecorder[Trace](capacity)}
 }
 
 // NextID mints a fresh trace ID. IDs start at 1; 0 never names a trace.
 //
 //kml:hotpath
 func (a *Arena) NextID() TraceID { return TraceID(a.next.Add(1)) }
-
-// Record copies a completed trace into the next slot, overwriting the
-// oldest retained trace when full. Empty traces (N == 0) are dropped.
-//
-//kml:hotpath
-func (a *Arena) Record(t *Trace) {
-	if t == nil || t.N == 0 {
-		return
-	}
-	a.mu.Lock()
-	a.slots[a.w&a.mask] = *t
-	a.w++
-	a.mu.Unlock()
-}
-
-// Cursor returns the arena's write cursor: the total number of traces
-// ever recorded. A reader that remembers a cursor can later fetch only
-// what arrived after it with ReadNewer.
-func (a *Arena) Cursor() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.w
-}
-
-// ReadNewer copies traces recorded after cursor `since` into dst, oldest
-// first, and returns the count copied plus the cursor to pass next time.
-// Traces that have already been overwritten are silently skipped (the
-// returned cursor accounts for them), and at most len(dst) traces are
-// copied per call — loop until the count is zero to drain. The
-// destination is caller-owned, so a polling consumer (the online-learning
-// controller) reads the arena without allocating.
-//
-//kml:hotpath
-func (a *Arena) ReadNewer(since uint64, dst []Trace) (int, uint64) {
-	if len(dst) == 0 {
-		return 0, since
-	}
-	a.mu.Lock()
-	if since > a.w {
-		// A cursor from a different arena (or a reset); resync to "now"
-		// rather than replaying the whole ring.
-		w := a.w
-		a.mu.Unlock()
-		return 0, w
-	}
-	start := since
-	if horizon := a.w - min64(a.w, uint64(len(a.slots))); start < horizon {
-		start = horizon
-	}
-	n := a.w - start
-	if n > uint64(len(dst)) {
-		n = uint64(len(dst))
-	}
-	for i := uint64(0); i < n; i++ {
-		dst[i] = a.slots[(start+i)&a.mask]
-	}
-	a.mu.Unlock()
-	return int(n), start + n
-}
-
-//kml:hotpath
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Snapshot returns a copy of the retained traces, oldest first.
-func (a *Arena) Snapshot() []Trace {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := a.w
-	if n > uint64(len(a.slots)) {
-		n = uint64(len(a.slots))
-	}
-	out := make([]Trace, n)
-	for i := uint64(0); i < n; i++ {
-		out[i] = a.slots[(a.w-n+i)&a.mask]
-	}
-	return out
-}
-
-// Len returns the number of retained traces.
-func (a *Arena) Len() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.w > uint64(len(a.slots)) {
-		return len(a.slots)
-	}
-	return int(a.w)
-}
-
-// Cap returns the retention capacity.
-func (a *Arena) Cap() int { return len(a.slots) }
-
-// Evicted returns how many traces have been displaced by newer ones —
-// how far back the arena's horizon has moved.
-func (a *Arena) Evicted() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.w > uint64(len(a.slots)) {
-		return a.w - uint64(len(a.slots))
-	}
-	return 0
-}

@@ -116,43 +116,6 @@ func TestBuilderNestedParent(t *testing.T) {
 	}
 }
 
-func TestArenaKeepLatest(t *testing.T) {
-	a := NewArena(4)
-	if a.Cap() != 4 {
-		t.Fatalf("Cap = %d, want 4", a.Cap())
-	}
-	for i := 1; i <= 6; i++ {
-		tr := buildTestTrace(a.NextID())
-		a.Record(&tr)
-	}
-	if a.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", a.Len())
-	}
-	if a.Evicted() != 2 {
-		t.Fatalf("Evicted = %d, want 2", a.Evicted())
-	}
-	snap := a.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("Snapshot len = %d, want 4", len(snap))
-	}
-	// Keep-LATEST: ids 3..6 survive, oldest first.
-	for i, tr := range snap {
-		if want := TraceID(i + 3); tr.ID != want {
-			t.Fatalf("snap[%d].ID = %d, want %d", i, tr.ID, want)
-		}
-	}
-	// Snapshot must not consume.
-	if a.Len() != 4 || len(a.Snapshot()) != 4 {
-		t.Fatal("Snapshot consumed the arena")
-	}
-	// Empty and nil traces are dropped.
-	a.Record(&Trace{})
-	a.Record(nil)
-	if a.Len() != 4 {
-		t.Fatal("empty trace should not be recorded")
-	}
-}
-
 func TestArenaNextIDMonotonic(t *testing.T) {
 	a := NewArena(2)
 	last := TraceID(0)
@@ -292,27 +255,29 @@ func TestStageString(t *testing.T) {
 	}
 }
 
+// TestArenaReadNewer pins the cursor contract the arena inherits from
+// telemetry.FlightRecorder, at the Trace slot and with minted IDs.
 func TestArenaReadNewer(t *testing.T) {
 	a := NewArena(4)
 	buf := make([]Trace, 2)
 	// Empty arena: nothing to read, cursor stays at zero.
-	if n, cur := a.ReadNewer(0, buf); n != 0 || cur != 0 {
-		t.Fatalf("ReadNewer on empty arena = (%d, %d), want (0, 0)", n, cur)
+	if n, cur, missed := a.ReadNewer(0, buf); n != 0 || cur != 0 || missed != 0 {
+		t.Fatalf("ReadNewer on empty arena = (%d, %d, %d), want (0, 0, 0)", n, cur, missed)
 	}
 	for i := 1; i <= 3; i++ {
 		tr := buildTestTrace(a.NextID())
 		a.Record(&tr)
 	}
 	// Drain in chunks of len(buf): 2 then 1.
-	n, cur := a.ReadNewer(0, buf)
+	n, cur, _ := a.ReadNewer(0, buf)
 	if n != 2 || cur != 2 || buf[0].ID != 1 || buf[1].ID != 2 {
 		t.Fatalf("first read = (%d, %d) ids %d,%d; want (2, 2) ids 1,2", n, cur, buf[0].ID, buf[1].ID)
 	}
-	n, cur = a.ReadNewer(cur, buf)
+	n, cur, _ = a.ReadNewer(cur, buf)
 	if n != 1 || cur != 3 || buf[0].ID != 3 {
 		t.Fatalf("second read = (%d, %d) id %d; want (1, 3) id 3", n, cur, buf[0].ID)
 	}
-	if n, cur = a.ReadNewer(cur, buf); n != 0 || cur != 3 {
+	if n, cur, _ = a.ReadNewer(cur, buf); n != 0 || cur != 3 {
 		t.Fatalf("drained read = (%d, %d), want (0, 3)", n, cur)
 	}
 	// Overflow past the reader: traces 4..9 overwrite 1..5; a reader at
@@ -321,26 +286,28 @@ func TestArenaReadNewer(t *testing.T) {
 		tr := buildTestTrace(a.NextID())
 		a.Record(&tr)
 	}
-	n, cur = a.ReadNewer(3, buf)
-	if n != 2 || cur != 7 || buf[0].ID != 6 || buf[1].ID != 7 {
-		t.Fatalf("post-overflow read = (%d, %d) ids %d,%d; want (2, 7) ids 6,7", n, cur, buf[0].ID, buf[1].ID)
+	n, cur, missed := a.ReadNewer(3, buf)
+	if n != 2 || cur != 7 || missed != 2 || buf[0].ID != 6 || buf[1].ID != 7 {
+		t.Fatalf("post-overflow read = (%d, %d, missed %d) ids %d,%d; want (2, 7, missed 2) ids 6,7",
+			n, cur, missed, buf[0].ID, buf[1].ID)
 	}
 	// A cursor beyond the writer (stale arena swap) resyncs to now.
-	if n, cur = a.ReadNewer(1000, buf); n != 0 || cur != 9 {
+	if n, cur, _ = a.ReadNewer(1000, buf); n != 0 || cur != 9 {
 		t.Fatalf("future cursor read = (%d, %d), want (0, 9)", n, cur)
 	}
 	if got := a.Cursor(); got != 9 {
 		t.Fatalf("Cursor = %d, want 9", got)
 	}
-	// Zero-length destination is a no-op.
-	if n, cur = a.ReadNewer(2, nil); n != 0 || cur != 2 {
-		t.Fatalf("nil dst read = (%d, %d), want (0, 2)", n, cur)
+	// Zero-length destination copies nothing; a cursor inside the
+	// retained window stays where it is.
+	if n, cur, _ = a.ReadNewer(6, nil); n != 0 || cur != 6 {
+		t.Fatalf("nil dst read = (%d, %d), want (0, 6)", n, cur)
 	}
 }
 
-// TestArenaReadNewerAllocFree pins the polling path the online-learning
-// controller runs on: reading new traces into a caller-owned buffer must
-// not allocate.
+// TestArenaReadNewerAllocFree pins the polling path the black-box
+// sampler runs on at the 344-byte Trace slot: reading new traces into a
+// caller-owned buffer must not allocate.
 func TestArenaReadNewerAllocFree(t *testing.T) {
 	a := NewArena(64)
 	for i := 0; i < 32; i++ {
@@ -353,7 +320,7 @@ func TestArenaReadNewerAllocFree(t *testing.T) {
 		tr := buildTestTrace(a.NextID())
 		a.Record(&tr)
 		for {
-			n, c := a.ReadNewer(cur, buf)
+			n, c, _ := a.ReadNewer(cur, buf)
 			cur = c
 			if n == 0 {
 				break

@@ -277,12 +277,8 @@ func NewServer(cfg Config) (*Server, error) {
 			}
 			s.tallyMu.Unlock()
 			for _, smp := range batch {
-				s.flight.Record(MetricsDecision{
-					TimeNanos: now,
-					Version:   smp.Version,
-					Class:     smp.Class,
-					Rows:      uint32(smp.Rows),
-				})
+				d := MetricsDecision{TimeNanos: now, Version: smp.Version, Class: smp.Class, Rows: uint32(smp.Rows)}
+				s.flight.Record(&d)
 			}
 		},
 	)

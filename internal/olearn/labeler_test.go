@@ -1,6 +1,10 @@
 package olearn
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/features"
+)
 
 // TestLabelerAgreesWithOracle runs the four training workloads through
 // the real simulated stack (the same collection path offline training
@@ -31,5 +35,41 @@ func TestLabelerAgreesWithOracle(t *testing.T) {
 	}
 	if len(perClassTotal) != 4 {
 		t.Fatalf("oracle produced %d classes, want 4", len(perClassTotal))
+	}
+}
+
+// TestLabelerThresholds pins the decision boundaries of the heuristic
+// labeler on synthetic vectors.
+func TestLabelerThresholds(t *testing.T) {
+	mk := func(sign, writeFrac, mad float64) features.Vector {
+		var v features.Vector
+		v[features.FeatDeltaSign] = sign
+		v[features.FeatWriteFrac] = writeFrac
+		v[features.FeatMeanAbsDelta] = mad
+		return v
+	}
+	cases := []struct {
+		sign, wf, mad float64
+		want          int
+	}{
+		{0.9, 0, 2, classReadSeq},
+		{0.51, 0, 2, classReadSeq},
+		{0.5, 0, 2, classReadRandom}, // at the sign boundary: not a scan
+		{0, 0, 200, classReadRandom},
+		{-0.5, 0, 2, classReadRandom},
+		{-0.51, 0, 2, classReadReverse},
+		{-1, 0, 2, classReadReverse},
+		{0.9, 0.16, 2, classReadWrite}, // write fraction dominates direction
+		{0, 0.5, 0.5, classReadWrite},
+		{0, 0.15, 200, classReadRandom}, // at the boundary: still a pure read
+		// Readahead-polluted random traffic: ascending fill pages push the
+		// sign scan-ward, but the jump magnitude gives it away.
+		{0.8, 0, 43, classReadRandom},
+		{0.9, 0, 16, classReadSeq}, // at the jump boundary: trust the sign
+	}
+	for _, tc := range cases {
+		if got := label(mk(tc.sign, tc.wf, tc.mad)); got != tc.want {
+			t.Errorf("label(sign=%v, writeFrac=%v, mad=%v) = %d, want %d", tc.sign, tc.wf, tc.mad, got, tc.want)
+		}
 	}
 }

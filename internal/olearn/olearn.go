@@ -1,8 +1,8 @@
 // Package olearn closes the loop the paper frames as KML's continuous
 // lifecycle: train in user space, deploy live, watch for staleness,
 // retrain, redeploy — with the storage system's own reward signal (the
-// page-cache hit rate the dtrace outcome spans attribute to each
-// decision) guarding every deployment.
+// page-cache hit rate the tuner attributes to each decision and hands
+// over directly) guarding every deployment.
 //
 // The controller is a state machine:
 //
@@ -11,20 +11,23 @@
 //	          │  └───────────────────────────────────────┘
 //	          └── (cooldown + drift rebaseline)
 //
-//   - Collecting: the co-located tuner feeds one raw feature window per
-//     decision into a bounded keep-latest example ring (AddSample), and
-//     the controller polls the dtrace arena for outcome spans. When the
-//     DriftMonitor completes a window, its max shift / churn feed the
-//     hysteresis Trigger.
-//   - Retraining: on a trigger fire with enough buffered examples, a
-//     background goroutine labels the examples heuristically, normalizes
-//     them with the FROZEN deployed normalizer, trains a fresh network,
-//     and serializes it. The serve loop and the decision tick never
-//     block on this.
+// In each state:
+//
+//   - Collecting: the co-located tuner, as the controller's
+//     readahead.Learner, hands over one raw feature window per decision
+//     (AddSample, into a keep-latest example ring) and each decision's
+//     attributed outcome (AddOutcome). When the DriftMonitor completes a
+//     window, its max shift / churn feed the hysteresis Trigger.
+//   - Retraining: on a trigger fire with enough unconsumed examples and
+//     at least one attributed outcome to judge against (otherwise the
+//     fire lapses), a background goroutine labels the examples
+//     heuristically, normalizes them with the FROZEN deployed
+//     normalizer, trains a fresh network, and serializes it. The serve
+//     loop and the decision tick never block on this.
 //   - Canary: the new version is deployed through the registry's atomic
 //     deploy; the pre-deploy hit-rate baseline (mean of recent outcome
-//     windows) is frozen; the next CanaryWindows outcome spans produced
-//     BY THE NEW VERSION are averaged against it.
+//     windows) is frozen; the next CanaryWindows outcomes of decisions
+//     made BY THE NEW VERSION are averaged against it.
 //   - Committed / RolledBack: canary mean within tolerance commits the
 //     version; a regression beyond tolerance rolls back via the
 //     registry, restoring the previous version for the server and the
@@ -33,7 +36,7 @@
 //     returns to Collecting.
 //
 // Everything observable is exported: telemetry counters/gauges under
-// olearn_*, a flight recorder of retrain events, and the MsgLearnStatus
+// olearn_*, the retained retrain-event history, and the MsgLearnStatus
 // wire snapshot kml-served -status and kml-trace -learn render.
 package olearn
 
@@ -77,9 +80,6 @@ type Config struct {
 	// Drift is the monitor watched for retrain pressure — normally the
 	// co-located tuner's training-stats-baselined monitor. Required.
 	Drift *dtrace.DriftMonitor
-	// Arena is the trace pool outcome spans are polled from — normally
-	// the server's arena, which the tuner also records into. Required.
-	Arena *dtrace.Arena
 	// Norm is the frozen normalizer retraining standardizes examples
 	// with, exactly as the original training run did.
 	Norm features.Normalizer
@@ -94,7 +94,8 @@ type Config struct {
 	// ModelName names deployed versions ("<ModelName>-r<N>"); "" means
 	// "olearn".
 	ModelName string
-	// Capacity sizes the example ring; 0 means 512.
+	// Capacity sizes the keep-latest example ring (rounded up to a power
+	// of two); 0 means 512.
 	Capacity int
 	// MinExamples is the fewest buffered examples a retrain will run
 	// with; 0 means 64.
@@ -110,8 +111,6 @@ type Config struct {
 	TolerancePM int64
 	// Metrics, when set, registers olearn_* instrumentation.
 	Metrics *telemetry.Registry
-	// FlightN sizes the retrain-event flight recorder; 0 means 32.
-	FlightN int
 }
 
 func (c Config) withDefaults() Config {
@@ -133,18 +132,16 @@ func (c Config) withDefaults() Config {
 	if c.TolerancePM == 0 {
 		c.TolerancePM = 25
 	}
-	if c.FlightN == 0 {
-		c.FlightN = 32
-	}
 	return c
 }
 
-// outcomeDepth is how many recent outcome windows the controller
-// retains for baseline/canary math.
-const outcomeDepth = 64
-
-// pollBatch is how many traces one arena poll copies at a time.
-const pollBatch = 16
+// example is one buffered training sample: the raw candidate vector and
+// the class the then-deployed model predicted (retraining ignores the
+// prediction and relabels heuristically; it is retained for diagnosis).
+type example struct {
+	raw   features.Vector
+	class int32
+}
 
 // outcomeSample is one decision's attributed outcome: the hit rate of
 // its outcome window and the model version that made the call.
@@ -152,6 +149,9 @@ type outcomeSample struct {
 	version uint64
 	ratePM  int64
 }
+
+// The controller is the co-located tuner's online learner.
+var _ readahead.Learner = (*Controller)(nil)
 
 // retrainResult is what the background goroutine hands back to Step.
 type retrainResult struct {
@@ -162,22 +162,19 @@ type retrainResult struct {
 	err      error
 }
 
-// Controller runs the online-learning loop. AddSample is safe to call
-// concurrently with Step; both are cheap. Retraining happens on a
-// private goroutine.
+// Controller runs the online-learning loop. AddSample and AddOutcome are
+// safe to call concurrently with Step; all three are cheap. Retraining
+// happens on a private goroutine.
 type Controller struct {
 	cfg Config
 
 	mu       sync.Mutex
 	state    State
-	examples *exampleRing
+	examples *telemetry.FlightRecorder[example]
+	consumed uint64    // examples cursor the last retrain consumed up to
 	scratch  []example // snapshot buffer handed to the retrain goroutine
-
-	cursor   uint64 // arena read cursor
-	traceBuf []dtrace.Trace
-
-	outcomes [outcomeDepth]outcomeSample
-	outW     uint64
+	outcomes *telemetry.FlightRecorder[outcomeSample]
+	outBuf   []outcomeSample // baseline read buffer, BaselineWindows long
 
 	lastWindows  uint64 // drift windows already fed to the trigger
 	trigger      *Trigger
@@ -192,7 +189,7 @@ type Controller struct {
 	canarySum    int64
 	canaryN      int
 	lastOutcome  uint8 // mserve.RetrainPending.. of the last finished cycle
-	lastEventIdx int   // index of the in-flight cycle's flight entry (-1 none)
+	lastEventIdx int   // index of the in-flight cycle's event (-1 none)
 
 	retrains  uint64
 	deploys   uint64
@@ -201,8 +198,7 @@ type Controller struct {
 	failures  uint64
 	lastVer   uint64
 
-	flight *telemetry.FlightRecorder[mserve.RetrainEvent]
-	events []mserve.RetrainEvent // authoritative history (flight mirrors it)
+	events []mserve.RetrainEvent // retained history, oldest first
 
 	// Optional telemetry.
 	cRetrains, cDeploys, cRollbacks, cCommits, cFires, cFailures *telemetry.Counter
@@ -216,21 +212,20 @@ type Controller struct {
 // New builds a controller. It starts in StateIdle; the first Step moves
 // it to Collecting.
 func New(cfg Config) (*Controller, error) {
-	if cfg.Server == nil || cfg.Drift == nil || cfg.Arena == nil {
-		return nil, errors.New("olearn: Server, Drift, and Arena are required")
+	if cfg.Server == nil || cfg.Drift == nil {
+		return nil, errors.New("olearn: Server and Drift are required")
 	}
 	cfg = cfg.withDefaults()
 	c := &Controller{
 		cfg:          cfg,
-		examples:     newExampleRing(cfg.Capacity),
-		scratch:      make([]example, cfg.Capacity),
-		traceBuf:     make([]dtrace.Trace, pollBatch),
+		examples:     telemetry.NewFlightRecorder[example](cfg.Capacity),
+		outcomes:     telemetry.NewFlightRecorder[outcomeSample](cfg.BaselineWindows),
+		outBuf:       make([]outcomeSample, cfg.BaselineWindows),
 		trigger:      NewTrigger(cfg.Trigger),
 		baselinePM:   -1,
 		lastEventIdx: -1,
-		flight:       telemetry.NewFlightRecorder[mserve.RetrainEvent](cfg.FlightN),
 	}
-	c.cursor = cfg.Arena.Cursor() // only outcomes from here on are ours
+	c.scratch = make([]example, c.examples.Cap())
 	if reg := cfg.Metrics; reg != nil {
 		c.cRetrains = reg.Counter("olearn_retrains")
 		c.cDeploys = reg.Counter("olearn_deploys")
@@ -250,19 +245,49 @@ func New(cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// AddSample buffers one raw decision window — the readahead.SampleSink
-// the co-located tuner calls once per decision. Alloc-free: one ring
-// slot copy and two atomic gauge stores under the controller lock.
+// AddSample buffers one raw decision window — the readahead.Learner
+// hand-off the co-located tuner makes once per decision. Alloc-free: one
+// ring slot copy and an atomic gauge store.
 //
 //kml:hotpath
 func (c *Controller) AddSample(raw features.Vector, class int, events uint64) {
+	e := example{raw: raw, class: int32(class)}
 	c.mu.Lock()
-	c.examples.add(raw, class)
-	n := c.examples.len()
+	c.examples.Record(&e)
+	n := c.bufferedLocked()
 	c.mu.Unlock()
 	if c.gExamples != nil {
 		c.gExamples.Set(int64(n))
 	}
+}
+
+// AddOutcome records one decision's attributed outcome — the
+// readahead.Learner hand-off the co-located tuner makes as each
+// decision's outcome window closes: the model version that made the
+// decision and the cache hit rate (per mille) over that window. An open
+// canary counts it only if the canary version made the decision.
+// Alloc-free.
+//
+//kml:hotpath
+func (c *Controller) AddOutcome(version uint64, ratePM int64) {
+	o := outcomeSample{version: version, ratePM: ratePM}
+	c.mu.Lock()
+	c.outcomes.Record(&o)
+	if c.state == StateCanary {
+		c.accountCanaryLocked(version, ratePM)
+	}
+	c.mu.Unlock()
+}
+
+// bufferedLocked is how many retained examples no retrain has consumed.
+//
+//kml:hotpath
+func (c *Controller) bufferedLocked() int {
+	n := c.examples.Cursor() - c.consumed
+	if limit := uint64(c.examples.Cap()); n > limit {
+		n = limit
+	}
+	return int(n)
 }
 
 // PoisonRetrain arranges for retrain cycle seq (1-based) to deploy a
@@ -277,13 +302,12 @@ func (c *Controller) PoisonRetrain(seq uint64) {
 	c.mu.Unlock()
 }
 
-// Step advances the controller: polls the arena for new outcome spans,
-// feeds completed drift windows to the trigger, launches or harvests a
-// background retrain, and judges an open canary. Call it periodically —
-// the simulation loop calls it once per decision window; Start runs it
-// on a ticker for daemon use. Step never blocks on training.
+// Step advances the controller: feeds completed drift windows to the
+// trigger, launches or harvests a background retrain, and judges an open
+// canary. Call it periodically — the simulation loop calls it once per
+// decision window; Start runs it on a ticker for daemon use. Step never
+// blocks on training.
 func (c *Controller) Step() {
-	c.pollOutcomes()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch c.state {
@@ -302,48 +326,6 @@ func (c *Controller) Step() {
 	}
 	if c.gState != nil {
 		c.gState.Set(int64(c.state))
-	}
-}
-
-// pollOutcomes drains traces recorded since the last poll and extracts
-// each completed decision's outcome: the hit rate its outcome span
-// attributed (Aux, per-mille) and the model version its infer span
-// carries (Aux). Server request traces have no outcome span and are
-// skipped. The buffers are preallocated, so polling is alloc-free.
-//
-//kml:hotpath
-func (c *Controller) pollOutcomes() {
-	c.mu.Lock()
-	for {
-		n, cur := c.cfg.Arena.ReadNewer(c.cursor, c.traceBuf)
-		c.cursor = cur
-		if n == 0 {
-			c.mu.Unlock()
-			return
-		}
-		for i := 0; i < n; i++ {
-			tr := &c.traceBuf[i]
-			ratePM := int64(-1)
-			version := int64(0)
-			seen := false
-			for s := 0; s < int(tr.N); s++ {
-				switch tr.Spans[s].Stage {
-				case dtrace.StageOutcome:
-					ratePM = tr.Spans[s].Aux
-					seen = true
-				case dtrace.StageInfer:
-					version = tr.Spans[s].Aux
-				}
-			}
-			if !seen || ratePM < 0 {
-				continue // not a decision trace, or an unattributed window
-			}
-			c.outcomes[c.outW%outcomeDepth] = outcomeSample{version: uint64(version), ratePM: ratePM}
-			c.outW++
-			if c.state == StateCanary {
-				c.accountCanaryLocked(uint64(version), ratePM)
-			}
-		}
 	}
 }
 
@@ -366,22 +348,21 @@ func (c *Controller) accountCanaryLocked(version uint64, ratePM int64) {
 // windows — the pre-deploy reward level a canary is judged against.
 // Returns -1 when no outcome has been attributed yet.
 func (c *Controller) baselineLocked() int64 {
-	n := c.outW
-	if n > uint64(c.cfg.BaselineWindows) {
-		n = uint64(c.cfg.BaselineWindows)
-	}
+	w := c.outcomes.Cursor()
+	n, _, _ := c.outcomes.ReadNewer(w-min(w, uint64(len(c.outBuf))), c.outBuf)
 	if n == 0 {
 		return -1
 	}
 	var sum int64
-	for i := uint64(0); i < n; i++ {
-		sum += c.outcomes[(c.outW-1-i)%outcomeDepth].ratePM
+	for _, o := range c.outBuf[:n] {
+		sum += o.ratePM
 	}
 	return sum / int64(n)
 }
 
 // stepCollecting feeds newly completed drift windows to the trigger and
-// launches a retrain when it fires with enough examples buffered.
+// launches a retrain when it fires with enough unconsumed examples and a
+// measured baseline to judge the result against.
 func (c *Controller) stepCollecting() {
 	r := c.cfg.Drift.Report()
 	if r.Windows == c.lastWindows || !r.BaselineReady {
@@ -395,12 +376,17 @@ func (c *Controller) stepCollecting() {
 	if c.cFires != nil {
 		c.cFires.Inc()
 	}
-	if c.examples.len() < c.cfg.MinExamples {
-		return // fire lapses; the trigger's cooldown applies regardless
+	if c.bufferedLocked() < c.cfg.MinExamples || c.outcomes.Cursor() == 0 {
+		// The fire lapses — too few examples, or no attributed outcome
+		// to measure a new model against; never deploy unmeasured. The
+		// trigger's cooldown applies regardless.
+		return
 	}
 	c.fireShiftMZ, c.fireChurnPM = int64(r.MaxShift*1000), r.ChurnPM
-	n := c.examples.snapshot(c.scratch)
-	c.examples.reset()
+	// One read drains everything retained (scratch holds the ring's
+	// capacity); the next cycle trains on what arrives after it.
+	n, next, _ := c.examples.ReadNewer(c.consumed, c.scratch)
+	c.consumed = next
 	c.retrainSeq++
 	c.retrains++
 	if c.cRetrains != nil {
@@ -542,8 +528,9 @@ func (c *Controller) stepCanary() {
 		return
 	}
 	canaryPM := c.canarySum / int64(c.canaryN)
-	regressed := c.baselinePM >= 0 && canaryPM < c.baselinePM-c.cfg.TolerancePM
-	if regressed {
+	// A canary only opens with a measured baseline (stepCollecting), so
+	// the comparison always has both sides.
+	if canaryPM < c.baselinePM-c.cfg.TolerancePM {
 		if _, err := c.cfg.Server.Rollback(); err == nil {
 			_ = c.syncTunerLocked(c.cfg.Server.Deployment().Version())
 		}
@@ -564,7 +551,6 @@ func (c *Controller) stepCanary() {
 	if c.lastEventIdx >= 0 && c.lastEventIdx < len(c.events) {
 		c.events[c.lastEventIdx].Outcome = c.lastOutcome
 		c.events[c.lastEventIdx].CanaryPM = canaryPM
-		c.rebuildFlightLocked()
 	}
 	c.lastEventIdx = -1
 	// The canary verdict consumed the drift baseline either way: after a
@@ -593,22 +579,11 @@ func (c *Controller) syncTunerLocked(v uint64) error {
 	return nil
 }
 
-// recordEventLocked appends to the authoritative history and mirrors it
-// into the flight recorder.
+// recordEventLocked appends to the retained history.
 func (c *Controller) recordEventLocked(e mserve.RetrainEvent) {
 	c.events = append(c.events, e)
 	if len(c.events) > mserve.MaxRetrainEvents {
 		c.events = c.events[len(c.events)-mserve.MaxRetrainEvents:]
-	}
-	c.flight.Record(e)
-}
-
-// rebuildFlightLocked re-records the history after an in-place outcome
-// update (the flight recorder has no update-in-place).
-func (c *Controller) rebuildFlightLocked() {
-	c.flight = telemetry.NewFlightRecorder[mserve.RetrainEvent](c.cfg.FlightN)
-	for _, e := range c.events {
-		c.flight.Record(e)
 	}
 }
 
@@ -631,7 +606,7 @@ func (c *Controller) Status() mserve.LearnStatus {
 		Rollbacks:    c.rollbacks,
 		Commits:      c.commits,
 		TriggerFires: c.trigger.Fires(),
-		Examples:     uint64(c.examples.len()),
+		Examples:     uint64(c.bufferedLocked()),
 		LastVersion:  c.lastVer,
 		BaselinePM:   c.baselinePM,
 		CanaryPM:     -1,

@@ -100,7 +100,7 @@ func newLoop(t *testing.T, norm features.Normalizer, initialModel []byte, trig T
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := mserve.NewServer(mserve.Config{Registry: reg, TraceCapacity: 1024})
+	srv, err := mserve.NewServer(mserve.Config{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,20 +113,20 @@ func newLoop(t *testing.T, norm features.Normalizer, initialModel []byte, trig T
 		t.Fatal(err)
 	}
 	dep := mserve.NewDeployment[core.Classifier](inst, 1)
-	tuner, err := readahead.NewDeployedTuner(env.Dev, dep, norm, readahead.TunerConfig{Policy: contrastPolicy})
+	tuner, err := readahead.NewDeployedTuner(env.Dev, dep, norm,
+		readahead.TunerConfig{Policy: contrastPolicy, Outcome: env.Cache.HitMissCounts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	env.Tracer.Register(tuner.Hook())
-	tuner.EnableTracing(srv.TraceArena(), env.Cache.HitMissCounts)
+	tuner.EnableTracing(srv.TraceArena())
 	drift := tuner.InstrumentDrift(nil, 8)
 	ctl, err := New(Config{
-		Server:          srv,
-		Drift:           drift,
-		Arena:           srv.TraceArena(),
-		Norm:            norm,
-		TunerDeploy:     dep,
-		Trigger:         trig,
+		Server:      srv,
+		Drift:       drift,
+		Norm:        norm,
+		TunerDeploy: dep,
+		Trigger:     trig,
 		// Small batch so a handful of online examples still forms full
 		// minibatches; the keep-latest capacity of 16 means post-shift
 		// windows quickly dominate the snapshot a retrain sees.
@@ -140,7 +140,7 @@ func newLoop(t *testing.T, norm features.Normalizer, initialModel []byte, trig T
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuner.SetSampleSink(ctl.AddSample)
+	tuner.SetLearner(ctl)
 	srv.SetLearnSource(ctl.Status)
 	tuner.MaybeTick(env.Clk.Now()) // arm the first decision window
 	return &loop{env: env, srv: srv, dep: dep, tuner: tuner, ctl: ctl}

@@ -37,13 +37,14 @@ func traceTestLoop(t *testing.T, tuner *Tuner, clk *clock.Virtual, windows int, 
 func TestTunerDecisionTrace(t *testing.T) {
 	clk := clock.New()
 	dev := blockdev.New(blockdev.NVMe(), clk)
-	tuner, err := NewTuner(dev, fixedClassifier(1), features.Normalizer{}, TunerConfig{})
+	var counters [2]uint64
+	tuner, err := NewTuner(dev, fixedClassifier(1), features.Normalizer{},
+		TunerConfig{Outcome: func() (uint64, uint64) { return counters[0], counters[1] }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	arena := dtrace.NewArena(16)
-	var counters [2]uint64
-	tuner.EnableTracing(arena, func() (uint64, uint64) { return counters[0], counters[1] })
+	tuner.EnableTracing(arena)
 	if tuner.TraceArena() != arena {
 		t.Fatal("TraceArena should return the attached arena")
 	}
@@ -119,13 +120,14 @@ func TestTunerDecisionTrace(t *testing.T) {
 func TestTunerTraceOutcomeDelta(t *testing.T) {
 	clk := clock.New()
 	dev := blockdev.New(blockdev.NVMe(), clk)
-	tuner, err := NewTuner(dev, fixedClassifier(0), features.Normalizer{}, TunerConfig{})
+	var counters [2]uint64
+	tuner, err := NewTuner(dev, fixedClassifier(0), features.Normalizer{},
+		TunerConfig{Outcome: func() (uint64, uint64) { return counters[0], counters[1] }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	arena := dtrace.NewArena(16)
-	var counters [2]uint64
-	tuner.EnableTracing(arena, func() (uint64, uint64) { return counters[0], counters[1] })
+	tuner.EnableTracing(arena)
 
 	hook := tuner.Hook()
 	tuner.MaybeTick(clk.Now())
@@ -163,7 +165,7 @@ func TestTunerTraceNoOutcomeSampler(t *testing.T) {
 		t.Fatal(err)
 	}
 	arena := dtrace.NewArena(4)
-	tuner.EnableTracing(arena, nil)
+	tuner.EnableTracing(arena)
 	var counters [2]uint64
 	traceTestLoop(t, tuner, clk, 2, 0, 0, &counters)
 	tuner.FlushTrace()
@@ -179,6 +181,49 @@ func TestTunerTraceNoOutcomeSampler(t *testing.T) {
 		if !traces[i].Complete() {
 			t.Fatalf("trace %d incomplete", i)
 		}
+	}
+}
+
+// recordingLearner captures the tuner's hand-off.
+type recordingLearner struct {
+	samples  int
+	outcomes [][2]int64 // (version, ratePM)
+}
+
+func (l *recordingLearner) AddSample(features.Vector, int, uint64) { l.samples++ }
+func (l *recordingLearner) AddOutcome(version uint64, ratePM int64) {
+	l.outcomes = append(l.outcomes, [2]int64{int64(version), ratePM})
+}
+
+// TestTunerHandsOutcomesToLearner: with an outcome sampler and no
+// tracing, every decision's sample and attributed outcome still reach
+// the learner, and a window without cache traffic hands over no outcome.
+func TestTunerHandsOutcomesToLearner(t *testing.T) {
+	clk := clock.New()
+	dev := blockdev.New(blockdev.NVMe(), clk)
+	var counters [2]uint64
+	tuner, err := NewTuner(dev, fixedClassifier(0), features.Normalizer{},
+		TunerConfig{Outcome: func() (uint64, uint64) { return counters[0], counters[1] }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l recordingLearner
+	tuner.SetLearner(&l)
+	hook := tuner.Hook()
+	tuner.MaybeTick(clk.Now())
+	for _, r := range [][2]uint64{{50, 50}, {0, 0}, {90, 10}} {
+		hook(trace.Event{Point: trace.AddToPageCache, Inode: 1, Time: clk.Now()})
+		clk.Advance(1100 * time.Millisecond)
+		tuner.MaybeTick(clk.Now())
+		counters[0] += r[0]
+		counters[1] += r[1]
+	}
+	tuner.FlushTrace()
+	if l.samples != 3 {
+		t.Fatalf("learner got %d samples, want 3", l.samples)
+	}
+	if want := [][2]int64{{0, 500}, {0, 900}}; len(l.outcomes) != 2 || l.outcomes[0] != want[0] || l.outcomes[1] != want[1] {
+		t.Fatalf("learner outcomes = %v, want %v", l.outcomes, want)
 	}
 }
 

@@ -60,6 +60,11 @@ type TunerConfig struct {
 	// Policy maps classes to sectors; the zero Policy is replaced by
 	// DefaultPolicy for the tuned device.
 	Policy Policy
+	// Outcome, when set, is sampled at decision boundaries to attribute
+	// each decision's outcome — the cache hit rate over the FOLLOWING
+	// window — which is handed to the Learner and, when tracing, stamped
+	// on the decision's outcome span. Nil disables attribution.
+	Outcome OutcomeSampler
 }
 
 // Tuner is the deployed KML readahead application: it collects tracepoint
@@ -87,20 +92,22 @@ type Tuner struct {
 	classCount [workload.NumClasses]*telemetry.Counter
 	flight     *telemetry.FlightRecorder[FlightEntry]
 
-	// Decision tracing (EnableTracing) and drift detection
-	// (InstrumentDrift). The builder and scratch are owned by the tuner
-	// so a traced tick allocates nothing.
-	arena      *dtrace.Arena
+	// Outcome attribution (TunerConfig.Outcome), decision tracing
+	// (EnableTracing), drift detection (InstrumentDrift), and the online
+	// learner (SetLearner). The builder and scratch are owned by the
+	// tuner so a traced tick allocates nothing.
 	outcome    OutcomeSampler
+	arena      *dtrace.Arena
 	builder    dtrace.Builder
-	pendingOut bool   // a trace is open, waiting for its outcome window
-	outcomeIdx int    // index of the open outcome span
+	pending    bool   // the last decision awaits its outcome window
+	pendingVer uint64 // model version that made the pending decision
+	outcomeIdx int    // index of the open outcome span (tracing)
 	outHits    uint64 // cache counters at the decision instant
 	outMisses  uint64
 	prevRatePM int64 // previous window's hit rate (per-mille, -1 unknown)
 	drift      *dtrace.DriftMonitor
 	driftFeats []float64
-	sink       SampleSink
+	learner    Learner
 }
 
 // OutcomeSampler reports cumulative cache hit/miss counters; the tuner
@@ -108,13 +115,20 @@ type Tuner struct {
 // outcome (pagecache.Cache.HitMissCounts is the canonical source).
 type OutcomeSampler func() (hits, misses uint64)
 
-// SampleSink receives one decision window's RAW (pre-normalization)
-// candidate feature vector, the predicted class, and the window's event
-// count — the training-example feed for an online-learning consumer
-// (internal/olearn buffers these and retrains on them when drift fires).
-// The sink runs inline on the decision tick, so it must be cheap and
-// must not block; the vector is passed by value and safe to retain.
-type SampleSink func(raw features.Vector, class int, events uint64)
+// Learner is the tuner's online-learning consumer (internal/olearn's
+// Controller), handed each decision's control data directly rather than
+// scraping it from an observer ring: AddSample receives the decision
+// window's RAW (pre-normalization) candidate vector, the predicted
+// class, and the window's event count; AddOutcome receives the
+// decision's attributed outcome — the model version that made it and
+// the cache hit rate, per mille, over the following window (only with
+// TunerConfig.Outcome set, and only for windows that saw cache
+// traffic). Both run inline on the decision tick, so they must be cheap
+// and must not block; the vector is passed by value and safe to retain.
+type Learner interface {
+	AddSample(raw features.Vector, class int, events uint64)
+	AddOutcome(version uint64, ratePM int64)
+}
 
 // FlightEntry is one flight-recorder record: the decision plus the
 // normalized feature vector the model saw, so an operator inspecting
@@ -149,6 +163,7 @@ func NewTuner(dev *blockdev.Device, model core.Classifier, norm features.Normali
 		norm:       norm,
 		policy:     cfg.Policy,
 		window:     cfg.Window,
+		outcome:    cfg.Outcome,
 		ext:        features.NewExtractor(),
 		featBuf:    make([]float64, features.Count),
 		driftFeats: make([]float64, features.Count),
@@ -244,7 +259,7 @@ func (t *Tuner) MaybeTick(now time.Duration) {
 	}
 	// The window that just elapsed is the previous decision's outcome
 	// window: attribute it and retire that trace before deciding again.
-	t.closePendingTrace()
+	t.closePending()
 	tracing := t.arena != nil
 	var featIdx, normIdx, inferIdx int
 	if tracing {
@@ -290,12 +305,14 @@ func (t *Tuner) MaybeTick(now time.Duration) {
 		// The outcome span stays open across the NEXT window; the trace
 		// is retired at the next tick (or FlushTrace).
 		t.outcomeIdx = t.builder.Begin(dtrace.StageOutcome, 0, time.Now().UnixNano())
+	} else {
+		t.dev.SetReadahead(sectors)
+	}
+	if tracing || t.outcome != nil {
 		if t.outcome != nil {
 			t.outHits, t.outMisses = t.outcome()
 		}
-		t.pendingOut = true
-	} else {
-		t.dev.SetReadahead(sectors)
+		t.pending, t.pendingVer = true, version
 	}
 	t.seq++
 	if t.decCount != nil {
@@ -315,8 +332,8 @@ func (t *Tuner) MaybeTick(now time.Duration) {
 		}
 		t.drift.Observe(t.driftFeats, class)
 	}
-	if t.sink != nil {
-		t.sink(raw, class, events)
+	if t.learner != nil {
+		t.learner.AddSample(raw, class, events)
 	}
 	if t.flight != nil {
 		if class >= 0 && class < len(t.classCount) {
@@ -324,20 +341,20 @@ func (t *Tuner) MaybeTick(now time.Duration) {
 		}
 		e := FlightEntry{Decision: d, Seq: t.seq}
 		copy(e.Features[:], t.featBuf)
-		t.flight.Record(e)
+		t.flight.Record(&e)
 	}
 }
 
-// closePendingTrace finishes the in-flight decision trace: it samples
-// the outcome window's cache hit rate, stamps the outcome span with the
-// rate and its delta vs. the preceding window (the decision's reward
-// signal), and retires the trace into the arena.
-func (t *Tuner) closePendingTrace() {
-	if !t.pendingOut {
+// closePending attributes the pending decision's outcome window: it
+// samples the window's cache hit rate and hands (version, rate) to the
+// learner — the decision's reward signal — and, when tracing, stamps the
+// outcome span with the rate and its delta vs. the preceding window and
+// retires the trace into the arena.
+func (t *Tuner) closePending() {
+	if !t.pending {
 		return
 	}
-	t.pendingOut = false
-	wall := time.Now().UnixNano()
+	t.pending = false
 	ratePM := int64(-1)
 	deltaPM := int64(0)
 	if t.outcome != nil {
@@ -349,8 +366,15 @@ func (t *Tuner) closePendingTrace() {
 				deltaPM = ratePM - t.prevRatePM
 			}
 			t.prevRatePM = ratePM
+			if t.learner != nil {
+				t.learner.AddOutcome(t.pendingVer, ratePM)
+			}
 		}
 	}
+	if t.arena == nil {
+		return
+	}
+	wall := time.Now().UnixNano()
 	t.builder.End(t.outcomeIdx, wall)
 	t.builder.SetValue(t.outcomeIdx, deltaPM)
 	t.builder.SetAux(t.outcomeIdx, ratePM)
@@ -381,34 +405,27 @@ func (t *Tuner) Instrument(reg *telemetry.Registry, flightN int) {
 // EnableTracing attaches a dtrace arena: every subsequent decision
 // window mints a TraceID and records child spans for feature
 // aggregation, normalization, inference, and the readahead change,
-// plus an outcome span that samples `outcome` (cumulative cache
-// hit/miss counters; nil disables attribution) over the FOLLOWING
-// window, so each retained trace answers both "why" and "did it help".
-// Call before the tuner runs; the traced tick performs no allocation.
-func (t *Tuner) EnableTracing(a *dtrace.Arena, outcome OutcomeSampler) {
-	t.arena = a
-	t.outcome = outcome
-}
+// plus an outcome span over the FOLLOWING window stamped with the
+// attributed hit rate (TunerConfig.Outcome; -1 without one), so each
+// retained trace answers both "why" and "did it help". Call before the
+// tuner runs; the traced tick performs no allocation.
+func (t *Tuner) EnableTracing(a *dtrace.Arena) { t.arena = a }
 
 // TraceArena returns the arena attached by EnableTracing, or nil.
 func (t *Tuner) TraceArena() *dtrace.Arena { return t.arena }
 
-// SetSampleSink attaches a per-decision sample consumer. Call before the
-// tuner runs; a nil sink detaches.
-func (t *Tuner) SetSampleSink(fn SampleSink) { t.sink = fn }
+// SetLearner attaches the online-learning consumer. Call once, before
+// the tuner runs.
+func (t *Tuner) SetLearner(l Learner) { t.learner = l }
 
 // DriftMonitor returns the monitor attached by InstrumentDrift, or nil.
 func (t *Tuner) DriftMonitor() *dtrace.DriftMonitor { return t.drift }
 
-// FlushTrace retires the in-flight decision trace without waiting for
-// the next tick, attributing whatever fraction of the outcome window
-// has elapsed. Call at the end of a run so the final decision is not
-// lost.
-func (t *Tuner) FlushTrace() {
-	if t.arena != nil {
-		t.closePendingTrace()
-	}
-}
+// FlushTrace attributes the in-flight decision (and retires its trace)
+// without waiting for the next tick, over whatever fraction of the
+// outcome window has elapsed. Call at the end of a run so the final
+// decision is not lost.
+func (t *Tuner) FlushTrace() { t.closePending() }
 
 // InstrumentDrift attaches a drift monitor that checks, every `window`
 // decisions (0 = dtrace.DefaultDriftWindow), whether the live feature

@@ -111,6 +111,7 @@ func BenchmarkHistogramSnapshotQuantile(b *testing.B) {
 func BenchmarkFlightRecorderRecord(b *testing.B) {
 	f := NewFlightRecorder[[4]uint64](256)
 	for i := 0; i < b.N; i++ {
-		f.Record([4]uint64{uint64(i)})
+		v := [4]uint64{uint64(i)}
+		f.Record(&v)
 	}
 }

@@ -1,11 +1,10 @@
 // The recorder: resolves the watched series against a registry once at
-// construction, then snapshots them on every Tick into a preallocated
-// power-of-two ring of Point slots, overwriting the oldest under
-// overflow (keep-latest, like dtrace.Arena). Tick is alloc-free and
+// construction, then on every Tick fills a scratch Point and records it
+// into the repo's one keep-latest ring (telemetry.FlightRecorder, whose
+// Cursor/ReadNewer/Len/Cap the Recorder exposes). Tick is alloc-free and
 // integer-only — the whole reason this layer exists is to record the
-// serving path without perturbing it — and a mutex is acceptable here
-// for the same reason it is in the trace arena: the tick fires once per
-// interval, never per event.
+// serving path without perturbing it — and a mutex is acceptable: the
+// tick fires once per interval, never per event.
 package tsrec
 
 import (
@@ -16,8 +15,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// MaxRingCapacity bounds ring sizing, mirroring dtrace.MaxArenaCapacity.
-const MaxRingCapacity = 1 << 20
+// MaxRingCapacity bounds Config.Capacity (the ring's own limit).
+const MaxRingCapacity = telemetry.MaxFlightCapacity
 
 // Config parameterizes a Recorder.
 type Config struct {
@@ -39,6 +38,8 @@ type Config struct {
 
 // Recorder captures one registry's series on a fixed interval.
 type Recorder struct {
+	*telemetry.FlightRecorder[Point]
+
 	intervalNS   int64
 	counterNames []string
 	histNames    []string
@@ -50,9 +51,7 @@ type Recorder struct {
 	prevBuckets  [MaxHists][telemetry.NumBuckets]uint64
 	cur          [telemetry.NumBuckets]uint64 // tick scratch: loaded buckets
 	delta        [telemetry.NumBuckets]uint64 // tick scratch: interval deltas
-	slots        []Point
-	mask         uint64
-	w            uint64 // total points ever recorded
+	point        Point                        // tick scratch: the point being filled
 
 	stop chan struct{}
 	done chan struct{}
@@ -79,18 +78,13 @@ func New(reg *telemetry.Registry, cfg Config) (*Recorder, error) {
 	if cfg.Capacity == 0 {
 		cfg.Capacity = 256
 	}
-	c := 1
-	for c < cfg.Capacity {
-		c <<= 1
-	}
 	r := &Recorder{
-		intervalNS:   cfg.Interval.Nanoseconds(),
-		counterNames: append([]string(nil), cfg.Counters...),
-		histNames:    append([]string(nil), cfg.Hists...),
-		counters:     make([]*telemetry.Counter, len(cfg.Counters)),
-		hists:        make([]*telemetry.Histogram, len(cfg.Hists)),
-		slots:        make([]Point, c),
-		mask:         uint64(c - 1),
+		FlightRecorder: telemetry.NewFlightRecorder[Point](cfg.Capacity),
+		intervalNS:     cfg.Interval.Nanoseconds(),
+		counterNames:   append([]string(nil), cfg.Counters...),
+		histNames:      append([]string(nil), cfg.Hists...),
+		counters:       make([]*telemetry.Counter, len(cfg.Counters)),
+		hists:          make([]*telemetry.Histogram, len(cfg.Hists)),
 	}
 	for i, name := range r.counterNames {
 		r.counters[i] = reg.Counter(name)
@@ -114,59 +108,6 @@ func (r *Recorder) CounterNames() []string { return r.counterNames }
 // slice is owned by the recorder and must not be modified.
 func (r *Recorder) HistNames() []string { return r.histNames }
 
-// Cursor returns the recorder's write cursor: the total number of points
-// ever captured. A reader that remembers a cursor can later fetch only
-// what arrived after it with ReadNewer.
-func (r *Recorder) Cursor() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.w
-}
-
-// ReadNewer copies points captured after cursor `since` into dst, oldest
-// first, and returns the count copied plus the cursor to pass next time.
-// Points already overwritten are silently skipped (the returned cursor
-// accounts for them) and at most len(dst) points are copied per call —
-// loop until the count is zero to drain. The destination is caller-owned,
-// so an incremental consumer (the black-box sampler) reads the ring
-// without allocating. Same contract as dtrace.Arena.ReadNewer.
-//
-//kml:hotpath
-func (r *Recorder) ReadNewer(since uint64, dst []Point) (int, uint64) {
-	if len(dst) == 0 {
-		return 0, since
-	}
-	r.mu.Lock()
-	if since > r.w {
-		// A cursor from a different recorder (or a reset); resync to
-		// "now" rather than replaying the whole ring.
-		w := r.w
-		r.mu.Unlock()
-		return 0, w
-	}
-	start := since
-	if horizon := r.w - minU64(r.w, uint64(len(r.slots))); start < horizon {
-		start = horizon
-	}
-	n := r.w - start
-	if n > uint64(len(dst)) {
-		n = uint64(len(dst))
-	}
-	for i := uint64(0); i < n; i++ {
-		dst[i] = r.slots[(start+i)&r.mask]
-	}
-	r.mu.Unlock()
-	return int(n), start + n
-}
-
-//kml:hotpath
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Tick records one point: every watched counter's delta and every
 // watched histogram's interval count and p50/p95/p99 since the previous
 // tick, stamped nowNanos. It allocates nothing and uses no floating
@@ -175,7 +116,7 @@ func minU64(a, b uint64) uint64 {
 //kml:hotpath
 func (r *Recorder) Tick(nowNanos int64) {
 	r.mu.Lock()
-	slot := &r.slots[r.w&r.mask]
+	slot := &r.point
 	slot.TimeNanos = nowNanos
 	for i := 0; i < len(r.counters); i++ {
 		v := r.counters[i].Load()
@@ -197,40 +138,17 @@ func (r *Recorder) Tick(nowNanos int64) {
 		slot.P95[i] = quantilePM(&r.delta, count, 950)
 		slot.P99[i] = quantilePM(&r.delta, count, 990)
 	}
-	r.w++
+	r.Record(slot)
 	r.mu.Unlock()
 }
-
-// Len returns the number of retained points.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.w > uint64(len(r.slots)) {
-		return len(r.slots)
-	}
-	return int(r.w)
-}
-
-// Cap returns the ring's retention capacity.
-func (r *Recorder) Cap() int { return len(r.slots) }
 
 // Series snapshots the retained points, oldest first, together with the
 // series names and interval — the value MsgTimeSeries serializes.
 func (r *Recorder) Series() Series {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.w
-	if n > uint64(len(r.slots)) {
-		n = uint64(len(r.slots))
-	}
-	s := Series{
+	return Series{
 		IntervalNanos: r.intervalNS,
 		Counters:      append([]string(nil), r.counterNames...),
 		Hists:         append([]string(nil), r.histNames...),
-		Points:        make([]Point, n),
+		Points:        r.Snapshot(),
 	}
-	for i := uint64(0); i < n; i++ {
-		s.Points[i] = r.slots[(r.w-n+i)&r.mask]
-	}
-	return s
 }
