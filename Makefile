@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRingPushPop -fuzztime=$(FUZZTIME) ./internal/ringbuf/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/kvstore/
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/mserve/
+	$(GO) test -run='^$$' -fuzz=FuzzFrameStream -fuzztime=$(FUZZTIME) ./internal/mserve/
 	$(GO) test -run='^$$' -fuzz=FuzzMetricsDecode -fuzztime=$(FUZZTIME) ./internal/mserve/
 	$(GO) test -run='^$$' -fuzz=FuzzLearnStatusDecode -fuzztime=$(FUZZTIME) ./internal/mserve/
 	$(GO) test -run='^$$' -fuzz=FuzzBlackboxStatusDecode -fuzztime=$(FUZZTIME) ./internal/mserve/

@@ -91,9 +91,11 @@ type Config struct {
 	// 0 means 4096 entries.
 	BufferCapacity int
 	// BatchSize is the maximum number of samples handed to the handler per
-	// wakeup; 0 means 256.
+	// call, and the ring occupancy at which Collect wakes the handler
+	// thread; 0 means 256. It is capped at the ring's capacity.
 	BatchSize int
-	// Poll is the handler thread's poll interval when idle; 0 means 1ms.
+	// Poll is the handler thread's poll interval, which bounds how long
+	// fewer than BatchSize samples wait; 0 means 1ms.
 	Poll time.Duration
 	// Arena, when set, is charged for the ring buffer so the framework's
 	// footprint is observable (§3.1 memory accounting). Charging failure
@@ -194,6 +196,9 @@ func NewPipeline[S any](cfg Config, handler Handler[S]) (*Pipeline[S], error) {
 	}
 	cfg = cfg.withDefaults()
 	ring := ringbuf.New[S](cfg.BufferCapacity)
+	// A drain never yields more than the ring holds, and Collect's wake
+	// threshold must be reachable.
+	cfg.BatchSize = min(cfg.BatchSize, ring.Cap())
 	p := &Pipeline[S]{
 		cfg:     cfg,
 		ring:    ring,
@@ -217,16 +222,17 @@ func NewPipeline[S any](cfg Config, handler Handler[S]) (*Pipeline[S], error) {
 // collected in ModeOff are still buffered so a mode switch does not lose
 // the window in flight; the handler sees the mode at drain time.
 //
+// Collect wakes the training thread only when its push brings the ring to
+// BatchSize samples. A trickle below that waits for the next Poll tick, so
+// it reaches the handler at most Poll late; a producer that collects one
+// sample per request no longer pays a goroutine switch per request.
+//
 //kml:hotpath
 func (p *Pipeline[S]) Collect(s S) bool {
-	wasEmpty := p.ring.Len() == 0
 	ok := p.ring.TryPush(s)
 	if ok {
 		p.collected.Add(1)
-		// Wake the training thread only on the empty→non-empty transition;
-		// while it is draining, further wakes are redundant and the
-		// channel operation would dominate the per-event cost.
-		if wasEmpty {
+		if p.ring.Len() == p.cfg.BatchSize {
 			select {
 			case p.wake <- struct{}{}:
 			default:

@@ -150,6 +150,48 @@ func TestPipelineStopDrains(t *testing.T) {
 	}
 }
 
+// TestPipelineWakesPerBatch pins Collect's wake rule: with the poll tick
+// out of reach, BatchSize-1 samples stay in the ring, the BatchSize-th
+// wakes the training thread, and Stop drains whatever is left.
+func TestPipelineWakesPerBatch(t *testing.T) {
+	const batch = 8
+	got := make(chan int, 4)
+	p, err := NewPipeline[int](Config{BatchSize: batch, Poll: time.Hour}, func(b []int, _ Mode) {
+		got <- len(b)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetMode(ModeTraining)
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < batch-1; i++ {
+		p.Collect(i)
+	}
+	select {
+	case n := <-got:
+		t.Fatalf("handler woke for %d samples below BatchSize", n)
+	case <-time.After(50 * time.Millisecond):
+	}
+	p.Collect(batch - 1)
+	select {
+	case n := <-got:
+		if n != batch {
+			t.Fatalf("handler got %d samples, want %d", n, batch)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the BatchSize-th sample did not wake the handler")
+	}
+	for i := 0; i < 3; i++ {
+		p.Collect(batch + i)
+	}
+	p.Stop()
+	if n := <-got; n != 3 || p.Processed() != batch+3 {
+		t.Fatalf("Stop drained %d, processed %d; want 3 and %d", n, p.Processed(), batch+3)
+	}
+}
+
 func TestPipelineDoubleStartErrors(t *testing.T) {
 	p, err := NewPipeline[int](Config{}, func([]int, Mode) {})
 	if err != nil {

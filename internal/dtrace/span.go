@@ -43,8 +43,8 @@ const (
 	// StageEncode covers response encoding in the serving path.
 	StageEncode
 	// StageQueue covers the time a request spent between arriving on the
-	// wire (header read) and its handler starting — the queueing delay a
-	// batch coalescer would add, measured per request.
+	// wire (the read that completed its frame) and its handler starting —
+	// the queueing delay a batch coalescer would add, measured per request.
 	StageQueue
 	// StageClient is the root span of a CLIENT-side request trace: one
 	// whole Infer/BatchInfer call as the caller experienced it. When the

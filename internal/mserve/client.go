@@ -6,7 +6,6 @@ package mserve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"time"
 
@@ -22,10 +21,10 @@ var ErrRemote = errors.New("mserve: server error")
 type Client struct {
 	c       net.Conn
 	timeout time.Duration
-	hdr     [HeaderSize]byte
-	req     []byte // request payload buffer; must not alias out
-	out     []byte // encoded request frame
-	payload []byte // response payload buffer
+	armed   time.Time   // when the connection deadline was last set; zero: not set
+	fr      frameReader // response frames; payloads alias its buffer
+	req     []byte      // request payload buffer; must not alias out
+	out     []byte      // encoded request frame
 	classes []uint16
 
 	// Tracing state (EnableTracing). arena keeps the client's completed
@@ -53,8 +52,17 @@ func NewClient(c net.Conn) *Client {
 	return &Client{c: c, timeout: 30 * time.Second}
 }
 
-// SetTimeout bounds each request round trip; 0 disables deadlines.
-func (cl *Client) SetTimeout(d time.Duration) { cl.timeout = d }
+// SetTimeout bounds each request round trip; 0 disables deadlines. The
+// deadline is re-armed only once d/2 has passed since it was last set, so
+// a round trip fails after at least d/2 and at most d without an answer.
+// SetTimeout clears the deadline the previous timeout left armed.
+func (cl *Client) SetTimeout(d time.Duration) {
+	cl.timeout = d
+	cl.armed = time.Time{}
+	// A failure here means the connection is closed, which the next
+	// request reports.
+	_ = cl.c.SetDeadline(time.Time{})
+}
 
 // EnableTracing turns on client-side request tracing: every Infer and
 // BatchInfer records a client→wire span tree into arena and stamps its
@@ -74,12 +82,15 @@ func (cl *Client) LastTraceID() dtrace.TraceID { return cl.lastID }
 func (cl *Client) Close() error { return cl.c.Close() }
 
 // do writes one request frame and reads the response frame, returning the
-// response type and payload (aliasing cl.payload, valid until the next
-// call).
+// response type and payload (aliasing the frame reader's buffer, valid
+// until the next call).
 func (cl *Client) do(typ MsgType, payload []byte) (MsgType, []byte, error) {
 	if cl.timeout != 0 {
-		if err := cl.c.SetDeadline(time.Now().Add(cl.timeout)); err != nil {
-			return 0, nil, err
+		if now := time.Now(); cl.armed.IsZero() || now.Sub(cl.armed) >= cl.timeout/2 {
+			if err := cl.c.SetDeadline(now.Add(cl.timeout)); err != nil {
+				return 0, nil, err
+			}
+			cl.armed = now
 		}
 	}
 	cl.out = cl.out[:0]
@@ -104,31 +115,21 @@ func (cl *Client) do(typ MsgType, payload []byte) (MsgType, []byte, error) {
 // readResp reads the response frame to a request of type typ, closing the
 // wire span ws (-1: none).
 func (cl *Client) readResp(typ MsgType, ws int) (MsgType, []byte, error) {
-	if _, err := io.ReadFull(cl.c, cl.hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	h, err := ParseHeader(cl.hdr[:])
+	h, payload, err := cl.fr.next(cl.c)
 	if err != nil {
-		return 0, nil, err
-	}
-	cl.payload = growBytes(cl.payload, int(h.Length))
-	if _, err := io.ReadFull(cl.c, cl.payload); err != nil {
-		return 0, nil, err
-	}
-	if err := h.CheckPayload(cl.payload); err != nil {
 		return 0, nil, err
 	}
 	if ws >= 0 {
 		cl.tb.End(ws, time.Now().UnixNano())
-		cl.tb.SetValue(ws, int64(HeaderSize+len(cl.payload)))
+		cl.tb.SetValue(ws, int64(HeaderSize+len(payload)))
 	}
 	if h.Type == MsgError {
-		return h.Type, nil, fmt.Errorf("%w: %s", ErrRemote, cl.payload)
+		return h.Type, nil, fmt.Errorf("%w: %s", ErrRemote, payload)
 	}
 	if h.Type != typ {
 		return h.Type, nil, fmt.Errorf("%w: response type %d to request %d", ErrBadMessage, h.Type, typ)
 	}
-	return h.Type, cl.payload, nil
+	return h.Type, payload, nil
 }
 
 // startTrace opens the client-side request trace when tracing is on,

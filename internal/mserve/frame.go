@@ -7,16 +7,20 @@
 //	crc     uint32   IEEE CRC32 of the payload, little-endian
 //	payload [length]byte
 //
-// The header is fixed-size so the per-request read loop is two ReadFull
-// calls into reused buffers. Length is bounded before any allocation is
-// sized by it (the same hostile-header discipline as nn.Load), and the CRC
-// rejects corrupt or truncated payloads before they reach a decoder.
+// Both ends read frames through a frameReader: one growable buffer per
+// connection end, filled by whatever one Read returns, so a small request
+// costs one read and several pipelined frames can arrive in one. Length is
+// bounded before any allocation is sized by it (the same hostile-header
+// discipline as nn.Load), and the CRC rejects corrupt or truncated
+// payloads before they reach a decoder.
 package mserve
 
 import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
+	"time"
 )
 
 // Frame constants.
@@ -136,10 +140,89 @@ func DecodeFrame(b []byte) (typ MsgType, payload, rest []byte, err error) {
 }
 
 // AppendFrame appends one complete frame to dst and returns the extended
-// slice — the cold-path (client, tests) encoder counterpart of DecodeFrame.
+// slice — the encoder counterpart of DecodeFrame.
 func AppendFrame(dst []byte, typ MsgType, payload []byte) []byte {
 	var hdr [HeaderSize]byte
 	PutHeader(hdr[:], typ, payload)
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
+}
+
+// frameReadSize is a frameReader's initial buffer: room for many small
+// frames per Read. A larger frame grows the buffer to exactly its size.
+const frameReadSize = 4 << 10
+
+// frameReader decodes frames from a byte stream through one growable
+// buffer. It reads only when no complete frame is buffered, and then takes
+// whatever one Read returns, so frames that arrive together are decoded
+// without further reads. The zero value is ready to use.
+type frameReader struct {
+	buf  []byte
+	r, w int // buf[r:w] is read but not yet returned
+	// stamp makes every Read that returns data record the time in readNS,
+	// which is then, after next returns, when the read that completed the
+	// returned frame came back.
+	stamp  bool
+	readNS int64
+}
+
+// reset discards anything buffered, for a reader reused on a new stream.
+func (fr *frameReader) reset() { fr.r, fr.w = 0, 0 }
+
+// next returns the next frame's header and payload, reading from src only
+// when the buffer does not already hold a complete frame. The payload
+// aliases the reader's buffer and is valid until the next call. Header and
+// payload pass ParseHeader and CheckPayload, so the buffer never grows
+// past HeaderSize+MaxPayload. A stream that ends between frames returns
+// io.EOF; one that ends inside a frame returns io.ErrUnexpectedEOF.
+func (fr *frameReader) next(src io.Reader) (Header, []byte, error) {
+	for {
+		need := HeaderSize
+		if fr.w-fr.r >= HeaderSize {
+			h, err := ParseHeader(fr.buf[fr.r:fr.w])
+			if err != nil {
+				return h, nil, err
+			}
+			need += int(h.Length) // Length <= MaxPayload: no overflow
+			if fr.w-fr.r >= need {
+				payload := fr.buf[fr.r+HeaderSize : fr.r+need]
+				if err := h.CheckPayload(payload); err != nil {
+					return h, nil, err
+				}
+				fr.r += need
+				return h, payload, nil
+			}
+		}
+		fr.makeRoom(need)
+		n, err := src.Read(fr.buf[fr.w:])
+		fr.w += n
+		if fr.stamp && n > 0 {
+			fr.readNS = time.Now().UnixNano()
+		}
+		if n > 0 || err == nil {
+			continue // data with an error is used first; the next Read repeats the error
+		}
+		if err == io.EOF && fr.w > fr.r {
+			err = io.ErrUnexpectedEOF
+		}
+		return Header{}, nil, err
+	}
+}
+
+// makeRoom ensures buf[r:] can hold need bytes, moving the unread bytes to
+// the front or into a larger buffer.
+func (fr *frameReader) makeRoom(need int) {
+	if fr.r == fr.w {
+		fr.r, fr.w = 0, 0
+	}
+	if fr.r+need <= len(fr.buf) {
+		return
+	}
+	buf := fr.buf
+	if need > len(buf) {
+		buf = make([]byte, max(need, frameReadSize))
+	}
+	fr.w = copy(buf, fr.buf[fr.r:fr.w])
+	fr.r = 0
+	fr.buf = buf
 }

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"math/rand"
 	"testing"
+	"testing/iotest"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -61,6 +64,95 @@ func TestFrameDecodeRejectsHostileInput(t *testing.T) {
 		}
 		if !bytes.Equal(rest, b) {
 			t.Errorf("%s: failed decode consumed input", tc.name)
+		}
+	}
+}
+
+// chunkReader returns b in reads of the given sizes, cycled; no sizes
+// means everything in one read.
+type chunkReader struct {
+	b     []byte
+	sizes []int
+	i     int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.b) == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(p), len(c.b))
+	if len(c.sizes) > 0 {
+		n = min(n, c.sizes[c.i%len(c.sizes)])
+		c.i++
+	}
+	copy(p, c.b[:n])
+	c.b = c.b[n:]
+	return n, nil
+}
+
+// TestFrameReader feeds frame streams to a frameReader in one read, one
+// byte at a time, and in random chunks: the frames, the error that ends
+// the stream, and the buffer bound must not depend on how the bytes
+// arrive.
+func TestFrameReader(t *testing.T) {
+	a := AppendFrame(nil, MsgInfer, []byte("first"))
+	b := AppendFrame(nil, MsgStats, nil)
+	big := AppendFrame(nil, MsgDeploy, bytes.Repeat([]byte{0xCD}, 3*frameReadSize))
+	badCRC := AppendFrame(nil, MsgHealth, []byte("x"))
+	badCRC[len(badCRC)-1] ^= 0xFF
+	oversized := AppendFrame(nil, MsgInfer, nil)
+	binary.LittleEndian.PutUint32(oversized[4:8], MaxPayload+1)
+	lying := AppendFrame(nil, MsgInfer, []byte("abc"))
+	binary.LittleEndian.PutUint32(lying[4:8], MaxPayload)
+	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+
+	cases := []struct {
+		name   string
+		stream []byte
+		frames [][]byte // the frames next returns, in order
+		err    error    // then this error
+	}{
+		{"empty stream", nil, nil, io.EOF},
+		{"two frames in one read", cat(a, b), [][]byte{a, b}, io.EOF},
+		{"frame larger than the buffer, split across reads", cat(a, big, b), [][]byte{a, big, b}, io.EOF},
+		{"oversized length", cat(a, oversized), [][]byte{a}, ErrOversizedFrame},
+		{"lying length", cat(a, lying), [][]byte{a}, io.ErrUnexpectedEOF},
+		{"bad crc", cat(a, badCRC, b), [][]byte{a}, ErrBadFrameCRC},
+		{"truncated header", cat(a, b[:HeaderSize-1]), [][]byte{a}, io.ErrUnexpectedEOF},
+		{"truncated payload", cat(b, a[:len(a)-1]), [][]byte{b}, io.ErrUnexpectedEOF},
+	}
+	rng := rand.New(rand.NewSource(1))
+	random := make([]int, 64)
+	for i := range random {
+		random[i] = 1 + rng.Intn(2*HeaderSize)
+	}
+	readers := []struct {
+		name string
+		make func([]byte) io.Reader
+	}{
+		{"whole", func(s []byte) io.Reader { return &chunkReader{b: s} }},
+		{"one byte", func(s []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(s)) }},
+		{"random chunks", func(s []byte) io.Reader { return &chunkReader{b: s, sizes: random} }},
+	}
+	for _, tc := range cases {
+		for _, rd := range readers {
+			var fr frameReader
+			src := rd.make(tc.stream)
+			for i, want := range tc.frames {
+				h, payload, err := fr.next(src)
+				if err != nil {
+					t.Fatalf("%s/%s: frame %d: %v", tc.name, rd.name, i, err)
+				}
+				if got := AppendFrame(nil, h.Type, payload); !bytes.Equal(got, want) {
+					t.Fatalf("%s/%s: frame %d differs", tc.name, rd.name, i)
+				}
+			}
+			if _, _, err := fr.next(src); !errors.Is(err, tc.err) {
+				t.Errorf("%s/%s: end of stream: err = %v, want %v", tc.name, rd.name, err, tc.err)
+			}
+			if cap(fr.buf) > HeaderSize+MaxPayload {
+				t.Errorf("%s/%s: buffer grew to %d bytes", tc.name, rd.name, cap(fr.buf))
+			}
 		}
 	}
 }

@@ -3,6 +3,8 @@ package mserve
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"testing"
 
 	"repro/internal/dtrace"
@@ -87,6 +89,78 @@ func FuzzFrameDecode(f *testing.F) {
 		_, _ = ParseVersionResp(b)
 		_, _ = ParseStats(b)
 		_, _, _, _ = ParseHealthResp(b)
+	})
+}
+
+// FuzzFrameStream pins the connection read loop to the frame decoder: for
+// any byte stream delivered in any chunking (read sizes cycled from cuts),
+// frameReader yields exactly the frames repeated DecodeFrame yields and
+// fails at the same frame — with DecodeFrame's error, or, where
+// DecodeFrame reports a short frame, with io.EOF at a frame boundary and
+// io.ErrUnexpectedEOF inside a frame. Its buffer never grows past one
+// maximal frame.
+func FuzzFrameStream(f *testing.F) {
+	two := AppendFrame(AppendFrame(nil, MsgHealth, nil), MsgStats, []byte{1, 2, 3})
+	f.Add([]byte{}, []byte{})
+	f.Add(two, []byte{})
+	f.Add(two, []byte{0})
+	f.Add(two, []byte{4, 11, 1})
+	f.Add(AppendFrame(two, MsgDeploy, bytes.Repeat([]byte{7}, 5000)), []byte{200, 3})
+	f.Add(two[:len(two)-1], []byte{5})
+	hostile := AppendFrame(nil, MsgInfer, nil)
+	binary.LittleEndian.PutUint32(hostile[4:8], ^uint32(0))
+	f.Add(append(AppendFrame(nil, MsgInfer, []byte("ok")), hostile...), []byte{1})
+
+	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		type frame struct {
+			typ     MsgType
+			payload []byte
+		}
+		var want []frame
+		rest := stream
+		var wantErr error
+		for {
+			typ, payload, next, err := DecodeFrame(rest)
+			if err != nil {
+				wantErr = err
+				break
+			}
+			want = append(want, frame{typ, payload})
+			rest = next
+		}
+		if errors.Is(wantErr, ErrShortFrame) {
+			wantErr = io.ErrUnexpectedEOF
+			if len(rest) == 0 {
+				wantErr = io.EOF
+			}
+		}
+		sizes := make([]int, len(cuts))
+		for i, c := range cuts {
+			sizes[i] = int(c) + 1
+		}
+		var fr frameReader
+		src := &chunkReader{b: stream, sizes: sizes}
+		for i := 0; ; i++ {
+			h, payload, err := fr.next(src)
+			if err != nil {
+				if i != len(want) {
+					t.Fatalf("reader failed at frame %d with %v, DecodeFrame at %d", i, err, len(want))
+				}
+				if !errors.Is(err, wantErr) {
+					t.Fatalf("reader error %v, want %v", err, wantErr)
+				}
+				break
+			}
+			if i >= len(want) {
+				t.Fatalf("reader yielded frame %d, DecodeFrame stopped at %d with %v", i, len(want), wantErr)
+			}
+			if h.Type != want[i].typ || !bytes.Equal(payload, want[i].payload) {
+				t.Fatalf("frame %d differs from DecodeFrame's", i)
+			}
+		}
+		if cap(fr.buf) > HeaderSize+MaxPayload {
+			t.Fatalf("buffer grew to %d bytes", cap(fr.buf))
+		}
 	})
 }
 

@@ -32,21 +32,21 @@ func TestServedKernelOverheadBudget(t *testing.T) {
 	d := inst.InDim()
 	pool := uniformPool(60, rows*blocks*d)
 	classes := make([]int, rows)
-	best := func(f func(block []float64)) time.Duration {
-		min := time.Duration(1<<63 - 1)
-		for r := 0; r < rounds; r++ {
-			start := time.Now()
-			for b := 0; b < blocks; b++ {
-				f(pool[b*rows*d : (b+1)*rows*d])
-			}
-			if el := time.Since(start); el < min {
-				min = el
-			}
+	pass := func(f func(block []float64)) time.Duration {
+		start := time.Now()
+		for b := 0; b < blocks; b++ {
+			f(pool[b*rows*d : (b+1)*rows*d])
 		}
-		return min
+		return time.Since(start)
 	}
-	served := best(func(block []float64) { inst.PredictBatch(block, rows, classes) })
-	bare := best(func(block []float64) { kernel.InferBatch(block, rows, classes) })
+	// The two loops alternate round by round, so a slow spell early in the
+	// test (the previous test's teardown, a GC cycle) slows both sides
+	// instead of only the one timed first.
+	served, bare := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for r := 0; r < rounds; r++ {
+		served = min(served, pass(func(block []float64) { inst.PredictBatch(block, rows, classes) }))
+		bare = min(bare, pass(func(block []float64) { kernel.InferBatch(block, rows, classes) }))
+	}
 	perRow := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / (rows * blocks) }
 	ratio := float64(served) / float64(bare)
 	t.Logf("Instance.PredictBatch %.1f ns/row, Float32Network.InferBatch %.1f ns/row, ratio %.2f (budget %.1f)",

@@ -1,6 +1,6 @@
 // The inference server. One goroutine per connection; each connection
-// owns all of its request-scoped buffers (header, payload, feature and
-// class slices, response) plus a private model Instance, so the
+// owns all of its request-scoped buffers (frame reader, feature and class
+// slices, responses) plus a private model Instance, so the
 // steady-state request loop performs no allocation and takes no lock —
 // the deployed model is reached through one atomic Deployment load per
 // request. Control-plane operations (Deploy, Rollback) go through the
@@ -11,7 +11,6 @@ package mserve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -616,8 +615,9 @@ func (s *Server) Shutdown(timeout time.Duration) {
 		_ = s.ln.Close()
 	}
 	s.lnMu.Unlock()
-	// Unblock handlers parked in ReadFull waiting for the next request;
-	// a handler mid-request keeps its write deadline and finishes.
+	// Unblock handlers parked in a read waiting for the next request; a
+	// handler mid-request keeps its write deadline, finishes, and sees
+	// draining before it reads again.
 	s.connsMu.Lock()
 	for c := range s.conns {
 		_ = c.SetReadDeadline(time.Now())
@@ -648,8 +648,7 @@ func (s *Server) Shutdown(timeout time.Duration) {
 // so the steady-state loop allocates nothing.
 type srvConn struct {
 	s          *Server
-	hdr        [HeaderSize]byte
-	payload    []byte
+	fr         frameReader // request frames; payloads alias its buffer
 	resp       []byte
 	out        []byte
 	feats      []float64
@@ -657,13 +656,32 @@ type srvConn struct {
 	rowClasses []int
 	inst       *Instance
 	tb         dtrace.Builder // per-connection span builder (alloc-free)
-	arrivalNS  int64          // current request's header-read stamp
+	arrivalNS  int64          // stamp of the read that completed the current request
 	dispatchNS int64          // current request's handler-start stamp
 	shard      int            // coalescer shard this connection gathers into
 	queueDone  bool           // dispatch already observed the queue delay
 	cw         coalWaiter     // this connection's coalescer parking spot
 }
 
+// armDeadlines sets c's read and write deadlines relative to now.
+func (s *Server) armDeadlines(c net.Conn, now time.Time) error {
+	if err := c.SetReadDeadline(now.Add(s.cfg.ReadTimeout)); err != nil {
+		return err
+	}
+	return c.SetWriteDeadline(now.Add(s.cfg.WriteTimeout))
+}
+
+// handle serves one connection: read a frame, answer it with one Write,
+// read the next. Frames that one read brought together are answered in
+// order without reading again.
+//
+// Deadlines are armed when the connection starts and re-armed only when a
+// request finishes at least rearm after the last arming, which takes no
+// clock read of its own: the check reuses the latency stamp. A request
+// therefore finishes less than rearm after the deadlines were armed, so
+// the connection closes between ReadTimeout/2 and ReadTimeout after the
+// last request finished (or after it opened), and every write has at
+// least WriteTimeout/2 left.
 func (s *Server) handle(c net.Conn) {
 	defer func() {
 		_ = c.Close()
@@ -688,52 +706,54 @@ func (s *Server) handle(c net.Conn) {
 	if s.coal != nil {
 		sc.shard = int(s.connSeq.Add(1) % uint64(len(s.coal.shards)))
 	}
+	sc.fr.reset()
+	sc.fr.stamp = true
+	rearm := min(s.cfg.ReadTimeout, s.cfg.WriteTimeout) / 2
+	armed := time.Now()
+	if s.armDeadlines(c, armed) != nil {
+		return
+	}
 	for {
 		if s.draining.Load() {
 			return
 		}
-		_ = c.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		if _, err := io.ReadFull(c, sc.hdr[:]); err != nil {
-			return // EOF, idle timeout, or drain nudge
-		}
-		// Arrival is stamped at header read: everything between here and
-		// dispatch (payload read, CRC, scheduling — and one day a batch
-		// coalescer's gather window) is attributed queueing delay.
-		sc.arrivalNS = time.Now().UnixNano()
-		h, err := ParseHeader(sc.hdr[:])
+		h, payload, err := sc.fr.next(c)
 		if err != nil {
-			return // framing broken: the stream cannot be re-synced
+			return // EOF, idle timeout, drain nudge, or broken framing
 		}
-		sc.payload = growBytes(sc.payload, int(h.Length))
-		if _, err := io.ReadFull(c, sc.payload); err != nil {
-			return
-		}
-		if err := h.CheckPayload(sc.payload); err != nil {
-			return
-		}
+		// Arrival is the read that completed the frame: everything between
+		// there and dispatch (CRC, the frames ahead of it in the same read,
+		// scheduling, a coalescer's gather window) is attributed queueing
+		// delay.
+		sc.arrivalNS = sc.fr.readNS
 		start := time.Now()
 		sc.dispatchNS = start.UnixNano()
 		sc.queueDone = false
 		known := int(h.Type) < numMsgTypes && s.reqNanos[h.Type] != nil
 		if known {
-			s.rxBytes[h.Type].Add(uint64(HeaderSize + len(sc.payload)))
+			s.rxBytes[h.Type].Add(uint64(HeaderSize + len(payload)))
 		}
-		typ, resp := s.dispatch(sc, h.Type, sc.payload)
+		typ, resp := s.dispatch(sc, h.Type, payload)
 		// A coalesced inference observed its own queue delay (arrival →
 		// batch start, so the gather wait is attributed); every other
 		// request's queueing ends at dispatch.
 		if !sc.queueDone {
 			s.queueNanos.Observe(sc.dispatchNS - sc.arrivalNS)
 		}
+		end := time.Now()
 		if known {
-			s.reqNanos[h.Type].Observe(time.Since(start).Nanoseconds())
+			s.reqNanos[h.Type].Observe(end.Sub(start).Nanoseconds())
 		}
-		sc.out = sc.out[:0]
-		sc.out = AppendFrame(sc.out, typ, resp)
+		sc.out = AppendFrame(sc.out[:0], typ, resp)
 		if known {
 			s.txBytes[h.Type].Add(uint64(len(sc.out)))
 		}
-		_ = c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		if end.Sub(armed) >= rearm {
+			armed = end
+			if s.armDeadlines(c, armed) != nil {
+				return
+			}
+		}
 		if _, err := c.Write(sc.out); err != nil {
 			return
 		}
@@ -803,8 +823,8 @@ func (s *Server) dispatch(sc *srvConn, typ MsgType, p []byte) (MsgType, []byte) 
 }
 
 // startRequestTrace opens the per-request trace: the root span starts at
-// the request's ARRIVAL (header read), and a queue span covers
-// arrival→dispatch so the trace itself shows what the
+// the request's ARRIVAL (the read that completed its frame), and a queue
+// span covers arrival→dispatch so the trace itself shows what the
 // mserve_queue_delay_ns histogram aggregates. When the request payload
 // carries a client-stamped TraceID (PeekTraceID ≠ 0), the server records
 // its spans under that ID — the cross-process join kml-trace renders;
@@ -982,11 +1002,4 @@ func (s *Server) errorResp(sc *srvConn, msg string) (MsgType, []byte) {
 	s.errorsSent.Add(1)
 	sc.resp = append(sc.resp[:0], msg...)
 	return MsgError, sc.resp
-}
-
-func growBytes(b []byte, n int) []byte {
-	if cap(b) < n {
-		return make([]byte, n)
-	}
-	return b[:n]
 }
