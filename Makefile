@@ -43,11 +43,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/kvstore/
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/mserve/
 	$(GO) test -run='^$$' -fuzz=FuzzFrameStream -fuzztime=$(FUZZTIME) ./internal/mserve/
-	$(GO) test -run='^$$' -fuzz=FuzzMetricsDecode -fuzztime=$(FUZZTIME) ./internal/mserve/
-	$(GO) test -run='^$$' -fuzz=FuzzLearnStatusDecode -fuzztime=$(FUZZTIME) ./internal/mserve/
-	$(GO) test -run='^$$' -fuzz=FuzzBlackboxStatusDecode -fuzztime=$(FUZZTIME) ./internal/mserve/
-	$(GO) test -run='^$$' -fuzz=FuzzTracesDecode -fuzztime=$(FUZZTIME) ./internal/dtrace/
-	$(GO) test -run='^$$' -fuzz=FuzzTimeSeriesDecode -fuzztime=$(FUZZTIME) ./internal/telemetry/tsrec/
+	$(GO) test -run='^$$' -fuzz=FuzzWireCanonical -fuzztime=$(FUZZTIME) ./internal/mserve/
 	$(GO) test -run='^$$' -fuzz=FuzzDirectiveParse -fuzztime=$(FUZZTIME) ./internal/lint/
 
 # End-to-end smoke of the serving subsystem: daemon + deploy + bench +

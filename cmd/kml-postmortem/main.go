@@ -25,12 +25,12 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/blackbox"
 	"repro/internal/dtrace"
 	"repro/internal/mserve"
+	"repro/internal/render"
 	"repro/internal/telemetry/tsrec"
 )
 
@@ -150,19 +150,19 @@ func printSeries(recs []blackbox.Record) {
 		fmt.Println()
 		return
 	}
-	rowsCol := tsColumn(ts.Counters, "mserve_rows")
+	rowsCol := render.Column(ts.Counters, "mserve_rows")
 	if rowsCol >= 0 && ts.IntervalNanos > 0 {
 		rates := make([]uint64, len(ts.Points))
 		for i := range ts.Points {
 			rates[i] = ts.Points[i].Deltas[rowsCol] * 1_000_000_000 / uint64(ts.IntervalNanos)
 		}
-		fmt.Printf("throughput %8d rows/s at death  %s\n", rates[len(rates)-1], spark(rates))
+		fmt.Printf("throughput %8d rows/s at death  %s\n", rates[len(rates)-1], render.Spark(rates))
 	}
 	for _, h := range []struct{ col, label string }{
 		{"mserve_infer_ns", "infer"},
 		{"mserve_queue_delay_ns", "queue"},
 	} {
-		hc := tsColumn(ts.Hists, h.col)
+		hc := render.Column(ts.Hists, h.col)
 		if hc < 0 {
 			continue
 		}
@@ -172,7 +172,7 @@ func printSeries(recs []blackbox.Record) {
 			p99s[i] = uint64(ts.Points[i].P99[hc])
 		}
 		fmt.Printf("%-7s p50 %8s  p95 %8s  p99 %8s  %s\n",
-			h.label, fmtNS(lastPt.P50[hc]), fmtNS(lastPt.P95[hc]), fmtNS(lastPt.P99[hc]), spark(p99s))
+			h.label, render.NS(lastPt.P50[hc]), render.NS(lastPt.P95[hc]), render.NS(lastPt.P99[hc]), render.Spark(p99s))
 	}
 	fmt.Printf("series    %d points @ %s\n\n", len(ts.Points), time.Duration(ts.IntervalNanos))
 }
@@ -273,7 +273,7 @@ func printDrift(recs []blackbox.Record, last *mserve.MetricsSnapshot) {
 			state = "DRIFTED"
 		}
 		fmt.Printf("drift     %-15s %-8s shift %+5dmz  churn %4dpm  windows %d  %s\n",
-			prefix, state, end.shift, end.churn, end.windows, spark(shifts))
+			prefix, state, end.shift, end.churn, end.windows, render.Spark(shifts))
 	}
 	if len(prefixes) > 0 {
 		fmt.Println()
@@ -353,7 +353,7 @@ func printTraces(recs []blackbox.Record, n int) {
 	fmt.Printf("slowest decisions (%d of %d recovered):\n", min(n, len(order)), len(order))
 	for i := 0; i < len(slowest) && i < n; i++ {
 		tr := byID[slowest[i]]
-		printTrace(&tr)
+		render.Trace(os.Stdout, &tr)
 	}
 	fmt.Printf("last decisions before death:\n")
 	start := len(order) - n
@@ -362,103 +362,9 @@ func printTraces(recs []blackbox.Record, n int) {
 	}
 	for _, id := range order[start:] {
 		tr := byID[id]
-		printTrace(&tr)
+		render.Trace(os.Stdout, &tr)
 	}
 	fmt.Printf("%d traces recovered\n", len(order))
-}
-
-// printTrace renders one trace as a span tree (the kml-trace rendering:
-// children of span i carry Parent == i+1).
-func printTrace(tr *dtrace.Trace) {
-	root := tr.Root()
-	fmt.Printf("trace %d  %s  %s  value=%d aux=%d\n",
-		tr.ID, time.Unix(0, root.Start).UTC().Format("15:04:05.000000"),
-		fmtDur(root.Duration()), root.Value, root.Aux)
-	printChildren(tr, 1, "  ")
-}
-
-func printChildren(tr *dtrace.Trace, parent uint8, indent string) {
-	spans := tr.Used()
-	last := -1
-	for i := range spans {
-		if i > 0 && spans[i].Parent == parent {
-			last = i
-		}
-	}
-	for i := range spans {
-		if i == 0 || spans[i].Parent != parent {
-			continue
-		}
-		conn := "├─"
-		if i == last {
-			conn = "└─"
-		}
-		fmt.Printf("%s%s %-10s %8s  value=%d aux=%d\n",
-			indent, conn, spans[i].Stage, fmtDur(spans[i].Duration()), spans[i].Value, spans[i].Aux)
-		printChildren(tr, uint8(i+1), indent+"   ")
-	}
-}
-
-// tsColumn finds a named series column, -1 if absent.
-func tsColumn(names []string, want string) int {
-	for i, n := range names {
-		if n == want {
-			return i
-		}
-	}
-	return -1
-}
-
-// sparkRunes is the 8-level block ramp shared with kml-top; scaling is
-// pure integer math.
-var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-func spark(vals []uint64) string {
-	const width = 32
-	if len(vals) > width {
-		vals = vals[len(vals)-width:]
-	}
-	var max uint64
-	for _, v := range vals {
-		if v > max {
-			max = v
-		}
-	}
-	var sb strings.Builder
-	for _, v := range vals {
-		idx := 0
-		if max > 0 {
-			idx = int(v * uint64(len(sparkRunes)-1) / max)
-		}
-		sb.WriteRune(sparkRunes[idx])
-	}
-	return sb.String()
-}
-
-// fmtNS renders a nanosecond quantile compactly.
-func fmtNS(ns int64) string {
-	switch {
-	case ns >= 10_000_000:
-		return fmt.Sprintf("%dms", ns/1_000_000)
-	case ns >= 10_000:
-		return fmt.Sprintf("%dµs", ns/1_000)
-	default:
-		return fmt.Sprintf("%dns", ns)
-	}
-}
-
-func fmtDur(ns int64) string {
-	if ns < 0 {
-		return "?"
-	}
-	return time.Duration(ns).String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

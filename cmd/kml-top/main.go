@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/blackbox"
 	"repro/internal/mserve"
+	"repro/internal/render"
 	"repro/internal/telemetry/tsrec"
 )
 
@@ -210,13 +211,13 @@ func renderFrame(w *os.File, cl *mserve.Client, clear bool) error {
 func renderSeries(w io.Writer, ts tsrec.Series) {
 	// Throughput: rows per second from the counter deltas, integer math
 	// only (delta × 1e9 / interval_ns).
-	rowsCol := tsColumn(ts.Counters, "mserve_rows")
+	rowsCol := render.Column(ts.Counters, "mserve_rows")
 	if rowsCol >= 0 && ts.IntervalNanos > 0 && len(ts.Points) > 0 {
 		rates := make([]uint64, len(ts.Points))
 		for i := range ts.Points {
 			rates[i] = ts.Points[i].Deltas[rowsCol] * 1_000_000_000 / uint64(ts.IntervalNanos)
 		}
-		fmt.Fprintf(w, "throughput %8d rows/s  %s\n", rates[len(rates)-1], spark(rates))
+		fmt.Fprintf(w, "throughput %8d rows/s  %s\n", rates[len(rates)-1], render.Spark(rates))
 	} else {
 		fmt.Fprintf(w, "throughput        ? rows/s  (no time series yet)\n")
 	}
@@ -227,7 +228,7 @@ func renderSeries(w io.Writer, ts tsrec.Series) {
 		{"mserve_infer_ns", "infer"},
 		{"mserve_queue_delay_ns", "queue"},
 	} {
-		hc := tsColumn(ts.Hists, h.col)
+		hc := render.Column(ts.Hists, h.col)
 		if hc < 0 || len(ts.Points) == 0 {
 			continue
 		}
@@ -237,59 +238,7 @@ func renderSeries(w io.Writer, ts tsrec.Series) {
 			p99s[i] = uint64(ts.Points[i].P99[hc])
 		}
 		fmt.Fprintf(w, "%-7s p50 %8s  p95 %8s  p99 %8s  %s\n",
-			h.label, fmtNS(last.P50[hc]), fmtNS(last.P95[hc]), fmtNS(last.P99[hc]), spark(p99s))
-	}
-}
-
-// tsColumn finds a named series column, -1 if absent.
-func tsColumn(names []string, want string) int {
-	for i, n := range names {
-		if n == want {
-			return i
-		}
-	}
-	return -1
-}
-
-// sparkRunes is the 8-level block ramp; scaling is pure integer math so
-// the console never touches floats (mirrors the recorder's own
-// float-free discipline).
-var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-// spark renders values as a fixed-height sparkline scaled to the window
-// maximum. All-zero input renders the floor rune for every point.
-func spark(vals []uint64) string {
-	const width = 32
-	if len(vals) > width {
-		vals = vals[len(vals)-width:]
-	}
-	var max uint64
-	for _, v := range vals {
-		if v > max {
-			max = v
-		}
-	}
-	var sb strings.Builder
-	for _, v := range vals {
-		idx := 0
-		if max > 0 {
-			idx = int(v * uint64(len(sparkRunes)-1) / max)
-		}
-		sb.WriteRune(sparkRunes[idx])
-	}
-	return sb.String()
-}
-
-// fmtNS renders a nanosecond quantile compactly (µs precision above
-// 10µs, ms above 10ms).
-func fmtNS(ns int64) string {
-	switch {
-	case ns >= 10_000_000:
-		return fmt.Sprintf("%dms", ns/1_000_000)
-	case ns >= 10_000:
-		return fmt.Sprintf("%dµs", ns/1_000)
-	default:
-		return fmt.Sprintf("%dns", ns)
+			h.label, render.NS(last.P50[hc]), render.NS(last.P95[hc]), render.NS(last.P99[hc]), render.Spark(p99s))
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/dtrace"
 	"repro/internal/mserve"
+	"repro/internal/render"
 )
 
 func main() {
@@ -78,7 +79,7 @@ func main() {
 		if *slow > 0 && root.Duration() < int64(*slow) {
 			continue
 		}
-		printTrace(tr)
+		render.Trace(os.Stdout, tr)
 		shown++
 		if tr.Complete() {
 			complete++
@@ -135,7 +136,7 @@ func runProbe(cl *mserve.Client, n int) {
 		}
 		fmt.Printf("trace %d  %s  %s  v%d  %s\n",
 			ctr.ID, time.Unix(0, root.Start).Format("15:04:05.000000"),
-			fmtDur(root.Duration()), version, tag)
+			render.Dur(root.Duration()), version, tag)
 		spans := ctr.Used()
 		for si := 1; si < len(spans); si++ {
 			sp := spans[si]
@@ -143,11 +144,11 @@ func runProbe(cl *mserve.Client, n int) {
 			if si == len(spans)-1 {
 				conn = "└─"
 			}
-			fmt.Printf("  %s %-10s %8s  %s\n", conn, sp.Stage, fmtDur(sp.Duration()), spanDetail(sp))
+			fmt.Printf("  %s %-10s %8s  %s\n", conn, sp.Stage, render.Dur(sp.Duration()), render.SpanDetail(sp))
 			if sp.Stage == dtrace.StageWire && srv != nil {
 				sroot := srv.Root()
 				fmt.Printf("  │   └─ %-10s %8s  server  %s\n",
-					"server", fmtDur(sroot.Duration()), spanDetail(*sroot))
+					"server", render.Dur(sroot.Duration()), render.SpanDetail(*sroot))
 				sspans := srv.Used()
 				for ssi := 1; ssi < len(sspans); ssi++ {
 					sconn := "├─"
@@ -155,7 +156,7 @@ func runProbe(cl *mserve.Client, n int) {
 						sconn = "└─"
 					}
 					fmt.Printf("  │      %s %-10s %8s  %s\n",
-						sconn, sspans[ssi].Stage, fmtDur(sspans[ssi].Duration()), spanDetail(sspans[ssi]))
+						sconn, sspans[ssi].Stage, render.Dur(sspans[ssi].Duration()), render.SpanDetail(sspans[ssi]))
 				}
 			}
 		}
@@ -186,79 +187,6 @@ func printLearn(cl *mserve.Client) {
 	fmt.Printf("%d retrain events\n", len(st.Events))
 }
 
-// printTrace renders one trace as a span tree. Children of span i carry
-// Parent == i+1 (the wire format's 1-based parent index).
-func printTrace(tr *dtrace.Trace) {
-	root := tr.Root()
-	fmt.Printf("trace %d  %s  %s  %s\n",
-		tr.ID, time.Unix(0, root.Start).Format("15:04:05.000000"),
-		fmtDur(root.Duration()), spanDetail(*root))
-	printChildren(tr, 1, "  ")
-}
-
-func printChildren(tr *dtrace.Trace, parent uint8, indent string) {
-	spans := tr.Used()
-	// Find the children of `parent` to know which connector to draw.
-	last := -1
-	for i := range spans {
-		if i > 0 && spans[i].Parent == parent {
-			last = i
-		}
-	}
-	for i := range spans {
-		if i == 0 || spans[i].Parent != parent {
-			continue
-		}
-		conn := "├─"
-		if i == last {
-			conn = "└─"
-		}
-		fmt.Printf("%s%s %-10s %8s  %s\n",
-			indent, conn, spans[i].Stage, fmtDur(spans[i].Duration()), spanDetail(spans[i]))
-		printChildren(tr, uint8(i+1), indent+"   ")
-	}
-}
-
-// spanDetail renders a span's Value/Aux using the stage's documented
-// attribute semantics (see dtrace.Span).
-func spanDetail(sp dtrace.Span) string {
-	switch sp.Stage {
-	case dtrace.StageDecision:
-		if sp.Value < 0 {
-			return fmt.Sprintf("batch rows=%d", sp.Aux)
-		}
-		return fmt.Sprintf("class=%d", sp.Value)
-	case dtrace.StageFeature:
-		return fmt.Sprintf("events=%d", sp.Value)
-	case dtrace.StageNormalize:
-		return fmt.Sprintf("nfeat=%d", sp.Value)
-	case dtrace.StageInfer:
-		if sp.Value < 0 {
-			return fmt.Sprintf("batch v%d", sp.Aux)
-		}
-		return fmt.Sprintf("class=%d v%d", sp.Value, sp.Aux)
-	case dtrace.StageApply:
-		return fmt.Sprintf("readahead %d<-%d sectors", sp.Value, sp.Aux)
-	case dtrace.StageOutcome:
-		if sp.Aux < 0 {
-			return "hit rate unknown"
-		}
-		return fmt.Sprintf("hit rate %dpm (%+dpm)", sp.Aux, sp.Value)
-	case dtrace.StageParse, dtrace.StageEncode:
-		return fmt.Sprintf("bytes=%d", sp.Value)
-	case dtrace.StageQueue:
-		return fmt.Sprintf("delay=%s", fmtDur(sp.Value))
-	case dtrace.StageClient:
-		if sp.Value < 0 {
-			return fmt.Sprintf("batch rows=%d", sp.Aux)
-		}
-		return fmt.Sprintf("class=%d", sp.Value)
-	case dtrace.StageWire:
-		return fmt.Sprintf("req=%dB resp=%dB", sp.Aux, sp.Value)
-	}
-	return fmt.Sprintf("v=%d aux=%d", sp.Value, sp.Aux)
-}
-
 // printBreakdown summarizes per-stage latency over the shown traces.
 func printBreakdown(byStage map[dtrace.Stage][]int64) {
 	stages := make([]dtrace.Stage, 0, len(byStage))
@@ -278,15 +206,8 @@ func printBreakdown(byStage map[dtrace.Stage][]int64) {
 			sum += d
 		}
 		fmt.Printf("  %-10s n=%-5d p50=%-10s max=%-10s total=%s\n",
-			st, len(ds), fmtDur(ds[len(ds)/2]), fmtDur(ds[len(ds)-1]), fmtDur(sum))
+			st, len(ds), render.Dur(ds[len(ds)/2]), render.Dur(ds[len(ds)-1]), render.Dur(sum))
 	}
-}
-
-func fmtDur(ns int64) string {
-	if ns < 0 {
-		return "?"
-	}
-	return time.Duration(ns).String()
 }
 
 func fatal(err error) {

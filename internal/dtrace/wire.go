@@ -1,7 +1,6 @@
-// Canonical binary encoding of trace batches, in the style of
-// mserve's MsgMetrics payload: little-endian, length-prefixed, and
-// CANONICAL — for every payload ParseTraces accepts,
-// AppendTraces(nil, ParseTraces(b)) == b, pinned by FuzzTracesDecode.
+// Binary encoding of trace batches, the MsgTraces payload and the black
+// box's trace records. The codec contract is internal/wire's (DESIGN.md
+// "Wire encodings").
 //
 // Layout:
 //
@@ -16,8 +15,9 @@
 package dtrace
 
 import (
-	"encoding/binary"
 	"errors"
+
+	"repro/internal/wire"
 )
 
 // MaxWireTraces bounds one payload: 512 full traces encode to ~140 KiB,
@@ -34,75 +34,50 @@ var ErrBadTraceWire = errors.New("dtrace: malformed trace payload")
 // skipped, and at most MaxWireTraces are encoded — newest last, oldest
 // dropped first, matching the arena's keep-latest policy.
 func AppendTraces(dst []byte, traces []Trace) []byte {
-	ok := make([]int, 0, len(traces))
-	for i := range traces {
-		if traces[i].wireOK() {
-			ok = append(ok, i)
-		}
-	}
-	if len(ok) > MaxWireTraces {
-		ok = ok[len(ok)-MaxWireTraces:]
-	}
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(ok)))
-	for _, i := range ok {
-		t := &traces[i]
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(t.ID))
-		dst = append(dst, t.N)
-		for j := 0; j < int(t.N); j++ {
-			s := &t.Spans[j]
-			dst = append(dst, byte(s.Stage), s.Parent)
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Value))
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Aux))
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Start))
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(s.End))
-		}
-	}
-	return dst
+	return wire.Append(dst, wire.Newest(encodable(traces), MaxWireTraces), tracesLayout)
 }
 
 // ParseTraces decodes a canonical trace payload. It rejects truncated
 // input, trailing bytes, span counts outside 1..MaxTraceSpans, unknown
 // stages, and forward parent references.
 func ParseTraces(b []byte) ([]Trace, error) {
-	if len(b) < 2 {
-		return nil, ErrBadTraceWire
+	return wire.Parse(b, tracesLayout, ErrBadTraceWire)
+}
+
+func tracesLayout(c *wire.Codec, ts *[]Trace) {
+	wire.List16(c, ts, MaxWireTraces, 8+1+spanWireSize, traceLayout)
+}
+
+func traceLayout(c *wire.Codec, t *Trace) {
+	c.U64((*uint64)(&t.ID))
+	c.U8(&t.N)
+	if !c.Check(t.N >= 1 && int(t.N) <= MaxTraceSpans) {
+		return
 	}
-	n := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	if n > MaxWireTraces {
-		return nil, ErrBadTraceWire
+	for j := range t.Spans[:t.N] {
+		s := &t.Spans[j]
+		c.U8((*uint8)(&s.Stage))
+		c.U8(&s.Parent)
+		c.Check(s.Stage < NumStages && int(s.Parent) <= j)
+		for _, v := range [...]*int64{&s.Value, &s.Aux, &s.Start, &s.End} {
+			c.I64(v)
+		}
 	}
-	out := make([]Trace, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 9 {
-			return nil, ErrBadTraceWire
-		}
-		t := &out[i]
-		t.ID = TraceID(binary.LittleEndian.Uint64(b))
-		t.N = b[8]
-		b = b[9:]
-		if t.N < 1 || int(t.N) > MaxTraceSpans {
-			return nil, ErrBadTraceWire
-		}
-		for j := 0; j < int(t.N); j++ {
-			if len(b) < spanWireSize {
-				return nil, ErrBadTraceWire
+}
+
+// encodable returns the traces the format can represent, copying only
+// when it has to drop one.
+func encodable(ts []Trace) []Trace {
+	for i := range ts {
+		if !ts[i].wireOK() {
+			out := append([]Trace(nil), ts[:i]...)
+			for j := i + 1; j < len(ts); j++ {
+				if ts[j].wireOK() {
+					out = append(out, ts[j])
+				}
 			}
-			s := &t.Spans[j]
-			s.Stage = Stage(b[0])
-			s.Parent = b[1]
-			if s.Stage >= NumStages || int(s.Parent) > j {
-				return nil, ErrBadTraceWire
-			}
-			s.Value = int64(binary.LittleEndian.Uint64(b[2:]))
-			s.Aux = int64(binary.LittleEndian.Uint64(b[10:]))
-			s.Start = int64(binary.LittleEndian.Uint64(b[18:]))
-			s.End = int64(binary.LittleEndian.Uint64(b[26:]))
-			b = b[spanWireSize:]
+			return out
 		}
 	}
-	if len(b) != 0 {
-		return nil, ErrBadTraceWire
-	}
-	return out, nil
+	return ts
 }

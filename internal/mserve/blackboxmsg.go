@@ -18,13 +18,11 @@
 //	  u16 pathlen                   (≤ MaxBlackboxPath; 0 iff no path)
 //	  pathlen bytes of path
 //
-// Every field is fixed-width and validated on decode, so the encoding
-// is canonical: AppendBlackboxStatus(ParseBlackboxStatus(b)) == b for
-// every accepted b, the same invariant the frame/metrics/learn codecs
-// keep.
+// Every field is fixed-width and checked on decode (DESIGN.md "Wire
+// encodings").
 package mserve
 
-import "encoding/binary"
+import "repro/internal/wire"
 
 // MsgBlackbox request opcodes.
 const (
@@ -50,65 +48,40 @@ type BlackboxStatus struct {
 	Path           string // black-box file path on the server's host
 }
 
-// blackboxHeaderSize is the fixed part: enabled byte, five u64
-// counters, one i64 stamp, u16 path length.
-const blackboxHeaderSize = 1 + 5*8 + 8 + 2
-
 // AppendBlackboxReq appends a MsgBlackbox request payload.
 func AppendBlackboxReq(dst []byte, op uint8) []byte {
-	return append(dst, op)
+	return wire.Append(dst, op, blackboxReqLayout)
 }
 
 // ParseBlackboxReq decodes a MsgBlackbox request, rejecting unknown
 // opcodes and trailing bytes.
 func ParseBlackboxReq(p []byte) (uint8, error) {
-	if len(p) != 1 || p[0] > BlackboxSync {
-		return 0, ErrBadMessage
-	}
-	return p[0], nil
+	return wire.Parse(p, blackboxReqLayout, ErrBadMessage)
+}
+
+func blackboxReqLayout(c *wire.Codec, op *uint8) {
+	c.U8(op)
+	c.Check(*op <= BlackboxSync)
 }
 
 // AppendBlackboxStatus appends the canonical wire form of st. Paths
 // beyond MaxBlackboxPath are truncated.
 func AppendBlackboxStatus(dst []byte, st BlackboxStatus) []byte {
-	b := byte(0)
-	if st.Enabled {
-		b = 1
-	}
-	dst = append(dst, b)
-	for _, v := range [5]uint64{st.Records, st.Dropped, st.Flushes, st.RingBytes, st.TornAtOpen} {
-		dst = binary.LittleEndian.AppendUint64(dst, v)
-	}
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.LastFlushNanos))
-	path := st.Path
-	if len(path) > MaxBlackboxPath {
-		path = path[:MaxBlackboxPath]
-	}
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(path)))
-	return append(dst, path...)
+	return wire.Append(dst, st, blackboxStatusLayout)
 }
 
 // ParseBlackboxStatus decodes a status payload, rejecting out-of-range
 // enabled bytes, oversized paths, and length mismatches with
 // ErrBadMessage.
 func ParseBlackboxStatus(p []byte) (BlackboxStatus, error) {
-	var st BlackboxStatus
-	if len(p) < blackboxHeaderSize || p[0] > 1 {
-		return st, ErrBadMessage
+	return wire.Parse(p, blackboxStatusLayout, ErrBadMessage)
+}
+
+func blackboxStatusLayout(c *wire.Codec, st *BlackboxStatus) {
+	c.Bool(&st.Enabled)
+	for _, v := range [...]*uint64{&st.Records, &st.Dropped, &st.Flushes, &st.RingBytes, &st.TornAtOpen} {
+		c.U64(v)
 	}
-	st.Enabled = p[0] == 1
-	off := 1
-	for _, dst := range [5]*uint64{&st.Records, &st.Dropped, &st.Flushes, &st.RingBytes, &st.TornAtOpen} {
-		*dst = binary.LittleEndian.Uint64(p[off:])
-		off += 8
-	}
-	st.LastFlushNanos = int64(binary.LittleEndian.Uint64(p[off:]))
-	off += 8
-	n := int(binary.LittleEndian.Uint16(p[off:]))
-	off += 2
-	if n > MaxBlackboxPath || len(p)-off != n {
-		return BlackboxStatus{}, ErrBadMessage
-	}
-	st.Path = string(p[off:])
-	return st, nil
+	c.I64(&st.LastFlushNanos)
+	c.String16(&st.Path, MaxBlackboxPath)
 }

@@ -252,4 +252,11 @@ func TestParseReqBounds(t *testing.T) {
 	if _, _, _, err := ParseBatchInferReq(b, dst); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("oversized batch rows: %v", err)
 	}
+	// The health ok byte is 0 or 1; anything else is not a health payload
+	// (it would re-encode as 0, so accepting it is not canonical).
+	h := AppendHealthResp(nil, true, 5, 4)
+	h[0] = 2
+	if _, _, _, err := ParseHealthResp(h); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("health ok byte 2: %v", err)
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/dtrace"
-	"repro/internal/telemetry"
 )
 
 // dtraceSeedTrace builds a small well-formed trace for fuzz seeding.
@@ -164,131 +163,59 @@ func FuzzFrameStream(f *testing.F) {
 	})
 }
 
-// FuzzMetricsDecode drives the MsgMetrics parser with hostile input and
-// pins the canonical-encoding invariant: any payload the parser accepts
-// must re-encode to exactly the consumed bytes, and no input may panic,
-// over-read, or size an allocation from an unvalidated count.
-func FuzzMetricsDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendMetrics(nil, MetricsSnapshot{}))
-	f.Add(AppendMetrics(nil, MetricsSnapshot{
-		Metrics: []Metric{
-			{Name: "c", Kind: MetricCounter, Value: 7},
-			{Name: "g", Kind: MetricGauge, Value: -7},
-		},
-		Decisions: []MetricsDecision{{TimeNanos: 1, Version: 2, Class: -1, Rows: 3, Sectors: 4}},
-	}))
-	var h telemetry.Histogram
-	for _, ns := range []int64{0, 1, 500, 1 << 40} {
-		h.Observe(ns)
+// FuzzWireCanonical is the one canonical-form property for every payload
+// that runs on internal/wire: the first input byte selects the message
+// (wireCodecs order), and the rest must either be rejected or decode to a
+// value that satisfies the message's invariants and re-encodes to exactly
+// those bytes. No input may panic, over-read, or size an allocation from
+// an unvalidated count.
+func FuzzWireCanonical(f *testing.F) {
+	codecs := wireCodecs()
+	for i, m := range codecs {
+		for _, seed := range m.seeds {
+			f.Add(append([]byte{byte(i)}, seed...))
+		}
 	}
-	f.Add(AppendMetrics(nil, MetricsSnapshot{Metrics: []Metric{
-		{Name: "h", Kind: MetricHistogram, Hist: h.Snapshot()},
-		{Name: "empty", Kind: MetricHistogram},
-	}}))
-	f.Add([]byte{0xFF, 0xFF})                               // lying metric count
-	f.Add(append(AppendMetrics(nil, MetricsSnapshot{}), 1)) // trailing byte
-
 	f.Fuzz(func(t *testing.T, b []byte) {
-		snap, err := ParseMetrics(b)
-		if err != nil {
+		if len(b) == 0 {
 			return
 		}
-		if len(snap.Metrics) > MaxMetrics || len(snap.Decisions) > MaxDecisions {
-			t.Fatalf("parsed snapshot exceeds wire limits: %d metrics, %d decisions",
-				len(snap.Metrics), len(snap.Decisions))
-		}
-		for _, m := range snap.Metrics {
-			if m.Kind == MetricHistogram {
-				var sum uint64
-				for _, c := range m.Hist.Buckets {
-					sum += c
-				}
-				if sum != m.Hist.Count {
-					t.Fatalf("histogram %q count %d != bucket sum %d", m.Name, m.Hist.Count, sum)
-				}
-			}
-		}
-		re := AppendMetrics(nil, snap)
-		if !bytes.Equal(re, b) {
-			t.Fatalf("accepted payload is not canonical:\n in: %x\nout: %x", b, re)
-		}
+		checkCanonical(t, codecs[int(b[0])%len(codecs)], b[1:])
 	})
 }
 
-// FuzzLearnStatusDecode drives the MsgLearnStatus parser with hostile
-// input and pins the same canonical-encoding invariant as the other wire
-// decoders: Append(Parse(b)) == b for every accepted b, and no input may
-// panic, over-read, or size an allocation from an unvalidated count.
-func FuzzLearnStatusDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendLearnStatus(nil, LearnStatus{BaselinePM: -1, CanaryPM: -1}))
-	f.Add(AppendLearnStatus(nil, LearnStatus{
-		State:    LearnCanary,
-		Retrains: 3, Deploys: 4, Rollbacks: 1, Commits: 2,
-		TriggerFires: 5, Examples: 256, LastVersion: 9,
-		BaselinePM: 700, CanaryPM: 650,
-		Events: []RetrainEvent{
-			{TimeNanos: 1, Version: 8, DurationNanos: 2_000_000, Examples: 128,
-				Outcome: RetrainCommitted, BaselinePM: 600, CanaryPM: 700,
-				MaxShiftMZ: 2500, ChurnPM: 120},
-			{TimeNanos: 2, Version: 9, Outcome: RetrainPending,
-				BaselinePM: -1, CanaryPM: -1},
-		},
-	}))
-	f.Add([]byte{6})                                        // out-of-range state
-	f.Add(append(AppendLearnStatus(nil, LearnStatus{}), 1)) // trailing byte
-	lying := AppendLearnStatus(nil, LearnStatus{})
-	lying[len(lying)-2] = 0xFF // event count with no event bytes
-	f.Add(lying)
+// FuzzMetricsDecode, FuzzLearnStatusDecode and FuzzBlackboxStatusDecode
+// run FuzzWireCanonical's property on one message each, so a long
+// campaign can aim at a single decoder.
+func FuzzMetricsDecode(f *testing.F)        { fuzzOneCodec(f, "Metrics") }
+func FuzzLearnStatusDecode(f *testing.F)    { fuzzOneCodec(f, "LearnStatus") }
+func FuzzBlackboxStatusDecode(f *testing.F) { fuzzOneCodec(f, "BlackboxStatus") }
 
-	f.Fuzz(func(t *testing.T, b []byte) {
-		st, err := ParseLearnStatus(b)
-		if err != nil {
-			return
+func fuzzOneCodec(f *testing.F, name string) {
+	for _, m := range wireCodecs() {
+		if m.name != name {
+			continue
 		}
-		if len(st.Events) > MaxRetrainEvents {
-			t.Fatalf("parsed status exceeds event cap: %d", len(st.Events))
+		for _, seed := range m.seeds {
+			f.Add(seed)
 		}
-		if st.State > LearnRolledBack {
-			t.Fatalf("parsed out-of-range state %d", st.State)
-		}
-		re := AppendLearnStatus(nil, st)
-		if !bytes.Equal(re, b) {
-			t.Fatalf("accepted payload is not canonical:\n in: %x\nout: %x", b, re)
-		}
-	})
+		f.Fuzz(func(t *testing.T, b []byte) { checkCanonical(t, m, b) })
+		return
+	}
+	f.Fatalf("no wire codec named %q", name)
 }
 
-// FuzzBlackboxStatusDecode drives the MsgBlackbox status parser with
-// hostile input under the same contract: Append(Parse(b)) == b for
-// every accepted b, no panic, no over-read, no count-sized allocation
-// before validation.
-func FuzzBlackboxStatusDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendBlackboxStatus(nil, BlackboxStatus{}))
-	f.Add(AppendBlackboxStatus(nil, BlackboxStatus{
-		Enabled: true, Records: 1000, Dropped: 1, Flushes: 40,
-		RingBytes: 4 << 20, TornAtOpen: 1,
-		LastFlushNanos: 1700000000000000000, Path: "/var/run/kml/bb.bin",
-	}))
-	f.Add([]byte{2})                                              // out-of-range enabled
-	f.Add(append(AppendBlackboxStatus(nil, BlackboxStatus{}), 9)) // trailing byte
-	lying := AppendBlackboxStatus(nil, BlackboxStatus{Path: "x"})
-	lying[blackboxHeaderSize-2] = 0xFF // path length with no path bytes
-	f.Add(lying)
-
-	f.Fuzz(func(t *testing.T, b []byte) {
-		st, err := ParseBlackboxStatus(b)
-		if err != nil {
-			return
-		}
-		if len(st.Path) > MaxBlackboxPath {
-			t.Fatalf("parsed status exceeds path cap: %d", len(st.Path))
-		}
-		re := AppendBlackboxStatus(nil, st)
-		if !bytes.Equal(re, b) {
-			t.Fatalf("accepted payload is not canonical:\n in: %x\nout: %x", b, re)
-		}
-	})
+// checkCanonical is the property: b is rejected, or it decodes to a value
+// that satisfies the message's invariants and re-encodes to exactly b.
+func checkCanonical(t *testing.T, m wireCodec, b []byte) {
+	v, err := m.parse(b)
+	if err != nil {
+		return
+	}
+	if err := m.check(v); err != nil {
+		t.Fatalf("%s: %v", m.name, err)
+	}
+	if re := m.append(v); !bytes.Equal(re, b) {
+		t.Fatalf("%s: accepted payload is not canonical:\n in: %x\nout: %x", m.name, b, re)
+	}
 }

@@ -19,14 +19,11 @@
 //	  u32 examples | u8 outcome (RetrainPending..RetrainRolledBack) | 3 zero bytes
 //	  i64 baseline_pm | i64 canary_pm | i64 max_shift_mz | i64 churn_pm
 //
-// Every field is fixed-width and every enum and count is validated on
-// decode, so the encoding is canonical: AppendLearnStatus(
-// ParseLearnStatus(b)) == b for every accepted b — the invariant
-// FuzzLearnStatusDecode pins, like the frame/metrics/traces decoders
-// before it.
+// Every field is fixed-width and every enum, count and padding byte is
+// checked on decode (DESIGN.md "Wire encodings").
 package mserve
 
-import "encoding/binary"
+import "repro/internal/wire"
 
 // Controller states on the wire, mirroring olearn's state machine. The
 // server does not interpret them beyond range-checking; they live here so
@@ -89,87 +86,46 @@ const retrainEventSize = 64
 // MaxRetrainEvents are dropped oldest-first (the newest history is the
 // operable part).
 func AppendLearnStatus(dst []byte, st LearnStatus) []byte {
-	dst = append(dst, st.State)
-	for _, v := range [7]uint64{
-		st.Retrains, st.Deploys, st.Rollbacks, st.Commits,
-		st.TriggerFires, st.Examples, st.LastVersion,
-	} {
-		dst = binary.LittleEndian.AppendUint64(dst, v)
-	}
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.BaselinePM))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.CanaryPM))
-	events := st.Events
-	if len(events) > MaxRetrainEvents {
-		events = events[len(events)-MaxRetrainEvents:]
-	}
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(events)))
-	for _, e := range events {
-		dst = binary.LittleEndian.AppendUint64(dst, e.TimeNanos)
-		dst = binary.LittleEndian.AppendUint64(dst, e.Version)
-		dst = binary.LittleEndian.AppendUint64(dst, e.DurationNanos)
-		dst = binary.LittleEndian.AppendUint32(dst, e.Examples)
-		dst = append(dst, e.Outcome, 0, 0, 0)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(e.BaselinePM))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(e.CanaryPM))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(e.MaxShiftMZ))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(e.ChurnPM))
-	}
-	return dst
+	st.Events = wire.Newest(st.Events, MaxRetrainEvents)
+	return wire.Append(dst, st, learnStatusLayout)
 }
-
-// learnHeaderSize is the fixed part before the event list: state byte,
-// seven u64 counters, two i64 per-mille fields, u16 count.
-const learnHeaderSize = 1 + 7*8 + 2*8 + 2
 
 // ParseLearnStatus decodes a learn-status payload, rejecting out-of-range
 // states, outcomes, counts, nonzero padding, and length mismatches with
 // ErrBadMessage.
 func ParseLearnStatus(p []byte) (LearnStatus, error) {
-	var st LearnStatus
-	if len(p) < learnHeaderSize {
-		return st, ErrBadMessage
-	}
-	st.State = p[0]
-	if st.State > LearnRolledBack {
-		return LearnStatus{}, ErrBadMessage
-	}
-	off := 1
-	for _, dst := range [7]*uint64{
+	return wire.Parse(p, learnStatusLayout, ErrBadMessage)
+}
+
+func learnStatusLayout(c *wire.Codec, st *LearnStatus) {
+	c.U8(&st.State)
+	c.Check(st.State <= LearnRolledBack)
+	for _, v := range [...]*uint64{
 		&st.Retrains, &st.Deploys, &st.Rollbacks, &st.Commits,
 		&st.TriggerFires, &st.Examples, &st.LastVersion,
 	} {
-		*dst = binary.LittleEndian.Uint64(p[off:])
-		off += 8
+		c.U64(v)
 	}
-	st.BaselinePM = int64(binary.LittleEndian.Uint64(p[off:]))
-	st.CanaryPM = int64(binary.LittleEndian.Uint64(p[off+8:]))
-	off += 16
-	n := int(binary.LittleEndian.Uint16(p[off:]))
-	off += 2
-	if n > MaxRetrainEvents || len(p)-off != retrainEventSize*n {
-		return LearnStatus{}, ErrBadMessage
+	c.I64(&st.BaselinePM)
+	c.I64(&st.CanaryPM)
+	wire.List16(c, &st.Events, MaxRetrainEvents, retrainEventSize, retrainEventLayout)
+}
+
+func retrainEventLayout(c *wire.Codec, e *RetrainEvent) {
+	var pad [3]uint8
+	c.U64(&e.TimeNanos)
+	c.U64(&e.Version)
+	c.U64(&e.DurationNanos)
+	c.U32(&e.Examples)
+	c.U8(&e.Outcome)
+	c.Check(e.Outcome <= RetrainFailed)
+	for i := range pad {
+		c.U8(&pad[i])
+		c.Check(pad[i] == 0)
 	}
-	if n > 0 {
-		st.Events = make([]RetrainEvent, 0, n)
+	for _, v := range [...]*int64{&e.BaselinePM, &e.CanaryPM, &e.MaxShiftMZ, &e.ChurnPM} {
+		c.I64(v)
 	}
-	for i := 0; i < n; i++ {
-		var e RetrainEvent
-		e.TimeNanos = binary.LittleEndian.Uint64(p[off:])
-		e.Version = binary.LittleEndian.Uint64(p[off+8:])
-		e.DurationNanos = binary.LittleEndian.Uint64(p[off+16:])
-		e.Examples = binary.LittleEndian.Uint32(p[off+24:])
-		e.Outcome = p[off+28]
-		if e.Outcome > RetrainFailed || p[off+29] != 0 || p[off+30] != 0 || p[off+31] != 0 {
-			return LearnStatus{}, ErrBadMessage
-		}
-		e.BaselinePM = int64(binary.LittleEndian.Uint64(p[off+32:]))
-		e.CanaryPM = int64(binary.LittleEndian.Uint64(p[off+40:]))
-		e.MaxShiftMZ = int64(binary.LittleEndian.Uint64(p[off+48:]))
-		e.ChurnPM = int64(binary.LittleEndian.Uint64(p[off+56:]))
-		off += retrainEventSize
-		st.Events = append(st.Events, e)
-	}
-	return st, nil
 }
 
 // LearnStateName renders a wire state for humans.

@@ -22,15 +22,13 @@
 //	repeated ndecisions times:
 //	  u64 time_ns | u64 version | u32 class (int32 bits) | u32 rows | u32 sectors
 //
-// The encoding is canonical: histograms carry only their populated
-// buckets in index order, so AppendMetrics(ParseMetrics(b)) == b for
-// every accepted payload — the invariant FuzzMetricsDecode pins.
+// Histograms carry only their populated buckets, in index order, so the
+// encoding stays canonical (DESIGN.md "Wire encodings").
 package mserve
 
 import (
-	"encoding/binary"
-
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // Metric kinds on the wire. Func gauges flatten to MetricGauge: the
@@ -80,138 +78,67 @@ type MetricsSnapshot struct {
 // flight recorder are sized far below the caps, so truncation only
 // guards against a hostile in-process caller.
 func AppendMetrics(dst []byte, snap MetricsSnapshot) []byte {
-	metrics := snap.Metrics
-	if len(metrics) > MaxMetrics {
-		metrics = metrics[:MaxMetrics]
-	}
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(metrics)))
-	for _, m := range metrics {
-		name := m.Name
-		if len(name) > MaxMetricName {
-			name = name[:MaxMetricName]
-		}
-		if name == "" {
-			name = "?"
-		}
-		dst = append(dst, m.Kind)
-		dst = append(dst, byte(len(name)))
-		dst = append(dst, name...)
-		if m.Kind == MetricHistogram {
-			dst = binary.LittleEndian.AppendUint64(dst, m.Hist.Sum)
-			n := 0
-			for _, c := range m.Hist.Buckets {
-				if c != 0 {
-					n++
-				}
-			}
-			dst = append(dst, byte(n))
-			for i, c := range m.Hist.Buckets {
-				if c != 0 {
-					dst = append(dst, byte(i))
-					dst = binary.LittleEndian.AppendUint64(dst, c)
-				}
-			}
-		} else {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Value))
-		}
-	}
-	decisions := snap.Decisions
-	if len(decisions) > MaxDecisions {
-		decisions = decisions[:MaxDecisions]
-	}
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(decisions)))
-	for _, d := range decisions {
-		dst = binary.LittleEndian.AppendUint64(dst, d.TimeNanos)
-		dst = binary.LittleEndian.AppendUint64(dst, d.Version)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(d.Class))
-		dst = binary.LittleEndian.AppendUint32(dst, d.Rows)
-		dst = binary.LittleEndian.AppendUint32(dst, d.Sectors)
-	}
-	return dst
+	return wire.Append(dst, snap, metricsLayout)
 }
 
 // ParseMetrics decodes a metrics payload, rejecting any violation of the
 // canonical form (limits exceeded, zero or out-of-order histogram
 // buckets, short or trailing bytes) with ErrBadMessage.
 func ParseMetrics(p []byte) (MetricsSnapshot, error) {
-	var snap MetricsSnapshot
-	if len(p) < 2 {
-		return snap, ErrBadMessage
+	return wire.Parse(p, metricsLayout, ErrBadMessage)
+}
+
+func metricsLayout(c *wire.Codec, snap *MetricsSnapshot) {
+	// The smallest metric is a counter with a one-byte name: 11 bytes.
+	wire.List16(c, &snap.Metrics, MaxMetrics, 11, metricLayout)
+	wire.List16(c, &snap.Decisions, MaxDecisions, 28, decisionLayout)
+}
+
+func metricLayout(c *wire.Codec, m *Metric) {
+	c.U8(&m.Kind)
+	c.Name(&m.Name, MaxMetricName)
+	c.Check(m.Kind <= MetricHistogram)
+	if m.Kind != MetricHistogram {
+		c.I64(&m.Value)
+		return
 	}
-	nm := int(binary.LittleEndian.Uint16(p))
-	if nm > MaxMetrics {
-		return snap, ErrBadMessage
-	}
-	off := 2
-	if nm > 0 {
-		snap.Metrics = make([]Metric, 0, nm)
-	}
-	for i := 0; i < nm; i++ {
-		if len(p)-off < 2 {
-			return MetricsSnapshot{}, ErrBadMessage
+	h := &m.Hist
+	c.U64(&h.Sum)
+	n := 0
+	for _, b := range h.Buckets {
+		if b != 0 {
+			n++
 		}
-		kind := p[off]
-		nameLen := int(p[off+1])
-		off += 2
-		if kind > MetricHistogram || nameLen == 0 || nameLen > MaxMetricName {
-			return MetricsSnapshot{}, ErrBadMessage
+	}
+	c.Len8(&n, telemetry.NumBuckets, 9)
+	for k, prev := 0, -1; k < n; k++ {
+		// An encoder walks to the next populated bucket; a decoder reads
+		// its index and checks the order.
+		idx := uint8(prev + 1)
+		for !c.Decoding() && h.Buckets[idx] == 0 {
+			idx++
 		}
-		if len(p)-off < nameLen {
-			return MetricsSnapshot{}, ErrBadMessage
+		c.U8(&idx)
+		if !c.Check(int(idx) > prev && int(idx) < telemetry.NumBuckets) {
+			return
 		}
-		m := Metric{Name: string(p[off : off+nameLen]), Kind: kind}
-		off += nameLen
-		if kind == MetricHistogram {
-			if len(p)-off < 9 {
-				return MetricsSnapshot{}, ErrBadMessage
-			}
-			m.Hist.Sum = binary.LittleEndian.Uint64(p[off:])
-			nb := int(p[off+8])
-			off += 9
-			if nb > telemetry.NumBuckets || len(p)-off < 9*nb {
-				return MetricsSnapshot{}, ErrBadMessage
-			}
-			prev := -1
-			for j := 0; j < nb; j++ {
-				idx := int(p[off])
-				count := binary.LittleEndian.Uint64(p[off+1:])
-				off += 9
-				if idx <= prev || idx >= telemetry.NumBuckets || count == 0 {
-					return MetricsSnapshot{}, ErrBadMessage
-				}
-				prev = idx
-				m.Hist.Buckets[idx] = count
-				m.Hist.Count += count
-			}
-		} else {
-			if len(p)-off < 8 {
-				return MetricsSnapshot{}, ErrBadMessage
-			}
-			m.Value = int64(binary.LittleEndian.Uint64(p[off:]))
-			off += 8
+		c.U64(&h.Buckets[idx])
+		c.Check(h.Buckets[idx] != 0)
+		if c.Decoding() {
+			h.Count += h.Buckets[idx] // derived, not sent
 		}
-		snap.Metrics = append(snap.Metrics, m)
+		prev = int(idx)
 	}
-	if len(p)-off < 2 {
-		return MetricsSnapshot{}, ErrBadMessage
+}
+
+func decisionLayout(c *wire.Codec, d *MetricsDecision) {
+	class := uint32(d.Class)
+	c.U64(&d.TimeNanos)
+	c.U64(&d.Version)
+	c.U32(&class)
+	c.U32(&d.Rows)
+	c.U32(&d.Sectors)
+	if c.Decoding() {
+		d.Class = int32(class)
 	}
-	nd := int(binary.LittleEndian.Uint16(p[off:]))
-	off += 2
-	if nd > MaxDecisions || len(p)-off != 28*nd {
-		return MetricsSnapshot{}, ErrBadMessage
-	}
-	if nd > 0 {
-		snap.Decisions = make([]MetricsDecision, 0, nd)
-	}
-	for i := 0; i < nd; i++ {
-		snap.Decisions = append(snap.Decisions, MetricsDecision{
-			TimeNanos: binary.LittleEndian.Uint64(p[off:]),
-			Version:   binary.LittleEndian.Uint64(p[off+8:]),
-			Class:     int32(binary.LittleEndian.Uint32(p[off+16:])),
-			Rows:      binary.LittleEndian.Uint32(p[off+20:]),
-			Sectors:   binary.LittleEndian.Uint32(p[off+24:]),
-		})
-		off += 28
-	}
-	return snap, nil
 }

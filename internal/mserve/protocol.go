@@ -4,14 +4,16 @@
 // usable. Frame-level failures (bad magic, CRC, version skew) kill the
 // connection instead — the stream can no longer be trusted.
 //
-// All integers are little-endian; floats are IEEE-754 bit patterns, the
-// same conventions as the KML model file format.
+// Every payload is a layout over internal/wire's Codec: little-endian
+// integers and IEEE-754 float bit patterns, the same conventions as the
+// KML model file format, with one declaration per message serving both
+// its encoder and its decoder.
 package mserve
 
 import (
-	"encoding/binary"
 	"errors"
-	"math"
+
+	"repro/internal/wire"
 )
 
 // MsgType identifies a frame's message.
@@ -32,34 +34,33 @@ const (
 	MsgDeploy MsgType = 3
 	// MsgRollback: empty request; response u64 version.
 	MsgRollback MsgType = 4
-	// MsgStats: empty request; response statsFields×u64 (see Stats).
+	// MsgStats: empty request; response 21×u64 in Stats field order.
 	MsgStats MsgType = 5
-	// MsgHealth: empty request; response u8 ok | u64 version | u16 indim.
+	// MsgHealth: empty request; response u8 ok (0 or 1) | u64 version |
+	// u16 indim.
 	MsgHealth MsgType = 6
 	// MsgMetrics: empty request; response is the telemetry snapshot
-	// (see AppendMetrics in metrics.go for the layout). Stats stays
-	// byte-compatible; Metrics is the richer, growable surface.
+	// (layout in metrics.go). Stats stays byte-compatible; Metrics is the
+	// richer, growable surface.
 	MsgMetrics MsgType = 7
 	// MsgTraces: empty request; response is the server's retained
-	// decision traces in dtrace's canonical wire format (see
-	// dtrace.AppendTraces for the layout).
+	// decision traces (layout in dtrace/wire.go).
 	MsgTraces MsgType = 8
 	// MsgLearnStatus: empty request; response is the online-learning
-	// controller's snapshot (see AppendLearnStatus in learnstatus.go for
-	// the layout). A server with no controller answers the zero status.
+	// controller's snapshot (layout in learnstatus.go). A server with no
+	// controller answers the zero status.
 	MsgLearnStatus MsgType = 9
 	// MsgTimeSeries: empty request; response is the server's captured
-	// metric time series in tsrec's canonical wire format (see
-	// tsrec.AppendSeries for the layout). A server with no recorder
-	// answers the empty series.
+	// metric time series (layout in tsrec/wire.go). A server with no
+	// recorder answers the empty series.
 	MsgTimeSeries MsgType = 10
 	// MsgBlackbox: request u8 op (BlackboxStat | BlackboxSync);
-	// response is the black-box flight recorder's status (see
-	// AppendBlackboxStatus in blackboxmsg.go for the layout). BlackboxSync
-	// forces a capture + synced flush before answering, so the returned
-	// path names a file whose contents are current — the hook
-	// kml-postmortem uses to dump a still-live server. A server with no
-	// black box attached answers the zero (disabled) status.
+	// response is the black-box flight recorder's status (layout in
+	// blackboxmsg.go). BlackboxSync forces a capture + synced flush
+	// before answering, so the returned path names a file whose contents
+	// are current — the hook kml-postmortem uses to dump a still-live
+	// server. A server with no black box attached answers the zero
+	// (disabled) status.
 	MsgBlackbox MsgType = 11
 	// MsgError: server→client only; payload is a UTF-8 message.
 	MsgError MsgType = 0x7F
@@ -80,18 +81,28 @@ var ErrBadMessage = errors.New("mserve: bad message payload")
 // model a maximal batch is ~256 KB, under MaxPayload.
 const MaxBatchRows = 8192
 
-// --- Infer ---
+// The layouts below follow the MsgType comments above. On the inference
+// messages a decoder fills the caller-owned slice, whose length bounds the
+// count it accepts.
+
+//kml:hotpath
+func inferReqLayout(c *wire.Codec, traceID *uint64, feats []float64) int {
+	n := len(feats)
+	c.U64(traceID)
+	c.Len16(&n, len(feats), 8)
+	if c.Check(n != 0) {
+		c.F64s(feats[:n])
+	}
+	return n
+}
 
 // AppendInferReq appends a single-inference request payload. traceID 0
 // means "not tracing"; a client propagating its dtrace TraceID stamps it
 // here (with ClientTraceIDBit set) so the server joins its spans.
 func AppendInferReq(dst []byte, traceID uint64, feats []float64) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, traceID)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(feats)))
-	for _, f := range feats {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
-	}
-	return dst
+	c := wire.Encoder(dst)
+	inferReqLayout(&c, &traceID, feats)
+	return c.Bytes()
 }
 
 // ParseInferReq decodes a single-inference request into dst and returns
@@ -101,19 +112,10 @@ func AppendInferReq(dst []byte, traceID uint64, feats []float64) []byte {
 // converge on the deployed model's width).
 //
 //kml:hotpath
-func ParseInferReq(p []byte, dst []float64) (int, uint64, error) {
-	if len(p) < 10 {
-		return 0, 0, ErrBadMessage
-	}
-	traceID := binary.LittleEndian.Uint64(p)
-	n := int(binary.LittleEndian.Uint16(p[8:]))
-	if n == 0 || len(p) != 10+8*n || n > len(dst) {
-		return 0, 0, ErrBadMessage
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[10+8*i:]))
-	}
-	return n, traceID, nil
+func ParseInferReq(p []byte, dst []float64) (n int, traceID uint64, err error) {
+	c := wire.Decoder(p)
+	n = inferReqLayout(&c, &traceID, dst)
+	return n, traceID, c.End(ErrBadMessage)
 }
 
 // PeekTraceID reads the trace-ID prefix shared by the MsgInfer and
@@ -123,42 +125,52 @@ func ParseInferReq(p []byte, dst []float64) (int, uint64, error) {
 // (untraced); full validation still happens in the Parse functions.
 //
 //kml:hotpath
-func PeekTraceID(p []byte) uint64 {
-	if len(p) < 8 {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(p)
+func PeekTraceID(p []byte) (traceID uint64) {
+	c := wire.Decoder(p)
+	c.U64(&traceID)
+	return traceID
+}
+
+//kml:hotpath
+func inferRespLayout(c *wire.Codec, class *uint16, version *uint64) {
+	c.U16(class)
+	c.U64(version)
 }
 
 // AppendInferResp appends a single-inference response payload.
 //
 //kml:hotpath
 func AppendInferResp(dst []byte, class uint16, version uint64) []byte {
-	dst = binary.LittleEndian.AppendUint16(dst, class)
-	return binary.LittleEndian.AppendUint64(dst, version)
+	c := wire.Encoder(dst)
+	inferRespLayout(&c, &class, &version)
+	return c.Bytes()
 }
 
 // ParseInferResp decodes a single-inference response.
 func ParseInferResp(p []byte) (class uint16, version uint64, err error) {
-	if len(p) != 10 {
-		return 0, 0, ErrBadMessage
-	}
-	return binary.LittleEndian.Uint16(p), binary.LittleEndian.Uint64(p[2:]), nil
+	c := wire.Decoder(p)
+	inferRespLayout(&c, &class, &version)
+	return class, version, c.End(ErrBadMessage)
 }
 
-// --- BatchInfer ---
+//kml:hotpath
+func batchInferReqLayout(c *wire.Codec, traceID *uint64, rows *uint32, nfeat *uint16, feats []float64) {
+	c.U64(traceID)
+	c.U32(rows)
+	c.U16(nfeat)
+	total := int(*rows) * int(*nfeat)
+	if c.Check(*rows != 0 && *nfeat != 0 && *rows <= MaxBatchRows && total <= len(feats)) {
+		c.F64s(feats[:total])
+	}
+}
 
 // AppendBatchInferReq appends a batched-inference request: rows vectors of
 // nfeat features, flattened row-major in feats. traceID follows the same
 // propagation contract as AppendInferReq.
 func AppendBatchInferReq(dst []byte, traceID uint64, feats []float64, rows, nfeat int) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, traceID)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(rows))
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(nfeat))
-	for _, f := range feats[:rows*nfeat] {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
-	}
-	return dst
+	c, r, f := wire.Encoder(dst), uint32(rows), uint16(nfeat)
+	batchInferReqLayout(&c, &traceID, &r, &f, feats)
+	return c.Bytes()
 }
 
 // ParseBatchInferReq decodes a batched request into dst (row-major) and
@@ -167,93 +179,71 @@ func AppendBatchInferReq(dst []byte, traceID uint64, feats []float64, rows, nfea
 //
 //kml:hotpath
 func ParseBatchInferReq(p []byte, dst []float64) (rows, nfeat int, traceID uint64, err error) {
-	if len(p) < 14 {
-		return 0, 0, 0, ErrBadMessage
+	var r uint32
+	var f uint16
+	c := wire.Decoder(p)
+	batchInferReqLayout(&c, &traceID, &r, &f, dst)
+	return int(r), int(f), traceID, c.End(ErrBadMessage)
+}
+
+//kml:hotpath
+func batchInferRespLayout(c *wire.Codec, rows *uint32, version *uint64, classes []uint16) {
+	c.U32(rows)
+	c.U64(version)
+	if c.Check(*rows <= MaxBatchRows && int(*rows) <= len(classes)) {
+		c.U16s(classes[:*rows])
 	}
-	traceID = binary.LittleEndian.Uint64(p)
-	rows = int(binary.LittleEndian.Uint32(p[8:]))
-	nfeat = int(binary.LittleEndian.Uint16(p[12:]))
-	if rows == 0 || nfeat == 0 || rows > MaxBatchRows {
-		return 0, 0, 0, ErrBadMessage
-	}
-	total := rows * nfeat
-	if len(p) != 14+8*total || total > len(dst) {
-		return 0, 0, 0, ErrBadMessage
-	}
-	for i := 0; i < total; i++ {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[14+8*i:]))
-	}
-	return rows, nfeat, traceID, nil
 }
 
 // AppendBatchInferResp appends a batched response for classes[:rows].
 //
 //kml:hotpath
 func AppendBatchInferResp(dst []byte, classes []uint16, version uint64) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(classes)))
-	dst = binary.LittleEndian.AppendUint64(dst, version)
-	for _, c := range classes {
-		dst = binary.LittleEndian.AppendUint16(dst, c)
-	}
-	return dst
+	c, rows := wire.Encoder(dst), uint32(len(classes))
+	batchInferRespLayout(&c, &rows, &version, classes)
+	return c.Bytes()
 }
 
 // ParseBatchInferResp decodes a batched response into classes, which must
 // hold the request's row count, and returns (rows, version).
-func ParseBatchInferResp(p []byte, classes []uint16) (int, uint64, error) {
-	if len(p) < 12 {
-		return 0, 0, ErrBadMessage
-	}
-	rows := int(binary.LittleEndian.Uint32(p))
-	version := binary.LittleEndian.Uint64(p[4:])
-	if rows > MaxBatchRows || len(p) != 12+2*rows || rows > len(classes) {
-		return 0, 0, ErrBadMessage
-	}
-	for i := 0; i < rows; i++ {
-		classes[i] = binary.LittleEndian.Uint16(p[12+2*i:])
-	}
-	return rows, version, nil
+func ParseBatchInferResp(p []byte, classes []uint16) (rows int, version uint64, err error) {
+	var r uint32
+	c := wire.Decoder(p)
+	batchInferRespLayout(&c, &r, &version, classes)
+	return int(r), version, c.End(ErrBadMessage)
 }
 
-// --- Deploy / Rollback ---
+func deployReqLayout(c *wire.Codec, kind *ModelKind, name *string, model *[]byte) {
+	c.U8((*uint8)(kind))
+	c.String16(name, 1<<16-1)
+	c.Tail(model)
+}
 
 // AppendDeployReq appends a deploy request carrying a serialized model.
 func AppendDeployReq(dst []byte, kind ModelKind, name string, model []byte) []byte {
-	dst = append(dst, byte(kind))
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(name)))
-	dst = append(dst, name...)
-	return append(dst, model...)
+	c := wire.Encoder(dst)
+	deployReqLayout(&c, &kind, &name, &model)
+	return c.Bytes()
 }
 
 // ParseDeployReq decodes a deploy request. The returned model slice
 // aliases p.
 func ParseDeployReq(p []byte) (kind ModelKind, name string, model []byte, err error) {
-	if len(p) < 3 {
-		return 0, "", nil, ErrBadMessage
-	}
-	kind = ModelKind(p[0])
-	n := int(binary.LittleEndian.Uint16(p[1:]))
-	if len(p) < 3+n {
-		return 0, "", nil, ErrBadMessage
-	}
-	return kind, string(p[3 : 3+n]), p[3+n:], nil
+	c := wire.Decoder(p)
+	deployReqLayout(&c, &kind, &name, &model)
+	return kind, name, model, c.End(ErrBadMessage)
 }
 
 // AppendVersionResp appends the u64 version payload shared by the Deploy
 // and Rollback responses.
 func AppendVersionResp(dst []byte, version uint64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, version)
+	return wire.Append(dst, version, (*wire.Codec).U64)
 }
 
 // ParseVersionResp decodes a u64 version payload.
 func ParseVersionResp(p []byte) (uint64, error) {
-	if len(p) != 8 {
-		return 0, ErrBadMessage
-	}
-	return binary.LittleEndian.Uint64(p), nil
+	return wire.Parse(p, (*wire.Codec).U64, ErrBadMessage)
 }
-
-// --- Stats / Health ---
 
 // Stats is the server's operational snapshot, the wire analogue of the
 // counters an operator would otherwise need a debugger for. Collected /
@@ -287,45 +277,25 @@ type Stats struct {
 	CoalesceRows     uint64 // rows served through coalesced batches
 }
 
-const statsFields = 21
+// statsLayout is the field order on the wire.
+func statsLayout(c *wire.Codec, st *Stats) {
+	for _, v := range [...]*uint64{
+		&st.ActiveVersion, &st.Deploys, &st.Rollbacks,
+		&st.Inferences, &st.Rows, &st.Errors,
+		&st.Conns, &st.MaxConns, &st.ConnRejects, &st.ArenaRejects,
+		&st.Collected, &st.Processed, &st.Dropped, &st.BufferLen, &st.BufferCap,
+		&st.ArenaLive, &st.ArenaPeak,
+		&st.CoalesceWindowNS, &st.CoalesceMaxRows, &st.CoalesceBatches, &st.CoalesceRows,
+	} {
+		c.U64(v)
+	}
+}
 
 // AppendStats appends the stats payload.
-func AppendStats(dst []byte, st Stats) []byte {
-	for _, v := range [statsFields]uint64{
-		st.ActiveVersion, st.Deploys, st.Rollbacks,
-		st.Inferences, st.Rows, st.Errors,
-		st.Conns, st.MaxConns, st.ConnRejects, st.ArenaRejects,
-		st.Collected, st.Processed, st.Dropped, st.BufferLen, st.BufferCap,
-		st.ArenaLive, st.ArenaPeak,
-		st.CoalesceWindowNS, st.CoalesceMaxRows, st.CoalesceBatches, st.CoalesceRows,
-	} {
-		dst = binary.LittleEndian.AppendUint64(dst, v)
-	}
-	return dst
-}
+func AppendStats(dst []byte, st Stats) []byte { return wire.Append(dst, st, statsLayout) }
 
 // ParseStats decodes a stats payload.
-func ParseStats(p []byte) (Stats, error) {
-	var st Stats
-	if len(p) != 8*statsFields {
-		return st, ErrBadMessage
-	}
-	var v [statsFields]uint64
-	for i := range v {
-		v[i] = binary.LittleEndian.Uint64(p[8*i:])
-	}
-	st = Stats{
-		ActiveVersion: v[0], Deploys: v[1], Rollbacks: v[2],
-		Inferences: v[3], Rows: v[4], Errors: v[5],
-		Conns: v[6], MaxConns: v[7], ConnRejects: v[8], ArenaRejects: v[9],
-		Collected: v[10], Processed: v[11], Dropped: v[12],
-		BufferLen: v[13], BufferCap: v[14],
-		ArenaLive: v[15], ArenaPeak: v[16],
-		CoalesceWindowNS: v[17], CoalesceMaxRows: v[18],
-		CoalesceBatches: v[19], CoalesceRows: v[20],
-	}
-	return st, nil
-}
+func ParseStats(p []byte) (Stats, error) { return wire.Parse(p, statsLayout, ErrBadMessage) }
 
 // CoalesceMeanBatch returns the mean achieved coalesced batch size, or 0
 // before any batch executed.
@@ -336,21 +306,23 @@ func (st Stats) CoalesceMeanBatch() float64 {
 	return float64(st.CoalesceRows) / float64(st.CoalesceBatches)
 }
 
+func healthLayout(c *wire.Codec, ok *bool, version *uint64, inDim *uint16) {
+	c.Bool(ok)
+	c.U64(version)
+	c.U16(inDim)
+}
+
 // AppendHealthResp appends the health payload.
 func AppendHealthResp(dst []byte, ok bool, version uint64, inDim int) []byte {
-	b := byte(0)
-	if ok {
-		b = 1
-	}
-	dst = append(dst, b)
-	dst = binary.LittleEndian.AppendUint64(dst, version)
-	return binary.LittleEndian.AppendUint16(dst, uint16(inDim))
+	c, d := wire.Encoder(dst), uint16(inDim)
+	healthLayout(&c, &ok, &version, &d)
+	return c.Bytes()
 }
 
 // ParseHealthResp decodes a health payload.
 func ParseHealthResp(p []byte) (ok bool, version uint64, inDim int, err error) {
-	if len(p) != 11 {
-		return false, 0, 0, ErrBadMessage
-	}
-	return p[0] == 1, binary.LittleEndian.Uint64(p[1:]), int(binary.LittleEndian.Uint16(p[9:])), nil
+	var d uint16
+	c := wire.Decoder(p)
+	healthLayout(&c, &ok, &version, &d)
+	return ok, version, int(d), c.End(ErrBadMessage)
 }

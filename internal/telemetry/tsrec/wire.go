@@ -1,8 +1,6 @@
-// Canonical wire format for a captured series, the payload behind
-// mserve's MsgTimeSeries. Same discipline as the dtrace and metrics
-// codecs: fixed little-endian layout, every bound checked before any
-// allocation is sized by it, and exactly one encoding per value —
-// FuzzTimeSeriesDecode pins Append(Parse(b)) == b.
+// Wire format for a captured series, the payload behind mserve's
+// MsgTimeSeries and the black box's series records. The codec contract
+// is internal/wire's (DESIGN.md "Wire encodings").
 //
 // Layout:
 //
@@ -20,8 +18,9 @@
 package tsrec
 
 import (
-	"encoding/binary"
 	"errors"
+
+	"repro/internal/wire"
 )
 
 // Wire bounds. A maximal series (16 counters + 8 histograms × 2048
@@ -53,126 +52,34 @@ type Series struct {
 // "?"), and only the newest MaxWirePoints points are kept — the same
 // keep-latest bias as the ring itself.
 func AppendSeries(dst []byte, s Series) []byte {
-	counters, hists := s.Counters, s.Hists
-	if len(counters) > MaxCounters {
-		counters = counters[:MaxCounters]
-	}
-	if len(hists) > MaxHists {
-		hists = hists[:MaxHists]
-	}
-	points := s.Points
-	if len(points) > MaxWirePoints {
-		points = points[len(points)-MaxWirePoints:]
-	}
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.IntervalNanos))
-	dst = append(dst, byte(len(counters)))
-	for _, name := range counters {
-		dst = appendName(dst, name)
-	}
-	dst = append(dst, byte(len(hists)))
-	for _, name := range hists {
-		dst = appendName(dst, name)
-	}
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(points)))
-	for i := range points {
-		p := &points[i]
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(p.TimeNanos))
-		for c := 0; c < len(counters); c++ {
-			dst = binary.LittleEndian.AppendUint64(dst, p.Deltas[c])
-		}
-		for h := 0; h < len(hists); h++ {
-			dst = binary.LittleEndian.AppendUint64(dst, p.Counts[h])
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(p.P50[h]))
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(p.P95[h]))
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(p.P99[h]))
-		}
-	}
-	return dst
-}
-
-func appendName(dst []byte, name string) []byte {
-	if name == "" {
-		name = "?"
-	}
-	if len(name) > MaxSeriesName {
-		name = name[:MaxSeriesName]
-	}
-	dst = append(dst, byte(len(name)))
-	return append(dst, name...)
+	s.Points = wire.Newest(s.Points, MaxWirePoints)
+	return wire.Append(dst, s, seriesLayout)
 }
 
 // ParseSeries decodes a canonical series payload. Hostile input —
 // truncated buffers, lying counts, oversized names, trailing bytes —
 // returns ErrBadSeries, never a panic or over-read.
 func ParseSeries(p []byte) (Series, error) {
-	var s Series
-	if len(p) < 12 {
-		return s, ErrBadSeries
-	}
-	s.IntervalNanos = int64(binary.LittleEndian.Uint64(p))
-	off := 8
-	var err error
-	s.Counters, off, err = parseNames(p, off, MaxCounters)
-	if err != nil {
-		return Series{}, err
-	}
-	s.Hists, off, err = parseNames(p, off, MaxHists)
-	if err != nil {
-		return Series{}, err
-	}
-	if len(p)-off < 2 {
-		return Series{}, ErrBadSeries
-	}
-	npoints := int(binary.LittleEndian.Uint16(p[off:]))
-	off += 2
-	if npoints > MaxWirePoints {
-		return Series{}, ErrBadSeries
-	}
-	ptBytes := 8 * (1 + len(s.Counters) + 4*len(s.Hists))
-	if len(p)-off != npoints*ptBytes {
-		return Series{}, ErrBadSeries
-	}
-	s.Points = make([]Point, npoints)
-	for i := range s.Points {
-		pt := &s.Points[i]
-		pt.TimeNanos = int64(binary.LittleEndian.Uint64(p[off:]))
-		off += 8
-		for c := 0; c < len(s.Counters); c++ {
-			pt.Deltas[c] = binary.LittleEndian.Uint64(p[off:])
-			off += 8
-		}
-		for h := 0; h < len(s.Hists); h++ {
-			pt.Counts[h] = binary.LittleEndian.Uint64(p[off:])
-			pt.P50[h] = int64(binary.LittleEndian.Uint64(p[off+8:]))
-			pt.P95[h] = int64(binary.LittleEndian.Uint64(p[off+16:]))
-			pt.P99[h] = int64(binary.LittleEndian.Uint64(p[off+24:]))
-			off += 32
-		}
-	}
-	return s, nil
+	return wire.Parse(p, seriesLayout, ErrBadSeries)
 }
 
-func parseNames(p []byte, off, max int) ([]string, int, error) {
-	if off >= len(p) {
-		return nil, 0, ErrBadSeries
-	}
-	n := int(p[off])
-	off++
-	if n > max {
-		return nil, 0, ErrBadSeries
-	}
-	names := make([]string, n)
-	for i := 0; i < n; i++ {
-		if off >= len(p) {
-			return nil, 0, ErrBadSeries
+func seriesLayout(c *wire.Codec, s *Series) {
+	c.I64(&s.IntervalNanos)
+	wire.List8(c, &s.Counters, MaxCounters, 2, nameLayout)
+	wire.List8(c, &s.Hists, MaxHists, 2, nameLayout)
+	nc, nh := min(len(s.Counters), MaxCounters), min(len(s.Hists), MaxHists)
+	wire.List16(c, &s.Points, MaxWirePoints, 8*(1+nc+4*nh), func(c *wire.Codec, p *Point) {
+		c.I64(&p.TimeNanos)
+		for i := range nc {
+			c.U64(&p.Deltas[i])
 		}
-		l := int(p[off])
-		off++
-		if l < 1 || l > MaxSeriesName || len(p)-off < l {
-			return nil, 0, ErrBadSeries
+		for h := range nh {
+			c.U64(&p.Counts[h])
+			c.I64(&p.P50[h])
+			c.I64(&p.P95[h])
+			c.I64(&p.P99[h])
 		}
-		names[i] = string(p[off : off+l])
-		off += l
-	}
-	return names, off, nil
+	})
 }
+
+func nameLayout(c *wire.Codec, name *string) { c.Name(name, MaxSeriesName) }

@@ -1,0 +1,292 @@
+// Package wire is the one codec behind the daemon's message payloads. A
+// message declares its byte layout once, as a function over a *Codec; on
+// an encoder that function appends the message, on a decoder it parses
+// it, so the two directions cannot drift apart.
+//
+// Integers are little-endian, floats IEEE-754 bit patterns. A decoder's
+// error is sticky: after the first short read or failed Check every read
+// leaves its target untouched. A count is checked against its bound and
+// the unread input before it may size an allocation, and End rejects
+// trailing bytes. An encoder writes what it is given and never writes
+// through a layout's pointers; only the stated clamps (Name, String16,
+// the list bounds) normalize a value. A layout that checks exactly what
+// it writes is canonical by construction: Append(Parse(b)) == b for every
+// accepted b. DESIGN.md "Wire encodings" has the full contract.
+package wire
+
+import (
+	"encoding/binary"
+	"math"
+)
+
+// Codec walks one message layout in one direction.
+type Codec struct {
+	buf []byte // encoder: the output so far; decoder: the unread input
+	dec bool
+	bad bool
+}
+
+// Encoder returns a codec that appends to dst.
+//
+//kml:hotpath
+func Encoder(dst []byte) Codec { return Codec{buf: dst} }
+
+// Decoder returns a codec that parses p.
+//
+//kml:hotpath
+func Decoder(p []byte) Codec { return Codec{buf: p, dec: true} }
+
+// Append runs layout over v as an encoder.
+func Append[T any](dst []byte, v T, layout func(*Codec, *T)) []byte {
+	c := Encoder(dst)
+	layout(&c, &v)
+	return c.buf
+}
+
+// Parse runs layout as a decoder over p. It returns the zero T and bad
+// unless End accepts the decode.
+func Parse[T any](p []byte, layout func(*Codec, *T), bad error) (T, error) {
+	var v T
+	c := Decoder(p)
+	layout(&c, &v)
+	if err := c.End(bad); err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
+}
+
+// Decoding reports whether c parses rather than appends.
+func (c *Codec) Decoding() bool { return c.dec }
+
+// Bytes returns an encoder's output.
+//
+//kml:hotpath
+func (c *Codec) Bytes() []byte { return c.buf }
+
+// End returns nil if a decode read all its input, every read in bounds
+// and every Check true, and bad otherwise.
+//
+//kml:hotpath
+func (c *Codec) End(bad error) error {
+	if c.bad || len(c.buf) != 0 {
+		return bad
+	}
+	return nil
+}
+
+// Check fails a decode unless ok, stating a layout's enum and range
+// rules; an encoder ignores it. It reports whether the codec is still
+// good, so a layout can guard an index it derived from decoded values.
+//
+//kml:hotpath
+func (c *Codec) Check(ok bool) bool {
+	if c.dec && !ok {
+		c.bad = true
+	}
+	return !c.bad
+}
+
+// read consumes n input bytes, or fails the decode and returns nil.
+//
+//kml:hotpath
+func (c *Codec) read(n int) []byte {
+	if c.bad || n > len(c.buf) {
+		c.bad = true
+		return nil
+	}
+	b := c.buf[:n]
+	c.buf = c.buf[n:]
+	return b
+}
+
+// U8 walks one byte.
+func (c *Codec) U8(v *uint8) {
+	if !c.dec {
+		c.buf = append(c.buf, *v)
+	} else if b := c.read(1); b != nil {
+		*v = b[0]
+	}
+}
+
+// U16 walks a uint16.
+//
+//kml:hotpath
+func (c *Codec) U16(v *uint16) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint16(c.buf, *v)
+	} else if b := c.read(2); b != nil {
+		*v = binary.LittleEndian.Uint16(b)
+	}
+}
+
+// U32 walks a uint32.
+//
+//kml:hotpath
+func (c *Codec) U32(v *uint32) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, *v)
+	} else if b := c.read(4); b != nil {
+		*v = binary.LittleEndian.Uint32(b)
+	}
+}
+
+// U64 walks a uint64.
+//
+//kml:hotpath
+func (c *Codec) U64(v *uint64) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
+	} else if b := c.read(8); b != nil {
+		*v = binary.LittleEndian.Uint64(b)
+	}
+}
+
+// I64 walks an int64 as its two's-complement bit pattern.
+func (c *Codec) I64(v *int64) {
+	u := uint64(*v)
+	if c.U64(&u); c.dec {
+		*v = int64(u)
+	}
+}
+
+// Bool walks a byte that must be 0 or 1.
+func (c *Codec) Bool(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	if c.U8(&b); c.Check(b <= 1) && c.dec {
+		*v = b == 1
+	}
+}
+
+// F64s walks len(v) float64s with one bounds check.
+//
+//kml:hotpath
+func (c *Codec) F64s(v []float64) {
+	if !c.dec {
+		out := c.buf
+		for _, f := range v {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(f))
+		}
+		c.buf = out
+	} else if b := c.read(8 * len(v)); b != nil {
+		for i := range v {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
+}
+
+// U16s walks len(v) uint16s with one bounds check.
+//
+//kml:hotpath
+func (c *Codec) U16s(v []uint16) {
+	if !c.dec {
+		out := c.buf
+		for _, x := range v {
+			out = binary.LittleEndian.AppendUint16(out, x)
+		}
+		c.buf = out
+	} else if b := c.read(2 * len(v)); b != nil {
+		for i := range v {
+			v[i] = binary.LittleEndian.Uint16(b[2*i:])
+		}
+	}
+}
+
+// Len8 walks a u8 count of elements that each take at least size bytes.
+// A decoder fails unless the count is at most max and that many elements
+// fit in the unread input; a failed count reads as 0.
+func (c *Codec) Len8(n *int, max, size int) {
+	v := uint8(*n)
+	c.U8(&v)
+	c.count(n, int(v), max, size)
+}
+
+// Len16 is Len8 with a u16 count.
+//
+//kml:hotpath
+func (c *Codec) Len16(n *int, max, size int) {
+	v := uint16(*n)
+	c.U16(&v)
+	c.count(n, int(v), max, size)
+}
+
+//kml:hotpath
+func (c *Codec) count(n *int, v, max, size int) {
+	if c.dec {
+		if !c.Check(v <= max && v*size <= len(c.buf)) {
+			v = 0
+		}
+		*n = v
+	}
+}
+
+// Name walks a u8-length string of 1..max bytes (max ≤ 255). An encoder
+// truncates a longer string and writes "" as "?".
+func (c *Codec) Name(s *string, max int) {
+	if !c.dec && *s == "" {
+		q := "?"
+		s = &q
+	}
+	n := min(len(*s), max)
+	c.Len8(&n, max, 1)
+	c.Check(n >= 1)
+	c.text(s, n)
+}
+
+// String16 walks a u16-length string of at most max bytes. An encoder
+// truncates a longer string.
+func (c *Codec) String16(s *string, max int) {
+	n := min(len(*s), max)
+	c.Len16(&n, max, 1)
+	c.text(s, n)
+}
+
+func (c *Codec) text(s *string, n int) {
+	if !c.dec {
+		c.buf = append(c.buf, (*s)[:n]...)
+	} else if b := c.read(n); !c.bad {
+		*s = string(b)
+	}
+}
+
+// Tail walks the rest of the payload as raw bytes; a decoded *b aliases
+// the input.
+func (c *Codec) Tail(b *[]byte) {
+	if !c.dec {
+		c.buf = append(c.buf, *b...)
+	} else if !c.bad {
+		*b, c.buf = c.buf, c.buf[len(c.buf):]
+	}
+}
+
+// List8 walks a u8-counted list, each element laid out by elem and taking
+// at least size bytes. An encoder writes the first max elements (Newest
+// keeps the last ones instead); a decoder sizes the list only after the
+// count passes Len8.
+func List8[E any](c *Codec, s *[]E, max, size int, elem func(*Codec, *E)) {
+	n := min(len(*s), max)
+	c.Len8(&n, max, size)
+	list(c, s, n, elem)
+}
+
+// List16 is List8 with a u16 count.
+func List16[E any](c *Codec, s *[]E, max, size int, elem func(*Codec, *E)) {
+	n := min(len(*s), max)
+	c.Len16(&n, max, size)
+	list(c, s, n, elem)
+}
+
+func list[E any](c *Codec, s *[]E, n int, elem func(*Codec, *E)) {
+	if c.dec {
+		*s = make([]E, n)
+	}
+	for i := range (*s)[:n] {
+		elem(c, &(*s)[i])
+	}
+}
+
+// Newest returns the last n elements of s: the keep-latest clamp.
+func Newest[E any](s []E, n int) []E { return s[max(0, len(s)-n):] }
