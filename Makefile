@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet kml-vet vet-strict test race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress top-smoke loadgen-smoke postmortem-smoke overhead-check bench-json bench-ratchet benchmark benchmark-quick ci clean
+.PHONY: all build vet kml-vet vet-strict test race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress top-smoke loadgen-smoke postmortem-smoke overhead-check bench-storage bench-json bench-ratchet benchmark benchmark-quick ci clean
 
 all: build
 
@@ -95,6 +95,14 @@ loadgen-smoke:
 # kml-top -from replay paths.
 postmortem-smoke:
 	sh scripts/postmortem_smoke.sh
+
+# The storage data plane's Go benchmarks: table point lookups, puts, a scan
+# of a cold table, and one pair compaction (merge, table build, reopen),
+# with allocations.
+# BENCHTIME=1x only checks that they still compile and run.
+BENCHTIME ?= 1s
+bench-storage:
+	$(GO) test -run '^$$' -bench 'Get|Put|Scan|CompactPair' -benchmem -benchtime=$(BENCHTIME) ./internal/sstable ./internal/kvstore
 
 # Regenerate the hot-path benchmark snapshot: single-sample vs batched
 # inference (float64/float32/Q16.16) and one training iteration, as

@@ -1,8 +1,12 @@
 package kvstore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/sstable"
 	"repro/internal/vfs"
@@ -49,6 +53,7 @@ type DB struct {
 	wal    *wal
 	tables []*sstable.Table // newest first
 	seq    int
+	rec    []byte // the tagged record a table build is adding; see record
 
 	stats DBStats
 }
@@ -67,39 +72,29 @@ type DBStats struct {
 func Open(fs *vfs.FS, opts Options) (*DB, error) {
 	opts = opts.withDefaults()
 	db := &DB{fs: fs, opts: opts, mem: newMemtable(opts.Seed)}
-	// Reattach tables: names are kml-<seq>.sst; recency = sequence number.
-	maxSeq := 0
-	var tableNames []string
+	// Reattach tables newest (highest sequence number) first.
+	type run struct {
+		seq  int
+		name string
+	}
+	var runs []run
 	for _, name := range fs.Names() {
-		var seq int
-		if n, _ := fmt.Sscanf(name, "kml-%06d.sst", &seq); n == 1 {
-			tableNames = append(tableNames, name)
-			if seq > maxSeq {
-				maxSeq = seq
-			}
+		if seq, ok := tableSeq(name); ok {
+			runs = append(runs, run{seq, name})
 		}
 	}
-	db.seq = maxSeq
-	// Sort newest (highest seq) first.
-	for s := maxSeq; s >= 1; s-- {
-		name := fmt.Sprintf("kml-%06d.sst", s)
-		found := false
-		for _, tn := range tableNames {
-			if tn == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			continue
-		}
-		f, err := fs.Open(name)
+	slices.SortFunc(runs, func(a, b run) int { return cmp.Compare(b.seq, a.seq) })
+	if len(runs) > 0 {
+		db.seq = runs[0].seq
+	}
+	for _, r := range runs {
+		f, err := fs.Open(r.name)
 		if err != nil {
 			return nil, err
 		}
 		t, err := sstable.Open(f)
 		if err != nil {
-			return nil, fmt.Errorf("kvstore: reopen %s: %w", name, err)
+			return nil, fmt.Errorf("kvstore: reopen %s: %w", r.name, err)
 		}
 		db.tables = append(db.tables, t)
 	}
@@ -120,6 +115,29 @@ func Open(fs *vfs.FS, opts Options) (*DB, error) {
 	}
 	db.wal = newWAL(walFile, opts.WALSync)
 	return db, nil
+}
+
+// tableName names the file of the table with sequence number seq.
+func tableName(seq int) string { return fmt.Sprintf("kml-%06d.sst", seq) }
+
+// tableSeq parses a table file name: exactly kml-<digits>.sst, any number
+// of digits, since tableName pads to six but does not stop there.
+func tableSeq(name string) (int, bool) {
+	digits, ok := strings.CutPrefix(name, "kml-")
+	if !ok {
+		return 0, false
+	}
+	digits, ok = strings.CutSuffix(digits, ".sst")
+	if !ok || digits == "" {
+		return 0, false
+	}
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+	}
+	seq, err := strconv.Atoi(digits)
+	return seq, err == nil
 }
 
 // Put stores value under key.
@@ -148,7 +166,9 @@ func (db *DB) Delete(key []byte) error {
 	return db.maybeFlush()
 }
 
-// Get returns the newest value stored under key.
+// Get returns the newest value stored under key. The value aliases the
+// memtable or a table file rather than being copied out: the caller must
+// not modify it.
 func (db *DB) Get(key []byte) (value []byte, ok bool, err error) {
 	db.stats.Gets++
 	if v, tomb, found := db.mem.get(key); found {
@@ -192,7 +212,7 @@ func (db *DB) Flush() error {
 	}
 	db.stats.Flushes++
 	db.seq++
-	name := fmt.Sprintf("kml-%06d.sst", db.seq)
+	name := tableName(db.seq)
 	f, err := db.fs.Create(name)
 	if err != nil {
 		return err
@@ -200,12 +220,7 @@ func (db *DB) Flush() error {
 	reserveTable(f, int64(db.mem.sizeBytes()))
 	b := sstable.NewBuilder(f, db.opts.BlockSize)
 	for _, e := range db.mem.entries() {
-		rec := make([]byte, 1+len(e.value))
-		if e.tombstone {
-			rec[0] = tagTombstone
-		}
-		copy(rec[1:], e.value)
-		if err := b.Add(e.key, rec); err != nil {
+		if err := b.Add(e.key, db.record(e.value, e.tombstone)); err != nil {
 			return err
 		}
 	}
@@ -226,6 +241,18 @@ func (db *DB) Flush() error {
 		return db.compactPair()
 	}
 	return nil
+}
+
+// record encodes a table value, its tag byte then the value, into the one
+// scratch buffer every table build shares: Builder.Add copies what it is
+// given, so the buffer is free again as soon as Add returns.
+func (db *DB) record(value []byte, tombstone bool) []byte {
+	tag := tagValue
+	if tombstone {
+		tag = tagTombstone
+	}
+	db.rec = append(append(db.rec[:0], tag), value...)
+	return db.rec
 }
 
 // reserveTable hints the size of the table about to be built in f from the
@@ -262,7 +289,7 @@ func (db *DB) compactPair() error {
 	it := newMergeIterator(nil, pair, forward)
 	it.SeekToFirst()
 	db.seq++
-	name := fmt.Sprintf("kml-%06d.sst", db.seq)
+	name := tableName(db.seq)
 	f, err := db.fs.Create(name)
 	if err != nil {
 		return err
@@ -271,12 +298,7 @@ func (db *DB) compactPair() error {
 	b := sstable.NewBuilder(f, db.opts.BlockSize)
 	for it.valid() {
 		if !(it.tombstone() && includesOldest) {
-			rec := make([]byte, 1+len(it.value()))
-			if it.tombstone() {
-				rec[0] = tagTombstone
-			}
-			copy(rec[1:], it.value())
-			if err := b.Add(it.key(), rec); err != nil {
+			if err := b.Add(it.key(), db.record(it.value(), it.tombstone())); err != nil {
 				return err
 			}
 		}
@@ -335,7 +357,7 @@ func (db *DB) Compact() error {
 	it := newMergeIterator(nil, db.tables, forward)
 	it.SeekToFirst()
 	db.seq++
-	name := fmt.Sprintf("kml-%06d.sst", db.seq)
+	name := tableName(db.seq)
 	f, err := db.fs.Create(name)
 	if err != nil {
 		return err
@@ -348,9 +370,7 @@ func (db *DB) Compact() error {
 	b := sstable.NewBuilder(f, db.opts.BlockSize)
 	for it.valid() {
 		if !it.tombstone() {
-			rec := make([]byte, 1+len(it.value()))
-			copy(rec[1:], it.value())
-			if err := b.Add(it.key(), rec); err != nil {
+			if err := b.Add(it.key(), db.record(it.value(), false)); err != nil {
 				return err
 			}
 		}

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -518,6 +519,139 @@ func BenchmarkPut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db.Put(k(i%100000), v(i))
+	}
+}
+
+// BenchmarkCompactPair merges two 20 000-entry runs that overlap on every
+// other key, one with a tombstone in every tenth of its keys: one merge,
+// one table build and the reopen per iteration.
+func BenchmarkCompactPair(b *testing.B) {
+	const n = 20000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db := openDB(b, newFS(), Options{MemtableBytes: 1 << 30, CompactionRuns: 1 << 30})
+		for j := 0; j < n; j++ {
+			db.Put(k(2*j), v(j))
+		}
+		db.Flush()
+		for j := 0; j < n; j++ {
+			if j%10 == 0 {
+				db.Delete(k(j))
+			} else {
+				db.Put(k(j), v(j+1))
+			}
+		}
+		db.Flush()
+		b.StartTimer()
+		if err := db.compactPair(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestReopenPastSixDigitSequence: table names pad the sequence number to
+// six digits and keep going past 999 999, so a reopen must read every
+// width and order the runs by number, not by name. A file that only looks
+// like a table is not reattached.
+func TestReopenPastSixDigitSequence(t *testing.T) {
+	fs := newFS()
+	db := openDB(t, fs, Options{CompactionRuns: 100})
+	db.seq = 999_998
+	oracle := make(map[string]string)
+	for round := 0; round < 3; round++ { // tables 999 999, 1 000 000 and 1 000 001
+		for i := 0; i < 50; i++ {
+			key, val := k(round*25+i), v(round*1000+i) // overlapping rounds: newer must win
+			db.Put(key, val)
+			oracle[string(key)] = string(val)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	junk, _ := fs.Create("kml-000007.sst.bak")
+	junk.WriteAt([]byte("not a table"), 0)
+	reopened := openDB(t, fs, Options{CompactionRuns: 100})
+	if reopened.Tables() != 3 || reopened.seq != 1_000_001 {
+		t.Fatalf("reopened %d tables at seq %d, want 3 at 1000001", reopened.Tables(), reopened.seq)
+	}
+	for key, want := range oracle {
+		got, ok, err := reopened.Get([]byte(key))
+		if err != nil || !ok || string(got) != want {
+			t.Errorf("Get(%s) after reopen = %q, %v, %v; want %q", key, got, ok, err, want)
+		}
+	}
+	if err := reopened.Flush(); err != nil { // a new table must not reuse a name
+		t.Fatal(err)
+	}
+}
+
+func TestTableSeq(t *testing.T) {
+	for name, want := range map[string]int{
+		"kml-000001.sst": 1, "kml-999999.sst": 999_999, "kml-1000000.sst": 1_000_000,
+		"kml-1234567.sst": 1_234_567, "kml-7.sst": 7,
+	} {
+		if got, ok := tableSeq(name); !ok || got != want {
+			t.Errorf("tableSeq(%q) = %d, %v; want %d", name, got, ok, want)
+		}
+		if back, _ := tableSeq(tableName(want)); back != want {
+			t.Errorf("tableName(%d) does not parse back", want)
+		}
+	}
+	for _, name := range []string{
+		"kml-000007.sst.bak", "kml-.sst", "kml-x7.sst", "kml-+7.sst", "kml--7.sst",
+		"kml-7.ss", "xkml-7.sst", "kml.wal", "kml-99999999999999999999.sst",
+	} {
+		if seq, ok := tableSeq(name); ok {
+			t.Errorf("tableSeq(%q) = %d, want rejected", name, seq)
+		}
+	}
+}
+
+// TestDBFilesGolden pins the bytes of every file a DB leaves after a
+// seeded sequence of puts, deletes, flushes, pair compactions and a full
+// compaction. The hash was computed on the tree where flush and compaction
+// still allocated a tagged record per entry and the Builder copied every
+// key for the bloom filter; none of that may move a byte.
+func TestDBFilesGolden(t *testing.T) {
+	const want = "a4bcc1254434bb55c98e978fabfd2760fa6486e7e61cb253fb96da753b9a2220"
+	fs := newFS()
+	db := openDB(t, fs, Options{MemtableBytes: 1 << 13, CompactionRuns: 3, Seed: 5})
+	rng := rand.New(rand.NewSource(5))
+	for op := 0; op < 6000; op++ {
+		key := k(rng.Intn(1500))
+		var err error
+		if rng.Intn(8) == 0 {
+			err = db.Delete(key)
+		} else {
+			err = db.Put(key, v(rng.Intn(1<<20)))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op == 4000 {
+			if err := db.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if db.Stats().Compactions < 3 {
+		t.Fatalf("only %d compactions; the sequence exercises too little", db.Stats().Compactions)
+	}
+	names := fs.Names()
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		f, _ := fs.Open(name)
+		data := make([]byte, f.Size())
+		if _, err := f.ReadAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", name, len(data))
+		h.Write(data)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("DB files (%v) sha256 %s, want %s", names, got, want)
 	}
 }
 

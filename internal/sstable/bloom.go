@@ -60,8 +60,12 @@ func fnv64a(key []byte) uint64 {
 }
 
 // Add inserts key into the filter.
-func (b *Bloom) Add(key []byte) {
-	h := fnv64a(key)
+func (b *Bloom) Add(key []byte) { b.addHash(fnv64a(key)) }
+
+// addHash inserts a key by its fnv64a hash, which is all the filter keeps
+// of it; a Builder hashes each key as it arrives instead of holding a copy
+// until Finish sizes the filter.
+func (b *Bloom) addHash(h uint64) {
 	delta := h>>33 | h<<31
 	nbits := uint64(len(b.bits)) * 8
 	for i := uint32(0); i < b.k; i++ {

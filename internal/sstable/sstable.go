@@ -46,7 +46,7 @@ type Builder struct {
 	firstKey  []byte
 	lastKey   []byte
 	index     []indexEntry
-	keys      [][]byte
+	hashes    []uint64 // fnv64a of every key, for the bloom filter
 	offset    int64
 	entries   uint64
 	finished  bool
@@ -99,7 +99,7 @@ func (b *Builder) Add(key, value []byte) error {
 	if b.firstKey == nil {
 		b.firstKey = append([]byte(nil), key...)
 	}
-	b.keys = append(b.keys, append([]byte(nil), key...))
+	b.hashes = append(b.hashes, fnv64a(key))
 	b.entries++
 	return nil
 }
@@ -153,9 +153,9 @@ func (b *Builder) Finish() error {
 	}
 	b.offset += int64(len(idx))
 	// Bloom.
-	bloom := NewBloom(len(b.keys), 10)
-	for _, k := range b.keys {
-		bloom.Add(k)
+	bloom := NewBloom(len(b.hashes), 10)
+	for _, h := range b.hashes {
+		bloom.addHash(h)
 	}
 	bl := bloom.Marshal()
 	bloomOff := b.offset
@@ -189,19 +189,20 @@ type Table struct {
 	entries uint64
 	first   []byte
 	last    []byte
-	getBuf  []byte // reusable block buffer for the Get hot path
 }
 
 // Open reads a table's index, bloom filter and footer from f. The index
 // and bloom stay resident (as in RocksDB with cache_index_and_filter_blocks
-// off); data blocks are read through the page cache on demand.
+// off); data blocks are read through the page cache on demand. The index
+// keys and the first key alias the file, which is safe because a table
+// file is write-once.
 func Open(f *vfs.File) (*Table, error) {
 	size := f.Size()
 	if size < footerSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrBadTable, size)
 	}
-	footer := make([]byte, footerSize)
-	if _, err := f.ReadAt(footer, size-footerSize); err != nil {
+	footer, err := f.View(size-footerSize, footerSize)
+	if err != nil {
 		return nil, fmt.Errorf("%w: footer: %v", ErrBadTable, err)
 	}
 	if binary.LittleEndian.Uint64(footer[40:]) != tableMagic {
@@ -215,8 +216,8 @@ func Open(f *vfs.File) (*Table, error) {
 	if indexOff < 0 || indexLen <= 0 || bloomOff < indexOff+indexLen || indexOff+indexLen > size {
 		return nil, fmt.Errorf("%w: footer offsets", ErrBadTable)
 	}
-	idx := make([]byte, indexLen)
-	if _, err := f.ReadAt(idx, indexOff); err != nil {
+	idx, err := f.View(indexOff, int(indexLen))
+	if err != nil {
 		return nil, fmt.Errorf("%w: index: %v", ErrBadTable, err)
 	}
 	t := &Table{f: f, entries: entries}
@@ -226,7 +227,7 @@ func Open(f *vfs.File) (*Table, error) {
 			return nil, fmt.Errorf("%w: index entry", ErrBadTable)
 		}
 		idx = idx[n:]
-		key := append([]byte(nil), idx[:klen]...)
+		key := idx[:klen:klen]
 		idx = idx[klen:]
 		off, n := binary.Uvarint(idx)
 		if n <= 0 {
@@ -243,8 +244,8 @@ func Open(f *vfs.File) (*Table, error) {
 	if len(t.index) == 0 {
 		return nil, fmt.Errorf("%w: empty index", ErrBadTable)
 	}
-	bl := make([]byte, bloomLen)
-	if _, err := f.ReadAt(bl, bloomOff); err != nil {
+	bl, err := f.View(bloomOff, int(bloomLen))
+	if err != nil {
 		return nil, fmt.Errorf("%w: bloom: %v", ErrBadTable, err)
 	}
 	bloom, err := UnmarshalBloom(bl)
@@ -253,8 +254,7 @@ func Open(f *vfs.File) (*Table, error) {
 	}
 	t.bloom = bloom
 	t.last = t.index[len(t.index)-1].lastKey
-	// First key: decode the head of block 0. The block's storage is
-	// scratch, so the table keeps an owned copy.
+	// First key: decode the head of block 0.
 	var b block
 	if err := t.readBlock(0, &b); err != nil {
 		return nil, err
@@ -262,7 +262,7 @@ func Open(f *vfs.File) (*Table, error) {
 	if len(b.entries) == 0 {
 		return nil, fmt.Errorf("%w: block 0 empty", ErrBadTable)
 	}
-	t.first = append([]byte(nil), b.entries[0].key...)
+	t.first = b.entries[0].key
 	return t, nil
 }
 
@@ -285,29 +285,34 @@ type entry struct {
 	key, value []byte
 }
 
-// block is the storage for one decoded data block: the raw bytes and the
-// entries slicing into them. An Iterator owns one and reuses it for every
-// block it crosses, so a scan allocates O(1), not per block.
+// block is one decoded data block: entries slicing the table file's own
+// bytes. An Iterator owns one and reuses its entry slice for every block
+// it crosses, so a scan allocates O(1), not per block.
 type block struct {
-	raw     []byte
 	entries []entry
+	warmed  byte // see warm
 }
 
-// readBlock reads data block i through the page cache into b and decodes
-// it in place, overwriting whatever b held. On error b's contents are
+// view reads data block i through the page cache and returns the file's
+// own bytes for it.
+func (t *Table) view(i int) ([]byte, error) {
+	e := t.index[i]
+	raw, err := t.f.View(e.off, int(e.length))
+	if err != nil {
+		return nil, fmt.Errorf("%w: block %d: %v", ErrBadTable, i, err)
+	}
+	return raw, nil
+}
+
+// readBlock reads data block i through the page cache and decodes it in
+// place into b, overwriting whatever b held. On error b's contents are
 // unspecified.
 func (t *Table) readBlock(i int, b *block) error {
-	e := t.index[i]
-	if int64(cap(b.raw)) < e.length {
-		// Round up to the alignment unit so blocks whose lengths creep
-		// upward (every block is a little short of blockSize) do not
-		// each regrow the buffer.
-		b.raw = make([]byte, e.length, (e.length+blockAlign-1)&^(blockAlign-1))
+	raw, err := t.view(i)
+	if err != nil {
+		return err
 	}
-	raw := b.raw[:e.length]
-	if _, err := t.f.ReadAt(raw, e.off); err != nil {
-		return fmt.Errorf("%w: block %d: %v", ErrBadTable, i, err)
-	}
+	b.warmed = warm(raw)
 	out := b.entries[:0]
 	if out == nil {
 		// First block: size for the table's mean entries per block so a
@@ -344,6 +349,24 @@ func (t *Table) readBlock(i int, b *block) error {
 	return nil
 }
 
+// cacheLine is the line size warm steps by: 64 bytes on the hosts this
+// runs on; a larger line only makes some of its loads redundant.
+const cacheLine = 64
+
+// warm loads one byte from every cache line of p and returns their sum.
+// Decoding a block is a chain of dependent loads: each entry's offset comes
+// from the lengths in the entry before it, so on a block not yet in the
+// core's own caches every entry costs one cache miss, one after another.
+// These loads depend on nothing, so the CPU overlaps them, and the decode
+// that follows hits L1 — the streaming a copy into a buffer used to do.
+// The caller stores the sum only so the loads are not optimized away.
+func warm(p []byte) (sum byte) {
+	for i := 0; i < len(p); i += cacheLine {
+		sum += p[i]
+	}
+	return sum
+}
+
 // blockFor returns the index of the first block whose lastKey ≥ key, or
 // len(index) if key is beyond the table.
 func (t *Table) blockFor(key []byte) int {
@@ -361,8 +384,9 @@ func (t *Table) blockFor(key []byte) int {
 
 // Get returns the value stored under key. The bloom filter short-circuits
 // most misses without touching data blocks; the hit path scans one block
-// in place using a reusable buffer, so repeated Gets do not allocate.
-// The returned value aliases that buffer and is valid until the next Get.
+// in place over the file's own bytes, so Get does not allocate.
+// The returned value aliases the table file: it stays valid for the
+// table's life, and the caller must not modify it.
 func (t *Table) Get(key []byte) (value []byte, ok bool, err error) {
 	if !t.bloom.MayContain(key) {
 		return nil, false, nil
@@ -371,13 +395,9 @@ func (t *Table) Get(key []byte) (value []byte, ok bool, err error) {
 	if bi >= len(t.index) {
 		return nil, false, nil
 	}
-	e := t.index[bi]
-	if int64(cap(t.getBuf)) < e.length {
-		t.getBuf = make([]byte, e.length)
-	}
-	raw := t.getBuf[:e.length]
-	if _, err := t.f.ReadAt(raw, e.off); err != nil {
-		return nil, false, fmt.Errorf("%w: block %d: %v", ErrBadTable, bi, err)
+	raw, err := t.view(bi)
+	if err != nil {
+		return nil, false, err
 	}
 	for len(raw) > 0 {
 		klen, n := binary.Uvarint(raw)
@@ -410,10 +430,11 @@ func (t *Table) Get(key []byte) (value []byte, ok bool, err error) {
 // Iterator walks a table forward or backward. The zero position is
 // invalid; call SeekToFirst, SeekToLast, or Seek.
 //
-// The iterator owns the storage of the block it stands in and reuses it
-// when it crosses into another block, so Key and Value are valid only
-// until the iterator next moves (Next, Prev or any Seek); a caller that
-// keeps them longer must copy.
+// The iterator owns the decoded entries of the block it stands in and
+// reuses them when it crosses into another block. Key and Value are valid
+// only until the iterator next moves (Next, Prev or any Seek); a caller
+// that keeps them longer must copy. That they happen to alias the table
+// file is not part of the contract.
 type Iterator struct {
 	t       *Table
 	blockID int

@@ -2,9 +2,12 @@ package sstable
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -314,6 +317,177 @@ func TestBloomMarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalBloom(make([]byte, 16)); err == nil {
 		t.Error("k=0 bloom must error")
+	}
+}
+
+// TestBuilderBloomMatchesPerKeyAdd: the filter a Builder writes from its
+// per-key hashes is byte-for-byte the one NewBloom plus Add(key) over the
+// same keys gives.
+func TestBuilderBloomMatchesPerKeyAdd(t *testing.T) {
+	for _, n := range []int{1, 7, 1000, 5000} {
+		tbl := buildTable(t, newFS(), "t", n)
+		want := NewBloom(n, 10)
+		for i := 0; i < n; i++ {
+			want.Add(key(i))
+		}
+		if !bytes.Equal(tbl.bloom.Marshal(), want.Marshal()) {
+			t.Errorf("%d keys: the table's bloom differs from per-key Add", n)
+		}
+	}
+}
+
+// seededTable builds a table from a seeded key set: random keys, values of
+// random length (empty included) and random bytes.
+func seededTable(t testing.TB, fs *vfs.FS, name string) *vfs.File {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	seen := make(map[string]bool)
+	var keys []string
+	for len(keys) < 3000 {
+		k := fmt.Sprintf("k%x", rng.Int63n(1<<40))
+		if !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	f, err := fs.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder(f, 0)
+	for _, k := range keys {
+		v := make([]byte, rng.Intn(120))
+		rng.Read(v)
+		if err := b.Add([]byte(k), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func fileSHA256(t testing.TB, f *vfs.File) string {
+	t.Helper()
+	data := make([]byte, f.Size())
+	if _, err := f.ReadAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(data))
+}
+
+// TestTableBytesGolden pins the bytes of a table built from a seeded key
+// set. The hash was computed on the tree where the Builder still copied
+// every key for the bloom filter and table files were zeroed twice as they
+// grew; building and reading tables in place must not move a byte.
+func TestTableBytesGolden(t *testing.T) {
+	const want = "3ed212a1127a9877d1ebd0d4ad64990ea7249ac76831b0a0a87adcab45d9804e"
+	f := seededTable(t, newFS(), "golden")
+	if got := fileSHA256(t, f); got != want {
+		t.Errorf("table sha256 %s, want %s", got, want)
+	}
+}
+
+// TestBuilderAllocsIndependentOfEntries: a build allocates per block and
+// per doubling of its hash slice, not per entry.
+func TestBuilderAllocsIndependentOfEntries(t *testing.T) {
+	for _, n := range []int{10000, 40000} {
+		keys, vals := make([][]byte, n), make([][]byte, n)
+		for i := range keys {
+			keys[i], vals[i] = key(i), val(i)
+		}
+		fs := newFS()
+		allocs := testing.AllocsPerRun(3, func() {
+			f, err := fs.Create("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := NewBuilder(f, 0)
+			for i := range keys {
+				if err := b.Add(keys[i], vals[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := b.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			fs.Remove("t")
+		})
+		if perAdd := allocs / float64(n); perAdd >= 0.1 {
+			t.Errorf("%d entries: %.0f allocations, %.3f per Add, want < 0.1", n, allocs, perAdd)
+		}
+	}
+}
+
+// TestTableGetAllocFree: a point lookup allocates nothing, whether the
+// bloom filter rejects the key, the key is found, or the filter lets it
+// through and the block scan misses.
+func TestTableGetAllocFree(t *testing.T) {
+	tbl := buildTable(t, newFS(), "t", 5000)
+	var passes []byte // absent, inside the key range, and not stopped by the bloom
+	for i := 0; passes == nil; i++ {
+		k := []byte(fmt.Sprintf("key%08dx", i))
+		if i >= 4999 {
+			t.Fatal("no absent key passes the bloom filter")
+		}
+		if tbl.bloom.MayContain(k) {
+			passes = k
+		}
+	}
+	stopped := []byte("absent")
+	if tbl.bloom.MayContain(stopped) {
+		t.Fatal("pick another bloom-rejected key")
+	}
+	for _, c := range []struct {
+		name string
+		key  []byte
+		ok   bool
+	}{
+		{"bloom miss", stopped, false},
+		{"hit", key(2500), true},
+		{"miss in block", passes, false},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, ok, err := tbl.Get(c.key); ok != c.ok || err != nil {
+				t.Fatalf("%s: Get = %v, %v", c.name, ok, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocations per Get, want 0", c.name, allocs)
+		}
+	}
+}
+
+// BenchmarkScan steps an iterator through a table far larger than a core's
+// own caches (120 000 entries of 400-byte values, ~55 MB), wrapping around,
+// so nearly every block it loads is cold: the case readBlock's warm is for.
+func BenchmarkScan(b *testing.B) {
+	f, _ := newFS().Create("t")
+	bld := NewBuilder(f, 0)
+	value := bytes.Repeat([]byte("v"), 400)
+	for i := 0; i < 120000; i++ {
+		if err := bld.Add(key(i), value); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := bld.Finish(); err != nil {
+		b.Fatal(err)
+	}
+	tbl, err := Open(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	it := tbl.NewIterator()
+	it.SeekToFirst()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !it.Valid() {
+			it.SeekToFirst()
+		}
+		it.Next()
 	}
 }
 

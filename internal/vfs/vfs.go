@@ -48,6 +48,10 @@ type File struct {
 	name string
 	ino  pagecache.FileID
 	data []byte
+	// dirty is how far data's backing array has ever been written: bytes
+	// in [len(data), dirty) may be stale from before a Truncate, bytes at
+	// or beyond dirty are still zero from the allocation.
+	dirty int64
 }
 
 // Create makes a new empty file.
@@ -124,13 +128,53 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		return 0, io.EOF
 	}
 	n := copy(p, f.data[off:])
-	firstPage := off / blockdev.PageSize
-	lastPage := (off + int64(n) - 1) / blockdev.PageSize
-	f.fs.cache.ReadPages(f.ino, firstPage, int(lastPage-firstPage)+1)
+	f.chargeRead(off, n)
 	if n < len(p) {
 		return n, io.EOF
 	}
 	return n, nil
+}
+
+// View is ReadAt without the copy: it charges the page cache exactly as
+// ReadAt(p[:n], off) would — the same pages, the same short read and
+// io.EOF at end of file, the same errors — and returns the file's own
+// bytes instead of copying them out. The view is capacity-clipped, so an
+// append to it cannot reach the file.
+//
+// The view is read-only: the caller must not write through it. It stays
+// valid as long as the caller holds it, and it shows later writes to the
+// range it covers, so it is meant for files that are write-once, such as
+// an SSTable after Finish; a copy is what ReadAt is for.
+func (f *File) View(off int64, n int) ([]byte, error) {
+	if off < 0 {
+		return nil, fmt.Errorf("vfs: negative offset %d", off)
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("vfs: negative length %d", n)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	if off >= f.Size() {
+		return nil, io.EOF
+	}
+	end := off + int64(n)
+	if end > f.Size() {
+		end = f.Size()
+	}
+	f.chargeRead(off, int(end-off))
+	view := f.data[off:end:end]
+	if len(view) < n {
+		return view, io.EOF
+	}
+	return view, nil
+}
+
+// chargeRead routes a read of n > 0 bytes at off through the page cache.
+func (f *File) chargeRead(off int64, n int) {
+	firstPage := off / blockdev.PageSize
+	lastPage := (off + int64(n) - 1) / blockdev.PageSize
+	f.fs.cache.ReadPages(f.ino, firstPage, int(lastPage-firstPage)+1)
 }
 
 // WriteAt writes p at offset off, growing the file as needed and dirtying
@@ -161,8 +205,12 @@ func (f *File) grow(size int64) {
 	old := int64(len(f.data))
 	if size <= int64(cap(f.data)) {
 		f.data = f.data[:size]
-		// The region may hold stale bytes from before a Truncate.
-		clear(f.data[old:])
+		// Only bytes a write left before a Truncate need clearing; the
+		// rest of the array is still zero from its allocation.
+		if stale := min(size, f.dirty); stale > old {
+			clear(f.data[old:stale])
+		}
+		f.dirty = max(f.dirty, size)
 		return
 	}
 	newCap := int64(cap(f.data)) * 2
@@ -172,6 +220,7 @@ func (f *File) grow(size int64) {
 	grown := make([]byte, size, newCap)
 	copy(grown, f.data[:old])
 	f.data = grown
+	f.dirty = size
 }
 
 // Reserve is a capacity hint: it makes room for the file to grow to n
@@ -186,6 +235,7 @@ func (f *File) Reserve(n int64) {
 	grown := make([]byte, len(f.data), n)
 	copy(grown, f.data)
 	f.data = grown
+	f.dirty = int64(len(f.data))
 }
 
 // Append writes p at the end of the file and returns the offset the data

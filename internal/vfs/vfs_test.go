@@ -3,6 +3,7 @@ package vfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
@@ -264,11 +265,110 @@ func TestReserveIsInvisible(t *testing.T) {
 	if fs.Cache().Stats() != plainFS.Cache().Stats() || dev.Stats() != plainDev.Stats() || clk.Now() != plainClk.Now() {
 		t.Error("Reserve moved cache, device or clock state")
 	}
+	// The Truncate above shrank the file inside its capacity and the write
+	// at 8192 regrew it over payload bytes: the gap must read as zeros.
+	if i := bytes.IndexFunc(got[100:8192], func(r rune) bool { return r != 0 }); i >= 0 {
+		t.Errorf("byte %d of the gap left by Truncate reads %q, want zero", 100+i, got[100+i])
+	}
 	reserved := cap(f.data)
 	f.Truncate(0)
 	f.WriteAt(payload, 0)
 	f.WriteAt(payload, int64(len(payload)))
 	if reserved < 2<<20 || cap(f.data) != reserved {
 		t.Errorf("capacity %d after writes inside a %d-byte reservation", cap(f.data), reserved)
+	}
+
+	// A fresh reservation is zero from its allocation, so a write inside
+	// it clears nothing: the dirty mark, which bounds what grow clears,
+	// covers exactly what has been written.
+	fresh, _ := fs.Create("fresh")
+	fresh.Reserve(1 << 16)
+	if fresh.dirty != 0 {
+		t.Errorf("dirty mark %d after Reserve on an empty file, want 0", fresh.dirty)
+	}
+	fresh.WriteAt([]byte("x"), 4096)
+	if fresh.dirty != 4097 {
+		t.Errorf("dirty mark %d after a 1-byte write at 4096, want 4097", fresh.dirty)
+	}
+	// Shrink below the written byte and regrow past it: that byte is now
+	// stale and must be cleared, the never-written rest need not be.
+	fresh.Truncate(10)
+	fresh.WriteAt([]byte("y"), 20000)
+	if fresh.dirty != 20001 {
+		t.Errorf("dirty mark %d after regrowing to 20001, want 20001", fresh.dirty)
+	}
+	gap := make([]byte, 20000-10)
+	fresh.ReadAt(gap, 10)
+	if i := bytes.IndexByte(gap, 'x'); i >= 0 {
+		t.Errorf("stale byte survived at %d", 10+i)
+	}
+}
+
+// TestViewChargesLikeReadAt runs the same reads through View on one file
+// and through ReadAt on its twin in a second filesystem: the bytes,
+// errors, page-cache and device counters and virtual clock must agree at
+// every step, and every view must be the file's own bytes, clipped so an
+// append cannot reach past it.
+func TestViewChargesLikeReadAt(t *testing.T) {
+	fs, dev, clk := newFS(1024)
+	twinFS, twinDev, twinClk := newFS(1024)
+	content := make([]byte, 3*blockdev.PageSize+500)
+	for i := range content {
+		content[i] = byte(i * 7)
+	}
+	f, _ := fs.Create("data")
+	twin, _ := twinFS.Create("data")
+	for _, file := range []*File{f, twin} {
+		file.WriteAt(content, 0)
+		file.Sync()
+		file.fs.Cache().DropAll()
+	}
+	size := int64(len(content))
+	cases := []struct {
+		name string
+		off  int64
+		n    int
+	}{
+		{"in range", 100, 200},
+		{"same range again (warm)", 100, 200},
+		{"page-straddling", blockdev.PageSize - 50, 100},
+		{"whole pages", blockdev.PageSize, 2 * blockdev.PageSize},
+		{"short at EOF", size - 10, 100},
+		{"from zero past EOF", 0, int(size) + 1},
+		{"at EOF", size, 1},
+		{"past EOF", size + 4096, 10},
+		{"zero length", 50, 0},
+		{"zero length past EOF", size + 100, 0},
+		{"negative offset", -1, 10},
+		{"negative offset, zero length", -1, 0},
+	}
+	for _, c := range cases {
+		view, viewErr := f.View(c.off, c.n)
+		p := make([]byte, c.n)
+		n, readErr := twin.ReadAt(p, c.off)
+		if fmt.Sprint(viewErr) != fmt.Sprint(readErr) {
+			t.Errorf("%s: View error %v, ReadAt error %v", c.name, viewErr, readErr)
+		}
+		if !bytes.Equal(view, p[:n]) {
+			t.Errorf("%s: View returned %d bytes, ReadAt %d, or they differ", c.name, len(view), n)
+		}
+		if cap(view) != len(view) {
+			t.Errorf("%s: view has len %d but cap %d", c.name, len(view), cap(view))
+		}
+		if len(view) > 0 && &view[0] != &f.data[c.off] {
+			t.Errorf("%s: view is a copy, not the file's bytes", c.name)
+		}
+		if fs.Cache().Stats() != twinFS.Cache().Stats() || dev.Stats() != twinDev.Stats() || clk.Now() != twinClk.Now() {
+			t.Fatalf("%s: View charged the cache, device or clock differently from ReadAt", c.name)
+		}
+	}
+	if dev.Stats().SyncReads == 0 {
+		t.Error("no case reached the device; the cases compare nothing")
+	}
+	if _, err := f.View(0, -1); err == nil {
+		t.Error("negative length must error")
+	}
+	if fs.Cache().Stats() != twinFS.Cache().Stats() || clk.Now() != twinClk.Now() {
+		t.Error("a rejected View charged the cache or clock")
 	}
 }
