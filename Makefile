@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet kml-vet vet-strict test race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress top-smoke loadgen-smoke postmortem-smoke overhead-check bench-storage bench-json bench-ratchet benchmark benchmark-quick ci clean
+.PHONY: all build vet kml-vet vet-strict test race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress top-smoke loadgen-smoke postmortem-smoke overhead-check bench-storage benchmark benchmark-quick ci clean
 
 all: build
 
@@ -46,8 +46,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWireCanonical -fuzztime=$(FUZZTIME) ./internal/mserve/
 	$(GO) test -run='^$$' -fuzz=FuzzDirectiveParse -fuzztime=$(FUZZTIME) ./internal/lint/
 
-# End-to-end smoke of the serving subsystem: daemon + deploy + bench +
-# graceful shutdown on a unix socket.
+# End-to-end smoke of the serving subsystem: daemon + deploy + kml-loadgen
+# traffic + graceful shutdown on a unix socket.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
@@ -104,18 +104,6 @@ BENCHTIME ?= 1s
 bench-storage:
 	$(GO) test -run '^$$' -bench 'Get|Put|Scan|CompactPair' -benchmem -benchtime=$(BENCHTIME) ./internal/sstable ./internal/kvstore
 
-# Regenerate the hot-path benchmark snapshot: single-sample vs batched
-# inference (float64/float32/Q16.16) and one training iteration, as
-# machine-readable JSON, best-of-BENCHCOUNT per metric. BENCHTIME and
-# BENCHCOUNT shorten runs for smoke checks.
-bench-json:
-	sh scripts/bench_json.sh BENCH_PR10.json
-
-# Compare the two newest committed benchmark snapshots; fail on >15%
-# regressions that are not on the allowlist in the script.
-bench-ratchet:
-	sh scripts/bench_ratchet.sh
-
 # The telemetry overhead self-checks in isolation: one counter add plus
 # one histogram observation (internal/telemetry/overhead_test.go), one
 # tracing span pair (internal/dtrace), and one full time-series capture
@@ -146,7 +134,7 @@ benchmark-quick:
 		$(GO) run ./benchmark --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
 	done
 
-ci: build vet race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress top-smoke loadgen-smoke postmortem-smoke overhead-check vet-strict bench-ratchet benchmark-quick
+ci: build vet race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress top-smoke loadgen-smoke postmortem-smoke overhead-check vet-strict benchmark-quick
 
 clean:
 	$(GO) clean ./...

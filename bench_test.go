@@ -1,6 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (§4) at reduced scale, plus the ablations called out in DESIGN.md §5.
-// Experiment IDs (E1..E7) refer to DESIGN.md's per-experiment index.
+// Experiment IDs (E1..E7) refer to DESIGN.md's per-experiment index; the
+// hot-path benchmarks of E8 and E10–E12 sit next to the budget gates that
+// enforce them, in internal/dtrace, tsrec, blackbox and mserve.
 //
 // Macro-benchmarks (Table 2, the sweep, Figure 2) run complete simulated
 // experiments per iteration and report their results through
@@ -15,27 +17,19 @@
 package repro
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/blackbox"
 	"repro/internal/blockdev"
 	"repro/internal/core"
-	"repro/internal/dtrace"
 	"repro/internal/features"
-	"repro/internal/mserve"
 	"repro/internal/nn"
 	"repro/internal/readahead"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
-	"repro/internal/telemetry/tsrec"
 	"repro/internal/workload"
 )
 
@@ -307,190 +301,6 @@ func BenchmarkE5_FeatureAggregation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ext.Add(features.Record{Inode: 1, Offset: int64(i % 100000)})
 	}
-}
-
-// BenchmarkE8_TraceSpan measures the full decision-trace tax: one root
-// span, four children with attributes, finish, and an arena record —
-// everything tracing adds to a decision window beyond the work itself.
-// The paper budgets ~49 ns for its per-event collection path; the whole
-// per-DECISION trace (six span writes) must stay well under the 100 ns
-// budget pinned by dtrace.TestTraceOverheadBudget. The derived
-// trace_overhead_ns metric feeds scripts/bench_json.sh.
-func BenchmarkE8_TraceSpan(b *testing.B) {
-	a := dtrace.NewArena(1024)
-	var tb dtrace.Builder
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now := int64(i)
-		tb.Start(a.NextID(), now)
-		si := tb.Begin(dtrace.StageFeature, 0, now)
-		tb.End(si, now+1)
-		tb.SetValue(si, 50)
-		si = tb.Begin(dtrace.StageInfer, 0, now+1)
-		tb.End(si, now+2)
-		tb.SetValue(si, 1)
-		tb.SetAux(si, 7)
-		si = tb.Begin(dtrace.StageApply, 0, now+2)
-		tb.End(si, now+3)
-		si = tb.Begin(dtrace.StageOutcome, 0, now+3)
-		tb.End(si, now+4)
-		a.Record(tb.Finish(now + 4))
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "trace_overhead_ns")
-}
-
-// BenchmarkE10_TimeSeriesTick measures one full time-series capture
-// tick at the serving registry's shape (five counters, four populated
-// histograms): counter deltas plus three integer quantiles per
-// histogram into the keep-latest ring. This is the recorder goroutine's
-// per-interval cost — at the default 1s interval it must be invisible
-// next to the serving work, and it must not allocate. The budget is
-// pinned by tsrec.TestTimeSeriesOverheadBudget; the derived ts_tick_ns
-// metric feeds scripts/bench_json.sh.
-func BenchmarkE10_TimeSeriesTick(b *testing.B) {
-	reg := telemetry.NewRegistry()
-	counters := []string{"c0", "c1", "c2", "c3", "c4"}
-	hists := []string{"h0", "h1", "h2", "h3"}
-	for _, n := range counters {
-		reg.Counter(n).Add(12345)
-	}
-	rng := rand.New(rand.NewSource(10))
-	for _, n := range hists {
-		h := reg.Histogram(n)
-		for i := 0; i < 10000; i++ {
-			h.Observe(int64(rng.Intn(1 << 20)))
-		}
-	}
-	rec, err := tsrec.New(reg, tsrec.Config{Capacity: 1024, Counters: counters, Hists: hists})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec.Tick(int64(i + 1))
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ts_tick_ns")
-}
-
-// BenchmarkE11_CoalescedServe measures the cross-connection coalesced
-// serving loop end to end: an in-process server with a 100us gather
-// window on a unix socket, 32 concurrent connections each streaming
-// single-row Infer requests, every gathered batch executed as one fused
-// PredictBatch. coalesced_ns_per_sample is wall-clock per served row
-// across the whole fleet — the number EXPERIMENTS.md E11 compares
-// against the uncoalesced serving hop, and the snapshot metric
-// scripts/bench_json.sh records.
-func BenchmarkE11_CoalescedServe(b *testing.B) {
-	dir := b.TempDir()
-	reg, err := mserve.OpenRegistry(filepath.Join(dir, "registry"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := mserve.NewServer(mserve.Config{
-		Registry:       reg,
-		MaxConns:       64,
-		CoalesceWindow: 100 * time.Microsecond,
-		CoalesceMax:    32, // the fleet size: full batches execute without waiting out the window
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(42))
-	net := nn.NewNetwork(
-		nn.NewLinear(4, 8, rng),
-		nn.NewSigmoid(),
-		nn.NewLinear(8, 4, rng),
-	)
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := srv.Deploy(mserve.KindNN, "bench", buf.Bytes()); err != nil {
-		b.Fatal(err)
-	}
-	sock := filepath.Join(dir, "kml.sock")
-	go func() {
-		if err := srv.ListenAndServe("unix", sock); err != nil {
-			b.Error(err)
-		}
-	}()
-	for i := 0; i < 200; i++ {
-		if _, err := os.Stat(sock); err == nil {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	b.Cleanup(func() { srv.Shutdown(5 * time.Second) })
-
-	const fleet = 32
-	clients := make([]*mserve.Client, fleet)
-	for c := range clients {
-		cl, err := mserve.Dial("unix", sock)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cl.Close()
-		if _, _, err := cl.Infer([]float64{0.1, 0.2, 0.3, 0.4}); err != nil {
-			b.Fatal(err)
-		}
-		clients[c] = cl
-	}
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for c := range clients {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cl := clients[c]
-			feats := []float64{0.3, 0.1, 0.7, 0.2}
-			n := b.N / fleet
-			if c < b.N%fleet {
-				n++
-			}
-			for i := 0; i < n; i++ {
-				if _, _, err := cl.Infer(feats); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "coalesced_ns_per_sample")
-}
-
-// BenchmarkE12_BlackboxRecord measures one flight-recorder append at
-// the sampler's typical payload size (a 256-byte metrics snapshot):
-// header encode, CRC over header and payload, copy into the in-memory
-// ring, pad zeroing. This is the cost every capture pays per record
-// while the serving path runs; it must not allocate and must stay
-// under blackbox.RecordOverheadBudgetNanos (pinned by
-// blackbox.TestBlackboxOverheadBudget; blackbox_record_ns feeds
-// scripts/bench_json.sh).
-func BenchmarkE12_BlackboxRecord(b *testing.B) {
-	bb, err := blackbox.Open(blackbox.Config{
-		Path: filepath.Join(b.TempDir(), "bench.blackbox"),
-		Size: 4 << 20,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer bb.Close()
-	payload := make([]byte, 256)
-	for i := range payload {
-		payload[i] = byte(i * 7)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !bb.Record(blackbox.KindMetrics, int64(i+1), payload) {
-			b.Fatal("record dropped")
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "blackbox_record_ns")
 }
 
 // BenchmarkAblation_InferencePrecision compares the three matrix

@@ -2,14 +2,19 @@
 // daemon: it models many independent clients (thousands of connections)
 // each issuing inference requests on an OPEN-LOOP arrival schedule —
 // Poisson or fixed-rate — rather than the closed request-response loop
-// kml-serve-bench runs. Open-loop arrival is what makes server-side
-// batch coalescing visible: requests land on the daemon whenever the
-// schedule says, regardless of whether earlier ones finished, so
-// concurrent arrivals from different connections share gather windows.
+// the repo benchmark's serve_* workloads run (benchmark/serve.go).
+// Open-loop arrival is what makes server-side batch coalescing visible:
+// requests land on the daemon whenever the schedule says, regardless of
+// whether earlier ones finished, so concurrent arrivals from different
+// connections share gather windows.
 //
 // Latency is measured from each request's SCHEDULED send time, not the
 // actual write time, so a stalled server cannot hide queueing delay by
 // slowing the generator down (no coordinated omission).
+//
+// The exit status is 1 when any request fails, warmup included, or when a
+// step completes no request in its measured window, so the smoke scripts
+// that drive daemon traffic with it can rely on it.
 //
 // Typical use, sweeping offered load against a coalescing daemon:
 //
@@ -18,6 +23,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -107,7 +113,8 @@ func main() {
 			offered, res.achievedRPS, res.errors,
 			res.quantileUS(0.50), res.quantileUS(0.95), res.quantileUS(0.99),
 			res.maxUS(), meanBatch)
-		if res.errors > 0 {
+		if err := res.err(); err != nil {
+			fmt.Fprintf(os.Stderr, "kml-loadgen: %.0f rps step: %v\n", offered, err)
 			exit = 1
 		}
 	}
@@ -131,6 +138,18 @@ type stepResult struct {
 	lats        []time.Duration
 	errors      uint64
 	achievedRPS float64
+}
+
+// err reports why a step failed: any request errored, warmup included, or
+// none completed inside the measured window.
+func (r *stepResult) err() error {
+	if r.errors > 0 {
+		return fmt.Errorf("%d requests failed", r.errors)
+	}
+	if len(r.lats) == 0 {
+		return errors.New("no requests completed in the measured window")
+	}
+	return nil
 }
 
 func (r *stepResult) quantileUS(q float64) float64 {
@@ -183,12 +202,12 @@ func runStep(clients []*mserve.Client, offered float64, cfg stepConfig) stepResu
 				} else {
 					_, _, err = cl.BatchInfer(feats, cfg.batch, cfg.inDim)
 				}
+				if err != nil {
+					errs.Add(1) // a warmup failure is still a failure
+					continue
+				}
 				if !next.After(measureFrom) {
 					continue // warmup sample
-				}
-				if err != nil {
-					errs.Add(1)
-					continue
 				}
 				// Open-loop latency: completion minus SCHEDULED arrival.
 				lats = append(lats, time.Since(next))

@@ -64,3 +64,23 @@ func TestBlackboxOverheadBudget(t *testing.T) {
 		t.Fatalf("record allocates %.1f per op, want 0", allocs)
 	}
 }
+
+// BenchmarkE12_BlackboxRecord measures one flight-recorder append at the
+// sampler's typical payload size (a 256-byte metrics snapshot): header
+// encode, CRC over header and payload, copy into the in-memory ring, pad
+// zeroing. TestBlackboxOverheadBudget gates it (≤ 1 µs, 0 allocs).
+func BenchmarkE12_BlackboxRecord(b *testing.B) {
+	r, err := Open(Config{Path: filepath.Join(b.TempDir(), "bench.blackbox"), Size: 4 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	payload := testPayload(256, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !r.Record(KindMetrics, int64(i+1), payload) {
+			b.Fatal("record dropped")
+		}
+	}
+}

@@ -14,7 +14,7 @@ import (
 
 // coalescedServer boots a serving socket with cross-connection batch
 // coalescing enabled and the test model deployed.
-func coalescedServer(t *testing.T, cfg Config) (*Server, string) {
+func coalescedServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	if cfg.CoalesceWindow == 0 {
 		cfg.CoalesceWindow = 2 * time.Millisecond
@@ -446,6 +446,54 @@ func TestCoalesceAllocFree(t *testing.T) {
 	if st := s.Stats(); st.CoalesceBatches == 0 {
 		t.Fatal("alloc gate never exercised the coalescer")
 	}
+}
+
+// BenchmarkE11_CoalescedServe measures the coalesced serving loop end to
+// end: a 100 µs gather window on a unix socket, 32 concurrent connections
+// each streaming single-row Infer requests, every gathered batch executed
+// as one fused PredictBatch. ns/op is wall-clock per served row across the
+// whole fleet, the number EXPERIMENTS.md E11 compares against the
+// uncoalesced serving hop; TestCoalesceAllocFree keeps the path at 0 allocs.
+func BenchmarkE11_CoalescedServe(b *testing.B) {
+	const fleet = 32
+	_, sock := coalescedServer(b, Config{
+		MaxConns:       64,
+		CoalesceWindow: 100 * time.Microsecond,
+		CoalesceMax:    fleet, // full batches execute without waiting out the window
+	})
+	clients := make([]*Client, fleet)
+	for c := range clients {
+		cl, err := Dial("unix", sock)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cl.Close()
+		if _, _, err := cl.Infer([]float64{0.1, 0.2, 0.3, 0.4}); err != nil {
+			b.Fatal(err)
+		}
+		clients[c] = cl
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for c, cl := range clients {
+		n := b.N / fleet
+		if c < b.N%fleet {
+			n++
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			feats := []float64{0.3, 0.1, 0.7, 0.2}
+			for i := 0; i < n; i++ {
+				if _, _, err := cl.Infer(feats); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestCoalesceSubmitRefitsAfterFlush is the regression for the batch

@@ -25,7 +25,8 @@
 //     a connection limit, admission control charged to a memutil.Arena,
 //     and graceful drain on shutdown.
 //
-// cmd/kml-served wraps the server as a daemon and cmd/kml-serve-bench is
-// the load harness reporting batched-inference p50/p99 latency against the
+// cmd/kml-served wraps the server as a daemon and cmd/kml-loadgen drives
+// open-loop load against it; the repo benchmark's serve_* workloads
+// (benchmark/serve.go) measure closed-loop request latency against the
 // paper's 21 µs single-inference figure.
 package mserve

@@ -13,7 +13,7 @@ import (
 )
 
 // nnModelBytes serializes a small random network in the KMLF format.
-func nnModelBytes(t *testing.T, seed int64, inDim int) []byte {
+func nnModelBytes(t testing.TB, seed int64, inDim int) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	net := nn.NewNetwork(

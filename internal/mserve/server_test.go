@@ -17,7 +17,7 @@ import (
 
 // startServer brings up a server on a unix socket and tears it down with
 // the test. Returns the server and the socket path.
-func startServer(t *testing.T, cfg Config) (*Server, string) {
+func startServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	if cfg.Registry == nil {
 		r, err := OpenRegistry(t.TempDir())

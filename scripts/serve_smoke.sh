@@ -1,6 +1,6 @@
 #!/bin/sh
 # serve_smoke.sh — end-to-end smoke test of the serving subsystem: build
-# the daemon and bench, start kml-served on a unix socket with the
+# the daemon and kml-loadgen, start kml-served on a unix socket with the
 # checked-in trained model, drive 1000 batched inferences, check the
 # stats endpoint, and verify a clean SIGTERM drain. CI runs this after
 # the race tests; it is also the quickest way to see the serving path
@@ -14,7 +14,7 @@ trap 'kill "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
 echo "== build"
 go build -o "$TMP/kml-served" ./cmd/kml-served
-go build -o "$TMP/kml-serve-bench" ./cmd/kml-serve-bench
+go build -o "$TMP/kml-loadgen" ./cmd/kml-loadgen
 
 echo "== start daemon"
 "$TMP/kml-served" \
@@ -36,17 +36,24 @@ while [ ! -S "$SOCK" ]; do
     sleep 0.1
 done
 
-echo "== bench (1000 batched inferences)"
-"$TMP/kml-serve-bench" -addr "$SOCK" -n 1000 -batch 50 -conns 2 | tee "$TMP/bench.out"
-grep -q "throughput_ips=" "$TMP/bench.out"
-TPUT=$(sed -n 's/^throughput_ips=//p' "$TMP/bench.out")
-case "$TPUT" in
-    ''|0) echo "zero throughput" >&2; exit 1 ;;
-esac
+echo "== load (1000 batched inferences: 2 conns x 10 requests x 50 rows)"
+"$TMP/kml-loadgen" -addr "$SOCK" -conns 2 -batch 50 -rate 100 -duration 200ms -warmup 0 -dist fixed \
+    | tee "$TMP/load.out"
+# The one step row: offered, achieved (requests/s), errors, ...
+ACHIEVED=$(awk '$1 ~ /^[0-9]/ { print $2 }' "$TMP/load.out")
+ERRORS=$(awk '$1 ~ /^[0-9]/ { print $3 }' "$TMP/load.out")
+if [ "$ERRORS" != "0" ]; then
+    echo "load step reported errors=$ERRORS" >&2
+    exit 1
+fi
+awk -v a="$ACHIEVED" 'BEGIN { exit !(a > 0) }' || {
+    echo "zero achieved rate ($ACHIEVED)" >&2
+    exit 1
+}
 
 echo "== status"
 # The flight recorder fills on the server's asynchronous collection
-# thread; give it a beat to drain the bench traffic.
+# thread; give it a beat to drain the load.
 sleep 0.3
 "$TMP/kml-served" -addr "$SOCK" -status | tee "$TMP/status.out"
 grep -q "^active_version      1$" "$TMP/status.out"
@@ -76,4 +83,4 @@ if [ "$STATUS" -ne 0 ]; then
 fi
 grep -q "draining" "$TMP/served.log"
 
-echo "serve smoke: OK (throughput_ips=$TPUT)"
+echo "serve smoke: OK (achieved=$ACHIEVED req/s)"

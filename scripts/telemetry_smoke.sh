@@ -13,7 +13,7 @@ trap 'kill "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
 echo "== build"
 go build -o "$TMP/kml-served" ./cmd/kml-served
-go build -o "$TMP/kml-serve-bench" ./cmd/kml-serve-bench
+go build -o "$TMP/kml-loadgen" ./cmd/kml-loadgen
 
 echo "== start daemon with debug listener"
 "$TMP/kml-served" \
@@ -51,8 +51,8 @@ DEBUG_URL=$(sed -n 's/^debug listening on //p' "$TMP/served.log")
 echo "debug url: $DEBUG_URL"
 
 echo "== traffic (singles and batches)"
-"$TMP/kml-serve-bench" -addr "$SOCK" -n 200 -batch 1 -conns 1 >/dev/null
-"$TMP/kml-serve-bench" -addr "$SOCK" -n 1000 -batch 50 -conns 2 >/dev/null
+"$TMP/kml-loadgen" -addr "$SOCK" -conns 1 -batch 1 -rate 1000 -duration 200ms -warmup 0 -dist fixed >/dev/null
+"$TMP/kml-loadgen" -addr "$SOCK" -conns 2 -batch 50 -rate 100 -duration 200ms -warmup 0 -dist fixed >/dev/null
 sleep 0.3 # let the async collection thread fill the flight recorder
 
 echo "== /metrics"

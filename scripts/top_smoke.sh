@@ -18,7 +18,7 @@ echo "== build"
 go build -o "$TMP/kml-served" ./cmd/kml-served
 go build -o "$TMP/kml-top" ./cmd/kml-top
 go build -o "$TMP/kml-trace" ./cmd/kml-trace
-go build -o "$TMP/kml-serve-bench" ./cmd/kml-serve-bench
+go build -o "$TMP/kml-loadgen" ./cmd/kml-loadgen
 
 echo "== start daemon with -sim and 50ms time-series capture"
 "$TMP/kml-served" \
@@ -45,9 +45,9 @@ while [ ! -S "$SOCK" ]; do
 done
 
 echo "== wire traffic, spanning several capture intervals"
-"$TMP/kml-serve-bench" -addr "$SOCK" -n 200 -batch 1 -conns 1 >/dev/null
+"$TMP/kml-loadgen" -addr "$SOCK" -conns 1 -batch 1 -rate 1000 -duration 200ms -warmup 0 -dist fixed >/dev/null
 sleep 0.3
-"$TMP/kml-serve-bench" -addr "$SOCK" -n 200 -batch 4 -conns 1 >/dev/null
+"$TMP/kml-loadgen" -addr "$SOCK" -conns 1 -batch 4 -rate 250 -duration 200ms -warmup 0 -dist fixed >/dev/null
 sleep 0.3
 
 echo "== kml-top -once renders the console frame"

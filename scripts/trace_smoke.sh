@@ -16,7 +16,7 @@ trap 'kill "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 echo "== build"
 go build -o "$TMP/kml-served" ./cmd/kml-served
 go build -o "$TMP/kml-trace" ./cmd/kml-trace
-go build -o "$TMP/kml-serve-bench" ./cmd/kml-serve-bench
+go build -o "$TMP/kml-loadgen" ./cmd/kml-loadgen
 
 echo "== start daemon with -sim (phase-switching closed loop)"
 "$TMP/kml-served" \
@@ -44,8 +44,8 @@ done
 grep -q "^sim: 6 decision windows" "$TMP/served.log"
 
 echo "== wire traffic for server-side request traces"
-"$TMP/kml-serve-bench" -addr "$SOCK" -n 50 -batch 1 -conns 1 >/dev/null
-"$TMP/kml-serve-bench" -addr "$SOCK" -n 100 -batch 10 -conns 1 >/dev/null
+"$TMP/kml-loadgen" -addr "$SOCK" -conns 1 -batch 1 -rate 250 -duration 200ms -warmup 0 -dist fixed >/dev/null
+"$TMP/kml-loadgen" -addr "$SOCK" -conns 1 -batch 10 -rate 50 -duration 200ms -warmup 0 -dist fixed >/dev/null
 
 echo "== pull traces"
 "$TMP/kml-trace" -addr "$SOCK" >"$TMP/traces.out"
