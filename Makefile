@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet kml-vet vet-strict test race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress top-smoke loadgen-smoke postmortem-smoke overhead-check bench-storage benchmark benchmark-quick ci clean
+.PHONY: all build vet kml-vet vet-strict test race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress serve-stress top-smoke loadgen-smoke postmortem-smoke overhead-check bench-storage benchmark benchmark-quick ci clean
 
 all: build
 
@@ -75,6 +75,13 @@ online-smoke:
 online-stress:
 	$(GO) test -count=5 -run TestOnline ./internal/olearn
 
+# Flake detector for the serving loop and the coalescer: five runs under
+# the race detector of the tests that interleave connections, gathers,
+# traces and the allocation gates. Coalescer races show up here first as
+# flakes.
+serve-stress:
+	$(GO) test -race -count=5 -run 'Coalesce|ServeLoop|Trace|Propagation|AllocFree' ./internal/mserve
+
 # End-to-end smoke of the serving console: boot kml-served -sim with a
 # fast time-series interval, assert kml-top renders throughput/latency
 # from MsgTimeSeries, the raw capture is non-empty and monotonic, and
@@ -134,7 +141,7 @@ benchmark-quick:
 		$(GO) run ./benchmark --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
 	done
 
-ci: build vet race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress top-smoke loadgen-smoke postmortem-smoke overhead-check vet-strict benchmark-quick
+ci: build vet race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress serve-stress top-smoke loadgen-smoke postmortem-smoke overhead-check vet-strict benchmark-quick
 
 clean:
 	$(GO) clean ./...

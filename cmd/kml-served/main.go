@@ -66,7 +66,6 @@ func main() {
 		learnMZ   = flag.Int64("learn-budget-mz", 0, "drift-trigger shift budget in milli-z for -olearn (0 = default)")
 		coalWin   = flag.Duration("coalesce-window", 0, "cross-connection batch gather window, e.g. 100us (0 = coalescing off)")
 		coalMax   = flag.Int("coalesce-max", 0, "max rows gathered into one fused batch (0 = default)")
-		coalShard = flag.Int("coalesce-shards", 0, "independent gather domains; raise if the gather lock bottlenecks (0 = 1)")
 		bbPath    = flag.String("blackbox", "", "durable flight-recorder file; crash forensics via kml-postmortem (empty = off)")
 		bbSize    = flag.Int64("blackbox-size", blackbox.DefaultSize, "flight-recorder ring size in bytes")
 		bbEvery   = flag.Duration("blackbox-interval", blackbox.DefaultFlushInterval, "flight-recorder capture+flush period (bounds data loss on a hard kill)")
@@ -87,7 +86,6 @@ func main() {
 		TimeSeriesInterval: *tsEvery,
 		CoalesceWindow:     *coalWin,
 		CoalesceMax:        *coalMax,
-		CoalesceShards:     *coalShard,
 	}
 	if *reserveMB > 0 {
 		arena := memutil.NewArena("kml-served")

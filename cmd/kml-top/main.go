@@ -27,7 +27,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -54,7 +53,9 @@ func main() {
 			fatal(err)
 		}
 		if *raw {
-			dumpSeries(ts)
+			if err := render.SeriesText(os.Stdout, ts); err != nil {
+				fatal(err)
+			}
 			return
 		}
 		fmt.Printf("kml-top  (from %s)\n", *from)
@@ -74,7 +75,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		dumpSeries(ts)
+		if err := render.SeriesText(os.Stdout, ts); err != nil {
+			fatal(err)
+		}
 		return
 	}
 	if *once {
@@ -127,28 +130,6 @@ func loadSeriesFile(path string) (tsrec.Series, error) {
 		return tsrec.Series{}, fmt.Errorf("%s: neither a black-box file nor a raw series: %w", path, err)
 	}
 	return ts, nil
-}
-
-// dumpSeries prints the captured points as plain integers — one line
-// per point: timestamp, then every counter delta, then
-// count/p50/p95/p99 per histogram. The smoke test greps this for
-// non-empty, monotonic capture.
-func dumpSeries(ts tsrec.Series) {
-	fmt.Printf("interval_ns %d\n", ts.IntervalNanos)
-	fmt.Printf("counters %s\n", strings.Join(ts.Counters, " "))
-	fmt.Printf("hists %s\n", strings.Join(ts.Hists, " "))
-	for i := range ts.Points {
-		p := &ts.Points[i]
-		fmt.Printf("point %d", p.TimeNanos)
-		for c := range ts.Counters {
-			fmt.Printf(" %d", p.Deltas[c])
-		}
-		for h := range ts.Hists {
-			fmt.Printf(" %d %d %d %d", p.Counts[h], p.P50[h], p.P95[h], p.P99[h])
-		}
-		fmt.Println()
-	}
-	fmt.Printf("%d points\n", len(ts.Points))
 }
 
 // renderFrame pulls one round of surfaces and writes the console frame.

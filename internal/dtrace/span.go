@@ -90,10 +90,10 @@ const MaxTraceSpans = 8
 //	decision:  Value=predicted class, Aux=virtual decision time (ns)
 //	feature:   Value=events drained from the window
 //	normalize: Value=features normalized
-//	infer:     Value=predicted class (-1 for a batch), Aux=model version —
-//	           except coalesced serving spans, where Aux packs the
-//	           achieved cross-connection batch size over the version
-//	           (PackInferAux/UnpackInferAux)
+//	infer:     Value=predicted class (-1 for a batch), Aux=model version;
+//	           serving spans pack the forward pass's row count over the
+//	           version (PackInferAux/UnpackInferAux), which a tuner's bare
+//	           version unpacks as 0 rows
 //	apply:     Value=new readahead sectors, Aux=previous sectors
 //	outcome:   Value=hit-rate delta (per-mille, vs previous window),
 //	           Aux=absolute next-window hit rate (per-mille, -1 unknown)
@@ -249,14 +249,13 @@ func (b *Builder) SetAux(idx int, v int64) {
 	b.t.Spans[idx].Aux = v
 }
 
-// PackInferAux packs (model version, achieved batch rows) into one Aux
-// value for a COALESCED serving StageInfer span: rows in the high 32
-// bits over the version's low 32 bits. The infer stage of a coalesced
-// request is shared across connections, but every request keeps its own
-// span — this stamp records how much company the row had in the fused
-// batch, per request. Versions are registry sequence numbers (small);
-// the low-32 truncation is a rendering concession, not a correctness
-// boundary.
+// PackInferAux packs (model version, batch rows) into one Aux value for
+// a serving StageInfer span: rows in the high 32 bits over the version's
+// low 32 bits. batchRows is the row count of the forward pass that
+// classified the request — its own rows inline, every gathered row when
+// coalesced — so a trace shows how much company the request had.
+// Versions are registry sequence numbers (small); the low-32 truncation
+// is a rendering concession, not a correctness boundary.
 //
 //kml:hotpath
 func PackInferAux(version uint64, batchRows int) int64 {

@@ -23,12 +23,12 @@ func TestBatchInferAllocFree(t *testing.T) {
 	}
 	payload := AppendBatchInferReq(nil, 0, flat, rows, nfeat)
 	sc := &srvConn{s: s}
-	warmTyp, _ := s.doBatchInfer(sc, payload)
+	warmTyp, _ := s.infer(sc, MsgBatchInfer, payload)
 	if warmTyp != MsgBatchInfer {
 		t.Fatalf("warmup response type %d", warmTyp)
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		if typ, _ := s.doBatchInfer(sc, payload); typ != MsgBatchInfer {
+		if typ, _ := s.infer(sc, MsgBatchInfer, payload); typ != MsgBatchInfer {
 			t.Fatal("batch infer failed")
 		}
 	}); a != 0 {
@@ -37,8 +37,8 @@ func TestBatchInferAllocFree(t *testing.T) {
 	// Single-row requests over the same warmed connection stay alloc-free
 	// too (the batch path at rows=1).
 	one := AppendBatchInferReq(nil, 0, flat[:nfeat], 1, nfeat)
-	s.doBatchInfer(sc, one)
-	if a := testing.AllocsPerRun(100, func() { s.doBatchInfer(sc, one) }); a != 0 {
+	s.infer(sc, MsgBatchInfer, one)
+	if a := testing.AllocsPerRun(100, func() { s.infer(sc, MsgBatchInfer, one) }); a != 0 {
 		t.Errorf("rows=1 batched request allocates %.1f/run, want 0", a)
 	}
 }

@@ -32,116 +32,111 @@ func coalescedServer(t testing.TB, cfg Config) (*Server, string) {
 // every response must (a) route back to its own connection bit-exact
 // against an uncoalesced local reference, (b) never fail, and (c) leave
 // the achieved-batch telemetry proving rows actually shared batches.
+// The server has a single gather domain, so "shards1" is the only case.
 func TestCoalesceRoutesBitExact(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		shards := shards
-		name := "shards1"
-		if shards == 2 {
-			name = "shards2"
-		}
-		t.Run(name, func(t *testing.T) {
-			s, sock := coalescedServer(t, Config{
-				MaxConns:       128,
-				CoalesceMax:    32,
-				CoalesceShards: shards,
-				TraceCapacity:  64,
-			})
-			art, err := s.Registry().ActiveArtifact()
-			if err != nil {
-				t.Fatalf("active artifact: %v", err)
-			}
+	t.Run("shards1", coalesceRoutesBitExact)
+}
 
-			const workers = 64
-			const perWorker = 30
-			var failures atomic.Uint64
-			var mismatches atomic.Uint64
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			// Hot-swap the same weights under load: versions move, the
-			// function served does not, so bit-exactness stays checkable.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				model := nnModelBytes(t, 42, 4)
-				for i := 0; i < 3; i++ {
-					select {
-					case <-stop:
-						return
-					case <-time.After(15 * time.Millisecond):
-					}
-					if _, err := s.Deploy(KindNN, "m", model); err != nil {
-						t.Errorf("hot-swap deploy %d: %v", i, err)
-					}
+func coalesceRoutesBitExact(t *testing.T) {
+	s, sock := coalescedServer(t, Config{
+		MaxConns:      128,
+		CoalesceMax:   32,
+		TraceCapacity: 64,
+	})
+	art, err := s.Registry().ActiveArtifact()
+	if err != nil {
+		t.Fatalf("active artifact: %v", err)
+	}
+
+	const workers = 64
+	const perWorker = 30
+	var failures atomic.Uint64
+	var mismatches atomic.Uint64
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	// Hot-swap the same weights under load: versions move, the
+	// function served does not, so bit-exactness stays checkable.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		model := nnModelBytes(t, 42, 4)
+		for i := 0; i < 3; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(15 * time.Millisecond):
+			}
+			if _, err := s.Deploy(KindNN, "m", model); err != nil {
+				t.Errorf("hot-swap deploy %d: %v", i, err)
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cl, err := Dial("unix", sock)
+			if err != nil {
+				failures.Add(1)
+				return
+			}
+			defer cl.Close()
+			cl.SetTimeout(10 * time.Second)
+			arena := dtrace.NewArena(8)
+			cl.EnableTracing(arena)
+			// Per-worker reference instance: the uncoalesced
+			// answer for the same weights.
+			ref, err := art.Instantiate()
+			if err != nil {
+				failures.Add(1)
+				return
+			}
+			rng := rand.New(rand.NewSource(int64(1000 + w)))
+			feats := make([]float64, 4)
+			for i := 0; i < perWorker; i++ {
+				for j := range feats {
+					feats[j] = rng.NormFloat64()
 				}
-			}()
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					cl, err := Dial("unix", sock)
-					if err != nil {
-						failures.Add(1)
-						return
-					}
-					defer cl.Close()
-					cl.SetTimeout(10 * time.Second)
-					arena := dtrace.NewArena(8)
-					cl.EnableTracing(arena)
-					// Per-worker reference instance: the uncoalesced
-					// answer for the same weights.
-					ref, err := art.Instantiate()
-					if err != nil {
-						failures.Add(1)
-						return
-					}
-					rng := rand.New(rand.NewSource(int64(1000 + w)))
-					feats := make([]float64, 4)
-					for i := 0; i < perWorker; i++ {
-						for j := range feats {
-							feats[j] = rng.NormFloat64()
-						}
-						want := ref.Predict(feats)
-						got, _, err := cl.Infer(feats)
-						if err != nil {
-							failures.Add(1)
-							return
-						}
-						if got != want {
-							mismatches.Add(1)
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			close(stop)
-			if n := failures.Load(); n != 0 {
-				t.Fatalf("%d workers failed; want 0 failed requests across hot swaps", n)
-			}
-			if n := mismatches.Load(); n != 0 {
-				t.Fatalf("%d responses differ from the uncoalesced reference", n)
-			}
-			st := s.Stats()
-			if st.CoalesceBatches == 0 {
-				t.Fatal("no coalesced batches executed under 64-way load")
-			}
-			if st.CoalesceRows < uint64(workers*perWorker) {
-				t.Fatalf("coalesced rows %d < requests %d", st.CoalesceRows, workers*perWorker)
-			}
-			if mean := st.CoalesceMeanBatch(); mean <= 1.2 {
-				t.Fatalf("mean achieved batch %.2f; want cross-connection gathering (> 1.2)", mean)
-			}
-			// The achieved-batch histogram carries the same story for
-			// kml-top and MsgMetrics consumers.
-			var histCount uint64
-			for _, m := range s.Metrics().Metrics {
-				if m.Name == "mserve_coalesce_batch" && m.Kind == MetricHistogram {
-					histCount = m.Hist.Count
+				want := ref.Predict(feats)
+				got, _, err := cl.Infer(feats)
+				if err != nil {
+					failures.Add(1)
+					return
+				}
+				if got != want {
+					mismatches.Add(1)
 				}
 			}
-			if histCount != st.CoalesceBatches {
-				t.Fatalf("mserve_coalesce_batch count %d != batches %d", histCount, st.CoalesceBatches)
-			}
-		})
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	if n := failures.Load(); n != 0 {
+		t.Fatalf("%d workers failed; want 0 failed requests across hot swaps", n)
+	}
+	if n := mismatches.Load(); n != 0 {
+		t.Fatalf("%d responses differ from the uncoalesced reference", n)
+	}
+	st := s.Stats()
+	if st.CoalesceBatches == 0 {
+		t.Fatal("no coalesced batches executed under 64-way load")
+	}
+	if st.CoalesceRows < uint64(workers*perWorker) {
+		t.Fatalf("coalesced rows %d < requests %d", st.CoalesceRows, workers*perWorker)
+	}
+	if mean := st.CoalesceMeanBatch(); mean <= 1.2 {
+		t.Fatalf("mean achieved batch %.2f; want cross-connection gathering (> 1.2)", mean)
+	}
+	// The achieved-batch histogram carries the same story for
+	// kml-top and MsgMetrics consumers.
+	var histCount uint64
+	for _, m := range s.Metrics().Metrics {
+		if m.Name == "mserve_coalesce_batch" && m.Kind == MetricHistogram {
+			histCount = m.Hist.Count
+		}
+	}
+	if histCount != st.CoalesceBatches {
+		t.Fatalf("mserve_coalesce_batch count %d != batches %d", histCount, st.CoalesceBatches)
 	}
 }
 
@@ -397,7 +392,7 @@ func TestCoalesceStatsSurface(t *testing.T) {
 }
 
 // TestCoalesceAllocFree pins the tentpole's steady-state allocation
-// budget: once a connection's waiter, the shard's gather arena, and the
+// budget: once a connection's waiter, the pooled gather arena, and the
 // instance scratch are warm, a coalesced request must not allocate —
 // gather, fused forward, demux, and the per-request span tree all run
 // over pooled memory.
@@ -416,11 +411,11 @@ func TestCoalesceAllocFree(t *testing.T) {
 	}
 	single := AppendInferReq(nil, 0, feats)
 	sc := &srvConn{s: s}
-	if typ, _ := s.doInfer(sc, single); typ != MsgInfer {
+	if typ, _ := s.infer(sc, MsgInfer, single); typ != MsgInfer {
 		t.Fatal("warmup single-row coalesced infer failed")
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		if typ, _ := s.doInfer(sc, single); typ != MsgInfer {
+		if typ, _ := s.infer(sc, MsgInfer, single); typ != MsgInfer {
 			t.Fatal("coalesced infer failed")
 		}
 	}); a != 0 {
@@ -433,11 +428,11 @@ func TestCoalesceAllocFree(t *testing.T) {
 		flat[i] = rng.NormFloat64()
 	}
 	batch := AppendBatchInferReq(nil, 0, flat, 4, 4)
-	if typ, _ := s.doBatchInfer(sc, batch); typ != MsgBatchInfer {
+	if typ, _ := s.infer(sc, MsgBatchInfer, batch); typ != MsgBatchInfer {
 		t.Fatal("warmup coalesced batch failed")
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		if typ, _ := s.doBatchInfer(sc, batch); typ != MsgBatchInfer {
+		if typ, _ := s.infer(sc, MsgBatchInfer, batch); typ != MsgBatchInfer {
 			t.Fatal("coalesced batch infer failed")
 		}
 	}); a != 0 {
@@ -499,7 +494,7 @@ func BenchmarkE11_CoalescedServe(b *testing.B) {
 // TestCoalesceSubmitRefitsAfterFlush is the regression for the batch
 // overflow (`slice bounds out of range [:14] with capacity 8`). A submitter
 // whose request doesn't fit the open batch detaches and executes it with
-// the shard unlocked; a racing submitter can open a fresh near-full batch
+// the gather unlocked; a racing submitter can open a fresh near-full batch
 // in that gap, and the first must re-test the fit instead of gathering
 // into whatever it finds. The interleaving is forced, not hunted: the
 // first batch's waiter has an unbuffered done channel, which holds its
@@ -521,19 +516,19 @@ func TestCoalesceSubmitRefitsAfterFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	const nfeat = 4
-	sh := &s.coal.shards[0]
-	// awaitCur polls the shard's open batch until it holds rows rows
-	// (0: no open batch).
+	c := s.coal
+	// awaitCur polls the open batch until it holds rows rows (0: no open
+	// batch).
 	awaitCur := func(rows int) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			sh.mu.Lock()
+			c.mu.Lock()
 			got := 0
-			if sh.cur != nil {
-				got = sh.cur.rows
+			if c.cur != nil {
+				got = c.cur.rows
 			}
-			sh.mu.Unlock()
+			c.mu.Unlock()
 			if got == rows {
 				return
 			}
@@ -546,26 +541,23 @@ func TestCoalesceSubmitRefitsAfterFlush(t *testing.T) {
 
 	// An open 2-row batch whose waiter blocks its executor.
 	held := &coalWaiter{done: make(chan struct{}), classes: make([]uint16, 2)}
-	sh.mu.Lock()
-	b := sh.get(s.coal.maxRows, nfeat)
+	c.mu.Lock()
+	b := c.get(nfeat)
 	b.gatherRows(make([]float64, 2*nfeat))
 	b.entries = append(b.entries, gatherEntry{w: held, rows: 2})
 	b.rows = 2
-	sh.cur = b
-	sh.mu.Unlock()
+	c.cur = b
+	c.mu.Unlock()
 
 	var wg sync.WaitGroup
 	waiters := [2]*coalWaiter{}
 	submit := func(i int) {
 		w := &coalWaiter{classes: make([]uint16, 7)}
-		w.ready()
 		waiters[i] = w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if !s.coal.submit(s, 0, w, make([]float64, 7*nfeat), 7, nfeat) {
-				t.Error("7-row request refused by an 8-row coalescer")
-			}
+			c.submit(s, w, make([]float64, 7*nfeat), 7, nfeat)
 		}()
 	}
 	submit(0) // 2+7 > 8: detaches the held batch, blocks executing it

@@ -9,75 +9,28 @@ package mserve
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
+
+	"repro/internal/render"
 )
 
 // WriteTraces renders the retained request traces (oldest first) as
-// plain text: one header line per trace and one indented line per
-// child span with its stage, latency, and attributes.
+// span trees, the way kml-trace prints them, then the retained count.
 func (s *Server) WriteTraces(w io.Writer) error {
 	traces := s.Traces()
 	for i := range traces {
-		tr := &traces[i]
-		root := tr.Root()
-		if _, err := fmt.Fprintf(w, "trace %d %s %s stage=%s value=%d aux=%d\n",
-			tr.ID, time.Unix(0, root.Start).UTC().Format("15:04:05.000000"),
-			time.Duration(root.Duration()), root.Stage, root.Value, root.Aux); err != nil {
-			return err
-		}
-		for si, sp := range tr.Used() {
-			if si == 0 {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "  %-10s %12s value=%d aux=%d\n",
-				sp.Stage, time.Duration(sp.Duration()), sp.Value, sp.Aux); err != nil {
-				return err
-			}
-		}
+		render.Trace(w, &traces[i])
 	}
 	_, err := fmt.Fprintf(w, "%d traces retained\n", len(traces))
 	return err
 }
 
 // WriteTimeSeries renders the captured metric time series as plain
-// text, the same shape `kml-top -raw` prints: the interval, the column
-// names, one line per point (time, counter deltas, then per-histogram
-// count/p50/p95/p99), and a trailing count. The format doubles as an
-// archival dump — kml-top's -from replay parses the binary form, this
-// page is for eyes and grep.
+// text, the same text `kml-top -raw` prints (render.SeriesText). The
+// format doubles as an archival dump — kml-top's -from replay parses the
+// binary form, this page is for eyes and grep.
 func (s *Server) WriteTimeSeries(w io.Writer) error {
-	ts := s.TimeSeries()
-	if _, err := fmt.Fprintf(w, "interval_ns %d\n", ts.IntervalNanos); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "counters %s\n", strings.Join(ts.Counters, " ")); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "hists %s\n", strings.Join(ts.Hists, " ")); err != nil {
-		return err
-	}
-	for i := range ts.Points {
-		p := &ts.Points[i]
-		if _, err := fmt.Fprintf(w, "point %d", p.TimeNanos); err != nil {
-			return err
-		}
-		for c := range ts.Counters {
-			if _, err := fmt.Fprintf(w, " %d", p.Deltas[c]); err != nil {
-				return err
-			}
-		}
-		for h := range ts.Hists {
-			if _, err := fmt.Fprintf(w, " %d %d %d %d", p.Counts[h], p.P50[h], p.P95[h], p.P99[h]); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%d points\n", len(ts.Points))
-	return err
+	return render.SeriesText(w, s.TimeSeries())
 }
 
 // WriteLearn renders the online-learning controller's status and

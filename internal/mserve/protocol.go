@@ -119,10 +119,9 @@ func ParseInferReq(p []byte, dst []float64) (n int, traceID uint64, err error) {
 }
 
 // PeekTraceID reads the trace-ID prefix shared by the MsgInfer and
-// MsgBatchInfer request payloads without decoding the rest, so the
-// server can open the request trace under the caller's ID before the
-// parse span starts. A payload too short to carry one reads as 0
-// (untraced); full validation still happens in the Parse functions.
+// MsgBatchInfer request payloads without decoding the rest. A payload
+// too short to carry one reads as 0 (untraced); the Parse functions
+// validate the whole payload and return the same ID.
 //
 //kml:hotpath
 func PeekTraceID(p []byte) (traceID uint64) {

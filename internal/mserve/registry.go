@@ -462,7 +462,7 @@ func validateName(name string) error {
 // Artifact is one immutable deployed model: validated serialized bytes,
 // metadata, and the model parsed once into the form it is served in.
 // Artifacts are what a Deployment publishes on the server; every
-// connection and coalescer shard draws its Instance from the one parsed
+// connection and gather arena draws its Instance from the one parsed
 // model, so a hot swap costs each of them a scratch allocation, not a
 // re-parse. Registry.Artifact parses at load, a literal Artifact on its
 // first Instantiate; do not copy an Artifact after either.

@@ -76,10 +76,6 @@ type Config struct {
 	// A batch reaching the cap executes immediately without waiting out
 	// the window. Clamped to MaxBatchRows.
 	CoalesceMax int
-	// CoalesceShards is the number of independent gather domains; 0
-	// means 1. One shard maximizes achieved batch size; more shards
-	// spread the gather lock when it becomes the bottleneck.
-	CoalesceShards int
 }
 
 func (c Config) withDefaults() Config {
@@ -149,7 +145,6 @@ type Server struct {
 	// The histogram records achieved batch sizes — the distribution that
 	// proves the gather window is amortizing the fused kernel.
 	coal            *coalescer
-	connSeq         atomic.Uint64      // round-robin shard assignment
 	coalesceBatches *telemetry.Counter // mserve_coalesce_batches
 	coalesceRows    *telemetry.Counter // mserve_coalesce_rows
 	coalesceHist    *telemetry.Histogram
@@ -227,7 +222,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s.coalesceRows = s.reg.Counter("mserve_coalesce_rows")
 	s.coalesceHist = s.reg.Histogram("mserve_coalesce_batch")
 	if cfg.CoalesceWindow > 0 {
-		s.coal = newCoalescer(cfg.CoalesceWindow, cfg.CoalesceMax, cfg.CoalesceShards)
+		s.coal = newCoalescer(cfg.CoalesceWindow, cfg.CoalesceMax)
 	}
 	s.inferences = s.reg.Counter("mserve_inferences")
 	s.rows = s.reg.Counter("mserve_rows")
@@ -652,15 +647,12 @@ type srvConn struct {
 	resp       []byte
 	out        []byte
 	feats      []float64
-	classes    []uint16
 	rowClasses []int
 	inst       *Instance
 	tb         dtrace.Builder // per-connection span builder (alloc-free)
 	arrivalNS  int64          // stamp of the read that completed the current request
-	dispatchNS int64          // current request's handler-start stamp
-	shard      int            // coalescer shard this connection gathers into
-	queueDone  bool           // dispatch already observed the queue delay
-	cw         coalWaiter     // this connection's coalescer parking spot
+	queueEndNS int64          // handler start, or the coalesced batch's start
+	cw         coalWaiter     // the current inference request's classes and stamps
 }
 
 // armDeadlines sets c's read and write deadlines relative to now.
@@ -696,16 +688,13 @@ func (s *Server) handle(c net.Conn) {
 	}()
 	// Per-connection buffers are pooled across connections: a reconnecting
 	// client inherits sized buffers (and often a warm model instance —
-	// instance() revalidates the version), so short-lived connections don't
+	// instanceFor revalidates the version), so short-lived connections don't
 	// pay the warm-up allocations again.
 	sc, _ := s.connPool.Get().(*srvConn)
 	if sc == nil {
 		sc = &srvConn{s: s}
 	}
 	defer s.connPool.Put(sc)
-	if s.coal != nil {
-		sc.shard = int(s.connSeq.Add(1) % uint64(len(s.coal.shards)))
-	}
 	sc.fr.reset()
 	sc.fr.stamp = true
 	rearm := min(s.cfg.ReadTimeout, s.cfg.WriteTimeout) / 2
@@ -723,23 +712,17 @@ func (s *Server) handle(c net.Conn) {
 		}
 		// Arrival is the read that completed the frame: everything between
 		// there and dispatch (CRC, the frames ahead of it in the same read,
-		// scheduling, a coalescer's gather window) is attributed queueing
-		// delay.
+		// scheduling) is attributed queueing delay, and so is a coalesced
+		// inference's gather wait, which moves queueEndNS to the batch start.
 		sc.arrivalNS = sc.fr.readNS
 		start := time.Now()
-		sc.dispatchNS = start.UnixNano()
-		sc.queueDone = false
+		sc.queueEndNS = start.UnixNano()
 		known := int(h.Type) < numMsgTypes && s.reqNanos[h.Type] != nil
 		if known {
 			s.rxBytes[h.Type].Add(uint64(HeaderSize + len(payload)))
 		}
 		typ, resp := s.dispatch(sc, h.Type, payload)
-		// A coalesced inference observed its own queue delay (arrival →
-		// batch start, so the gather wait is attributed); every other
-		// request's queueing ends at dispatch.
-		if !sc.queueDone {
-			s.queueNanos.Observe(sc.dispatchNS - sc.arrivalNS)
-		}
+		s.queueNanos.Observe(sc.queueEndNS - sc.arrivalNS)
 		end := time.Now()
 		if known {
 			s.reqNanos[h.Type].Observe(end.Sub(start).Nanoseconds())
@@ -764,10 +747,8 @@ func (s *Server) handle(c net.Conn) {
 // The returned payload aliases sc.resp.
 func (s *Server) dispatch(sc *srvConn, typ MsgType, p []byte) (MsgType, []byte) {
 	switch typ {
-	case MsgInfer:
-		return s.doInfer(sc, p)
-	case MsgBatchInfer:
-		return s.doBatchInfer(sc, p)
+	case MsgInfer, MsgBatchInfer:
+		return s.infer(sc, typ, p)
 	case MsgDeploy:
 		kind, name, model, err := ParseDeployReq(p)
 		if err != nil {
@@ -822,25 +803,6 @@ func (s *Server) dispatch(sc *srvConn, typ MsgType, p []byte) (MsgType, []byte) 
 	}
 }
 
-// startRequestTrace opens the per-request trace: the root span starts at
-// the request's ARRIVAL (the read that completed its frame), and a queue
-// span covers arrival→dispatch so the trace itself shows what the
-// mserve_queue_delay_ns histogram aggregates. When the request payload
-// carries a client-stamped TraceID (PeekTraceID ≠ 0), the server records
-// its spans under that ID — the cross-process join kml-trace renders;
-// otherwise a local ID is minted. Alloc-free, like the rest of the
-// request path.
-func (sc *srvConn) startRequestTrace(s *Server, p []byte) {
-	id := dtrace.TraceID(PeekTraceID(p))
-	if id == 0 {
-		id = s.traces.NextID()
-	}
-	sc.tb.Start(id, sc.arrivalNS)
-	qs := sc.tb.Begin(dtrace.StageQueue, 0, sc.arrivalNS)
-	sc.tb.End(qs, sc.dispatchNS)
-	sc.tb.SetValue(qs, sc.dispatchNS-sc.arrivalNS)
-}
-
 // TimeSeries snapshots the server's captured metric time series — the
 // throughput/latency/queue record MsgTimeSeries serves and kml-top
 // renders.
@@ -850,152 +812,140 @@ func (s *Server) TimeSeries() tsrec.Series { return s.rec.Series() }
 // tick it manually in tests or force a capture before shutdown.
 func (s *Server) TimeSeriesRecorder() *tsrec.Recorder { return s.rec }
 
-// instance returns sc's private model instance for the current snapshot,
-// re-instantiating only when the deployed version changed — the cold half
-// of a hot swap, paid once per connection per deploy, and only a scratch
-// allocation: the artifact was parsed and compiled when it was loaded.
-func (sc *srvConn) instance(snap *Snapshot[*Artifact]) (*Instance, error) {
-	if sc.inst == nil || sc.inst.Version() != snap.Version {
-		inst, err := snap.Model.Instantiate()
-		if err != nil {
-			return nil, err
-		}
-		sc.inst = inst
+// instanceFor returns inst when it serves snap's version and a fresh
+// instance of snap's model otherwise — the cold half of a hot swap, paid
+// once per holder (connection or gather arena) per deploy, and only a
+// scratch allocation: the artifact was parsed and compiled when it was
+// loaded.
+func instanceFor(inst *Instance, snap *Snapshot[*Artifact]) (*Instance, error) {
+	if inst != nil && inst.Version() == snap.Version {
+		return inst, nil
 	}
-	return sc.inst, nil
+	return snap.Model.Instantiate()
 }
 
-func (s *Server) doInfer(sc *srvConn, p []byte) (MsgType, []byte) {
+// classify runs one fused forward pass over rows feature vectors and
+// feeds the drift monitor. For one row it does the work of Predict and
+// Observe.
+func (s *Server) classify(inst *Instance, feats []float64, rows, nfeat int, classes []int) {
+	inst.PredictBatch(feats, rows, classes)
+	if m := s.drift.Load(); m != nil {
+		m.ObserveBatch(feats, rows, nfeat, classes)
+	}
+}
+
+// infer is the one request path for MsgInfer and MsgBatchInfer; a
+// MsgInfer is a 1-row request. It parses, checks the width against the
+// deployed model, and classifies the rows: a request below the gather
+// capacity joins a coalesced batch, any other runs inline. Then it counts,
+// collects, encodes and traces the request once, from the stamps taken on
+// the way. Only successful requests reach the trace arena. The steady
+// state allocates nothing (TestBatchInferAllocFree, TestCoalesceAllocFree).
+func (s *Server) infer(sc *srvConn, typ MsgType, p []byte) (MsgType, []byte) {
 	snap := s.dep.Load()
 	if snap == nil {
 		return s.errorResp(sc, "no model deployed")
 	}
-	if s.coal != nil {
-		return s.doInferCoalesced(sc, snap, p)
-	}
-	inst, err := sc.instance(snap)
-	if err != nil {
-		return s.errorResp(sc, fmt.Sprintf("instantiate v%d: %v", snap.Version, err))
-	}
-	if len(sc.feats) < inst.InDim() {
-		sc.feats = make([]float64, inst.InDim())
-	}
-	// Per-request trace: queue → parse → infer → encode under one root
-	// span. The builder is per-connection scratch; an error return
-	// abandons the half-built trace (the next Start resets it), so only
-	// successful requests reach the arena. All of this is alloc-free —
-	// the batch alloc gate (TestBatchInferAllocFree) pins that. A caller
-	// that stamped its TraceID into the payload owns the trace: the
-	// server's spans record under that ID (cross-process join), while
-	// untraced requests get a locally minted one.
-	sc.startRequestTrace(s, p)
-	ps := sc.tb.Begin(dtrace.StageParse, 0, time.Now().UnixNano())
-	n, _, err := ParseInferReq(p, sc.feats)
-	sc.tb.End(ps, time.Now().UnixNano())
-	sc.tb.SetValue(ps, int64(len(p)))
-	if err != nil {
+	inDim := snap.Model.InDim
+	parseStart := time.Now().UnixNano()
+	rows, nfeat, tid, err := sc.parse(typ, p, inDim)
+	parseEnd := time.Now().UnixNano()
+	if err != nil && typ == MsgInfer {
 		return s.errorResp(sc, "bad infer payload")
 	}
-	if n != inst.InDim() {
-		return s.errorResp(sc, fmt.Sprintf("feature count %d, model wants %d", n, inst.InDim()))
-	}
-	is := sc.tb.Begin(dtrace.StageInfer, 0, time.Now().UnixNano())
-	class := inst.Predict(sc.feats[:n])
-	sc.tb.End(is, time.Now().UnixNano())
-	sc.tb.SetValue(is, int64(class))
-	sc.tb.SetAux(is, int64(inst.Version()))
-	if m := s.drift.Load(); m != nil {
-		m.Observe(sc.feats[:n], class)
-	}
-	s.inferences.Add(1)
-	s.rows.Add(1)
-	s.collect(Sample{Version: inst.Version(), Class: int32(class), Rows: 1})
-	es := sc.tb.Begin(dtrace.StageEncode, 0, time.Now().UnixNano())
-	sc.resp = AppendInferResp(sc.resp[:0], uint16(class), inst.Version())
-	sc.tb.End(es, time.Now().UnixNano())
-	sc.tb.SetValue(es, int64(len(sc.resp)))
-	sc.tb.SetValue(0, int64(class))
-	sc.tb.SetAux(0, 1)
-	s.traces.Record(sc.tb.Finish(time.Now().UnixNano()))
-	return MsgInfer, sc.resp
-}
-
-func (s *Server) doBatchInfer(sc *srvConn, p []byte) (MsgType, []byte) {
-	snap := s.dep.Load()
-	if snap == nil {
-		return s.errorResp(sc, "no model deployed")
-	}
-	// Coalesce small batches across connections too; a request at or
-	// above the gather capacity already amortizes the fused kernel on
-	// its own and takes the inline path below.
-	if s.coal != nil {
-		if typ, resp, ok := s.doBatchInferCoalesced(sc, snap, p); ok {
-			return typ, resp
-		}
-	}
-	inst, err := sc.instance(snap)
-	if err != nil {
-		return s.errorResp(sc, fmt.Sprintf("instantiate v%d: %v", snap.Version, err))
-	}
-	// Size the decode buffer from the wire header's own claim, bounded by
-	// MaxBatchRows×InDim; ParseBatchInferReq re-validates everything.
-	if need := batchFloats(p, inst.InDim()); need > len(sc.feats) {
-		sc.feats = make([]float64, need)
-	}
-	sc.startRequestTrace(s, p)
-	ps := sc.tb.Begin(dtrace.StageParse, 0, time.Now().UnixNano())
-	rows, nfeat, _, err := ParseBatchInferReq(p, sc.feats)
-	sc.tb.End(ps, time.Now().UnixNano())
-	sc.tb.SetValue(ps, int64(len(p)))
 	if err != nil {
 		return s.errorResp(sc, "bad batch payload")
 	}
-	if nfeat != inst.InDim() {
-		return s.errorResp(sc, fmt.Sprintf("feature count %d, model wants %d", nfeat, inst.InDim()))
+	if nfeat != inDim {
+		return s.errorResp(sc, fmt.Sprintf("feature count %d, model wants %d", nfeat, inDim))
 	}
-	if len(sc.classes) < rows {
-		sc.classes = make([]uint16, rows)
+	w := &sc.cw
+	if cap(w.classes) < rows {
+		w.classes = make([]uint16, rows)
 	}
-	if len(sc.rowClasses) < rows {
-		sc.rowClasses = make([]int, rows)
+	w.classes = w.classes[:rows]
+	feats := sc.feats[:rows*nfeat]
+	if s.coal != nil && rows < s.coal.maxRows {
+		s.coal.submit(s, w, feats, rows, nfeat)
+		if w.failed {
+			return s.errorResp(sc, "model replaced during gather; retry")
+		}
+		sc.queueEndNS = w.startNS
+	} else {
+		inst, err := instanceFor(sc.inst, snap)
+		if err != nil {
+			return s.errorResp(sc, fmt.Sprintf("instantiate v%d: %v", snap.Version, err))
+		}
+		sc.inst = inst
+		if len(sc.rowClasses) < rows {
+			sc.rowClasses = make([]int, rows)
+		}
+		w.startNS = time.Now().UnixNano()
+		s.classify(inst, feats, rows, nfeat, sc.rowClasses[:rows])
+		w.endNS = time.Now().UnixNano()
+		demuxClasses(w.classes, sc.rowClasses[:rows])
+		w.version, w.batchRows = inst.Version(), rows
 	}
-	is := sc.tb.Begin(dtrace.StageInfer, 0, time.Now().UnixNano())
-	inst.PredictBatch(sc.feats[:rows*nfeat], rows, sc.rowClasses)
-	sc.tb.End(is, time.Now().UnixNano())
-	sc.tb.SetValue(is, -1) // no single class for a batch
-	sc.tb.SetAux(is, int64(inst.Version()))
-	for i := 0; i < rows; i++ {
-		sc.classes[i] = uint16(sc.rowClasses[i])
-	}
-	if m := s.drift.Load(); m != nil {
-		m.ObserveBatch(sc.feats[:rows*nfeat], rows, nfeat, sc.rowClasses[:rows])
+	class := int64(-1) // no single class for a batch
+	if typ == MsgInfer {
+		class = int64(w.classes[0])
 	}
 	s.inferences.Add(1)
 	s.rows.Add(uint64(rows))
-	s.collect(Sample{Version: inst.Version(), Class: -1, Rows: int32(rows)})
-	es := sc.tb.Begin(dtrace.StageEncode, 0, time.Now().UnixNano())
-	sc.resp = AppendBatchInferResp(sc.resp[:0], sc.classes[:rows], inst.Version())
-	sc.tb.End(es, time.Now().UnixNano())
-	sc.tb.SetValue(es, int64(len(sc.resp)))
-	sc.tb.SetValue(0, -1)
+	s.collect(Sample{Version: w.version, Class: int32(class), Rows: int32(rows)})
+	encStart := time.Now().UnixNano()
+	if typ == MsgInfer {
+		sc.resp = AppendInferResp(sc.resp[:0], w.classes[0], w.version)
+	} else {
+		sc.resp = AppendBatchInferResp(sc.resp[:0], w.classes, w.version)
+	}
+	encEnd := time.Now().UnixNano()
+
+	// The root starts at arrival. A caller that stamped its TraceID into
+	// the payload owns the trace (the cross-process join); an untraced
+	// request gets a locally minted ID.
+	id := dtrace.TraceID(tid)
+	if id == 0 {
+		id = s.traces.NextID()
+	}
+	sc.tb.Start(id, sc.arrivalNS)
+	sc.tb.SetValue(0, class)
 	sc.tb.SetAux(0, int64(rows))
-	s.traces.Record(sc.tb.Finish(time.Now().UnixNano()))
-	return MsgBatchInfer, sc.resp
+	sc.span(dtrace.StageQueue, sc.arrivalNS, sc.queueEndNS, sc.queueEndNS-sc.arrivalNS, 0)
+	sc.span(dtrace.StageParse, parseStart, parseEnd, int64(len(p)), 0)
+	sc.span(dtrace.StageInfer, w.startNS, w.endNS, class, dtrace.PackInferAux(w.version, w.batchRows))
+	sc.span(dtrace.StageEncode, encStart, encEnd, int64(len(sc.resp)), 0)
+	s.traces.Record(sc.tb.Finish(encEnd))
+	return typ, sc.resp
 }
 
-// batchFloats reads the rows×nfeat the batch header claims, clamped to the
-// protocol bounds, so a lying header cannot size an allocation beyond
-// MaxBatchRows vectors of the deployed model's width.
-func batchFloats(p []byte, inDim int) int {
-	if len(p) < 14 {
-		return 0
+// parse decodes an inference request into sc.feats, which holds at least
+// the deployed width. A batch whose rows do not fit grows the buffer to
+// rows×inDim and parses again — a cold path, connections converge on the
+// deployed model's shape. Rows are bounded by MaxBatchRows, so a lying
+// header cannot size the buffer beyond MaxBatchRows vectors.
+func (sc *srvConn) parse(typ MsgType, p []byte, inDim int) (rows, nfeat int, traceID uint64, err error) {
+	if len(sc.feats) < inDim {
+		sc.feats = make([]float64, inDim)
 	}
-	// Rows sit after the u64 trace-id prefix (see AppendBatchInferReq).
-	rows := int(uint32(p[8]) | uint32(p[9])<<8 | uint32(p[10])<<16 | uint32(p[11])<<24)
-	if rows > MaxBatchRows {
-		rows = MaxBatchRows
+	if typ == MsgInfer {
+		nfeat, traceID, err = ParseInferReq(p, sc.feats)
+		return 1, nfeat, traceID, err
 	}
-	return rows * inDim
+	rows, nfeat, traceID, err = ParseBatchInferReq(p, sc.feats)
+	if err != nil && rows <= MaxBatchRows && rows*inDim > len(sc.feats) {
+		sc.feats = make([]float64, rows*inDim)
+		rows, nfeat, traceID, err = ParseBatchInferReq(p, sc.feats)
+	}
+	return rows, nfeat, traceID, err
+}
+
+// span adds one finished child span under the request's root.
+func (sc *srvConn) span(stage dtrace.Stage, start, end, value, aux int64) {
+	i := sc.tb.Begin(stage, 0, start)
+	sc.tb.End(i, end)
+	sc.tb.SetValue(i, value)
+	sc.tb.SetAux(i, aux)
 }
 
 func (s *Server) errorResp(sc *srvConn, msg string) (MsgType, []byte) {

@@ -90,8 +90,10 @@ func TestServerTracesEndToEnd(t *testing.T) {
 		if q := &tr.Spans[1]; q.Start < root.Start || q.End > tr.Spans[2].Start {
 			t.Fatalf("trace %d queue span [%d,%d] outside arrival→parse window", ti, q.Start, q.End)
 		}
-		if infer.Aux != 1 {
-			t.Fatalf("trace %d infer version %d, want 1", ti, infer.Aux)
+		// Inline, the forward pass holds exactly the request's rows.
+		version, batchRows := dtrace.UnpackInferAux(infer.Aux)
+		if version != 1 || batchRows != int(root.Aux) {
+			t.Fatalf("trace %d infer aux = v%d batch %d, want v1 batch %d", ti, version, batchRows, root.Aux)
 		}
 	}
 }

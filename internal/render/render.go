@@ -1,6 +1,7 @@
 // Package render holds the text renderers the operator tools share
-// (kml-top, kml-trace, kml-postmortem): sparklines, compact durations and
-// the decision-trace span tree. Scaling is integer math only, like the
+// (kml-top, kml-trace, kml-postmortem) and kml-served's debug pages:
+// sparklines, compact durations, the decision-trace span tree and the
+// plain-integer time-series dump. Scaling is integer math only, like the
 // recorders the tools read.
 package render
 
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/dtrace"
+	"repro/internal/telemetry/tsrec"
 )
 
 // sparkRunes is the 8-level block ramp.
@@ -59,6 +61,31 @@ func Dur(ns int64) string {
 		return "?"
 	}
 	return time.Duration(ns).String()
+}
+
+// SeriesText writes a captured time series as plain integers, the form
+// `kml-top -raw` and the /timeseries debug page print: the interval, the
+// column names, one line per point (time, counter deltas, then
+// count/p50/p95/p99 per histogram), and a trailing point count.
+func SeriesText(w io.Writer, ts tsrec.Series) error {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "interval_ns %d\n", ts.IntervalNanos)
+	fmt.Fprintf(&sb, "counters %s\n", strings.Join(ts.Counters, " "))
+	fmt.Fprintf(&sb, "hists %s\n", strings.Join(ts.Hists, " "))
+	for i := range ts.Points {
+		p := &ts.Points[i]
+		fmt.Fprintf(&sb, "point %d", p.TimeNanos)
+		for c := range ts.Counters {
+			fmt.Fprintf(&sb, " %d", p.Deltas[c])
+		}
+		for h := range ts.Hists {
+			fmt.Fprintf(&sb, " %d %d %d %d", p.Counts[h], p.P50[h], p.P95[h], p.P99[h])
+		}
+		sb.WriteByte('\n')
+	}
+	fmt.Fprintf(&sb, "%d points\n", len(ts.Points))
+	_, err := io.WriteString(w, sb.String())
+	return err
 }
 
 // Column finds a named series column, -1 if absent.
@@ -119,10 +146,15 @@ func SpanDetail(sp dtrace.Span) string {
 	case dtrace.StageNormalize:
 		return fmt.Sprintf("nfeat=%d", sp.Value)
 	case dtrace.StageInfer:
-		if sp.Value < 0 {
-			return fmt.Sprintf("batch v%d", sp.Aux)
+		version, batchRows := dtrace.UnpackInferAux(sp.Aux)
+		d := fmt.Sprintf("v%d", version)
+		if sp.Value >= 0 {
+			d = fmt.Sprintf("class=%d %s", sp.Value, d)
 		}
-		return fmt.Sprintf("class=%d v%d", sp.Value, sp.Aux)
+		if batchRows > 0 {
+			d += fmt.Sprintf(" batch=%d", batchRows)
+		}
+		return d
 	case dtrace.StageApply:
 		return fmt.Sprintf("readahead %d<-%d sectors", sp.Value, sp.Aux)
 	case dtrace.StageOutcome:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dtrace"
+	"repro/internal/telemetry/tsrec"
 )
 
 func TestTraceTree(t *testing.T) {
@@ -38,6 +39,45 @@ func TestTraceTree(t *testing.T) {
 		if !strings.HasPrefix(line, want[k]) || !strings.HasSuffix(line, details[k]) {
 			t.Errorf("line %d = %q, want prefix %q and suffix %q", k, line, want[k], details[k])
 		}
+	}
+}
+
+// TestInferSpanDetail: a serving infer span's Aux packs the forward
+// pass's row count over the model version (dtrace.PackInferAux); a tuner
+// span's bare version unpacks to zero rows and renders as before.
+func TestInferSpanDetail(t *testing.T) {
+	for _, tc := range []struct {
+		value, aux int64
+		want       string
+	}{
+		{2, 3, "class=2 v3"}, // tuner: bare version
+		{2, dtrace.PackInferAux(1, 5), "class=2 v1 batch=5"},
+		{-1, dtrace.PackInferAux(4, 256), "v4 batch=256"},
+	} {
+		sp := dtrace.Span{Stage: dtrace.StageInfer, Value: tc.value, Aux: tc.aux}
+		if got := SpanDetail(sp); got != tc.want {
+			t.Errorf("SpanDetail(value=%d aux=%#x) = %q, want %q", tc.value, tc.aux, got, tc.want)
+		}
+	}
+}
+
+func TestSeriesText(t *testing.T) {
+	ts := tsrec.Series{IntervalNanos: 50, Counters: []string{"a", "b"}, Hists: []string{"h"}}
+	ts.Points = make([]tsrec.Point, 2)
+	for i := range ts.Points {
+		p := &ts.Points[i]
+		p.TimeNanos = int64(100 * (i + 1))
+		p.Deltas[0], p.Deltas[1] = uint64(i), 7
+		p.Counts[0], p.P50[0], p.P95[0], p.P99[0] = 3, 10, 20, int64(30+i)
+	}
+	var sb strings.Builder
+	if err := SeriesText(&sb, ts); err != nil {
+		t.Fatal(err)
+	}
+	want := "interval_ns 50\ncounters a b\nhists h\n" +
+		"point 100 0 7 3 10 20 30\npoint 200 1 7 3 10 20 31\n2 points\n"
+	if sb.String() != want {
+		t.Fatalf("SeriesText =\n%s\nwant\n%s", sb.String(), want)
 	}
 }
 
