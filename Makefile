@@ -58,7 +58,7 @@ telemetry-smoke:
 
 # End-to-end smoke of decision tracing: boot kml-served -sim (full
 # closed-loop decisions against the deployed model), pull traces over
-# MsgTraces with kml-trace, assert complete span trees and moving drift
+# MsgTraces with `kml-ctl trace`, assert complete span trees and moving drift
 # gauges across a workload phase switch.
 trace-smoke:
 	sh scripts/trace_smoke.sh
@@ -83,9 +83,9 @@ serve-stress:
 	$(GO) test -race -count=5 -run 'Coalesce|ServeLoop|Trace|Propagation|AllocFree' ./internal/mserve
 
 # End-to-end smoke of the serving console: boot kml-served -sim with a
-# fast time-series interval, assert kml-top renders throughput/latency
+# fast time-series interval, assert `kml-ctl status` renders throughput/latency
 # from MsgTimeSeries, the raw capture is non-empty and monotonic, and
-# kml-trace -probe joins a client-stamped trace with the server's tree.
+# `kml-ctl probe` joins a client-stamped trace with the server's tree.
 top-smoke:
 	sh scripts/top_smoke.sh
 
@@ -97,9 +97,9 @@ loadgen-smoke:
 
 # End-to-end smoke of crash forensics: boot kml-served with a black-box
 # flight recorder, drive load, SIGKILL the daemon, and assert
-# kml-postmortem reconstructs the final window (series points, traces,
+# `kml-ctl postmortem` reconstructs the final window (series points, traces,
 # drift trajectory) from the file alone; also covers the live-sync and
-# kml-top -from replay paths.
+# -raw series paths.
 postmortem-smoke:
 	sh scripts/postmortem_smoke.sh
 

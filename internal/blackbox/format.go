@@ -6,7 +6,7 @@
 //
 // The file is a header sector followed by a ring of records. Every
 // record is sector-aligned and independently CRC-guarded, so recovery
-// never depends on an index or a clean shutdown: kml-postmortem scans
+// never depends on an index or a clean shutdown: `kml-ctl postmortem` scans
 // sector boundaries, keeps everything whose checksums verify, and
 // tolerates a torn tail record (the one write the crash interrupted).
 // Record payloads reuse the canonical wire encodings the protocol

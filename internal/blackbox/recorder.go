@@ -18,6 +18,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/mserve"
 )
 
 // DefaultSize is the default black-box file size (header + ring).
@@ -43,17 +45,6 @@ type Config struct {
 	// only on Close — survives power loss, costs a disk barrier per
 	// interval.
 	FsyncEveryFlush bool
-}
-
-// Status is the recorder's operational snapshot (the MsgBlackbox
-// payload source).
-type Status struct {
-	Records        uint64 // records appended since open (this process)
-	Dropped        uint64 // records rejected (oversized payload)
-	Flushes        uint64 // completed write-backs
-	RingBytes      uint64 // ring capacity in bytes
-	LastFlushNanos int64  // wall clock of the last completed flush (0 = none)
-	TornAtOpen     uint64 // torn records found when resuming the file
 }
 
 // Recorder owns one black-box file.
@@ -163,9 +154,6 @@ func (r *Recorder) initFile(ringBytes int64) error {
 	}
 	return nil
 }
-
-// Path returns the black-box file path.
-func (r *Recorder) Path() string { return r.path }
 
 // RingBytes returns the ring capacity in bytes.
 func (r *Recorder) RingBytes() int64 { return int64(len(r.ring)) }
@@ -308,14 +296,16 @@ func (r *Recorder) Close() error {
 	return err
 }
 
-// Status snapshots the recorder's counters.
-func (r *Recorder) Status() Status {
+// Status snapshots the recorder's counters as the MsgBlackbox payload.
+func (r *Recorder) Status() mserve.BlackboxStatus {
 	r.mu.Lock()
-	st := Status{
+	st := mserve.BlackboxStatus{
+		Enabled:    true,
 		Records:    r.records,
 		Dropped:    r.drops,
 		RingBytes:  uint64(len(r.ring)),
 		TornAtOpen: r.torn,
+		Path:       r.path,
 	}
 	r.mu.Unlock()
 	st.Flushes = r.flushes.Load()

@@ -10,12 +10,13 @@
 // All scratch buffers are owned by the sampler and reused, so a capture
 // allocates only what the registry snapshot itself allocates.
 //
-// The sampler is not goroutine-safe: it is driven either by the
-// recorder's flusher (Recorder.Start(sampler.Capture)) or by explicit
-// Capture calls in tests, never both concurrently.
+// Capture serializes itself: the recorder's flusher, an on-demand sync
+// and a crash hook may all call it at once.
 package blackbox
 
 import (
+	"sync"
+
 	"repro/internal/dtrace"
 	"repro/internal/mserve"
 	"repro/internal/telemetry"
@@ -35,6 +36,7 @@ type Sampler struct {
 	bb  *Recorder
 	srv *mserve.Server
 
+	mu        sync.Mutex // guards everything below
 	scratch   []byte
 	tsBuf     []tsrec.Point
 	trBuf     []dtrace.Trace
@@ -65,6 +67,8 @@ func NewSampler(bb *Recorder, srv *mserve.Server) *Sampler {
 // recorder, stamped nowNanos. Durability still requires a flush; the
 // recorder's flusher calls Capture immediately before each one.
 func (s *Sampler) Capture(nowNanos int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	// New time-series points since the last capture.
 	if rec := s.srv.TimeSeriesRecorder(); rec != nil {
 		for {

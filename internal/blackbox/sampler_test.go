@@ -2,6 +2,7 @@ package blackbox
 
 import (
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -200,5 +201,86 @@ func TestRecorderFlusherDrivesSampler(t *testing.T) {
 	got := countKinds(res.Records)
 	if got[KindMetrics] == 0 || got[KindTimeSeries] == 0 {
 		t.Fatalf("flusher-driven capture persisted %v", got)
+	}
+}
+
+// TestSamplerCaptureConcurrent: kml-served captures from the flusher, the
+// MsgBlackbox sync opcode and its crash hooks at once. Two capturers and
+// a flusher race here; every trace must still be persisted exactly once
+// (the race detector catches an unserialized Capture outright).
+func TestSamplerCaptureConcurrent(t *testing.T) {
+	reg, err := mserve.OpenRegistry(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := mserve.NewServer(mserve.Config{Registry: reg, TraceCapacity: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Shutdown(time.Second) })
+	path := filepath.Join(t.TempDir(), "bb.bin")
+	bb, err := Open(Config{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSampler(bb, srv)
+	const traces = 500
+	var tb dtrace.Builder
+	for i := 0; i < traces; i++ {
+		tb.Start(srv.TraceArena().NextID(), int64(i))
+		srv.TraceArena().Record(tb.Finish(int64(i + 1)))
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				s.Capture(int64(i))
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			if err := bb.Flush(false); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	wg.Wait()
+	if err := bb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := ScanFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[dtrace.TraceID]int{}
+	for _, r := range res.Records {
+		if r.Kind != KindTraces {
+			continue
+		}
+		trs, err := dtrace.ParseTraces(r.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range trs {
+			seen[tr.ID]++
+		}
+	}
+	if len(seen) != traces {
+		t.Fatalf("persisted %d distinct traces, want %d", len(seen), traces)
+	}
+	for id, n := range seen {
+		if n != 1 {
+			t.Fatalf("trace %d persisted %d times", id, n)
+		}
+	}
+	if c := Decode(res.Records); len(c.Traces) != traces || len(c.Metrics) != 40 || c.Skipped != 0 {
+		t.Fatalf("Decode: %d traces, %d metrics records, %d skipped; want %d, 40, 0",
+			len(c.Traces), len(c.Metrics), c.Skipped, traces)
 	}
 }

@@ -17,6 +17,8 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/dtrace"
+	"repro/internal/mserve"
 	"repro/internal/telemetry/tsrec"
 )
 
@@ -143,8 +145,8 @@ func scanRing(ring []byte, base int64) ([]Record, int) {
 }
 
 // MergeTimeSeries reassembles the KindTimeSeries records of a scan into
-// one continuous series, oldest point first — the shape kml-top's
-// renderer (and its -from replay) consumes. Records that fail to parse
+// one continuous series, oldest point first — the shape the series
+// printer consumes. Records that fail to parse
 // are skipped; the count of skipped records is returned so a report can
 // disclose them. An empty scan yields an empty series.
 func MergeTimeSeries(recs []Record) (tsrec.Series, int) {
@@ -167,4 +169,51 @@ func MergeTimeSeries(recs []Record) (tsrec.Series, int) {
 		out.Points = append(out.Points, s.Points...)
 	}
 	return out, skipped
+}
+
+// Contents is what a window of records decodes to, in capture order.
+type Contents struct {
+	Series  tsrec.Series             // every time-series record, merged
+	Metrics []mserve.MetricsSnapshot // one per metrics record
+	Learn   []mserve.LearnStatus     // one per recorded learner transition
+	Traces  []dtrace.Trace           // one per TraceID, first sighting first; the newest capture wins
+	Skipped int                      // records whose payload did not decode
+}
+
+// Decode parses every record the Sampler writes back into the surfaces
+// it captured them from.
+func Decode(recs []Record) Contents {
+	var c Contents
+	c.Series, c.Skipped = MergeTimeSeries(recs)
+	seen := map[dtrace.TraceID]int{}
+	for _, r := range recs {
+		var err error
+		switch r.Kind {
+		case KindMetrics:
+			var snap mserve.MetricsSnapshot
+			if snap, err = mserve.ParseMetrics(r.Payload); err == nil {
+				c.Metrics = append(c.Metrics, snap)
+			}
+		case KindLearn:
+			var st mserve.LearnStatus
+			if st, err = mserve.ParseLearnStatus(r.Payload); err == nil {
+				c.Learn = append(c.Learn, st)
+			}
+		case KindTraces:
+			var traces []dtrace.Trace
+			traces, err = dtrace.ParseTraces(r.Payload)
+			for _, tr := range traces {
+				if i, ok := seen[tr.ID]; ok {
+					c.Traces[i] = tr
+				} else {
+					seen[tr.ID] = len(c.Traces)
+					c.Traces = append(c.Traces, tr)
+				}
+			}
+		}
+		if err != nil {
+			c.Skipped++
+		}
+	}
+	return c
 }

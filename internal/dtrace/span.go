@@ -49,7 +49,7 @@ const (
 	// StageClient is the root span of a CLIENT-side request trace: one
 	// whole Infer/BatchInfer call as the caller experienced it. When the
 	// client stamps its TraceID into the request frame, the server's
-	// spans join this trace and kml-trace can render the cross-process
+	// spans join this trace and `kml-ctl probe` can print the cross-process
 	// tree.
 	StageClient
 	// StageWire covers the client's request write through the response

@@ -4,7 +4,7 @@
 // server — and the request carries one opcode: stat (read-only) or
 // sync (force a capture and a synced flush first, so the answered path
 // names a file that is current to this instant). The response is how a
-// remote kml-postmortem locates and freshens a live server's box
+// remote `kml-ctl postmortem` locates and freshens a live server's box
 // without stopping it.
 //
 // Layout (all integers little-endian):

@@ -67,7 +67,7 @@ func (cl *Client) SetTimeout(d time.Duration) {
 // EnableTracing turns on client-side request tracing: every Infer and
 // BatchInfer records a client→wire span tree into arena and stamps its
 // TraceID (with ClientTraceIDBit set) into the request frame, so the
-// server's spans join the same trace and kml-trace can render the
+// server's spans join the same trace and `kml-ctl probe` can print the
 // cross-process tree. nil disables. The per-request tracing cost is a
 // few clock reads and one arena copy — the propagation path stays
 // alloc-free (TestClientTracingAllocFree).
@@ -308,7 +308,7 @@ func (cl *Client) TimeSeries() (tsrec.Series, error) {
 // Blackbox fetches the black-box flight recorder's status. With sync
 // the server captures, flushes, and fsyncs the box first, so the
 // returned path names a file current to this call — the handle
-// kml-postmortem uses against a live server. A server without a black
+// `kml-ctl postmortem` uses against a live server. A server without a black
 // box answers the zero (disabled) status.
 func (cl *Client) Blackbox(sync bool) (BlackboxStatus, error) {
 	op := uint8(BlackboxStat)

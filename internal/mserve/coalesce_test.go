@@ -128,7 +128,7 @@ func coalesceRoutesBitExact(t *testing.T) {
 		t.Fatalf("mean achieved batch %.2f; want cross-connection gathering (> 1.2)", mean)
 	}
 	// The achieved-batch histogram carries the same story for
-	// kml-top and MsgMetrics consumers.
+	// `kml-ctl top` and MsgMetrics consumers.
 	var histCount uint64
 	for _, m := range s.Metrics().Metrics {
 		if m.Name == "mserve_coalesce_batch" && m.Kind == MetricHistogram {

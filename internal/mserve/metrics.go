@@ -1,7 +1,7 @@
 // MsgMetrics payload: the wire form of a telemetry snapshot. Unlike
 // Stats (a fixed vector of u64s, frozen for byte-compatibility) the
 // metrics payload is self-describing — each entry carries its name and
-// kind — so new instrumentation reaches `kml-served -status` without a
+// kind — so new instrumentation reaches `kml-ctl status` without a
 // protocol revision.
 //
 // Layout (all integers little-endian):

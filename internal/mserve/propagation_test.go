@@ -10,7 +10,7 @@ import (
 // tracing: a traced client stamps its TraceID into the request frame,
 // and the server records its own span tree UNDER THAT ID — so pulling
 // MsgTraces yields a server trace whose ID matches the client's arena
-// exactly, and kml-trace can join the two into one tree.
+// exactly, and `kml-ctl probe` can join the two into one tree.
 func TestCrossProcessTracePropagation(t *testing.T) {
 	_, sock := startServer(t, Config{TraceCapacity: 32})
 	cl := dial(t, sock)

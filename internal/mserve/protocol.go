@@ -58,7 +58,7 @@ const (
 	// response is the black-box flight recorder's status (layout in
 	// blackboxmsg.go). BlackboxSync forces a capture + synced flush
 	// before answering, so the returned path names a file whose contents
-	// are current — the hook kml-postmortem uses to dump a still-live
+	// are current — the hook `kml-ctl postmortem` uses to dump a still-live
 	// server. A server with no black box attached answers the zero
 	// (disabled) status.
 	MsgBlackbox MsgType = 11
@@ -70,7 +70,7 @@ const (
 // inference request, so client-minted IDs (which count up from 1, just
 // like the server arena's own mint) can never collide with the IDs the
 // server assigns to untraced requests. One ID namespace per direction;
-// kml-trace matches joined traces on exact equality.
+// `kml-ctl probe` matches joined traces on exact equality.
 const ClientTraceIDBit uint64 = 1 << 63
 
 // ErrBadMessage reports a payload that does not decode as its declared
@@ -247,7 +247,7 @@ func ParseVersionResp(p []byte) (uint64, error) {
 // Stats is the server's operational snapshot, the wire analogue of the
 // counters an operator would otherwise need a debugger for. Collected /
 // Processed / Dropped / BufferLen surface the server's core.Pipeline, so
-// collection loss (ring backpressure) is visible from `kml-served -status`.
+// collection loss (ring backpressure) is visible from `kml-ctl status`.
 type Stats struct {
 	ActiveVersion uint64 // registry version currently served
 	Deploys       uint64 // successful Deploy calls since registry open

@@ -804,7 +804,7 @@ func (s *Server) dispatch(sc *srvConn, typ MsgType, p []byte) (MsgType, []byte) 
 }
 
 // TimeSeries snapshots the server's captured metric time series — the
-// throughput/latency/queue record MsgTimeSeries serves and kml-top
+// throughput/latency/queue record MsgTimeSeries serves and `kml-ctl top`
 // renders.
 func (s *Server) TimeSeries() tsrec.Series { return s.rec.Series() }
 

@@ -147,21 +147,21 @@ func TestControllerByConstruction(t *testing.T) {
 				return
 			}
 			if b.ctl.State() != StateCanary || st.BaselinePM != 900 || b.srv.Deployment().Version() != 2 {
-				t.Fatalf("canary not open on v2 against 900 pm: state %s, %+v", b.ctl.State(), st)
+				t.Fatalf("canary not open on v2 against 900 pm: state %d, %+v", b.ctl.State(), st)
 			}
 			for _, pm := range tc.stale {
 				b.ctl.AddOutcome(1, pm)
 			}
 			b.ctl.Step()
 			if b.ctl.State() != StateCanary || b.ctl.Status().CanaryPM != -1 {
-				t.Fatalf("stale outcomes moved the canary: state %s, %+v", b.ctl.State(), b.ctl.Status())
+				t.Fatalf("stale outcomes moved the canary: state %d, %+v", b.ctl.State(), b.ctl.Status())
 			}
 			for _, pm := range tc.canary {
 				b.ctl.AddOutcome(2, pm)
 			}
 			b.ctl.Step()
 			if b.ctl.State() != tc.wantState {
-				t.Fatalf("state = %s, want %s", b.ctl.State(), tc.wantState)
+				t.Fatalf("state = %d, want %d", b.ctl.State(), tc.wantState)
 			}
 			if got := b.srv.Deployment().Version(); got != tc.wantVer {
 				t.Fatalf("serving v%d, want v%d", got, tc.wantVer)

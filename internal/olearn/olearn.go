@@ -37,7 +37,7 @@
 //
 // Everything observable is exported: telemetry counters/gauges under
 // olearn_*, the retained retrain-event history, and the MsgLearnStatus
-// wire snapshot kml-served -status and kml-trace -learn render.
+// wire snapshot `kml-ctl status` and `kml-ctl learn` print.
 package olearn
 
 import (
@@ -68,9 +68,6 @@ const (
 	StateCommitted  = State(mserve.LearnCommitted)
 	StateRolledBack = State(mserve.LearnRolledBack)
 )
-
-// String renders a state for humans.
-func (s State) String() string { return mserve.LearnStateName(uint8(s)) }
 
 // Config parameterizes a Controller.
 type Config struct {

@@ -226,7 +226,7 @@ func TestOnlineLearningEndToEnd(t *testing.T) {
 
 	// The committed phase-2 model must beat the polluted pre-deploy
 	// baseline on the canary's post-deploy windows — the "did it help"
-	// criterion, measured by the same outcome spans that feed kml-trace.
+	// criterion, measured by the same outcome spans that feed `kml-ctl trace`.
 	events := l.ctl.Events()
 	for i, e := range events {
 		t.Logf("event %d: v%d outcome=%s examples=%d baseline=%d canary=%d shift=%dmz",

@@ -1,8 +1,11 @@
-// Package render holds the text renderers the operator tools share
-// (kml-top, kml-trace, kml-postmortem) and kml-served's debug pages:
-// sparklines, compact durations, the decision-trace span tree and the
-// plain-integer time-series dump. Scaling is integer math only, like the
-// recorders the tools read.
+// Package render is the one text printer for every operator surface:
+// kml-ctl's subcommands and kml-served's debug pages print the same fact
+// through the same function, live or from a black box after a crash.
+// This file holds the primitives (sparklines, compact durations, the
+// decision-trace span tree, the plain-integer time-series dump);
+// status.go holds the surfaces built on them. Scaling is integer math
+// only, like the recorders the surfaces read, and wall-clock stamps are
+// UTC except the span trees', whose bytes are pinned.
 package render
 
 import (
@@ -64,7 +67,7 @@ func Dur(ns int64) string {
 }
 
 // SeriesText writes a captured time series as plain integers, the form
-// `kml-top -raw` and the /timeseries debug page print: the interval, the
+// `kml-ctl series` and the /timeseries debug page print: the interval, the
 // column names, one line per point (time, counter deltas, then
 // count/p50/p95/p99 per histogram), and a trailing point count.
 func SeriesText(w io.Writer, ts tsrec.Series) error {

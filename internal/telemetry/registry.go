@@ -1,6 +1,6 @@
 // Registry: named registration and consistent snapshots of the hot-path
 // primitives, plus the plain-text exposition format served at /metrics
-// and rendered by `kml-served -status`. Userspace only — registration
+// and printed by `kml-ctl status`. Userspace only — registration
 // happens at construction time and snapshots on operator request, never
 // on a hot path.
 package telemetry

@@ -5,7 +5,7 @@
 # steps across many concurrent connections, and assert (a) zero failed
 # requests, (b) the server actually fused requests from different
 # connections (mean achieved batch > 1 at the higher rate), and (c) the
-# -status surface reports the coalescer's config and counters. CI runs
+# kml-ctl status surface reports the coalescer's config and counters. CI runs
 # this after serve-smoke; it is also the quickest way to watch the
 # coalescer work locally.
 set -eu
@@ -18,6 +18,7 @@ trap 'kill "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 echo "== build"
 go build -o "$TMP/kml-served" ./cmd/kml-served
 go build -o "$TMP/kml-loadgen" ./cmd/kml-loadgen
+go build -o "$TMP/kml-ctl" ./cmd/kml-ctl
 
 echo "== start daemon (coalescing on)"
 # A generous 1ms window keeps the batch>1 assertion robust on slow CI
@@ -69,7 +70,7 @@ awk -v m="$MEAN" 'BEGIN { exit !(m > 1.0) }' || {
 }
 
 echo "== status"
-"$TMP/kml-served" -addr "$SOCK" -status | tee "$TMP/status.out"
+"$TMP/kml-ctl" status -addr "$SOCK" | tee "$TMP/status.out"
 grep -q "^coalesce_window_ns  1000000$" "$TMP/status.out"
 grep -q "^coalesce_max        64$" "$TMP/status.out"
 grep -Eq "^coalesce_batches    [1-9][0-9]*$" "$TMP/status.out"

@@ -11,8 +11,8 @@
 #      into 1-page fills, the canary collapses, and the controller
 #      auto-ROLLS BACK to the original version.
 #
-# Both outcomes are asserted over the real operator surfaces: -status
-# and kml-trace -learn (the MsgLearnStatus wire message). CI runs this
+# Both outcomes are asserted over the real operator surfaces: `kml-ctl
+# status` and `kml-ctl learn` (the MsgLearnStatus wire message). CI runs this
 # after trace_smoke.sh.
 set -eu
 
@@ -23,10 +23,10 @@ PID=""
 
 echo "== build"
 go build -o "$TMP/kml-served" ./cmd/kml-served
-go build -o "$TMP/kml-trace" ./cmd/kml-trace
+go build -o "$TMP/kml-ctl" ./cmd/kml-ctl
 
 # boot_sim <name> [extra flags...] — run one -olearn simulated boot and
-# capture -status and kml-trace -learn output, then shut down cleanly.
+# capture `kml-ctl status` and `kml-ctl learn` output, then shut down cleanly.
 boot_sim() {
     NAME="$1"
     shift
@@ -54,8 +54,8 @@ boot_sim() {
         fi
         sleep 0.1
     done
-    "$TMP/kml-served" -addr "$SOCK" -status >"$TMP/$NAME.status"
-    "$TMP/kml-trace" -addr "$SOCK" -learn >"$TMP/$NAME.learn"
+    "$TMP/kml-ctl" status -addr "$SOCK" >"$TMP/$NAME.status"
+    "$TMP/kml-ctl" learn -addr "$SOCK" >"$TMP/$NAME.learn"
     kill -TERM "$PID"
     i=0
     while kill -0 "$PID" 2>/dev/null; do

@@ -3,11 +3,10 @@
 # kml-served with a black-box flight recorder and fast capture
 # intervals, drive open-loop load with kml-loadgen, then kill the
 # daemon with SIGKILL — the one signal nothing can hook — and assert
-# that kml-postmortem reconstructs the final window from the file
+# that `kml-ctl postmortem` reconstructs the final window from the file
 # alone: time-series points, at least one decision trace, and the
 # learner's last recorded state. Also covers live mode (MsgBlackbox
-# sync against the running daemon) and the -raw → kml-top -from
-# replay path. CI runs this after loadgen_smoke.sh.
+# sync against the running daemon) and the -raw series dump. CI runs this after loadgen_smoke.sh.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -19,8 +18,7 @@ trap 'kill -9 "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 echo "== build"
 go build -o "$TMP/kml-served" ./cmd/kml-served
 go build -o "$TMP/kml-loadgen" ./cmd/kml-loadgen
-go build -o "$TMP/kml-postmortem" ./cmd/kml-postmortem
-go build -o "$TMP/kml-top" ./cmd/kml-top
+go build -o "$TMP/kml-ctl" ./cmd/kml-ctl
 
 echo "== start daemon with black box (100ms flush, 50ms ts capture)"
 "$TMP/kml-served" \
@@ -52,12 +50,15 @@ echo "== offered load spanning several flush intervals"
     -warmup 200ms >"$TMP/loadgen.out"
 
 echo "== live mode: sync + read the running daemon's box"
-"$TMP/kml-postmortem" -addr "$SOCK" >"$TMP/live.out"
+"$TMP/kml-ctl" postmortem -addr "$SOCK" >"$TMP/live.out"
 grep -q "^black box $BOX" "$TMP/live.out"
-grep -q " torn$\|, 0 torn" "$TMP/live.out"
+# The sync made the file current, so the scan finds intact records. The
+# torn count is not asserted: the daemon's flusher keeps writing while
+# the file is read, so a live read may catch its last record half done.
+grep -q "^records   [1-9][0-9]* intact" "$TMP/live.out"
 
 echo "== status line reports the box"
-"$TMP/kml-served" -addr "$SOCK" -status | grep "^blackbox "
+"$TMP/kml-ctl" status -addr "$SOCK" | grep "^blackbox "
 
 echo "== SIGKILL: no shutdown hook runs"
 kill -9 "$PID"
@@ -73,7 +74,7 @@ done
 wait "$PID" 2>/dev/null || true
 
 echo "== postmortem reconstructs the flight from the file alone"
-"$TMP/kml-postmortem" "$BOX" >"$TMP/report.out"
+"$TMP/kml-ctl" postmortem "$BOX" >"$TMP/report.out"
 cat "$TMP/report.out"
 # The scan found intact records of every kind the sampler persists.
 grep -q "^records  " "$TMP/report.out"
@@ -101,21 +102,14 @@ fi
 # The learner's last recorded state made it to disk (-sim registers the
 # readahead drift monitor; learn records need -olearn, so only require
 # the drift trajectory here).
-grep -q "^drift     readahead_drift" "$TMP/report.out"
+grep -q "^drift readahead_drift" "$TMP/report.out"
 
 echo "== -last narrows the window"
-"$TMP/kml-postmortem" -last 2s "$BOX" >"$TMP/last.out"
+"$TMP/kml-ctl" postmortem -last 2s "$BOX" >"$TMP/last.out"
 grep -q "^records  " "$TMP/last.out"
 
-echo "== -raw replays through kml-top -from"
-"$TMP/kml-postmortem" -raw "$BOX" >"$TMP/series.bin"
-test -s "$TMP/series.bin"
-"$TMP/kml-top" -from "$TMP/series.bin" >"$TMP/replay.out"
-grep -q "rows/s" "$TMP/replay.out"
-grep -q "points @ " "$TMP/replay.out"
-
-echo "== kml-top -from reads the box directly too"
-"$TMP/kml-top" -from "$BOX" -raw >"$TMP/fromraw.out"
+echo "== -raw prints the box's merged series"
+"$TMP/kml-ctl" postmortem -raw "$BOX" >"$TMP/fromraw.out"
 grep -q "^counters mserve_rows " "$TMP/fromraw.out"
 NPOINTS=$(sed -n 's/^\([0-9][0-9]*\) points$/\1/p' "$TMP/fromraw.out")
 case "$NPOINTS" in '' | 0) echo "box replay has no points" >&2; exit 1 ;; esac

@@ -1,6 +1,6 @@
 #!/bin/sh
 # serve_smoke.sh — end-to-end smoke test of the serving subsystem: build
-# the daemon and kml-loadgen, start kml-served on a unix socket with the
+# the daemon, kml-loadgen and kml-ctl, start kml-served on a unix socket with the
 # checked-in trained model, drive 1000 batched inferences, check the
 # stats endpoint, and verify a clean SIGTERM drain. CI runs this after
 # the race tests; it is also the quickest way to see the serving path
@@ -15,6 +15,7 @@ trap 'kill "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 echo "== build"
 go build -o "$TMP/kml-served" ./cmd/kml-served
 go build -o "$TMP/kml-loadgen" ./cmd/kml-loadgen
+go build -o "$TMP/kml-ctl" ./cmd/kml-ctl
 
 echo "== start daemon"
 "$TMP/kml-served" \
@@ -55,7 +56,7 @@ echo "== status"
 # The flight recorder fills on the server's asynchronous collection
 # thread; give it a beat to drain the load.
 sleep 0.3
-"$TMP/kml-served" -addr "$SOCK" -status | tee "$TMP/status.out"
+"$TMP/kml-ctl" status -addr "$SOCK" | tee "$TMP/status.out"
 grep -q "^active_version      1$" "$TMP/status.out"
 grep -q "^dropped             0$" "$TMP/status.out"
 # Telemetry surface: batched-inference latency percentiles and the last

@@ -14,6 +14,7 @@ trap 'kill "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 echo "== build"
 go build -o "$TMP/kml-served" ./cmd/kml-served
 go build -o "$TMP/kml-loadgen" ./cmd/kml-loadgen
+go build -o "$TMP/kml-ctl" ./cmd/kml-ctl
 
 echo "== start daemon with debug listener"
 "$TMP/kml-served" \
@@ -74,8 +75,8 @@ echo "== expvar and pprof"
 curl -fsS "$DEBUG_URL/debug/vars" | grep -q '"cmdline"'
 curl -fsS "$DEBUG_URL/debug/pprof/" >/dev/null
 
-echo "== MsgMetrics via -status"
-"$TMP/kml-served" -addr "$SOCK" -status >"$TMP/status.out"
+echo "== MsgMetrics via kml-ctl status"
+"$TMP/kml-ctl" status -addr "$SOCK" >"$TMP/status.out"
 grep -q "^mserve_infer_ns count=" "$TMP/status.out"
 grep -Eq "^decision t=[0-9]+ class=-?[0-9]+ rows=[0-9]+ v1$" "$TMP/status.out"
 

@@ -2,10 +2,10 @@
 # top_smoke.sh — end-to-end smoke test of the serving console and the
 # time-series capture behind it: boot kml-served with -sim (so the
 # readahead_* series have data too) and a fast -ts-interval, drive wire
-# inference, then assert that (1) kml-top -once renders sane throughput,
-# latency, and learn lines from MsgTimeSeries, (2) kml-top -raw shows a
-# non-empty, strictly monotonic point capture, and (3) kml-trace -probe
-# joins a client-stamped trace with the server's span tree over the
+# inference, then assert that (1) `kml-ctl status` renders sane
+# throughput, latency, and learn lines from MsgTimeSeries, (2) `kml-ctl
+# series` shows a non-empty, strictly monotonic point capture, and (3)
+# `kml-ctl probe` joins a client-stamped trace with the server's span tree over the
 # wire. CI runs this after trace_smoke.sh.
 set -eu
 
@@ -16,8 +16,7 @@ trap 'kill "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
 echo "== build"
 go build -o "$TMP/kml-served" ./cmd/kml-served
-go build -o "$TMP/kml-top" ./cmd/kml-top
-go build -o "$TMP/kml-trace" ./cmd/kml-trace
+go build -o "$TMP/kml-ctl" ./cmd/kml-ctl
 go build -o "$TMP/kml-loadgen" ./cmd/kml-loadgen
 
 echo "== start daemon with -sim and 50ms time-series capture"
@@ -50,10 +49,10 @@ sleep 0.3
 "$TMP/kml-loadgen" -addr "$SOCK" -conns 1 -batch 4 -rate 250 -duration 200ms -warmup 0 -dist fixed >/dev/null
 sleep 0.3
 
-echo "== kml-top -once renders the console frame"
-"$TMP/kml-top" -addr "$SOCK" -once >"$TMP/top.out"
+echo "== kml-ctl status renders the console frame"
+"$TMP/kml-ctl" status -addr "$SOCK" >"$TMP/top.out"
 cat "$TMP/top.out"
-grep -q "^kml-top " "$TMP/top.out"
+grep -q "^status $SOCK " "$TMP/top.out"
 grep -q "rows/s" "$TMP/top.out"
 # A live p99 from the captured mserve_infer_ns series.
 grep -q "^infer *p50" "$TMP/top.out"
@@ -67,7 +66,7 @@ if grep -q "no time series yet" "$TMP/top.out"; then
 fi
 
 echo "== raw capture: non-empty and strictly monotonic"
-"$TMP/kml-top" -addr "$SOCK" -raw >"$TMP/raw.out"
+"$TMP/kml-ctl" series -addr "$SOCK" >"$TMP/raw.out"
 head -5 "$TMP/raw.out"
 NPOINTS=$(sed -n 's/^\([0-9][0-9]*\) points$/\1/p' "$TMP/raw.out")
 case "$NPOINTS" in '' | 0 | 1) echo "raw capture has $NPOINTS points" >&2; exit 1 ;; esac
@@ -83,8 +82,8 @@ ROWS=$(awk '$1 == "point" { sum += $3 } END { print sum + 0 }' "$TMP/raw.out")
 case "$ROWS" in '' | 0) echo "no rows captured in any interval" >&2; exit 1 ;; esac
 grep -q "^counters mserve_rows " "$TMP/raw.out"
 
-echo "== cross-process trace join (kml-trace -probe)"
-"$TMP/kml-trace" -addr "$SOCK" -probe 3 >"$TMP/probe.out"
+echo "== cross-process trace join (kml-ctl probe)"
+"$TMP/kml-ctl" probe -addr "$SOCK" 3 >"$TMP/probe.out"
 cat "$TMP/probe.out"
 grep -q "3 probes sent, 3 joined across the wire" "$TMP/probe.out"
 grep -q "joined client↔server, identical TraceID" "$TMP/probe.out"
@@ -97,8 +96,8 @@ echo "== debug HTTP pages (/traces, /learn, /timeseries)"
 DEBUG_URL=$(sed -n 's#^debug listening on \(http://.*\)#\1#p' "$TMP/served.log")
 if [ -n "$DEBUG_URL" ] && command -v curl >/dev/null 2>&1; then
     curl -fsS "$DEBUG_URL/traces" | grep -q "traces retained"
-    curl -fsS "$DEBUG_URL/learn" | grep -q "^state="
-    # /timeseries mirrors kml-top -raw: header lines plus captured points.
+    curl -fsS "$DEBUG_URL/learn" | grep -q "^learn state="
+    # /timeseries mirrors kml-ctl series: header lines plus captured points.
     curl -fsS "$DEBUG_URL/timeseries" >"$TMP/tshttp.out"
     grep -q "^interval_ns " "$TMP/tshttp.out"
     grep -q "^counters mserve_rows " "$TMP/tshttp.out"

@@ -4,7 +4,7 @@
 # against the deployed model across a workload phase switch, recording a
 # trace per decision into the server's arena), drive wire inference for
 # server-side request traces, pull everything back over MsgTraces with
-# kml-trace, and assert at least one COMPLETE span tree plus moving
+# `kml-ctl trace`, and assert at least one COMPLETE span tree plus moving
 # drift gauges. CI runs this after telemetry_smoke.sh.
 set -eu
 
@@ -15,7 +15,7 @@ trap 'kill "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
 echo "== build"
 go build -o "$TMP/kml-served" ./cmd/kml-served
-go build -o "$TMP/kml-trace" ./cmd/kml-trace
+go build -o "$TMP/kml-ctl" ./cmd/kml-ctl
 go build -o "$TMP/kml-loadgen" ./cmd/kml-loadgen
 
 echo "== start daemon with -sim (phase-switching closed loop)"
@@ -48,7 +48,7 @@ echo "== wire traffic for server-side request traces"
 "$TMP/kml-loadgen" -addr "$SOCK" -conns 1 -batch 10 -rate 50 -duration 200ms -warmup 0 -dist fixed >/dev/null
 
 echo "== pull traces"
-"$TMP/kml-trace" -addr "$SOCK" >"$TMP/traces.out"
+"$TMP/kml-ctl" trace -addr "$SOCK" >"$TMP/traces.out"
 head -20 "$TMP/traces.out"
 
 # At least one complete TUNER span tree: the five decision-path child
@@ -68,11 +68,12 @@ COMPLETE=$(sed -n 's/^[0-9]* traces shown, \([0-9]*\) complete.*/\1/p' "$TMP/tra
 case "$COMPLETE" in ''|0) echo "no complete trace ($COMPLETE)" >&2; exit 1 ;; esac
 
 echo "== filters"
-"$TMP/kml-trace" -addr "$SOCK" -slow 1h | grep -q "^0 traces shown"
-"$TMP/kml-trace" -addr "$SOCK" -since 24h | grep -q "complete"
+"$TMP/kml-ctl" trace -addr "$SOCK" -slow 1h | grep -q "^0 traces shown"
+# Every trace of this boot started within the last day: at least one shows.
+"$TMP/kml-ctl" trace -addr "$SOCK" -since 24h | grep -q "^[1-9][0-9]* traces shown"
 
 echo "== drift gauges moved across the phase switch"
-"$TMP/kml-served" -addr "$SOCK" -status >"$TMP/status.out"
+"$TMP/kml-ctl" status -addr "$SOCK" >"$TMP/status.out"
 grep "^drift " "$TMP/status.out"
 # The -sim tuner completed drift windows spanning readseq -> readrandom.
 DRIFT=$(sed -n 's/^drift readahead_drift.*windows=\([0-9]*\).*/\1/p' "$TMP/status.out")
