@@ -13,26 +13,9 @@
 // already fuzzes (mserve metrics/learn-status, tsrec series, dtrace
 // traces), so one set of codecs serves both the wire and the disk.
 //
-// File layout (all integers little-endian):
-//
-//	sector 0 (FileHeaderSize bytes, zero-padded):
-//	  [8]byte magic "KMLBBOX1"
-//	  u32     format version (1)
-//	  u32     sector size (512)
-//	  u64     ring bytes (file size - header sector)
-//	  i64     created unix nanos
-//	  u32     crc32-IEEE of bytes [0,32)
-//
-//	ring (repeated records, each starting on a sector boundary):
-//	  u32     record magic "KBR1"
-//	  u8      kind (KindMetrics..KindLearn)
-//	  [3]byte zero padding
-//	  u64     seq (monotonic from 1, never reused within a file)
-//	  i64     record unix nanos
-//	  u32     payload length (≤ MaxRecordPayload)
-//	  u32     crc32-IEEE of the payload
-//	  u32     crc32-IEEE of the 32 header bytes above
-//	  payload, zero-padded to the next sector boundary
+// The file is sector 0, the header (fileHeaderLayout), then the ring:
+// records each starting on a sector boundary, a header
+// (recordHeaderLayout) and its payload, zero-padded to the next boundary.
 //
 // A record never wraps across the ring end: when the tail is too short
 // the writer restarts at offset 0 and the stale tail bytes simply stop
@@ -40,9 +23,9 @@
 package blackbox
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
+
+	"repro/internal/wire"
 )
 
 const (
@@ -71,8 +54,8 @@ const (
 	MinFileSize = FileHeaderSize + 64*1024
 )
 
-// fileMagic opens every black-box file.
-var fileMagic = [8]byte{'K', 'M', 'L', 'B', 'B', 'O', 'X', '1'}
+// fileMagic opens every black-box file ("KMLBBOX1" little-endian).
+const fileMagic uint64 = 0x31584f42424c4d4b
 
 // recordMagic opens every record header ("KBR1" little-endian).
 const recordMagic uint32 = 0x3152424B
@@ -118,37 +101,73 @@ func alignSector(n int) int {
 	return (n + SectorSize - 1) &^ (SectorSize - 1)
 }
 
+// fileHeaderLayout is sector 0, little-endian:
+//
+//	magic        u64   "KMLBBOX1"
+//	version      u32   (FormatVersion)
+//	sector size  u32   (SectorSize)
+//	ring bytes   i64   (file size - header sector; > 0, whole sectors)
+//	created      i64   unix nanos
+//	crc32        u32   (IEEE, over the 32 bytes above)
+//	zero padding to FileHeaderSize, not read back
+func fileHeaderLayout(c *wire.Codec, h *fileHeader) {
+	start := c.Mark()
+	magic, version, sector := fileMagic, uint32(FormatVersion), uint32(SectorSize)
+	c.U64(&magic)
+	c.U32(&version)
+	c.U32(&sector)
+	c.I64(&h.ringBytes)
+	c.I64(&h.createdNanos)
+	c.CRC32(start)
+	c.Check(magic == fileMagic && version == FormatVersion && sector == SectorSize &&
+		h.ringBytes > 0 && h.ringBytes%SectorSize == 0)
+	c.Pad(FileHeaderSize - 36)
+}
+
+type fileHeader struct {
+	ringBytes, createdNanos int64
+}
+
 // putFileHeader encodes the header sector into dst[:FileHeaderSize].
 func putFileHeader(dst []byte, ringBytes int64, createdNanos int64) {
-	for i := range dst[:FileHeaderSize] {
-		dst[i] = 0
-	}
-	copy(dst, fileMagic[:])
-	binary.LittleEndian.PutUint32(dst[8:], FormatVersion)
-	binary.LittleEndian.PutUint32(dst[12:], SectorSize)
-	binary.LittleEndian.PutUint64(dst[16:], uint64(ringBytes))
-	binary.LittleEndian.PutUint64(dst[24:], uint64(createdNanos))
-	binary.LittleEndian.PutUint32(dst[32:], crc32.ChecksumIEEE(dst[:32]))
+	c := wire.Encoder(dst[:0])
+	fileHeaderLayout(&c, &fileHeader{ringBytes, createdNanos})
 }
 
 // parseFileHeader validates a header sector and returns the declared
 // ring size and creation stamp.
 func parseFileHeader(p []byte) (ringBytes int64, createdNanos int64, err error) {
-	if len(p) < FileHeaderSize {
-		return 0, 0, ErrNotBlackbox
-	}
-	if [8]byte(p[:8]) != fileMagic ||
-		binary.LittleEndian.Uint32(p[8:]) != FormatVersion ||
-		binary.LittleEndian.Uint32(p[12:]) != SectorSize ||
-		binary.LittleEndian.Uint32(p[32:]) != crc32.ChecksumIEEE(p[:32]) {
-		return 0, 0, ErrNotBlackbox
-	}
-	ringBytes = int64(binary.LittleEndian.Uint64(p[16:]))
-	createdNanos = int64(binary.LittleEndian.Uint64(p[24:]))
-	if ringBytes <= 0 || ringBytes%SectorSize != 0 {
-		return 0, 0, ErrNotBlackbox
-	}
-	return ringBytes, createdNanos, nil
+	h, err := wire.Parse(p[:min(len(p), FileHeaderSize)], fileHeaderLayout, ErrNotBlackbox)
+	return h.ringBytes, h.createdNanos, err
+}
+
+// recordHeader is the fixed prefix of a record.
+type recordHeader struct {
+	magic     uint32
+	kind      Kind
+	seq       uint64 // monotonic from 1, never reused within a file
+	timeNanos int64  // unix nanos
+	plen      uint32 // payload bytes, ≤ MaxRecordPayload
+	pcrc      uint32 // IEEE CRC-32 of the payload
+}
+
+// recordHeaderLayout is a record header, RecordHeaderSize bytes: magic
+// u32 "KBR1", kind u8, three zero bytes (not read back), seq u64, time
+// i64, payload length u32, payload CRC u32, then the IEEE CRC-32 of the 32
+// bytes before it. The magic is walked, not checked, so a scan can tell
+// ring noise (no magic) from a torn header (magic, bad CRC).
+//
+//kml:hotpath
+func recordHeaderLayout(c *wire.Codec, h *recordHeader) {
+	start := c.Mark()
+	c.U32(&h.magic)
+	c.U8((*uint8)(&h.kind))
+	c.Pad(3)
+	c.U64(&h.seq)
+	c.I64(&h.timeNanos)
+	c.U32(&h.plen)
+	c.U32(&h.pcrc)
+	c.CRC32(start)
 }
 
 // putRecordHeader encodes one record header into dst[:RecordHeaderSize].
@@ -157,12 +176,16 @@ func parseFileHeader(p []byte) (ringBytes int64, createdNanos int64, err error) 
 //
 //kml:hotpath
 func putRecordHeader(dst []byte, kind Kind, seq uint64, timeNanos int64, payloadLen int, payloadCRC uint32) {
-	binary.LittleEndian.PutUint32(dst, recordMagic)
-	dst[4] = byte(kind)
-	dst[5], dst[6], dst[7] = 0, 0, 0
-	binary.LittleEndian.PutUint64(dst[8:], seq)
-	binary.LittleEndian.PutUint64(dst[16:], uint64(timeNanos))
-	binary.LittleEndian.PutUint32(dst[24:], uint32(payloadLen))
-	binary.LittleEndian.PutUint32(dst[28:], payloadCRC)
-	binary.LittleEndian.PutUint32(dst[32:], crc32.ChecksumIEEE(dst[:32]))
+	h := recordHeader{recordMagic, kind, seq, timeNanos, uint32(payloadLen), payloadCRC}
+	c := wire.Encoder(dst[:0])
+	recordHeaderLayout(&c, &h)
+}
+
+// parseRecordHeader decodes the record header at the front of p. It
+// reports whether the header verifies; h.magic is read whenever p holds
+// its four bytes.
+func parseRecordHeader(p []byte) (h recordHeader, ok bool) {
+	c := wire.Decoder(p[:min(len(p), RecordHeaderSize)])
+	recordHeaderLayout(&c, &h)
+	return h, c.End(ErrNotBlackbox) == nil
 }

@@ -11,7 +11,6 @@
 package blackbox
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -47,10 +46,8 @@ func Scan(data []byte) (ScanResult, error) {
 	if err != nil {
 		return ScanResult{}, err
 	}
+	// parseFileHeader accepted a whole header sector, so avail ≥ 0.
 	avail := int64(len(data)) - FileHeaderSize
-	if avail < 0 {
-		avail = 0
-	}
 	if ringBytes > avail {
 		ringBytes = avail &^ (SectorSize - 1)
 	}
@@ -58,11 +55,8 @@ func Scan(data []byte) (ScanResult, error) {
 	// A truncated image may cut a record mid-payload past the last whole
 	// sector; count the dangling partial sector as torn if it starts
 	// like a record.
-	if tail := int64(len(data)) - FileHeaderSize - ringBytes; tail >= 4 {
-		p := data[FileHeaderSize+ringBytes:]
-		if binary.LittleEndian.Uint32(p) == recordMagic {
-			torn++
-		}
+	if h, _ := parseRecordHeader(data[FileHeaderSize+ringBytes:]); h.magic == recordMagic {
+		torn++
 	}
 	return ScanResult{
 		RingBytes:    ringBytes,
@@ -87,31 +81,27 @@ func scanRing(ring []byte, base int64) ([]Record, int) {
 	var recs []Record
 	torn := 0
 	for off := 0; off < len(ring); {
+		h, ok := parseRecordHeader(ring[off:])
 		if len(ring)-off < RecordHeaderSize {
 			// Too little room for a header; if it still opens with the
 			// magic it is a torn header at the ring's physical end.
-			if len(ring)-off >= 4 && binary.LittleEndian.Uint32(ring[off:]) == recordMagic {
+			if h.magic == recordMagic {
 				torn++
 			}
 			break
 		}
-		h := ring[off : off+RecordHeaderSize]
-		if binary.LittleEndian.Uint32(h) != recordMagic {
+		if h.magic != recordMagic {
 			off += SectorSize
 			continue
 		}
-		if binary.LittleEndian.Uint32(h[32:]) != crc32.ChecksumIEEE(h[:32]) {
+		if !ok {
 			// Magic present but the header does not verify: a torn
 			// header write. Resync at the next sector.
 			torn++
 			off += SectorSize
 			continue
 		}
-		kind := Kind(h[4])
-		seq := binary.LittleEndian.Uint64(h[8:])
-		timeNanos := int64(binary.LittleEndian.Uint64(h[16:]))
-		plen := int(binary.LittleEndian.Uint32(h[24:]))
-		pcrc := binary.LittleEndian.Uint32(h[28:])
+		plen := int(h.plen)
 		if plen > MaxRecordPayload {
 			torn++
 			off += SectorSize
@@ -124,7 +114,7 @@ func scanRing(ring []byte, base int64) ([]Record, int) {
 			break
 		}
 		payload := ring[off+RecordHeaderSize : off+RecordHeaderSize+plen]
-		if crc32.ChecksumIEEE(payload) != pcrc {
+		if crc32.ChecksumIEEE(payload) != h.pcrc {
 			// Torn payload. Skip the claimed span: its sectors belong to
 			// the interrupted write, not to older records.
 			torn++
@@ -132,9 +122,9 @@ func scanRing(ring []byte, base int64) ([]Record, int) {
 			continue
 		}
 		recs = append(recs, Record{
-			Seq:       seq,
-			TimeNanos: timeNanos,
-			Kind:      kind,
+			Seq:       h.seq,
+			TimeNanos: h.timeNanos,
+			Kind:      h.kind,
 			Offset:    base + int64(off),
 			Payload:   append([]byte(nil), payload...),
 		})

@@ -11,13 +11,13 @@
 package dtree
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // Options configures training.
@@ -257,174 +257,105 @@ func (t *Tree) Accuracy(x [][]float64, y []int) float64 {
 	return float64(correct) / float64(len(x))
 }
 
-// Serialization: "KMLT" magic, version, feature/class counts, then a
-// preorder walk of nodes, followed by a CRC32 like the nn model format.
+// Serialization: the tree file (treeLayout) moves trees through the same
+// save/load workflow as the nn model format.
 const (
-	treeMagic   = "KMLT"
+	treeMagic   = 0x544c4d4b // "KMLT" little-endian
 	treeVersion = 1
+	maxNodes    = 1 << 24
 )
 
 // ErrBadTree reports a corrupt or incompatible tree file.
 var ErrBadTree = errors.New("dtree: bad tree file")
 
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
+// treeLayout is the tree file, little-endian:
+//
+//	magic    u32   "KMLT"
+//	version  u32   (1)
+//	features u32   (≥ 1)
+//	classes  u32   (≥ 2)
+//	nodes    u32   (1..2^24), then the nodes in preorder (nodeLayout)
+//	crc32    u32   (IEEE, over everything before it)
+func treeLayout(c *wire.Codec, t *Tree) {
+	start := c.Mark()
+	magic, version := uint32(treeMagic), uint32(treeVersion)
+	features, classes, nodes := uint32(t.features), uint32(t.classes), uint32(t.nodes)
+	for _, v := range []*uint32{&magic, &version, &features, &classes, &nodes} {
+		c.U32(v)
+	}
+	c.Check(magic == treeMagic && version == treeVersion &&
+		features > 0 && classes >= 2 && nodes > 0 && nodes <= maxNodes)
+	if c.Decoding() {
+		*t = Tree{features: int(features), classes: int(classes), nodes: int(nodes)}
+		t.root = new(node)
+	}
+	left := t.nodes
+	nodeLayout(c, t, t.root, &left)
+	c.Check(left == 0)
+	c.CRC32(start)
 }
 
-func (c *crcWriter) Write(p []byte) (int, error) {
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
-	return c.w.Write(p)
-}
-
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	return n, err
+// nodeLayout is one node and, for a split, its subtrees: a leaf is
+// kind u8 (1), class u32 (< classes), probs (classes f64); a split is
+// kind u8 (0), feature u32 (< features), threshold f64, left, right. left
+// counts down the nodes the header declared, bounding the walk.
+func nodeLayout(c *wire.Codec, t *Tree, nd *node, left *int) {
+	if !c.Check(*left > 0) {
+		return
+	}
+	*left--
+	var kind uint8
+	if nd.leaf {
+		kind = 1
+	}
+	c.U8(&kind)
+	switch {
+	case !c.Check(kind <= 1):
+	case kind == 1:
+		class := uint32(nd.class)
+		c.U32(&class)
+		if !c.Check(class < uint32(t.classes)) || !c.Fits(8*uint64(t.classes)) {
+			return
+		}
+		if c.Decoding() {
+			*nd = node{leaf: true, class: int(class), probs: make([]float64, t.classes)}
+		}
+		c.F64s(nd.probs)
+	default:
+		feature, threshold := uint32(nd.feature), math.Float64bits(nd.threshold)
+		c.U32(&feature)
+		c.U64(&threshold)
+		if !c.Check(feature < uint32(t.features)) {
+			return
+		}
+		if c.Decoding() {
+			*nd = node{feature: int(feature), threshold: math.Float64frombits(threshold), left: new(node), right: new(node)}
+		}
+		nodeLayout(c, t, nd.left, left)
+		nodeLayout(c, t, nd.right, left)
+	}
 }
 
 // Save writes the tree in KML's binary tree format.
 func (t *Tree) Save(w io.Writer) error {
-	cw := &crcWriter{w: w}
-	if _, err := cw.Write([]byte(treeMagic)); err != nil {
-		return err
-	}
-	hdr := []uint32{treeVersion, uint32(t.features), uint32(t.classes), uint32(t.nodes)}
-	for _, v := range hdr {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := writeNode(cw, t.root); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, cw.crc)
+	_, err := w.Write(wire.Append(nil, *t, treeLayout))
+	return err
 }
 
-func writeNode(w io.Writer, nd *node) error {
-	if nd.leaf {
-		if err := binary.Write(w, binary.LittleEndian, uint8(1)); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint32(nd.class)); err != nil {
-			return err
-		}
-		for _, p := range nd.probs {
-			if err := binary.Write(w, binary.LittleEndian, math.Float64bits(p)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint8(0)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(nd.feature)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, math.Float64bits(nd.threshold)); err != nil {
-		return err
-	}
-	if err := writeNode(w, nd.left); err != nil {
-		return err
-	}
-	return writeNode(w, nd.right)
-}
-
-// Load reads a tree saved with Save.
+// Load reads a tree saved with Save. Like a reader that stops at the
+// checksum, it ignores anything after it.
 func Load(r io.Reader) (*Tree, error) {
-	cr := &crcReader{r: r}
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(cr, magic); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadTree, err)
 	}
-	if string(magic) != treeMagic {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadTree, magic)
-	}
-	var version, features, classes, nodes uint32
-	for _, p := range []*uint32{&version, &features, &classes, &nodes} {
-		if err := binary.Read(cr, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTree, err)
-		}
-	}
-	if version != treeVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadTree, version)
-	}
-	if features == 0 || classes < 2 || nodes == 0 || nodes > 1<<24 {
-		return nil, fmt.Errorf("%w: header %d/%d/%d", ErrBadTree, features, classes, nodes)
-	}
-	t := &Tree{features: int(features), classes: int(classes), nodes: int(nodes)}
-	var read int
-	root, err := readNode(cr, t.classes, &read, int(nodes))
-	if err != nil {
+	t := new(Tree)
+	var rest []byte
+	c := wire.Decoder(data)
+	treeLayout(&c, t)
+	c.Tail(&rest)
+	if err := c.End(ErrBadTree); err != nil {
 		return nil, err
 	}
-	if read != int(nodes) {
-		return nil, fmt.Errorf("%w: node count %d != %d", ErrBadTree, read, nodes)
-	}
-	t.root = root
-	want := cr.crc
-	var got uint32
-	if err := binary.Read(r, binary.LittleEndian, &got); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum: %v", ErrBadTree, err)
-	}
-	if got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadTree)
-	}
 	return t, nil
-}
-
-func readNode(r io.Reader, classes int, read *int, limit int) (*node, error) {
-	if *read >= limit {
-		return nil, fmt.Errorf("%w: more nodes than declared", ErrBadTree)
-	}
-	*read++
-	var kind uint8
-	if err := binary.Read(r, binary.LittleEndian, &kind); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTree, err)
-	}
-	switch kind {
-	case 1:
-		var class uint32
-		if err := binary.Read(r, binary.LittleEndian, &class); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTree, err)
-		}
-		if int(class) >= classes {
-			return nil, fmt.Errorf("%w: leaf class %d", ErrBadTree, class)
-		}
-		probs := make([]float64, classes)
-		for i := range probs {
-			var bits uint64
-			if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadTree, err)
-			}
-			probs[i] = math.Float64frombits(bits)
-		}
-		return &node{leaf: true, class: int(class), probs: probs}, nil
-	case 0:
-		var feature uint32
-		var bits uint64
-		if err := binary.Read(r, binary.LittleEndian, &feature); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTree, err)
-		}
-		if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTree, err)
-		}
-		nd := &node{feature: int(feature), threshold: math.Float64frombits(bits)}
-		var err error
-		if nd.left, err = readNode(r, classes, read, limit); err != nil {
-			return nil, err
-		}
-		if nd.right, err = readNode(r, classes, read, limit); err != nil {
-			return nil, err
-		}
-		return nd, nil
-	default:
-		return nil, fmt.Errorf("%w: node kind %d", ErrBadTree, kind)
-	}
 }

@@ -33,14 +33,13 @@
 package features
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // NumCandidates is the number of window statistics computed; Vector holds
@@ -264,33 +263,33 @@ const normalizerMagic = 0x4b4d4c4e
 // ErrBadNormalizer reports a corrupt serialized normalizer.
 var ErrBadNormalizer = errors.New("features: bad normalizer")
 
+// normalizerLayout is the serialized normalizer, little-endian: magic u32,
+// then each candidate's mean and standard deviation as f64s.
+func normalizerLayout(c *wire.Codec, n *Normalizer) {
+	magic := uint32(normalizerMagic)
+	c.U32(&magic)
+	c.Check(magic == normalizerMagic)
+	for i := range n.Z {
+		z := [2]float64{n.Z[i].Mean, n.Z[i].StdDev}
+		if c.F64s(z[:]); c.Decoding() {
+			n.Z[i] = stats.ZScore{Mean: z[0], StdDev: z[1]}
+		}
+	}
+}
+
 // Save writes the normalizer (it deploys alongside the model file).
 func (n Normalizer) Save(w io.Writer) error {
-	buf := make([]byte, 4+NumCandidates*16)
-	binary.LittleEndian.PutUint32(buf, normalizerMagic)
-	for i, z := range n.Z {
-		binary.LittleEndian.PutUint64(buf[4+i*16:], math.Float64bits(z.Mean))
-		binary.LittleEndian.PutUint64(buf[12+i*16:], math.Float64bits(z.StdDev))
-	}
-	_, err := w.Write(buf)
+	_, err := w.Write(wire.Append(nil, n, normalizerLayout))
 	return err
 }
 
 // LoadNormalizer reads a normalizer written by Save.
 func LoadNormalizer(r io.Reader) (Normalizer, error) {
-	var n Normalizer
 	buf := make([]byte, 4+NumCandidates*16)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return n, fmt.Errorf("%w: %v", ErrBadNormalizer, err)
+		return Normalizer{}, fmt.Errorf("%w: %v", ErrBadNormalizer, err)
 	}
-	if binary.LittleEndian.Uint32(buf) != normalizerMagic {
-		return n, fmt.Errorf("%w: magic", ErrBadNormalizer)
-	}
-	for i := range n.Z {
-		n.Z[i].Mean = math.Float64frombits(binary.LittleEndian.Uint64(buf[4+i*16:]))
-		n.Z[i].StdDev = math.Float64frombits(binary.LittleEndian.Uint64(buf[12+i*16:]))
-	}
-	return n, nil
+	return wire.Parse(buf, normalizerLayout, ErrBadNormalizer)
 }
 
 // CorrelationReport computes the Pearson correlation of each feature with

@@ -6,11 +6,11 @@
 package kvstore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"repro/internal/vfs"
+	"repro/internal/wire"
 )
 
 // Write-ahead-log record kinds.
@@ -22,8 +22,8 @@ const (
 // ErrBadWAL reports a corrupt write-ahead log.
 var ErrBadWAL = errors.New("kvstore: bad WAL record")
 
-// wal appends durable mutation records ahead of the memtable. Record
-// layout: kind, uvarint keyLen, key, uvarint valLen, val.
+// wal appends durable mutation records ahead of the memtable, one
+// walLayout record per mutation.
 type wal struct {
 	f    *vfs.File
 	sync bool // fsync every append (db_bench default is off)
@@ -34,17 +34,25 @@ func newWAL(f *vfs.File, sync bool) *wal {
 	return &wal{f: f, sync: sync}
 }
 
+// walRecord is one logged mutation.
+type walRecord struct {
+	kind       byte
+	key, value []byte
+}
+
+// walLayout is one record: kind u8 (walPut or walDelete), then the key
+// and the value as length-prefixed bytes.
+func walLayout(c *wire.Codec, r *walRecord) {
+	c.U8(&r.kind)
+	c.Check(r.kind == walPut || r.kind == walDelete)
+	r.key, r.value = c.KeyValue(r.key, r.value)
+}
+
 // append logs one mutation.
 func (w *wal) append(kind byte, key, value []byte) error {
-	w.buf = w.buf[:0]
-	w.buf = append(w.buf, kind)
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(key)))
-	w.buf = append(w.buf, tmp[:n]...)
-	w.buf = append(w.buf, key...)
-	n = binary.PutUvarint(tmp[:], uint64(len(value)))
-	w.buf = append(w.buf, tmp[:n]...)
-	w.buf = append(w.buf, value...)
+	c := wire.Encoder(w.buf[:0])
+	walLayout(&c, &walRecord{kind, key, value})
+	w.buf = c.Bytes()
 	if _, err := w.f.Append(w.buf); err != nil {
 		return err
 	}
@@ -54,13 +62,8 @@ func (w *wal) append(kind byte, key, value []byte) error {
 	return nil
 }
 
-// walRecord is one replayed mutation.
-type walRecord struct {
-	kind       byte
-	key, value []byte
-}
-
 // replayWAL decodes every record in f, for recovery after reopening a DB.
+// Keys and values alias one copy of the log.
 func replayWAL(f *vfs.File) ([]walRecord, error) {
 	data := make([]byte, f.Size())
 	if f.Size() > 0 {
@@ -69,30 +72,14 @@ func replayWAL(f *vfs.File) ([]walRecord, error) {
 		}
 	}
 	var out []walRecord
-	for len(data) > 0 {
-		kind := data[0]
-		if kind != walPut && kind != walDelete {
-			return nil, fmt.Errorf("%w: kind %d", ErrBadWAL, kind)
-		}
-		data = data[1:]
-		// Compare lengths in uint64: converting a hostile varint to int
-		// first can wrap negative and slip past the bound (then panic at
-		// the slice below).
-		klen, n := binary.Uvarint(data)
-		if n <= 0 || klen > uint64(len(data)-n) {
-			return nil, fmt.Errorf("%w: key length", ErrBadWAL)
-		}
-		data = data[n:]
-		key := append([]byte(nil), data[:klen]...)
-		data = data[klen:]
-		vlen, n := binary.Uvarint(data)
-		if n <= 0 || vlen > uint64(len(data)-n) {
-			return nil, fmt.Errorf("%w: value length", ErrBadWAL)
-		}
-		data = data[n:]
-		value := append([]byte(nil), data[:vlen]...)
-		data = data[vlen:]
-		out = append(out, walRecord{kind: kind, key: key, value: value})
+	c := wire.Decoder(data)
+	for c.More() {
+		var r walRecord
+		walLayout(&c, &r)
+		out = append(out, r)
+	}
+	if err := c.End(ErrBadWAL); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

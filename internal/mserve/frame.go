@@ -1,11 +1,5 @@
-// Wire framing. Every message on a serving connection is one frame:
-//
-//	magic   [2]byte  "KM"
-//	version uint8    (FrameVersion)
-//	type    uint8    message type (protocol.go)
-//	length  uint32   payload bytes, little-endian, <= MaxPayload
-//	crc     uint32   IEEE CRC32 of the payload, little-endian
-//	payload [length]byte
+// Wire framing. Every message on a serving connection is one frame: a
+// header (headerLayout), then the payload.
 //
 // Both ends read frames through a frameReader: one growable buffer per
 // connection end, filled by whatever one Read returns, so a small request
@@ -16,11 +10,12 @@
 package mserve
 
 import (
-	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Frame constants.
@@ -37,6 +32,8 @@ const (
 	// carrying a serialized model; KML models are a few KB (the paper's
 	// readahead model is 3,916 B), so 1 MiB is generous.
 	MaxPayload = 1 << 20
+	// frameMagic opens every frame ("KM" little-endian).
+	frameMagic = 0x4d4b
 )
 
 // Frame decode errors.
@@ -62,6 +59,25 @@ type Header struct {
 	CRC     uint32
 }
 
+// headerLayout is the frame header, HeaderSize bytes, little-endian:
+//
+//	magic   u16   "KM"
+//	version u8    (FrameVersion)
+//	type    u8    message type (protocol.go)
+//	length  u32   payload bytes, <= MaxPayload
+//	crc     u32   IEEE CRC-32 of the payload
+//
+// It checks nothing, so ParseHeader can tell its errors apart.
+//
+//kml:hotpath
+func headerLayout(c *wire.Codec, magic *uint16, h *Header) {
+	c.U16(magic)
+	c.U8(&h.Version)
+	c.U8((*uint8)(&h.Type))
+	c.U32(&h.Length)
+	c.U32(&h.CRC)
+}
+
 // PutHeader writes the header for payload into dst, which must be at least
 // HeaderSize bytes. It runs once per request on the serving path, so it
 // writes into a caller-owned buffer and does not allocate.
@@ -69,12 +85,17 @@ type Header struct {
 //kml:hotpath
 func PutHeader(dst []byte, typ MsgType, payload []byte) {
 	_ = dst[HeaderSize-1]
-	dst[0] = 'K'
-	dst[1] = 'M'
-	dst[2] = FrameVersion
-	dst[3] = byte(typ)
-	binary.LittleEndian.PutUint32(dst[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[8:12], crc32.ChecksumIEEE(payload))
+	appendHeader(dst[:0], typ, payload)
+}
+
+// appendHeader appends the header for payload to dst.
+//
+//kml:hotpath
+func appendHeader(dst []byte, typ MsgType, payload []byte) []byte {
+	magic, h := uint16(frameMagic), Header{FrameVersion, typ, uint32(len(payload)), crc32.ChecksumIEEE(payload)}
+	c := wire.Encoder(dst)
+	headerLayout(&c, &magic, &h)
+	return c.Bytes()
 }
 
 // ParseHeader decodes and validates a frame header. The returned header's
@@ -87,17 +108,15 @@ func ParseHeader(b []byte) (Header, error) {
 	if len(b) < HeaderSize {
 		return h, ErrShortFrame
 	}
-	if b[0] != 'K' || b[1] != 'M' {
-		return h, ErrBadMagic
-	}
-	h.Version = b[2]
-	h.Type = MsgType(b[3])
-	h.Length = binary.LittleEndian.Uint32(b[4:8])
-	h.CRC = binary.LittleEndian.Uint32(b[8:12])
-	if h.Version != FrameVersion {
+	var magic uint16
+	c := wire.Decoder(b[:HeaderSize])
+	headerLayout(&c, &magic, &h)
+	switch {
+	case magic != frameMagic:
+		return Header{}, ErrBadMagic
+	case h.Version != FrameVersion:
 		return h, ErrVersionSkew
-	}
-	if h.Length > MaxPayload {
+	case h.Length > MaxPayload:
 		return h, ErrOversizedFrame
 	}
 	return h, nil
@@ -142,10 +161,7 @@ func DecodeFrame(b []byte) (typ MsgType, payload, rest []byte, err error) {
 // AppendFrame appends one complete frame to dst and returns the extended
 // slice — the encoder counterpart of DecodeFrame.
 func AppendFrame(dst []byte, typ MsgType, payload []byte) []byte {
-	var hdr [HeaderSize]byte
-	PutHeader(hdr[:], typ, payload)
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	return append(appendHeader(dst, typ, payload), payload...)
 }
 
 // frameReadSize is a frameReader's initial buffer: room for many small

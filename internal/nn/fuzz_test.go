@@ -21,13 +21,16 @@ func fuzzSeedModel(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// FuzzModelRoundTrip feeds arbitrary bytes to the model-file loader. The
-// loader must never panic or over-allocate on corrupt input — it either
-// returns ErrBadModel-wrapped errors or a well-formed network whose
-// serialization round-trips byte-identically.
+// FuzzModelRoundTrip feeds arbitrary bytes to the model-file loader, both
+// as they are and with a correct CRC-32 appended: raw bytes almost never
+// carry a valid checksum, so only the second form reaches the checks
+// behind it. The loader must never panic or over-allocate on corrupt
+// input — it either returns ErrBadModel-wrapped errors or a well-formed
+// network whose serialization round-trips byte-identically.
 func FuzzModelRoundTrip(f *testing.F) {
 	seed := fuzzSeedModel(f)
 	f.Add(seed)
+	f.Add(seed[:len(seed)-4])             // the body: valid once the CRC is appended
 	f.Add(seed[:len(seed)-3])             // truncated checksum
 	f.Add(seed[:7])                       // truncated header
 	f.Add([]byte("KMLF"))                 // magic only
@@ -37,28 +40,33 @@ func FuzzModelRoundTrip(f *testing.F) {
 	hostile := append([]byte(nil), seed[:8]...)
 	hostile = append(hostile, 1, 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xff, 0x7f)
 	f.Add(hostile)
+	// Linear layers that do not chain (4x8 then 3x2), checksum valid.
+	unchained := unchainedModel(f)
+	f.Add(unchained[:len(unchained)-4])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		net, err := Load(bytes.NewReader(data))
-		if err != nil {
-			if net != nil {
-				t.Fatal("Load returned both a network and an error")
+		for _, in := range [][]byte{data, withCRC(data)} {
+			net, err := Load(bytes.NewReader(in))
+			if err != nil {
+				if net != nil || !errors.Is(err, ErrBadModel) {
+					t.Fatalf("Load returned %v, %v", net, err)
+				}
+				continue
 			}
-			return
-		}
-		var out1 bytes.Buffer
-		if err := net.Save(&out1); err != nil {
-			t.Fatalf("re-saving a loaded network: %v", err)
-		}
-		net2, err := Load(bytes.NewReader(out1.Bytes()))
-		if err != nil {
-			t.Fatalf("reloading a saved network: %v", err)
-		}
-		var out2 bytes.Buffer
-		if err := net2.Save(&out2); err != nil {
-			t.Fatalf("re-saving the reloaded network: %v", err)
-		}
-		if !bytes.Equal(out1.Bytes(), out2.Bytes()) {
-			t.Fatal("save/load/save is not byte-stable")
+			var out1 bytes.Buffer
+			if err := net.Save(&out1); err != nil {
+				t.Fatalf("re-saving a loaded network: %v", err)
+			}
+			net2, err := Load(bytes.NewReader(out1.Bytes()))
+			if err != nil {
+				t.Fatalf("reloading a saved network: %v", err)
+			}
+			var out2 bytes.Buffer
+			if err := net2.Save(&out2); err != nil {
+				t.Fatalf("re-saving the reloaded network: %v", err)
+			}
+			if !bytes.Equal(out1.Bytes(), out2.Bytes()) {
+				t.Fatal("save/load/save is not byte-stable")
+			}
 		}
 	})
 }

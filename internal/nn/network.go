@@ -21,21 +21,30 @@ type Network struct {
 	grads  []*Mat
 }
 
+// chainErr reports the first layer whose declared input width differs
+// from the output width before it.
+func chainErr(layers []Layer) error {
+	prevOut := 0
+	for i, l := range layers {
+		if in := l.InDim(); in != 0 && prevOut != 0 && in != prevOut {
+			return fmt.Errorf("nn: layer %d (%s) expects %d inputs, previous produces %d",
+				i, l.Name(), in, prevOut)
+		}
+		if out := l.OutDim(); out != 0 {
+			prevOut = out
+		}
+	}
+	return nil
+}
+
 // NewNetwork builds a chain network. Adjacent layer dimensions are checked
 // where both sides declare them (activations are dimension-polymorphic).
 func NewNetwork(layers ...Layer) *Network {
 	if len(layers) == 0 {
 		panic("nn: empty network")
 	}
-	prevOut := 0
-	for i, l := range layers {
-		if in := l.InDim(); in != 0 && prevOut != 0 && in != prevOut {
-			panic(fmt.Sprintf("nn: layer %d (%s) expects %d inputs, previous produces %d",
-				i, l.Name(), in, prevOut))
-		}
-		if out := l.OutDim(); out != 0 {
-			prevOut = out
-		}
+	if err := chainErr(layers); err != nil {
+		panic(err.Error())
 	}
 	n := &Network{layers: layers}
 	for _, l := range layers {

@@ -6,36 +6,27 @@
 package nn
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 
 	"repro/internal/matrix"
+	"repro/internal/wire"
 )
 
 // The KML model file format (§3.3: "the user can save the model to a file
 // that has a KML-specific file format" and later load it in the kernel
-// module). Layout, little-endian:
-//
-//	magic   [4]byte  "KMLF"
-//	version uint16   (1)
-//	layers  uint16
-//	per layer:
-//	  kind  uint8
-//	  linear only: in uint32, out uint32, W (in·out float64), b (out float64)
-//	crc32   uint32   (IEEE, over everything before it)
+// module). modelLayout declares it.
 const (
-	modelMagic   = "KMLF"
+	modelMagic   = 0x464c4d4b // "KMLF" little-endian
 	modelVersion = 1
+	maxLayers    = 1024
 )
 
 // Sanity bounds for deserialized layer shapes: reject corrupt headers
-// before allocating buffers sized by them.
+// before allocating buffers sized by them. 2^20 weights ≫ any KML model
+// (§3: the paper's readahead network is ~1 KB of parameters).
 const (
 	maxLinearDim     = 1 << 16
 	maxLinearWeights = 1 << 20
@@ -50,166 +41,120 @@ const (
 	kindSoftmax uint8 = 5
 )
 
+// activations builds the parameterless layer each remaining kind tag names.
+var activations = map[uint8]func() Layer{
+	kindSigmoid: NewSigmoid,
+	kindReLU:    NewReLU,
+	kindTanh:    NewTanh,
+	kindSoftmax: func() Layer { return NewSoftmax() },
+}
+
 // ErrBadModel reports a corrupt or incompatible model file.
 var ErrBadModel = errors.New("nn: bad model file")
 
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
+// kindOf returns l's kind tag, or 0 if the format cannot hold it.
+func kindOf(l Layer) uint8 {
+	switch t := l.(type) {
+	case *Linear:
+		return kindLinear
+	case *Softmax:
+		return kindSoftmax
+	case *activation:
+		switch t.name {
+		case "sigmoid":
+			return kindSigmoid
+		case "relu":
+			return kindReLU
+		case "tanh":
+			return kindTanh
+		}
+	}
+	return 0
 }
 
-func (c *crcWriter) Write(p []byte) (int, error) {
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
-	return c.w.Write(p)
+// modelLayout is the model file, little-endian:
+//
+//	magic   u32   "KMLF"
+//	version u16   (1)
+//	layers  u16   (1..1024), then each layer (layerLayout)
+//	crc32   u32   (IEEE, over everything before it)
+//
+// A decoded network must chain: each Linear layer takes the width the
+// one before it produces.
+func modelLayout(c *wire.Codec, layers *[]Layer) {
+	start := c.Mark()
+	magic, version := uint32(modelMagic), uint16(modelVersion)
+	c.U32(&magic)
+	c.U16(&version)
+	c.Check(magic == modelMagic && version == modelVersion)
+	wire.List16(c, layers, maxLayers, 1, layerLayout)
+	if c.Check(len(*layers) > 0) {
+		c.Check(chainErr(*layers) == nil)
+	}
+	c.CRC32(start)
 }
 
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	return n, err
+// layerLayout is one layer: a kind tag, then for a Linear layer
+// in u32, out u32, W (in·out f64) and b (out f64).
+func layerLayout(c *wire.Codec, l *Layer) {
+	kind := kindOf(*l)
+	c.U8(&kind)
+	if kind != kindLinear {
+		if c.Check(activations[kind] != nil) && c.Decoding() {
+			*l = activations[kind]()
+		}
+		return
+	}
+	lin, _ := (*l).(*Linear)
+	var in, out uint32
+	if lin != nil {
+		in, out = uint32(lin.in), uint32(lin.out)
+	}
+	c.U32(&in)
+	c.U32(&out)
+	if !c.Check(in > 0 && out > 0 && in <= maxLinearDim && out <= maxLinearDim &&
+		uint64(in)*uint64(out) <= maxLinearWeights) || !c.Fits(8*uint64(in+1)*uint64(out)) {
+		return
+	}
+	if c.Decoding() {
+		lin = &Linear{
+			in: int(in), out: int(out),
+			w:  matrix.New[float64](int(in), int(out)),
+			b:  matrix.New[float64](1, int(out)),
+			dw: matrix.New[float64](int(in), int(out)),
+			db: matrix.New[float64](1, int(out)),
+		}
+		*l = lin
+	}
+	c.F64s(lin.w.Data())
+	c.F64s(lin.b.Data())
 }
 
 // Save writes the network in the KML model file format.
 func (n *Network) Save(w io.Writer) error {
-	cw := &crcWriter{w: w}
-	if _, err := cw.Write([]byte(modelMagic)); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint16(modelVersion)); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint16(len(n.layers))); err != nil {
-		return err
-	}
 	for _, l := range n.layers {
-		switch t := l.(type) {
-		case *Linear:
-			if err := binary.Write(cw, binary.LittleEndian, kindLinear); err != nil {
-				return err
-			}
-			if err := binary.Write(cw, binary.LittleEndian, uint32(t.in)); err != nil {
-				return err
-			}
-			if err := binary.Write(cw, binary.LittleEndian, uint32(t.out)); err != nil {
-				return err
-			}
-			if err := writeFloats(cw, t.w.Data()); err != nil {
-				return err
-			}
-			if err := writeFloats(cw, t.b.Data()); err != nil {
-				return err
-			}
-		case *Softmax:
-			if err := binary.Write(cw, binary.LittleEndian, kindSoftmax); err != nil {
-				return err
-			}
-		case *activation:
-			var kind uint8
-			switch t.name {
-			case "sigmoid":
-				kind = kindSigmoid
-			case "relu":
-				kind = kindReLU
-			case "tanh":
-				kind = kindTanh
-			default:
-				return fmt.Errorf("nn: cannot serialize activation %q", t.name)
-			}
-			if err := binary.Write(cw, binary.LittleEndian, kind); err != nil {
-				return err
-			}
-		default:
+		if kindOf(l) == 0 {
 			return fmt.Errorf("nn: cannot serialize layer %q", l.Name())
 		}
 	}
-	return binary.Write(w, binary.LittleEndian, cw.crc)
+	_, err := w.Write(wire.Append(nil, n.layers, modelLayout))
+	return err
 }
 
-// Load reads a network from the KML model file format.
+// Load reads a network from the KML model file format. Like a reader that
+// stops at the checksum, it ignores anything after it.
 func Load(r io.Reader) (*Network, error) {
-	cr := &crcReader{r: r}
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(cr, magic); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadModel, err)
 	}
-	if string(magic) != modelMagic {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadModel, magic)
-	}
-	var version, count uint16
-	if err := binary.Read(cr, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadModel, err)
-	}
-	if version != modelVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadModel, version)
-	}
-	if err := binary.Read(cr, binary.LittleEndian, &count); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadModel, err)
-	}
-	if count == 0 || count > 1024 {
-		return nil, fmt.Errorf("%w: layer count %d", ErrBadModel, count)
-	}
-	layers := make([]Layer, 0, count)
-	for i := 0; i < int(count); i++ {
-		var kind uint8
-		if err := binary.Read(cr, binary.LittleEndian, &kind); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadModel, err)
-		}
-		switch kind {
-		case kindLinear:
-			var in, out uint32
-			if err := binary.Read(cr, binary.LittleEndian, &in); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadModel, err)
-			}
-			if err := binary.Read(cr, binary.LittleEndian, &out); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadModel, err)
-			}
-			// Bound the dimensions before allocating: a corrupt or
-			// hostile header claiming huge dims must fail cheaply, not
-			// commit gigabytes (readFloats allocates 8·in·out bytes
-			// up front). 2^20 weights ≫ any KML model (§3: the paper's
-			// readahead network is ~1 KB of parameters).
-			if in == 0 || out == 0 || in > maxLinearDim || out > maxLinearDim ||
-				uint64(in)*uint64(out) > maxLinearWeights {
-				return nil, fmt.Errorf("%w: linear dims %dx%d", ErrBadModel, in, out)
-			}
-			l := &Linear{
-				in: int(in), out: int(out),
-				w:  matrix.New[float64](int(in), int(out)),
-				b:  matrix.New[float64](1, int(out)),
-				dw: matrix.New[float64](int(in), int(out)),
-				db: matrix.New[float64](1, int(out)),
-			}
-			if err := readFloats(cr, l.w.Data()); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadModel, err)
-			}
-			if err := readFloats(cr, l.b.Data()); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadModel, err)
-			}
-			layers = append(layers, l)
-		case kindSigmoid:
-			layers = append(layers, NewSigmoid())
-		case kindReLU:
-			layers = append(layers, NewReLU())
-		case kindTanh:
-			layers = append(layers, NewTanh())
-		case kindSoftmax:
-			layers = append(layers, NewSoftmax())
-		default:
-			return nil, fmt.Errorf("%w: layer kind %d", ErrBadModel, kind)
-		}
-	}
-	want := cr.crc
-	var got uint32
-	if err := binary.Read(r, binary.LittleEndian, &got); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum: %v", ErrBadModel, err)
-	}
-	if got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadModel)
+	var layers []Layer
+	var rest []byte
+	c := wire.Decoder(data)
+	modelLayout(&c, &layers)
+	c.Tail(&rest)
+	if err := c.End(ErrBadModel); err != nil {
+		return nil, err
 	}
 	return NewNetwork(layers...), nil
 }
@@ -221,17 +166,13 @@ func (n *Network) SaveFile(path string) (err error) {
 		return err
 	}
 	defer func() {
-		// Close errors matter on the write path (buffered data may hit
-		// the disk only now); don't let them vanish behind a save error.
+		// Close errors matter on the write path (data may hit the disk
+		// only now); don't let them vanish behind a save error.
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 	}()
-	bw := bufio.NewWriter(f)
-	if err := n.Save(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return n.Save(f)
 }
 
 // LoadFile reads a model saved with SaveFile — the "deploy into the kernel
@@ -242,25 +183,5 @@ func LoadFile(path string) (*Network, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(bufio.NewReader(f))
-}
-
-func writeFloats(w io.Writer, fs []float64) error {
-	buf := make([]byte, 8*len(fs))
-	for i, f := range fs {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(f))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-func readFloats(r io.Reader, fs []float64) error {
-	buf := make([]byte, 8*len(fs))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	for i := range fs {
-		fs[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return nil
+	return Load(f)
 }

@@ -9,8 +9,9 @@
 package sstable
 
 import (
-	"encoding/binary"
-	"fmt"
+	"bytes"
+
+	"repro/internal/wire"
 )
 
 // Bloom is a split block-style bloom filter with double hashing.
@@ -94,24 +95,25 @@ func (b *Bloom) MayContain(key []byte) bool {
 	return true
 }
 
-// Marshal encodes the filter (k, then the bit array).
-func (b *Bloom) Marshal() []byte {
-	out := make([]byte, 4+len(b.bits))
-	binary.LittleEndian.PutUint32(out, b.k)
-	copy(out[4:], b.bits)
-	return out
+// bloomLayout is the filter: k u32 (1..30), then the bit array, at least
+// one byte, to the end of the span.
+func bloomLayout(c *wire.Codec, b *Bloom) {
+	c.U32(&b.k)
+	c.Check(b.k >= 1 && b.k <= 30)
+	c.Tail(&b.bits)
+	c.Check(len(b.bits) > 0)
 }
 
-// UnmarshalBloom decodes a filter produced by Marshal.
+// Marshal encodes the filter.
+func (b *Bloom) Marshal() []byte { return wire.Append(nil, *b, bloomLayout) }
+
+// UnmarshalBloom decodes a filter produced by Marshal into a copy of its
+// bits.
 func UnmarshalBloom(data []byte) (*Bloom, error) {
-	if len(data) < 5 {
-		return nil, fmt.Errorf("sstable: bloom too short (%d bytes)", len(data))
+	b, err := wire.Parse(data, bloomLayout, errBadBloom)
+	if err != nil {
+		return nil, err
 	}
-	k := binary.LittleEndian.Uint32(data)
-	if k == 0 || k > 30 {
-		return nil, fmt.Errorf("sstable: bloom k=%d", k)
-	}
-	bits := make([]byte, len(data)-4)
-	copy(bits, data[4:])
-	return &Bloom{bits: bits, k: k}, nil
+	b.bits = bytes.Clone(b.bits)
+	return &b, nil
 }

@@ -2,23 +2,21 @@ package sstable
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"repro/internal/vfs"
+	"repro/internal/wire"
 )
 
 // File layout:
 //
 //	data block 0 | data block 1 | ... | index | bloom | footer
 //
-// Data block: repeated entries (uvarint keyLen, key, uvarint valLen, val),
-// keys strictly ascending across the whole table.
-// Index: repeated (uvarint lastKeyLen, lastKey, uvarint off, uvarint len),
-// one per block; lastKey is the block's largest key.
-// Footer (fixed 48 bytes): indexOff, indexLen, bloomOff, bloomLen,
-// numEntries (uint64 each) and the magic.
+// A data block is a run of entryLayout entries, keys strictly ascending
+// across the whole table. The index is one indexLayout entry per block,
+// the bloom filter is bloomLayout, and the footer is footerLayout, the
+// file's last footerSize bytes.
 const (
 	footerSize = 48
 	tableMagic = 0x4b4d4c5353540a01 // "KMLSST\n\x01"
@@ -35,6 +33,53 @@ const (
 
 // ErrBadTable reports a corrupt or truncated table file.
 var ErrBadTable = errors.New("sstable: bad table")
+
+var (
+	errBadFooter = fmt.Errorf("%w: footer", ErrBadTable)
+	errBadIndex  = fmt.Errorf("%w: index", ErrBadTable)
+	errBadBloom  = fmt.Errorf("%w: bloom", ErrBadTable)
+)
+
+// entryLayout is a data-block entry: a key/value record, the key and then
+// the value as length-prefixed bytes. A key is never empty, so an entry
+// with an empty one ends the block: the page-alignment gap after a block
+// reads as zeros. readBlock and Get decode entries with wire.CutKeyValue,
+// KeyValue's decoder, so their loops keep the block in registers.
+func entryLayout(c *wire.Codec, e *entry) { e.key, e.value = c.KeyValue(e.key, e.value) }
+
+// indexLayout is an index entry: the block's largest key as
+// length-prefixed bytes, then the block's offset and length as uvarints.
+func indexLayout(c *wire.Codec, e *indexEntry) {
+	off, n := uint64(e.off), uint64(e.length)
+	c.VarBytes(&e.lastKey)
+	c.Uvarint(&off)
+	c.Uvarint(&n)
+	if c.Decoding() {
+		e.off, e.length = int64(off), int64(n)
+	}
+}
+
+// footer locates the index and the bloom filter.
+type footer struct {
+	indexOff, indexLen, bloomOff, bloomLen, entries uint64
+}
+
+// footerLayout is the footer: indexOff, indexLen, bloomOff, bloomLen,
+// the entry count and the magic, u64 each.
+func footerLayout(c *wire.Codec, f *footer) {
+	magic := uint64(tableMagic)
+	for _, v := range []*uint64{&f.indexOff, &f.indexLen, &f.bloomOff, &f.bloomLen, &f.entries, &magic} {
+		c.U64(v)
+	}
+	c.Check(magic == tableMagic)
+}
+
+// inside reports whether a non-empty span lies within the file's size
+// bytes, without an overflowing sum.
+func (f footer) inside(size uint64) bool {
+	return f.indexLen > 0 && f.indexOff <= size && f.indexLen <= size-f.indexOff &&
+		f.bloomOff >= f.indexOff+f.indexLen && f.bloomOff <= size && f.bloomLen <= size-f.bloomOff
+}
 
 // Builder writes a table. Add keys in strictly ascending order, then call
 // Finish.
@@ -79,22 +124,18 @@ func (b *Builder) Add(key, value []byte) error {
 	if b.lastKey != nil && bytes.Compare(key, b.lastKey) <= 0 {
 		return fmt.Errorf("sstable: key %q not above %q", key, b.lastKey)
 	}
-	var tmp [binary.MaxVarintLen64]byte
 	// Flush first if this entry would overflow the block, keeping blocks
 	// within one aligned unit (an oversized single entry still gets its
 	// own block).
-	entrySize := 2*binary.MaxVarintLen64 + len(key) + len(value)
+	entrySize := 2*wire.MaxUvarintLen + len(key) + len(value)
 	if len(b.block) > 0 && len(b.block)+entrySize > b.blockSize {
 		if err := b.flushBlock(); err != nil {
 			return err
 		}
 	}
-	n := binary.PutUvarint(tmp[:], uint64(len(key)))
-	b.block = append(b.block, tmp[:n]...)
-	b.block = append(b.block, key...)
-	n = binary.PutUvarint(tmp[:], uint64(len(value)))
-	b.block = append(b.block, tmp[:n]...)
-	b.block = append(b.block, value...)
+	c := wire.Encoder(b.block)
+	entryLayout(&c, &entry{key, value})
+	b.block = c.Bytes()
 	b.lastKey = append(b.lastKey[:0], key...)
 	if b.firstKey == nil {
 		b.firstKey = append([]byte(nil), key...)
@@ -136,17 +177,11 @@ func (b *Builder) Finish() error {
 		return errors.New("sstable: empty table")
 	}
 	// Index.
-	var idx []byte
-	var tmp [binary.MaxVarintLen64]byte
-	for _, e := range b.index {
-		n := binary.PutUvarint(tmp[:], uint64(len(e.lastKey)))
-		idx = append(idx, tmp[:n]...)
-		idx = append(idx, e.lastKey...)
-		n = binary.PutUvarint(tmp[:], uint64(e.off))
-		idx = append(idx, tmp[:n]...)
-		n = binary.PutUvarint(tmp[:], uint64(e.length))
-		idx = append(idx, tmp[:n]...)
+	c := wire.Encoder(nil)
+	for i := range b.index {
+		indexLayout(&c, &b.index[i])
 	}
+	idx := c.Bytes()
 	indexOff := b.offset
 	if _, err := b.f.WriteAt(idx, indexOff); err != nil {
 		return err
@@ -164,14 +199,8 @@ func (b *Builder) Finish() error {
 	}
 	b.offset += int64(len(bl))
 	// Footer.
-	footer := make([]byte, footerSize)
-	binary.LittleEndian.PutUint64(footer[0:], uint64(indexOff))
-	binary.LittleEndian.PutUint64(footer[8:], uint64(len(idx)))
-	binary.LittleEndian.PutUint64(footer[16:], uint64(bloomOff))
-	binary.LittleEndian.PutUint64(footer[24:], uint64(len(bl)))
-	binary.LittleEndian.PutUint64(footer[32:], b.entries)
-	binary.LittleEndian.PutUint64(footer[40:], tableMagic)
-	if _, err := b.f.WriteAt(footer, b.offset); err != nil {
+	ft := wire.Append(nil, footer{uint64(indexOff), uint64(len(idx)), uint64(bloomOff), uint64(len(bl)), b.entries}, footerLayout)
+	if _, err := b.f.WriteAt(ft, b.offset); err != nil {
 		return err
 	}
 	b.f.Sync()
@@ -201,50 +230,32 @@ func Open(f *vfs.File) (*Table, error) {
 	if size < footerSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrBadTable, size)
 	}
-	footer, err := f.View(size-footerSize, footerSize)
+	raw, err := f.View(size-footerSize, footerSize)
 	if err != nil {
 		return nil, fmt.Errorf("%w: footer: %v", ErrBadTable, err)
 	}
-	if binary.LittleEndian.Uint64(footer[40:]) != tableMagic {
-		return nil, fmt.Errorf("%w: magic", ErrBadTable)
+	ft, err := wire.Parse(raw, footerLayout, errBadFooter)
+	if err != nil {
+		return nil, err
 	}
-	indexOff := int64(binary.LittleEndian.Uint64(footer[0:]))
-	indexLen := int64(binary.LittleEndian.Uint64(footer[8:]))
-	bloomOff := int64(binary.LittleEndian.Uint64(footer[16:]))
-	bloomLen := int64(binary.LittleEndian.Uint64(footer[24:]))
-	entries := binary.LittleEndian.Uint64(footer[32:])
-	if indexOff < 0 || indexLen <= 0 || bloomOff < indexOff+indexLen || indexOff+indexLen > size {
+	if !ft.inside(uint64(size)) {
 		return nil, fmt.Errorf("%w: footer offsets", ErrBadTable)
 	}
-	idx, err := f.View(indexOff, int(indexLen))
+	idx, err := f.View(int64(ft.indexOff), int(ft.indexLen))
 	if err != nil {
 		return nil, fmt.Errorf("%w: index: %v", ErrBadTable, err)
 	}
-	t := &Table{f: f, entries: entries}
-	for len(idx) > 0 {
-		klen, n := binary.Uvarint(idx)
-		if n <= 0 || int(klen) > len(idx)-n {
-			return nil, fmt.Errorf("%w: index entry", ErrBadTable)
-		}
-		idx = idx[n:]
-		key := idx[:klen:klen]
-		idx = idx[klen:]
-		off, n := binary.Uvarint(idx)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: index offset", ErrBadTable)
-		}
-		idx = idx[n:]
-		length, n := binary.Uvarint(idx)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: index length", ErrBadTable)
-		}
-		idx = idx[n:]
-		t.index = append(t.index, indexEntry{lastKey: key, off: int64(off), length: int64(length)})
+	t := &Table{f: f, entries: ft.entries}
+	c := wire.Decoder(idx)
+	for c.More() {
+		var e indexEntry
+		indexLayout(&c, &e)
+		t.index = append(t.index, e)
 	}
-	if len(t.index) == 0 {
-		return nil, fmt.Errorf("%w: empty index", ErrBadTable)
+	if err := c.End(errBadIndex); err != nil {
+		return nil, err
 	}
-	bl, err := f.View(bloomOff, int(bloomLen))
+	bl, err := f.View(int64(ft.bloomOff), int(ft.bloomLen))
 	if err != nil {
 		return nil, fmt.Errorf("%w: bloom: %v", ErrBadTable, err)
 	}
@@ -325,28 +336,28 @@ func (t *Table) readBlock(i int, b *block) error {
 		}
 		out = make([]entry, 0, hint)
 	}
+	var e entry
+	ok := true
 	for len(raw) > 0 {
-		klen, n := binary.Uvarint(raw)
-		if klen == 0 {
-			break // zero key length marks end-of-block padding
+		if e.key, e.value, raw, ok = wire.CutKeyValue(raw); !ok || len(e.key) == 0 {
+			break
 		}
-		if n <= 0 || int(klen) > len(raw)-n {
-			return fmt.Errorf("%w: block %d entry", ErrBadTable, i)
-		}
-		raw = raw[n:]
-		key := raw[:klen:klen]
-		raw = raw[klen:]
-		vlen, n := binary.Uvarint(raw)
-		if n <= 0 || int(vlen) > len(raw)-n {
-			return fmt.Errorf("%w: block %d value", ErrBadTable, i)
-		}
-		raw = raw[n:]
-		val := raw[:vlen:vlen]
-		raw = raw[vlen:]
-		out = append(out, entry{key: key, value: val})
+		out = append(out, e)
 	}
 	b.entries = out
-	return nil
+	return blockErr(ok, e.key, i)
+}
+
+// blockErr reports how the decode of data block i ended: nil, or which
+// part of its last entry, whose key is key, did not decode.
+func blockErr(ok bool, key []byte, i int) error {
+	switch {
+	case ok:
+		return nil
+	case key != nil:
+		return fmt.Errorf("%w: block %d value", ErrBadTable, i)
+	}
+	return fmt.Errorf("%w: block %d entry", ErrBadTable, i)
 }
 
 // cacheLine is the line size warm steps by: 64 bytes on the hosts this
@@ -399,24 +410,12 @@ func (t *Table) Get(key []byte) (value []byte, ok bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
+	var k, v []byte
+	fit := true
 	for len(raw) > 0 {
-		klen, n := binary.Uvarint(raw)
-		if klen == 0 {
+		if k, v, raw, fit = wire.CutKeyValue(raw); !fit || len(k) == 0 {
 			break
 		}
-		if n <= 0 || int(klen) > len(raw)-n {
-			return nil, false, fmt.Errorf("%w: block %d entry", ErrBadTable, bi)
-		}
-		raw = raw[n:]
-		k := raw[:klen]
-		raw = raw[klen:]
-		vlen, n := binary.Uvarint(raw)
-		if n <= 0 || int(vlen) > len(raw)-n {
-			return nil, false, fmt.Errorf("%w: block %d value", ErrBadTable, bi)
-		}
-		raw = raw[n:]
-		v := raw[:vlen:vlen]
-		raw = raw[vlen:]
 		switch bytes.Compare(k, key) {
 		case 0:
 			return v, true, nil
@@ -424,7 +423,7 @@ func (t *Table) Get(key []byte) (value []byte, ok bool, err error) {
 			return nil, false, nil // sorted: passed the key
 		}
 	}
-	return nil, false, nil
+	return nil, false, blockErr(fit, k, bi)
 }
 
 // Iterator walks a table forward or backward. The zero position is

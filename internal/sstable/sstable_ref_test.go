@@ -1,0 +1,137 @@
+package sstable
+
+// The table decoders as they were before they ran on internal/wire, kept
+// verbatim (renamed ref*) as the oracle for TestTableMatchesReference;
+// refReadBlock in sstable_test.go is the block decoder. They are the
+// reference implementations: do not "fix" them.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+
+	"repro/internal/vfs"
+)
+
+func refOpen(f *vfs.File) (*Table, error) {
+	size := f.Size()
+	if size < footerSize {
+		return nil, fmt.Errorf("%w: %d bytes", ErrBadTable, size)
+	}
+	footer, err := f.View(size-footerSize, footerSize)
+	if err != nil {
+		return nil, fmt.Errorf("%w: footer: %v", ErrBadTable, err)
+	}
+	if binary.LittleEndian.Uint64(footer[40:]) != tableMagic {
+		return nil, fmt.Errorf("%w: magic", ErrBadTable)
+	}
+	indexOff := int64(binary.LittleEndian.Uint64(footer[0:]))
+	indexLen := int64(binary.LittleEndian.Uint64(footer[8:]))
+	bloomOff := int64(binary.LittleEndian.Uint64(footer[16:]))
+	bloomLen := int64(binary.LittleEndian.Uint64(footer[24:]))
+	entries := binary.LittleEndian.Uint64(footer[32:])
+	if indexOff < 0 || indexLen <= 0 || bloomOff < indexOff+indexLen || indexOff+indexLen > size {
+		return nil, fmt.Errorf("%w: footer offsets", ErrBadTable)
+	}
+	idx, err := f.View(indexOff, int(indexLen))
+	if err != nil {
+		return nil, fmt.Errorf("%w: index: %v", ErrBadTable, err)
+	}
+	t := &Table{f: f, entries: entries}
+	for len(idx) > 0 {
+		klen, n := binary.Uvarint(idx)
+		if n <= 0 || int(klen) > len(idx)-n {
+			return nil, fmt.Errorf("%w: index entry", ErrBadTable)
+		}
+		idx = idx[n:]
+		key := idx[:klen:klen]
+		idx = idx[klen:]
+		off, n := binary.Uvarint(idx)
+		if n <= 0 {
+			return nil, fmt.Errorf("%w: index offset", ErrBadTable)
+		}
+		idx = idx[n:]
+		length, n := binary.Uvarint(idx)
+		if n <= 0 {
+			return nil, fmt.Errorf("%w: index length", ErrBadTable)
+		}
+		idx = idx[n:]
+		t.index = append(t.index, indexEntry{lastKey: key, off: int64(off), length: int64(length)})
+	}
+	if len(t.index) == 0 {
+		return nil, fmt.Errorf("%w: empty index", ErrBadTable)
+	}
+	bl, err := f.View(bloomOff, int(bloomLen))
+	if err != nil {
+		return nil, fmt.Errorf("%w: bloom: %v", ErrBadTable, err)
+	}
+	bloom, err := refUnmarshalBloom(bl)
+	if err != nil {
+		return nil, err
+	}
+	t.bloom = bloom
+	t.last = t.index[len(t.index)-1].lastKey
+	// First key: decode the head of block 0.
+	entries0, err := refReadBlock(t, 0)
+	if err != nil {
+		return nil, err
+	}
+	if len(entries0) == 0 {
+		return nil, fmt.Errorf("%w: block 0 empty", ErrBadTable)
+	}
+	t.first = entries0[0].key
+	return t, nil
+}
+
+func refGet(t *Table, key []byte) (value []byte, ok bool, err error) {
+	if !t.bloom.MayContain(key) {
+		return nil, false, nil
+	}
+	bi := t.blockFor(key)
+	if bi >= len(t.index) {
+		return nil, false, nil
+	}
+	raw, err := t.view(bi)
+	if err != nil {
+		return nil, false, err
+	}
+	for len(raw) > 0 {
+		klen, n := binary.Uvarint(raw)
+		if klen == 0 {
+			break
+		}
+		if n <= 0 || int(klen) > len(raw)-n {
+			return nil, false, fmt.Errorf("%w: block %d entry", ErrBadTable, bi)
+		}
+		raw = raw[n:]
+		k := raw[:klen]
+		raw = raw[klen:]
+		vlen, n := binary.Uvarint(raw)
+		if n <= 0 || int(vlen) > len(raw)-n {
+			return nil, false, fmt.Errorf("%w: block %d value", ErrBadTable, bi)
+		}
+		raw = raw[n:]
+		v := raw[:vlen:vlen]
+		raw = raw[vlen:]
+		switch bytes.Compare(k, key) {
+		case 0:
+			return v, true, nil
+		case 1:
+			return nil, false, nil // sorted: passed the key
+		}
+	}
+	return nil, false, nil
+}
+
+func refUnmarshalBloom(data []byte) (*Bloom, error) {
+	if len(data) < 5 {
+		return nil, fmt.Errorf("sstable: bloom too short (%d bytes)", len(data))
+	}
+	k := binary.LittleEndian.Uint32(data)
+	if k == 0 || k > 30 {
+		return nil, fmt.Errorf("sstable: bloom k=%d", k)
+	}
+	bits := make([]byte, len(data)-4)
+	copy(bits, data[4:])
+	return &Bloom{bits: bits, k: k}, nil
+}

@@ -1,7 +1,8 @@
-// Package wire is the one codec behind the daemon's message payloads. A
-// message declares its byte layout once, as a function over a *Codec; on
-// an encoder that function appends the message, on a decoder it parses
-// it, so the two directions cannot drift apart.
+// Package wire is the one codec behind the daemon's message payloads and
+// every durable file format. A message or format declares its byte layout
+// once, as a function over a *Codec; on an encoder that function appends
+// the message, on a decoder it parses it, so the two directions cannot
+// drift apart.
 //
 // Integers are little-endian, floats IEEE-754 bit patterns. A decoder's
 // error is sticky: after the first short read or failed Check every read
@@ -16,6 +17,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 )
 
@@ -25,6 +27,9 @@ type Codec struct {
 	dec bool
 	bad bool
 }
+
+// MaxUvarintLen is the most bytes a Uvarint takes.
+const MaxUvarintLen = binary.MaxVarintLen64
 
 // Encoder returns a codec that appends to dst.
 //
@@ -75,6 +80,12 @@ func (c *Codec) End(bad error) error {
 	return nil
 }
 
+// More reports whether a decode is still good and has input left: the
+// loop condition of a stream of records.
+//
+//kml:hotpath
+func (c *Codec) More() bool { return !c.bad && len(c.buf) > 0 }
+
 // Check fails a decode unless ok, stating a layout's enum and range
 // rules; an encoder ignores it. It reports whether the codec is still
 // good, so a layout can guard an index it derived from decoded values.
@@ -86,6 +97,12 @@ func (c *Codec) Check(ok bool) bool {
 	}
 	return !c.bad
 }
+
+// Fits fails a decode unless the unread input holds n more bytes; an
+// encoder ignores it. A layout calls it before a count read from the
+// input sizes an allocation, and it reports whether the codec is still
+// good.
+func (c *Codec) Fits(n uint64) bool { return c.Check(n <= uint64(len(c.buf))) }
 
 // read consumes n input bytes, or fails the decode and returns nil.
 //
@@ -100,10 +117,33 @@ func (c *Codec) read(n int) []byte {
 	return b
 }
 
+// extend lengthens an encoder's output by n bytes and returns them.
+//
+//kml:hotpath
+func (c *Codec) extend(n int) []byte {
+	at := len(c.buf)
+	if cap(c.buf)-at < n {
+		c.grow(n)
+	}
+	c.buf = c.buf[:at+n]
+	return c.buf[at:]
+}
+
+// grow makes room for n more output bytes. An encoder over a buffer its
+// caller sized, as the frame and record headers are, never reaches it.
+//
+//kml:coldpath
+func (c *Codec) grow(n int) {
+	c.buf = append(c.buf, make([]byte, n)...)
+	c.buf = c.buf[:len(c.buf)-n]
+}
+
 // U8 walks one byte.
+//
+//kml:hotpath
 func (c *Codec) U8(v *uint8) {
 	if !c.dec {
-		c.buf = append(c.buf, *v)
+		c.extend(1)[0] = *v
 	} else if b := c.read(1); b != nil {
 		*v = b[0]
 	}
@@ -143,6 +183,8 @@ func (c *Codec) U64(v *uint64) {
 }
 
 // I64 walks an int64 as its two's-complement bit pattern.
+//
+//kml:hotpath
 func (c *Codec) I64(v *int64) {
 	u := uint64(*v)
 	if c.U64(&u); c.dec {
@@ -193,6 +235,120 @@ func (c *Codec) U16s(v []uint16) {
 			v[i] = binary.LittleEndian.Uint16(b[2*i:])
 		}
 	}
+}
+
+// Uvarint walks a uint64 as an unsigned LEB128 varint, the encoding of
+// binary.AppendUvarint. A decoder accepts what binary.Uvarint accepts,
+// overlong forms included, and fails a truncated or over-64-bit varint.
+func (c *Codec) Uvarint(v *uint64) {
+	if !c.dec {
+		c.buf = binary.AppendUvarint(c.buf, *v)
+		return
+	}
+	x, n := binary.Uvarint(c.buf)
+	if c.Check(n > 0) {
+		*v, c.buf = x, c.buf[n:]
+	}
+}
+
+// VarBytes walks length-prefixed bytes: a Uvarint length, then that many
+// bytes. A decoder compares the length with the unread input as a uint64,
+// so no length wraps past the check, and sets *b to the input's own bytes
+// with the capacity clipped, so an append to it cannot reach the bytes
+// after it.
+func (c *Codec) VarBytes(b *[]byte) {
+	if !c.dec {
+		c.buf = appendVarBytes(c.buf, *b)
+		return
+	}
+	n, k := binary.Uvarint(c.buf)
+	if c.Check(k > 0 && n <= uint64(len(c.buf)-k)) {
+		end := k + int(n)
+		*b, c.buf = c.buf[k:end:end], c.buf[end:]
+	}
+}
+
+// KeyValue walks a key/value record, two VarBytes, and returns the fields
+// instead of storing them: an encoder appends key and value and returns
+// them unchanged; a decoder returns the record it read or, if that does
+// not decode or the decode has failed, what it was given.
+func (c *Codec) KeyValue(key, value []byte) ([]byte, []byte) {
+	if !c.dec {
+		c.buf = appendVarBytes(appendVarBytes(c.buf, key), value)
+		return key, value
+	}
+	if k, v, rest, ok := CutKeyValue(c.buf); c.Check(ok) {
+		c.buf = rest
+		return k, v
+	}
+	return key, value
+}
+
+// CutKeyValue is KeyValue's decoder over a plain slice: it splits a
+// key/value record off the front of p and returns the rest. ok is false
+// unless both fields fit; key is then the decoded key if that one did,
+// else nil. A hot loop calls it directly, so the input stays in registers
+// rather than in a Codec: a table's data-block decode does.
+func CutKeyValue(p []byte) (key, value, rest []byte, ok bool) {
+	n, k := binary.Uvarint(p)
+	if k <= 0 || n > uint64(len(p)-k) {
+		return nil, nil, p, false
+	}
+	end := k + int(n)
+	key, p = p[k:end:end], p[end:]
+	if n, k = binary.Uvarint(p); k <= 0 || n > uint64(len(p)-k) {
+		return key, nil, p, false
+	}
+	end = k + int(n)
+	return key, p[k:end:end], p[end:], true
+}
+
+func appendVarBytes(dst, b []byte) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(b))), b...)
+}
+
+// Pad walks n bytes of padding: an encoder writes zeros, a decoder skips
+// whatever is there.
+//
+//kml:hotpath
+func (c *Codec) Pad(n int) {
+	if !c.dec {
+		clear(c.extend(n))
+	} else {
+		c.read(n)
+	}
+}
+
+// A Mark is a position in a codec's stream: where a CRC32 span starts.
+type Mark struct {
+	off  int    // encoder: the output length at the mark
+	rest []byte // decoder: the unread input at the mark
+}
+
+// Mark returns the current position.
+//
+//kml:hotpath
+func (c *Codec) Mark() Mark {
+	if c.dec {
+		return Mark{rest: c.buf}
+	}
+	return Mark{off: len(c.buf)}
+}
+
+// CRC32 walks the IEEE CRC-32 of the bytes walked since m as a U32: an
+// encoder appends it, a decoder fails unless it matches.
+//
+//kml:hotpath
+func (c *Codec) CRC32(m Mark) {
+	var sum uint32
+	if c.dec {
+		sum = crc32.ChecksumIEEE(m.rest[:len(m.rest)-len(c.buf)])
+	} else {
+		sum = crc32.ChecksumIEEE(c.buf[m.off:])
+	}
+	got := sum
+	c.U32(&got)
+	c.Check(got == sum)
 }
 
 // Len8 walks a u8 count of elements that each take at least size bytes.
