@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet kml-vet vet-strict test race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress serve-stress top-smoke loadgen-smoke postmortem-smoke overhead-check bench-storage benchmark benchmark-quick ci clean
+.PHONY: all build vet kml-vet vet-strict test race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress serve-stress top-smoke loadgen-smoke postmortem-smoke overhead-check bench-storage benchmark benchmark-quick bench-pair ci clean
 
 all: build
 
@@ -142,6 +142,15 @@ benchmark-quick:
 	@for w in tune_readseq_nvme serve_row; do \
 		$(GO) run ./benchmark --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
 	done
+
+# Paired, alternating runs of one workload at REV and in this checkout:
+# both medians, REV's IQR and the pairs won per end-to-end metric — the
+# procedure a perf claim needs (scripts/paired.sh).
+REV ?= HEAD
+WORKLOAD ?= tune_readrandom_ssd
+PAIRS ?= 5
+bench-pair:
+	sh scripts/paired.sh $(REV) $(WORKLOAD) $(PAIRS)
 
 ci: build vet race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress serve-stress top-smoke loadgen-smoke postmortem-smoke overhead-check vet-strict benchmark-quick
 

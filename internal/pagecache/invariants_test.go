@@ -10,30 +10,49 @@ import (
 
 // TestRandomizedInvariants drives the cache with a random mix of reads,
 // writes, syncs, readahead changes, hints and drops, checking structural
-// invariants after every step: capacity respected, LRU list consistent
-// with the page map, dirty count consistent, clock monotonic.
+// invariants after every step: capacity respected, LRU list, page tables
+// and free list consistent, dirty count consistent, clock monotonic. The
+// last case runs 128-page readahead windows through an 8-page cache with
+// mostly sequential reads, so a marker hit's async window evicts — and
+// the free list hands back — the very page that was hit.
 func TestRandomizedInvariants(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		seed := seed
+	for _, tc := range []struct {
+		seed     int64
+		capacity int
+		ra       []int // per-file ra overrides to pick from, in sectors
+		seqPct   int   // share of reads that continue the file's last one
+	}{
+		{1, 64, []int{0, 8, 64, 256, 1024}, 0},
+		{2, 64, []int{0, 8, 64, 256, 1024}, 0},
+		{3, 64, []int{0, 8, 64, 256, 1024}, 0},
+		{4, 8, []int{1024}, 80},
+	} {
+		seed := tc.seed
 		rng := rand.New(rand.NewSource(seed))
 		clk := clock.New()
 		dev := blockdev.New(blockdev.SATASSD(), clk)
-		c := New(Config{CapacityPages: 64, DirtyRatio: 0.3, WritebackBatch: 8}, clk, dev, nil)
+		c := New(Config{CapacityPages: tc.capacity, DirtyRatio: 0.3, WritebackBatch: 8}, clk, dev, nil)
 		c.SetFilePages(1, 500)
 		c.SetFilePages(2, 500)
+		next := map[FileID]int64{}
 		last := clk.Now()
 		for op := 0; op < 3000; op++ {
 			f := FileID(1 + rng.Intn(2))
 			off := int64(rng.Intn(490))
+			if rng.Intn(100) < tc.seqPct && next[f] < 490 {
+				off = next[f]
+			}
 			switch rng.Intn(10) {
 			case 0, 1, 2, 3, 4:
-				c.ReadPages(f, off, 1+rng.Intn(3))
+				n := 1 + rng.Intn(3)
+				c.ReadPages(f, off, n)
+				next[f] = off + int64(n)
 			case 5, 6:
 				c.WritePages(f, off, 1+rng.Intn(3))
 			case 7:
 				c.SyncFile(f)
 			case 8:
-				c.SetFileReadahead(f, []int{0, 8, 64, 256, 1024}[rng.Intn(5)])
+				c.SetFileReadahead(f, tc.ra[rng.Intn(len(tc.ra))])
 			case 9:
 				if rng.Intn(10) == 0 {
 					c.DropFile(f)
@@ -52,38 +71,59 @@ func TestRandomizedInvariants(t *testing.T) {
 
 func checkInvariants(t *testing.T, c *Cache, seed int64, op int) {
 	t.Helper()
-	if len(c.pages) > c.cfg.CapacityPages {
-		t.Fatalf("seed %d op %d: %d pages exceed capacity %d", seed, op, len(c.pages), c.cfg.CapacityPages)
+	if c.resident > c.cfg.CapacityPages {
+		t.Fatalf("seed %d op %d: %d pages exceed capacity %d", seed, op, c.resident, c.cfg.CapacityPages)
 	}
-	// Walk the LRU list both ways; it must contain exactly the map's pages.
+	// Every slot's page carries that slot's key.
+	held := make(map[*page]bool)
+	dirty := 0
+	for f, fs := range c.files {
+		if fs.id != f {
+			t.Fatalf("seed %d op %d: file %d's state says it is file %d", seed, op, f, fs.id)
+		}
+		for i, p := range fs.pages {
+			if p == nil {
+				continue
+			}
+			if p.key != (pageKey{f, int64(i)}) {
+				t.Fatalf("seed %d op %d: slot %d of file %d holds page %+v", seed, op, i, f, p.key)
+			}
+			held[p] = true
+			if p.dirty {
+				dirty++
+			}
+		}
+	}
+	// Walk the LRU list; it must contain exactly the tables' pages.
 	fwd := 0
 	var prev *page
 	for p := c.head; p != nil; p = p.next {
 		if p.prev != prev {
 			t.Fatalf("seed %d op %d: broken prev link", seed, op)
 		}
-		if got, ok := c.pages[p.key]; !ok {
-			t.Fatalf("seed %d op %d: LRU node %+v missing from map (dirty=%v spec=%v marker=%v)", seed, op, p.key, p.dirty, p.spec, p.marker)
-		} else if got != p {
-			t.Fatalf("seed %d op %d: stale LRU node for %+v", seed, op, p.key)
+		if !held[p] {
+			t.Fatalf("seed %d op %d: LRU node %+v is in no table (dirty=%v spec=%v marker=%v)", seed, op, p.key, p.dirty, p.spec, p.marker)
 		}
 		prev = p
 		fwd++
-		if fwd > len(c.pages)+1 {
+		if fwd > len(held)+1 {
 			t.Fatalf("seed %d op %d: LRU cycle", seed, op)
 		}
 	}
-	if fwd != len(c.pages) {
-		t.Fatalf("seed %d op %d: LRU has %d nodes, map has %d", seed, op, fwd, len(c.pages))
+	if fwd != len(held) || fwd != c.resident {
+		t.Fatalf("seed %d op %d: LRU has %d nodes, the tables hold %d, the count says %d", seed, op, fwd, len(held), c.resident)
 	}
 	if c.tail != prev {
 		t.Fatalf("seed %d op %d: tail mismatch", seed, op)
 	}
-	// Dirty count matches the map.
-	dirty := 0
-	for _, p := range c.pages {
-		if p.dirty {
-			dirty++
+	// No free page is reachable from the LRU or a table.
+	free := 0
+	for p := c.free; p != nil; p = p.next {
+		if held[p] {
+			t.Fatalf("seed %d op %d: free page %+v is still cached", seed, op, p.key)
+		}
+		if free++; free > c.cfg.CapacityPages {
+			t.Fatalf("seed %d op %d: free list longer than the cache", seed, op)
 		}
 	}
 	if dirty != c.dirtyCount {

@@ -33,6 +33,7 @@ package pagecache
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/blockdev"
@@ -79,6 +80,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// pageKey names a page: its file and its index in that file.
 type pageKey struct {
 	file FileID
 	idx  int64
@@ -90,7 +92,7 @@ type page struct {
 	dirty   bool
 	marker  bool // async readahead trigger
 	spec    bool // inserted speculatively, not yet used
-	// intrusive LRU list links
+	// intrusive LRU list links; next also links the free list
 	prev, next *page
 }
 
@@ -148,6 +150,19 @@ type raState struct {
 	frontier int64 // one past the highest page fetched for this stream
 }
 
+// fileState is everything the cache keeps for one file (the inode's
+// address_space plus its file_ra_state): a page table indexed by page
+// number, so a lookup is one bounds check and one load, the readahead
+// state, and the settings that DropAll keeps.
+type fileState struct {
+	id    FileID
+	pages []*page // pages[i] is page i when cached, else nil
+	ra    raState
+	raSec int   // per-file ra override in sectors (ra_pages); 0 = device default
+	hint  Hint  // fadvise hint
+	size  int64 // file size in pages, -1 until set; readahead never crosses EOF
+}
+
 // Cache is the simulated page cache.
 type Cache struct {
 	cfg    Config
@@ -155,14 +170,12 @@ type Cache struct {
 	dev    *blockdev.Device
 	tracer *trace.Tracer
 
-	pages map[pageKey]*page
+	files    map[FileID]*fileState
+	resident int // cached pages, across every file
 	// LRU list: head = most recent, tail = eviction candidate.
 	head, tail *page
-
-	files     map[FileID]*raState
-	fileRA    map[FileID]int // per-file ra override in sectors (ra_pages)
-	hints     map[FileID]Hint
-	filePages map[FileID]int64 // file sizes in pages; readahead never crosses EOF
+	free       *page   // evicted pages, linked by next, for insert to reuse
+	fetch      []int64 // asyncAhead's scratch: the window's uncached pages
 
 	dirtyFIFO  []pageKey
 	dirtyCount int
@@ -178,16 +191,53 @@ func New(cfg Config, clk *clock.Virtual, dev *blockdev.Device, tracer *trace.Tra
 		panic("pagecache: CapacityPages must be positive")
 	}
 	return &Cache{
-		cfg:       cfg.withDefaults(),
-		clk:       clk,
-		dev:       dev,
-		tracer:    tracer,
-		pages:     make(map[pageKey]*page),
-		files:     make(map[FileID]*raState),
-		fileRA:    make(map[FileID]int),
-		hints:     make(map[FileID]Hint),
-		filePages: make(map[FileID]int64),
+		cfg:    cfg.withDefaults(),
+		clk:    clk,
+		dev:    dev,
+		tracer: tracer,
+		files:  make(map[FileID]*fileState),
 	}
+}
+
+// file returns f's state, creating it on first use.
+func (c *Cache) file(f FileID) *fileState {
+	fs, ok := c.files[f]
+	if !ok {
+		fs = &fileState{id: f, ra: raState{nextSeq: -1}, size: -1}
+		c.files[f] = fs
+	}
+	return fs
+}
+
+// lookup returns page idx of fs, or nil when it is not cached.
+//
+//kml:hotpath
+func (c *Cache) lookup(fs *fileState, idx int64) *page {
+	if idx < int64(len(fs.pages)) {
+		return fs.pages[idx]
+	}
+	return nil
+}
+
+// unmap removes page idx of fs from the cache: out of its slot and the
+// LRU list, onto the free list.
+//
+//kml:hotpath
+func (c *Cache) unmap(fs *fileState, idx int64) {
+	pg := fs.pages[idx]
+	fs.pages[idx] = nil
+	c.lruRemove(pg)
+	c.release(pg)
+	c.resident--
+}
+
+// release puts an unlinked page on the free list.
+//
+//kml:hotpath
+func (c *Cache) release(pg *page) {
+	pg.dirty, pg.marker, pg.spec = false, false, false
+	pg.prev, pg.next = nil, c.free
+	c.free = pg
 }
 
 // SetMetrics attaches always-on telemetry to the cache; nil detaches.
@@ -311,13 +361,13 @@ func nextWindow(cur, max int) int {
 
 // raPagesFor resolves the effective readahead maximum for a file:
 // per-file override, else device setting, adjusted by the fadvise hint.
-func (c *Cache) raPagesFor(f FileID) int {
-	sectors, ok := c.fileRA[f]
-	if !ok || sectors == 0 {
+func (c *Cache) raPagesFor(fs *fileState) int {
+	sectors := fs.raSec
+	if sectors == 0 {
 		sectors = c.dev.ReadaheadSectors()
 	}
 	pages := sectors / blockdev.SectorsPerPage
-	switch c.hints[f] {
+	switch fs.hint {
 	case HintSequential:
 		pages *= 2
 	case HintRandom:
@@ -326,43 +376,34 @@ func (c *Cache) raPagesFor(f FileID) int {
 	return pages
 }
 
-func (c *Cache) state(f FileID) *raState {
-	st, ok := c.files[f]
-	if !ok {
-		st = &raState{nextSeq: -1}
-		c.files[f] = st
-	}
-	return st
-}
-
 // ReadPages simulates a buffered read of pages [off, off+n) of file f,
 // advancing the virtual clock by the resulting cache/device behaviour.
 func (c *Cache) ReadPages(f FileID, off int64, n int) {
 	if n <= 0 || off < 0 {
 		panic(fmt.Sprintf("pagecache: ReadPages(%d, %d, %d)", f, off, n))
 	}
-	st := c.state(f)
-	seq := off == st.nextSeq && st.nextSeq > 0
+	fs := c.file(f)
+	seq := off == fs.ra.nextSeq && fs.ra.nextSeq > 0
 	end := off + int64(n)
-	for i := off; i < end; {
-		pg, ok := c.pages[pageKey{f, i}]
-		if !ok {
-			c.missFetch(f, st, i, int(end-i), seq)
+	for i := off; i < end; i++ {
+		pg := c.lookup(fs, i)
+		if pg == nil {
+			c.missFetch(fs, i, int(end-i), seq)
 			// missFetch covered the remainder of the request.
 			break
 		}
-		c.hit(pg, f, st)
-		i++
+		c.hit(pg, fs)
 	}
-	st.nextSeq = end
+	fs.ra.nextSeq = end
 }
 
 // missFetch handles a cache miss at page start with need pages remaining in
 // the request: size a window, fetch the uncached pages in one device
 // request (needed portion synchronously, speculative remainder
 // asynchronously), and place the async marker for sequential streams.
-func (c *Cache) missFetch(f FileID, st *raState, start int64, need int, seq bool) {
-	max := c.raPagesFor(f)
+func (c *Cache) missFetch(fs *fileState, start int64, need int, seq bool) {
+	st := &fs.ra
+	max := c.raPagesFor(fs)
 	switch {
 	case seq && max > 0:
 		st.size = nextWindow(st.size, max)
@@ -377,7 +418,7 @@ func (c *Cache) missFetch(f FileID, st *raState, start int64, need int, seq bool
 		// cached files under random access this systematically over-reads
 		// — the pathology that tuning ra_pages down eliminates, and a
 		// load-bearing part of the paper's readrandom gains.
-		if run := c.cachedRunBefore(f, start, max); run > need {
+		if run := c.cachedRunBefore(fs, start, max); run > need {
 			st.size = run * 2
 			if st.size > max {
 				st.size = max
@@ -393,7 +434,7 @@ func (c *Cache) missFetch(f FileID, st *raState, start int64, need int, seq bool
 	}
 	window := st.size
 	// Readahead never crosses EOF (Linux clamps the window to the file).
-	if limit, ok := c.filePages[f]; ok && start+int64(window) > limit {
+	if limit := fs.size; limit >= 0 && start+int64(window) > limit {
 		window = int(limit - start)
 		if window < need {
 			window = need // the caller's own pages are always fetched
@@ -408,14 +449,10 @@ func (c *Cache) missFetch(f FileID, st *raState, start int64, need int, seq bool
 
 	// Partition the window into needed-and-uncached vs speculative-and-
 	// uncached pages; pages already cached are skipped (never re-fetched).
+	// Page start is a miss, so fgCount is at least one.
 	var fgCount, specCount int
-	var cachedInNeed []*page
 	for w := 0; w < window; w++ {
-		idx := start + int64(w)
-		if pg, ok := c.pages[pageKey{f, idx}]; ok {
-			if w < need {
-				cachedInNeed = append(cachedInNeed, pg)
-			}
+		if c.lookup(fs, start+int64(w)) != nil {
 			continue
 		}
 		if w < need {
@@ -423,14 +460,6 @@ func (c *Cache) missFetch(f FileID, st *raState, start int64, need int, seq bool
 		} else {
 			specCount++
 		}
-	}
-	if fgCount == 0 {
-		// Entire needed range was cached after all (interleaved hits);
-		// nothing to fetch synchronously.
-		for _, pg := range cachedInNeed {
-			c.hit(pg, f, st)
-		}
-		return
 	}
 	fgReady, winReady := c.dev.SyncRead(fgCount, fgCount+specCount)
 
@@ -442,10 +471,9 @@ func (c *Cache) missFetch(f FileID, st *raState, start int64, need int, seq bool
 	}
 	for w := 0; w < window; w++ {
 		idx := start + int64(w)
-		key := pageKey{f, idx}
-		if pg, ok := c.pages[key]; ok {
+		if pg := c.lookup(fs, idx); pg != nil {
 			if w < need {
-				c.hit(pg, f, st)
+				c.hit(pg, fs)
 			}
 			continue
 		}
@@ -462,7 +490,7 @@ func (c *Cache) missFetch(f FileID, st *raState, start int64, need int, seq bool
 			}
 			ready = fgReady
 		}
-		pg := c.insert(key, ready, specPage)
+		pg := c.insert(fs, idx, ready, specPage)
 		if idx == markerAt {
 			pg.marker = true
 		}
@@ -473,12 +501,9 @@ func (c *Cache) missFetch(f FileID, st *raState, start int64, need int, seq bool
 // index (the history try_context_readahead consults), capped at max.
 //
 //kml:hotpath
-func (c *Cache) cachedRunBefore(f FileID, index int64, max int) int {
+func (c *Cache) cachedRunBefore(fs *fileState, index int64, max int) int {
 	run := 0
-	for i := index - 1; i >= 0 && run < max; i-- {
-		if _, ok := c.pages[pageKey{f, i}]; !ok {
-			break
-		}
+	for i := index - 1; i >= 0 && run < max && c.lookup(fs, i) != nil; i-- {
 		run++
 	}
 	return run
@@ -490,8 +515,9 @@ func (c *Cache) cachedRunBefore(f FileID, index int64, max int) int {
 // Ordering is load-bearing: the page moves to MRU and its state is read
 // BEFORE asyncAhead runs, because the readahead's insertions may evict
 // pages — in pathological window-vs-capacity ratios even this one — and
-// the page must not be dereferenced (or re-linked) after that.
-func (c *Cache) hit(pg *page, f FileID, st *raState) {
+// the page must not be dereferenced (or re-linked) after that: an evicted
+// page goes to the free list, and the same readahead may reuse it.
+func (c *Cache) hit(pg *page, fs *fileState) {
 	c.stats.Hits++
 	if c.metrics != nil {
 		c.metrics.Hits.Inc()
@@ -508,7 +534,7 @@ func (c *Cache) hit(pg *page, f FileID, st *raState) {
 	pg.marker = false
 	readyAt := pg.readyAt
 	if marker {
-		c.asyncAhead(f, st) // pg may be gone after this
+		c.asyncAhead(fs) // pg may be gone, or reused, after this
 	}
 	if readyAt > c.clk.Now() {
 		c.stats.WaitHits++
@@ -519,15 +545,16 @@ func (c *Cache) hit(pg *page, f FileID, st *raState) {
 
 // asyncAhead extends a detected stream: fetch the next window in the
 // background and move the marker forward.
-func (c *Cache) asyncAhead(f FileID, st *raState) {
-	max := c.raPagesFor(f)
+func (c *Cache) asyncAhead(fs *fileState) {
+	st := &fs.ra
+	max := c.raPagesFor(fs)
 	if max <= 0 {
 		return
 	}
 	st.size = nextWindow(st.size, max)
 	start := st.frontier
 	window := st.size
-	if limit, ok := c.filePages[f]; ok {
+	if limit := fs.size; limit >= 0 {
 		if start >= limit {
 			return // stream reached EOF
 		}
@@ -535,11 +562,10 @@ func (c *Cache) asyncAhead(f FileID, st *raState) {
 			window = int(limit - start)
 		}
 	}
-	var toFetch []int64
+	c.fetch = c.fetch[:0]
 	for w := 0; w < window; w++ {
-		idx := start + int64(w)
-		if _, ok := c.pages[pageKey{f, idx}]; !ok {
-			toFetch = append(toFetch, idx)
+		if idx := start + int64(w); c.lookup(fs, idx) == nil {
+			c.fetch = append(c.fetch, idx)
 		}
 	}
 	st.start = start
@@ -547,27 +573,39 @@ func (c *Cache) asyncAhead(f FileID, st *raState) {
 	if c.metrics != nil {
 		c.metrics.WindowPages.Observe(int64(window))
 	}
-	if len(toFetch) == 0 {
+	if len(c.fetch) == 0 {
 		return
 	}
-	ready := c.dev.AsyncRead(len(toFetch))
-	for i, idx := range toFetch {
-		pg := c.insert(pageKey{f, idx}, ready, true)
+	ready := c.dev.AsyncRead(len(c.fetch))
+	for i, idx := range c.fetch {
+		pg := c.insert(fs, idx, ready, true)
 		if i == 0 {
 			pg.marker = true
 		}
 	}
 }
 
-// insert adds a page to the cache (evicting as needed) and fires the
-// add_to_page_cache tracepoint.
-func (c *Cache) insert(key pageKey, readyAt time.Duration, spec bool) *page {
-	if _, ok := c.pages[key]; ok {
-		panic(fmt.Sprintf("pagecache: double insert of %+v", key))
+// insert adds page idx of fs to the cache (evicting as needed), reusing
+// an evicted page when there is one, and fires the add_to_page_cache
+// tracepoint.
+func (c *Cache) insert(fs *fileState, idx int64, readyAt time.Duration, spec bool) *page {
+	if c.lookup(fs, idx) != nil {
+		panic(fmt.Sprintf("pagecache: double insert of page %d of file %d", idx, fs.id))
 	}
 	c.evictFor(1)
-	pg := &page{key: key, readyAt: readyAt, spec: spec}
-	c.pages[key] = pg
+	pg := c.free
+	if pg != nil {
+		c.free = pg.next
+	} else {
+		pg = new(page)
+	}
+	pg.key = pageKey{fs.id, idx}
+	pg.readyAt, pg.spec = readyAt, spec
+	if n := int(idx) + 1; n > len(fs.pages) {
+		fs.pages = slices.Grow(fs.pages, n-len(fs.pages))[:n]
+	}
+	fs.pages[idx] = pg
+	c.resident++
 	c.lruPush(pg)
 	c.stats.Inserted++
 	if c.metrics != nil {
@@ -582,8 +620,8 @@ func (c *Cache) insert(key pageKey, readyAt time.Duration, spec bool) *page {
 	if c.tracer != nil {
 		c.tracer.Emit(trace.Event{
 			Point:  trace.AddToPageCache,
-			Inode:  uint64(key.file),
-			Offset: key.idx,
+			Inode:  uint64(fs.id),
+			Offset: idx,
 			Time:   c.clk.Now(),
 		})
 	}
@@ -592,7 +630,7 @@ func (c *Cache) insert(key pageKey, readyAt time.Duration, spec bool) *page {
 
 // evictFor makes room for n new pages.
 func (c *Cache) evictFor(n int) {
-	for len(c.pages)+n > c.cfg.CapacityPages && c.tail != nil {
+	for c.resident+n > c.cfg.CapacityPages && c.tail != nil {
 		victim := c.tail
 		if victim.dirty {
 			// Must clean before reclaim; count it and write it back.
@@ -602,8 +640,7 @@ func (c *Cache) evictFor(n int) {
 			victim.dirty = false
 			c.dirtyCount--
 		}
-		c.lruRemove(victim)
-		delete(c.pages, victim.key)
+		c.unmap(c.files[victim.key.file], victim.key.idx)
 		c.stats.Evicted++
 	}
 }
@@ -616,11 +653,11 @@ func (c *Cache) WritePages(f FileID, off int64, n int) {
 	if n <= 0 || off < 0 {
 		panic(fmt.Sprintf("pagecache: WritePages(%d, %d, %d)", f, off, n))
 	}
+	fs := c.file(f)
 	for i := off; i < off+int64(n); i++ {
-		key := pageKey{f, i}
-		pg, ok := c.pages[key]
-		if !ok {
-			pg = c.insert(key, c.clk.Now(), false)
+		pg := c.lookup(fs, i)
+		if pg == nil {
+			pg = c.insert(fs, i, c.clk.Now(), false)
 		} else {
 			c.lruTouch(pg)
 			pg.spec = false
@@ -628,7 +665,7 @@ func (c *Cache) WritePages(f FileID, off int64, n int) {
 		if !pg.dirty {
 			pg.dirty = true
 			c.dirtyCount++
-			c.dirtyFIFO = append(c.dirtyFIFO, key)
+			c.dirtyFIFO = append(c.dirtyFIFO, pg.key)
 			if c.tracer != nil {
 				c.tracer.Emit(trace.Event{
 					Point:  trace.WritebackDirtyPage,
@@ -642,7 +679,7 @@ func (c *Cache) WritePages(f FileID, off int64, n int) {
 	c.maybeWriteback()
 	// Writes also reset the file's sequential-read state: interleaved
 	// writes break read streams, as in Linux.
-	c.state(f).nextSeq = off + int64(n)
+	fs.ra.nextSeq = off + int64(n)
 }
 
 // maybeWriteback flushes dirty pages in FIFO order while over threshold.
@@ -653,8 +690,11 @@ func (c *Cache) maybeWriteback() {
 		for batch < c.cfg.WritebackBatch && len(c.dirtyFIFO) > 0 {
 			key := c.dirtyFIFO[0]
 			c.dirtyFIFO = c.dirtyFIFO[1:]
-			pg, ok := c.pages[key]
-			if !ok || !pg.dirty {
+			var pg *page
+			if fs := c.files[key.file]; fs != nil {
+				pg = c.lookup(fs, key.idx)
+			}
+			if pg == nil || !pg.dirty {
 				continue // evicted or already cleaned: lazy deletion
 			}
 			pg.dirty = false
@@ -672,9 +712,13 @@ func (c *Cache) maybeWriteback() {
 // SyncFile writes back all dirty pages of f and blocks until durable
 // (the fsync path).
 func (c *Cache) SyncFile(f FileID) {
+	fs := c.files[f]
+	if fs == nil {
+		return
+	}
 	batch := 0
-	for _, pg := range c.pages {
-		if pg.key.file == f && pg.dirty {
+	for _, pg := range fs.pages {
+		if pg != nil && pg.dirty {
 			pg.dirty = false
 			c.dirtyCount--
 			batch++
@@ -692,59 +736,62 @@ func (c *Cache) SetFilePages(f FileID, pages int64) {
 	if pages < 0 {
 		panic("pagecache: negative file size")
 	}
-	c.filePages[f] = pages
+	c.file(f).size = pages
 }
 
 // SetFileReadahead overrides ra_pages for one file, in sectors (0 restores
 // the device default). This is the "updating ra_pages for open files" path
 // of the paper's Figure 1.
 func (c *Cache) SetFileReadahead(f FileID, sectors int) {
-	if sectors == 0 {
-		delete(c.fileRA, f)
-		return
-	}
-	if sectors < blockdev.SectorsPerPage {
+	if sectors != 0 && sectors < blockdev.SectorsPerPage {
 		sectors = blockdev.SectorsPerPage
 	}
-	c.fileRA[f] = sectors
+	c.file(f).raSec = sectors
 }
 
 // Fadvise records an access-pattern hint for f.
-func (c *Cache) Fadvise(f FileID, h Hint) {
-	if h == HintNormal {
-		delete(c.hints, f)
-		return
-	}
-	c.hints[f] = h
-}
+func (c *Cache) Fadvise(f FileID, h Hint) { c.file(f).hint = h }
 
 // DropAll empties the cache (the "clear the cache after every run" step in
-// the paper's evaluation), writing back dirty pages first.
+// the paper's evaluation), writing back dirty pages first. Every file's
+// readahead state goes with its pages; its ra override, hint and size
+// stay.
 func (c *Cache) DropAll() {
 	batch := 0
-	for _, pg := range c.pages {
-		if pg.dirty {
-			batch++
+	for _, fs := range c.files {
+		for i, pg := range fs.pages {
+			if pg == nil {
+				continue
+			}
+			if pg.dirty {
+				batch++
+			}
+			fs.pages[i] = nil
+			c.release(pg)
 		}
+		fs.ra = raState{nextSeq: -1}
 	}
 	if batch > 0 {
 		c.countWriteback(uint64(batch))
 		c.dev.WriteSync(batch)
 	}
-	c.pages = make(map[pageKey]*page)
+	c.resident = 0
 	c.head, c.tail = nil, nil
-	c.files = make(map[FileID]*raState)
 	c.dirtyFIFO = nil
 	c.dirtyCount = 0
 }
 
-// DropFile invalidates all cached pages of one file (truncate/remove path).
-// Dirty pages of the file are written back first.
+// DropFile invalidates all cached pages of one file (truncate/remove path)
+// and forgets its readahead state and settings. Dirty pages of the file
+// are written back first.
 func (c *Cache) DropFile(f FileID) {
-	var victims []*page
+	fs := c.files[f]
+	if fs == nil {
+		return
+	}
 	batch := 0
-	for _, pg := range c.pages {
-		if pg.key.file != f {
+	for i, pg := range fs.pages {
+		if pg == nil {
 			continue
 		}
 		if pg.dirty {
@@ -752,33 +799,26 @@ func (c *Cache) DropFile(f FileID) {
 			c.dirtyCount--
 			batch++
 		}
-		victims = append(victims, pg)
+		c.unmap(fs, int64(i))
+		c.stats.Evicted++
 	}
 	if batch > 0 {
 		c.countWriteback(uint64(batch))
 		c.dev.WriteAsync(batch)
 	}
-	for _, pg := range victims {
-		c.lruRemove(pg)
-		delete(c.pages, pg.key)
-		c.stats.Evicted++
-	}
 	delete(c.files, f)
-	delete(c.fileRA, f)
-	delete(c.hints, f)
-	delete(c.filePages, f)
 }
 
 // Len returns the number of cached pages.
-func (c *Cache) Len() int { return len(c.pages) }
+func (c *Cache) Len() int { return c.resident }
 
 // DirtyLen returns the number of dirty pages.
 func (c *Cache) DirtyLen() int { return c.dirtyCount }
 
 // Contains reports whether a page is cached (for tests and experiments).
 func (c *Cache) Contains(f FileID, idx int64) bool {
-	_, ok := c.pages[pageKey{f, idx}]
-	return ok
+	fs := c.files[f]
+	return fs != nil && idx >= 0 && c.lookup(fs, idx) != nil
 }
 
 // Stats returns a copy of the accumulated statistics.

@@ -1,6 +1,7 @@
 package pagecache
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -288,12 +289,12 @@ func TestFadviseSequentialDoublesWindow(t *testing.T) {
 	}
 	// With doubling the max window is 16 pages; verify ramp exceeded the
 	// un-doubled max by checking a single async fetch larger than 8 pages.
-	st := c.files[1]
+	st := c.files[1].ra
 	if st.size <= 8 {
 		t.Errorf("window %d never exceeded base max 8", st.size)
 	}
 	c.Fadvise(1, HintNormal)
-	if c.raPagesFor(1) != 8 {
+	if c.raPagesFor(c.files[1]) != 8 {
 		t.Error("HintNormal should restore base readahead")
 	}
 }
@@ -448,6 +449,32 @@ func BenchmarkReadPagesSequential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.ReadPages(1, int64(i)*2, 2)
+	}
+}
+
+// BenchmarkReadPagesRandom is the readrandom shape: one-page reads at
+// random offsets of a file four times the cache, the device's readahead
+// at its smallest, so about three reads in four miss, evict a page and
+// insert one.
+func BenchmarkReadPagesRandom(b *testing.B) {
+	const capacity, filePages = 4096, 4 * 4096
+	clk := clock.New()
+	dev := blockdev.New(blockdev.SATASSD(), clk)
+	dev.SetReadahead(blockdev.SectorsPerPage)
+	c := New(Config{CapacityPages: capacity}, clk, dev, nil)
+	c.SetFilePages(1, filePages)
+	offs := make([]int64, 1<<16)
+	rng := rand.New(rand.NewSource(1))
+	for i := range offs {
+		offs[i] = rng.Int63n(filePages)
+	}
+	for _, off := range offs {
+		c.ReadPages(1, off, 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.ReadPages(1, offs[i&(len(offs)-1)], 1)
 	}
 }
 

@@ -13,10 +13,18 @@ import (
 //
 //	data block 0 | data block 1 | ... | index | bloom | footer
 //
-// A data block is a run of entryLayout entries, keys strictly ascending
-// across the whole table. The index is one indexLayout entry per block,
-// the bloom filter is bloomLayout, and the footer is footerLayout, the
-// file's last footerSize bytes.
+// A data block is keys first:
+//
+//	uvarint(len(keys)) | keys: per entry, entryLayout | values, in entry order
+//
+// so a point lookup scans one short, contiguous key section (9 entries of
+// a 15-byte key and a 401-byte record fill a 4 KB block with ~170 bytes of
+// keys) and touches only the value it returns. The head and the key
+// section are one length-prefixed byte string; the values fill the rest
+// of the block, whose length the index records. Keys are strictly
+// ascending across the whole table. The index is one indexLayout entry
+// per block, the bloom filter is bloomLayout, and the footer is
+// footerLayout, the file's last footerSize bytes.
 const (
 	footerSize = 48
 	tableMagic = 0x4b4d4c5353540a01 // "KMLSST\n\x01"
@@ -40,12 +48,15 @@ var (
 	errBadBloom  = fmt.Errorf("%w: bloom", ErrBadTable)
 )
 
-// entryLayout is a data-block entry: a key/value record, the key and then
-// the value as length-prefixed bytes. A key is never empty, so an entry
-// with an empty one ends the block: the page-alignment gap after a block
-// reads as zeros. readBlock and Get decode entries with wire.CutKeyValue,
-// KeyValue's decoder, so their loops keep the block in registers.
-func entryLayout(c *wire.Codec, e *entry) { e.key, e.value = c.KeyValue(e.key, e.value) }
+// entryLayout is a key-section entry: the key as length-prefixed bytes,
+// then the length of its value as a uvarint. The Builder writes it;
+// readBlock and Get decode an entry, with its value, with
+// wire.CutSplitKeyValue, its decoder over plain slices, so their loops
+// keep the block in registers.
+func entryLayout(c *wire.Codec, key *[]byte, vlen *uint64) {
+	c.VarBytes(key)
+	c.Uvarint(vlen)
+}
 
 // indexLayout is an index entry: the block's largest key as
 // length-prefixed bytes, then the block's offset and length as uvarints.
@@ -86,8 +97,9 @@ func (f footer) inside(size uint64) bool {
 type Builder struct {
 	f         *vfs.File
 	blockSize int
-	buf       []byte
-	block     []byte
+	keys      []byte // the current block's key section
+	values    []byte // the current block's values
+	block     []byte // the assembled block, reused
 	firstKey  []byte
 	lastKey   []byte
 	index     []indexEntry
@@ -126,16 +138,20 @@ func (b *Builder) Add(key, value []byte) error {
 	}
 	// Flush first if this entry would overflow the block, keeping blocks
 	// within one aligned unit (an oversized single entry still gets its
-	// own block).
+	// own block). The keys and values together are what one key/value
+	// record per entry took, so the uvarint key-section length is all a
+	// block adds to that.
 	entrySize := 2*wire.MaxUvarintLen + len(key) + len(value)
-	if len(b.block) > 0 && len(b.block)+entrySize > b.blockSize {
+	if size := len(b.keys) + len(b.values); size > 0 && size+entrySize > b.blockSize {
 		if err := b.flushBlock(); err != nil {
 			return err
 		}
 	}
-	c := wire.Encoder(b.block)
-	entryLayout(&c, &entry{key, value})
-	b.block = c.Bytes()
+	vlen := uint64(len(value))
+	c := wire.Encoder(b.keys)
+	entryLayout(&c, &key, &vlen)
+	b.keys = c.Bytes()
+	b.values = append(b.values, value...)
 	b.lastKey = append(b.lastKey[:0], key...)
 	if b.firstKey == nil {
 		b.firstKey = append([]byte(nil), key...)
@@ -146,9 +162,13 @@ func (b *Builder) Add(key, value []byte) error {
 }
 
 func (b *Builder) flushBlock() error {
-	if len(b.block) == 0 {
+	if len(b.keys) == 0 {
 		return nil
 	}
+	c := wire.Encoder(b.block[:0])
+	c.VarBytes(&b.keys)
+	b.block = append(c.Bytes(), b.values...)
+	b.keys, b.values = b.keys[:0], b.values[:0]
 	if _, err := b.f.WriteAt(b.block, b.offset); err != nil {
 		return err
 	}
@@ -157,10 +177,8 @@ func (b *Builder) flushBlock() error {
 		off:     b.offset,
 		length:  int64(len(b.block)),
 	})
-	// Page-align the next block; the gap reads back as zeros, which the
-	// decoder treats as end-of-block padding.
+	// Page-align the next block; the index's lengths skip the gap.
 	b.offset = (b.offset + int64(len(b.block)) + blockAlign - 1) &^ (blockAlign - 1)
-	b.block = b.block[:0]
 	return nil
 }
 
@@ -305,56 +323,60 @@ type block struct {
 }
 
 // view reads data block i through the page cache and returns the file's
-// own bytes for it.
-func (t *Table) view(i int) ([]byte, error) {
+// own bytes for it, split into the key section and the values.
+func (t *Table) view(i int) (keys, values []byte, err error) {
 	e := t.index[i]
 	raw, err := t.f.View(e.off, int(e.length))
 	if err != nil {
-		return nil, fmt.Errorf("%w: block %d: %v", ErrBadTable, i, err)
+		return nil, nil, fmt.Errorf("%w: block %d: %v", ErrBadTable, i, err)
 	}
-	return raw, nil
+	keys, values, ok := wire.CutVarBytes(raw)
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: block %d keys", ErrBadTable, i)
+	}
+	return keys, values, nil
 }
 
 // readBlock reads data block i through the page cache and decodes it in
 // place into b, overwriting whatever b held. On error b's contents are
 // unspecified.
 func (t *Table) readBlock(i int, b *block) error {
-	raw, err := t.view(i)
+	keys, values, err := t.view(i)
 	if err != nil {
 		return err
 	}
-	b.warmed = warm(raw)
+	b.warmed = warm(values)
 	out := b.entries[:0]
 	if out == nil {
 		// First block: size for the table's mean entries per block so a
 		// uniform table never regrows. The count comes from the footer,
-		// so bound it by what the block could physically hold (an entry
-		// is at least 3 bytes).
+		// so bound it by what the key section could physically hold (a
+		// key entry is at least 3 bytes).
 		hint := t.entries/uint64(len(t.index)) + 1
-		if most := uint64(len(raw) / 3); hint > most {
+		if most := uint64(len(keys) / 3); hint > most {
 			hint = most
 		}
 		out = make([]entry, 0, hint)
 	}
 	var e entry
-	ok := true
-	for len(raw) > 0 {
-		if e.key, e.value, raw, ok = wire.CutKeyValue(raw); !ok || len(e.key) == 0 {
-			break
+	var ok bool
+	for len(keys) > 0 {
+		if e.key, e.value, keys, values, ok = wire.CutSplitKeyValue(keys, values); !ok {
+			return entryErr(e.key, i)
 		}
 		out = append(out, e)
 	}
 	b.entries = out
-	return blockErr(ok, e.key, i)
+	if len(values) > 0 {
+		return fmt.Errorf("%w: block %d values", ErrBadTable, i)
+	}
+	return nil
 }
 
-// blockErr reports how the decode of data block i ended: nil, or which
-// part of its last entry, whose key is key, did not decode.
-func blockErr(ok bool, key []byte, i int) error {
-	switch {
-	case ok:
-		return nil
-	case key != nil:
+// entryErr reports which part of an entry of data block i, whose key is
+// key, did not decode.
+func entryErr(key []byte, i int) error {
+	if key != nil {
 		return fmt.Errorf("%w: block %d value", ErrBadTable, i)
 	}
 	return fmt.Errorf("%w: block %d entry", ErrBadTable, i)
@@ -365,12 +387,12 @@ func blockErr(ok bool, key []byte, i int) error {
 const cacheLine = 64
 
 // warm loads one byte from every cache line of p and returns their sum.
-// Decoding a block is a chain of dependent loads: each entry's offset comes
-// from the lengths in the entry before it, so on a block not yet in the
-// core's own caches every entry costs one cache miss, one after another.
-// These loads depend on nothing, so the CPU overlaps them, and the decode
-// that follows hits L1 — the streaming a copy into a buffer used to do.
-// The caller stores the sum only so the loads are not optimized away.
+// A scan reads every value of a block it crosses, and on a block not yet
+// in the core's own caches each of those lines is a miss. These loads
+// depend on nothing, so the CPU overlaps them, and the scan that follows
+// hits L1 — the streaming a copy into a buffer used to do. Get skips it:
+// its caller reads one value. The caller stores the sum only so the loads
+// are not optimized away.
 func warm(p []byte) (sum byte) {
 	for i := 0; i < len(p); i += cacheLine {
 		sum += p[i]
@@ -394,8 +416,10 @@ func (t *Table) blockFor(key []byte) int {
 }
 
 // Get returns the value stored under key. The bloom filter short-circuits
-// most misses without touching data blocks; the hit path scans one block
-// in place over the file's own bytes, so Get does not allocate.
+// most misses without touching data blocks; the hit path scans one
+// block's key section in place over the file's own bytes and slices the
+// value it returns without loading any, so Get does not allocate and the
+// one value line a lookup loads is the one its caller reads.
 // The returned value aliases the table file: it stays valid for the
 // table's life, and the caller must not modify it.
 func (t *Table) Get(key []byte) (value []byte, ok bool, err error) {
@@ -406,15 +430,14 @@ func (t *Table) Get(key []byte) (value []byte, ok bool, err error) {
 	if bi >= len(t.index) {
 		return nil, false, nil
 	}
-	raw, err := t.view(bi)
+	keys, values, err := t.view(bi)
 	if err != nil {
 		return nil, false, err
 	}
 	var k, v []byte
-	fit := true
-	for len(raw) > 0 {
-		if k, v, raw, fit = wire.CutKeyValue(raw); !fit || len(k) == 0 {
-			break
+	for len(keys) > 0 {
+		if k, v, keys, values, ok = wire.CutSplitKeyValue(keys, values); !ok {
+			return nil, false, entryErr(k, bi)
 		}
 		switch bytes.Compare(k, key) {
 		case 0:
@@ -423,7 +446,7 @@ func (t *Table) Get(key []byte) (value []byte, ok bool, err error) {
 			return nil, false, nil // sorted: passed the key
 		}
 	}
-	return nil, false, blockErr(fit, k, bi)
+	return nil, false, nil
 }
 
 // Iterator walks a table forward or backward. The zero position is

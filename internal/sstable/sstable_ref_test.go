@@ -1,9 +1,12 @@
 package sstable
 
 // The table decoders as they were before they ran on internal/wire, kept
-// verbatim (renamed ref*) as the oracle for TestTableMatchesReference;
-// refReadBlock in sstable_test.go is the block decoder. They are the
-// reference implementations: do not "fix" them.
+// verbatim (renamed ref*) as the oracle for TestTableMatchesReference:
+// the footer, index and bloom decoders. They are the reference
+// implementations: do not "fix" them. The data-block layout changed after
+// them (keys first), so the block decoder, refReadBlock in
+// sstable_test.go, and refGet below are independent decoders of that
+// layout, written against binary.Uvarint rather than the codec.
 
 import (
 	"bytes"
@@ -83,6 +86,9 @@ func refOpen(f *vfs.File) (*Table, error) {
 	return t, nil
 }
 
+// refGet is not the pre-codec lookup: that one decoded the old
+// one-record-per-entry blocks. It scans the keys-first layout with
+// refBlockEntries, stopping at the first key ≥ key as Get does.
 func refGet(t *Table, key []byte) (value []byte, ok bool, err error) {
 	if !t.bloom.MayContain(key) {
 		return nil, false, nil
@@ -91,36 +97,20 @@ func refGet(t *Table, key []byte) (value []byte, ok bool, err error) {
 	if bi >= len(t.index) {
 		return nil, false, nil
 	}
-	raw, err := t.view(bi)
+	e := t.index[bi]
+	raw, err := t.f.View(e.off, int(e.length))
 	if err != nil {
+		return nil, false, fmt.Errorf("%w: block %d: %v", ErrBadTable, bi, err)
+	}
+	var last entry
+	_, stopped, err := refBlockEntries(raw, bi, func(e entry) bool {
+		last = e
+		return bytes.Compare(e.key, key) >= 0
+	})
+	if err != nil || !stopped || !bytes.Equal(last.key, key) {
 		return nil, false, err
 	}
-	for len(raw) > 0 {
-		klen, n := binary.Uvarint(raw)
-		if klen == 0 {
-			break
-		}
-		if n <= 0 || int(klen) > len(raw)-n {
-			return nil, false, fmt.Errorf("%w: block %d entry", ErrBadTable, bi)
-		}
-		raw = raw[n:]
-		k := raw[:klen]
-		raw = raw[klen:]
-		vlen, n := binary.Uvarint(raw)
-		if n <= 0 || int(vlen) > len(raw)-n {
-			return nil, false, fmt.Errorf("%w: block %d value", ErrBadTable, bi)
-		}
-		raw = raw[n:]
-		v := raw[:vlen:vlen]
-		raw = raw[vlen:]
-		switch bytes.Compare(k, key) {
-		case 0:
-			return v, true, nil
-		case 1:
-			return nil, false, nil // sorted: passed the key
-		}
-	}
-	return nil, false, nil
+	return last.value, true, nil
 }
 
 func refUnmarshalBloom(data []byte) (*Bloom, error) {

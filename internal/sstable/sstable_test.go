@@ -379,11 +379,11 @@ func fileSHA256(t testing.TB, f *vfs.File) string {
 }
 
 // TestTableBytesGolden pins the bytes of a table built from a seeded key
-// set. The hash was computed on the tree where the Builder still copied
-// every key for the bloom filter and table files were zeroed twice as they
-// grew; building and reading tables in place must not move a byte.
+// set. It was re-pinned once, when data blocks became keys first; that
+// change kept every block's entries, offset and pages. Anything else that
+// moves a byte here changes the format.
 func TestTableBytesGolden(t *testing.T) {
-	const want = "3ed212a1127a9877d1ebd0d4ad64990ea7249ac76831b0a0a87adcab45d9804e"
+	const want = "e1a708011ee1395825ad311316f6bb13b809ce3eeec2a633b177b89d851fcdb5"
 	f := seededTable(t, newFS(), "golden")
 	if got := fileSHA256(t, f); got != want {
 		t.Errorf("table sha256 %s, want %s", got, want)
@@ -460,14 +460,16 @@ func TestTableGetAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkScan steps an iterator through a table far larger than a core's
-// own caches (120 000 entries of 400-byte values, ~55 MB), wrapping around,
-// so nearly every block it loads is cold: the case readBlock's warm is for.
-func BenchmarkScan(b *testing.B) {
+// coldEntries is the size of coldTable: 120 000 entries of 400-byte
+// values, ~55 MB, far larger than a core's own caches.
+const coldEntries = 120000
+
+// coldTable builds the table BenchmarkScan and BenchmarkGetCold read.
+func coldTable(b *testing.B) *Table {
 	f, _ := newFS().Create("t")
 	bld := NewBuilder(f, 0)
 	value := bytes.Repeat([]byte("v"), 400)
-	for i := 0; i < 120000; i++ {
+	for i := 0; i < coldEntries; i++ {
 		if err := bld.Add(key(i), value); err != nil {
 			b.Fatal(err)
 		}
@@ -479,7 +481,13 @@ func BenchmarkScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	it := tbl.NewIterator()
+	return tbl
+}
+
+// BenchmarkScan steps an iterator through coldTable, wrapping around, so
+// nearly every block it loads is cold: the case readBlock's warm is for.
+func BenchmarkScan(b *testing.B) {
+	it := coldTable(b).NewIterator()
 	it.SeekToFirst()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -488,6 +496,26 @@ func BenchmarkScan(b *testing.B) {
 			it.SeekToFirst()
 		}
 		it.Next()
+	}
+}
+
+// BenchmarkGetCold looks up coldTable's keys in random order: nearly every
+// lookup lands in a block not in the core's own caches, so it measures the
+// misses a point read costs. BenchmarkGet's 10 000-entry table stays
+// cached.
+func BenchmarkGetCold(b *testing.B) {
+	tbl := coldTable(b)
+	keys := make([][]byte, coldEntries)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	order := rand.New(rand.NewSource(1)).Perm(coldEntries)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok, err := tbl.Get(keys[order[i%coldEntries]]); !ok || err != nil {
+			b.Fatalf("Get: %v, %v", ok, err)
+		}
 	}
 }
 
@@ -501,37 +529,58 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
-// refReadBlock is the allocating decoder readBlock replaced — a fresh raw
-// buffer and a fresh entry slice per block — kept as the reference the
-// in-place one is compared against.
+// refReadBlock is an allocating decoder of the keys-first block layout,
+// written without the codec — a fresh raw buffer and a fresh entry slice
+// per block, offsets instead of slicing — kept as the reference the
+// in-place one is compared against. refBlockEntries does the decoding.
 func refReadBlock(t *Table, i int) ([]entry, error) {
 	e := t.index[i]
 	raw := make([]byte, e.length)
 	if _, err := t.f.ReadAt(raw, e.off); err != nil {
 		return nil, fmt.Errorf("%w: block %d: %v", ErrBadTable, i, err)
 	}
-	var out []entry
-	for len(raw) > 0 {
-		klen, n := binary.Uvarint(raw)
-		if klen == 0 {
-			break
-		}
-		if n <= 0 || int(klen) > len(raw)-n {
-			return nil, fmt.Errorf("%w: block %d entry", ErrBadTable, i)
-		}
-		raw = raw[n:]
-		key := raw[:klen:klen]
-		raw = raw[klen:]
-		vlen, n := binary.Uvarint(raw)
-		if n <= 0 || int(vlen) > len(raw)-n {
-			return nil, fmt.Errorf("%w: block %d value", ErrBadTable, i)
-		}
-		raw = raw[n:]
-		val := raw[:vlen:vlen]
-		raw = raw[vlen:]
-		out = append(out, entry{key: key, value: val})
+	out, _, err := refBlockEntries(raw, i, nil)
+	return out, err
+}
+
+// refBlockEntries decodes block i from raw: a uvarint key-section length,
+// that many bytes of (uvarint klen, key, uvarint vlen) entries, then the
+// values back to back, which must fill the rest of the block. If stop is
+// not nil it is called after each entry and ends the decode, without the
+// check that the values fill the block, when it returns true; done then
+// reports that it did.
+func refBlockEntries(raw []byte, i int, stop func(entry) bool) (out []entry, done bool, err error) {
+	klen, n := binary.Uvarint(raw)
+	if n <= 0 || klen > uint64(len(raw)-n) {
+		return nil, false, fmt.Errorf("%w: block %d keys", ErrBadTable, i)
 	}
-	return out, nil
+	keys := raw[n : n+int(klen)]
+	vals := raw[n+int(klen):]
+	voff := 0
+	for pos := 0; pos < len(keys); {
+		kl, n := binary.Uvarint(keys[pos:])
+		if n <= 0 || kl > uint64(len(keys)-pos-n) {
+			return nil, false, fmt.Errorf("%w: block %d entry", ErrBadTable, i)
+		}
+		pos += n
+		key := keys[pos : pos+int(kl) : pos+int(kl)]
+		pos += int(kl)
+		vl, n := binary.Uvarint(keys[pos:])
+		if n <= 0 || vl > uint64(len(vals)-voff) {
+			return nil, false, fmt.Errorf("%w: block %d value", ErrBadTable, i)
+		}
+		pos += n
+		val := vals[voff : voff+int(vl) : voff+int(vl)]
+		voff += int(vl)
+		out = append(out, entry{key: key, value: val})
+		if stop != nil && stop(out[len(out)-1]) {
+			return out, true, nil
+		}
+	}
+	if voff != len(vals) && stop == nil {
+		return nil, false, fmt.Errorf("%w: block %d values", ErrBadTable, i)
+	}
+	return out, false, nil
 }
 
 func sameEntries(a, b []entry) bool {

@@ -83,8 +83,7 @@ func TestVarBytesAliasesClipped(t *testing.T) {
 }
 
 // TestKeyValueIsTwoVarBytes: KeyValue writes what two VarBytes write, and
-// decodes them back; a record that does not decode comes back as given,
-// and CutKeyValue still reports a key that fit.
+// decodes them back; a record that does not decode comes back as given.
 func TestKeyValueIsTwoVarBytes(t *testing.T) {
 	key, value := []byte("key"), bytes.Repeat([]byte("v"), 200)
 	e := Encoder(nil)
@@ -107,8 +106,44 @@ func TestKeyValueIsTwoVarBytes(t *testing.T) {
 		case d.End(errBad) == nil || &k[0] != &given[0] || &v[0] != &given[0]:
 			t.Fatalf("cut at %d: %q, %q, %v", cut, k, v, d.End(errBad))
 		}
-		if ck, _, _, ok := CutKeyValue(want[:cut]); ok != (cut == len(want)) || (ck != nil) != (cut >= 1+len(key)) {
-			t.Fatalf("CutKeyValue cut at %d: key %q, ok %v", cut, ck, ok)
+	}
+}
+
+// TestCutPrimitives: CutVarBytes splits what VarBytes writes off the front
+// of its input, and CutSplitKeyValue what VarBytes and Uvarint write plus
+// that many value bytes off the front of a second slice; on every
+// truncation they report failure, with the key when it fit.
+func TestCutPrimitives(t *testing.T) {
+	key, value := bytes.Repeat([]byte("k"), 200), bytes.Repeat([]byte("v"), 300)
+	in := append(appendVarBytes(nil, key), 'x')
+	for cut := 0; cut <= len(in); cut++ {
+		b, rest, ok := CutVarBytes(in[:cut])
+		switch {
+		case cut < len(in)-1:
+			if ok || b != nil || len(rest) != cut {
+				t.Fatalf("CutVarBytes cut at %d: %q, %d left, %v", cut, b, len(rest), ok)
+			}
+		case !ok || !bytes.Equal(b, key) || cap(b) != len(key) || len(rest) != cut-len(in)+1:
+			t.Fatalf("CutVarBytes cut at %d: %d bytes, cap %d, %d left, %v", cut, len(b), cap(b), len(rest), ok)
+		}
+	}
+	e := Encoder(nil)
+	vlen := uint64(len(value))
+	e.VarBytes(&key)
+	e.Uvarint(&vlen)
+	keys := append(e.Bytes(), 'x')
+	values := append(append([]byte(nil), value...), 'y')
+	for cut := 0; cut <= len(keys); cut++ {
+		for _, vcut := range []int{len(value) - 1, len(value), len(values)} {
+			k, v, rk, rv, ok := CutSplitKeyValue(keys[:cut], values[:vcut])
+			whole := cut >= len(keys)-1 && vcut >= len(value)
+			if ok != whole || (k != nil) != (cut >= 2+len(key)) {
+				t.Fatalf("CutSplitKeyValue cut at %d/%d: key %d bytes, ok %v", cut, vcut, len(k), ok)
+			}
+			if ok && (!bytes.Equal(k, key) || !bytes.Equal(v, value) || cap(k) != len(key) || cap(v) != len(value) ||
+				len(rk) != cut-len(keys)+1 || len(rv) != vcut-len(value)) {
+				t.Fatalf("CutSplitKeyValue cut at %d/%d: %d, %d bytes, %d and %d left", cut, vcut, len(k), len(v), len(rk), len(rv))
+			}
 		}
 	}
 }

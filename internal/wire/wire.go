@@ -261,10 +261,8 @@ func (c *Codec) VarBytes(b *[]byte) {
 		c.buf = appendVarBytes(c.buf, *b)
 		return
 	}
-	n, k := binary.Uvarint(c.buf)
-	if c.Check(k > 0 && n <= uint64(len(c.buf)-k)) {
-		end := k + int(n)
-		*b, c.buf = c.buf[k:end:end], c.buf[end:]
+	if v, rest, ok := CutVarBytes(c.buf); c.Check(ok) {
+		*b, c.buf = v, rest
 	}
 }
 
@@ -277,30 +275,46 @@ func (c *Codec) KeyValue(key, value []byte) ([]byte, []byte) {
 		c.buf = appendVarBytes(appendVarBytes(c.buf, key), value)
 		return key, value
 	}
-	if k, v, rest, ok := CutKeyValue(c.buf); c.Check(ok) {
+	k, rest, ok := CutVarBytes(c.buf)
+	v, rest, ok2 := CutVarBytes(rest)
+	if c.Check(ok && ok2) {
 		c.buf = rest
 		return k, v
 	}
 	return key, value
 }
 
-// CutKeyValue is KeyValue's decoder over a plain slice: it splits a
-// key/value record off the front of p and returns the rest. ok is false
-// unless both fields fit; key is then the decoded key if that one did,
-// else nil. A hot loop calls it directly, so the input stays in registers
-// rather than in a Codec: a table's data-block decode does.
-func CutKeyValue(p []byte) (key, value, rest []byte, ok bool) {
+// CutVarBytes is VarBytes's decoder over a plain slice: it splits
+// length-prefixed bytes off the front of p and returns them, capacity
+// clipped, and the rest; or nil, p and false if they do not fit. The
+// length is compared with the input as a uint64, so none wraps past the
+// check.
+func CutVarBytes(p []byte) (b, rest []byte, ok bool) {
 	n, k := binary.Uvarint(p)
 	if k <= 0 || n > uint64(len(p)-k) {
-		return nil, nil, p, false
+		return nil, p, false
 	}
 	end := k + int(n)
-	key, p = p[k:end:end], p[end:]
-	if n, k = binary.Uvarint(p); k <= 0 || n > uint64(len(p)-k) {
-		return key, nil, p, false
+	return p[k:end:end], p[end:], true
+}
+
+// CutSplitKeyValue splits a key/value record stored keys first off the
+// front of two slices: from keys, length-prefixed key bytes and a uvarint
+// value length (what VarBytes and then Uvarint write); from values, that
+// many bytes. ok is false unless all of it fits; key is then the decoded
+// key if that part did, else nil. It is one call per record, with both
+// varint decodes inline, because a table's block scan runs it per entry.
+func CutSplitKeyValue(keys, values []byte) (key, value, restKeys, restValues []byte, ok bool) {
+	n, k := binary.Uvarint(keys)
+	if k <= 0 || n > uint64(len(keys)-k) {
+		return nil, nil, keys, values, false
 	}
-	end = k + int(n)
-	return key, p[k:end:end], p[end:], true
+	end := k + int(n)
+	key, keys = keys[k:end:end], keys[end:]
+	if n, k = binary.Uvarint(keys); k <= 0 || n > uint64(len(values)) {
+		return key, nil, keys, values, false
+	}
+	return key, values[:n:n], keys[k:], values[n:], true
 }
 
 func appendVarBytes(dst, b []byte) []byte {

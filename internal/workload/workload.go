@@ -151,20 +151,26 @@ func appendPadded(dst []byte, i, width int) []byte {
 
 // Key formats key i in the fixed-width db_bench style ("key%012d"). The
 // returned slice is fresh; callers may retain it.
-func Key(i int) []byte {
-	return appendPadded(append(make([]byte, 0, 15), "key"...), i, 12)
-}
+func Key(i int) []byte { return appendKey(make([]byte, 0, 15), i) }
+
+// appendKey appends key i's bytes to dst.
+func appendKey(dst []byte, i int) []byte { return appendPadded(append(dst, "key"...), i, 12) }
 
 // Value builds a deterministic value of the configured size: the pattern
 // "v%011d-" repeated. The returned slice is fresh; callers may retain it.
 func Value(cfg Config, i int) []byte {
 	v := make([]byte, cfg.ValueSize)
+	fillValue(v, i)
+	return v
+}
+
+// fillValue overwrites v with value i's bytes.
+func fillValue(v []byte, i int) {
 	var buf [24]byte
 	pattern := append(appendPadded(append(buf[:0], 'v'), i, 11), '-')
 	for off := 0; off < len(v); off += len(pattern) {
 		copy(v[off:], pattern)
 	}
-	return v
 }
 
 // Fill loads the key space sequentially (db_bench fillseq) and compacts to
@@ -192,15 +198,18 @@ type Runner struct {
 	rangeCDF []float64
 
 	iter *kvstore.Iterator // persistent scan state for readseq/readreverse
-	ops  uint64
-	errs uint64
+	// The step's key and a put's value, rebuilt in place every step: the
+	// DB copies what it keeps, so a step allocates nothing for them.
+	key, value []byte
+	ops        uint64
+	errs       uint64
 }
 
 // NewRunner builds a runner. The DB should already be filled.
 func NewRunner(kind Kind, db *kvstore.DB, clk *clock.Virtual, cfg Config) *Runner {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(kind)*7919))
-	r := &Runner{kind: kind, db: db, clk: clk, cfg: cfg, rng: rng}
+	r := &Runner{kind: kind, db: db, clk: clk, cfg: cfg, rng: rng, value: make([]byte, cfg.ValueSize)}
 	if kind == MixGraph {
 		// Hot key ranges after Cao et al.'s RocksDB trace characterization:
 		// the key space splits into ranges whose access probability decays
@@ -275,7 +284,19 @@ func (r *Runner) RunFor(d time.Duration) error {
 	return nil
 }
 
-func (r *Runner) uniformKey() []byte { return Key(r.rng.Intn(r.cfg.Keys)) }
+func (r *Runner) uniformKey() []byte { return r.keyOf(r.rng.Intn(r.cfg.Keys)) }
+
+// keyOf builds key i in the runner's key buffer.
+func (r *Runner) keyOf(i int) []byte {
+	r.key = appendKey(r.key[:0], i)
+	return r.key
+}
+
+// valueOf builds value i in the runner's value buffer.
+func (r *Runner) valueOf(i int) []byte {
+	fillValue(r.value, i)
+	return r.value
+}
 
 func (r *Runner) stepGet(key []byte) error {
 	r.clk.Advance(r.cfg.CPUGet)
@@ -285,7 +306,7 @@ func (r *Runner) stepGet(key []byte) error {
 
 func (r *Runner) stepPut(key []byte) error {
 	r.clk.Advance(r.cfg.CPUPut)
-	return r.db.Put(key, Value(r.cfg, r.rng.Intn(r.cfg.Keys)))
+	return r.db.Put(key, r.valueOf(r.rng.Intn(r.cfg.Keys)))
 }
 
 // stepScan advances a persistent full-DB scan one entry, restarting (and
@@ -355,16 +376,17 @@ func (r *Runner) mixKey() int {
 // gets, 14% hot-range puts, 1% short range scans.
 func (r *Runner) stepMixGraph() error {
 	k := r.mixKey()
+	key := r.keyOf(k)
 	switch p := r.rng.Intn(100); {
 	case p < 85:
-		return r.stepGet(Key(k))
+		return r.stepGet(key)
 	case p < 99:
 		r.clk.Advance(r.cfg.CPUPut)
-		return r.db.Put(Key(k), Value(r.cfg, k))
+		return r.db.Put(key, r.valueOf(k))
 	default:
 		r.clk.Advance(r.cfg.CPUGet) // seek cost
 		it := r.db.NewIterator()
-		it.Seek(Key(k))
+		it.Seek(key)
 		for i := 0; i < r.cfg.ScanLength && it.Valid(); i++ {
 			r.clk.Advance(r.cfg.CPUScanStep)
 			it.Next()

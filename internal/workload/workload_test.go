@@ -265,3 +265,36 @@ func TestKeyValueMatchSprintf(t *testing.T) {
 		t.Errorf("Value allocates %.0f times, want 1", a)
 	}
 }
+
+// TestReadRandomStepAllocFree: a readrandom step builds its key in the
+// runner's buffer, and a miss reuses an evicted page, so once the page
+// tables have grown a step allocates nothing, hit or miss.
+func TestReadRandomStepAllocFree(t *testing.T) {
+	clk := clock.New()
+	dev := blockdev.New(blockdev.SATASSD(), clk)
+	cache := pagecache.New(pagecache.Config{CapacityPages: 64}, clk, dev, nil)
+	db, err := kvstore.Open(vfs.New(cache), kvstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Keys: 5000, Seed: 1}
+	if err := Fill(db, cfg); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(ReadRandom, db, clk, cfg)
+	if err := r.Run(5000); err != nil {
+		t.Fatal(err)
+	}
+	misses := cache.Stats().Misses
+	a := testing.AllocsPerRun(2000, func() {
+		if err := r.Step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if a != 0 {
+		t.Errorf("a readrandom step allocates %.3f times, want 0", a)
+	}
+	if cache.Stats().Misses == misses {
+		t.Error("no step missed the cache; the gate does not cover the miss path")
+	}
+}
