@@ -301,7 +301,7 @@ func runSim(srv *mserve.Server, reg *mserve.Registry, opts simOptions) error {
 	if err != nil {
 		return err
 	}
-	tuner.Instrument(srv.MetricsRegistry(), 64)
+	tuner.Instrument(srv.MetricsRegistry())
 	drift := tuner.InstrumentDrift(srv.MetricsRegistry(), opts.driftWin)
 	tuner.EnableTracing(srv.TraceArena())
 	env.Tracer.Register(tuner.Hook())

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/readahead"
@@ -50,48 +51,14 @@ func (r Result) OpsPerSec() float64 {
 // readahead — both the vanilla baseline (DefaultReadaheadSectors) and the
 // sweep's data points.
 func RunFixedRA(simCfg sim.Config, kind workload.Kind, seconds int, raSectors int) (Result, error) {
-	env, err := sim.NewEnv(simCfg)
-	if err != nil {
-		return Result{}, err
-	}
-	env.Dev.SetReadahead(raSectors)
-	runner := env.NewRunner(kind)
-	start := env.Clk.Now()
-	if err := runner.RunFor(time.Duration(seconds) * time.Second); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Workload:  kind,
-		Device:    env.Dev.Profile().Name,
-		RASectors: raSectors,
-		Ops:       runner.Ops(),
-		Duration:  env.Clk.Now() - start,
-		HitRate:   env.Cache.Stats().HitRate(),
-		SpecPages: env.Dev.Stats().PagesSpec,
-	}, nil
+	res, _, err := run(simCfg, kind, seconds, raSectors, nil)
+	return res, err
 }
 
 // RunVanilla runs the unmodified-system baseline: the Linux default
 // readahead under the stock heuristic.
 func RunVanilla(simCfg sim.Config, kind workload.Kind, seconds int) (Result, error) {
-	env, err := sim.NewEnv(simCfg)
-	if err != nil {
-		return Result{}, err
-	}
-	runner := env.NewRunner(kind)
-	start := env.Clk.Now()
-	if err := runner.RunFor(time.Duration(seconds) * time.Second); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Workload:  kind,
-		Device:    env.Dev.Profile().Name,
-		RASectors: env.Dev.ReadaheadSectors(),
-		Ops:       runner.Ops(),
-		Duration:  env.Clk.Now() - start,
-		HitRate:   env.Cache.Stats().HitRate(),
-		SpecPages: env.Dev.Stats().PagesSpec,
-	}, nil
+	return RunFixedRA(simCfg, kind, seconds, blockdev.DefaultReadaheadSectors)
 }
 
 // Bundle is a deployable model: classifier plus its fitted normalizer —
@@ -104,15 +71,26 @@ type Bundle struct {
 // RunKML runs a workload with the KML tuner in the loop and returns the
 // result plus the per-second tuning decisions (the Figure-2 series).
 func RunKML(simCfg sim.Config, kind workload.Kind, seconds int, b Bundle) (Result, []readahead.Decision, error) {
+	return run(simCfg, kind, seconds, blockdev.DefaultReadaheadSectors, &b)
+}
+
+// run is one experiment cell: kind runs for seconds of virtual time on a
+// fresh environment whose device readahead starts at raSectors and, with a
+// bundle, is driven by the KML tuner from there (Step, then MaybeTick).
+func run(simCfg sim.Config, kind workload.Kind, seconds, raSectors int, b *Bundle) (Result, []readahead.Decision, error) {
 	env, err := sim.NewEnv(simCfg)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	tuner, err := readahead.NewTuner(env.Dev, b.Model, b.Norm, readahead.TunerConfig{})
-	if err != nil {
-		return Result{}, nil, err
+	env.Dev.SetReadahead(raSectors)
+	var tuner *readahead.Tuner
+	if b != nil {
+		if tuner, err = readahead.NewTuner(env.Dev, b.Model, b.Norm, readahead.TunerConfig{}); err != nil {
+			return Result{}, nil, err
+		}
+		env.Tracer.Register(tuner.Hook())
+		raSectors = -1
 	}
-	env.Tracer.Register(tuner.Hook())
 	runner := env.NewRunner(kind)
 	start := env.Clk.Now()
 	deadline := start + time.Duration(seconds)*time.Second
@@ -120,18 +98,24 @@ func RunKML(simCfg sim.Config, kind workload.Kind, seconds int, b Bundle) (Resul
 		if err := runner.Step(); err != nil {
 			return Result{}, nil, err
 		}
-		tuner.MaybeTick(env.Clk.Now())
+		if tuner != nil {
+			tuner.MaybeTick(env.Clk.Now())
+		}
 	}
-	return Result{
+	res := Result{
 		Workload:  kind,
 		Device:    env.Dev.Profile().Name,
-		RASectors: -1,
+		RASectors: raSectors,
 		Ops:       runner.Ops(),
 		Duration:  env.Clk.Now() - start,
 		HitRate:   env.Cache.Stats().HitRate(),
 		SpecPages: env.Dev.Stats().PagesSpec,
-		Dropped:   tuner.Dropped(),
-	}, tuner.Decisions(), nil
+	}
+	if tuner == nil {
+		return res, nil, nil
+	}
+	res.Dropped = tuner.Dropped()
+	return res, tuner.Decisions(), nil
 }
 
 // TrainNNBundle executes the full paper workflow: collect labeled windows

@@ -359,42 +359,3 @@ func (p *Pipeline[S]) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 	reg.Func(prefix+"_buffer_len", func() int64 { return int64(p.ring.Len()) })
 	reg.Func(prefix+"_buffer_cap", func() int64 { return int64(p.ring.Cap()) })
 }
-
-// Registry names deployed models, mirroring the kernel module registry a
-// KML application registers its models with.
-type Registry struct {
-	mu     sync.RWMutex
-	models map[string]Classifier
-}
-
-// NewRegistry returns an empty model registry.
-func NewRegistry() *Registry {
-	return &Registry{models: make(map[string]Classifier)}
-}
-
-// Register adds a model under its name; re-registering a name replaces the
-// model (the paper's retrain-and-redeploy flow).
-func (r *Registry) Register(c Classifier) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.models[c.Name()] = c
-}
-
-// Get returns the model registered under name.
-func (r *Registry) Get(name string) (Classifier, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c, ok := r.models[name]
-	return c, ok
-}
-
-// Names returns the registered model names (unordered).
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.models))
-	for n := range r.models {
-		names = append(names, n)
-	}
-	return names
-}

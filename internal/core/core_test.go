@@ -278,33 +278,6 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-type fakeModel string
-
-func (f fakeModel) Predict([]float64) int { return 0 }
-func (f fakeModel) Name() string          { return string(f) }
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Register(fakeModel("readahead-nn"))
-	r.Register(fakeModel("readahead-dtree"))
-	if _, ok := r.Get("readahead-nn"); !ok {
-		t.Error("registered model missing")
-	}
-	if _, ok := r.Get("nope"); ok {
-		t.Error("unregistered model found")
-	}
-	names := r.Names()
-	sort.Strings(names)
-	if len(names) != 2 || names[0] != "readahead-dtree" {
-		t.Errorf("names = %v", names)
-	}
-	// Re-register replaces.
-	r.Register(fakeModel("readahead-nn"))
-	if len(r.Names()) != 2 {
-		t.Error("re-register must replace, not add")
-	}
-}
-
 func BenchmarkCollect(b *testing.B) {
 	p, err := NewPipeline[sample](Config{BufferCapacity: 1 << 16}, func([]sample, Mode) {})
 	if err != nil {

@@ -66,14 +66,7 @@ func collectRun(simCfg sim.Config, cfg DatasetConfig, kind workload.Kind, raSect
 	}
 	env.Dev.SetReadahead(raSectors)
 	ext := features.NewExtractor()
-	env.Tracer.Register(func(ev trace.Event) {
-		ext.Add(features.Record{
-			Inode:  ev.Inode,
-			Offset: ev.Offset,
-			Time:   ev.Time,
-			Write:  ev.Point == trace.WritebackDirtyPage,
-		})
-	})
+	env.Tracer.Register(func(ev trace.Event) { ext.Add(recordOf(ev)) })
 	runner := env.NewRunner(kind)
 	var out []features.Vector
 	start := env.Clk.Now()

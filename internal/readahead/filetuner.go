@@ -2,13 +2,13 @@ package readahead
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/pagecache"
-	"repro/internal/trace"
 )
 
 // FileTuner is the per-file variant of the readahead application: Figure 1
@@ -19,18 +19,15 @@ import (
 // table file can run with minimal readahead while a sequentially-read
 // compaction input streams with a large window at the same time.
 type FileTuner struct {
-	cache  *pagecache.Cache
-	dev    *blockdev.Device
-	model  core.Classifier
-	norm   features.Normalizer
-	policy Policy
-	window time.Duration
-
-	pipeline *core.Pipeline[features.Record]
-	files    map[uint64]*fileWindow
-	featBuf  []float64
-	nextTick time.Duration
-	started  bool
+	loop
+	cache   *pagecache.Cache
+	dev     *blockdev.Device
+	model   core.Classifier
+	norm    features.Normalizer
+	policy  Policy
+	files   map[uint64]*fileWindow
+	inodes  []uint64 // scratch: the window's inodes, ascending
+	featBuf []float64
 
 	// MinEvents is the fewest events a file needs in a window before its
 	// readahead is adjusted; quieter files keep their previous setting.
@@ -78,12 +75,6 @@ func NewFileTuner(cache *pagecache.Cache, dev *blockdev.Device, model core.Class
 	if cache == nil || dev == nil || model == nil {
 		return nil, errors.New("readahead: nil cache, device or model")
 	}
-	if cfg.Window == 0 {
-		cfg.Window = time.Second
-	}
-	if cfg.BufferCapacity == 0 {
-		cfg.BufferCapacity = 1 << 16
-	}
 	if cfg.Policy == (Policy{}) {
 		cfg.Policy = DefaultPolicy(dev.Profile())
 	}
@@ -99,21 +90,15 @@ func NewFileTuner(cache *pagecache.Cache, dev *blockdev.Device, model core.Class
 		model:     model,
 		norm:      norm,
 		policy:    cfg.Policy,
-		window:    cfg.Window,
 		files:     make(map[uint64]*fileWindow),
 		featBuf:   make([]float64, features.Count),
 		minEvents: cfg.MinEvents,
 		maxFiles:  cfg.MaxFiles,
 	}
-	p, err := core.NewPipeline[features.Record](
-		core.Config{BufferCapacity: cfg.BufferCapacity, SampleBytes: 32},
-		t.consume,
-	)
-	if err != nil {
+	var err error
+	if t.loop, err = newLoop(cfg.Window, cfg.BufferCapacity, t.consume); err != nil {
 		return nil, err
 	}
-	p.SetMode(core.ModeInference)
-	t.pipeline = p
 	return t, nil
 }
 
@@ -133,51 +118,32 @@ func (t *FileTuner) consume(batch []features.Record, _ core.Mode) {
 	}
 }
 
-// evictIdle drops the least recently seen file's state.
+// evictIdle drops the least recently seen file's state; of files seen at
+// the same instant, the lowest inode goes.
 func (t *FileTuner) evictIdle() {
 	var victim uint64
 	var oldest time.Duration = -1
 	for ino, fw := range t.files {
-		if oldest < 0 || fw.lastSeen < oldest {
+		if oldest < 0 || fw.lastSeen < oldest || fw.lastSeen == oldest && ino < victim {
 			victim, oldest = ino, fw.lastSeen
 		}
 	}
 	delete(t.files, victim)
 }
 
-// Hook returns the inline data-collection function.
-func (t *FileTuner) Hook() trace.Hook {
-	return t.collect
-}
-
-// collect pushes one tracepoint record into the lock-free pipeline; like
-// Tuner.collect it runs inline on the I/O path.
-//
-//kml:hotpath
-func (t *FileTuner) collect(ev trace.Event) {
-	rec := features.Record{
-		Inode:  ev.Inode,
-		Offset: ev.Offset,
-		Time:   ev.Time,
-		Write:  ev.Point == trace.WritebackDirtyPage,
-	}
-	t.pipeline.Collect(rec)
-}
-
 // MaybeTick drains the pipeline and, once per window, classifies every
-// active file and updates its ra_pages.
+// active file, in ascending inode order, and updates its ra_pages.
 func (t *FileTuner) MaybeTick(now time.Duration) {
-	t.pipeline.Flush()
-	if !t.started {
-		t.started = true
-		t.nextTick = now + t.window
+	if !t.due(now) {
 		return
 	}
-	if now < t.nextTick {
-		return
+	t.inodes = t.inodes[:0]
+	for ino := range t.files {
+		t.inodes = append(t.inodes, ino)
 	}
-	t.nextTick = now + t.window
-	for ino, fw := range t.files {
+	slices.Sort(t.inodes)
+	for _, ino := range t.inodes {
+		fw := t.files[ino]
 		events := fw.ext.Events()
 		if events < t.minEvents {
 			fw.ext.Reset()
@@ -203,6 +169,3 @@ func (t *FileTuner) Decisions() []FileDecision { return t.decisions }
 
 // ActiveFiles returns how many inodes currently hold window state.
 func (t *FileTuner) ActiveFiles() int { return len(t.files) }
-
-// Dropped returns how many samples the collection ring discarded.
-func (t *FileTuner) Dropped() uint64 { return t.pipeline.Dropped() }

@@ -284,8 +284,8 @@ func TestEndToEndClassifierOnLiveWindows(t *testing.T) {
 }
 
 // TestTunerInstrumented drives an instrumented tuner over several windows
-// and checks the inference histogram, per-class counters, flight
-// recorder, and pipeline gauges all observe the decisions.
+// and checks the inference histogram, per-class counters, and pipeline
+// gauges all observe the decisions.
 func TestTunerInstrumented(t *testing.T) {
 	clk := clock.New()
 	dev := blockdev.New(blockdev.NVMe(), clk)
@@ -294,7 +294,7 @@ func TestTunerInstrumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	tuner.Instrument(reg, 4)
+	tuner.Instrument(reg)
 	hook := tuner.Hook()
 
 	tuner.MaybeTick(clk.Now())
@@ -321,28 +321,6 @@ func TestTunerInstrumented(t *testing.T) {
 		t.Errorf("class-0 counter %d, want 0", got)
 	}
 
-	// Flight recorder keeps only the latest 4 of 6 decisions.
-	fl := tuner.Flight()
-	if len(fl) != 4 {
-		t.Fatalf("flight recorder retained %d, want 4", len(fl))
-	}
-	all := tuner.Decisions()
-	for i, e := range fl {
-		want := all[len(all)-4+i]
-		if e.Decision != want {
-			t.Errorf("flight[%d] = %+v, want %+v", i, e.Decision, want)
-		}
-		if e.Class != 1 || e.Sectors != 8 {
-			t.Errorf("flight[%d] class/sectors %d/%d", i, e.Class, e.Sectors)
-		}
-	}
-	// Oldest-first ordering: times strictly increase.
-	for i := 1; i < len(fl); i++ {
-		if fl[i].Time <= fl[i-1].Time {
-			t.Errorf("flight out of order at %d: %v <= %v", i, fl[i].Time, fl[i-1].Time)
-		}
-	}
-
 	// Pipeline gauges were registered and reflect collection.
 	vals := map[string]int64{}
 	for _, s := range reg.Snapshot() {
@@ -356,8 +334,8 @@ func TestTunerInstrumented(t *testing.T) {
 	}
 }
 
-// TestTunerUninstrumented: Flight on a bare tuner is nil and ticking
-// does not panic.
+// TestTunerUninstrumented: a bare tuner, with no telemetry, tracing,
+// drift monitor or learner attached, still decides.
 func TestTunerUninstrumented(t *testing.T) {
 	clk := clock.New()
 	dev := blockdev.New(blockdev.NVMe(), clk)
@@ -368,8 +346,8 @@ func TestTunerUninstrumented(t *testing.T) {
 	tuner.MaybeTick(clk.Now())
 	clk.Advance(2 * time.Second)
 	tuner.MaybeTick(clk.Now())
-	if tuner.Flight() != nil {
-		t.Error("uninstrumented tuner returned flight entries")
+	if n := len(tuner.Decisions()); n != 1 {
+		t.Errorf("uninstrumented tuner made %d decisions, want 1", n)
 	}
 }
 

@@ -45,9 +45,6 @@ func TestTunerDecisionTrace(t *testing.T) {
 	}
 	arena := dtrace.NewArena(16)
 	tuner.EnableTracing(arena)
-	if tuner.TraceArena() != arena {
-		t.Fatal("TraceArena should return the attached arena")
-	}
 
 	const windows = 6
 	traceTestLoop(t, tuner, clk, windows, 90, 10, &counters)
@@ -224,37 +221,6 @@ func TestTunerHandsOutcomesToLearner(t *testing.T) {
 	}
 	if want := [][2]int64{{0, 500}, {0, 900}}; len(l.outcomes) != 2 || l.outcomes[0] != want[0] || l.outcomes[1] != want[1] {
 		t.Fatalf("learner outcomes = %v, want %v", l.outcomes, want)
-	}
-}
-
-// TestFlightEntrySeq pins the flight-recorder sequence number: strictly
-// monotonic from 1, preserved across eviction so gaps are detectable.
-func TestFlightEntrySeq(t *testing.T) {
-	clk := clock.New()
-	dev := blockdev.New(blockdev.NVMe(), clk)
-	tuner, err := NewTuner(dev, fixedClassifier(1), features.Normalizer{}, TunerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	tuner.Instrument(reg, 4)
-	var counters [2]uint64
-	if tuner.Seq() != 0 {
-		t.Fatalf("Seq before any decision = %d, want 0", tuner.Seq())
-	}
-	traceTestLoop(t, tuner, clk, 6, 0, 0, &counters)
-	if tuner.Seq() != 6 {
-		t.Fatalf("Seq after 6 decisions = %d, want 6", tuner.Seq())
-	}
-	fl := tuner.Flight()
-	if len(fl) != 4 {
-		t.Fatalf("flight retained %d, want 4", len(fl))
-	}
-	// The recorder keeps the latest 4 of 6: seq 3,4,5,6.
-	for i, e := range fl {
-		if want := uint64(i + 3); e.Seq != want {
-			t.Fatalf("flight[%d].Seq = %d, want %d", i, e.Seq, want)
-		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/features"
 	"repro/internal/mserve"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -72,25 +71,18 @@ type TunerConfig struct {
 // second, classifies the running workload, and drives the device readahead
 // setting (the block-layer ioctl path of Figure 1).
 type Tuner struct {
-	dev      *blockdev.Device
-	model    core.Classifier
-	deploy   *mserve.Deployment[core.Classifier]
-	norm     features.Normalizer
-	policy   Policy
-	window   time.Duration
-	pipeline *core.Pipeline[features.Record]
-	ext      *features.Extractor
-	featBuf  []float64
-	nextTick time.Duration
-	started  bool
-
+	loop
+	dev       *blockdev.Device
+	deploy    *mserve.Deployment[core.Classifier]
+	norm      features.Normalizer
+	policy    Policy
+	ext       features.Extractor
+	featBuf   []float64
 	decisions []Decision
-	seq       uint64 // monotonic decision counter (first decision = 1)
 
 	inferNanos *telemetry.Histogram
 	decCount   *telemetry.Counter // readahead_decisions: one per window tick
 	classCount [workload.NumClasses]*telemetry.Counter
-	flight     *telemetry.FlightRecorder[FlightEntry]
 
 	// Outcome attribution (TunerConfig.Outcome), decision tracing
 	// (EnableTracing), drift detection (InstrumentDrift), and the online
@@ -130,202 +122,110 @@ type Learner interface {
 	AddOutcome(version uint64, ratePM int64)
 }
 
-// FlightEntry is one flight-recorder record: the decision plus the
-// normalized feature vector the model saw, so an operator inspecting
-// "why did it pick class 1?" gets the inputs alongside the output. Seq
-// is the tuner's monotonic decision number (1 for the first decision),
-// so interleaved dumps from several snapshots can be ordered and gaps
-// (evicted entries) detected.
-type FlightEntry struct {
-	Decision
-	Seq      uint64
-	Features [features.Count]float64
-}
-
 // NewTuner builds a tuner around a trained classifier and its fitted
-// normalizer.
+// normalizer: a deployment that serves the one model as version 0.
 func NewTuner(dev *blockdev.Device, model core.Classifier, norm features.Normalizer, cfg TunerConfig) (*Tuner, error) {
-	if dev == nil || model == nil {
+	if model == nil {
 		return nil, errors.New("readahead: nil device or model")
 	}
-	if cfg.Window == 0 {
-		cfg.Window = time.Second
-	}
-	if cfg.BufferCapacity == 0 {
-		cfg.BufferCapacity = 1 << 16
+	return NewDeployedTuner(dev, mserve.NewDeployment(model, 0), norm, cfg)
+}
+
+// NewDeployedTuner builds a tuner whose classifier comes from a hot-swap
+// deployment handle: every decision window dereferences the handle, so a
+// Swap (retrain-and-redeploy, or a rollback) takes effect at the next
+// tick without pausing collection. The deployment may be empty at
+// construction time; ticks before the first Swap keep the device's
+// current readahead untouched.
+func NewDeployedTuner(dev *blockdev.Device, deploy *mserve.Deployment[core.Classifier], norm features.Normalizer, cfg TunerConfig) (*Tuner, error) {
+	if dev == nil || deploy == nil {
+		return nil, errors.New("readahead: nil device or deployment")
 	}
 	if cfg.Policy == (Policy{}) {
 		cfg.Policy = DefaultPolicy(dev.Profile())
 	}
 	t := &Tuner{
 		dev:        dev,
-		model:      model,
+		deploy:     deploy,
 		norm:       norm,
 		policy:     cfg.Policy,
-		window:     cfg.Window,
 		outcome:    cfg.Outcome,
-		ext:        features.NewExtractor(),
 		featBuf:    make([]float64, features.Count),
 		driftFeats: make([]float64, features.Count),
 		prevRatePM: -1,
 	}
-	p, err := core.NewPipeline[features.Record](
-		core.Config{BufferCapacity: cfg.BufferCapacity, SampleBytes: 32},
-		func(batch []features.Record, _ core.Mode) {
-			for _, r := range batch {
-				t.ext.Add(r)
-			}
-		},
-	)
+	var err error
+	t.loop, err = newLoop(cfg.Window, cfg.BufferCapacity, func(batch []features.Record, _ core.Mode) {
+		for _, r := range batch {
+			t.ext.Add(r)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	p.SetMode(core.ModeInference)
-	t.pipeline = p
 	return t, nil
-}
-
-// NewDeployedTuner builds a tuner whose classifier comes from a hot-swap
-// deployment handle instead of a fixed model: every decision window
-// dereferences the handle, so a Swap (retrain-and-redeploy, or a
-// rollback) takes effect at the next tick without pausing collection.
-// The deployment may be empty at construction time; ticks before the
-// first Swap keep the device's current readahead untouched.
-func NewDeployedTuner(dev *blockdev.Device, deploy *mserve.Deployment[core.Classifier], norm features.Normalizer, cfg TunerConfig) (*Tuner, error) {
-	if deploy == nil {
-		return nil, errors.New("readahead: nil deployment")
-	}
-	// stub satisfies NewTuner's nil-model check; the deployment handle
-	// takes precedence everywhere a model is dereferenced.
-	t, err := NewTuner(dev, stubClassifier{}, norm, cfg)
-	if err != nil {
-		return nil, err
-	}
-	t.model = nil
-	t.deploy = deploy
-	return t, nil
-}
-
-// stubClassifier exists only to pass construction-time validation in
-// NewDeployedTuner; it is discarded before the tuner is returned.
-type stubClassifier struct{}
-
-func (stubClassifier) Predict([]float64) int { return 0 }
-func (stubClassifier) Name() string          { return "stub" }
-
-// Hook returns the inline data-collection function to register on the
-// tracer. It costs one lock-free ring push per event.
-func (t *Tuner) Hook() trace.Hook {
-	return t.collect
-}
-
-// collect is the paper's inline data-collection function (§4): it runs on
-// every tracepoint firing, so it is a single struct copy and a lock-free
-// ring push. The record literal stays on the stack — Collect's parameter
-// is a concrete type, not an interface.
-//
-//kml:hotpath
-func (t *Tuner) collect(ev trace.Event) {
-	rec := features.Record{
-		Inode:  ev.Inode,
-		Offset: ev.Offset,
-		Time:   ev.Time,
-		Write:  ev.Point == trace.WritebackDirtyPage,
-	}
-	t.pipeline.Collect(rec)
 }
 
 // MaybeTick drains the pipeline and, once per window, runs inference and
 // applies the policy. The simulation loop calls it between operations; in
 // a live deployment the pipeline's asynchronous thread plays this role.
 func (t *Tuner) MaybeTick(now time.Duration) {
-	t.pipeline.Flush()
-	if !t.started {
-		t.started = true
-		t.nextTick = now + t.window
+	if !t.due(now) {
 		return
 	}
-	if now < t.nextTick {
-		return
-	}
-	t.nextTick = now + t.window
-	model, version := t.model, uint64(0)
-	if t.deploy != nil {
-		snap := t.deploy.Load()
-		if snap == nil {
-			return // nothing deployed yet; leave the device alone
-		}
-		model, version = snap.Model, snap.Version
+	snap := t.deploy.Load()
+	if snap == nil {
+		return // nothing deployed yet; leave the device alone
 	}
 	// The window that just elapsed is the previous decision's outcome
 	// window: attribute it and retire that trace before deciding again.
 	t.closePending()
-	tracing := t.arena != nil
-	var featIdx, normIdx, inferIdx int
-	if tracing {
-		t.builder.Start(t.arena.NextID(), time.Now().UnixNano())
-		t.builder.SetAux(0, int64(now))
-		featIdx = t.builder.Begin(dtrace.StageFeature, 0, time.Now().UnixNano())
-	}
+
+	// One wall-clock stamp per stage boundary: feature, normalize, infer,
+	// apply, and the end of apply.
+	featNS := time.Now().UnixNano()
 	events := t.ext.Events()
 	raw := t.ext.Emit(t.dev.ReadaheadSectors())
-	if tracing {
-		t.builder.End(featIdx, time.Now().UnixNano())
-		t.builder.SetValue(featIdx, int64(events))
-		normIdx = t.builder.Begin(dtrace.StageNormalize, 0, time.Now().UnixNano())
-	}
-	norm := t.norm
-	norm.ApplyInto(t.featBuf, raw)
-	if tracing {
-		t.builder.End(normIdx, time.Now().UnixNano())
-		t.builder.SetValue(normIdx, int64(len(t.featBuf)))
-		inferIdx = t.builder.Begin(dtrace.StageInfer, 0, time.Now().UnixNano())
-	}
-	var class int
-	if t.inferNanos != nil {
-		start := time.Now()
-		class = model.Predict(t.featBuf)
-		t.inferNanos.Observe(time.Since(start).Nanoseconds())
-	} else {
-		class = model.Predict(t.featBuf)
-	}
-	if tracing {
-		t.builder.End(inferIdx, time.Now().UnixNano())
-		t.builder.SetValue(inferIdx, int64(class))
-		t.builder.SetAux(inferIdx, int64(version))
-	}
+	normNS := time.Now().UnixNano()
+	t.norm.ApplyInto(t.featBuf, raw)
+	inferNS := time.Now().UnixNano()
+	class := snap.Model.Predict(t.featBuf)
+	applyNS := time.Now().UnixNano()
 	sectors := t.policy[class%len(t.policy)]
-	if tracing {
-		applyIdx := t.builder.Begin(dtrace.StageApply, 0, time.Now().UnixNano())
-		t.builder.SetAux(applyIdx, int64(t.dev.ReadaheadSectors()))
-		t.dev.SetReadahead(sectors)
-		t.builder.End(applyIdx, time.Now().UnixNano())
-		t.builder.SetValue(applyIdx, int64(sectors))
+	prevSectors := t.dev.ReadaheadSectors()
+	t.dev.SetReadahead(sectors)
+	doneNS := time.Now().UnixNano()
+
+	if t.arena != nil {
+		t.builder.Start(t.arena.NextID(), featNS)
 		t.builder.SetValue(0, int64(class))
+		t.builder.SetAux(0, int64(now))
+		t.span(dtrace.StageFeature, featNS, normNS, int64(events), 0)
+		t.span(dtrace.StageNormalize, normNS, inferNS, int64(len(t.featBuf)), 0)
+		t.span(dtrace.StageInfer, inferNS, applyNS, int64(class), int64(snap.Version))
+		t.span(dtrace.StageApply, applyNS, doneNS, int64(sectors), int64(prevSectors))
 		// The outcome span stays open across the NEXT window; the trace
 		// is retired at the next tick (or FlushTrace).
-		t.outcomeIdx = t.builder.Begin(dtrace.StageOutcome, 0, time.Now().UnixNano())
-	} else {
-		t.dev.SetReadahead(sectors)
+		t.outcomeIdx = t.builder.Begin(dtrace.StageOutcome, 0, doneNS)
 	}
-	if tracing || t.outcome != nil {
-		if t.outcome != nil {
-			t.outHits, t.outMisses = t.outcome()
-		}
-		t.pending, t.pendingVer = true, version
+	if t.outcome != nil {
+		t.outHits, t.outMisses = t.outcome()
 	}
-	t.seq++
+	t.pending, t.pendingVer = true, snap.Version
 	if t.decCount != nil {
+		t.inferNanos.Observe(applyNS - inferNS)
 		t.decCount.Inc()
+		if class >= 0 && class < len(t.classCount) {
+			t.classCount[class].Inc()
+		}
 	}
-	d := Decision{
+	t.decisions = append(t.decisions, Decision{
 		Time:    now,
 		Class:   class,
 		Sectors: sectors,
 		Events:  events,
-		Version: version,
-	}
-	t.decisions = append(t.decisions, d)
+		Version: snap.Version,
+	})
 	if t.drift != nil {
 		for i, c := range features.Selected {
 			t.driftFeats[i] = raw[c]
@@ -335,14 +235,14 @@ func (t *Tuner) MaybeTick(now time.Duration) {
 	if t.learner != nil {
 		t.learner.AddSample(raw, class, events)
 	}
-	if t.flight != nil {
-		if class >= 0 && class < len(t.classCount) {
-			t.classCount[class].Inc()
-		}
-		e := FlightEntry{Decision: d, Seq: t.seq}
-		copy(e.Features[:], t.featBuf)
-		t.flight.Record(&e)
-	}
+}
+
+// span adds one finished child span under the decision's root.
+func (t *Tuner) span(stage dtrace.Stage, start, end, value, aux int64) {
+	i := t.builder.Begin(stage, 0, start)
+	t.builder.End(i, end)
+	t.builder.SetValue(i, value)
+	t.builder.SetAux(i, aux)
 }
 
 // closePending attributes the pending decision's outcome window: it
@@ -385,20 +285,14 @@ func (t *Tuner) closePending() {
 // each model.Predict (the paper's 21 µs per-inference figure, measured
 // live), readahead_decisions counts decision windows (the tuner's
 // throughput series in MsgTimeSeries), readahead_decision_class_<i>
-// counts decisions per predicted class, the pipeline's counters become
-// gauges under readahead_pipeline, and a flight recorder retains the
-// last flightN decisions with the feature vectors that produced them.
-// Call before the tuner runs.
-func (t *Tuner) Instrument(reg *telemetry.Registry, flightN int) {
+// counts decisions per predicted class, and the pipeline's counters
+// become gauges under readahead_pipeline. Call before the tuner runs.
+func (t *Tuner) Instrument(reg *telemetry.Registry) {
 	t.inferNanos = reg.Histogram("readahead_infer_ns")
 	t.decCount = reg.Counter("readahead_decisions")
 	for i := range t.classCount {
 		t.classCount[i] = reg.Counter(fmt.Sprintf("readahead_decision_class_%d", i))
 	}
-	if flightN <= 0 {
-		flightN = 64
-	}
-	t.flight = telemetry.NewFlightRecorder[FlightEntry](flightN)
 	t.pipeline.RegisterMetrics(reg, "readahead_pipeline")
 }
 
@@ -411,15 +305,9 @@ func (t *Tuner) Instrument(reg *telemetry.Registry, flightN int) {
 // tuner runs; the traced tick performs no allocation.
 func (t *Tuner) EnableTracing(a *dtrace.Arena) { t.arena = a }
 
-// TraceArena returns the arena attached by EnableTracing, or nil.
-func (t *Tuner) TraceArena() *dtrace.Arena { return t.arena }
-
 // SetLearner attaches the online-learning consumer. Call once, before
 // the tuner runs.
 func (t *Tuner) SetLearner(l Learner) { t.learner = l }
-
-// DriftMonitor returns the monitor attached by InstrumentDrift, or nil.
-func (t *Tuner) DriftMonitor() *dtrace.DriftMonitor { return t.drift }
 
 // FlushTrace attributes the in-flight decision (and retires its trace)
 // without waiting for the next tick, over whatever fraction of the
@@ -449,38 +337,13 @@ func (t *Tuner) InstrumentDrift(reg *telemetry.Registry, window int) *dtrace.Dri
 	return m
 }
 
-// Seq returns the monotonic decision counter (the Seq of the most
-// recent FlightEntry; 0 before any decision).
-func (t *Tuner) Seq() uint64 { return t.seq }
-
-// Flight returns the retained tail of decisions (oldest first), or nil
-// if the tuner is not instrumented.
-func (t *Tuner) Flight() []FlightEntry {
-	if t.flight == nil {
-		return nil
-	}
-	return t.flight.Snapshot()
-}
-
 // Decisions returns the tuning history (the Figure-2 readahead series).
 func (t *Tuner) Decisions() []Decision { return t.decisions }
 
-// Dropped returns how many samples the collection ring discarded.
-func (t *Tuner) Dropped() uint64 { return t.pipeline.Dropped() }
-
-// Collected returns how many samples the hook accepted.
-func (t *Tuner) Collected() uint64 { return t.pipeline.Collected() }
-
-// Model returns the deployed classifier: the fixed model for NewTuner,
-// or the current snapshot (nil before the first Swap) for
-// NewDeployedTuner.
+// Model returns the deployed classifier, or nil before the first Swap.
 func (t *Tuner) Model() core.Classifier {
-	if t.deploy != nil {
-		snap := t.deploy.Load()
-		if snap == nil {
-			return nil
-		}
+	if snap := t.deploy.Load(); snap != nil {
 		return snap.Model
 	}
-	return t.model
+	return nil
 }
