@@ -77,8 +77,8 @@ func BenchmarkE1_Sweep(b *testing.B) {
 	for _, kind := range []workload.Kind{workload.ReadSeq, workload.ReadRandom} {
 		b.Run(kind.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := bench.RunSweep(benchSSD(), []workload.Kind{kind},
-					[]int{8, 64, 256, 1024}, 2)
+				res, err := bench.RunSweepParallel(benchSSD(), []workload.Kind{kind},
+					[]int{8, 64, 256, 1024}, 2, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -214,17 +214,17 @@ func BenchmarkE5_InferenceBatched(b *testing.B) {
 	for _, rows := range []int{1, 16, 64, 256} {
 		b.Run(fmt.Sprintf("rows%d", rows), func(b *testing.B) {
 			net := readahead.NewModel(1)
-			cls, err := readahead.NewFloat32Classifier(net)
+			fnet, err := nn.CompileFloat32(net)
 			if err != nil {
 				b.Fatal(err)
 			}
 			in := batchFeatures(rows)
 			classes := make([]int, rows)
-			cls.PredictBatch(in, rows, classes)
+			fnet.InferBatch(in, rows, classes)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cls.PredictBatch(in, rows, classes)
+				fnet.InferBatch(in, rows, classes)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/sample")
 		})
@@ -319,7 +319,7 @@ func BenchmarkAblation_InferencePrecision(b *testing.B) {
 		}
 	})
 	b.Run("float32", func(b *testing.B) {
-		cls, err := readahead.NewFloat32Classifier(net)
+		cls, err := nn.CompileFloat32(net)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -466,7 +466,7 @@ func BenchmarkAblation_PerFileVsDevice(b *testing.B) {
 			}
 			tick(env.Clk.Now())
 		}
-		return float64(runner.Ops()) / env.Clk.Seconds()
+		return float64(runner.Ops()) / env.Clk.Now().Seconds()
 	}
 	for i := 0; i < b.N; i++ {
 		device := run(b, false)
@@ -502,7 +502,7 @@ func BenchmarkAblation_WindowLength(b *testing.B) {
 					}
 					tuner.MaybeTick(env.Clk.Now())
 				}
-				b.ReportMetric(float64(runner.Ops())/env.Clk.Seconds(), "ops/vsec")
+				b.ReportMetric(float64(runner.Ops())/env.Clk.Now().Seconds(), "ops/vsec")
 			}
 		})
 	}

@@ -64,7 +64,7 @@ func daemon(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Deploy(mserve.KindNN, "readahead", model); err != nil {
+	if _, err := s.Deploy(mserve.KindNN, "readahead", model); err != nil {
 		t.Fatal(err)
 	}
 	_, _, inDim, err := cl.Health()

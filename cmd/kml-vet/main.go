@@ -3,8 +3,10 @@
 // kernel space, so kernelspace files may not use floats, locks, channels,
 // or forbidden imports; //kml:hotpath functions may not allocate; the
 // hotreach closure requires everything reachable from hot or kernelspace
-// code to be annotated; and the atomics analyzer forbids mixed
-// atomic/plain access and lock copies.
+// code to be annotated; the atomics analyzer forbids mixed atomic/plain
+// access and lock copies; and the unused analyzer reports every func,
+// method and type under internal/ with no non-test use in the module
+// (the one exemption is //kml:api <reason>).
 //
 // Usage:
 //

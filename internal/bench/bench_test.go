@@ -137,7 +137,7 @@ func TestRunSweepFindsSmallRAForRandom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	res, err := RunSweep(microSSD(), []workload.Kind{workload.ReadRandom}, []int{8, 256, 1024}, 2)
+	res, err := RunSweepParallel(microSSD(), []workload.Kind{workload.ReadRandom}, []int{8, 256, 1024}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

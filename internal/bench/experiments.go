@@ -31,13 +31,6 @@ type SweepResult struct {
 	Best []int
 }
 
-// RunSweep executes the readahead sweep for the given workloads on one
-// goroutine; RunSweepParallel fans the same grid across a worker pool with
-// byte-identical output.
-func RunSweep(simCfg sim.Config, kinds []workload.Kind, raValues []int, seconds int) (*SweepResult, error) {
-	return RunSweepParallel(simCfg, kinds, raValues, seconds, 1)
-}
-
 // Policy derives a tuning policy from the sweep (classes are the training
 // workloads, in order).
 func (s *SweepResult) Policy() readahead.Policy {
@@ -83,14 +76,6 @@ type Table2Result struct {
 	// ("average performance gain for SSD was 82.5% and for NVMe 37.3%").
 	MeanGainNVMe float64
 	MeanGainSSD  float64
-}
-
-// RunTable2 measures vanilla vs KML-tuned throughput for every Table-2
-// workload on both device profiles with the given model bundle, on one
-// goroutine; RunTable2Parallel fans the same cells across a worker pool
-// with byte-identical output.
-func RunTable2(nvmeCfg, ssdCfg sim.Config, seconds int, b Bundle) (*Table2Result, error) {
-	return RunTable2Parallel(nvmeCfg, ssdCfg, seconds, b, 1)
 }
 
 // Write renders the table in the paper's layout.

@@ -32,8 +32,9 @@ func cloneBundle(b Bundle) Bundle {
 	return b
 }
 
-// RunSweepParallel is RunSweep fanned across workers goroutines (0 means
-// GOMAXPROCS). Output is byte-identical to the serial run.
+// RunSweepParallel executes the readahead sweep for the given workloads
+// across workers goroutines (0 means GOMAXPROCS, 1 runs inline). Output is
+// byte-identical whatever the worker count.
 func RunSweepParallel(simCfg sim.Config, kinds []workload.Kind, raValues []int, seconds, workers int) (*SweepResult, error) {
 	if raValues == nil {
 		raValues = SweepRAValues()
@@ -72,10 +73,12 @@ func RunSweepParallel(simCfg sim.Config, kinds []workload.Kind, raValues []int, 
 	return res, nil
 }
 
-// RunTable2Parallel is RunTable2 with every (workload, device) pair run as
-// an independent cell across workers goroutines (0 means GOMAXPROCS). Each
-// cell gets a private clone of the model bundle; output is byte-identical
-// to the serial run.
+// RunTable2Parallel measures vanilla vs KML-tuned throughput for every
+// Table-2 workload on both device profiles with the given model bundle,
+// every (workload, device) pair an independent cell across workers
+// goroutines (0 means GOMAXPROCS, 1 runs inline). Each cell gets a private
+// clone of the model bundle; output is byte-identical whatever the worker
+// count.
 func RunTable2Parallel(nvmeCfg, ssdCfg sim.Config, seconds int, b Bundle, workers int) (*Table2Result, error) {
 	kinds := workload.AllKinds()
 	cfgs := []sim.Config{nvmeCfg, ssdCfg}

@@ -84,14 +84,14 @@ func TestFreshBoxScansEmpty(t *testing.T) {
 	if len(res.Records) != 0 || res.Torn != 0 {
 		t.Fatalf("fresh box: %d records, %d torn", len(res.Records), res.Torn)
 	}
-	if res.RingBytes != r.RingBytes() {
-		t.Fatalf("ring bytes %d, want %d", res.RingBytes, r.RingBytes())
+	if res.RingBytes != int64(len(r.ring)) {
+		t.Fatalf("ring bytes %d, want %d", res.RingBytes, int64(len(r.ring)))
 	}
 }
 
 func TestWrapKeepsLatest(t *testing.T) {
 	r, path := openTestBox(t, MinFileSize) // 128-sector ring
-	perRing := int(r.RingBytes()) / SectorSize
+	perRing := int(int64(len(r.ring))) / SectorSize
 	total := perRing*2 + perRing/2
 	for i := 0; i < total; i++ {
 		// 100-byte payload: exactly one sector per record.
@@ -125,7 +125,7 @@ func TestOversizedAndClosedDrops(t *testing.T) {
 	if r.Record(KindTraces, 1, make([]byte, MaxRecordPayload+1)) {
 		t.Fatal("over-MaxRecordPayload record accepted")
 	}
-	if r.Record(KindTraces, 2, make([]byte, int(r.RingBytes()))) {
+	if r.Record(KindTraces, 2, make([]byte, int(int64(len(r.ring))))) {
 		t.Fatal("larger-than-ring record accepted")
 	}
 	if st := r.Status(); st.Dropped != 2 || st.Records != 0 {

@@ -155,9 +155,6 @@ func (r *Recorder) initFile(ringBytes int64) error {
 	return nil
 }
 
-// RingBytes returns the ring capacity in bytes.
-func (r *Recorder) RingBytes() int64 { return int64(len(r.ring)) }
-
 // Record appends one record to the staging ring: header encode, payload
 // CRC, one copy. It allocates nothing and does no I/O — durability is
 // the flusher's job. Oversized payloads are dropped (counted in

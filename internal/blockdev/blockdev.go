@@ -58,16 +58,6 @@ type Profile struct {
 	WritePageTransfer time.Duration
 }
 
-// Bandwidth returns the sustained read bandwidth in bytes/second.
-func (p Profile) Bandwidth() float64 {
-	return float64(PageSize) / p.PageTransfer.Seconds()
-}
-
-// ReadIOPS returns the single-page random-read throughput ceiling.
-func (p Profile) ReadIOPS() float64 {
-	return 1 / (p.CmdOverhead + p.PageTransfer).Seconds()
-}
-
 // NVMe returns the NVMe SSD profile used by the paper's experiments:
 // ~2.5 GB/s of bandwidth and a ~280K IOPS ceiling.
 func NVMe() Profile {
@@ -140,9 +130,6 @@ func (d *Device) SetReadahead(sectors int) {
 
 // ReadaheadSectors returns the current device readahead in sectors.
 func (d *Device) ReadaheadSectors() int { return d.raSectors }
-
-// ReadaheadPages returns the current device readahead in pages.
-func (d *Device) ReadaheadPages() int { return d.raSectors / SectorsPerPage }
 
 // occupy reserves the device for a read of n pages and returns the
 // command's completion time.
@@ -224,6 +211,3 @@ func (d *Device) Stats() Stats { return d.stats }
 
 // ResetStats clears the statistics (readahead setting is preserved).
 func (d *Device) ResetStats() { d.stats = Stats{} }
-
-// BusyUntil returns the device's queue-drain time.
-func (d *Device) BusyUntil() time.Duration { return d.busyUntil }

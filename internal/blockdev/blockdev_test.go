@@ -129,21 +129,22 @@ func TestSetReadaheadClamps(t *testing.T) {
 		t.Errorf("clamped high: %d", d.ReadaheadSectors())
 	}
 	d.SetReadahead(512)
-	if d.ReadaheadPages() != 64 {
-		t.Errorf("pages = %d", d.ReadaheadPages())
+	if d.ReadaheadSectors()/SectorsPerPage != 64 {
+		t.Errorf("pages = %d", d.ReadaheadSectors()/SectorsPerPage)
 	}
 }
 
 func TestProfiles(t *testing.T) {
 	nvme, ssd := NVMe(), SATASSD()
-	if nvme.Bandwidth() <= ssd.Bandwidth() {
+	if nvme.PageTransfer >= ssd.PageTransfer {
 		t.Error("NVMe must be faster than SATA")
 	}
-	if nvme.ReadIOPS() <= ssd.ReadIOPS() {
+	readIOPS := func(p Profile) float64 { return 1 / (p.CmdOverhead + p.PageTransfer).Seconds() }
+	if readIOPS(nvme) <= readIOPS(ssd) {
 		t.Error("NVMe must sustain more IOPS")
 	}
-	if ssd.ReadIOPS() < 40_000 || ssd.ReadIOPS() > 100_000 {
-		t.Errorf("SATA IOPS ceiling %f implausible", ssd.ReadIOPS())
+	if iops := readIOPS(ssd); iops < 40_000 || iops > 100_000 {
+		t.Errorf("SATA IOPS ceiling %f implausible", iops)
 	}
 }
 
@@ -187,7 +188,7 @@ func TestBusyTimeAccounting(t *testing.T) {
 	if d.Stats().BusyTime != want {
 		t.Errorf("busy %v, want %v", d.Stats().BusyTime, want)
 	}
-	if d.BusyUntil() != want {
-		t.Errorf("busyUntil %v", d.BusyUntil())
+	if d.busyUntil != want {
+		t.Errorf("busyUntil %v", d.busyUntil)
 	}
 }

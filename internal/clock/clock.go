@@ -40,7 +40,3 @@ func (v *Virtual) AdvanceTo(t time.Duration) {
 	}
 	v.now = t
 }
-
-// Seconds returns the current time in seconds, convenient for throughput
-// (ops/sec) computations.
-func (v *Virtual) Seconds() float64 { return v.now.Seconds() }

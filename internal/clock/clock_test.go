@@ -15,8 +15,8 @@ func TestAdvance(t *testing.T) {
 	if c.Now() != 1500*time.Millisecond {
 		t.Errorf("now = %v", c.Now())
 	}
-	if c.Seconds() != 1.5 {
-		t.Errorf("seconds = %g", c.Seconds())
+	if c.Now().Seconds() != 1.5 {
+		t.Errorf("seconds = %g", c.Now().Seconds())
 	}
 }
 

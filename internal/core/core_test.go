@@ -323,7 +323,7 @@ func TestPipelineMetrics(t *testing.T) {
 	if iters == 0 {
 		t.Fatal("no training iterations observed")
 	}
-	if got := pm.IterNanos.Count(); got != iters {
+	if got := pm.IterNanos.Snapshot().Count; got != iters {
 		t.Errorf("iter_ns count %d != iterations %d", got, iters)
 	}
 	batches := pm.DrainBatch.Snapshot()

@@ -156,9 +156,6 @@ func NewDriftMonitor(cfg DriftConfig) *DriftMonitor {
 	return m
 }
 
-// Window returns the evaluation window in decisions.
-func (m *DriftMonitor) Window() int { return int(m.window) }
-
 // Observe records one decision: the RAW (pre-normalization) selected
 // feature vector and the predicted class. feats may be shorter than the
 // configured width (extra monitor features stay at zero); extra feats

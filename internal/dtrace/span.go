@@ -268,9 +268,6 @@ func UnpackInferAux(aux int64) (version uint64, batchRows int) {
 	return uint64(uint32(aux)), int(aux >> 32)
 }
 
-// Active reports whether a trace is under construction.
-func (b *Builder) Active() bool { return b.t.N > 0 }
-
 // Finish closes the root span (if the caller has not already) and
 // returns the completed trace. The pointer aliases the builder's
 // storage — copy-free on the decision path — and stays valid until the

@@ -198,12 +198,6 @@ func (t *Tree) Predict(features []float64) int {
 	return t.leafFor(features).class
 }
 
-// PredictProbs returns the empirical class distribution at the matched leaf.
-// The returned slice aliases tree-internal storage; callers must not modify.
-func (t *Tree) PredictProbs(features []float64) []float64 {
-	return t.leafFor(features).probs
-}
-
 //kml:hotpath
 func (t *Tree) leafFor(features []float64) *node {
 	if len(features) != t.features {
@@ -241,20 +235,6 @@ func depthOf(nd *node) int {
 		return l + 1
 	}
 	return r + 1
-}
-
-// Accuracy returns the fraction of samples classified correctly.
-func (t *Tree) Accuracy(x [][]float64, y []int) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	correct := 0
-	for i, row := range x {
-		if t.Predict(row) == y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(x))
 }
 
 // Serialization: the tree file (treeLayout) moves trees through the same

@@ -45,7 +45,13 @@ func TestTrainBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := tr.Accuracy(testX, testY); acc < 0.9 {
+	correct := 0
+	for i, row := range testX {
+		if tr.Predict(row) == testY[i] {
+			correct++
+		}
+	}
+	if acc := float64(correct) / float64(len(testX)); acc < 0.9 {
 		t.Errorf("blob accuracy %.3f < 0.9", acc)
 	}
 }
@@ -58,7 +64,7 @@ func TestPredictProbsSumToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		probs := tr.PredictProbs(x[i])
+		probs := tr.leafFor(x[i]).probs
 		sum := 0.0
 		best, bestP := 0, -1.0
 		for c, p := range probs {
@@ -71,7 +77,7 @@ func TestPredictProbsSumToOne(t *testing.T) {
 			t.Fatalf("probs sum %g", sum)
 		}
 		if best != tr.Predict(x[i]) {
-			t.Fatal("Predict must be argmax of PredictProbs")
+			t.Fatal("Predict must be argmax of the leaf distribution")
 		}
 	}
 }

@@ -95,9 +95,6 @@ type Record struct {
 // Vector holds one window's candidate statistics (raw or normalized).
 type Vector [NumCandidates]float64
 
-// Slice returns all candidate statistics as a []float64.
-func (v Vector) Slice() []float64 { return v[:] }
-
 // Extractor folds records into window statistics. The caller decides the
 // window boundaries (the readahead application emits once per second).
 type Extractor struct {

@@ -147,47 +147,6 @@ func (q Q16) Neg() Q16 {
 	return -q
 }
 
-// Abs returns |q| with saturation.
-//
-//kml:hotpath
-func (q Q16) Abs() Q16 {
-	if q < 0 {
-		return q.Neg()
-	}
-	return q
-}
-
-// Sqrt returns the square root of q (0 for negative inputs) using integer
-// Newton iteration on the Q32.32 radicand.
-//
-//kml:hotpath
-func (q Q16) Sqrt() Q16 {
-	if q <= 0 {
-		return 0
-	}
-	// sqrt(v / 2^16) in Q16 = sqrt(v * 2^16) in integer.
-	v := uint64(q) << FracBits
-	// Initial guess: 2^(ceil(bits/2)).
-	x := uint64(1) << ((bitLen(v) + 1) / 2)
-	for i := 0; i < 32; i++ {
-		nx := (x + v/x) / 2
-		if nx >= x {
-			break
-		}
-		x = nx
-	}
-	return sat(int64(x))
-}
-
-func bitLen(v uint64) int {
-	n := 0
-	for v != 0 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
 // expTable holds e^k in Q16 for k = 0..10; beyond ~10.4 e^x saturates Q16.
 // The float literals are quantized once at package init — a boundary
 // computation, like loading precomputed constants into a kernel module.

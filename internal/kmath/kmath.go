@@ -41,11 +41,6 @@ func Clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// IsFinite reports whether x is neither NaN nor infinite.
-func IsFinite(x float64) bool {
-	return !math.IsNaN(x) && !math.IsInf(x, 0)
-}
-
 // frexp decomposes f into a normalized fraction in [0.5, 1) and a power of
 // two, f = frac * 2**exp. It mirrors libm's frexp using only bit operations.
 //
@@ -192,9 +187,6 @@ func Log(x float64) float64 {
 	return 2*t*sum + float64(e)*Ln2
 }
 
-// Log2 returns the base-2 logarithm of x.
-func Log2(x float64) float64 { return Log(x) * Log2E }
-
 // Log1p returns ln(1+x), accurate for small |x| where Log(1+x) would lose
 // precision.
 func Log1p(x float64) float64 {
@@ -280,10 +272,6 @@ func Sigmoid(x float64) float64 {
 	return z / (1 + z)
 }
 
-// SigmoidPrime returns the derivative of the logistic function expressed in
-// terms of its output s: s·(1−s).
-func SigmoidPrime(s float64) float64 { return s * (1 - s) }
-
 // Tanh returns the hyperbolic tangent of x, expressed through the stable
 // sigmoid: tanh(x) = 2σ(2x) − 1.
 //
@@ -296,28 +284,6 @@ func Tanh(x float64) float64 {
 		return -1
 	}
 	return 2*Sigmoid(2*x) - 1
-}
-
-// Erf returns the error function of x using the Abramowitz–Stegun 7.1.26
-// rational approximation (|error| ≤ 1.5e-7), sufficient for the statistical
-// normalization KML performs.
-func Erf(x float64) float64 {
-	sign := 1.0
-	if x < 0 {
-		sign = -1
-		x = -x
-	}
-	const (
-		a1 = 0.254829592
-		a2 = -0.284496736
-		a3 = 1.421413741
-		a4 = -1.453152027
-		a5 = 1.061405429
-		p  = 0.3275911
-	)
-	t := 1 / (1 + p*x)
-	y := 1 - (((((a5*t+a4)*t)+a3)*t+a2)*t+a1)*t*Exp(-x*x)
-	return sign * y
 }
 
 // Softmax writes the softmax of src into dst (which may alias src) using the
@@ -355,48 +321,4 @@ func Softmax(dst, src []float64) []float64 {
 		dst[i] *= inv
 	}
 	return dst
-}
-
-// LogSumExp returns ln(Σ e**x_i) computed stably.
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	maxV := xs[0]
-	for _, v := range xs[1:] {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	if math.IsInf(maxV, -1) {
-		return maxV
-	}
-	sum := 0.0
-	for _, v := range xs {
-		sum += Exp(v - maxV)
-	}
-	return maxV + Log(sum)
-}
-
-// Floor returns the largest integer value less than or equal to x.
-func Floor(x float64) float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) || x == 0 {
-		return x
-	}
-	t := float64(int64(x))
-	if x < 0 && t != x {
-		t--
-	}
-	return t
-}
-
-// Ceil returns the smallest integer value greater than or equal to x.
-func Ceil(x float64) float64 { return -Floor(-x) }
-
-// Round returns x rounded half away from zero.
-func Round(x float64) float64 {
-	if x >= 0 {
-		return Floor(x + 0.5)
-	}
-	return Ceil(x - 0.5)
 }

@@ -189,15 +189,6 @@ func TestTanh(t *testing.T) {
 	}
 }
 
-func TestErf(t *testing.T) {
-	for x := -4.0; x <= 4; x += 0.13 {
-		got, want := Erf(x), math.Erf(x)
-		if math.Abs(got-want) > 2e-7 {
-			t.Errorf("Erf(%g) = %g, want %g", x, got, want)
-		}
-	}
-}
-
 func TestSoftmax(t *testing.T) {
 	in := []float64{1, 2, 3}
 	out := Softmax(make([]float64, 3), in)
@@ -249,56 +240,6 @@ func TestSoftmaxEmpty(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	want := math.Log(math.Exp(1) + math.Exp(2) + math.Exp(3))
-	if got := LogSumExp(xs); relErr(got, want) > 1e-12 {
-		t.Errorf("LogSumExp = %g, want %g", got, want)
-	}
-	// Stability with big values.
-	if got := LogSumExp([]float64{1000, 1000}); relErr(got, 1000+math.Ln2) > 1e-12 {
-		t.Errorf("LogSumExp(1000,1000) = %g, want %g", got, 1000+math.Ln2)
-	}
-	if !math.IsInf(LogSumExp(nil), -1) {
-		t.Error("LogSumExp(nil) should be -Inf")
-	}
-}
-
-func TestFloorCeilRound(t *testing.T) {
-	cases := []struct{ x, floor, ceil, round float64 }{
-		{1.5, 1, 2, 2},
-		{-1.5, -2, -1, -2},
-		{2.0, 2, 2, 2},
-		{-0.4, -1, 0, 0},
-		{0.49, 0, 1, 0},
-		{0, 0, 0, 0},
-	}
-	for _, c := range cases {
-		if got := Floor(c.x); got != c.floor {
-			t.Errorf("Floor(%g) = %g, want %g", c.x, got, c.floor)
-		}
-		if got := Ceil(c.x); got != c.ceil {
-			t.Errorf("Ceil(%g) = %g, want %g", c.x, got, c.ceil)
-		}
-		if got := Round(c.x); got != c.round {
-			t.Errorf("Round(%g) = %g, want %g", c.x, got, c.round)
-		}
-	}
-}
-
-func TestFloorMatchesStdlib(t *testing.T) {
-	f := func(x float64) bool {
-		x = math.Mod(x, 1e15) // int64-representable range
-		if math.IsNaN(x) {
-			return true
-		}
-		return Floor(x) == math.Floor(x) && Ceil(x) == math.Ceil(x)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestAbsClamp(t *testing.T) {
 	if Abs(-3.5) != 3.5 || Abs(3.5) != 3.5 || Abs(0) != 0 {
 		t.Error("Abs broken")
@@ -308,12 +249,6 @@ func TestAbsClamp(t *testing.T) {
 	}
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Error("Clamp broken")
-	}
-}
-
-func TestIsFinite(t *testing.T) {
-	if !IsFinite(1) || IsFinite(math.NaN()) || IsFinite(math.Inf(1)) || IsFinite(math.Inf(-1)) {
-		t.Error("IsFinite broken")
 	}
 }
 

@@ -154,6 +154,8 @@ func (db *DB) Put(key, value []byte) error {
 }
 
 // Delete removes key (writes a tombstone).
+//
+//kml:api the only writer of the tombstone tag that the WAL and table formats carry
 func (db *DB) Delete(key []byte) error {
 	if len(key) == 0 {
 		return errors.New("kvstore: empty key")
@@ -407,21 +409,5 @@ func (db *DB) dropTables(replacement []*sstable.Table) error {
 // Tables returns the current number of sorted runs.
 func (db *DB) Tables() int { return len(db.tables) }
 
-// MemtableBytes returns the current memtable size.
-func (db *DB) MemtableBytes() int { return db.mem.sizeBytes() }
-
 // Stats returns a copy of the store's counters.
 func (db *DB) Stats() DBStats { return db.stats }
-
-// FS returns the underlying filesystem (experiment plumbing).
-func (db *DB) FS() *vfs.FS { return db.fs }
-
-// TableFiles returns the files backing the current runs, newest first —
-// the handles the KML readahead application tunes per-file ra_pages on.
-func (db *DB) TableFiles() []*vfs.File {
-	out := make([]*vfs.File, len(db.tables))
-	for i, t := range db.tables {
-		out[i] = t.File()
-	}
-	return out
-}

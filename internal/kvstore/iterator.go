@@ -271,12 +271,5 @@ func (it *Iterator) Next() {
 	it.skipTombstones()
 }
 
-// Key returns the current key. Like Value, it may alias a table
-// iterator's block storage: valid until the iterator next moves.
-func (it *Iterator) Key() []byte { return it.m.key() }
-
-// Value returns the current value.
-func (it *Iterator) Value() []byte { return it.m.value() }
-
 // Err returns the first error any source hit.
 func (it *Iterator) Err() error { return it.m.err() }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/clock"
 	"repro/internal/pagecache"
+	"repro/internal/sstable"
 	"repro/internal/vfs"
 )
 
@@ -266,10 +267,10 @@ func TestIteratorForward(t *testing.T) {
 	it.SeekToFirst()
 	count := 0
 	for it.Valid() {
-		if !bytes.Equal(it.Key(), k(count)) {
-			t.Fatalf("key %d: got %q", count, it.Key())
+		if !bytes.Equal(it.m.key(), k(count)) {
+			t.Fatalf("key %d: got %q", count, it.m.key())
 		}
-		if !bytes.Equal(it.Value(), v(count)) {
+		if !bytes.Equal(it.m.value(), v(count)) {
 			t.Fatalf("value %d mismatch", count)
 		}
 		count++
@@ -293,8 +294,8 @@ func TestIteratorReverse(t *testing.T) {
 	it.SeekToLast()
 	count := n - 1
 	for it.Valid() {
-		if !bytes.Equal(it.Key(), k(count)) {
-			t.Fatalf("reverse key %d: got %q", count, it.Key())
+		if !bytes.Equal(it.m.key(), k(count)) {
+			t.Fatalf("reverse key %d: got %q", count, it.m.key())
 		}
 		count--
 		it.Next()
@@ -311,8 +312,8 @@ func TestIteratorMergesNewestWins(t *testing.T) {
 	db.Put(k(1), []byte("new")) // newer, in memtable
 	it := db.NewIterator()
 	it.SeekToFirst()
-	if !it.Valid() || string(it.Value()) != "new" {
-		t.Errorf("merge picked %q", it.Value())
+	if !it.Valid() || string(it.m.value()) != "new" {
+		t.Errorf("merge picked %q", it.m.value())
 	}
 	it.Next()
 	if it.Valid() {
@@ -331,7 +332,7 @@ func TestIteratorSkipsTombstones(t *testing.T) {
 	it.SeekToFirst()
 	seen := 0
 	for it.Valid() {
-		if bytes.Equal(it.Key(), k(5)) {
+		if bytes.Equal(it.m.key(), k(5)) {
 			t.Fatal("tombstoned key visible")
 		}
 		seen++
@@ -350,17 +351,17 @@ func TestIteratorSeek(t *testing.T) {
 	db.Flush()
 	it := db.NewIterator()
 	it.Seek(k(50))
-	if !it.Valid() || !bytes.Equal(it.Key(), k(50)) {
+	if !it.Valid() || !bytes.Equal(it.m.key(), k(50)) {
 		t.Error("seek exact")
 	}
 	it.Seek(k(51)) // odd: next even is 52
-	if !it.Valid() || !bytes.Equal(it.Key(), k(52)) {
-		t.Errorf("seek between: %q", it.Key())
+	if !it.Valid() || !bytes.Equal(it.m.key(), k(52)) {
+		t.Errorf("seek between: %q", it.m.key())
 	}
 	rit := db.NewReverseIterator()
 	rit.Seek(k(51)) // last key ≤ 51 is 50
-	if !rit.Valid() || !bytes.Equal(rit.Key(), k(50)) {
-		t.Errorf("reverse seek: %q", rit.Key())
+	if !rit.Valid() || !bytes.Equal(rit.m.key(), k(50)) {
+		t.Errorf("reverse seek: %q", rit.m.key())
 	}
 }
 
@@ -408,14 +409,14 @@ func TestRandomizedAgainstMap(t *testing.T) {
 	var prev []byte
 	scanCount := 0
 	for it.Valid() {
-		if prev != nil && bytes.Compare(it.Key(), prev) <= 0 {
+		if prev != nil && bytes.Compare(it.m.key(), prev) <= 0 {
 			t.Fatal("scan out of order")
 		}
-		want, exists := oracle[string(it.Key())]
-		if !exists || want != string(it.Value()) {
-			t.Fatalf("scan key %q mismatch", it.Key())
+		want, exists := oracle[string(it.m.key())]
+		if !exists || want != string(it.m.value()) {
+			t.Fatalf("scan key %q mismatch", it.m.key())
 		}
-		prev = append(prev[:0], it.Key()...)
+		prev = append(prev[:0], it.m.key()...)
 		scanCount++
 		it.Next()
 	}
@@ -707,8 +708,8 @@ func TestMergeIteratorOverReusedBlocks(t *testing.T) {
 		t.Fatalf("%d tables, want 2", db.Tables())
 	}
 	for _, tbl := range db.tables {
-		if tbl.Blocks() < 8 {
-			t.Fatalf("table has %d blocks, want several", tbl.Blocks())
+		if size := tbl.File().Size(); size < 8*sstable.DefaultBlockSize {
+			t.Fatalf("table has %d bytes, want several blocks", size)
 		}
 	}
 	keys := make([]string, 0, len(oracle))
@@ -722,10 +723,10 @@ func TestMergeIteratorOverReusedBlocks(t *testing.T) {
 		i := 0
 		for ; it.Valid(); it.Next() {
 			if i >= len(want) {
-				t.Fatalf("%s: extra key %q", name, it.Key())
+				t.Fatalf("%s: extra key %q", name, it.m.key())
 			}
-			if string(it.Key()) != want[i] || string(it.Value()) != oracle[want[i]] {
-				t.Fatalf("%s: entry %d is %q=%q, want %q=%q", name, i, it.Key(), it.Value(), want[i], oracle[want[i]])
+			if string(it.m.key()) != want[i] || string(it.m.value()) != oracle[want[i]] {
+				t.Fatalf("%s: entry %d is %q=%q, want %q=%q", name, i, it.m.key(), it.m.value(), want[i], oracle[want[i]])
 			}
 			i++
 		}

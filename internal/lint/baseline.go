@@ -66,9 +66,6 @@ func LoadBaseline(path string) (*Baseline, error) {
 	return ParseBaseline(f)
 }
 
-// Len returns the number of distinct baseline entries.
-func (b *Baseline) Len() int { return len(b.order) }
-
 // Apply splits diags into new (not covered by the baseline) and
 // suppressed, and returns the stale baseline entries that matched
 // nothing. Suppression is counted: two identical diagnostics need two

@@ -17,8 +17,9 @@ import (
 //     no space after the slashes, mirroring //go:build)
 //   - misplaced directives: file-level directives (kernelspace,
 //     checkerrors) anywhere after the package clause, and declaration-level
-//     directives (hotpath, coldpath, boundary) outside a top-level doc
-//     comment, where the loader never looks.
+//     directives (hotpath, coldpath, boundary, api) outside a top-level
+//     doc comment, where the loader never looks
+//   - a //kml:api with no reason after it
 var Directive = &Analyzer{
 	Name: "directive",
 	Doc:  "//kml: directives must be well-formed, known, and placed where they take effect",
@@ -33,11 +34,12 @@ var fileLevelDirectives = map[string]bool{
 }
 
 // declLevelDirectives are honored only in the doc comment of a top-level
-// declaration; boundary additionally applies to GenDecls.
+// declaration; boundary and api additionally apply to GenDecls.
 var declLevelDirectives = map[string]bool{
 	dirHotpath:  true,
 	dirColdpath: true,
 	dirBoundary: true,
+	dirAPI:      true,
 }
 
 func runDirective(pass *Pass) {
@@ -45,7 +47,7 @@ func runDirective(pass *Pass) {
 		docs := topLevelDocGroups(file)
 		for _, group := range file.Comments {
 			header := group.End() <= file.Package
-			_, isDoc := docs[group]
+			decl, isDoc := docs[group]
 			for _, c := range group.List {
 				d := parseDirective(c.Text)
 				if !d.Attempted {
@@ -62,26 +64,30 @@ func runDirective(pass *Pass) {
 					pass.Reportf(c.Pos(), "misplaced //%s: file-level directives must appear before the package clause to take effect", d.Name)
 				case declLevelDirectives[d.Name] && !isDoc:
 					pass.Reportf(c.Pos(), "misplaced //%s: declaration-level directives must appear in the doc comment of a top-level declaration to take effect", d.Name)
+				case d.Name == dirAPI && strings.TrimSpace(strings.TrimPrefix(c.Text, "//"+dirAPI)) == "":
+					// Reported at the declaration: a reason is what the
+					// line is missing.
+					pass.Reportf(decl.Pos(), "//%s needs a reason: say why the declaration stays without a non-test caller", dirAPI)
 				}
 			}
 		}
 	}
 }
 
-// topLevelDocGroups returns the set of comment groups that are the doc
-// comment of a top-level declaration — the only position where
-// declaration-level directives are honored.
-func topLevelDocGroups(file *ast.File) map[*ast.CommentGroup]bool {
-	docs := make(map[*ast.CommentGroup]bool)
+// topLevelDocGroups maps each comment group that is the doc comment of a
+// top-level declaration — the only position where declaration-level
+// directives are honored — to that declaration.
+func topLevelDocGroups(file *ast.File) map[*ast.CommentGroup]ast.Decl {
+	docs := make(map[*ast.CommentGroup]ast.Decl)
 	for _, decl := range file.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
 			if d.Doc != nil {
-				docs[d.Doc] = true
+				docs[d.Doc] = d
 			}
 		case *ast.GenDecl:
 			if d.Doc != nil {
-				docs[d.Doc] = true
+				docs[d.Doc] = d
 			}
 		}
 	}

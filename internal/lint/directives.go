@@ -13,6 +13,7 @@ const (
 	dirBoundary    = "kml:boundary"
 	dirCheckErrors = "kml:checkerrors"
 	dirColdpath    = "kml:coldpath"
+	dirAPI         = "kml:api"
 )
 
 // knownDirectives is the closed set of recognized //kml: spellings. The
@@ -24,6 +25,7 @@ var knownDirectives = map[string]bool{
 	dirBoundary:    true,
 	dirCheckErrors: true,
 	dirColdpath:    true,
+	dirAPI:         true,
 }
 
 // directiveInfo is the parse of one comment line's directive attempt.

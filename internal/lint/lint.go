@@ -31,6 +31,15 @@
 //	    error result is silently discarded is reported (persistence code
 //	    like the model serializer and the WAL must never drop errors).
 //
+// One more analyzer keeps the library small: unused reports every func,
+// method and type under internal/ that no non-test code in the module
+// uses. Its one exemption is
+//
+//	//kml:api <reason>   (declaration level)
+//	    The declaration stays without a non-test caller, for the reason
+//	    given (which must not be empty); on a type it also covers the
+//	    type's methods.
+//
 // The implementation is pure standard library — go/parser, go/ast,
 // go/token, go/types — preserving the repo's no-external-dependency
 // constraint. See cmd/kml-vet for the command front end and
@@ -86,7 +95,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full rule set in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{NoFloat, NoAlloc, LockFree, Imports, ErrCheck, Directive, HotReach, Atomics}
+	return []*Analyzer{NoFloat, NoAlloc, LockFree, Imports, ErrCheck, Directive, HotReach, Atomics, Unused}
 }
 
 // Check runs every analyzer over every package of the module and returns

@@ -32,3 +32,8 @@ func Late() {}
 
 // Detached is not annotated by the floating comment above.
 func Detached() {}
+
+// Bare carries //kml:api with no reason after it.
+//
+//kml:api
+func Bare() {} // want:directive

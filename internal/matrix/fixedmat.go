@@ -29,12 +29,6 @@ func (f *Fixed) Rows() int { return f.rows }
 // Cols returns the number of columns.
 func (f *Fixed) Cols() int { return f.cols }
 
-// At returns the element at row i, column j.
-func (f *Fixed) At(i, j int) fixed.Q16 { return f.data[i*f.cols+j] }
-
-// Set stores v at row i, column j.
-func (f *Fixed) Set(i, j int, v fixed.Q16) { f.data[i*f.cols+j] = v }
-
 // Data returns the backing slice in row-major order.
 func (f *Fixed) Data() []fixed.Q16 { return f.data }
 

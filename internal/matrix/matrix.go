@@ -52,17 +52,6 @@ func NewPadded[T Float](rows, cols, pad int) *Dense[T] {
 	return &Dense[T]{rows: rows, cols: cols, data: make([]T, rows*cols, rows*cols+pad)}
 }
 
-// FromSlice returns a rows×cols matrix backed by a copy of data, which must
-// hold exactly rows*cols elements in row-major order.
-func FromSlice[T Float](rows, cols int, data []T) *Dense[T] {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("matrix: FromSlice got %d elements for %dx%d", len(data), rows, cols))
-	}
-	m := New[T](rows, cols)
-	copy(m.data, data)
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Dense[T]) Rows() int { return m.rows }
 
@@ -107,19 +96,6 @@ func (m *Dense[T]) SliceRows(rows int) Dense[T] {
 		panic(fmt.Sprintf("matrix: SliceRows %d of %dx%d", rows, m.rows, m.cols))
 	}
 	return Dense[T]{rows: rows, cols: m.cols, data: m.data[:rows*m.cols]}
-}
-
-// CopyFrom copies src into m; dimensions must match.
-func (m *Dense[T]) CopyFrom(src *Dense[T]) {
-	m.mustSameShape(src)
-	copy(m.data, src.data)
-}
-
-// Fill sets every element of m to v.
-func (m *Dense[T]) Fill(v T) {
-	for i := range m.data {
-		m.data[i] = v
-	}
 }
 
 // Zero sets every element of m to 0.
@@ -211,13 +187,6 @@ func checkMulBias[T Float](dst, a, b, bias *Dense[T]) {
 	}
 }
 
-// Mul returns a·b in a freshly allocated matrix.
-func Mul[T Float](a, b *Dense[T]) *Dense[T] {
-	dst := New[T](a.rows, b.cols)
-	MulInto(dst, a, b)
-	return dst
-}
-
 // MulTransInto computes dst = a·bᵀ without materializing bᵀ.
 // dst must be a.rows × b.rows.
 func MulTransInto[T Float](dst, a, b *Dense[T]) {
@@ -260,17 +229,6 @@ func TransMulInto[T Float](dst, a, b *Dense[T]) {
 	}
 }
 
-// Transpose returns mᵀ as a new matrix.
-func (m *Dense[T]) Transpose() *Dense[T] {
-	t := New[T](m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
-}
-
 // AddInto computes dst = a + b elementwise; all three must share a shape
 // (dst may alias a or b).
 func AddInto[T Float](dst, a, b *Dense[T]) {
@@ -278,39 +236,6 @@ func AddInto[T Float](dst, a, b *Dense[T]) {
 	a.mustSameShape(dst)
 	for i := range dst.data {
 		dst.data[i] = a.data[i] + b.data[i]
-	}
-}
-
-// SubInto computes dst = a − b elementwise (dst may alias a or b).
-func SubInto[T Float](dst, a, b *Dense[T]) {
-	a.mustSameShape(b)
-	a.mustSameShape(dst)
-	for i := range dst.data {
-		dst.data[i] = a.data[i] - b.data[i]
-	}
-}
-
-// HadamardInto computes dst = a ⊙ b elementwise (dst may alias a or b).
-func HadamardInto[T Float](dst, a, b *Dense[T]) {
-	a.mustSameShape(b)
-	a.mustSameShape(dst)
-	for i := range dst.data {
-		dst.data[i] = a.data[i] * b.data[i]
-	}
-}
-
-// Scale multiplies every element of m by s in place.
-func (m *Dense[T]) Scale(s T) {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-}
-
-// AXPY computes m += s·x elementwise.
-func (m *Dense[T]) AXPY(s T, x *Dense[T]) {
-	m.mustSameShape(x)
-	for i := range m.data {
-		m.data[i] += s * x.data[i]
 	}
 }
 
@@ -342,13 +267,6 @@ func (m *Dense[T]) SumRowsInto(dst *Dense[T]) {
 	}
 }
 
-// Apply sets every element to f(element) in place.
-func (m *Dense[T]) Apply(f func(T) T) {
-	for i := range m.data {
-		m.data[i] = f(m.data[i])
-	}
-}
-
 // ArgMaxRow returns the column index of the largest element in row i.
 //
 //kml:hotpath
@@ -361,46 +279,6 @@ func (m *Dense[T]) ArgMaxRow(i int) int {
 		}
 	}
 	return best
-}
-
-// MaxAbs returns the largest absolute element value in m (0 for empty).
-func (m *Dense[T]) MaxAbs() T {
-	var maxV T
-	for _, v := range m.data {
-		if v < 0 {
-			v = -v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
-	return maxV
-}
-
-// FrobeniusNorm2 returns the squared Frobenius norm Σ m_ij².
-func (m *Dense[T]) FrobeniusNorm2() T {
-	var sum T
-	for _, v := range m.data {
-		sum += v * v
-	}
-	return sum
-}
-
-// Equal reports whether m and o have the same shape and elements within tol.
-func (m *Dense[T]) Equal(o *Dense[T], tol T) bool {
-	if m.rows != o.rows || m.cols != o.cols {
-		return false
-	}
-	for i := range m.data {
-		d := m.data[i] - o.data[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders a small matrix for debugging.
@@ -430,13 +308,4 @@ func FixedFrom[T Float](m *Dense[T]) *Fixed {
 		data[i] = fixed.FromFloat(float64(v))
 	}
 	return f
-}
-
-// Float converts f back to a float64 matrix (for accuracy comparisons).
-func (f *Fixed) Float() *Dense[float64] {
-	m := New[float64](f.Rows(), f.Cols())
-	for i, v := range f.Data() {
-		m.data[i] = v.Float()
-	}
-	return m
 }

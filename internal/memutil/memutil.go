@@ -87,20 +87,6 @@ func (a *Arena) Peak() int64 {
 	return a.peak
 }
 
-// Allocs returns the number of successful charges.
-func (a *Arena) Allocs() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.allocs
-}
-
-// Fails returns the number of charges rejected by the reservation.
-func (a *Arena) Fails() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.fails
-}
-
 // Name returns the arena's name.
 func (a *Arena) Name() string { return a.name }
 
@@ -111,22 +97,3 @@ func (a *Arena) String() string {
 	return fmt.Sprintf("arena %q: live=%dB peak=%dB reserved=%dB allocs=%d fails=%d",
 		a.name, a.live, a.peak, a.reserved, a.allocs, a.fails)
 }
-
-// AllocFloats allocates a float64 slice charged to the arena, returning nil
-// if the reservation would be exceeded — the kml_malloc analogue for the
-// matrix buffers that dominate KML's footprint.
-func (a *Arena) AllocFloats(n int) []float64 {
-	if !a.Charge(int64(n) * 8) {
-		return nil
-	}
-	return make([]float64, n)
-}
-
-// FreeFloats releases the charge for a slice obtained from AllocFloats.
-func (a *Arena) FreeFloats(s []float64) {
-	a.Release(int64(len(s)) * 8)
-}
-
-// SizeOfFloats returns the accounted size in bytes of an n-element float64
-// buffer, the unit used in the paper's memory-footprint numbers.
-func SizeOfFloats(n int) int64 { return int64(n) * 8 }

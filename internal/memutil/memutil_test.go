@@ -24,8 +24,8 @@ func TestChargeReleasePeak(t *testing.T) {
 	if a.Peak() != 150 {
 		t.Error("peak must not decrease")
 	}
-	if a.Allocs() != 2 {
-		t.Errorf("allocs = %d", a.Allocs())
+	if a.allocs != 2 {
+		t.Errorf("allocs = %d", a.allocs)
 	}
 }
 
@@ -38,8 +38,8 @@ func TestReservationRejects(t *testing.T) {
 	if a.Charge(30) {
 		t.Fatal("charge over cap succeeded")
 	}
-	if a.Fails() != 1 {
-		t.Errorf("fails = %d", a.Fails())
+	if a.fails != 1 {
+		t.Errorf("fails = %d", a.fails)
 	}
 	a.Release(80)
 	if !a.Charge(100) {
@@ -77,25 +77,6 @@ func TestNegativeChargePanics(t *testing.T) {
 	a.Charge(-1)
 }
 
-func TestAllocFloats(t *testing.T) {
-	a := NewArena("floats")
-	a.Reserve(SizeOfFloats(10))
-	s := a.AllocFloats(10)
-	if s == nil || len(s) != 10 {
-		t.Fatal("AllocFloats under cap")
-	}
-	if a.Live() != 80 {
-		t.Errorf("live = %d", a.Live())
-	}
-	if a.AllocFloats(1) != nil {
-		t.Error("AllocFloats over cap should return nil")
-	}
-	a.FreeFloats(s)
-	if a.Live() != 0 {
-		t.Errorf("live after free = %d", a.Live())
-	}
-}
-
 func TestConcurrentCharges(t *testing.T) {
 	a := NewArena("conc")
 	var wg sync.WaitGroup
@@ -113,8 +94,8 @@ func TestConcurrentCharges(t *testing.T) {
 	if a.Live() != 0 {
 		t.Errorf("live = %d after balanced charges", a.Live())
 	}
-	if a.Allocs() != 8000 {
-		t.Errorf("allocs = %d", a.Allocs())
+	if a.allocs != 8000 {
+		t.Errorf("allocs = %d", a.allocs)
 	}
 }
 

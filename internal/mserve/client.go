@@ -31,11 +31,10 @@ type Client struct {
 	// request traces; tb is the in-place builder; wireSpan tells do() to
 	// wrap the round trip in a StageWire span for the CURRENT traced
 	// request only (control-plane calls on the same client stay
-	// untraced); lastID is the most recent stamped TraceID.
+	// untraced).
 	arena    *dtrace.Arena
 	tb       dtrace.Builder
 	wireSpan bool
-	lastID   dtrace.TraceID
 }
 
 // Dial connects to a serving endpoint on network ("tcp", "unix").
@@ -72,11 +71,6 @@ func (cl *Client) SetTimeout(d time.Duration) {
 // few clock reads and one arena copy — the propagation path stays
 // alloc-free (TestClientTracingAllocFree).
 func (cl *Client) EnableTracing(arena *dtrace.Arena) { cl.arena = arena }
-
-// LastTraceID returns the TraceID stamped into the most recent traced
-// request (0 before any), for callers matching their traces against the
-// server's MsgTraces snapshot.
-func (cl *Client) LastTraceID() dtrace.TraceID { return cl.lastID }
 
 // Close closes the connection.
 func (cl *Client) Close() error { return cl.c.Close() }
@@ -140,7 +134,6 @@ func (cl *Client) startTrace() uint64 {
 		return 0
 	}
 	id := dtrace.TraceID(uint64(cl.arena.NextID()) | ClientTraceIDBit)
-	cl.lastID = id
 	cl.tb.StartRoot(id, dtrace.StageClient, time.Now().UnixNano())
 	return uint64(id)
 }
@@ -232,26 +225,6 @@ func (cl *Client) BatchInfer(feats []float64, rows, nfeat int) (classes []uint16
 		return nil, 0, err
 	}
 	return cl.classes[:n], v, nil
-}
-
-// Deploy uploads a serialized model and activates it, returning the new
-// version number.
-func (cl *Client) Deploy(kind ModelKind, name string, model []byte) (uint64, error) {
-	cl.req = AppendDeployReq(cl.req[:0], kind, name, model)
-	_, resp, err := cl.do(MsgDeploy, cl.req)
-	if err != nil {
-		return 0, err
-	}
-	return ParseVersionResp(resp)
-}
-
-// Rollback reverts the server to the previously active version.
-func (cl *Client) Rollback() (uint64, error) {
-	_, resp, err := cl.do(MsgRollback, nil)
-	if err != nil {
-		return 0, err
-	}
-	return ParseVersionResp(resp)
 }
 
 // Stats fetches the server's operational counters.

@@ -246,7 +246,6 @@ func TestCoalesceTraceAttribution(t *testing.T) {
 		TraceCapacity:  16,
 	})
 
-	ids := make([]dtrace.TraceID, max)
 	// One shared client arena: per-arena NextID keeps the four clients'
 	// trace IDs distinct (separate arenas would all mint ID 1).
 	arena := dtrace.NewArena(16)
@@ -265,14 +264,19 @@ func TestCoalesceTraceAttribution(t *testing.T) {
 			cl.EnableTracing(arena)
 			if _, _, err := cl.Infer([]float64{0.1 * float64(i), 0.2, 0.3, 0.4}); err != nil {
 				t.Errorf("infer %d: %v", i, err)
-				return
 			}
-			ids[i] = cl.LastTraceID()
 		}(i)
 	}
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
+	}
+	var ids []dtrace.TraceID
+	for _, tr := range arena.Snapshot() {
+		ids = append(ids, tr.ID)
+	}
+	if len(ids) != max {
+		t.Fatalf("client arena holds %d traces for %d requests", len(ids), max)
 	}
 
 	byID := make(map[dtrace.TraceID]dtrace.Trace)

@@ -24,8 +24,7 @@ type Snapshot[T any] struct {
 // connection instantiates its own inference state), core.Classifier in a
 // single-goroutine reader like readahead.Tuner.
 type Deployment[T any] struct {
-	ptr   atomic.Pointer[Snapshot[T]]
-	swaps atomic.Uint64
+	ptr atomic.Pointer[Snapshot[T]]
 }
 
 // NewDeployment returns a deployment already serving (model, version).
@@ -49,12 +48,8 @@ func (d *Deployment[T]) Load() *Snapshot[T] {
 // snapshot they loaded; new loads see the new version.
 func (d *Deployment[T]) Swap(model T, version uint64) *Snapshot[T] {
 	s := &Snapshot[T]{Model: model, Version: version}
-	d.swaps.Add(1)
 	return d.ptr.Swap(s)
 }
-
-// Swaps returns the number of Swap calls — deploys plus rollbacks.
-func (d *Deployment[T]) Swaps() uint64 { return d.swaps.Load() }
 
 // Version returns the currently deployed version, or 0 if empty.
 func (d *Deployment[T]) Version() uint64 {

@@ -14,7 +14,7 @@ type tornDetector struct {
 
 func TestDeploymentEmptyAndSwap(t *testing.T) {
 	var d Deployment[*tornDetector]
-	if d.Load() != nil || d.Version() != 0 || d.Swaps() != 0 {
+	if d.Load() != nil || d.Version() != 0 {
 		t.Fatal("zero Deployment is not empty")
 	}
 	prev := d.Swap(&tornDetector{id: 1}, 1)
@@ -28,8 +28,8 @@ func TestDeploymentEmptyAndSwap(t *testing.T) {
 	if prev == nil || prev.Version != 1 {
 		t.Fatalf("second swap returned %+v", prev)
 	}
-	if d.Swaps() != 2 || d.Version() != 2 {
-		t.Fatalf("swaps=%d version=%d", d.Swaps(), d.Version())
+	if d.Version() != 2 {
+		t.Fatalf("version=%d", d.Version())
 	}
 
 	d2 := NewDeployment(&tornDetector{id: 9}, 9)
@@ -79,7 +79,7 @@ func TestDeploymentHotSwapConsistency(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	if d.Version() != swaps || d.Swaps() != swaps {
-		t.Fatalf("final version=%d swaps=%d", d.Version(), d.Swaps())
+	if d.Version() != swaps {
+		t.Fatalf("final version=%d", d.Version())
 	}
 }

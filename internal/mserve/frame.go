@@ -28,9 +28,7 @@ const (
 	FrameVersion = 2
 	// HeaderSize is the fixed frame-header length in bytes.
 	HeaderSize = 12
-	// MaxPayload bounds one frame's payload. It must admit a Deploy frame
-	// carrying a serialized model; KML models are a few KB (the paper's
-	// readahead model is 3,916 B), so 1 MiB is generous.
+	// MaxPayload bounds one frame's payload.
 	MaxPayload = 1 << 20
 	// frameMagic opens every frame ("KM" little-endian).
 	frameMagic = 0x4d4b
@@ -76,16 +74,6 @@ func headerLayout(c *wire.Codec, magic *uint16, h *Header) {
 	c.U8((*uint8)(&h.Type))
 	c.U32(&h.Length)
 	c.U32(&h.CRC)
-}
-
-// PutHeader writes the header for payload into dst, which must be at least
-// HeaderSize bytes. It runs once per request on the serving path, so it
-// writes into a caller-owned buffer and does not allocate.
-//
-//kml:hotpath
-func PutHeader(dst []byte, typ MsgType, payload []byte) {
-	_ = dst[HeaderSize-1]
-	appendHeader(dst[:0], typ, payload)
 }
 
 // appendHeader appends the header for payload to dst.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -18,21 +17,21 @@ import (
 // the hand-written encoder the wire layout replaced.
 func TestFrameHeaderGolden(t *testing.T) {
 	hdr := bytes.Repeat([]byte{0xA5}, HeaderSize)
-	PutHeader(hdr, MsgBatchInfer, []byte("golden frame payload"))
+	appendHeader(hdr[:0], MsgBatchInfer, []byte("golden frame payload"))
 	const want = "7de5605910d1de21a188f5933cd3db2bbab14829cccccd9bc9ac16c6d8ad001d"
 	if got := fmt.Sprintf("%x", sha256.Sum256(hdr)); got != want {
 		t.Errorf("frame header sha256 %s, want %s", got, want)
 	}
 }
 
-// TestFrameHeaderMatchesReference checks PutHeader against the encoder it
+// TestFrameHeaderMatchesReference checks appendHeader against the encoder it
 // replaced, and ParseHeader against the reference on every truncation and
 // byte flip of a frame: the same header, the same error.
 func TestFrameHeaderMatchesReference(t *testing.T) {
-	for _, typ := range []MsgType{MsgInfer, MsgDeploy, 0xFF} {
+	for _, typ := range []MsgType{MsgInfer, MsgStats, 0xFF} {
 		for _, p := range [][]byte{nil, {1}, bytes.Repeat([]byte{7}, 300)} {
 			got, want := make([]byte, HeaderSize), make([]byte, HeaderSize)
-			PutHeader(got, typ, p)
+			appendHeader(got[:0], typ, p)
 			refPutHeader(want, typ, p)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("type %d, %d-byte payload: got %x, reference %x", typ, len(p), got, want)
@@ -88,13 +87,13 @@ func outOfRangeTreeBytes(t *testing.T) []byte {
 
 // TestDeployRejectsModelsBehindTheChecksum: a deploy of a model file that
 // passes its checksum but cannot be served — Linear layers that do not
-// chain, a tree split on a feature it does not have — is answered with an
-// error frame, and the server keeps serving the version it had.
+// chain, a tree split on a feature it does not have — fails, and the
+// server keeps serving the version it had.
 func TestDeployRejectsModelsBehindTheChecksum(t *testing.T) {
-	_, sock := startServer(t, Config{})
+	srv, sock := startServer(t, Config{})
 	cl := dial(t, sock)
-	if v, err := cl.Deploy(KindNN, "readahead-nn", nnModelBytes(t, 42, 4)); err != nil || v != 1 {
-		t.Fatalf("deploy: v=%d err=%v", v, err)
+	if v, err := srv.Deploy(KindNN, "readahead-nn", nnModelBytes(t, 42, 4)); err != nil || v.Number != 1 {
+		t.Fatalf("deploy: v=%d err=%v", v.Number, err)
 	}
 	for _, c := range []struct {
 		kind ModelKind
@@ -103,8 +102,8 @@ func TestDeployRejectsModelsBehindTheChecksum(t *testing.T) {
 		{KindNN, unchainedModelBytes(t)},
 		{KindDTree, outOfRangeTreeBytes(t)},
 	} {
-		if _, err := cl.Deploy(c.kind, "bad", c.data); !errors.Is(err, ErrRemote) {
-			t.Errorf("deploy kind %d: err = %v, want an error frame", c.kind, err)
+		if _, err := srv.Deploy(c.kind, "bad", c.data); err == nil {
+			t.Errorf("deploy kind %d: accepted a model it cannot serve", c.kind)
 		}
 		if _, version, err := cl.Infer([]float64{0.1, 0.2, 0.3, 0.4}); err != nil || version != 1 {
 			t.Fatalf("infer after a rejected deploy of kind %d: v=%d err=%v", c.kind, version, err)

@@ -97,7 +97,7 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 func TestFrameReader(t *testing.T) {
 	a := AppendFrame(nil, MsgInfer, []byte("first"))
 	b := AppendFrame(nil, MsgStats, nil)
-	big := AppendFrame(nil, MsgDeploy, bytes.Repeat([]byte{0xCD}, 3*frameReadSize))
+	big := AppendFrame(nil, MsgBatchInfer, bytes.Repeat([]byte{0xCD}, 3*frameReadSize))
 	badCRC := AppendFrame(nil, MsgHealth, []byte("x"))
 	badCRC[len(badCRC)-1] ^= 0xFF
 	oversized := AppendFrame(nil, MsgInfer, nil)
@@ -172,18 +172,11 @@ func TestProtocolRoundTrips(t *testing.T) {
 		}
 	}
 
-	// A client-stamped trace ID survives the round trip and is readable
-	// by the cheap prefix peek the server uses before full parsing.
+	// A client-stamped trace ID survives the round trip.
 	const wantID = ClientTraceIDBit | 42
 	p = AppendInferReq(nil, wantID, feats)
-	if got := PeekTraceID(p); got != wantID {
-		t.Fatalf("PeekTraceID = %#x, want %#x", got, wantID)
-	}
 	if _, tid, err = ParseInferReq(p, dst); err != nil || tid != wantID {
 		t.Fatalf("traced infer req: tid=%#x err=%v", tid, err)
-	}
-	if PeekTraceID(p[:7]) != 0 {
-		t.Fatal("short payload must peek as untraced")
 	}
 
 	p = AppendInferResp(nil, 3, 17)
@@ -194,9 +187,6 @@ func TestProtocolRoundTrips(t *testing.T) {
 
 	flat := []float64{1, 2, 3, 4, 5, 6}
 	p = AppendBatchInferReq(nil, wantID, flat, 2, 3)
-	if got := PeekTraceID(p); got != wantID {
-		t.Fatalf("batch PeekTraceID = %#x, want %#x", got, wantID)
-	}
 	bdst := make([]float64, 6)
 	rows, nfeat, btid, err := ParseBatchInferReq(p, bdst)
 	if err != nil || rows != 2 || nfeat != 3 || btid != wantID {
@@ -209,12 +199,6 @@ func TestProtocolRoundTrips(t *testing.T) {
 	rows, version, err = ParseBatchInferResp(p, out)
 	if err != nil || rows != 3 || version != 9 || out[1] != 3 {
 		t.Fatalf("batch resp: rows=%d v=%d out=%v err=%v", rows, version, out, err)
-	}
-
-	p = AppendDeployReq(nil, KindDTree, "readahead", []byte{9, 9, 9})
-	kind, name, model, err := ParseDeployReq(p)
-	if err != nil || kind != KindDTree || name != "readahead" || len(model) != 3 {
-		t.Fatalf("deploy req: %v %q %v %v", kind, name, model, err)
 	}
 
 	st := Stats{

@@ -79,13 +79,10 @@ func FuzzFrameDecode(f *testing.F) {
 		// so a lying header must error instead of indexing out of range.
 		var feats [64]float64
 		var classes [64]uint16
-		_ = PeekTraceID(b)
 		_, _, _ = ParseInferReq(b, feats[:])
 		_, _, _, _ = ParseBatchInferReq(b, feats[:])
 		_, _, _ = ParseInferResp(b)
 		_, _, _ = ParseBatchInferResp(b, classes[:])
-		_, _, _, _ = ParseDeployReq(b)
-		_, _ = ParseVersionResp(b)
 		_, _ = ParseStats(b)
 		_, _, _, _ = ParseHealthResp(b)
 	})
@@ -104,7 +101,7 @@ func FuzzFrameStream(f *testing.F) {
 	f.Add(two, []byte{})
 	f.Add(two, []byte{0})
 	f.Add(two, []byte{4, 11, 1})
-	f.Add(AppendFrame(two, MsgDeploy, bytes.Repeat([]byte{7}, 5000)), []byte{200, 3})
+	f.Add(AppendFrame(two, MsgBatchInfer, bytes.Repeat([]byte{7}, 5000)), []byte{200, 3})
 	f.Add(two[:len(two)-1], []byte{5})
 	hostile := AppendFrame(nil, MsgInfer, nil)
 	binary.LittleEndian.PutUint32(hostile[4:8], ^uint32(0))

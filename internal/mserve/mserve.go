@@ -21,7 +21,7 @@
 //   - frame.go / protocol.go / server.go / client.go — a stdlib-only
 //     binary wire protocol (length-prefixed, CRC-protected, versioned
 //     frames) and a TCP/unix-socket server exposing Infer, BatchInfer,
-//     Deploy, Rollback, Stats and Health, with per-connection deadlines,
+//     Stats, Health and the status surfaces, with per-connection deadlines,
 //     a connection limit, admission control charged to a memutil.Arena,
 //     and graceful drain on shutdown.
 //

@@ -6,33 +6,43 @@ import (
 	"repro/internal/dtrace"
 )
 
+// newestTraceID returns the ID of the newest trace a client recorded in
+// arena, 0 when there is none.
+func newestTraceID(arena *dtrace.Arena) dtrace.TraceID {
+	trs := arena.Snapshot()
+	if len(trs) == 0 {
+		return 0
+	}
+	return trs[len(trs)-1].ID
+}
+
 // TestCrossProcessTracePropagation is the tentpole gate for distributed
 // tracing: a traced client stamps its TraceID into the request frame,
 // and the server records its own span tree UNDER THAT ID — so pulling
 // MsgTraces yields a server trace whose ID matches the client's arena
 // exactly, and `kml-ctl probe` can join the two into one tree.
 func TestCrossProcessTracePropagation(t *testing.T) {
-	_, sock := startServer(t, Config{TraceCapacity: 32})
+	s, sock := startServer(t, Config{TraceCapacity: 32})
 	cl := dial(t, sock)
-	if _, err := cl.Deploy(KindNN, "m", nnModelBytes(t, 42, 4)); err != nil {
+	if _, err := s.Deploy(KindNN, "m", nnModelBytes(t, 42, 4)); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
 
 	arena := dtrace.NewArena(16)
 	cl.EnableTracing(arena)
-	if cl.LastTraceID() != 0 {
-		t.Fatal("LastTraceID before any traced request")
+	if newestTraceID(arena) != 0 {
+		t.Fatal("a trace before any traced request")
 	}
 
 	if _, _, err := cl.Infer([]float64{0.1, 0.2, 0.3, 0.4}); err != nil {
 		t.Fatalf("infer: %v", err)
 	}
-	inferID := cl.LastTraceID()
+	inferID := newestTraceID(arena)
 	flat := make([]float64, 8*4)
 	if _, _, err := cl.BatchInfer(flat, 8, 4); err != nil {
 		t.Fatalf("batch: %v", err)
 	}
-	batchID := cl.LastTraceID()
+	batchID := newestTraceID(arena)
 	if inferID == 0 || batchID == 0 || inferID == batchID {
 		t.Fatalf("trace IDs: infer=%#x batch=%#x", inferID, batchID)
 	}

@@ -29,11 +29,8 @@ const (
 	// MsgBatchInfer: request u64 traceid | u32 rows | u16 nfeat |
 	// rows·nfeat×f64; response u32 rows | u64 version | rows×u16 class.
 	MsgBatchInfer MsgType = 2
-	// MsgDeploy: request u8 kind | u16 len | name | model bytes;
-	// response u64 version.
-	MsgDeploy MsgType = 3
-	// MsgRollback: empty request; response u64 version.
-	MsgRollback MsgType = 4
+	// Types 3 and 4 are unassigned; a server answers them as unknown.
+
 	// MsgStats: empty request; response 21×u64 in Stats field order.
 	MsgStats MsgType = 5
 	// MsgHealth: empty request; response u8 ok (0 or 1) | u64 version |
@@ -118,18 +115,6 @@ func ParseInferReq(p []byte, dst []float64) (n int, traceID uint64, err error) {
 	return n, traceID, c.End(ErrBadMessage)
 }
 
-// PeekTraceID reads the trace-ID prefix shared by the MsgInfer and
-// MsgBatchInfer request payloads without decoding the rest. A payload
-// too short to carry one reads as 0 (untraced); the Parse functions
-// validate the whole payload and return the same ID.
-//
-//kml:hotpath
-func PeekTraceID(p []byte) (traceID uint64) {
-	c := wire.Decoder(p)
-	c.U64(&traceID)
-	return traceID
-}
-
 //kml:hotpath
 func inferRespLayout(c *wire.Codec, class *uint16, version *uint64) {
 	c.U16(class)
@@ -210,38 +195,6 @@ func ParseBatchInferResp(p []byte, classes []uint16) (rows int, version uint64, 
 	c := wire.Decoder(p)
 	batchInferRespLayout(&c, &r, &version, classes)
 	return int(r), version, c.End(ErrBadMessage)
-}
-
-func deployReqLayout(c *wire.Codec, kind *ModelKind, name *string, model *[]byte) {
-	c.U8((*uint8)(kind))
-	c.String16(name, 1<<16-1)
-	c.Tail(model)
-}
-
-// AppendDeployReq appends a deploy request carrying a serialized model.
-func AppendDeployReq(dst []byte, kind ModelKind, name string, model []byte) []byte {
-	c := wire.Encoder(dst)
-	deployReqLayout(&c, &kind, &name, &model)
-	return c.Bytes()
-}
-
-// ParseDeployReq decodes a deploy request. The returned model slice
-// aliases p.
-func ParseDeployReq(p []byte) (kind ModelKind, name string, model []byte, err error) {
-	c := wire.Decoder(p)
-	deployReqLayout(&c, &kind, &name, &model)
-	return kind, name, model, c.End(ErrBadMessage)
-}
-
-// AppendVersionResp appends the u64 version payload shared by the Deploy
-// and Rollback responses.
-func AppendVersionResp(dst []byte, version uint64) []byte {
-	return wire.Append(dst, version, (*wire.Codec).U64)
-}
-
-// ParseVersionResp decodes a u64 version payload.
-func ParseVersionResp(p []byte) (uint64, error) {
-	return wire.Parse(p, (*wire.Codec).U64, ErrBadMessage)
 }
 
 // Stats is the server's operational snapshot, the wire analogue of the

@@ -24,7 +24,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -99,7 +98,7 @@ type Version struct {
 }
 
 // Registry is a durable, versioned model store. All methods are safe for
-// concurrent use; durability mutations (Put, Activate, Rollback) are
+// concurrent use; durability mutations (Put, Rollback) are
 // serialized internally.
 type Registry struct {
 	mu        sync.Mutex
@@ -246,22 +245,6 @@ func (r *Registry) Put(kind ModelKind, name string, data []byte) (Version, error
 	return v, nil
 }
 
-// Activate marks an already-registered version as active (a re-deploy of
-// an old version without re-uploading its bytes).
-func (r *Registry) Activate(number uint64) (Version, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.versions[number]
-	if !ok {
-		return Version{}, fmt.Errorf("%w: %d", ErrUnknownVersion, number)
-	}
-	if err := r.pushActive(number); err != nil {
-		return Version{}, err
-	}
-	r.deploys++
-	return v, nil
-}
-
 // Rollback reverts to the previously active version and returns it.
 func (r *Registry) Rollback() (Version, error) {
 	r.mu.Lock()
@@ -288,27 +271,7 @@ func (r *Registry) Active() (Version, bool) {
 	return r.versions[r.stack[len(r.stack)-1]], true
 }
 
-// Get returns the metadata of version number.
-func (r *Registry) Get(number uint64) (Version, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.versions[number]
-	return v, ok
-}
-
-// List returns all registered versions in number order.
-func (r *Registry) List() []Version {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Version, 0, len(r.versions))
-	for _, v := range r.versions {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Number < out[j].Number })
-	return out
-}
-
-// Deploys returns the number of activations (Put + Activate) since open.
+// Deploys returns the number of activations (Puts) since open.
 func (r *Registry) Deploys() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -501,7 +464,7 @@ func (a *Artifact) Instantiate() (*Instance, error) {
 		return nil, err
 	}
 	inst := &Instance{
-		version: a.Version.Number, kind: a.Version.Kind, name: a.Version.Name,
+		version: a.Version.Number, name: a.Version.Name,
 		inDim: m.inDim, outDim: m.outDim, tree: m.tree,
 	}
 	if m.net != nil {
@@ -520,7 +483,6 @@ func (a *Artifact) Instantiate() (*Instance, error) {
 // (readahead.Tuner, the Table-2 harness).
 type Instance struct {
 	version uint64
-	kind    ModelKind
 	name    string
 	inDim   int
 	outDim  int
@@ -575,9 +537,6 @@ func (m *Instance) Name() string { return m.name }
 
 // Version returns the registry version this instance serves.
 func (m *Instance) Version() uint64 { return m.version }
-
-// Kind returns the model family.
-func (m *Instance) Kind() ModelKind { return m.kind }
 
 // InDim returns the model's input width; requests with a different
 // feature count are rejected before Predict.

@@ -114,8 +114,8 @@ func TestRegistryPutActivateRollback(t *testing.T) {
 	if got := inst.Predict([]float64{0.3, 0.3, 0.3, 0.3}); got != 2 {
 		t.Fatalf("const tree predicts %d, want 2", got)
 	}
-	if inst.InDim() != 4 || inst.Kind() != KindDTree || inst.Name() != "readahead-dtree" {
-		t.Fatalf("instance metadata: indim=%d kind=%v name=%q", inst.InDim(), inst.Kind(), inst.Name())
+	if inst.InDim() != 4 || inst.Name() != "readahead-dtree" {
+		t.Fatalf("instance metadata: indim=%d name=%q", inst.InDim(), inst.Name())
 	}
 
 	back, err := r.Rollback()
@@ -128,21 +128,10 @@ func TestRegistryPutActivateRollback(t *testing.T) {
 	if _, err := r.Rollback(); !errors.Is(err, ErrCannotRollback) {
 		t.Fatalf("second rollback: %v", err)
 	}
-
-	// Activate re-deploys an old version without re-uploading.
-	if _, err := r.Activate(2); err != nil {
-		t.Fatalf("activate: %v", err)
+	if _, err := r.Instance(99); !errors.Is(err, ErrUnknownVersion) {
+		t.Fatalf("instance of an unknown version: %v", err)
 	}
-	if a, _ := r.Active(); a.Number != 2 {
-		t.Fatalf("active after Activate = %d", a.Number)
-	}
-	if _, err := r.Activate(99); !errors.Is(err, ErrUnknownVersion) {
-		t.Fatalf("activate unknown: %v", err)
-	}
-	if got := len(r.List()); got != 2 {
-		t.Fatalf("List len = %d", got)
-	}
-	if r.Deploys() != 3 || r.Rollbacks() != 1 {
+	if r.Deploys() != 2 || r.Rollbacks() != 1 {
 		t.Fatalf("deploys=%d rollbacks=%d", r.Deploys(), r.Rollbacks())
 	}
 }

@@ -104,8 +104,8 @@ func TestRequestPathMatrix(t *testing.T) {
 
 					traces := s.Traces()
 					tr := &traces[len(traces)-1]
-					if traced && tr.ID != cl.LastTraceID() {
-						t.Fatalf("newest server trace %#x, want the client's %#x", tr.ID, cl.LastTraceID())
+					if traced && tr.ID != newestTraceID(arena) {
+						t.Fatalf("newest server trace %#x, want the client's %#x", tr.ID, newestTraceID(arena))
 					}
 					if !traced && uint64(tr.ID)&ClientTraceIDBit != 0 {
 						t.Fatalf("untraced request recorded under client-style ID %#x", tr.ID)

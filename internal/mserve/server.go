@@ -107,8 +107,6 @@ type Server struct {
 
 	pipeline  *core.Pipeline[Sample]
 	collectMu sync.Mutex // the ring is single-producer; connections are many
-	tallyMu   sync.Mutex
-	tally     map[uint64]uint64 // rows served per model version
 
 	ctlMu sync.Mutex // serializes Deploy/Rollback against each other
 
@@ -179,8 +177,6 @@ const numMsgTypes = int(MsgBlackbox) + 1
 var reqMetricNames = [numMsgTypes]string{
 	MsgInfer:       "mserve_infer",
 	MsgBatchInfer:  "mserve_batch_infer",
-	MsgDeploy:      "mserve_deploy",
-	MsgRollback:    "mserve_rollback",
 	MsgStats:       "mserve_stats",
 	MsgHealth:      "mserve_health",
 	MsgMetrics:     "mserve_metrics",
@@ -204,7 +200,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		dep:    &Deployment[*Artifact]{},
-		tally:  make(map[uint64]uint64),
 		conns:  make(map[net.Conn]struct{}),
 		reg:    telemetry.NewRegistry(),
 		flight: telemetry.NewFlightRecorder[MetricsDecision](flightDepth),
@@ -265,11 +260,6 @@ func NewServer(cfg Config) (*Server, error) {
 			// collection thread, so the request handlers pay only the
 			// ring push they already paid.
 			now := uint64(time.Now().UnixNano())
-			s.tallyMu.Lock()
-			for _, smp := range batch {
-				s.tally[smp.Version] += uint64(smp.Rows)
-			}
-			s.tallyMu.Unlock()
 			for _, smp := range batch {
 				d := MetricsDecision{TimeNanos: now, Version: smp.Version, Class: smp.Class, Rows: uint32(smp.Rows)}
 				s.flight.Record(&d)
@@ -477,38 +467,6 @@ func (s *Server) Blackbox(sync bool) BlackboxStatus {
 		return (*fn)(sync)
 	}
 	return BlackboxStatus{}
-}
-
-// Drift returns the drift report for the currently deployed model, or
-// false if nothing is deployed.
-func (s *Server) Drift() (dtrace.DriftReport, bool) {
-	m := s.drift.Load()
-	if m == nil {
-		return dtrace.DriftReport{}, false
-	}
-	return m.Report(), true
-}
-
-// ServedByVersion returns rows served per model version, as aggregated by
-// the asynchronous collection thread.
-func (s *Server) ServedByVersion() map[uint64]uint64 {
-	s.tallyMu.Lock()
-	defer s.tallyMu.Unlock()
-	out := make(map[uint64]uint64, len(s.tally))
-	for v, n := range s.tally {
-		out[v] = n
-	}
-	return out
-}
-
-// ListenAndServe listens on network ("tcp", "unix") / addr and serves
-// until Shutdown.
-func (s *Server) ListenAndServe(network, addr string) error {
-	ln, err := net.Listen(network, addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // acceptBackoff bounds the retry delay after a temporary Accept error
@@ -749,24 +707,6 @@ func (s *Server) dispatch(sc *srvConn, typ MsgType, p []byte) (MsgType, []byte) 
 	switch typ {
 	case MsgInfer, MsgBatchInfer:
 		return s.infer(sc, typ, p)
-	case MsgDeploy:
-		kind, name, model, err := ParseDeployReq(p)
-		if err != nil {
-			return s.errorResp(sc, "bad deploy payload")
-		}
-		v, err := s.Deploy(kind, name, model)
-		if err != nil {
-			return s.errorResp(sc, fmt.Sprintf("deploy: %v", err))
-		}
-		sc.resp = AppendVersionResp(sc.resp[:0], v.Number)
-		return MsgDeploy, sc.resp
-	case MsgRollback:
-		v, err := s.Rollback()
-		if err != nil {
-			return s.errorResp(sc, fmt.Sprintf("rollback: %v", err))
-		}
-		sc.resp = AppendVersionResp(sc.resp[:0], v.Number)
-		return MsgRollback, sc.resp
 	case MsgStats:
 		sc.resp = AppendStats(sc.resp[:0], s.Stats())
 		return MsgStats, sc.resp

@@ -58,7 +58,7 @@ func dial(t *testing.T, sock string) *Client {
 }
 
 func TestServerEndToEnd(t *testing.T) {
-	_, sock := startServer(t, Config{})
+	s, sock := startServer(t, Config{})
 	cl := dial(t, sock)
 
 	// Nothing deployed yet: health not-ok, inference refused.
@@ -70,11 +70,11 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("infer on empty server: %v", err)
 	}
 
-	// Deploy a network over the wire and serve it.
+	// Deploy a network in process and serve it.
 	model := nnModelBytes(t, 42, 4)
-	v, err := cl.Deploy(KindNN, "readahead-nn", model)
-	if err != nil || v != 1 {
-		t.Fatalf("deploy: v=%d err=%v", v, err)
+	v, err := s.Deploy(KindNN, "readahead-nn", model)
+	if err != nil || v.Number != 1 {
+		t.Fatalf("deploy: v=%d err=%v", v.Number, err)
 	}
 	ok, version, inDim, err := cl.Health()
 	if err != nil || !ok || version != 1 || inDim != 4 {
@@ -99,18 +99,18 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// Rollback with a single version must fail cleanly...
-	if _, err := cl.Rollback(); !errors.Is(err, ErrRemote) {
+	if _, err := s.Rollback(); !errors.Is(err, ErrCannotRollback) {
 		t.Fatalf("rollback single version: %v", err)
 	}
 	// ...and succeed after a second deploy.
-	if _, err := cl.Deploy(KindDTree, "readahead-dtree", constTreeBytes(t, 3, 4)); err != nil {
+	if _, err := s.Deploy(KindDTree, "readahead-dtree", constTreeBytes(t, 3, 4)); err != nil {
 		t.Fatalf("deploy v2: %v", err)
 	}
 	if class, version, err = cl.Infer([]float64{0.1, 0.2, 0.3, 0.4}); err != nil || version != 2 || class != 3 {
 		t.Fatalf("post-deploy infer: class=%d v=%d err=%v", class, version, err)
 	}
-	if v, err := cl.Rollback(); err != nil || v != 1 {
-		t.Fatalf("rollback: v=%d err=%v", v, err)
+	if v, err := s.Rollback(); err != nil || v.Number != 1 {
+		t.Fatalf("rollback: v=%d err=%v", v.Number, err)
 	}
 	if _, version, err = cl.Infer([]float64{0.1, 0.2, 0.3, 0.4}); err != nil || version != 1 {
 		t.Fatalf("post-rollback infer: v=%d err=%v", version, err)
@@ -263,9 +263,14 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	if st.ActiveVersion != 2 {
 		t.Fatalf("active version %d after swap", st.ActiveVersion)
 	}
-	served := s.ServedByVersion()
+	// The flight recorder attributes the newest decisions to the version
+	// that made them: the last v1 batches and every worker's v2 batch.
+	served := map[uint64]int{}
+	for _, d := range s.Metrics().Decisions {
+		served[d.Version]++
+	}
 	if served[1] == 0 || served[2] == 0 {
-		t.Fatalf("served-by-version tally missing a version: %v", served)
+		t.Fatalf("flight recorder missing a version: %v", served)
 	}
 	if st.Collected != st.Processed || st.Collected == 0 {
 		t.Fatalf("collection pipeline lost events: %+v", st)

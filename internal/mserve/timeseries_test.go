@@ -13,12 +13,12 @@ import (
 // deltas that add up to the traffic actually served.
 func TestServerTimeSeriesEndToEnd(t *testing.T) {
 	const interval = 20 * time.Millisecond
-	_, sock := startServer(t, Config{
+	s, sock := startServer(t, Config{
 		TimeSeriesInterval: interval,
 		TimeSeriesCapacity: 64,
 	})
 	cl := dial(t, sock)
-	if _, err := cl.Deploy(KindNN, "m", nnModelBytes(t, 42, 4)); err != nil {
+	if _, err := s.Deploy(KindNN, "m", nnModelBytes(t, 42, 4)); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
 

@@ -2,6 +2,7 @@ package mserve
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // checking span structure (parse → infer → encode under one root) and
 // the request-shape attributes.
 func TestServerTracesEndToEnd(t *testing.T) {
-	_, sock := startServer(t, Config{TraceCapacity: 32})
+	s, sock := startServer(t, Config{TraceCapacity: 32})
 	cl := dial(t, sock)
 
 	// No traffic yet: an empty pull is valid and decodes to nothing.
@@ -22,7 +23,7 @@ func TestServerTracesEndToEnd(t *testing.T) {
 		t.Fatalf("traces on idle server: n=%d err=%v", len(traces), err)
 	}
 
-	if _, err := cl.Deploy(KindNN, "m", nnModelBytes(t, 42, 4)); err != nil {
+	if _, err := s.Deploy(KindNN, "m", nnModelBytes(t, 42, 4)); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
 	const singles = 3
@@ -101,9 +102,9 @@ func TestServerTracesEndToEnd(t *testing.T) {
 // TestServerTraceCapacityKeepLatest: the arena overwrites oldest-first at
 // its configured capacity.
 func TestServerTraceCapacityKeepLatest(t *testing.T) {
-	_, sock := startServer(t, Config{TraceCapacity: 4})
+	s, sock := startServer(t, Config{TraceCapacity: 4})
 	cl := dial(t, sock)
-	if _, err := cl.Deploy(KindDTree, "m", constTreeBytes(t, 2, 4)); err != nil {
+	if _, err := s.Deploy(KindDTree, "m", constTreeBytes(t, 2, 4)); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
 	for i := 0; i < 10; i++ {
@@ -125,19 +126,29 @@ func TestServerTraceCapacityKeepLatest(t *testing.T) {
 	}
 }
 
+// driftReport returns the drift report for the server's deployed model,
+// or false if nothing is deployed.
+func driftReport(s *Server) (dtrace.DriftReport, bool) {
+	m := s.drift.Load()
+	if m == nil {
+		return dtrace.DriftReport{}, false
+	}
+	return m.Report(), true
+}
+
 // TestServerDriftObservation: the server self-baselines a drift monitor
 // per deployed model and its report/gauges move with served traffic.
 func TestServerDriftObservation(t *testing.T) {
 	s, sock := startServer(t, Config{DriftWindow: 4})
 	cl := dial(t, sock)
 
-	if _, ok := s.Drift(); ok {
+	if _, ok := driftReport(s); ok {
 		t.Fatal("drift report before any deploy")
 	}
-	if _, err := cl.Deploy(KindNN, "m", nnModelBytes(t, 7, 4)); err != nil {
+	if _, err := s.Deploy(KindNN, "m", nnModelBytes(t, 7, 4)); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	if r, ok := s.Drift(); !ok || r.Decisions != 0 {
+	if r, ok := driftReport(s); !ok || r.Decisions != 0 {
 		t.Fatalf("fresh drift monitor: ok=%v %+v", ok, r)
 	}
 
@@ -156,7 +167,7 @@ func TestServerDriftObservation(t *testing.T) {
 		t.Fatalf("shifted batch: %v", err)
 	}
 
-	r, ok := s.Drift()
+	r, ok := driftReport(s)
 	if !ok {
 		t.Fatal("drift monitor vanished")
 	}
@@ -183,32 +194,35 @@ func TestServerDriftObservation(t *testing.T) {
 	}
 
 	// A redeploy installs a fresh monitor for the new model.
-	if _, err := cl.Deploy(KindDTree, "m2", constTreeBytes(t, 1, 4)); err != nil {
+	if _, err := s.Deploy(KindDTree, "m2", constTreeBytes(t, 1, 4)); err != nil {
 		t.Fatalf("deploy v2: %v", err)
 	}
-	if r, ok := s.Drift(); !ok || r.Decisions != 0 {
+	if r, ok := driftReport(s); !ok || r.Decisions != 0 {
 		t.Fatalf("drift monitor not reset on deploy: ok=%v %+v", ok, r)
 	}
 }
 
-// TestServerUnknownMessage: an unrecognized message type gets a clean
-// MsgError frame and the connection stays usable afterwards.
+// TestServerUnknownMessage: an unrecognized message type — the retired
+// deploy (3) and rollback (4) among them — gets a clean MsgError frame and
+// the connection stays usable afterwards.
 func TestServerUnknownMessage(t *testing.T) {
-	_, sock := startServer(t, Config{})
+	s, sock := startServer(t, Config{})
 	cl := dial(t, sock)
 
-	typ, _, err := cl.do(MsgType(99), nil)
-	if !errors.Is(err, ErrRemote) || typ != MsgError {
-		t.Fatalf("unknown message: typ=%d err=%v", typ, err)
-	}
-	if !strings.Contains(err.Error(), "unknown message type 99") {
-		t.Fatalf("error should name the bad type: %v", err)
+	for _, unknown := range []MsgType{3, 4, 99} {
+		typ, _, err := cl.do(unknown, []byte{1, 2, 3})
+		if !errors.Is(err, ErrRemote) || typ != MsgError {
+			t.Fatalf("unknown message %d: typ=%d err=%v", unknown, typ, err)
+		}
+		if want := fmt.Sprintf("unknown message type %d", unknown); !strings.Contains(err.Error(), want) {
+			t.Fatalf("error should name the bad type %d: %v", unknown, err)
+		}
 	}
 	// Same connection still serves requests.
 	if ok, _, _, err := cl.Health(); err != nil || ok {
 		t.Fatalf("health after unknown message: ok=%v err=%v", ok, err)
 	}
-	if _, err := cl.Deploy(KindDTree, "m", constTreeBytes(t, 0, 4)); err != nil {
+	if _, err := s.Deploy(KindDTree, "m", constTreeBytes(t, 0, 4)); err != nil {
 		t.Fatalf("deploy after unknown message: %v", err)
 	}
 	if class, _, err := cl.Infer([]float64{1, 2, 3, 4}); err != nil || class != 0 {

@@ -41,13 +41,6 @@ func refWireOK(t *dtrace.Trace) bool {
 	return true
 }
 
-func refPeekTraceID(p []byte) uint64 {
-	if len(p) < 8 {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(p)
-}
-
 func refAppendInferReq(dst []byte, traceID uint64, feats []float64) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, traceID)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(feats)))
@@ -136,36 +129,6 @@ func refParseBatchInferResp(p []byte, classes []uint16) (int, uint64, error) {
 		classes[i] = binary.LittleEndian.Uint16(p[12+2*i:])
 	}
 	return rows, version, nil
-}
-
-func refAppendDeployReq(dst []byte, kind ModelKind, name string, model []byte) []byte {
-	dst = append(dst, byte(kind))
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(name)))
-	dst = append(dst, name...)
-	return append(dst, model...)
-}
-
-func refParseDeployReq(p []byte) (kind ModelKind, name string, model []byte, err error) {
-	if len(p) < 3 {
-		return 0, "", nil, ErrBadMessage
-	}
-	kind = ModelKind(p[0])
-	n := int(binary.LittleEndian.Uint16(p[1:]))
-	if len(p) < 3+n {
-		return 0, "", nil, ErrBadMessage
-	}
-	return kind, string(p[3 : 3+n]), p[3+n:], nil
-}
-
-func refAppendVersionResp(dst []byte, version uint64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, version)
-}
-
-func refParseVersionResp(p []byte) (uint64, error) {
-	if len(p) != 8 {
-		return 0, ErrBadMessage
-	}
-	return binary.LittleEndian.Uint64(p), nil
 }
 
 func refAppendStats(dst []byte, st Stats) []byte {

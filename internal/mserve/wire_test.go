@@ -85,11 +85,6 @@ type (
 		Version uint64
 		Classes []uint16
 	}
-	deployReq struct {
-		Kind  ModelKind
-		Name  string
-		Model []byte
-	}
 	healthResp struct {
 		OK      bool
 		Version uint64
@@ -250,29 +245,6 @@ func wireCodecs() []wireCodec {
 			},
 			seeds: [][]byte{{}, AppendBatchInferResp(nil, []uint16{0, 3, 2}, 9)},
 		}.box("BatchInferResp"),
-		codecOf[deployReq]{
-			parse: func(b []byte) (deployReq, error) {
-				k, n, m, err := ParseDeployReq(b)
-				return deployReq{k, n, m}, err
-			},
-			refParse: func(b []byte) (deployReq, error) {
-				k, n, m, err := refParseDeployReq(b)
-				return deployReq{k, n, m}, err
-			},
-			app:    func(v deployReq) []byte { return AppendDeployReq(nil, v.Kind, v.Name, v.Model) },
-			refApp: func(v deployReq) []byte { return refAppendDeployReq(nil, v.Kind, v.Name, v.Model) },
-			gen: func(r *rand.Rand) deployReq {
-				return deployReq{ModelKind(r.Intn(256)), randName(r, 40), []byte(randName(r, 100))}
-			},
-			seeds: [][]byte{{}, AppendDeployReq(nil, KindDTree, "readahead", []byte{9, 9, 9})},
-		}.box("DeployReq"),
-		codecOf[uint64]{
-			parse: ParseVersionResp, refParse: refParseVersionResp,
-			app:    func(v uint64) []byte { return AppendVersionResp(nil, v) },
-			refApp: func(v uint64) []byte { return refAppendVersionResp(nil, v) },
-			gen:    func(r *rand.Rand) uint64 { return r.Uint64() },
-			seeds:  [][]byte{{}, AppendVersionResp(nil, 7)},
-		}.box("VersionResp"),
 		codecOf[Stats]{
 			parse: ParseStats, refParse: refParseStats,
 			app:    func(v Stats) []byte { return AppendStats(nil, v) },
@@ -652,9 +624,6 @@ func TestWireMatchesReference(t *testing.T) {
 			}
 		}
 		for _, b := range inputs {
-			if got, ref := PeekTraceID(b), refPeekTraceID(b); got != ref {
-				t.Fatalf("PeekTraceID(%x) = %d, reference %d", b, got, ref)
-			}
 			v, err := m.parse(b)
 			rv, rerr := m.refParse(b)
 			if m.name == "HealthResp" && err != nil && rerr == nil && len(b) > 0 && b[0] > 1 {

@@ -5,8 +5,31 @@ import (
 	"testing"
 
 	"repro/internal/fixed"
-	"repro/internal/matrix"
 )
+
+// outputRow32 returns the logits of sample r of fn's most recent Predict
+// or InferBatch call, aliasing its scratch.
+func outputRow32(fn *Float32Network, r int) []float32 {
+	last := 0
+	for i := range fn.ops {
+		if fn.ops[i].w != nil {
+			last = i
+		}
+	}
+	return fn.scratch[last].view.Row(r)
+}
+
+// outputRowQ returns the logits of sample r of fn's most recent PredictQ
+// or InferBatchQ call, aliasing its scratch.
+func outputRowQ(fn *FixedNetwork, r int) []fixed.Q16 {
+	last := 0
+	for i := range fn.ops {
+		if fn.ops[i].w != nil {
+			last = i
+		}
+	}
+	return fn.ops[last].view.Row(r)
+}
 
 // randFeatures returns rows×inDim features in [-2, 2).
 func randFeatures(rng *rand.Rand, rows, inDim int) []float64 {
@@ -33,15 +56,14 @@ func TestInferBatchMatchesPredictF32(t *testing.T) {
 		f32.InferBatch(feats, rows, classes)
 		batchLogits := make([][]float32, rows)
 		for r := 0; r < rows; r++ {
-			batchLogits[r] = append([]float32(nil), f32.BatchLogits(r)...)
+			batchLogits[r] = append([]float32(nil), outputRow32(f32, r)...)
 		}
 		for r := 0; r < rows; r++ {
 			sample := feats[r*f32.InDim() : (r+1)*f32.InDim()]
 			if got := f32.Predict(sample); got != classes[r] {
 				t.Fatalf("rows=%d sample %d: batch class %d, single class %d", rows, r, classes[r], got)
 			}
-			single := f32.Logits(sample)
-			for j, v := range single {
+			for j, v := range outputRow32(f32, 0) {
 				if batchLogits[r][j] != v {
 					t.Fatalf("rows=%d sample %d logit %d: batch %v != single %v (not bitwise equal)",
 						rows, r, j, batchLogits[r][j], v)
@@ -66,7 +88,7 @@ func TestInferBatchMatchesPredictFixed(t *testing.T) {
 		fx.InferBatch(feats, rows, classes)
 		batchLogits := make([][]fixed.Q16, rows)
 		for r := 0; r < rows; r++ {
-			batchLogits[r] = append([]fixed.Q16(nil), fx.BatchLogits(r)...)
+			batchLogits[r] = append([]fixed.Q16(nil), outputRowQ(fx, r)...)
 		}
 		q := make([]fixed.Q16, fx.InDim())
 		for r := 0; r < rows; r++ {
@@ -77,7 +99,8 @@ func TestInferBatchMatchesPredictFixed(t *testing.T) {
 			for i, f := range sample {
 				q[i] = fixed.FromFloat(f)
 			}
-			for j, v := range fx.Logits(q) {
+			fx.PredictQ(q)
+			for j, v := range outputRowQ(fx, 0) {
 				if batchLogits[r][j] != v {
 					t.Fatalf("rows=%d sample %d logit %d: batch %v != single %v", rows, r, j, batchLogits[r][j], v)
 				}
@@ -176,7 +199,7 @@ func TestTrainingStepAllocFree(t *testing.T) {
 	opt := NewSGD(0.05, 0.9)
 	_, labels := blobs(rng, 32)
 	x := randFeatures(rng, 32, 4)
-	batch := matrix.FromSlice(32, 4, x)
+	batch := fromSlice(32, 4, x)
 	target := ClassTarget(padLabels(labels, 4))
 	net.TrainBatch(batch, target, loss, opt)
 	if a := testing.AllocsPerRun(50, func() { net.TrainBatch(batch, target, loss, opt) }); a != 0 {
@@ -215,7 +238,7 @@ func TestNetworkClone(t *testing.T) {
 	before := append([]float64(nil), net.Params()[0].Data()...)
 	loss := NewCrossEntropy()
 	opt := NewSGD(0.5, 0)
-	batch := matrix.FromSlice(20, net.InDim(), feats)
+	batch := fromSlice(20, net.InDim(), feats)
 	labels := make([]int, 20)
 	clone.TrainBatch(batch, ClassTarget(labels), loss, opt)
 	for i, v := range net.Params()[0].Data() {
@@ -257,14 +280,14 @@ func FuzzInferBatchEquivalence(f *testing.F) {
 		f32.InferBatch(feats, rows, classes)
 		batchLogits := make([][]float32, rows)
 		for r := 0; r < rows; r++ {
-			batchLogits[r] = append([]float32(nil), f32.BatchLogits(r)...)
+			batchLogits[r] = append([]float32(nil), outputRow32(f32, r)...)
 		}
 		for r := 0; r < rows; r++ {
 			sample := feats[r*inDim : (r+1)*inDim]
 			if got := f32.Predict(sample); got != classes[r] {
 				t.Fatalf("f32 sample %d: batch class %d, single class %d", r, classes[r], got)
 			}
-			for j, v := range f32.Logits(sample) {
+			for j, v := range outputRow32(f32, 0) {
 				if batchLogits[r][j] != v {
 					t.Fatalf("f32 sample %d logit %d: batch %v != single %v", r, j, batchLogits[r][j], v)
 				}

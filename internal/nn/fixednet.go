@@ -66,19 +66,6 @@ func (fn *FixedNetwork) PredictQ(features []fixed.Q16) int {
 	return out.ArgMaxRow(0)
 }
 
-// Logits runs single-sample inference and returns the output row (aliasing
-// internal scratch, valid until the next call).
-//
-//kml:hotpath
-func (fn *FixedNetwork) Logits(features []fixed.Q16) []fixed.Q16 {
-	if len(features) != fn.inDim {
-		panic("nn: fixed forward feature length mismatch")
-	}
-	fn.inView = fn.inBuf.SliceRows(1)
-	copy(fn.inView.Row(0), features)
-	return fn.forwardQ(1).Row(0)
-}
-
 // InferBatchQ classifies rows pre-quantized samples (row-major
 // rows×InDim) in one batched forward pass, writing the predicted class of
 // sample r to classes[r]. The kernelspace side never allocates: rows must
@@ -104,18 +91,6 @@ func (fn *FixedNetwork) InferBatchQ(features []fixed.Q16, rows int, classes []in
 	for r := 0; r < rows; r++ {
 		classes[r] = out.ArgMaxRow(r)
 	}
-}
-
-// BatchLogits returns the output row for sample r of the most recent
-// InferBatchQ call (aliasing internal scratch, valid until the next call).
-func (fn *FixedNetwork) BatchLogits(r int) []fixed.Q16 {
-	last := 0
-	for i := range fn.ops {
-		if fn.ops[i].w != nil {
-			last = i
-		}
-	}
-	return fn.ops[last].view.Row(r)
 }
 
 // forwardQ runs the compiled chain over the first rows rows of the input

@@ -281,29 +281,6 @@ func (fn *Float32Network) InferBatch(features []float64, rows int, classes []int
 	}
 }
 
-// Logits runs single-sample inference and returns the output row
-// (aliasing internal scratch, valid until the next call).
-func (fn *Float32Network) Logits(features []float64) []float32 {
-	fn.Predict(features) // fills buffers
-	return fn.scratch[lastSizing(fn.ops)].view.Row(0)
-}
-
-// BatchLogits returns the output row for sample r of the most recent
-// InferBatch call (aliasing internal scratch, valid until the next call).
-func (fn *Float32Network) BatchLogits(r int) []float32 {
-	return fn.scratch[lastSizing(fn.ops)].view.Row(r)
-}
-
-func lastSizing(ops []float32Op) int {
-	last := 0
-	for i := range ops {
-		if ops[i].w != nil {
-			last = i
-		}
-	}
-	return last
-}
-
 // forward runs the compiled chain over the first rows rows of the input
 // scratch. Linear layers slice a row view of their capacity scratch and
 // run the fused multiply-bias kernel; activations are applied in place by

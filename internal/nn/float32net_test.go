@@ -79,7 +79,8 @@ func TestFloat32Logits(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
-	logits := f32.Logits(in)
+	f32.Predict(in)
+	logits := outputRow32(f32, 0)
 	if len(logits) != 4 {
 		t.Fatalf("logits len %d", len(logits))
 	}
@@ -155,9 +156,9 @@ func TestForkSharesParameters(t *testing.T) {
 		if a[r] != b[r] {
 			t.Fatalf("row %d: fork class %d, original %d", r, a[r], b[r])
 		}
-		for j, v := range f32.BatchLogits(r) {
-			if fork.BatchLogits(r)[j] != v {
-				t.Fatalf("row %d logit %d: fork %v != original %v", r, j, fork.BatchLogits(r)[j], v)
+		for j, v := range outputRow32(f32, r) {
+			if outputRow32(fork, r)[j] != v {
+				t.Fatalf("row %d logit %d: fork %v != original %v", r, j, outputRow32(fork, r)[j], v)
 			}
 		}
 	}

@@ -100,12 +100,6 @@ func (l *Linear) InDim() int { return l.in }
 // OutDim implements Layer.
 func (l *Linear) OutDim() int { return l.out }
 
-// Weights returns the weight matrix (InDim × OutDim).
-func (l *Linear) Weights() *Mat { return l.w }
-
-// Bias returns the bias row vector (1 × OutDim).
-func (l *Linear) Bias() *Mat { return l.b }
-
 // size points the layer's output and gradient views at batch rows of
 // capacity-sized scratch, growing the scratch only when batch exceeds the
 // high-water mark — batch sizes that vary below it (the serving path)

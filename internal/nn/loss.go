@@ -18,18 +18,13 @@ type Loss interface {
 	Backward() *Mat
 }
 
-// Target is the supervision for one batch: either class labels (for
-// classification losses) or a dense value matrix (for regression losses).
+// Target is the supervision for one batch: its class labels.
 type Target struct {
 	Labels []int
-	Values *Mat
 }
 
 // ClassTarget wraps integer class labels.
 func ClassTarget(labels []int) Target { return Target{Labels: labels} }
-
-// ValueTarget wraps a dense regression target.
-func ValueTarget(v *Mat) Target { return Target{Values: v} }
 
 // CrossEntropy is the fused softmax + negative-log-likelihood loss used by
 // the paper's multi-class readahead classifier. Fusing the two keeps the
@@ -83,50 +78,6 @@ func (c *CrossEntropy) Backward() *Mat {
 		panic("nn: loss Backward before Forward")
 	}
 	return c.grad
-}
-
-// Probs returns the softmax probabilities computed by the last Forward.
-func (c *CrossEntropy) Probs() *Mat { return c.probs }
-
-// MSE is the mean-squared-error regression loss: mean((pred−target)²).
-type MSE struct {
-	grad *Mat
-	last int
-}
-
-// NewMSE returns a mean-squared-error loss.
-func NewMSE() *MSE { return &MSE{} }
-
-// Name implements Loss.
-func (m *MSE) Name() string { return "mse" }
-
-// Forward implements Loss; target must carry Values with pred's shape.
-func (m *MSE) Forward(pred *Mat, target Target) float64 {
-	tv := target.Values
-	if tv == nil || tv.Rows() != pred.Rows() || tv.Cols() != pred.Cols() {
-		panic("nn: MSE target shape mismatch")
-	}
-	if m.last != pred.Rows()*pred.Cols() {
-		m.grad = matrix.New[float64](pred.Rows(), pred.Cols())
-		m.last = pred.Rows() * pred.Cols()
-	}
-	n := float64(pred.Rows() * pred.Cols())
-	loss := 0.0
-	ps, ts, gs := pred.Data(), tv.Data(), m.grad.Data()
-	for i := range ps {
-		d := ps[i] - ts[i]
-		loss += d * d
-		gs[i] = 2 * d / n
-	}
-	return loss / n
-}
-
-// Backward implements Loss.
-func (m *MSE) Backward() *Mat {
-	if m.grad == nil {
-		panic("nn: loss Backward before Forward")
-	}
-	return m.grad
 }
 
 // BCE is binary cross-entropy over logits (one output column), the loss

@@ -87,9 +87,6 @@ func cloneLayer(l Layer) Layer {
 	}
 }
 
-// Layers returns the network's layers in order.
-func (n *Network) Layers() []Layer { return n.layers }
-
 // InDim returns the input feature dimension (from the first sizing layer).
 func (n *Network) InDim() int {
 	for _, l := range n.layers {

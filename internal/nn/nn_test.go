@@ -8,13 +8,35 @@ import (
 	"repro/internal/matrix"
 )
 
+// fromSlice returns a rows×cols matrix holding a copy of data.
+func fromSlice(rows, cols int, data []float64) *Mat {
+	m := matrix.New[float64](rows, cols)
+	if copy(m.Data(), data) != rows*cols {
+		panic("fromSlice: wrong element count")
+	}
+	return m
+}
+
+// sameMat reports whether a and b have the same shape and elements.
+func sameMat(a, b *Mat) bool {
+	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
+		return false
+	}
+	for i, v := range a.Data() {
+		if v != b.Data()[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestLinearForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLinear(2, 3, rng)
 	// Overwrite with known weights.
-	l.Weights().CopyFrom(matrix.FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6}))
-	l.Bias().CopyFrom(matrix.FromSlice(1, 3, []float64{0.5, -0.5, 1}))
-	in := matrix.FromSlice(1, 2, []float64{1, 2})
+	copy(l.w.Data(), []float64{1, 2, 3, 4, 5, 6})
+	copy(l.b.Data(), []float64{0.5, -0.5, 1})
+	in := fromSlice(1, 2, []float64{1, 2})
 	out := l.Forward(in)
 	want := []float64{1*1 + 2*4 + 0.5, 1*2 + 2*5 - 0.5, 1*3 + 2*6 + 1}
 	for j, w := range want {
@@ -28,12 +50,12 @@ func TestLinearXavierInitBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	l := NewLinear(10, 20, rng)
 	limit := math.Sqrt(6.0 / 30.0)
-	for _, v := range l.Weights().Data() {
+	for _, v := range l.w.Data() {
 		if v < -limit || v > limit {
 			t.Fatalf("weight %g outside Xavier bound %g", v, limit)
 		}
 	}
-	for _, v := range l.Bias().Data() {
+	for _, v := range l.b.Data() {
 		if v != 0 {
 			t.Fatal("bias must initialize to zero")
 		}
@@ -41,7 +63,7 @@ func TestLinearXavierInitBounds(t *testing.T) {
 }
 
 func TestActivations(t *testing.T) {
-	in := matrix.FromSlice(1, 3, []float64{-1, 0, 2})
+	in := fromSlice(1, 3, []float64{-1, 0, 2})
 	sig := NewSigmoid().Forward(in)
 	if math.Abs(sig.At(0, 1)-0.5) > 1e-12 {
 		t.Error("sigmoid(0) != 0.5")
@@ -58,7 +80,7 @@ func TestActivations(t *testing.T) {
 
 func TestSoftmaxLayer(t *testing.T) {
 	sm := NewSoftmax()
-	out := sm.Forward(matrix.FromSlice(2, 2, []float64{0, 0, 1, 3}))
+	out := sm.Forward(fromSlice(2, 2, []float64{0, 0, 1, 3}))
 	if math.Abs(out.At(0, 0)-0.5) > 1e-12 {
 		t.Error("uniform softmax")
 	}
@@ -124,7 +146,7 @@ func TestGradCheckCrossEntropyMLP(t *testing.T) {
 	gradCheck(t, net, NewCrossEntropy(), in, ClassTarget([]int{0, 1, 2, 1, 0}))
 }
 
-func TestGradCheckMSEReLUTanh(t *testing.T) {
+func TestGradCheckReLUTanh(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	net := NewNetwork(
 		NewLinear(3, 8, rng), NewTanh(),
@@ -132,14 +154,10 @@ func TestGradCheckMSEReLUTanh(t *testing.T) {
 		NewLinear(4, 2, rng),
 	)
 	in := matrix.New[float64](4, 3)
-	tv := matrix.New[float64](4, 2)
 	for i := range in.Data() {
 		in.Data()[i] = rng.NormFloat64()
 	}
-	for i := range tv.Data() {
-		tv.Data()[i] = rng.NormFloat64()
-	}
-	gradCheck(t, net, NewMSE(), in, ValueTarget(tv))
+	gradCheck(t, net, NewCrossEntropy(), in, ClassTarget([]int{0, 1, 1, 0}))
 }
 
 func TestGradCheckBCE(t *testing.T) {
@@ -155,7 +173,7 @@ func TestGradCheckBCE(t *testing.T) {
 func TestXORConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	net := NewNetwork(NewLinear(2, 8, rng), NewTanh(), NewLinear(8, 2, rng))
-	in := matrix.FromSlice(4, 2, []float64{0, 0, 0, 1, 1, 0, 1, 1})
+	in := fromSlice(4, 2, []float64{0, 0, 0, 1, 1, 0, 1, 1})
 	labels := []int{0, 1, 1, 0}
 	loss := NewCrossEntropy()
 	opt := NewSGD(0.5, 0.9)
@@ -220,7 +238,7 @@ func TestSGDMomentumAcceleratesOnQuadratic(t *testing.T) {
 	// (deliberately small) learning rate: momentum amplifies the effective
 	// step by ~1/(1−μ) and must converge far faster over a long horizon.
 	run := func(momentum float64, iters int) float64 {
-		p := matrix.FromSlice(1, 1, []float64{10})
+		p := fromSlice(1, 1, []float64{10})
 		g := matrix.New[float64](1, 1)
 		opt := NewSGD(0.001, momentum)
 		for i := 0; i < iters; i++ {
@@ -237,7 +255,7 @@ func TestSGDMomentumAcceleratesOnQuadratic(t *testing.T) {
 }
 
 func TestSGDWeightDecayShrinks(t *testing.T) {
-	p := matrix.FromSlice(1, 1, []float64{1})
+	p := fromSlice(1, 1, []float64{1})
 	g := matrix.New[float64](1, 1) // zero gradient
 	opt := NewSGD(0.1, 0)
 	opt.WeightDecay = 0.5
@@ -309,11 +327,11 @@ func TestPredictNoAllocAfterWarmup(t *testing.T) {
 
 func TestCrossEntropyPerfectPrediction(t *testing.T) {
 	ce := NewCrossEntropy()
-	logits := matrix.FromSlice(1, 3, []float64{100, 0, 0})
+	logits := fromSlice(1, 3, []float64{100, 0, 0})
 	if l := ce.Forward(logits, ClassTarget([]int{0})); l > 1e-6 {
 		t.Errorf("perfect prediction loss = %g", l)
 	}
-	logitsBad := matrix.FromSlice(1, 3, []float64{0, 100, 0})
+	logitsBad := fromSlice(1, 3, []float64{0, 100, 0})
 	if l := ce.Forward(logitsBad, ClassTarget([]int{0})); l < 10 {
 		t.Errorf("confident wrong prediction loss = %g, want large", l)
 	}
@@ -338,22 +356,10 @@ func TestCrossEntropyLabelValidation(t *testing.T) {
 	ce.Forward(matrix.New[float64](1, 3), ClassTarget([]int{3}))
 }
 
-func TestMSEZeroAtTarget(t *testing.T) {
-	mse := NewMSE()
-	pred := matrix.FromSlice(2, 2, []float64{1, 2, 3, 4})
-	if l := mse.Forward(pred, ValueTarget(pred.Clone())); l != 0 {
-		t.Errorf("MSE at target = %g", l)
-	}
-	tv := matrix.New[float64](2, 2)
-	if l := mse.Forward(pred, ValueTarget(tv)); math.Abs(l-7.5) > 1e-12 {
-		t.Errorf("MSE = %g, want 7.5", l)
-	}
-}
-
 func TestBCEStability(t *testing.T) {
 	bce := NewBCE()
 	// Extreme logits must not produce NaN/Inf.
-	pred := matrix.FromSlice(2, 1, []float64{1000, -1000})
+	pred := fromSlice(2, 1, []float64{1000, -1000})
 	l := bce.Forward(pred, ClassTarget([]int{1, 0}))
 	if math.IsNaN(l) || math.IsInf(l, 0) {
 		t.Fatalf("BCE overflowed: %g", l)

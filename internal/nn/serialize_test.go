@@ -33,9 +33,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("architecture mismatch: %q vs %q", loaded.String(), net.String())
 	}
 	// Identical outputs on a probe batch.
-	in := matrix.FromSlice(2, 5, []float64{1, -1, 0.5, 2, -0.3, 0, 0, 1, 1, 0})
+	in := fromSlice(2, 5, []float64{1, -1, 0.5, 2, -0.3, 0, 0, 1, 1, 0})
 	a, b := net.Forward(in), loaded.Forward(in)
-	if !a.Equal(b, 0) {
+	if !sameMat(a, b) {
 		t.Error("loaded model output differs")
 	}
 }
@@ -51,7 +51,7 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := matrix.New[float64](1, 5)
-	if !net.Forward(in).Equal(loaded.Forward(in), 0) {
+	if !sameMat(net.Forward(in), loaded.Forward(in)) {
 		t.Error("file round trip mismatch")
 	}
 }
@@ -114,7 +114,7 @@ func TestLoadedModelIsTrainable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := matrix.FromSlice(4, 2, []float64{0, 0, 0, 1, 1, 0, 1, 1})
+	in := fromSlice(4, 2, []float64{0, 0, 0, 1, 1, 0, 1, 1})
 	labels := []int{0, 1, 1, 0}
 	loss := NewCrossEntropy()
 	opt := NewSGD(0.5, 0.9)

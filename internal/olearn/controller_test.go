@@ -166,7 +166,7 @@ func TestControllerByConstruction(t *testing.T) {
 			if got := b.srv.Deployment().Version(); got != tc.wantVer {
 				t.Fatalf("serving v%d, want v%d", got, tc.wantVer)
 			}
-			ev := b.ctl.Events()
+			ev := b.ctl.Status().Events
 			last := ev[len(ev)-1]
 			var sum int64
 			for _, pm := range tc.canary {

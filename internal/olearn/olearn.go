@@ -201,9 +201,6 @@ type Controller struct {
 	cRetrains, cDeploys, cRollbacks, cCommits, cFires, cFailures *telemetry.Counter
 	gState, gExamples, gBaseline, gCanary, gLastVer              *telemetry.Gauge
 	hRetrainNs                                                   *telemetry.Histogram
-
-	loopStop chan struct{}
-	loopDone chan struct{}
 }
 
 // New builds a controller. It starts in StateIdle; the first Step moves
@@ -302,8 +299,7 @@ func (c *Controller) PoisonRetrain(seq uint64) {
 // Step advances the controller: feeds completed drift windows to the
 // trigger, launches or harvests a background retrain, and judges an open
 // canary. Call it periodically — the simulation loop calls it once per
-// decision window; Start runs it on a ticker for daemon use. Step never
-// blocks on training.
+// decision window, through Settle. Step never blocks on training.
 func (c *Controller) Step() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -615,13 +611,6 @@ func (c *Controller) Status() mserve.LearnStatus {
 	return st
 }
 
-// Events returns the retained retrain history, oldest first.
-func (c *Controller) Events() []mserve.RetrainEvent {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]mserve.RetrainEvent(nil), c.events...)
-}
-
 // Settle drives Step until the controller leaves StateRetraining (the
 // only state whose exit depends on a background goroutine), or the
 // timeout elapses. The simulation driver calls it after each decision
@@ -640,38 +629,4 @@ func (c *Controller) Settle(timeout time.Duration) bool {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// Start runs Step on a ticker until Stop — the daemon-mode driver.
-func (c *Controller) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	c.loopStop = make(chan struct{})
-	c.loopDone = make(chan struct{})
-	go func() {
-		defer close(c.loopDone)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-c.loopStop:
-				return
-			case <-t.C:
-				c.Step()
-			}
-		}
-	}()
-}
-
-// Stop halts the Start loop and waits for any in-flight retrain to be
-// harvested or abandoned (the goroutine's channel send is buffered, so
-// it always terminates).
-func (c *Controller) Stop() {
-	if c.loopStop == nil {
-		return
-	}
-	close(c.loopStop)
-	<-c.loopDone
-	c.loopStop, c.loopDone = nil, nil
 }

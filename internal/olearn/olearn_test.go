@@ -227,7 +227,7 @@ func TestOnlineLearningEndToEnd(t *testing.T) {
 	// The committed phase-2 model must beat the polluted pre-deploy
 	// baseline on the canary's post-deploy windows — the "did it help"
 	// criterion, measured by the same outcome spans that feed `kml-ctl trace`.
-	events := l.ctl.Events()
+	events := l.ctl.Status().Events
 	for i, e := range events {
 		t.Logf("event %d: v%d outcome=%s examples=%d baseline=%d canary=%d shift=%dmz",
 			i, e.Version, mserve.RetrainOutcomeName(e.Outcome), e.Examples, e.BaselinePM, e.CanaryPM, e.MaxShiftMZ)
@@ -323,7 +323,7 @@ func TestOnlinePoisonRollback(t *testing.T) {
 	if st.Rollbacks != 1 {
 		t.Fatalf("rollbacks = %d, want exactly 1 (status: %+v)", st.Rollbacks, st)
 	}
-	events := l.ctl.Events()
+	events := l.ctl.Status().Events
 	var rb *mserve.RetrainEvent
 	for i := range events {
 		if events[i].Outcome == mserve.RetrainRolledBack {

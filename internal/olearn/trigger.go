@@ -69,8 +69,6 @@ type Trigger struct {
 	over      int // consecutive over-budget windows while armed
 	sinceFire int // windows observed since the last fire
 	fires     uint64
-	lastShift int64
-	lastChurn int64
 }
 
 // NewTrigger returns an armed trigger.
@@ -81,7 +79,6 @@ func NewTrigger(cfg TriggerConfig) *Trigger {
 // Observe feeds one completed drift window and reports whether the
 // trigger fires on it.
 func (t *Trigger) Observe(shiftMilliZ, churnPM int64) bool {
-	t.lastShift, t.lastChurn = shiftMilliZ, churnPM
 	if !t.armed {
 		t.sinceFire++
 		if t.sinceFire >= t.cfg.Cooldown && t.belowRearm(shiftMilliZ, churnPM) {
@@ -124,13 +121,5 @@ func (t *Trigger) belowRearm(shiftMilliZ, churnPM int64) bool {
 	return true
 }
 
-// Armed reports whether the trigger can fire.
-func (t *Trigger) Armed() bool { return t.armed }
-
 // Fires returns how many times the trigger has fired.
 func (t *Trigger) Fires() uint64 { return t.fires }
-
-// LastSignal returns the most recently observed window's signal.
-func (t *Trigger) LastSignal() (shiftMilliZ, churnPM int64) {
-	return t.lastShift, t.lastChurn
-}

@@ -45,8 +45,8 @@ func TestTriggerTable(t *testing.T) {
 			cfg:  TriggerConfig{ShiftBudgetMilliZ: 1000, Cooldown: 3},
 			seq: []obs{
 				{shiftMZ: 1200, fire: true},
-				{shiftMZ: 100, fire: false}, // below re-arm but window 1 < cooldown
-				{shiftMZ: 100, fire: false}, // window 2 < cooldown
+				{shiftMZ: 100, fire: false},  // below re-arm but window 1 < cooldown
+				{shiftMZ: 100, fire: false},  // window 2 < cooldown
 				{shiftMZ: 2000, fire: false}, // window 3: re-arm check fails (over budget)
 				{shiftMZ: 100, fire: false},  // window 4: re-arms (quiet + past cooldown)
 				{shiftMZ: 1000, fire: true},  // armed again: fires at budget
@@ -87,7 +87,7 @@ func TestTriggerTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := NewTrigger(tc.cfg)
-			if !tr.Armed() {
+			if !tr.armed {
 				t.Fatal("new trigger is not armed")
 			}
 			for i, o := range tc.seq {
@@ -115,14 +115,14 @@ func TestTriggerChurnBlocksRearm(t *testing.T) {
 		if tr.Observe(0, 400) {
 			t.Fatalf("window %d fired while disarmed", i)
 		}
-		if tr.Armed() {
+		if tr.armed {
 			t.Fatalf("window %d re-armed with churn at the re-arm level", i)
 		}
 	}
 	if tr.Observe(0, 399) { // drops below: re-arms, no fire yet
 		t.Fatal("re-arm window fired")
 	}
-	if !tr.Armed() {
+	if !tr.armed {
 		t.Fatal("trigger did not re-arm after churn recovered")
 	}
 	if !tr.Observe(0, 500) {
@@ -133,13 +133,12 @@ func TestTriggerChurnBlocksRearm(t *testing.T) {
 	}
 }
 
-// TestTriggerFireCountAndSignal checks the accessors the controller's
-// status path reads.
+// TestTriggerFireCountAndSignal checks the fire count the controller's
+// status path reads after one over-budget signal.
 func TestTriggerFireCountAndSignal(t *testing.T) {
 	tr := NewTrigger(TriggerConfig{ShiftBudgetMilliZ: 100, Cooldown: 1})
-	tr.Observe(250, 7)
-	if s, c := tr.LastSignal(); s != 250 || c != 7 {
-		t.Fatalf("LastSignal() = (%d, %d), want (250, 7)", s, c)
+	if !tr.Observe(250, 7) {
+		t.Fatal("an over-budget signal did not fire an armed trigger")
 	}
 	if tr.Fires() != 1 {
 		t.Fatalf("Fires() = %d, want 1", tr.Fires())

@@ -57,7 +57,7 @@ func TestRandomizedInvariants(t *testing.T) {
 				if rng.Intn(10) == 0 {
 					c.DropFile(f)
 				} else {
-					c.Fadvise(f, Hint(rng.Intn(3)))
+					c.SetFileReadahead(f, 0) // back to the device default
 				}
 			}
 			if clk.Now() < last {
@@ -146,7 +146,7 @@ func TestReadaheadNeverCrossesEOF(t *testing.T) {
 		}
 	}
 	for idx := int64(filePages); idx < filePages+256; idx++ {
-		if c.Contains(9, idx) {
+		if contains(c, 9, idx) {
 			t.Fatalf("page %d beyond EOF (%d pages) was fetched", idx, filePages)
 		}
 	}

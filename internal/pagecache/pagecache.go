@@ -2,8 +2,8 @@
 // paper's KML application instruments and controls: a page cache with LRU
 // reclaim, dirty-page writeback, and — most importantly — a Linux-flavored
 // on-demand readahead engine with per-file readahead state, sequential
-// window ramp-up, asynchronous readahead markers, per-file ra_pages
-// overrides and fadvise hints.
+// window ramp-up, asynchronous readahead markers and per-file ra_pages
+// overrides.
 //
 // # Readahead model
 //
@@ -38,26 +38,11 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/clock"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
 // FileID identifies a file (the simulated inode number).
 type FileID uint64
-
-// Hint is a per-file access-pattern hint (the fadvise analogue, §4:
-// "hints that users can provide through system calls such as fadvise").
-type Hint uint8
-
-// Fadvise hints.
-const (
-	// HintNormal applies the standard on-demand heuristic.
-	HintNormal Hint = iota
-	// HintSequential doubles the effective readahead (POSIX_FADV_SEQUENTIAL).
-	HintSequential
-	// HintRandom disables speculative readahead (POSIX_FADV_RANDOM).
-	HintRandom
-)
 
 // Config parameterizes the cache.
 type Config struct {
@@ -110,38 +95,6 @@ type Stats struct {
 	WaitTime     time.Duration
 }
 
-// Metrics is the cache's always-on telemetry: atomic counters mirroring
-// the hit/miss/speculation tallies in Stats (readable concurrently from
-// a telemetry snapshot, unlike the plain Stats struct) plus a histogram
-// of readahead window sizes in pages — the distribution the tuner's
-// per-class policy is actually shifting.
-type Metrics struct {
-	Hits         *telemetry.Counter
-	Misses       *telemetry.Counter
-	Inserted     *telemetry.Counter
-	SpecInserted *telemetry.Counter
-	SpecUsed     *telemetry.Counter
-	Writebacks   *telemetry.Counter
-	// WindowPages observes every readahead window the engine sizes
-	// (synchronous and asynchronous), in pages.
-	WindowPages *telemetry.Histogram
-}
-
-// NewMetrics registers a cache's metrics under prefix: <prefix>_hits,
-// _misses, _inserted, _spec_inserted, _spec_used, _writebacks and the
-// <prefix>_window_pages histogram.
-func NewMetrics(reg *telemetry.Registry, prefix string) *Metrics {
-	return &Metrics{
-		Hits:         reg.Counter(prefix + "_hits"),
-		Misses:       reg.Counter(prefix + "_misses"),
-		Inserted:     reg.Counter(prefix + "_inserted"),
-		SpecInserted: reg.Counter(prefix + "_spec_inserted"),
-		SpecUsed:     reg.Counter(prefix + "_spec_used"),
-		Writebacks:   reg.Counter(prefix + "_writebacks"),
-		WindowPages:  reg.Histogram(prefix + "_window_pages"),
-	}
-}
-
 // raState is the per-file readahead state (struct file_ra_state analogue).
 type raState struct {
 	nextSeq  int64 // page index one past the previous request (sequential test)
@@ -159,7 +112,6 @@ type fileState struct {
 	pages []*page // pages[i] is page i when cached, else nil
 	ra    raState
 	raSec int   // per-file ra override in sectors (ra_pages); 0 = device default
-	hint  Hint  // fadvise hint
 	size  int64 // file size in pages, -1 until set; readahead never crosses EOF
 }
 
@@ -180,8 +132,7 @@ type Cache struct {
 	dirtyFIFO  []pageKey
 	dirtyCount int
 
-	stats   Stats
-	metrics *Metrics
+	stats Stats
 }
 
 // New returns a page cache over dev, emitting tracepoints through tracer
@@ -238,22 +189,6 @@ func (c *Cache) release(pg *page) {
 	pg.dirty, pg.marker, pg.spec = false, false, false
 	pg.prev, pg.next = nil, c.free
 	c.free = pg
-}
-
-// SetMetrics attaches always-on telemetry to the cache; nil detaches.
-// The counters accumulate alongside Stats from the moment of
-// attachment (they are not backfilled).
-func (c *Cache) SetMetrics(m *Metrics) { c.metrics = m }
-
-// countWriteback adds n to both the Stats tally and, when attached, the
-// telemetry counter — every writeback site funnels through here.
-//
-//kml:hotpath
-func (c *Cache) countWriteback(n uint64) {
-	c.stats.Writebacks += n
-	if c.metrics != nil {
-		c.metrics.Writebacks.Add(n)
-	}
 }
 
 // --- intrusive LRU ---
@@ -360,20 +295,13 @@ func nextWindow(cur, max int) int {
 }
 
 // raPagesFor resolves the effective readahead maximum for a file:
-// per-file override, else device setting, adjusted by the fadvise hint.
+// per-file override, else device setting.
 func (c *Cache) raPagesFor(fs *fileState) int {
 	sectors := fs.raSec
 	if sectors == 0 {
 		sectors = c.dev.ReadaheadSectors()
 	}
-	pages := sectors / blockdev.SectorsPerPage
-	switch fs.hint {
-	case HintSequential:
-		pages *= 2
-	case HintRandom:
-		pages = 0
-	}
-	return pages
+	return sectors / blockdev.SectorsPerPage
 }
 
 // ReadPages simulates a buffered read of pages [off, off+n) of file f,
@@ -443,9 +371,6 @@ func (c *Cache) missFetch(fs *fileState, start int64, need int, seq bool) {
 	}
 	st.start = start
 	st.frontier = start + int64(window)
-	if c.metrics != nil {
-		c.metrics.WindowPages.Observe(int64(window))
-	}
 
 	// Partition the window into needed-and-uncached vs speculative-and-
 	// uncached pages; pages already cached are skipped (never re-fetched).
@@ -485,9 +410,6 @@ func (c *Cache) missFetch(fs *fileState, start int64, need int, seq bool) {
 			// insertions, and every needed page must land in exactly one
 			// of hits or misses.
 			c.stats.Misses++
-			if c.metrics != nil {
-				c.metrics.Misses.Inc()
-			}
 			ready = fgReady
 		}
 		pg := c.insert(fs, idx, ready, specPage)
@@ -519,16 +441,10 @@ func (c *Cache) cachedRunBefore(fs *fileState, index int64, max int) int {
 // page goes to the free list, and the same readahead may reuse it.
 func (c *Cache) hit(pg *page, fs *fileState) {
 	c.stats.Hits++
-	if c.metrics != nil {
-		c.metrics.Hits.Inc()
-	}
 	c.lruTouch(pg)
 	if pg.spec {
 		pg.spec = false
 		c.stats.SpecUsed++
-		if c.metrics != nil {
-			c.metrics.SpecUsed.Inc()
-		}
 	}
 	marker := pg.marker
 	pg.marker = false
@@ -570,9 +486,6 @@ func (c *Cache) asyncAhead(fs *fileState) {
 	}
 	st.start = start
 	st.frontier = start + int64(window)
-	if c.metrics != nil {
-		c.metrics.WindowPages.Observe(int64(window))
-	}
 	if len(c.fetch) == 0 {
 		return
 	}
@@ -608,14 +521,8 @@ func (c *Cache) insert(fs *fileState, idx int64, readyAt time.Duration, spec boo
 	c.resident++
 	c.lruPush(pg)
 	c.stats.Inserted++
-	if c.metrics != nil {
-		c.metrics.Inserted.Inc()
-	}
 	if spec {
 		c.stats.SpecInserted++
-		if c.metrics != nil {
-			c.metrics.SpecInserted.Inc()
-		}
 	}
 	if c.tracer != nil {
 		c.tracer.Emit(trace.Event{
@@ -635,7 +542,7 @@ func (c *Cache) evictFor(n int) {
 		if victim.dirty {
 			// Must clean before reclaim; count it and write it back.
 			c.dev.WriteAsync(1)
-			c.countWriteback(1)
+			c.stats.Writebacks++
 			c.stats.DirtyEvicted++
 			victim.dirty = false
 			c.dirtyCount--
@@ -705,7 +612,7 @@ func (c *Cache) maybeWriteback() {
 			return
 		}
 		c.dev.WriteAsync(batch)
-		c.countWriteback(uint64(batch))
+		c.stats.Writebacks += uint64(batch)
 	}
 }
 
@@ -725,7 +632,7 @@ func (c *Cache) SyncFile(f FileID) {
 		}
 	}
 	if batch > 0 {
-		c.countWriteback(uint64(batch))
+		c.stats.Writebacks += uint64(batch)
 		c.dev.WriteSync(batch)
 	}
 }
@@ -749,13 +656,9 @@ func (c *Cache) SetFileReadahead(f FileID, sectors int) {
 	c.file(f).raSec = sectors
 }
 
-// Fadvise records an access-pattern hint for f.
-func (c *Cache) Fadvise(f FileID, h Hint) { c.file(f).hint = h }
-
 // DropAll empties the cache (the "clear the cache after every run" step in
 // the paper's evaluation), writing back dirty pages first. Every file's
-// readahead state goes with its pages; its ra override, hint and size
-// stay.
+// readahead state goes with its pages; its ra override and size stay.
 func (c *Cache) DropAll() {
 	batch := 0
 	for _, fs := range c.files {
@@ -772,7 +675,7 @@ func (c *Cache) DropAll() {
 		fs.ra = raState{nextSeq: -1}
 	}
 	if batch > 0 {
-		c.countWriteback(uint64(batch))
+		c.stats.Writebacks += uint64(batch)
 		c.dev.WriteSync(batch)
 	}
 	c.resident = 0
@@ -803,22 +706,10 @@ func (c *Cache) DropFile(f FileID) {
 		c.stats.Evicted++
 	}
 	if batch > 0 {
-		c.countWriteback(uint64(batch))
+		c.stats.Writebacks += uint64(batch)
 		c.dev.WriteAsync(batch)
 	}
 	delete(c.files, f)
-}
-
-// Len returns the number of cached pages.
-func (c *Cache) Len() int { return c.resident }
-
-// DirtyLen returns the number of dirty pages.
-func (c *Cache) DirtyLen() int { return c.dirtyCount }
-
-// Contains reports whether a page is cached (for tests and experiments).
-func (c *Cache) Contains(f FileID, idx int64) bool {
-	fs := c.files[f]
-	return fs != nil && idx >= 0 && c.lookup(fs, idx) != nil
 }
 
 // Stats returns a copy of the accumulated statistics.

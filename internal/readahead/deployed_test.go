@@ -12,6 +12,15 @@ import (
 	"repro/internal/trace"
 )
 
+// deployedModel returns the tuner's deployed classifier, or nil before the
+// first swap.
+func deployedModel(t *Tuner) core.Classifier {
+	if snap := t.deploy.Load(); snap != nil {
+		return snap.Model
+	}
+	return nil
+}
+
 // TestDeployedTunerHotSwap drives a tuner through deployment-handle
 // swaps: an empty handle leaves the device alone, each swap takes
 // effect at the next decision window, and decisions record the model
@@ -25,8 +34,8 @@ func TestDeployedTunerHotSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tuner.Model() != nil {
-		t.Fatal("Model() non-nil before first swap")
+	if deployedModel(tuner) != nil {
+		t.Fatal("deployed model non-nil before first swap")
 	}
 
 	tick := func() {
@@ -77,8 +86,8 @@ func TestDeployedTunerHotSwap(t *testing.T) {
 	if dev.ReadaheadSectors() != 8 {
 		t.Errorf("final readahead = %d, want 8", dev.ReadaheadSectors())
 	}
-	if m := tuner.Model(); m == nil || m.Name() != "fixed" {
-		t.Errorf("Model() after swaps: %v", m)
+	if m := deployedModel(tuner); m == nil || m.Name() != "fixed" {
+		t.Errorf("deployed model after swaps: %v", m)
 	}
 }
 
@@ -116,8 +125,8 @@ func TestDeployedTunerFixedPointModel(t *testing.T) {
 	if ds[0].Class < 0 || ds[0].Class >= 4 {
 		t.Errorf("fixed-point class out of range: %d", ds[0].Class)
 	}
-	if tuner.Model() != core.Classifier(fixed) {
-		t.Error("Model() is not the deployed fixed-point classifier")
+	if deployedModel(tuner) != core.Classifier(fixed) {
+		t.Error("deployed model is not the deployed fixed-point classifier")
 	}
 
 	if _, err := NewDeployedTuner(dev, nil, features.Normalizer{}, TunerConfig{}); err == nil {

@@ -18,6 +18,8 @@ import (
 // inode and tunes each file's ra_pages separately — so a random-access
 // table file can run with minimal readahead while a sequentially-read
 // compaction input streams with a large window at the same time.
+//
+//kml:api the paper's per-file control surface (Figure 1); BenchmarkAblation_PerFileVsDevice drives it
 type FileTuner struct {
 	loop
 	cache   *pagecache.Cache
@@ -71,6 +73,8 @@ type FileTunerConfig struct {
 // NewFileTuner builds a per-file tuner. It needs the page cache (for the
 // ra_pages updates) in addition to the device (for the current-readahead
 // feature and the policy default).
+//
+//kml:api constructs the per-file control surface; see FileTuner
 func NewFileTuner(cache *pagecache.Cache, dev *blockdev.Device, model core.Classifier, norm features.Normalizer, cfg FileTunerConfig) (*FileTuner, error) {
 	if cache == nil || dev == nil || model == nil {
 		return nil, errors.New("readahead: nil cache, device or model")

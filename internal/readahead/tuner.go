@@ -339,11 +339,3 @@ func (t *Tuner) InstrumentDrift(reg *telemetry.Registry, window int) *dtrace.Dri
 
 // Decisions returns the tuning history (the Figure-2 readahead series).
 func (t *Tuner) Decisions() []Decision { return t.decisions }
-
-// Model returns the deployed classifier, or nil before the first Swap.
-func (t *Tuner) Model() core.Classifier {
-	if snap := t.deploy.Load(); snap != nil {
-		return snap.Model
-	}
-	return nil
-}

@@ -280,7 +280,7 @@ func serve(t *testing.T, cfg mserve.Config) (*mserve.Server, *mserve.Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Deploy(mserve.KindNN, "readahead", model); err != nil {
+	if _, err := s.Deploy(mserve.KindNN, "readahead", model); err != nil {
 		t.Fatal(err)
 	}
 	return s, cl

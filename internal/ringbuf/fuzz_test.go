@@ -32,7 +32,7 @@ func FuzzRingPushPop(f *testing.F) {
 				}
 				next++
 			} else {
-				got, ok := r.TryPop()
+				got, ok := pop(r)
 				if ok != (len(model) > 0) {
 					t.Fatalf("pop ok=%v with %d modeled elements", ok, len(model))
 				}

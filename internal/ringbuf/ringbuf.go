@@ -14,7 +14,7 @@ package ringbuf
 import "sync/atomic"
 
 // Ring is a bounded SPSC queue. Exactly one goroutine may call TryPush and
-// exactly one may call TryPop; this is the same contract as the in-kernel
+// exactly one may call PopBatch; this is the same contract as the in-kernel
 // original (I/O path produces, the training thread consumes).
 type Ring[T any] struct {
 	// head is the next slot to pop; written only by the consumer.
@@ -78,22 +78,6 @@ func (r *Ring[T]) TryPush(v T) bool {
 	return true
 }
 
-// TryPop removes and returns the oldest element, reporting whether one was
-// available.
-//
-//kml:hotpath
-func (r *Ring[T]) TryPop() (T, bool) {
-	var zero T
-	head := r.head.Load()
-	if head == r.tail.Load() {
-		return zero, false
-	}
-	v := r.buf[head&r.mask]
-	r.buf[head&r.mask] = zero // release references for GC
-	r.head.Store(head + 1)
-	return v, true
-}
-
 // PopBatch pops up to len(dst) elements into dst and returns the count.
 // Batching amortizes the atomic operations on the training-thread side.
 //
@@ -120,6 +104,3 @@ func (r *Ring[T]) PopBatch(dst []T) int {
 
 // Dropped returns the number of samples discarded because the ring was full.
 func (r *Ring[T]) Dropped() uint64 { return r.dropped.Load() }
-
-// ResetDropped zeroes the drop counter and returns its previous value.
-func (r *Ring[T]) ResetDropped() uint64 { return r.dropped.Swap(0) }

@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// pop removes the oldest element through a one-slot PopBatch, reporting
+// whether there was one.
+func pop[T any](r *Ring[T]) (T, bool) {
+	var one [1]T
+	n := r.PopBatch(one[:])
+	return one[0], n == 1
+}
+
 func TestPushPopFIFO(t *testing.T) {
 	r := New[int](4)
 	for i := 1; i <= 4; i++ {
@@ -14,12 +22,12 @@ func TestPushPopFIFO(t *testing.T) {
 		}
 	}
 	for i := 1; i <= 4; i++ {
-		v, ok := r.TryPop()
+		v, ok := pop(r)
 		if !ok || v != i {
 			t.Fatalf("pop got (%d,%v), want (%d,true)", v, ok, i)
 		}
 	}
-	if _, ok := r.TryPop(); ok {
+	if _, ok := pop(r); ok {
 		t.Error("pop from empty should fail")
 	}
 }
@@ -82,14 +90,8 @@ func TestFullDrops(t *testing.T) {
 	if r.Dropped() != 1 {
 		t.Errorf("dropped = %d, want 1", r.Dropped())
 	}
-	if got := r.ResetDropped(); got != 1 {
-		t.Errorf("ResetDropped = %d", got)
-	}
-	if r.Dropped() != 0 {
-		t.Error("drop counter should reset")
-	}
 	// Values already queued must be intact.
-	if v, _ := r.TryPop(); v != 1 {
+	if v, _ := pop(r); v != 1 {
 		t.Error("drop must not corrupt queue")
 	}
 }
@@ -104,7 +106,7 @@ func TestLen(t *testing.T) {
 	if r.Len() != 2 {
 		t.Errorf("len = %d", r.Len())
 	}
-	r.TryPop()
+	pop(r)
 	if r.Len() != 1 {
 		t.Errorf("len after pop = %d", r.Len())
 	}
@@ -117,7 +119,7 @@ func TestWrapAround(t *testing.T) {
 		if !r.TryPush(i) {
 			t.Fatalf("push %d", i)
 		}
-		v, ok := r.TryPop()
+		v, ok := pop(r)
 		if !ok || v != i {
 			t.Fatalf("wrap pop got (%d,%v), want %d", v, ok, i)
 		}
@@ -150,7 +152,7 @@ func TestPopReleasesReferences(t *testing.T) {
 	r := New[*int](2)
 	x := new(int)
 	r.TryPush(x)
-	r.TryPop()
+	pop(r)
 	// After pop, the slot must not retain the pointer.
 	if r.buf[0] != nil {
 		t.Error("slot should be zeroed after pop")
@@ -175,7 +177,7 @@ func TestConcurrentSPSC(t *testing.T) {
 		defer wg.Done()
 		last := 0
 		for countPopped < n {
-			v, ok := r.TryPop()
+			v, ok := pop(r)
 			if !ok {
 				runtime.Gosched()
 				continue
@@ -210,14 +212,14 @@ func TestConcurrentWithDrops(t *testing.T) {
 			case <-done:
 				// Drain what's left.
 				for {
-					if _, ok := r.TryPop(); !ok {
+					if _, ok := pop(r); !ok {
 						close(done)
 						return
 					}
 					popped++
 				}
 			default:
-				if _, ok := r.TryPop(); ok {
+				if _, ok := pop(r); ok {
 					popped++
 				}
 			}
@@ -244,6 +246,6 @@ func BenchmarkTryPushPop(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.TryPush(uint64(i))
-		r.TryPop()
+		pop(r)
 	}
 }

@@ -109,8 +109,3 @@ func (e *Env) WorkloadConfig() workload.Config { return e2wcfg(e.Cfg) }
 func (e *Env) NewRunner(kind workload.Kind) *workload.Runner {
 	return workload.NewRunner(kind, e.DB, e.Clk, e.WorkloadConfig())
 }
-
-// DatasetPages estimates the on-device dataset size in pages.
-func (e *Env) DatasetPages() int64 {
-	return (e.FS.TotalBytes() + blockdev.PageSize - 1) / blockdev.PageSize
-}

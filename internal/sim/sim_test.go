@@ -11,6 +11,16 @@ func microConfig() Config {
 	return Config{Profile: blockdev.NVMe(), Keys: 3000, CachePages: 256, Seed: 1}
 }
 
+// run executes n workload operations.
+func run(r *workload.Runner, n int) error {
+	for i := 0; i < n; i++ {
+		if err := r.Step(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func TestNewEnvFillsAndResets(t *testing.T) {
 	env, err := NewEnv(microConfig())
 	if err != nil {
@@ -26,14 +36,17 @@ func TestNewEnvFillsAndResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env2.Cache.Len() != 0 {
-		t.Errorf("cache not dropped after fill: %d pages", env2.Cache.Len())
-	}
 	if s := env2.Dev.Stats(); s.SyncReads != 0 || s.PagesWrit != 0 {
 		t.Errorf("device stats not reset: %+v", s)
 	}
 	if env2.Tracer.Total() != 0 {
 		t.Error("fill traffic leaked into tracepoint counts")
+	}
+	if _, _, err := env2.DB.Get(workload.Key(0)); err != nil {
+		t.Fatal(err)
+	}
+	if s := env2.Cache.Stats(); s.Hits != 0 || s.Misses == 0 {
+		t.Errorf("cache not dropped after fill: the first read gave %+v", s)
 	}
 }
 
@@ -42,7 +55,15 @@ func TestDefaultsGivePollutionRegime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(env.DatasetPages()) / float64(env.Cfg.CachePages)
+	var bytes int64
+	for _, name := range env.FS.Names() {
+		f, err := env.FS.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes += f.Size()
+	}
+	ratio := float64(bytes/blockdev.PageSize) / float64(env.Cfg.CachePages)
 	if ratio < 1.2 || ratio > 3 {
 		t.Errorf("dataset/cache ratio %.2f outside the working-set-exceeds-RAM regime", ratio)
 	}
@@ -66,7 +87,7 @@ func TestRunnerSeesFilledDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := env.NewRunner(workload.ReadRandom)
-	if err := r.Run(100); err != nil {
+	if err := run(r, 100); err != nil {
 		t.Fatal(err)
 	}
 	if r.Errs() != 0 {
@@ -84,7 +105,7 @@ func TestDeterministicEnvironments(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := env.NewRunner(workload.MixGraph)
-		if err := r.Run(500); err != nil {
+		if err := run(r, 500); err != nil {
 			t.Fatal(err)
 		}
 		return int64(env.Clk.Now())

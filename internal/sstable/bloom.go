@@ -60,9 +60,6 @@ func fnv64a(key []byte) uint64 {
 	return h
 }
 
-// Add inserts key into the filter.
-func (b *Bloom) Add(key []byte) { b.addHash(fnv64a(key)) }
-
 // addHash inserts a key by its fnv64a hash, which is all the filter keeps
 // of it; a Builder hashes each key as it arrives instead of holding a copy
 // until Finish sizes the filter.

@@ -176,7 +176,7 @@ func probeTable(t *testing.T, what string, data []byte) {
 	if err := it.Err(); err != nil && !errors.Is(err, ErrBadTable) {
 		t.Fatalf("%s: scan err = %v, want ErrBadTable", what, err)
 	}
-	for _, k := range [][]byte{tbl.Smallest(), tbl.Largest()} {
+	for _, k := range [][]byte{tbl.first, tbl.last} {
 		if _, _, err := tbl.Get(k); err != nil && !errors.Is(err, ErrBadTable) {
 			t.Fatalf("%s: Get(%q) err = %v, want ErrBadTable", what, k, err)
 		}
@@ -220,7 +220,7 @@ func TestTableRejectsHostileVarint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Open: %v", name, err)
 		}
-		if _, _, err := tbl.Get(tbl.Largest()); !errors.Is(err, ErrBadTable) {
+		if _, _, err := tbl.Get(tbl.last); !errors.Is(err, ErrBadTable) {
 			t.Errorf("%s: Get err = %v, want ErrBadTable", name, err)
 		}
 	}

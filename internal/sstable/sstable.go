@@ -298,15 +298,6 @@ func Open(f *vfs.File) (*Table, error) {
 // Entries returns the number of keys in the table.
 func (t *Table) Entries() uint64 { return t.entries }
 
-// Smallest returns the table's smallest key.
-func (t *Table) Smallest() []byte { return t.first }
-
-// Largest returns the table's largest key.
-func (t *Table) Largest() []byte { return t.last }
-
-// Blocks returns the number of data blocks.
-func (t *Table) Blocks() int { return len(t.index) }
-
 // File returns the backing file (experiment plumbing: per-file readahead).
 func (t *Table) File() *vfs.File { return t.f }
 

@@ -17,10 +17,16 @@ import (
 )
 
 func newFS() *vfs.FS {
+	fs, _ := newFSCache()
+	return fs
+}
+
+// newFSCache returns a filesystem and the page cache under it.
+func newFSCache() (*vfs.FS, *pagecache.Cache) {
 	clk := clock.New()
 	dev := blockdev.New(blockdev.NVMe(), clk)
 	cache := pagecache.New(pagecache.Config{CapacityPages: 1 << 18}, clk, dev, nil)
-	return vfs.New(cache)
+	return vfs.New(cache), cache
 }
 
 func key(i int) []byte { return []byte(fmt.Sprintf("key%08d", i)) }
@@ -54,8 +60,8 @@ func TestBuildOpenGet(t *testing.T) {
 	if tbl.Entries() != 1000 {
 		t.Errorf("entries = %d", tbl.Entries())
 	}
-	if tbl.Blocks() < 2 {
-		t.Errorf("blocks = %d; expected multiple blocks", tbl.Blocks())
+	if len(tbl.index) < 2 {
+		t.Errorf("blocks = %d; expected multiple blocks", len(tbl.index))
 	}
 	for _, i := range []int{0, 1, 499, 500, 998, 999} {
 		v, ok, err := tbl.Get(key(i))
@@ -79,10 +85,10 @@ func TestGetMissing(t *testing.T) {
 }
 
 func TestBloomSkipsMostMisses(t *testing.T) {
-	fs := newFS()
+	fs, cache := newFSCache()
 	tbl := buildTable(t, fs, "t1", 5000)
-	fs.Cache().DropAll()
-	fs.Cache().ResetStats()
+	cache.DropAll()
+	cache.ResetStats()
 	misses := 0
 	for i := 0; i < 1000; i++ {
 		if _, ok, _ := tbl.Get([]byte(fmt.Sprintf("absent%08d", i))); ok {
@@ -90,7 +96,7 @@ func TestBloomSkipsMostMisses(t *testing.T) {
 		}
 	}
 	// With a 10-bit bloom, ≥95% of absent lookups must avoid block reads.
-	misses = int(fs.Cache().Stats().Misses)
+	misses = int(cache.Stats().Misses)
 	if misses > 150 {
 		t.Errorf("bloom let %d block reads through for 1000 absent keys", misses)
 	}
@@ -99,11 +105,11 @@ func TestBloomSkipsMostMisses(t *testing.T) {
 func TestSmallestLargest(t *testing.T) {
 	fs := newFS()
 	tbl := buildTable(t, fs, "t1", 100)
-	if !bytes.Equal(tbl.Smallest(), key(0)) {
-		t.Errorf("smallest = %q", tbl.Smallest())
+	if !bytes.Equal(tbl.first, key(0)) {
+		t.Errorf("smallest = %q", tbl.first)
 	}
-	if !bytes.Equal(tbl.Largest(), key(99)) {
-		t.Errorf("largest = %q", tbl.Largest())
+	if !bytes.Equal(tbl.last, key(99)) {
+		t.Errorf("largest = %q", tbl.last)
 	}
 }
 
@@ -235,7 +241,7 @@ func TestIteratorSeek(t *testing.T) {
 func TestIteratorCrossesBlockBoundaries(t *testing.T) {
 	fs := newFS()
 	tbl := buildTable(t, fs, "t1", 2000)
-	if tbl.Blocks() < 3 {
+	if len(tbl.index) < 3 {
 		t.Skip("need multiple blocks")
 	}
 	// Walk forward then backward across the whole table; counts must match.
@@ -284,7 +290,7 @@ func TestValuesSurviveRoundTrip(t *testing.T) {
 func TestBloomFilter(t *testing.T) {
 	b := NewBloom(1000, 10)
 	for i := 0; i < 1000; i++ {
-		b.Add(key(i))
+		b.addHash(fnv64a(key(i)))
 	}
 	for i := 0; i < 1000; i++ {
 		if !b.MayContain(key(i)) {
@@ -304,7 +310,7 @@ func TestBloomFilter(t *testing.T) {
 
 func TestBloomMarshalRoundTrip(t *testing.T) {
 	b := NewBloom(100, 10)
-	b.Add([]byte("hello"))
+	b.addHash(fnv64a([]byte("hello")))
 	got, err := UnmarshalBloom(b.Marshal())
 	if err != nil {
 		t.Fatal(err)
@@ -321,14 +327,14 @@ func TestBloomMarshalRoundTrip(t *testing.T) {
 }
 
 // TestBuilderBloomMatchesPerKeyAdd: the filter a Builder writes from its
-// per-key hashes is byte-for-byte the one NewBloom plus Add(key) over the
-// same keys gives.
+// per-key hashes is byte-for-byte the one NewBloom plus one addHash per
+// key gives.
 func TestBuilderBloomMatchesPerKeyAdd(t *testing.T) {
 	for _, n := range []int{1, 7, 1000, 5000} {
 		tbl := buildTable(t, newFS(), "t", n)
 		want := NewBloom(n, 10)
 		for i := 0; i < n; i++ {
-			want.Add(key(i))
+			want.addHash(fnv64a(key(i)))
 		}
 		if !bytes.Equal(tbl.bloom.Marshal(), want.Marshal()) {
 			t.Errorf("%d keys: the table's bloom differs from per-key Add", n)
@@ -601,8 +607,8 @@ func sameEntries(a, b []entry) bool {
 func TestIteratorAllocsIndependentOfBlocks(t *testing.T) {
 	for _, n := range []int{8000, 32000} {
 		tbl := buildTable(t, newFS(), "t", n)
-		if tbl.Blocks() < 64 {
-			t.Fatalf("%d entries make only %d blocks", n, tbl.Blocks())
+		if len(tbl.index) < 64 {
+			t.Fatalf("%d entries make only %d blocks", n, len(tbl.index))
 		}
 		seen := 0
 		fwd := testing.AllocsPerRun(3, func() {
@@ -618,7 +624,7 @@ func TestIteratorAllocsIndependentOfBlocks(t *testing.T) {
 			}
 		})
 		if fwd > 4 || rev > 4 {
-			t.Errorf("%d blocks: forward scan allocates %.0f, reverse %.0f, want <= 4 each", tbl.Blocks(), fwd, rev)
+			t.Errorf("%d blocks: forward scan allocates %.0f, reverse %.0f, want <= 4 each", len(tbl.index), fwd, rev)
 		}
 		if seen != 8*n {
 			t.Errorf("scans visited %d entries, want %d", seen, 8*n)
@@ -632,11 +638,11 @@ func TestIteratorAllocsIndependentOfBlocks(t *testing.T) {
 // sequence equals the one the copying reference decoder produces.
 func TestIteratorReusesBlockStorage(t *testing.T) {
 	tbl := buildTable(t, newFS(), "t", 2000)
-	if tbl.Blocks() < 3 {
-		t.Fatalf("need several blocks, have %d", tbl.Blocks())
+	if len(tbl.index) < 3 {
+		t.Fatalf("need several blocks, have %d", len(tbl.index))
 	}
 	var want []entry
-	for i := 0; i < tbl.Blocks(); i++ {
+	for i := 0; i < len(tbl.index); i++ {
 		es, err := refReadBlock(tbl, i)
 		if err != nil {
 			t.Fatal(err)

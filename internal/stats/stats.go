@@ -28,9 +28,6 @@ func (r *Running) Add(x float64) {
 	r.m2 += delta * (x - r.mean)
 }
 
-// Count returns the number of samples seen.
-func (r *Running) Count() uint64 { return r.n }
-
 // Mean returns the running mean (0 before any samples).
 func (r *Running) Mean() float64 { return r.mean }
 
@@ -42,86 +39,8 @@ func (r *Running) Variance() float64 {
 	return r.m2 / float64(r.n)
 }
 
-// SampleVariance returns the Bessel-corrected variance.
-func (r *Running) SampleVariance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
 // StdDev returns the population standard deviation.
 func (r *Running) StdDev() float64 { return kmath.Sqrt(r.Variance()) }
-
-// Reset clears the aggregate.
-func (r *Running) Reset() { *r = Running{} }
-
-// Merge combines another aggregate into r (parallel Welford merge).
-func (r *Running) Merge(o *Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *o
-		return
-	}
-	n := r.n + o.n
-	delta := o.mean - r.mean
-	mean := r.mean + delta*float64(o.n)/float64(n)
-	m2 := r.m2 + o.m2 + delta*delta*float64(r.n)*float64(o.n)/float64(n)
-	r.n, r.mean, r.m2 = n, mean, m2
-}
-
-// CMA is a cumulative moving average — the statistic the paper names as
-// readahead feature (ii).
-type CMA struct {
-	n   uint64
-	avg float64
-}
-
-// Add folds x into the average.
-func (c *CMA) Add(x float64) {
-	c.n++
-	c.avg += (x - c.avg) / float64(c.n)
-}
-
-// Value returns the current average (0 before any samples).
-func (c *CMA) Value() float64 { return c.avg }
-
-// Count returns the number of samples seen.
-func (c *CMA) Count() uint64 { return c.n }
-
-// Reset clears the average.
-func (c *CMA) Reset() { *c = CMA{} }
-
-// EWMA is an exponentially weighted moving average with smoothing factor
-// alpha in (0, 1]; larger alpha weights recent samples more.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: EWMA alpha must be in (0, 1]")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add folds x into the average.
-func (e *EWMA) Add(x float64) {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return
-	}
-	e.value += e.alpha * (x - e.value)
-}
-
-// Value returns the current average (0 before any samples).
-func (e *EWMA) Value() float64 { return e.value }
 
 // ZScore standardizes values against a fitted mean/stddev. Fit it on
 // training data, then Apply at inference time — matching the paper's
@@ -129,15 +48,6 @@ func (e *EWMA) Value() float64 { return e.value }
 type ZScore struct {
 	Mean   float64
 	StdDev float64
-}
-
-// FitZScore estimates normalization parameters from xs.
-func FitZScore(xs []float64) ZScore {
-	var r Running
-	for _, x := range xs {
-		r.Add(x)
-	}
-	return ZScore{Mean: r.Mean(), StdDev: r.StdDev()}
 }
 
 // Apply standardizes x. A degenerate (zero) standard deviation yields 0 so a
@@ -176,113 +86,4 @@ func Pearson(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / kmath.Sqrt(sxx*syy)
-}
-
-// Histogram is a fixed-bucket latency/size histogram with power-of-two-ish
-// bucket boundaries supplied by the caller.
-type Histogram struct {
-	bounds []float64 // ascending upper bounds; final bucket is overflow
-	counts []uint64
-	total  uint64
-	sum    float64
-	min    float64
-	max    float64
-}
-
-// NewHistogram returns a histogram with the given ascending bucket upper
-// bounds (an overflow bucket is added implicitly).
-func NewHistogram(bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly ascending")
-		}
-	}
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	return &Histogram{bounds: b, counts: make([]uint64, len(bounds)+1)}
-}
-
-// Observe records a sample.
-func (h *Histogram) Observe(x float64) {
-	if h.total == 0 || x < h.min {
-		h.min = x
-	}
-	if h.total == 0 || x > h.max {
-		h.max = x
-	}
-	h.total++
-	h.sum += x
-	for i, b := range h.bounds {
-		if x <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Mean returns the mean of all observations (0 if empty).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Min returns the smallest observation (0 if empty).
-func (h *Histogram) Min() float64 { return h.min }
-
-// Max returns the largest observation (0 if empty).
-func (h *Histogram) Max() float64 { return h.max }
-
-// Quantile returns an upper-bound estimate of quantile q in [0, 1] using
-// bucket boundaries. Overflow-bucket results return the observed max.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	q = kmath.Clamp(q, 0, 1)
-	target := uint64(q * float64(h.total))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			if i == len(h.bounds) {
-				return h.max
-			}
-			return h.bounds[i]
-		}
-	}
-	return h.max
-}
-
-// MeanAbsDelta computes the mean absolute difference between consecutive
-// elements of xs — the paper's readahead feature (iv). It returns 0 for
-// fewer than two samples.
-func MeanAbsDelta(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	var sum float64
-	for i := 1; i < len(xs); i++ {
-		sum += kmath.Abs(xs[i] - xs[i-1])
-	}
-	return sum / float64(len(xs)-1)
-}
-
-// MeanDelta computes the mean signed difference between consecutive
-// elements of xs (0 for fewer than two samples). See DESIGN.md for why the
-// readahead feature pipeline uses the signed variant over sliding windows.
-func MeanDelta(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	// Telescoping sum: only the endpoints matter.
-	return (xs[len(xs)-1] - xs[0]) / float64(len(xs)-1)
 }

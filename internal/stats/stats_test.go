@@ -9,14 +9,14 @@ import (
 
 func TestRunningBasics(t *testing.T) {
 	var r Running
-	if r.Mean() != 0 || r.Variance() != 0 || r.Count() != 0 {
+	if r.Mean() != 0 || r.Variance() != 0 || r.n != 0 {
 		t.Error("zero value should report zeros")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		r.Add(x)
 	}
-	if r.Count() != 8 {
-		t.Errorf("count = %d", r.Count())
+	if r.n != 8 {
+		t.Errorf("count = %d", r.n)
 	}
 	if math.Abs(r.Mean()-5) > 1e-12 {
 		t.Errorf("mean = %g, want 5", r.Mean())
@@ -27,60 +27,13 @@ func TestRunningBasics(t *testing.T) {
 	if math.Abs(r.StdDev()-2) > 1e-12 {
 		t.Errorf("stddev = %g, want 2", r.StdDev())
 	}
-	if math.Abs(r.SampleVariance()-32.0/7.0) > 1e-12 {
-		t.Errorf("sample variance = %g", r.SampleVariance())
-	}
 }
 
 func TestRunningSingleSample(t *testing.T) {
 	var r Running
 	r.Add(42)
-	if r.Mean() != 42 || r.Variance() != 0 || r.SampleVariance() != 0 {
+	if r.Mean() != 42 || r.Variance() != 0 {
 		t.Error("single sample stats")
-	}
-}
-
-func TestRunningReset(t *testing.T) {
-	var r Running
-	r.Add(1)
-	r.Add(2)
-	r.Reset()
-	if r.Count() != 0 || r.Mean() != 0 {
-		t.Error("Reset must clear")
-	}
-}
-
-func TestRunningMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var whole, a, b Running
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*3 + 1
-		whole.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != whole.Count() {
-		t.Fatal("merge count")
-	}
-	if math.Abs(a.Mean()-whole.Mean()) > 1e-9 || math.Abs(a.Variance()-whole.Variance()) > 1e-9 {
-		t.Errorf("merge mismatch: mean %g vs %g, var %g vs %g", a.Mean(), whole.Mean(), a.Variance(), whole.Variance())
-	}
-}
-
-func TestRunningMergeEmpty(t *testing.T) {
-	var a, b Running
-	a.Add(5)
-	a.Merge(&b) // merging empty is a no-op
-	if a.Count() != 1 || a.Mean() != 5 {
-		t.Error("merge with empty changed state")
-	}
-	b.Merge(&a) // merging into empty copies
-	if b.Count() != 1 || b.Mean() != 5 {
-		t.Error("merge into empty should copy")
 	}
 }
 
@@ -100,57 +53,8 @@ func TestRunningVarianceNonNegativeProperty(t *testing.T) {
 	}
 }
 
-func TestCMA(t *testing.T) {
-	var c CMA
-	for i := 1; i <= 100; i++ {
-		c.Add(float64(i))
-	}
-	if math.Abs(c.Value()-50.5) > 1e-9 {
-		t.Errorf("CMA = %g, want 50.5", c.Value())
-	}
-	if c.Count() != 100 {
-		t.Error("CMA count")
-	}
-	c.Reset()
-	if c.Value() != 0 || c.Count() != 0 {
-		t.Error("CMA Reset")
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	e.Add(10)
-	if e.Value() != 10 {
-		t.Error("first sample should initialize")
-	}
-	e.Add(20)
-	if e.Value() != 15 {
-		t.Errorf("EWMA = %g, want 15", e.Value())
-	}
-	// Converges toward a constant input.
-	for i := 0; i < 100; i++ {
-		e.Add(7)
-	}
-	if math.Abs(e.Value()-7) > 1e-9 {
-		t.Errorf("EWMA should converge to 7, got %g", e.Value())
-	}
-}
-
-func TestEWMAPanicsOnBadAlpha(t *testing.T) {
-	for _, alpha := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("alpha=%g must panic", alpha)
-				}
-			}()
-			NewEWMA(alpha)
-		}()
-	}
-}
-
 func TestZScore(t *testing.T) {
-	z := FitZScore([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	z := ZScore{Mean: 5, StdDev: 2} // the population statistics of 2, 4, 4, 4, 5, 5, 7, 9
 	if math.Abs(z.Apply(5)-0) > 1e-12 {
 		t.Errorf("z(5) = %g, want 0", z.Apply(5))
 	}
@@ -163,7 +67,7 @@ func TestZScore(t *testing.T) {
 }
 
 func TestZScoreDegenerate(t *testing.T) {
-	z := FitZScore([]float64{3, 3, 3})
+	z := ZScore{Mean: 3, StdDev: 0}
 	if z.Apply(100) != 0 {
 		t.Error("constant feature must normalize to 0, not Inf")
 	}
@@ -211,66 +115,6 @@ func TestPearsonPanics(t *testing.T) {
 		}
 	}()
 	Pearson([]float64{1}, []float64{1, 2})
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{1, 10, 100})
-	for _, x := range []float64{0.5, 2, 3, 50, 200, 1000} {
-		h.Observe(x)
-	}
-	if h.Count() != 6 {
-		t.Error("count")
-	}
-	if h.Min() != 0.5 || h.Max() != 1000 {
-		t.Errorf("min/max: %g/%g", h.Min(), h.Max())
-	}
-	if math.Abs(h.Mean()-209.25) > 1e-9 {
-		t.Errorf("mean = %g", h.Mean())
-	}
-	if q := h.Quantile(0.5); q != 10 {
-		t.Errorf("p50 = %g, want 10 (bucket bound)", q)
-	}
-	if q := h.Quantile(1.0); q != 1000 {
-		t.Errorf("p100 = %g, want observed max", q)
-	}
-	if NewHistogram(nil).Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile should be 0")
-	}
-}
-
-func TestHistogramBadBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-ascending bounds must panic")
-		}
-	}()
-	NewHistogram([]float64{1, 1})
-}
-
-func TestMeanAbsDelta(t *testing.T) {
-	if MeanAbsDelta([]float64{1, 2, 3, 4}) != 1 {
-		t.Error("sequential deltas")
-	}
-	if MeanAbsDelta([]float64{4, 3, 2, 1}) != 1 {
-		t.Error("reverse deltas are also 1 in absolute terms")
-	}
-	if d := MeanAbsDelta([]float64{0, 10, 0, 10}); d != 10 {
-		t.Errorf("alternating = %g", d)
-	}
-	if MeanAbsDelta([]float64{5}) != 0 || MeanAbsDelta(nil) != 0 {
-		t.Error("degenerate inputs")
-	}
-}
-
-func TestMeanDeltaSignsDistinguishDirection(t *testing.T) {
-	fwd := MeanDelta([]float64{1, 2, 3, 4})
-	rev := MeanDelta([]float64{4, 3, 2, 1})
-	if fwd != 1 || rev != -1 {
-		t.Errorf("fwd=%g rev=%g", fwd, rev)
-	}
-	if MeanDelta(nil) != 0 {
-		t.Error("empty MeanDelta")
-	}
 }
 
 func BenchmarkRunningAdd(b *testing.B) {

@@ -61,13 +61,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add moves the gauge by delta (negative to decrease).
-//
-//kml:hotpath
-func (g *Gauge) Add(delta int64) {
-	g.v.Add(delta)
-}
-
 // Load returns the current level.
 //
 //kml:hotpath
@@ -117,20 +110,6 @@ func (h *Histogram) LoadBuckets(dst *[NumBuckets]uint64) {
 	for i := range h.buckets {
 		dst[i] = h.buckets[i].Load()
 	}
-}
-
-// Count returns the number of observations (the sum over all buckets).
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
-
-// Sum returns the running total of observed nanoseconds.
-func (h *Histogram) Sum() uint64 {
-	return h.sum.Load()
 }
 
 // BucketLower returns the smallest value that lands in bucket i.

@@ -75,7 +75,7 @@ func TestOverheadBudget(t *testing.T) {
 			"the instrumented collection path no longer respects the paper's 49 ns figure",
 			tax, OverheadBudgetNanos)
 	}
-	if c.Load() == 0 || h.Count() == 0 {
+	if c.Load() == 0 || h.Snapshot().Count == 0 {
 		t.Fatal("instrumented loop did not run")
 	}
 }
@@ -93,7 +93,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i & 4095))
 	}
-	sink += h.Sum()
+	sink += h.sum.Load()
 }
 
 func BenchmarkHistogramSnapshotQuantile(b *testing.B) {

@@ -126,11 +126,3 @@ func (f *FlightRecorder[T]) lenLocked() int {
 //
 //kml:hotpath
 func (f *FlightRecorder[T]) Cap() int { return len(f.slots) }
-
-// Evicted returns how many records have been overwritten by newer ones —
-// how far back the recorder's horizon has moved.
-func (f *FlightRecorder[T]) Evicted() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.w - uint64(f.lenLocked())
-}

@@ -82,9 +82,10 @@ func TestFlightRecorder(t *testing.T) {
 				v := i
 				f.Record(&v)
 			}
-			if f.Cap() != tc.wantCap || f.Len() != len(tc.snapshot) || f.Evicted() != tc.evicted || f.Cursor() != uint64(tc.writes) {
-				t.Fatalf("Cap/Len/Evicted/Cursor = %d/%d/%d/%d, want %d/%d/%d/%d",
-					f.Cap(), f.Len(), f.Evicted(), f.Cursor(), tc.wantCap, len(tc.snapshot), tc.evicted, tc.writes)
+			evicted := f.Cursor() - uint64(f.Len())
+			if f.Cap() != tc.wantCap || f.Len() != len(tc.snapshot) || evicted != tc.evicted || f.Cursor() != uint64(tc.writes) {
+				t.Fatalf("Cap/Len/evicted/Cursor = %d/%d/%d/%d, want %d/%d/%d/%d",
+					f.Cap(), f.Len(), evicted, f.Cursor(), tc.wantCap, len(tc.snapshot), tc.evicted, tc.writes)
 			}
 			// Snapshot twice: reading never consumes.
 			for i := 0; i < 2; i++ {

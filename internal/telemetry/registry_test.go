@@ -23,7 +23,7 @@ func TestRegistryCreateOrGet(t *testing.T) {
 	}
 	h := r.Histogram("lat")
 	h.Observe(42)
-	if r.Histogram("lat").Count() != 1 {
+	if r.Histogram("lat").Snapshot().Count != 1 {
 		t.Fatal("histogram state lost across lookups")
 	}
 }
@@ -126,7 +126,7 @@ func TestConcurrentSnapshot(t *testing.T) {
 			defer producers.Done()
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(int64(i))
 				h.Observe(seed + int64(i))
 				depth.Set(int64(i))
 			}
@@ -157,7 +157,7 @@ func TestConcurrentSnapshot(t *testing.T) {
 	if got := c.Load(); got != writers*perWriter {
 		t.Fatalf("counter = %d, want %d", got, writers*perWriter)
 	}
-	if got := h.Count(); got != writers*perWriter {
+	if got := h.Snapshot().Count; got != writers*perWriter {
 		t.Fatalf("histogram count = %d, want %d", got, writers*perWriter)
 	}
 }

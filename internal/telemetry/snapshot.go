@@ -72,24 +72,3 @@ func (s *HistogramSnapshot) Quantile(q float64) int64 {
 	}
 	return BucketUpper(NumBuckets - 1) // unreachable: rank <= Count
 }
-
-// Mean returns the arithmetic mean observation in nanoseconds, or 0 for
-// an empty snapshot.
-func (s *HistogramSnapshot) Mean() int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return int64(s.Sum / s.Count)
-}
-
-// Max returns the upper bound of the highest occupied bucket — the
-// tightest upper estimate of the largest observation — or 0 for an
-// empty snapshot.
-func (s *HistogramSnapshot) Max() int64 {
-	for i := NumBuckets - 1; i >= 0; i-- {
-		if s.Buckets[i] != 0 {
-			return BucketUpper(i)
-		}
-	}
-	return 0
-}

@@ -87,9 +87,6 @@ func (t *Tracer) Register(h Hook) {
 // while enabled).
 func (t *Tracer) SetEnabled(on bool) { t.enabled.Store(on) }
 
-// Enabled reports whether dispatch is on.
-func (t *Tracer) Enabled() bool { return t.enabled.Load() }
-
 // Emit dispatches one event to all hooks. With no hooks registered (or
 // disabled) it is nearly free, like a disabled kernel tracepoint. It runs
 // inline on the simulated I/O path, so it must not allocate; the count
@@ -104,15 +101,6 @@ func (t *Tracer) Emit(ev Event) {
 	for _, h := range t.hooks {
 		h(ev)
 	}
-}
-
-// Count returns the number of events emitted for a tracepoint. It is
-// safe to call while other goroutines emit.
-func (t *Tracer) Count(p Point) uint64 {
-	if p >= numPoints {
-		return 0
-	}
-	return t.counts[p].Load()
 }
 
 // Total returns the number of events emitted across all tracepoints.

@@ -7,8 +7,8 @@
 //     (and thus the readahead engine and block device), so each read costs
 //     what it would cost on the modeled hardware.
 //
-// Files expose the control surfaces the paper's KML application drives:
-// per-file readahead (ra_pages) and fadvise hints.
+// The per-file control surface the paper's KML application drives,
+// readahead (ra_pages), lives in the page cache, keyed by the file's inode.
 package vfs
 
 import (
@@ -94,23 +94,8 @@ func (fs *FS) Names() []string {
 	return names
 }
 
-// Cache returns the underlying page cache (for experiment plumbing).
-func (fs *FS) Cache() *pagecache.Cache { return fs.cache }
-
-// TotalBytes returns the sum of all file sizes.
-func (fs *FS) TotalBytes() int64 {
-	var total int64
-	for _, f := range fs.byName {
-		total += f.Size()
-	}
-	return total
-}
-
 // Name returns the file's name.
 func (f *File) Name() string { return f.name }
-
-// Ino returns the file's inode number.
-func (f *File) Ino() pagecache.FileID { return f.ino }
 
 // Size returns the current file size in bytes.
 func (f *File) Size() int64 { return int64(len(f.data)) }
@@ -266,15 +251,4 @@ func (f *File) Truncate(size int64) error {
 		f.fs.cache.SetFilePages(f.ino, (size+blockdev.PageSize-1)/blockdev.PageSize)
 	}
 	return nil
-}
-
-// SetReadahead overrides this file's ra_pages, in sectors (0 restores the
-// device default).
-func (f *File) SetReadahead(sectors int) {
-	f.fs.cache.SetFileReadahead(f.ino, sectors)
-}
-
-// Fadvise records an access-pattern hint for the file.
-func (f *File) Fadvise(h pagecache.Hint) {
-	f.fs.cache.Fadvise(f.ino, h)
 }

@@ -25,7 +25,7 @@ func TestCreateOpenRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Name() != "a.sst" || f.Ino() == 0 {
+	if f.Name() != "a.sst" || f.ino == 0 {
 		t.Error("metadata")
 	}
 	if _, err := fs.Create("a.sst"); !errors.Is(err, ErrExist) {
@@ -128,7 +128,7 @@ func TestReadChargesDevice(t *testing.T) {
 	f, _ := fs.Create("data")
 	f.WriteAt(make([]byte, 64*1024), 0)
 	f.Sync()
-	fs.Cache().DropAll()
+	fs.cache.DropAll()
 	before := clk.Now()
 	buf := make([]byte, 4096)
 	f.ReadAt(buf, 0)
@@ -147,15 +147,15 @@ func TestReadChargesDevice(t *testing.T) {
 }
 
 func TestWriteDirtiesCache(t *testing.T) {
-	fs, _, _ := newFS(1024)
+	fs, dev, _ := newFS(1024)
 	f, _ := fs.Create("data")
 	f.WriteAt(make([]byte, 8192), 0)
-	if fs.Cache().DirtyLen() != 2 {
-		t.Errorf("dirty pages = %d, want 2", fs.Cache().DirtyLen())
+	if n := dev.Stats().PagesWrit; n != 0 {
+		t.Errorf("a buffered write reached the device: %d pages", n)
 	}
 	f.Sync()
-	if fs.Cache().DirtyLen() != 0 {
-		t.Error("Sync must clean")
+	if n := dev.Stats().PagesWrit; n != 2 {
+		t.Errorf("Sync wrote %d dirty pages, want 2", n)
 	}
 }
 
@@ -191,27 +191,12 @@ func TestPerFileReadaheadPlumbing(t *testing.T) {
 	f, _ := fs.Create("data")
 	f.WriteAt(make([]byte, 1<<20), 0)
 	f.Sync()
-	fs.Cache().DropAll()
-	f.SetReadahead(blockdev.SectorsPerPage)
+	fs.cache.DropAll()
+	fs.cache.SetFileReadahead(f.ino, blockdev.SectorsPerPage)
 	buf := make([]byte, 8192)
 	f.ReadAt(buf, 500*4096)
-	if fs.Cache().Stats().SpecInserted != 0 {
+	if fs.cache.Stats().SpecInserted != 0 {
 		t.Error("per-file readahead override not honored")
-	}
-}
-
-func TestFadvisePlumbing(t *testing.T) {
-	fs, dev, _ := newFS(4096)
-	dev.SetReadahead(256)
-	f, _ := fs.Create("data")
-	f.WriteAt(make([]byte, 1<<20), 0)
-	f.Sync()
-	fs.Cache().DropAll()
-	f.Fadvise(pagecache.HintRandom)
-	buf := make([]byte, 8192)
-	f.ReadAt(buf, 100*4096)
-	if fs.Cache().Stats().SpecInserted != 0 {
-		t.Error("fadvise hint not honored")
 	}
 }
 
@@ -224,8 +209,16 @@ func TestNamesAndTotalBytes(t *testing.T) {
 	if len(fs.Names()) != 2 {
 		t.Error("names")
 	}
-	if fs.TotalBytes() != 150 {
-		t.Errorf("total = %d", fs.TotalBytes())
+	var total int64
+	for _, name := range fs.Names() {
+		f, err := fs.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += f.Size()
+	}
+	if total != 150 {
+		t.Errorf("total = %d", total)
 	}
 }
 
@@ -241,7 +234,7 @@ func TestReserveIsInvisible(t *testing.T) {
 	plain, _ := plainFS.Create("data")
 
 	f.Reserve(1 << 20)
-	if f.Size() != 0 || fs.Cache().Stats() != plainFS.Cache().Stats() || clk.Now() != plainClk.Now() {
+	if f.Size() != 0 || fs.cache.Stats() != plainFS.cache.Stats() || clk.Now() != plainClk.Now() {
 		t.Fatal("Reserve on an empty file changed size, cache or clock")
 	}
 	payload := bytes.Repeat([]byte("0123456789abcdef"), 4096) // 64 KB
@@ -262,7 +255,7 @@ func TestReserveIsInvisible(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Error("contents differ from a file that never reserved")
 	}
-	if fs.Cache().Stats() != plainFS.Cache().Stats() || dev.Stats() != plainDev.Stats() || clk.Now() != plainClk.Now() {
+	if fs.cache.Stats() != plainFS.cache.Stats() || dev.Stats() != plainDev.Stats() || clk.Now() != plainClk.Now() {
 		t.Error("Reserve moved cache, device or clock state")
 	}
 	// The Truncate above shrank the file inside its capacity and the write
@@ -321,7 +314,7 @@ func TestViewChargesLikeReadAt(t *testing.T) {
 	for _, file := range []*File{f, twin} {
 		file.WriteAt(content, 0)
 		file.Sync()
-		file.fs.Cache().DropAll()
+		file.fs.cache.DropAll()
 	}
 	size := int64(len(content))
 	cases := []struct {
@@ -358,7 +351,7 @@ func TestViewChargesLikeReadAt(t *testing.T) {
 		if len(view) > 0 && &view[0] != &f.data[c.off] {
 			t.Errorf("%s: view is a copy, not the file's bytes", c.name)
 		}
-		if fs.Cache().Stats() != twinFS.Cache().Stats() || dev.Stats() != twinDev.Stats() || clk.Now() != twinClk.Now() {
+		if fs.cache.Stats() != twinFS.cache.Stats() || dev.Stats() != twinDev.Stats() || clk.Now() != twinClk.Now() {
 			t.Fatalf("%s: View charged the cache, device or clock differently from ReadAt", c.name)
 		}
 	}
@@ -368,7 +361,7 @@ func TestViewChargesLikeReadAt(t *testing.T) {
 	if _, err := f.View(0, -1); err == nil {
 		t.Error("negative length must error")
 	}
-	if fs.Cache().Stats() != twinFS.Cache().Stats() || clk.Now() != twinClk.Now() {
+	if fs.cache.Stats() != twinFS.cache.Stats() || clk.Now() != twinClk.Now() {
 		t.Error("a rejected View charged the cache or clock")
 	}
 }

@@ -22,6 +22,8 @@ func (m Mutation) String() string {
 
 // Each calls fn with every truncation of img, from empty to one byte
 // short, and then with img with each byte in turn inverted (XOR 0xFF).
+//
+//kml:api a helper package for tests: its callers are the *MatchesReference tests
 func Each(img []byte, fn func(Mutation)) {
 	for n := range img {
 		fn(Mutation{Data: append([]byte(nil), img[:n]...), Cut: true, At: n})

@@ -263,16 +263,6 @@ func (r *Runner) Step() error {
 	return nil
 }
 
-// Run executes n operations.
-func (r *Runner) Run(n int) error {
-	for i := 0; i < n; i++ {
-		if err := r.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RunFor executes operations until the virtual clock passes deadline.
 func (r *Runner) RunFor(d time.Duration) error {
 	deadline := r.clk.Now() + d
