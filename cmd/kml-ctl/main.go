@@ -152,9 +152,6 @@ func top(o *opts, w io.Writer) error {
 // live pulls one round of every status surface.
 func live(cl *mserve.Client, addr string) (l render.Live, err error) {
 	l.Addr, l.Time = addr, time.Now()
-	if l.Stats, err = cl.Stats(); err != nil {
-		return l, err
-	}
 	if l.Metrics, err = cl.Metrics(); err != nil {
 		return l, err
 	}

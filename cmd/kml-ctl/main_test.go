@@ -103,7 +103,7 @@ func TestSubcommands(t *testing.T) {
 		{[]string{"trace"}, []string{"─ infer", "stage breakdown:", "3 traces shown, 3 complete (3 retained by server)\n"}},
 		{[]string{"trace", "-slow", "1h"}, []string{"0 traces shown"}},
 		{[]string{"probe", "2"}, []string{"joined client↔server, identical TraceID", "─ wire", "2 probes sent, 2 joined across the wire\n"}},
-		{[]string{"postmortem"}, []string{"black box ", "records   ", "slowest decisions", "traces recovered\n"}},
+		{[]string{"postmortem"}, []string{"black box ", "records   ", "\nrows ", "slowest decisions", "traces recovered\n"}},
 		{[]string{"postmortem", "-raw"}, []string{"counters mserve_rows ", "\n1 points\n"}},
 	} {
 		args := append([]string{tc.args[0], "-addr", addr}, tc.args[1:]...)

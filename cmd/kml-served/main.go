@@ -321,7 +321,6 @@ func runSim(srv *mserve.Server, reg *mserve.Registry, opts simOptions) error {
 			MinExamples:     8,
 			CanaryWindows:   3,
 			BaselineWindows: 4,
-			Metrics:         srv.MetricsRegistry(),
 		})
 		if err != nil {
 			return err

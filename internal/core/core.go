@@ -332,20 +332,11 @@ func (p *Pipeline[S]) Mode() Mode { return Mode(p.mode.Load()) }
 // Collected returns the number of samples accepted by Collect.
 func (p *Pipeline[S]) Collected() uint64 { return p.collected.Load() }
 
-// Processed returns the number of samples handed to the handler (or
-// discarded in ModeOff).
-func (p *Pipeline[S]) Processed() uint64 { return p.processed.Load() }
-
 // Dropped returns the number of samples lost to a full ring.
 func (p *Pipeline[S]) Dropped() uint64 { return p.ring.Dropped() }
 
 // BufferLen returns the instantaneous ring occupancy.
 func (p *Pipeline[S]) BufferLen() int { return p.ring.Len() }
-
-// BufferCap returns the ring capacity (BufferCapacity rounded up to a
-// power of two), the denominator operators need to read BufferLen as
-// backpressure.
-func (p *Pipeline[S]) BufferCap() int { return p.ring.Cap() }
 
 // RegisterMetrics exposes the pipeline's counters and ring state as
 // snapshot-time gauges under prefix: <prefix>_collected, _processed,

@@ -39,8 +39,8 @@ func TestPipelineCollectAndFlush(t *testing.T) {
 			t.Errorf("order broken at %d", i)
 		}
 	}
-	if p.Collected() != 10 || p.Processed() != 10 || p.Dropped() != 0 {
-		t.Errorf("counters: %d/%d/%d", p.Collected(), p.Processed(), p.Dropped())
+	if p.Collected() != 10 || p.processed.Load() != 10 || p.Dropped() != 0 {
+		t.Errorf("counters: %d/%d/%d", p.Collected(), p.processed.Load(), p.Dropped())
 	}
 }
 
@@ -55,7 +55,7 @@ func TestPipelineModeOffDiscards(t *testing.T) {
 	if calls != 0 {
 		t.Error("handler must not run in ModeOff")
 	}
-	if p.Processed() != 1 {
+	if p.processed.Load() != 1 {
 		t.Error("off-mode samples still count as processed (discarded)")
 	}
 }
@@ -187,8 +187,8 @@ func TestPipelineWakesPerBatch(t *testing.T) {
 		p.Collect(batch + i)
 	}
 	p.Stop()
-	if n := <-got; n != 3 || p.Processed() != batch+3 {
-		t.Fatalf("Stop drained %d, processed %d; want 3 and %d", n, p.Processed(), batch+3)
+	if n := <-got; n != 3 || p.processed.Load() != batch+3 {
+		t.Fatalf("Stop drained %d, processed %d; want 3 and %d", n, p.processed.Load(), batch+3)
 	}
 }
 
@@ -368,8 +368,8 @@ func TestPipelineMetricsOffMode(t *testing.T) {
 	if pm.Iterations.Load() != 0 {
 		t.Fatalf("iterations = %d in ModeOff, want 0", pm.Iterations.Load())
 	}
-	if p.Processed() != 1 {
-		t.Fatalf("processed = %d, want 1 (discarded)", p.Processed())
+	if p.processed.Load() != 1 {
+		t.Fatalf("processed = %d, want 1 (discarded)", p.processed.Load())
 	}
 }
 
@@ -397,8 +397,8 @@ func TestPipelineFlushAllocFree(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("Flush draining %d records allocates %.1f/run, want 0", batch, a)
 	}
-	if seen != runs*batch || p.Processed() != uint64(seen) || p.Dropped() != 0 {
+	if seen != runs*batch || p.processed.Load() != uint64(seen) || p.Dropped() != 0 {
 		t.Errorf("handler saw %d of %d records (processed %d, dropped %d)",
-			seen, runs*batch, p.Processed(), p.Dropped())
+			seen, runs*batch, p.processed.Load(), p.Dropped())
 	}
 }

@@ -84,7 +84,7 @@ func TestPipelineConcurrentCollectModeFlipStop(t *testing.T) {
 	if got, want := p.Collected(), accepted.Load(); got != want {
 		t.Fatalf("Collected = %d, accepted = %d", got, want)
 	}
-	if got := p.Processed(); got != accepted.Load() {
+	if got := p.processed.Load(); got != accepted.Load() {
 		t.Fatalf("Stop lost samples: processed %d of %d accepted", got, accepted.Load())
 	}
 	// The flipper never selected ModeOff, so the handler saw every sample.
@@ -122,7 +122,7 @@ func TestPipelineConcurrentStop(t *testing.T) {
 			p.Stop()
 			// Stop returned, so the final drain has completed for THIS
 			// caller too, not just the one that won the close race.
-			if got := p.Processed(); got != 100 {
+			if got := p.processed.Load(); got != 100 {
 				t.Errorf("Stop returned with %d/100 processed", got)
 			}
 		}()
@@ -183,7 +183,7 @@ func TestPipelineCollectDuringStop(t *testing.T) {
 	p.Stop() // concurrent with the producers, deliberately
 	wg.Wait()
 
-	if got, want := p.Collected()-p.Processed(), uint64(p.BufferLen()); got != want {
+	if got, want := p.Collected()-p.processed.Load(), uint64(p.BufferLen()); got != want {
 		t.Fatalf("unprocessed %d != buffered %d", got, want)
 	}
 }

@@ -227,33 +227,34 @@ func (cl *Client) BatchInfer(feats []float64, rows, nfeat int) (classes []uint16
 	return cl.classes[:n], v, nil
 }
 
-// Stats fetches the server's operational counters.
-func (cl *Client) Stats() (Stats, error) {
-	_, resp, err := cl.do(MsgStats, nil)
+// fetch runs one status round trip and decodes its answer, the zero T
+// on a failed round trip.
+func fetch[T any](cl *Client, typ MsgType, req []byte, parse func([]byte) (T, error)) (T, error) {
+	_, resp, err := cl.do(typ, req)
 	if err != nil {
-		return Stats{}, err
+		var zero T
+		return zero, err
 	}
-	return ParseStats(resp)
+	return parse(resp)
+}
+
+// Stats fetches the server's operational counters: the Stats view of
+// its telemetry snapshot.
+func (cl *Client) Stats() (Stats, error) {
+	snap, err := cl.Metrics()
+	return snap.Stats(), err
 }
 
 // Metrics fetches the server's telemetry snapshot: every registered
 // metric (histograms with populated buckets) plus the flight recorder's
 // retained decisions.
 func (cl *Client) Metrics() (MetricsSnapshot, error) {
-	_, resp, err := cl.do(MsgMetrics, nil)
-	if err != nil {
-		return MetricsSnapshot{}, err
-	}
-	return ParseMetrics(resp)
+	return fetch(cl, MsgMetrics, nil, ParseMetrics)
 }
 
 // Traces fetches the server's retained decision traces, oldest first.
 func (cl *Client) Traces() ([]dtrace.Trace, error) {
-	_, resp, err := cl.do(MsgTraces, nil)
-	if err != nil {
-		return nil, err
-	}
-	return dtrace.ParseTraces(resp)
+	return fetch(cl, MsgTraces, nil, dtrace.ParseTraces)
 }
 
 // LearnStatus fetches the online-learning controller's snapshot: state
@@ -261,21 +262,13 @@ func (cl *Client) Traces() ([]dtrace.Trace, error) {
 // retrain-event history. A server without a controller answers the zero
 // status.
 func (cl *Client) LearnStatus() (LearnStatus, error) {
-	_, resp, err := cl.do(MsgLearnStatus, nil)
-	if err != nil {
-		return LearnStatus{}, err
-	}
-	return ParseLearnStatus(resp)
+	return fetch(cl, MsgLearnStatus, nil, ParseLearnStatus)
 }
 
 // TimeSeries fetches the server's captured metric time series: counter
 // deltas and histogram quantiles per capture interval, oldest first.
 func (cl *Client) TimeSeries() (tsrec.Series, error) {
-	_, resp, err := cl.do(MsgTimeSeries, nil)
-	if err != nil {
-		return tsrec.Series{}, err
-	}
-	return tsrec.ParseSeries(resp)
+	return fetch(cl, MsgTimeSeries, nil, tsrec.ParseSeries)
 }
 
 // Blackbox fetches the black-box flight recorder's status. With sync
@@ -288,11 +281,7 @@ func (cl *Client) Blackbox(sync bool) (BlackboxStatus, error) {
 	if sync {
 		op = BlackboxSync
 	}
-	_, resp, err := cl.do(MsgBlackbox, AppendBlackboxReq(nil, op))
-	if err != nil {
-		return BlackboxStatus{}, err
-	}
-	return ParseBlackboxStatus(resp)
+	return fetch(cl, MsgBlackbox, AppendBlackboxReq(nil, op), ParseBlackboxStatus)
 }
 
 // Health reports whether the server is serving, the active version, and

@@ -367,7 +367,7 @@ func TestCoalesceShapeSwapFailsGathered(t *testing.T) {
 }
 
 // TestCoalesceStatsSurface checks the wire-visible coalescer config and
-// counters round-trip through MsgStats.
+// counters reach a client through the Stats view of MsgMetrics.
 func TestCoalesceStatsSurface(t *testing.T) {
 	_, sock := coalescedServer(t, Config{
 		CoalesceWindow: 150 * time.Microsecond,

@@ -28,7 +28,7 @@ func TestFrameHeaderGolden(t *testing.T) {
 // replaced, and ParseHeader against the reference on every truncation and
 // byte flip of a frame: the same header, the same error.
 func TestFrameHeaderMatchesReference(t *testing.T) {
-	for _, typ := range []MsgType{MsgInfer, MsgStats, 0xFF} {
+	for _, typ := range []MsgType{MsgInfer, MsgHealth, 0xFF} {
 		for _, p := range [][]byte{nil, {1}, bytes.Repeat([]byte{7}, 300)} {
 			got, want := make([]byte, HeaderSize), make([]byte, HeaderSize)
 			appendHeader(got[:0], typ, p)

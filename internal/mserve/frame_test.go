@@ -96,7 +96,7 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 // arrive.
 func TestFrameReader(t *testing.T) {
 	a := AppendFrame(nil, MsgInfer, []byte("first"))
-	b := AppendFrame(nil, MsgStats, nil)
+	b := AppendFrame(nil, MsgHealth, nil)
 	big := AppendFrame(nil, MsgBatchInfer, bytes.Repeat([]byte{0xCD}, 3*frameReadSize))
 	badCRC := AppendFrame(nil, MsgHealth, []byte("x"))
 	badCRC[len(badCRC)-1] ^= 0xFF
@@ -199,17 +199,6 @@ func TestProtocolRoundTrips(t *testing.T) {
 	rows, version, err = ParseBatchInferResp(p, out)
 	if err != nil || rows != 3 || version != 9 || out[1] != 3 {
 		t.Fatalf("batch resp: rows=%d v=%d out=%v err=%v", rows, version, out, err)
-	}
-
-	st := Stats{
-		ActiveVersion: 1, Deploys: 2, Rollbacks: 3, Inferences: 4, Rows: 5,
-		Errors: 6, Conns: 7, MaxConns: 8, ConnRejects: 9, ArenaRejects: 10,
-		Collected: 11, Processed: 12, Dropped: 13, BufferLen: 14,
-		BufferCap: 15, ArenaLive: 16, ArenaPeak: 17,
-	}
-	got, err := ParseStats(AppendStats(nil, st))
-	if err != nil || got != st {
-		t.Fatalf("stats round trip: %+v err=%v", got, err)
 	}
 
 	ok, version, inDim, err := ParseHealthResp(AppendHealthResp(nil, true, 5, 4))

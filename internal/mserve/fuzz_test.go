@@ -35,7 +35,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, MsgBatchInfer, bytes.Repeat([]byte{7}, 100)))
 	f.Add(AppendFrame(nil, MsgError, []byte("boom")))
 	// Two frames back to back: the stream case.
-	f.Add(AppendFrame(AppendFrame(nil, MsgHealth, nil), MsgStats, []byte{1, 2, 3}))
+	f.Add(AppendFrame(AppendFrame(nil, MsgHealth, nil), MsgHealth, []byte{1, 2, 3}))
 	// A traces frame carrying a canonical dtrace payload.
 	tb := dtraceSeedTrace()
 	f.Add(AppendFrame(nil, MsgTraces, dtrace.AppendTraces(nil, []dtrace.Trace{tb})))
@@ -83,7 +83,6 @@ func FuzzFrameDecode(f *testing.F) {
 		_, _, _, _ = ParseBatchInferReq(b, feats[:])
 		_, _, _ = ParseInferResp(b)
 		_, _, _ = ParseBatchInferResp(b, classes[:])
-		_, _ = ParseStats(b)
 		_, _, _, _ = ParseHealthResp(b)
 	})
 }
@@ -96,7 +95,7 @@ func FuzzFrameDecode(f *testing.F) {
 // io.ErrUnexpectedEOF inside a frame. Its buffer never grows past one
 // maximal frame.
 func FuzzFrameStream(f *testing.F) {
-	two := AppendFrame(AppendFrame(nil, MsgHealth, nil), MsgStats, []byte{1, 2, 3})
+	two := AppendFrame(AppendFrame(nil, MsgHealth, nil), MsgHealth, []byte{1, 2, 3})
 	f.Add([]byte{}, []byte{})
 	f.Add(two, []byte{})
 	f.Add(two, []byte{0})

@@ -1,8 +1,9 @@
-// MsgMetrics payload: the wire form of a telemetry snapshot. Unlike
-// Stats (a fixed vector of u64s, frozen for byte-compatibility) the
-// metrics payload is self-describing — each entry carries its name and
-// kind — so new instrumentation reaches `kml-ctl status` without a
-// protocol revision.
+// MsgMetrics payload: the wire form of a telemetry snapshot. The
+// payload is self-describing — each entry carries its name and kind — so
+// new instrumentation reaches `kml-ctl status` without a protocol
+// revision. The daemon's Stats counters are not a message of their own:
+// they are a view of this snapshot (MetricsSnapshot.Stats), so every
+// number has one home, the server's telemetry registry.
 //
 // Layout (all integers little-endian):
 //
@@ -141,4 +142,86 @@ func decisionLayout(c *wire.Codec, d *MetricsDecision) {
 	if c.Decoding() {
 		d.Class = int32(class)
 	}
+}
+
+// Stats is the server's operational counters, the ones `kml-ctl status`
+// prints first. Collected / Processed / Dropped / BufferLen surface the
+// server's core.Pipeline, so collection loss (ring backpressure) is
+// visible to an operator. It is a read-only view of a MetricsSnapshot.
+type Stats struct {
+	ActiveVersion uint64 // registry version currently served
+	Deploys       uint64 // successful Deploy calls since registry open
+	Rollbacks     uint64 // successful Rollback calls since registry open
+	Inferences    uint64 // Infer + BatchInfer requests served
+	Rows          uint64 // total feature vectors classified
+	Errors        uint64 // MsgError responses sent
+	Conns         uint64 // connections currently open
+	MaxConns      uint64 // connection limit
+	ConnRejects   uint64 // connections refused at the limit
+	ArenaRejects  uint64 // connections refused by memutil admission
+	Collected     uint64 // samples accepted by the collection pipeline
+	Processed     uint64 // samples drained by the training thread
+	Dropped       uint64 // samples lost to a full ring (backpressure)
+	BufferLen     uint64 // instantaneous ring occupancy
+	BufferCap     uint64 // ring capacity
+	ArenaLive     uint64 // bytes charged to the server arena
+	ArenaPeak     uint64 // arena high-water mark
+
+	// Cross-connection batch coalescing (0 window = disabled). Mean
+	// achieved batch size is CoalesceRows / CoalesceBatches — the number
+	// that says whether the gather window is amortizing the fused kernel.
+	CoalesceWindowNS uint64 // configured gather window in nanoseconds
+	CoalesceMaxRows  uint64 // configured per-batch row cap
+	CoalesceBatches  uint64 // fused batches executed
+	CoalesceRows     uint64 // rows served through coalesced batches
+}
+
+// statsFields names the registry metric behind each field of st: the
+// view's one table.
+func statsFields(st *Stats) map[string]*uint64 {
+	return map[string]*uint64{
+		"mserve_active_version":      &st.ActiveVersion,
+		"mserve_deploys":             &st.Deploys,
+		"mserve_rollbacks":           &st.Rollbacks,
+		"mserve_inferences":          &st.Inferences,
+		"mserve_rows":                &st.Rows,
+		"mserve_errors":              &st.Errors,
+		"mserve_conns":               &st.Conns,
+		"mserve_max_conns":           &st.MaxConns,
+		"mserve_conn_rejects":        &st.ConnRejects,
+		"mserve_arena_rejects":       &st.ArenaRejects,
+		"mserve_pipeline_collected":  &st.Collected,
+		"mserve_pipeline_processed":  &st.Processed,
+		"mserve_pipeline_dropped":    &st.Dropped,
+		"mserve_pipeline_buffer_len": &st.BufferLen,
+		"mserve_pipeline_buffer_cap": &st.BufferCap,
+		"mserve_arena_live_bytes":    &st.ArenaLive,
+		"mserve_arena_peak_bytes":    &st.ArenaPeak,
+		"mserve_coalesce_window_ns":  &st.CoalesceWindowNS,
+		"mserve_coalesce_max_rows":   &st.CoalesceMaxRows,
+		"mserve_coalesce_batches":    &st.CoalesceBatches,
+		"mserve_coalesce_rows":       &st.CoalesceRows,
+	}
+}
+
+// Stats reads the server's counters out of the snapshot. A field whose
+// metric the snapshot lacks reads 0.
+func (snap MetricsSnapshot) Stats() Stats {
+	var st Stats
+	fields := statsFields(&st)
+	for _, m := range snap.Metrics {
+		if f, ok := fields[m.Name]; ok {
+			*f = uint64(m.Value)
+		}
+	}
+	return st
+}
+
+// CoalesceMeanBatch returns the mean achieved coalesced batch size, or 0
+// before any batch executed.
+func (st Stats) CoalesceMeanBatch() float64 {
+	if st.CoalesceBatches == 0 {
+		return 0
+	}
+	return float64(st.CoalesceRows) / float64(st.CoalesceBatches)
 }

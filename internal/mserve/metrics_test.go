@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/memutil"
 	"repro/internal/telemetry"
 )
 
@@ -199,5 +200,54 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	}
 	if s.MetricsRegistry() == nil {
 		t.Error("nil metrics registry")
+	}
+}
+
+// TestStatsView reads the Stats view both ways on a server with every
+// optional field live (an arena, coalescing, one deploy): each name in
+// the view's table must be registered, so no field reads 0 from a
+// misspelt name, and on a quiesced server the in-process view and the
+// one a client reads over the wire must agree.
+func TestStatsView(t *testing.T) {
+	s, sock := coalescedServer(t, Config{
+		Arena:          memutil.NewArena("stats-view"),
+		CoalesceWindow: 150 * time.Microsecond,
+		CoalesceMax:    48,
+	})
+	cl := dial(t, sock)
+	if _, _, err := cl.BatchInfer(make([]float64, 4*4), 4, 4); err != nil {
+		t.Fatalf("batch infer: %v", err)
+	}
+	registered := map[string]bool{}
+	for _, m := range s.Metrics().Metrics {
+		registered[m.Name] = true
+	}
+	for name := range statsFields(&Stats{}) {
+		if !registered[name] {
+			t.Errorf("Stats reads %s, which the server does not register", name)
+		}
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	st := s.Stats()
+	for st.Processed != st.Collected && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		st = s.Stats()
+	}
+	want := Stats{
+		ActiveVersion: 1, Deploys: 1, Inferences: 1, Rows: 4,
+		Conns: 1, MaxConns: 64, Collected: 1, Processed: 1, BufferCap: st.BufferCap,
+		ArenaLive: st.ArenaLive, ArenaPeak: st.ArenaPeak,
+		CoalesceWindowNS: 150_000, CoalesceMaxRows: 48, CoalesceBatches: 1, CoalesceRows: 4,
+	}
+	if st != want || st.BufferCap == 0 || st.ArenaLive == 0 || st.ArenaPeak < st.ArenaLive {
+		t.Fatalf("Server.Stats() = %+v, want %+v", st, want)
+	}
+	remote, err := cl.Stats()
+	if err != nil {
+		t.Fatalf("client stats: %v", err)
+	}
+	if remote != st {
+		t.Fatalf("Client.Stats() = %+v, Server.Stats() = %+v", remote, st)
 	}
 }

@@ -21,9 +21,9 @@
 //   - frame.go / protocol.go / server.go / client.go — a stdlib-only
 //     binary wire protocol (length-prefixed, CRC-protected, versioned
 //     frames) and a TCP/unix-socket server exposing Infer, BatchInfer,
-//     Stats, Health and the status surfaces, with per-connection deadlines,
-//     a connection limit, admission control charged to a memutil.Arena,
-//     and graceful drain on shutdown.
+//     Health and the status surfaces (Stats is a view of the metrics
+//     snapshot), with per-connection deadlines, a connection limit,
+//     admission control charged to a memutil.Arena, and graceful drain.
 //
 // cmd/kml-served wraps the server as a daemon and cmd/kml-loadgen drives
 // open-loop load against it; the repo benchmark's serve_* workloads

@@ -29,16 +29,14 @@ const (
 	// MsgBatchInfer: request u64 traceid | u32 rows | u16 nfeat |
 	// rows·nfeat×f64; response u32 rows | u64 version | rows×u16 class.
 	MsgBatchInfer MsgType = 2
-	// Types 3 and 4 are unassigned; a server answers them as unknown.
+	// Types 3, 4 and 5 are unassigned; a server answers them as unknown.
 
-	// MsgStats: empty request; response 21×u64 in Stats field order.
-	MsgStats MsgType = 5
 	// MsgHealth: empty request; response u8 ok (0 or 1) | u64 version |
 	// u16 indim.
 	MsgHealth MsgType = 6
 	// MsgMetrics: empty request; response is the telemetry snapshot
-	// (layout in metrics.go). Stats stays byte-compatible; Metrics is the
-	// richer, growable surface.
+	// (layout in metrics.go). The Stats counters are a view of it
+	// (MetricsSnapshot.Stats).
 	MsgMetrics MsgType = 7
 	// MsgTraces: empty request; response is the server's retained
 	// decision traces (layout in dtrace/wire.go).
@@ -195,67 +193,6 @@ func ParseBatchInferResp(p []byte, classes []uint16) (rows int, version uint64, 
 	c := wire.Decoder(p)
 	batchInferRespLayout(&c, &r, &version, classes)
 	return int(r), version, c.End(ErrBadMessage)
-}
-
-// Stats is the server's operational snapshot, the wire analogue of the
-// counters an operator would otherwise need a debugger for. Collected /
-// Processed / Dropped / BufferLen surface the server's core.Pipeline, so
-// collection loss (ring backpressure) is visible from `kml-ctl status`.
-type Stats struct {
-	ActiveVersion uint64 // registry version currently served
-	Deploys       uint64 // successful Deploy calls since registry open
-	Rollbacks     uint64 // successful Rollback calls since registry open
-	Inferences    uint64 // Infer + BatchInfer requests served
-	Rows          uint64 // total feature vectors classified
-	Errors        uint64 // MsgError responses sent
-	Conns         uint64 // connections currently open
-	MaxConns      uint64 // connection limit
-	ConnRejects   uint64 // connections refused at the limit
-	ArenaRejects  uint64 // connections refused by memutil admission
-	Collected     uint64 // samples accepted by the collection pipeline
-	Processed     uint64 // samples drained by the training thread
-	Dropped       uint64 // samples lost to a full ring (backpressure)
-	BufferLen     uint64 // instantaneous ring occupancy
-	BufferCap     uint64 // ring capacity
-	ArenaLive     uint64 // bytes charged to the server arena
-	ArenaPeak     uint64 // arena high-water mark
-
-	// Cross-connection batch coalescing (0 window = disabled). Mean
-	// achieved batch size is CoalesceRows / CoalesceBatches — the number
-	// that says whether the gather window is amortizing the fused kernel.
-	CoalesceWindowNS uint64 // configured gather window in nanoseconds
-	CoalesceMaxRows  uint64 // configured per-batch row cap
-	CoalesceBatches  uint64 // fused batches executed
-	CoalesceRows     uint64 // rows served through coalesced batches
-}
-
-// statsLayout is the field order on the wire.
-func statsLayout(c *wire.Codec, st *Stats) {
-	for _, v := range [...]*uint64{
-		&st.ActiveVersion, &st.Deploys, &st.Rollbacks,
-		&st.Inferences, &st.Rows, &st.Errors,
-		&st.Conns, &st.MaxConns, &st.ConnRejects, &st.ArenaRejects,
-		&st.Collected, &st.Processed, &st.Dropped, &st.BufferLen, &st.BufferCap,
-		&st.ArenaLive, &st.ArenaPeak,
-		&st.CoalesceWindowNS, &st.CoalesceMaxRows, &st.CoalesceBatches, &st.CoalesceRows,
-	} {
-		c.U64(v)
-	}
-}
-
-// AppendStats appends the stats payload.
-func AppendStats(dst []byte, st Stats) []byte { return wire.Append(dst, st, statsLayout) }
-
-// ParseStats decodes a stats payload.
-func ParseStats(p []byte) (Stats, error) { return wire.Parse(p, statsLayout, ErrBadMessage) }
-
-// CoalesceMeanBatch returns the mean achieved coalesced batch size, or 0
-// before any batch executed.
-func (st Stats) CoalesceMeanBatch() float64 {
-	if st.CoalesceBatches == 0 {
-		return 0
-	}
-	return float64(st.CoalesceRows) / float64(st.CoalesceBatches)
 }
 
 func healthLayout(c *wire.Codec, ok *bool, version *uint64, inDim *uint16) {

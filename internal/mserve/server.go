@@ -121,8 +121,8 @@ type Server struct {
 	open atomic.Int64
 
 	// Attribution counters live in the registry (not private atomics) so
-	// the time-series recorder and /metrics see the same values Stats
-	// reports — one source of truth per number.
+	// the time-series recorder, /metrics and Stats read the same values —
+	// one source of truth per number.
 	inferences   *telemetry.Counter // mserve_inferences
 	rows         *telemetry.Counter // mserve_rows
 	errorsSent   *telemetry.Counter // mserve_errors
@@ -177,7 +177,6 @@ const numMsgTypes = int(MsgBlackbox) + 1
 var reqMetricNames = [numMsgTypes]string{
 	MsgInfer:       "mserve_infer",
 	MsgBatchInfer:  "mserve_batch_infer",
-	MsgStats:       "mserve_stats",
 	MsgHealth:      "mserve_health",
 	MsgMetrics:     "mserve_metrics",
 	MsgTraces:      "mserve_traces",
@@ -272,6 +271,21 @@ func NewServer(cfg Config) (*Server, error) {
 	p.RegisterMetrics(s.reg, "mserve_pipeline")
 	s.reg.Func("mserve_active_version", func() int64 { return int64(s.dep.Version()) })
 	s.reg.Func("mserve_conns", func() int64 { return s.open.Load() })
+	s.reg.Func("mserve_deploys", func() int64 { return int64(cfg.Registry.Deploys()) })
+	s.reg.Func("mserve_rollbacks", func() int64 { return int64(cfg.Registry.Rollbacks()) })
+	s.reg.Func("mserve_max_conns", func() int64 { return int64(cfg.MaxConns) })
+	arena := cfg.Arena
+	if arena == nil {
+		arena = &memutil.Arena{} // nothing charges it: reads 0
+	}
+	s.reg.Func("mserve_arena_live_bytes", arena.Live)
+	s.reg.Func("mserve_arena_peak_bytes", arena.Peak)
+	var window, maxRows int64 // 0 with coalescing off
+	if s.coal != nil {
+		window, maxRows = s.coal.window.Nanoseconds(), int64(s.coal.maxRows)
+	}
+	s.reg.Func("mserve_coalesce_window_ns", func() int64 { return window })
+	s.reg.Func("mserve_coalesce_max_rows", func() int64 { return maxRows })
 	p.SetMode(core.ModeTraining)
 	if err := p.Start(); err != nil {
 		return nil, err
@@ -359,36 +373,7 @@ func (s *Server) Rollback() (Version, error) {
 // Stats snapshots the server's operational counters, including the
 // collection pipeline's drop count — ring backpressure is an operator
 // signal, not a debugger-only fact.
-func (s *Server) Stats() Stats {
-	st := Stats{
-		ActiveVersion: s.dep.Version(),
-		Deploys:       s.cfg.Registry.Deploys(),
-		Rollbacks:     s.cfg.Registry.Rollbacks(),
-		Inferences:    s.inferences.Load(),
-		Rows:          s.rows.Load(),
-		Errors:        s.errorsSent.Load(),
-		Conns:         uint64(s.open.Load()),
-		MaxConns:      uint64(s.cfg.MaxConns),
-		ConnRejects:   s.connRejects.Load(),
-		ArenaRejects:  s.arenaRejects.Load(),
-		Collected:     s.pipeline.Collected(),
-		Processed:     s.pipeline.Processed(),
-		Dropped:       s.pipeline.Dropped(),
-		BufferLen:     uint64(s.pipeline.BufferLen()),
-		BufferCap:     uint64(s.pipeline.BufferCap()),
-	}
-	if s.coal != nil {
-		st.CoalesceWindowNS = uint64(s.coal.window.Nanoseconds())
-		st.CoalesceMaxRows = uint64(s.coal.maxRows)
-	}
-	st.CoalesceBatches = s.coalesceBatches.Load()
-	st.CoalesceRows = s.coalesceRows.Load()
-	if s.cfg.Arena != nil {
-		st.ArenaLive = uint64(s.cfg.Arena.Live())
-		st.ArenaPeak = uint64(s.cfg.Arena.Peak())
-	}
-	return st
-}
+func (s *Server) Stats() Stats { return s.Metrics().Stats() }
 
 // MetricsRegistry exposes the server's telemetry registry so an
 // embedding process (kml-served) can hang a debug HTTP listener or
@@ -707,9 +692,6 @@ func (s *Server) dispatch(sc *srvConn, typ MsgType, p []byte) (MsgType, []byte) 
 	switch typ {
 	case MsgInfer, MsgBatchInfer:
 		return s.infer(sc, typ, p)
-	case MsgStats:
-		sc.resp = AppendStats(sc.resp[:0], s.Stats())
-		return MsgStats, sc.resp
 	case MsgMetrics:
 		sc.resp = AppendMetrics(sc.resp[:0], s.Metrics())
 		return MsgMetrics, sc.resp

@@ -203,13 +203,13 @@ func TestServerDriftObservation(t *testing.T) {
 }
 
 // TestServerUnknownMessage: an unrecognized message type — the retired
-// deploy (3) and rollback (4) among them — gets a clean MsgError frame and
+// deploy (3), rollback (4) and stats (5) among them — gets a clean MsgError frame and
 // the connection stays usable afterwards.
 func TestServerUnknownMessage(t *testing.T) {
 	s, sock := startServer(t, Config{})
 	cl := dial(t, sock)
 
-	for _, unknown := range []MsgType{3, 4, 99} {
+	for _, unknown := range []MsgType{3, 4, 5, 99} {
 		typ, _, err := cl.do(unknown, []byte{1, 2, 3})
 		if !errors.Is(err, ErrRemote) || typ != MsgError {
 			t.Fatalf("unknown message %d: typ=%d err=%v", unknown, typ, err)

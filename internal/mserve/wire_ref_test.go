@@ -15,7 +15,6 @@ import (
 )
 
 const (
-	statsFields = 21
 	// learnHeaderSize is the fixed part before the event list: state byte,
 	// seven u64 counters, two i64 per-mille fields, u16 count.
 	learnHeaderSize = 1 + 7*8 + 2*8 + 2
@@ -129,42 +128,6 @@ func refParseBatchInferResp(p []byte, classes []uint16) (int, uint64, error) {
 		classes[i] = binary.LittleEndian.Uint16(p[12+2*i:])
 	}
 	return rows, version, nil
-}
-
-func refAppendStats(dst []byte, st Stats) []byte {
-	for _, v := range [statsFields]uint64{
-		st.ActiveVersion, st.Deploys, st.Rollbacks,
-		st.Inferences, st.Rows, st.Errors,
-		st.Conns, st.MaxConns, st.ConnRejects, st.ArenaRejects,
-		st.Collected, st.Processed, st.Dropped, st.BufferLen, st.BufferCap,
-		st.ArenaLive, st.ArenaPeak,
-		st.CoalesceWindowNS, st.CoalesceMaxRows, st.CoalesceBatches, st.CoalesceRows,
-	} {
-		dst = binary.LittleEndian.AppendUint64(dst, v)
-	}
-	return dst
-}
-
-func refParseStats(p []byte) (Stats, error) {
-	var st Stats
-	if len(p) != 8*statsFields {
-		return st, ErrBadMessage
-	}
-	var v [statsFields]uint64
-	for i := range v {
-		v[i] = binary.LittleEndian.Uint64(p[8*i:])
-	}
-	st = Stats{
-		ActiveVersion: v[0], Deploys: v[1], Rollbacks: v[2],
-		Inferences: v[3], Rows: v[4], Errors: v[5],
-		Conns: v[6], MaxConns: v[7], ConnRejects: v[8], ArenaRejects: v[9],
-		Collected: v[10], Processed: v[11], Dropped: v[12],
-		BufferLen: v[13], BufferCap: v[14],
-		ArenaLive: v[15], ArenaPeak: v[16],
-		CoalesceWindowNS: v[17], CoalesceMaxRows: v[18],
-		CoalesceBatches: v[19], CoalesceRows: v[20],
-	}
-	return st, nil
 }
 
 func refAppendHealthResp(dst []byte, ok bool, version uint64, inDim int) []byte {

@@ -245,17 +245,6 @@ func wireCodecs() []wireCodec {
 			},
 			seeds: [][]byte{{}, AppendBatchInferResp(nil, []uint16{0, 3, 2}, 9)},
 		}.box("BatchInferResp"),
-		codecOf[Stats]{
-			parse: ParseStats, refParse: refParseStats,
-			app:    func(v Stats) []byte { return AppendStats(nil, v) },
-			refApp: func(v Stats) []byte { return refAppendStats(nil, v) },
-			gen: func(r *rand.Rand) Stats {
-				return Stats{r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64(),
-					r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64(),
-					r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64()}
-			},
-			seeds: [][]byte{{}, AppendStats(nil, Stats{ActiveVersion: 1, CoalesceRows: 21})},
-		}.box("Stats"),
 		codecOf[healthResp]{
 			parse: func(b []byte) (healthResp, error) {
 				ok, v, d, err := ParseHealthResp(b)

@@ -2,6 +2,7 @@ package olearn
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
 
@@ -54,7 +55,6 @@ func newBench(t *testing.T) *bench {
 	for i := range norm.Z {
 		norm.Z[i].StdDev = 1
 	}
-	reg := telemetry.NewRegistry()
 	ctl, err := New(Config{
 		Server:          srv,
 		Drift:           drift,
@@ -66,13 +66,12 @@ func newBench(t *testing.T) *bench {
 		CanaryWindows:   benchCanaryN,
 		BaselineWindows: 4,
 		TolerancePM:     25,
-		Metrics:         reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl.Step() // Idle → Collecting
-	return &bench{ctl: ctl, srv: srv, drift: drift, reg: reg}
+	return &bench{ctl: ctl, srv: srv, drift: drift, reg: srv.MetricsRegistry()}
 }
 
 // fire buffers enough examples, completes one drift window 5z from the
@@ -88,6 +87,33 @@ func (b *bench) fire(t *testing.T) {
 	b.ctl.Step()
 	if b.ctl.State() == StateRetraining && !b.ctl.Settle(10*time.Second) {
 		t.Fatal("retrain did not settle")
+	}
+}
+
+// checkMetrics compares every olearn_* scalar in the server's registry
+// with the controller's Status: both must read one source.
+func (b *bench) checkMetrics(t *testing.T) {
+	t.Helper()
+	st := b.ctl.Status()
+	got := map[string]int64{}
+	for _, s := range b.reg.Snapshot() {
+		got[s.Name] = s.Value
+	}
+	for name, want := range map[string]int64{
+		"olearn_state":         int64(st.State),
+		"olearn_retrains":      int64(st.Retrains),
+		"olearn_deploys":       int64(st.Deploys),
+		"olearn_rollbacks":     int64(st.Rollbacks),
+		"olearn_commits":       int64(st.Commits),
+		"olearn_trigger_fires": int64(st.TriggerFires),
+		"olearn_examples":      int64(st.Examples),
+		"olearn_last_version":  int64(st.LastVersion),
+		"olearn_baseline_pm":   st.BaselinePM,
+		"olearn_canary_pm":     st.CanaryPM,
+	} {
+		if v, ok := got[name]; !ok || v != want {
+			t.Errorf("%s = %d (registered %v), Status says %d", name, v, ok, want)
+		}
 	}
 }
 
@@ -144,11 +170,13 @@ func TestControllerByConstruction(t *testing.T) {
 				if got := b.srv.Deployment().Version(); got != tc.wantVer {
 					t.Fatalf("serving v%d, want v%d", got, tc.wantVer)
 				}
+				b.checkMetrics(t)
 				return
 			}
 			if b.ctl.State() != StateCanary || st.BaselinePM != 900 || b.srv.Deployment().Version() != 2 {
 				t.Fatalf("canary not open on v2 against 900 pm: state %d, %+v", b.ctl.State(), st)
 			}
+			b.checkMetrics(t)
 			for _, pm := range tc.stale {
 				b.ctl.AddOutcome(1, pm)
 			}
@@ -175,6 +203,7 @@ func TestControllerByConstruction(t *testing.T) {
 			if last.BaselinePM != 900 || last.CanaryPM != sum/int64(len(tc.canary)) {
 				t.Fatalf("event baseline/canary = %d/%d", last.BaselinePM, last.CanaryPM)
 			}
+			b.checkMetrics(t)
 		})
 	}
 }
@@ -190,4 +219,40 @@ func TestLearnerHandOffAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("learner hand-off allocates %v per decision, want 0", allocs)
 	}
+}
+
+// TestMetricsReadWhileLearning snapshots the registry (as the time-series
+// recorder and /metrics do) while the learner hand-off and Step run on
+// other goroutines: the olearn_* gauges read controller state, so under
+// -race this pins that they read it under the controller's lock.
+func TestMetricsReadWhileLearning(t *testing.T) {
+	b := newBench(t)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = b.reg.Snapshot()
+			}
+		}
+	}()
+	for i := 0; i < 4; i++ {
+		b.ctl.AddOutcome(1, 900)
+	}
+	b.fire(t)
+	for i := 0; i < benchCanaryN; i++ {
+		b.ctl.AddOutcome(2, 900)
+		b.ctl.Step()
+	}
+	close(stop)
+	wg.Wait()
+	if b.ctl.State() != StateCommitted {
+		t.Fatalf("state = %d, want committed", b.ctl.State())
+	}
+	b.checkMetrics(t)
 }

@@ -36,8 +36,11 @@
 //     returns to Collecting.
 //
 // Everything observable is exported: telemetry counters/gauges under
-// olearn_*, the retained retrain-event history, and the MsgLearnStatus
-// wire snapshot `kml-ctl status` and `kml-ctl learn` print.
+// olearn_* in the server's registry, the retained retrain-event history,
+// and the MsgLearnStatus wire snapshot `kml-ctl status` and `kml-ctl
+// learn` print. The counters are the controller's only copy of those
+// numbers, and the gauges read the fields the state machine keeps, so
+// Status and /metrics cannot disagree.
 package olearn
 
 import (
@@ -71,8 +74,9 @@ const (
 
 // Config parameterizes a Controller.
 type Config struct {
-	// Server is the serving control plane the controller deploys through
-	// and whose registry it reads artifacts back from. Required.
+	// Server is the serving control plane the controller deploys through,
+	// whose registry it reads artifacts back from, and whose telemetry
+	// registry holds the olearn_* metrics. Required.
 	Server *mserve.Server
 	// Drift is the monitor watched for retrain pressure — normally the
 	// co-located tuner's training-stats-baselined monitor. Required.
@@ -106,8 +110,6 @@ type Config struct {
 	// TolerancePM rolls back when canary mean < baseline − tolerance
 	// (hit rate per-mille); 0 means 25.
 	TolerancePM int64
-	// Metrics, when set, registers olearn_* instrumentation.
-	Metrics *telemetry.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -178,28 +180,18 @@ type Controller struct {
 	fireShiftMZ  int64 // signal captured at the last fire
 	fireChurnPM  int64
 	pending      chan retrainResult
-	retrainSeq   uint64
 	poisonSeq    uint64 // 1-based retrain cycle to poison; 0 = none
-	prevVersion  uint64 // version serving before the canary deploy
-	canaryVer    uint64
+	canaryVer    uint64 // the last deployed version
 	baselinePM   int64
 	canarySum    int64
 	canaryN      int
-	lastOutcome  uint8 // mserve.RetrainPending.. of the last finished cycle
-	lastEventIdx int   // index of the in-flight cycle's event (-1 none)
-
-	retrains  uint64
-	deploys   uint64
-	rollbacks uint64
-	commits   uint64
-	failures  uint64
-	lastVer   uint64
+	lastEventIdx int // index of the in-flight cycle's event (-1 none)
 
 	events []mserve.RetrainEvent // retained history, oldest first
 
-	// Optional telemetry.
+	// The lifecycle counters, in the server's registry. cRetrains also
+	// numbers the cycles: the Nth retrain deploys "<ModelName>-rN".
 	cRetrains, cDeploys, cRollbacks, cCommits, cFires, cFailures *telemetry.Counter
-	gState, gExamples, gBaseline, gCanary, gLastVer              *telemetry.Gauge
 	hRetrainNs                                                   *telemetry.Histogram
 }
 
@@ -220,39 +212,40 @@ func New(cfg Config) (*Controller, error) {
 		lastEventIdx: -1,
 	}
 	c.scratch = make([]example, c.examples.Cap())
-	if reg := cfg.Metrics; reg != nil {
-		c.cRetrains = reg.Counter("olearn_retrains")
-		c.cDeploys = reg.Counter("olearn_deploys")
-		c.cRollbacks = reg.Counter("olearn_rollbacks")
-		c.cCommits = reg.Counter("olearn_commits")
-		c.cFires = reg.Counter("olearn_trigger_fires")
-		c.cFailures = reg.Counter("olearn_retrain_failures")
-		c.gState = reg.Gauge("olearn_state")
-		c.gExamples = reg.Gauge("olearn_examples")
-		c.gBaseline = reg.Gauge("olearn_baseline_pm")
-		c.gCanary = reg.Gauge("olearn_canary_pm")
-		c.gLastVer = reg.Gauge("olearn_last_version")
-		c.hRetrainNs = reg.Histogram("olearn_retrain_ns")
-		c.gBaseline.Set(-1)
-		c.gCanary.Set(-1)
+	reg := cfg.Server.MetricsRegistry()
+	c.cRetrains = reg.Counter("olearn_retrains")
+	c.cDeploys = reg.Counter("olearn_deploys")
+	c.cRollbacks = reg.Counter("olearn_rollbacks")
+	c.cCommits = reg.Counter("olearn_commits")
+	c.cFires = reg.Counter("olearn_trigger_fires")
+	c.cFailures = reg.Counter("olearn_retrain_failures")
+	c.hRetrainNs = reg.Histogram("olearn_retrain_ns")
+	for name, read := range map[string]func() int64{
+		"olearn_state":        func() int64 { return int64(c.state) },
+		"olearn_examples":     func() int64 { return int64(c.bufferedLocked()) },
+		"olearn_baseline_pm":  func() int64 { return c.baselinePM },
+		"olearn_canary_pm":    c.canaryPMLocked,
+		"olearn_last_version": func() int64 { return int64(c.canaryVer) },
+	} {
+		reg.Func(name, func() int64 {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return read()
+		})
 	}
 	return c, nil
 }
 
 // AddSample buffers one raw decision window — the readahead.Learner
 // hand-off the co-located tuner makes once per decision. Alloc-free: one
-// ring slot copy and an atomic gauge store.
+// ring slot copy.
 //
 //kml:hotpath
 func (c *Controller) AddSample(raw features.Vector, class int, events uint64) {
 	e := example{raw: raw, class: int32(class)}
 	c.mu.Lock()
 	c.examples.Record(&e)
-	n := c.bufferedLocked()
 	c.mu.Unlock()
-	if c.gExamples != nil {
-		c.gExamples.Set(int64(n))
-	}
 }
 
 // AddOutcome records one decision's attributed outcome — the
@@ -317,9 +310,6 @@ func (c *Controller) Step() {
 	case StateCanary:
 		c.stepCanary()
 	}
-	if c.gState != nil {
-		c.gState.Set(int64(c.state))
-	}
 }
 
 // accountCanaryLocked folds one outcome sample into an open canary if it
@@ -332,9 +322,15 @@ func (c *Controller) accountCanaryLocked(version uint64, ratePM int64) {
 	}
 	c.canarySum += ratePM
 	c.canaryN++
-	if c.gCanary != nil {
-		c.gCanary.Set(c.canarySum / int64(c.canaryN))
+}
+
+// canaryPMLocked is the open or last canary's mean outcome, -1 before
+// it has one.
+func (c *Controller) canaryPMLocked() int64 {
+	if c.canaryN == 0 {
+		return -1
 	}
+	return c.canarySum / int64(c.canaryN)
 }
 
 // baselineLocked averages the most recent BaselineWindows outcome
@@ -366,9 +362,7 @@ func (c *Controller) stepCollecting() {
 	if !fired {
 		return
 	}
-	if c.cFires != nil {
-		c.cFires.Inc()
-	}
+	c.cFires.Inc()
 	if c.bufferedLocked() < c.cfg.MinExamples || c.outcomes.Cursor() == 0 {
 		// The fire lapses — too few examples, or no attributed outcome
 		// to measure a new model against; never deploy unmeasured. The
@@ -380,15 +374,12 @@ func (c *Controller) stepCollecting() {
 	// capacity); the next cycle trains on what arrives after it.
 	n, next, _ := c.examples.ReadNewer(c.consumed, c.scratch)
 	c.consumed = next
-	c.retrainSeq++
-	c.retrains++
-	if c.cRetrains != nil {
-		c.cRetrains.Inc()
-	}
-	poisoned := c.poisonSeq != 0 && c.retrainSeq == c.poisonSeq
+	c.cRetrains.Inc()
+	seq := c.cRetrains.Load()
+	poisoned := c.poisonSeq != 0 && seq == c.poisonSeq
 	c.pending = make(chan retrainResult, 1)
 	c.state = StateRetraining
-	go c.retrain(c.pending, append([]example(nil), c.scratch[:n]...), c.retrainSeq, poisoned)
+	go c.retrain(c.pending, append([]example(nil), c.scratch[:n]...), seq, poisoned)
 }
 
 // retrain is the background training goroutine: label, normalize with
@@ -440,15 +431,12 @@ func (c *Controller) stepRetraining() {
 	default:
 		return // still training; never block
 	}
-	if c.hRetrainNs != nil {
-		c.hRetrainNs.Observe(res.dur.Nanoseconds())
-	}
+	c.hRetrainNs.Observe(res.dur.Nanoseconds())
 	if res.err != nil {
 		c.failRetrainLocked(res, fmt.Errorf("serialize: %w", res.err))
 		return
 	}
-	c.prevVersion = c.cfg.Server.Deployment().Version()
-	name := fmt.Sprintf("%s-r%d", c.cfg.ModelName, c.retrainSeq)
+	name := fmt.Sprintf("%s-r%d", c.cfg.ModelName, c.cRetrains.Load())
 	v, err := c.cfg.Server.Deploy(mserve.KindNN, name, res.model)
 	if err != nil {
 		c.failRetrainLocked(res, fmt.Errorf("deploy: %w", err))
@@ -461,23 +449,10 @@ func (c *Controller) stepRetraining() {
 		c.failRetrainLocked(res, fmt.Errorf("instantiate v%d: %w", v.Number, err))
 		return
 	}
-	c.deploys++
-	c.lastVer = v.Number
-	if c.cDeploys != nil {
-		c.cDeploys.Inc()
-	}
-	if c.gLastVer != nil {
-		c.gLastVer.Set(int64(v.Number))
-	}
+	c.cDeploys.Inc()
 	c.baselinePM = c.baselineLocked()
-	if c.gBaseline != nil {
-		c.gBaseline.Set(c.baselinePM)
-	}
 	c.canaryVer = v.Number
 	c.canarySum, c.canaryN = 0, 0
-	if c.gCanary != nil {
-		c.gCanary.Set(-1)
-	}
 	c.lastEventIdx = len(c.events)
 	c.recordEventLocked(mserve.RetrainEvent{
 		TimeNanos:     uint64(time.Now().UnixNano()),
@@ -495,10 +470,7 @@ func (c *Controller) stepRetraining() {
 
 // failRetrainLocked records a cycle that produced nothing deployable.
 func (c *Controller) failRetrainLocked(res retrainResult, err error) {
-	c.failures++
-	if c.cFailures != nil {
-		c.cFailures.Inc()
-	}
+	c.cFailures.Inc()
 	c.lastEventIdx = -1
 	c.recordEventLocked(mserve.RetrainEvent{
 		TimeNanos:     uint64(time.Now().UnixNano()),
@@ -520,29 +492,23 @@ func (c *Controller) stepCanary() {
 	if c.canaryN < c.cfg.CanaryWindows {
 		return
 	}
-	canaryPM := c.canarySum / int64(c.canaryN)
+	canaryPM := c.canaryPMLocked()
+	outcome := uint8(mserve.RetrainCommitted)
 	// A canary only opens with a measured baseline (stepCollecting), so
 	// the comparison always has both sides.
 	if canaryPM < c.baselinePM-c.cfg.TolerancePM {
 		if _, err := c.cfg.Server.Rollback(); err == nil {
 			_ = c.syncTunerLocked(c.cfg.Server.Deployment().Version())
 		}
-		c.rollbacks++
-		if c.cRollbacks != nil {
-			c.cRollbacks.Inc()
-		}
-		c.lastOutcome = mserve.RetrainRolledBack
+		c.cRollbacks.Inc()
+		outcome = mserve.RetrainRolledBack
 		c.state = StateRolledBack
 	} else {
-		c.commits++
-		if c.cCommits != nil {
-			c.cCommits.Inc()
-		}
-		c.lastOutcome = mserve.RetrainCommitted
+		c.cCommits.Inc()
 		c.state = StateCommitted
 	}
 	if c.lastEventIdx >= 0 && c.lastEventIdx < len(c.events) {
-		c.events[c.lastEventIdx].Outcome = c.lastOutcome
+		c.events[c.lastEventIdx].Outcome = outcome
 		c.events[c.lastEventIdx].CanaryPM = canaryPM
 	}
 	c.lastEventIdx = -1
@@ -592,23 +558,19 @@ func (c *Controller) State() State {
 func (c *Controller) Status() mserve.LearnStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := mserve.LearnStatus{
+	return mserve.LearnStatus{
 		State:        uint8(c.state),
-		Retrains:     c.retrains,
-		Deploys:      c.deploys,
-		Rollbacks:    c.rollbacks,
-		Commits:      c.commits,
-		TriggerFires: c.trigger.Fires(),
+		Retrains:     c.cRetrains.Load(),
+		Deploys:      c.cDeploys.Load(),
+		Rollbacks:    c.cRollbacks.Load(),
+		Commits:      c.cCommits.Load(),
+		TriggerFires: c.cFires.Load(),
 		Examples:     uint64(c.bufferedLocked()),
-		LastVersion:  c.lastVer,
+		LastVersion:  c.canaryVer,
 		BaselinePM:   c.baselinePM,
-		CanaryPM:     -1,
+		CanaryPM:     c.canaryPMLocked(),
+		Events:       append([]mserve.RetrainEvent(nil), c.events...),
 	}
-	if c.canaryN > 0 {
-		st.CanaryPM = c.canarySum / int64(c.canaryN)
-	}
-	st.Events = append([]mserve.RetrainEvent(nil), c.events...)
-	return st
 }
 
 // Settle drives Step until the controller leaves StateRetraining (the

@@ -68,7 +68,6 @@ type Trigger struct {
 	armed     bool
 	over      int // consecutive over-budget windows while armed
 	sinceFire int // windows observed since the last fire
-	fires     uint64
 }
 
 // NewTrigger returns an armed trigger.
@@ -93,7 +92,6 @@ func (t *Trigger) Observe(shiftMilliZ, churnPM int64) bool {
 		t.over = 0
 	}
 	if t.over >= t.cfg.Sustain {
-		t.fires++
 		t.armed = false
 		t.over = 0
 		t.sinceFire = 0
@@ -120,6 +118,3 @@ func (t *Trigger) belowRearm(shiftMilliZ, churnPM int64) bool {
 	}
 	return true
 }
-
-// Fires returns how many times the trigger has fired.
-func (t *Trigger) Fires() uint64 { return t.fires }

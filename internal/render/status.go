@@ -18,7 +18,6 @@ import (
 type Live struct {
 	Addr     string
 	Time     time.Time
-	Stats    mserve.Stats
 	Metrics  mserve.MetricsSnapshot
 	Series   tsrec.Series
 	Learn    mserve.LearnStatus
@@ -30,7 +29,7 @@ type Live struct {
 // drift monitors, the learner and the black box.
 func Status(w io.Writer, l *Live) {
 	fmt.Fprintf(w, "status %s %s\n", l.Addr, l.Time.UTC().Format("15:04:05 UTC"))
-	Stats(w, l.Stats)
+	Stats(w, l.Metrics.Stats())
 	Histograms(w, l.Metrics)
 	for _, d := range l.Metrics.Decisions {
 		fmt.Fprintf(w, "decision t=%d class=%d rows=%d v%d\n", d.TimeNanos, d.Class, d.Rows, d.Version)
@@ -284,10 +283,10 @@ func connector(i int, spans []dtrace.Span) string {
 
 // Postmortem writes the forensic report of a recovered black box, recs
 // being the window to report (all of scan.Records, or its tail): the scan
-// summary, the series picture at death, the latency histograms of the
-// newest metrics record, the drift trajectory over every metrics record,
-// the learner's recorded transitions, and the slowest and the last n
-// decision traces.
+// summary, the series picture at death, the Stats counters and latency
+// histograms of the newest metrics record, the drift trajectory over
+// every metrics record, the learner's recorded transitions, and the
+// slowest and the last n decision traces.
 func Postmortem(w io.Writer, path string, scan blackbox.ScanResult, recs []blackbox.Record, n int) {
 	c := blackbox.Decode(recs)
 	kinds := map[blackbox.Kind]int{}
@@ -309,7 +308,9 @@ func Postmortem(w io.Writer, path string, scan blackbox.ScanResult, recs []black
 	fmt.Fprintln(w)
 	Series(w, c.Series)
 	if len(c.Metrics) > 0 {
-		Histograms(w, c.Metrics[len(c.Metrics)-1])
+		newest := c.Metrics[len(c.Metrics)-1]
+		Stats(w, newest.Stats())
+		Histograms(w, newest)
 	}
 	Drift(w, c.Metrics)
 	_ = Learn(w, c.Learn)

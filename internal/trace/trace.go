@@ -26,7 +26,6 @@ const (
 	// WritebackDirtyPage fires when a dirty page is written back to the
 	// device.
 	WritebackDirtyPage
-	numPoints
 )
 
 // String returns the kernel-style tracepoint name.
@@ -56,15 +55,14 @@ type Event struct {
 // simulated I/O path and must not block.
 type Hook func(Event)
 
-// Tracer dispatches events to registered hooks and keeps per-point
-// counts. Counts are atomic: emitters run on the I/O path while
-// observers (telemetry snapshots, -status endpoints) read them from
-// other goroutines, so a plain uint64 add would be a data race. Hooks
-// must all be registered before the first Emit.
+// Tracer dispatches events to registered hooks and counts them. The
+// count is atomic: emitters run on the I/O path while observers read it
+// from other goroutines, so a plain uint64 add would be a data race.
+// Hooks must all be registered before the first Emit.
 type Tracer struct {
 	hooks   []Hook
 	enabled atomic.Bool
-	counts  [numPoints]atomic.Uint64
+	total   atomic.Uint64
 }
 
 // New returns an enabled tracer with no hooks.
@@ -83,21 +81,21 @@ func (t *Tracer) Register(h Hook) {
 	t.hooks = append(t.hooks, h)
 }
 
-// SetEnabled turns event dispatch on or off (counts still accumulate only
+// SetEnabled turns event dispatch on or off (events are counted only
 // while enabled).
 func (t *Tracer) SetEnabled(on bool) { t.enabled.Store(on) }
 
 // Emit dispatches one event to all hooks. With no hooks registered (or
 // disabled) it is nearly free, like a disabled kernel tracepoint. It runs
 // inline on the simulated I/O path, so it must not allocate; the count
-// update is one atomic add, safe against concurrent Count/Total readers.
+// update is one atomic add, safe against concurrent Total readers.
 //
 //kml:hotpath
 func (t *Tracer) Emit(ev Event) {
 	if !t.enabled.Load() {
 		return
 	}
-	t.counts[ev.Point].Add(1)
+	t.total.Add(1)
 	for _, h := range t.hooks {
 		h(ev)
 	}
@@ -105,10 +103,4 @@ func (t *Tracer) Emit(ev Event) {
 
 // Total returns the number of events emitted across all tracepoints.
 // It is safe to call while other goroutines emit.
-func (t *Tracer) Total() uint64 {
-	var sum uint64
-	for i := range t.counts {
-		sum += t.counts[i].Load()
-	}
-	return sum
-}
+func (t *Tracer) Total() uint64 { return t.total.Load() }

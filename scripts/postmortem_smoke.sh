@@ -86,6 +86,8 @@ if grep -q " 0 timeseries" "$TMP/report.out"; then
     echo "no time-series records recovered" >&2
     exit 1
 fi
+# The counters of the newest metrics record: the load above served rows.
+grep -Eq "^rows +[1-9]" "$TMP/report.out"
 # The merged series has points and a real throughput line.
 grep -q "^series    [1-9][0-9]* points\|^throughput" "$TMP/report.out"
 if grep -q "no time-series points recovered" "$TMP/report.out"; then

@@ -2,7 +2,7 @@
 # serve_smoke.sh — end-to-end smoke test of the serving subsystem: build
 # the daemon, kml-loadgen and kml-ctl, start kml-served on a unix socket with the
 # checked-in trained model, drive 1000 batched inferences, check the
-# stats endpoint, and verify a clean SIGTERM drain. CI runs this after
+# status counters, and verify a clean SIGTERM drain. CI runs this after
 # the race tests; it is also the quickest way to see the serving path
 # work locally.
 set -eu
