@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet kml-vet vet-strict test race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress serve-stress top-smoke loadgen-smoke postmortem-smoke overhead-check bench-storage benchmark benchmark-quick bench-pair ci clean
+.PHONY: all build vet kml-vet vet-strict test race purego arm64-check fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress serve-stress top-smoke loadgen-smoke postmortem-smoke overhead-check bench-storage benchmark benchmark-quick bench-pair ci clean
 
 all: build
 
@@ -34,11 +34,21 @@ race:
 purego:
 	$(GO) test -tags purego ./internal/matrix ./internal/nn ./internal/mserve
 
+# Other architectures build without the amd64 kernels: every package must
+# vet for arm64 (an _amd64.s kernel with no generic stub breaks only
+# there), and the portable float32 kernels must compile without fused
+# multiply-add, or an arm64 host would serve values amd64 never produces
+# (scripts/nofma.sh). Both run offline with the installed toolchain.
+arm64-check:
+	GOARCH=arm64 $(GO) vet ./...
+	sh scripts/nofma.sh
+
 # Run every fuzz target briefly. Go's fuzzer allows one -fuzz pattern per
 # package invocation, so targets run sequentially.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzModelRoundTrip -fuzztime=$(FUZZTIME) ./internal/nn/
 	$(GO) test -run='^$$' -fuzz=FuzzInferBatchEquivalence -fuzztime=$(FUZZTIME) ./internal/nn/
+	$(GO) test -run='^$$' -fuzz=FuzzSigmoidRows -fuzztime=$(FUZZTIME) ./internal/nn/
 	$(GO) test -run='^$$' -fuzz=FuzzTreeLoad -fuzztime=$(FUZZTIME) ./internal/dtree/
 	$(GO) test -run='^$$' -fuzz=FuzzRingPushPop -fuzztime=$(FUZZTIME) ./internal/ringbuf/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/kvstore/
@@ -152,7 +162,7 @@ PAIRS ?= 5
 bench-pair:
 	sh scripts/paired.sh $(REV) $(WORKLOAD) $(PAIRS)
 
-ci: build vet race purego fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress serve-stress top-smoke loadgen-smoke postmortem-smoke overhead-check vet-strict benchmark-quick
+ci: build vet race purego arm64-check fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress serve-stress top-smoke loadgen-smoke postmortem-smoke overhead-check vet-strict benchmark-quick
 
 clean:
 	$(GO) clean ./...

@@ -167,7 +167,7 @@ func MulBiasInto[T Float](dst, a, b, bias *Dense[T]) {
 			brow := b.data[k*n : (k+1)*n]
 			brow = brow[:len(drow)]
 			for j := range drow {
-				drow[j] += av * brow[j]
+				drow[j] += T(av * brow[j])
 			}
 		}
 	}

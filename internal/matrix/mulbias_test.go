@@ -18,13 +18,23 @@ func randDense32(rng *rand.Rand, rows, cols, pad int) *Dense[float32] {
 // vectorized MulBias32 fast path (taken when operands carry NewPadded
 // spare capacity and n ≤ 16) must be bitwise-identical to the portable
 // MulBiasInto reference for every shape, including n > 16 fallback shapes
-// and row views below the allocation's high-water mark. On non-amd64
-// builds both calls run the same code and the test is trivially green.
+// and row views below the allocation's high-water mark. Rows 1–9 reach
+// every tail of both kernels: the two-row pass of the n ≤ 16 kernel and
+// its odd last row, the four-row pass of the n ≤ 4 kernel and its one to
+// three leftover rows. On non-amd64 builds both calls run the same code
+// and the test is trivially green.
 func TestMulBias32MatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	shapes := []struct{ rows, k, n int }{
 		{1, 1, 1}, {1, 4, 15}, {3, 5, 4}, {7, 15, 15},
 		{64, 15, 4}, {64, 4, 16}, {5, 3, 17}, {33, 20, 31},
+	}
+	for rows := 1; rows <= 9; rows++ {
+		for _, k := range []int{1, 4, 15} {
+			for _, n := range []int{1, 3, 4, 5, 15, 16} {
+				shapes = append(shapes, struct{ rows, k, n int }{rows, k, n})
+			}
+		}
 	}
 	for _, s := range shapes {
 		a := randDense32(rng, s.rows, s.k, 0)

@@ -256,6 +256,16 @@ func FuzzInferBatchEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2))
 	f.Add(int64(7), uint8(17), uint8(64))
 	f.Add(int64(99), uint8(40), uint8(5))
+	// rows 1, 2, 3, 4, 5 and 7 reach every row tail of the vector kernels
+	// and every len%4 tail of the vector sigmoid. Shape 123 is 4→16→2 with
+	// sigmoid (both multiply-bias kernels), shape 99 is 4→13→6 with sigmoid.
+	for i, rows := range []uint8{1, 2, 3, 4, 5, 7} {
+		shape := uint8(123)
+		if i%2 == 1 {
+			shape = 99
+		}
+		f.Add(int64(38+i), shape, rows-1)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, batch uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		inDim := 1 + int(shape%8)

@@ -51,15 +51,6 @@ type Float32Network struct {
 	batchCap int
 }
 
-// Sigmoid lookup table. kmath.Sigmoid evaluates a 12-term Taylor series
-// per call (~27 ns), which dominates single-sample inference cost: the
-// readahead model evaluates 30 sigmoids against ~345 multiply-adds. The
-// compiled float32 path instead interpolates a 2048-interval table over
-// [-16, 16] built from kmath.Sigmoid at init. Max interpolation error is
-// ~3e-6 — below float32 resolution around 0.5 — and outside the range the
-// function is flat to 1e-7, so the table clamps to its end values. Both
-// Predict and InferBatch use the same table, preserving batch/single
-// bitwise equality.
 // kernelPad is the spare backing capacity (in elements) given to the
 // matrices the fused multiply-bias kernel touches, so the amd64 SSE path
 // can run full 16-lane loads and stores past the final row.
@@ -71,57 +62,74 @@ const (
 	sigLutMax  = float32(16)
 )
 
+// sigLut is the sigmoid lookup table. kmath.Sigmoid evaluates a 12-term
+// Taylor series per call (~27 ns), which dominates single-sample inference
+// cost: the readahead model evaluates 30 sigmoids against ~345
+// multiply-adds. The compiled float32 path instead interpolates a
+// 2048-interval table over [-16, 16] built from kmath.Sigmoid at init. Max
+// interpolation error is ~3e-6 — below float32 resolution around 0.5 — and
+// outside the range the function is flat to 1e-7, so the table clamps to
+// its end values. Both Predict and InferBatch use the same table,
+// preserving batch/single bitwise equality.
+//
+// On amd64 sigmoidRows evaluates the table four lanes at a time
+// (sigmoid32_amd64.s), each lane the same float32 operations as
+// sigmoid32. The vector kernel clamps instead of branching, so a lane at
+// sigLutMax reads the pair (sigLutSize, sigLutSize+1); the last entry
+// repeats the one before it, so that pair interpolates to sigLut[sigLutSize].
 var (
-	sigLut      [sigLutSize + 1]float32
+	sigLut      [sigLutSize + 2]float32
 	sigLutScale = float32(sigLutSize) / (sigLutMax - sigLutMin)
 )
 
 func init() {
-	for i := range sigLut {
+	for i := 0; i <= sigLutSize; i++ {
 		x := float64(sigLutMin) + float64(i)*float64(sigLutMax-sigLutMin)/sigLutSize
 		sigLut[i] = float32(kmath.Sigmoid(x))
 	}
+	sigLut[sigLutSize+1] = sigLut[sigLutSize]
 }
 
 // sigmoid32 evaluates the logistic function by linear interpolation into
-// the compiled table.
+// the compiled table. The explicit float32 conversions round each product
+// on its own, which keeps a compiler from fusing it with the next add or
+// subtract (FMA, as arm64 would): every build then computes the same bits
+// as the amd64 vector kernel.
 //
 //kml:hotpath
 func sigmoid32(x float32) float32 {
 	if x <= sigLutMin {
 		return sigLut[0]
 	}
-	if x >= sigLutMax {
+	p := float32((x - sigLutMin) * sigLutScale)
+	if p >= sigLutSize {
+		// x ≥ sigLutMax, or the largest float32 below it, whose offset
+		// from sigLutMin rounds up to the full range.
 		return sigLut[sigLutSize]
 	}
-	p := (x - sigLutMin) * sigLutScale
 	i := int(p)
 	f := p - float32(i)
-	// The range checks above bound i to [0, sigLutSize); the mask is a
-	// semantic no-op that lets the compiler drop both bounds checks.
+	// The checks above bound i to [0, sigLutSize) (a NaN x gives a NaN f,
+	// whatever i is); the mask is a semantic no-op that lets the compiler
+	// drop both bounds checks.
 	i &= sigLutSize - 1
 	lo := sigLut[i]
-	return lo + f*(sigLut[i+1]-lo)
+	return lo + float32(f*(sigLut[i+1]-lo))
 }
 
-// tanh32 uses the identity tanh(x) = 2σ(2x) − 1 over the same table.
+// tanh32 uses the identity tanh(x) = 2σ(2x) − 1 over the same table; the
+// conversion keeps 2σ − 1 unfused, as in sigmoid32.
 //
 //kml:hotpath
 func tanh32(x float32) float32 {
-	return 2*sigmoid32(2*x) - 1
+	return float32(2*sigmoid32(2*x)) - 1
 }
 
-// sigmoidRows, reluRows, and tanhRows apply an activation elementwise in
-// place. They are named functions (not closures) so the noalloc analyzer
-// can see the whole hot path.
+// sigmoidRows (sigmoid32_amd64.go, sigmoid32_generic.go), reluRows, and
+// tanhRows apply an activation elementwise in place. They are named
+// functions (not closures) so the noalloc analyzer can see the whole hot
+// path.
 //
-//kml:hotpath
-func sigmoidRows(xs []float32) {
-	for i, v := range xs {
-		xs[i] = sigmoid32(v)
-	}
-}
-
 //kml:hotpath
 func reluRows(xs []float32) {
 	for i, v := range xs {
