@@ -229,8 +229,8 @@ func main() {
 		}
 	}
 	st := srv.Stats()
-	fmt.Printf("served %d inferences (%d rows), %d deploys, %d dropped events\n",
-		st.Inferences, st.Rows, st.Deploys, st.Dropped)
+	fmt.Printf("served %d inferences (%d rows), %d deploys\n",
+		st.Inferences, st.Rows, st.Deploys)
 }
 
 // simOptions parameterizes the boot-time simulated decision loop.

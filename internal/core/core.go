@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/memutil"
 	"repro/internal/ringbuf"
 	"repro/internal/telemetry"
 )
@@ -97,43 +96,6 @@ type Config struct {
 	// Poll is the handler thread's poll interval, which bounds how long
 	// fewer than BatchSize samples wait; 0 means 1ms.
 	Poll time.Duration
-	// Arena, when set, is charged for the ring buffer so the framework's
-	// footprint is observable (§3.1 memory accounting). Charging failure
-	// (reservation exceeded) fails pipeline construction like a failed
-	// kmalloc would.
-	Arena *memutil.Arena
-	// SampleBytes is the accounted size of one sample for Arena charging;
-	// 0 means 16 (the readahead record size).
-	SampleBytes int64
-	// Metrics, when set, instruments the training thread: every handler
-	// invocation observes its latency and batch size (the paper's 51 µs
-	// train-iteration figure, measured live). The hot Collect path is
-	// untouched — its counters already exist and cost one atomic add.
-	Metrics *PipelineMetrics
-}
-
-// PipelineMetrics is the training-thread instrumentation of a Pipeline.
-// All fields must be non-nil; build one with NewPipelineMetrics.
-type PipelineMetrics struct {
-	// IterNanos is the latency histogram of one handler invocation —
-	// one training (or inference) iteration over a drained batch.
-	IterNanos *telemetry.Histogram
-	// DrainBatch is the distribution of batch sizes handed to the
-	// handler, the backpressure signal between collection and training.
-	DrainBatch *telemetry.Histogram
-	// Iterations counts handler invocations.
-	Iterations *telemetry.Counter
-}
-
-// NewPipelineMetrics registers a pipeline's training-thread metrics
-// under prefix: <prefix>_iter_ns, <prefix>_drain_batch,
-// <prefix>_iterations.
-func NewPipelineMetrics(reg *telemetry.Registry, prefix string) *PipelineMetrics {
-	return &PipelineMetrics{
-		IterNanos:  reg.Histogram(prefix + "_iter_ns"),
-		DrainBatch: reg.Histogram(prefix + "_drain_batch"),
-		Iterations: reg.Counter(prefix + "_iterations"),
-	}
 }
 
 func (c Config) withDefaults() Config {
@@ -146,9 +108,6 @@ func (c Config) withDefaults() Config {
 	if c.Poll == 0 {
 		c.Poll = time.Millisecond
 	}
-	if c.SampleBytes == 0 {
-		c.SampleBytes = 16
-	}
 	return c
 }
 
@@ -158,10 +117,6 @@ func (c Config) withDefaults() Config {
 // I/O path. batch is the pipeline's drain scratch: it is valid only for
 // the call, and the next drain overwrites it.
 type Handler[S any] func(batch []S, mode Mode)
-
-// ErrReservation reports that the configured memory arena rejected the
-// pipeline's buffer charge.
-var ErrReservation = errors.New("core: memory reservation exceeded")
 
 // Pipeline is the KML data path: lock-free collection feeding one
 // asynchronous processing goroutine.
@@ -183,9 +138,7 @@ type Pipeline[S any] struct {
 	collected atomic.Uint64
 	processed atomic.Uint64
 
-	stopOnce   sync.Once
-	chargeOnce sync.Once
-	charged    int64
+	stopOnce sync.Once
 }
 
 // NewPipeline builds a pipeline around handler. The pipeline starts in
@@ -207,12 +160,6 @@ func NewPipeline[S any](cfg Config, handler Handler[S]) (*Pipeline[S], error) {
 		wake:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
-	}
-	if cfg.Arena != nil {
-		p.charged = int64(ring.Cap()) * cfg.SampleBytes
-		if !cfg.Arena.Charge(p.charged) {
-			return nil, fmt.Errorf("%w: %d bytes for ring buffer", ErrReservation, p.charged)
-		}
 	}
 	return p, nil
 }
@@ -276,24 +223,15 @@ func (p *Pipeline[S]) drain() {
 		if n == 0 {
 			return
 		}
-		mode := p.Mode()
-		if mode != ModeOff {
-			if m := p.cfg.Metrics; m != nil {
-				start := time.Now()
-				p.handler(batch[:n], mode)
-				m.IterNanos.Observe(time.Since(start).Nanoseconds())
-				m.DrainBatch.Observe(int64(n))
-				m.Iterations.Inc()
-			} else {
-				p.handler(batch[:n], mode)
-			}
+		if mode := p.Mode(); mode != ModeOff {
+			p.handler(batch[:n], mode)
 		}
 		p.processed.Add(uint64(n))
 	}
 }
 
-// Stop terminates the training thread after a final drain, releases the
-// arena charge, and waits for completion. A pipeline cannot be restarted.
+// Stop terminates the training thread after a final drain and waits for
+// completion. A pipeline cannot be restarted.
 // Stop is idempotent and safe to call from multiple goroutines: every
 // caller returns only after the final drain has completed, so samples
 // accepted by Collect before the producers quiesced are all processed.
@@ -303,9 +241,6 @@ func (p *Pipeline[S]) Stop() {
 	}
 	p.stopOnce.Do(func() { close(p.stop) })
 	<-p.done
-	if p.cfg.Arena != nil {
-		p.chargeOnce.Do(func() { p.cfg.Arena.Release(p.charged) })
-	}
 }
 
 // Flush synchronously drains the ring on the caller's goroutine. It is

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"errors"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/memutil"
 	"repro/internal/telemetry"
 )
 
@@ -238,33 +236,6 @@ func TestPipelineDropsWhenFull(t *testing.T) {
 	}
 }
 
-func TestPipelineArenaAccounting(t *testing.T) {
-	arena := memutil.NewArena("pipeline")
-	p, err := NewPipeline[int](Config{BufferCapacity: 1024, SampleBytes: 8, Arena: arena}, func([]int, Mode) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arena.Live() != 1024*8 {
-		t.Errorf("arena live = %d", arena.Live())
-	}
-	if err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	p.Stop()
-	if arena.Live() != 0 {
-		t.Errorf("arena live after Stop = %d", arena.Live())
-	}
-}
-
-func TestPipelineReservationRejected(t *testing.T) {
-	arena := memutil.NewArena("small")
-	arena.Reserve(64)
-	_, err := NewPipeline[int](Config{BufferCapacity: 1024, SampleBytes: 8, Arena: arena}, func([]int, Mode) {})
-	if !errors.Is(err, ErrReservation) {
-		t.Errorf("want ErrReservation, got %v", err)
-	}
-}
-
 func TestPipelineNilHandler(t *testing.T) {
 	if _, err := NewPipeline[int](Config{}, nil); err == nil {
 		t.Error("nil handler must error")
@@ -295,16 +266,14 @@ func BenchmarkCollect(b *testing.B) {
 	}
 }
 
-// TestPipelineMetrics pins the training-thread instrumentation: every
-// handler invocation lands one observation in the iteration-latency and
-// batch-size histograms, and the registered gauges mirror the
-// pipeline's own counters.
-func TestPipelineMetrics(t *testing.T) {
+// TestPipelineGauges pins RegisterMetrics: the registered gauges mirror
+// the pipeline's own counters and ring state after a drain.
+func TestPipelineGauges(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	pm := NewPipelineMetrics(reg, "test_pipeline")
+	handled := 0
 	p, err := NewPipeline[int](
-		Config{BufferCapacity: 64, BatchSize: 8, Metrics: pm},
-		func(batch []int, _ Mode) {},
+		Config{BufferCapacity: 64, BatchSize: 8},
+		func(batch []int, _ Mode) { handled += len(batch) },
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -318,18 +287,8 @@ func TestPipelineMetrics(t *testing.T) {
 		}
 	}
 	p.Flush()
-
-	iters := pm.Iterations.Load()
-	if iters == 0 {
-		t.Fatal("no training iterations observed")
-	}
-	if got := pm.IterNanos.Snapshot().Count; got != iters {
-		t.Errorf("iter_ns count %d != iterations %d", got, iters)
-	}
-	batches := pm.DrainBatch.Snapshot()
-	if batches.Count != iters || batches.Sum != n {
-		t.Errorf("drain_batch count=%d sum=%d, want count=%d sum=%d",
-			batches.Count, batches.Sum, iters, n)
+	if handled != n {
+		t.Errorf("handler saw %d samples, want %d", handled, n)
 	}
 
 	byName := map[string]int64{}
@@ -351,13 +310,11 @@ func TestPipelineMetrics(t *testing.T) {
 	}
 }
 
-// TestPipelineMetricsOffModeSkipsHandler: ModeOff batches are discarded
-// without counting as training iterations.
+// TestPipelineMetricsOffMode: a ModeOff batch is discarded without
+// reaching the handler, but still counts as processed.
 func TestPipelineMetricsOffMode(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	pm := NewPipelineMetrics(reg, "off_pipeline")
 	p, err := NewPipeline[int](
-		Config{BufferCapacity: 16, Metrics: pm},
+		Config{BufferCapacity: 16},
 		func(batch []int, _ Mode) { t.Error("handler ran in ModeOff") },
 	)
 	if err != nil {
@@ -365,9 +322,6 @@ func TestPipelineMetricsOffMode(t *testing.T) {
 	}
 	p.Collect(1)
 	p.Flush()
-	if pm.Iterations.Load() != 0 {
-		t.Fatalf("iterations = %d in ModeOff, want 0", pm.Iterations.Load())
-	}
 	if p.processed.Load() != 1 {
 		t.Fatalf("processed = %d, want 1 (discarded)", p.processed.Load())
 	}

@@ -39,7 +39,7 @@ func TestPipelineConcurrentCollectModeFlipStop(t *testing.T) {
 		perProducer = 5000
 	)
 	var accepted atomic.Uint64
-	var collectMu sync.Mutex
+	var pushMu sync.Mutex
 	var wg sync.WaitGroup
 	stopFlip := make(chan struct{})
 	wg.Add(1)
@@ -67,9 +67,9 @@ func TestPipelineConcurrentCollectModeFlipStop(t *testing.T) {
 		go func(seed int) {
 			defer prod.Done()
 			for j := 0; j < perProducer; j++ {
-				collectMu.Lock()
+				pushMu.Lock()
 				ok := p.Collect(seed*perProducer + j)
-				collectMu.Unlock()
+				pushMu.Unlock()
 				if ok {
 					accepted.Add(1)
 				}
@@ -167,16 +167,16 @@ func TestPipelineCollectDuringStop(t *testing.T) {
 	}
 	p.SetMode(ModeTraining)
 
-	var collectMu sync.Mutex
+	var pushMu sync.Mutex
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 2000; j++ {
-				collectMu.Lock()
+				pushMu.Lock()
 				p.Collect(j)
-				collectMu.Unlock()
+				pushMu.Unlock()
 			}
 		}()
 	}

@@ -124,21 +124,26 @@ func Exp(x float64) float64 {
 	case x == 0:
 		return 1
 	}
+	// Every product below is rounded by an explicit float64 conversion,
+	// so no backend may fuse it into the add that follows (the Go spec
+	// permits fusion otherwise, and arm64 does it): e**x, and with it
+	// the served sigmoid table, is the same bits on every GOARCH.
+	//
 	// k = round(x / ln2)
-	k := int(x*Log2E + copySign(0.5, x))
+	k := int(float64(x*Log2E) + copySign(0.5, x))
 	// r = x - k*ln2, computed in two parts for accuracy (Cody-Waite).
 	const (
 		ln2Hi = 6.93147180369123816490e-01
 		ln2Lo = 1.90821492927058770002e-10
 	)
-	hi := x - float64(k)*ln2Hi
-	lo := float64(k) * ln2Lo
+	hi := x - float64(float64(k)*ln2Hi)
+	lo := float64(float64(k) * ln2Lo)
 	r := hi - lo
 	// e**r via Taylor series; |r| <= ~0.347 so 11 terms give < 1e-16.
 	term := 1.0
 	sum := 1.0
 	for i := 1; i <= 12; i++ {
-		term *= r / float64(i)
+		term = float64(term * (r / float64(i)))
 		sum += term
 	}
 	return ldexpFast(sum, k)

@@ -17,7 +17,7 @@
 //     the leader at window expiry. Because every executor is a connection
 //     goroutine already counted in the server's WaitGroup, shutdown drains
 //     pending batches for free — connections finish, batches flush,
-//     THEN the recorder and pipeline stop.
+//     THEN the time-series recorder stops.
 //
 //   - Alloc-free steady state. Gather arenas (flattened feature rows,
 //     demux entries, class scratch) are pooled and grown once to the

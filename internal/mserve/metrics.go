@@ -56,9 +56,9 @@ type Metric struct {
 	Hist  telemetry.HistogramSnapshot
 }
 
-// MetricsDecision is one flight-recorder entry: a served or applied
-// model decision. Sectors is zero when the recorder belongs to a server
-// (no device); the readahead tuner fills it.
+// MetricsDecision is one flight-recorder entry: a served model decision.
+// Sectors is always 0: nothing records a device decision here, and the
+// field stays only because the MsgMetrics layout carries it.
 type MetricsDecision struct {
 	TimeNanos uint64
 	Version   uint64
@@ -145,9 +145,9 @@ func decisionLayout(c *wire.Codec, d *MetricsDecision) {
 }
 
 // Stats is the server's operational counters, the ones `kml-ctl status`
-// prints first. Collected / Processed / Dropped / BufferLen surface the
-// server's core.Pipeline, so collection loss (ring backpressure) is
-// visible to an operator. It is a read-only view of a MetricsSnapshot.
+// prints first. It is a read-only view of a MetricsSnapshot. Collected
+// and Dropped stay only because benchmark/serve.go reads them
+// (mserve.collected, mserve.collect_dropped).
 type Stats struct {
 	ActiveVersion uint64 // registry version currently served
 	Deploys       uint64 // successful Deploy calls since registry open
@@ -159,11 +159,8 @@ type Stats struct {
 	MaxConns      uint64 // connection limit
 	ConnRejects   uint64 // connections refused at the limit
 	ArenaRejects  uint64 // connections refused by memutil admission
-	Collected     uint64 // samples accepted by the collection pipeline
-	Processed     uint64 // samples drained by the training thread
-	Dropped       uint64 // samples lost to a full ring (backpressure)
-	BufferLen     uint64 // instantaneous ring occupancy
-	BufferCap     uint64 // ring capacity
+	Collected     uint64 // decisions recorded, one per served request (mserve_decisions)
+	Dropped       uint64 // maps to no metric and reads 0: recording a decision cannot fail
 	ArenaLive     uint64 // bytes charged to the server arena
 	ArenaPeak     uint64 // arena high-water mark
 
@@ -180,27 +177,23 @@ type Stats struct {
 // view's one table.
 func statsFields(st *Stats) map[string]*uint64 {
 	return map[string]*uint64{
-		"mserve_active_version":      &st.ActiveVersion,
-		"mserve_deploys":             &st.Deploys,
-		"mserve_rollbacks":           &st.Rollbacks,
-		"mserve_inferences":          &st.Inferences,
-		"mserve_rows":                &st.Rows,
-		"mserve_errors":              &st.Errors,
-		"mserve_conns":               &st.Conns,
-		"mserve_max_conns":           &st.MaxConns,
-		"mserve_conn_rejects":        &st.ConnRejects,
-		"mserve_arena_rejects":       &st.ArenaRejects,
-		"mserve_pipeline_collected":  &st.Collected,
-		"mserve_pipeline_processed":  &st.Processed,
-		"mserve_pipeline_dropped":    &st.Dropped,
-		"mserve_pipeline_buffer_len": &st.BufferLen,
-		"mserve_pipeline_buffer_cap": &st.BufferCap,
-		"mserve_arena_live_bytes":    &st.ArenaLive,
-		"mserve_arena_peak_bytes":    &st.ArenaPeak,
-		"mserve_coalesce_window_ns":  &st.CoalesceWindowNS,
-		"mserve_coalesce_max_rows":   &st.CoalesceMaxRows,
-		"mserve_coalesce_batches":    &st.CoalesceBatches,
-		"mserve_coalesce_rows":       &st.CoalesceRows,
+		"mserve_active_version":     &st.ActiveVersion,
+		"mserve_deploys":            &st.Deploys,
+		"mserve_rollbacks":          &st.Rollbacks,
+		"mserve_inferences":         &st.Inferences,
+		"mserve_rows":               &st.Rows,
+		"mserve_errors":             &st.Errors,
+		"mserve_conns":              &st.Conns,
+		"mserve_max_conns":          &st.MaxConns,
+		"mserve_conn_rejects":       &st.ConnRejects,
+		"mserve_arena_rejects":      &st.ArenaRejects,
+		"mserve_decisions":          &st.Collected,
+		"mserve_arena_live_bytes":   &st.ArenaLive,
+		"mserve_arena_peak_bytes":   &st.ArenaPeak,
+		"mserve_coalesce_window_ns": &st.CoalesceWindowNS,
+		"mserve_coalesce_max_rows":  &st.CoalesceMaxRows,
+		"mserve_coalesce_batches":   &st.CoalesceBatches,
+		"mserve_coalesce_rows":      &st.CoalesceRows,
 	}
 }
 

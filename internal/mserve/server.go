@@ -16,22 +16,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dtrace"
 	"repro/internal/memutil"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/tsrec"
 )
-
-// Sample is one served request recorded into the server's collection
-// pipeline — the serving-side analogue of the paper's inline data
-// collection (§3.2): the request handler pushes a fixed-size record into
-// the lock-free ring and the pipeline's asynchronous thread aggregates it.
-type Sample struct {
-	Version uint64 // model version that served the request
-	Class   int32  // predicted class (-1 for a batch record)
-	Rows    int32  // feature vectors classified
-}
 
 // Config parameterizes a Server.
 type Config struct {
@@ -46,14 +35,11 @@ type Config struct {
 	// WriteTimeout bounds one response write; 0 means 10s.
 	WriteTimeout time.Duration
 	// Arena, when set, provides admission control: each connection charges
-	// ConnBytes and the collection ring is charged at construction, so a
-	// reservation cap turns memory pressure into refused connections
-	// instead of unbounded growth (§3.1 memory reservation).
+	// ConnBytes, so a reservation cap turns memory pressure into refused
+	// connections instead of unbounded growth (§3.1 memory reservation).
 	Arena *memutil.Arena
 	// ConnBytes is the accounted per-connection footprint; 0 means 64 KiB.
 	ConnBytes int64
-	// CollectCapacity sizes the collection ring; 0 means 4096 samples.
-	CollectCapacity int
 	// TraceCapacity sizes the request-trace arena (keep-latest); 0
 	// means 256 traces.
 	TraceCapacity int
@@ -91,9 +77,6 @@ func (c Config) withDefaults() Config {
 	if c.ConnBytes == 0 {
 		c.ConnBytes = 64 << 10
 	}
-	if c.CollectCapacity == 0 {
-		c.CollectCapacity = 4096
-	}
 	if c.TraceCapacity == 0 {
 		c.TraceCapacity = 256
 	}
@@ -104,9 +87,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg Config
 	dep *Deployment[*Artifact]
-
-	pipeline  *core.Pipeline[Sample]
-	collectMu sync.Mutex // the ring is single-producer; connections are many
 
 	ctlMu sync.Mutex // serializes Deploy/Rollback against each other
 
@@ -189,8 +169,8 @@ var reqMetricNames = [numMsgTypes]string{
 const flightDepth = 64
 
 // NewServer builds a server over cfg.Registry and, if the registry has an
-// active version, loads it for serving. The collection pipeline is started
-// here and stopped by Shutdown.
+// active version, loads it for serving. The time-series recorder is
+// started here and stopped by Shutdown.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Registry == nil {
 		return nil, errors.New("mserve: nil registry")
@@ -247,28 +227,7 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.rec = rec
-	p, err := core.NewPipeline[Sample](
-		core.Config{
-			BufferCapacity: cfg.CollectCapacity,
-			Arena:          cfg.Arena,
-			SampleBytes:    16,
-			Metrics:        core.NewPipelineMetrics(s.reg, "mserve_pipeline"),
-		},
-		func(batch []Sample, _ core.Mode) {
-			// The flight recorder is fed here, on the asynchronous
-			// collection thread, so the request handlers pay only the
-			// ring push they already paid.
-			now := uint64(time.Now().UnixNano())
-			for _, smp := range batch {
-				d := MetricsDecision{TimeNanos: now, Version: smp.Version, Class: smp.Class, Rows: uint32(smp.Rows)}
-				s.flight.Record(&d)
-			}
-		},
-	)
-	if err != nil {
-		return nil, err
-	}
-	p.RegisterMetrics(s.reg, "mserve_pipeline")
+	s.reg.Func("mserve_decisions", func() int64 { return int64(s.flight.Cursor()) })
 	s.reg.Func("mserve_active_version", func() int64 { return int64(s.dep.Version()) })
 	s.reg.Func("mserve_conns", func() int64 { return s.open.Load() })
 	s.reg.Func("mserve_deploys", func() int64 { return int64(cfg.Registry.Deploys()) })
@@ -286,17 +245,11 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.reg.Func("mserve_coalesce_window_ns", func() int64 { return window })
 	s.reg.Func("mserve_coalesce_max_rows", func() int64 { return maxRows })
-	p.SetMode(core.ModeTraining)
-	if err := p.Start(); err != nil {
-		return nil, err
-	}
-	s.pipeline = p
 	s.rec.Start()
 	if _, ok := cfg.Registry.Active(); ok {
 		a, err := cfg.Registry.ActiveArtifact()
 		if err != nil {
 			s.rec.Stop()
-			p.Stop()
 			return nil, err
 		}
 		s.dep.Swap(a, a.Version.Number)
@@ -370,9 +323,7 @@ func (s *Server) Rollback() (Version, error) {
 	return v, nil
 }
 
-// Stats snapshots the server's operational counters, including the
-// collection pipeline's drop count — ring backpressure is an operator
-// signal, not a debugger-only fact.
+// Stats snapshots the server's operational counters.
 func (s *Server) Stats() Stats { return s.Metrics().Stats() }
 
 // MetricsRegistry exposes the server's telemetry registry so an
@@ -524,15 +475,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// collect records one served request into the collection pipeline. Every
-// connection goroutine calls it, and the ring behind Collect takes exactly
-// one producer, so the push is serialized here.
-func (s *Server) collect(smp Sample) {
-	s.collectMu.Lock()
-	s.pipeline.Collect(smp)
-	s.collectMu.Unlock()
-}
-
 // refuse answers an unadmitted connection with one error frame and closes
 // it, so clients see the reason instead of a bare RST.
 func (s *Server) refuse(c net.Conn, msg string) {
@@ -544,7 +486,7 @@ func (s *Server) refuse(c net.Conn, msg string) {
 
 // Shutdown gracefully drains the server: stop accepting, nudge idle
 // connections off their blocking reads, let in-flight requests finish,
-// then stop the collection pipeline. Connections still open after the
+// then stop the time-series recorder. Connections still open after the
 // timeout are force-closed.
 func (s *Server) Shutdown(timeout time.Duration) {
 	s.draining.Store(true)
@@ -578,7 +520,6 @@ func (s *Server) Shutdown(timeout time.Duration) {
 		<-done
 	}
 	s.rec.Stop()
-	s.pipeline.Stop()
 }
 
 // srvConn is one connection's request-scoped state. Buffers grow to the
@@ -759,10 +700,11 @@ func (s *Server) classify(inst *Instance, feats []float64, rows, nfeat int, clas
 // infer is the one request path for MsgInfer and MsgBatchInfer; a
 // MsgInfer is a 1-row request. It parses, checks the width against the
 // deployed model, and classifies the rows: a request below the gather
-// capacity joins a coalesced batch, any other runs inline. Then it counts,
-// collects, encodes and traces the request once, from the stamps taken on
-// the way. Only successful requests reach the trace arena. The steady
-// state allocates nothing (TestBatchInferAllocFree, TestCoalesceAllocFree).
+// capacity joins a coalesced batch, any other runs inline. Then it
+// counts, encodes, records the decision and traces the request once,
+// from the stamps taken on the way. Only successful requests reach the
+// trace arena. The steady state allocates nothing
+// (TestBatchInferAllocFree, TestCoalesceAllocFree).
 func (s *Server) infer(sc *srvConn, typ MsgType, p []byte) (MsgType, []byte) {
 	snap := s.dep.Load()
 	if snap == nil {
@@ -814,7 +756,6 @@ func (s *Server) infer(sc *srvConn, typ MsgType, p []byte) (MsgType, []byte) {
 	}
 	s.inferences.Add(1)
 	s.rows.Add(uint64(rows))
-	s.collect(Sample{Version: w.version, Class: int32(class), Rows: int32(rows)})
 	encStart := time.Now().UnixNano()
 	if typ == MsgInfer {
 		sc.resp = AppendInferResp(sc.resp[:0], w.classes[0], w.version)
@@ -822,6 +763,8 @@ func (s *Server) infer(sc *srvConn, typ MsgType, p []byte) (MsgType, []byte) {
 		sc.resp = AppendBatchInferResp(sc.resp[:0], w.classes, w.version)
 	}
 	encEnd := time.Now().UnixNano()
+	d := MetricsDecision{TimeNanos: uint64(encEnd), Version: w.version, Class: int32(class), Rows: uint32(rows)}
+	s.flight.Record(&d)
 
 	// The root starts at arrival. A caller that stamped its TraceID into
 	// the payload owns the trace (the cross-process join); an untraced

@@ -116,46 +116,29 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("post-rollback infer: v=%d err=%v", version, err)
 	}
 
-	// Stats reflect the traffic and the collection pipeline keeps up.
-	st := waitDrained(t, cl)
+	// Stats reflect the traffic, one recorded decision per request.
+	st, err := cl.Stats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
 	if st.ActiveVersion != 1 || st.Deploys != 2 || st.Rollbacks != 1 {
 		t.Fatalf("stats control plane: %+v", st)
 	}
 	if st.Inferences != 4 || st.Rows != 19 {
 		t.Fatalf("stats traffic: inferences=%d rows=%d", st.Inferences, st.Rows)
 	}
-	if st.Dropped != 0 || st.BufferCap == 0 {
-		t.Fatalf("stats pipeline: %+v", st)
+	if st.Collected != st.Inferences || st.Dropped != 0 {
+		t.Fatalf("stats decisions: %+v", st)
 	}
 	if st.Errors == 0 || st.Conns != 1 {
 		t.Fatalf("stats conns/errors: %+v", st)
 	}
 }
 
-// waitDrained polls Stats until the collection pipeline has processed
-// everything collected, so counter assertions are race-free.
-func waitDrained(t *testing.T, cl *Client) Stats {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, err := cl.Stats()
-		if err != nil {
-			t.Fatalf("stats: %v", err)
-		}
-		if st.Processed == st.Collected {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pipeline never drained: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestHotSwapUnderLoad is the subsystem's acceptance test: four clients
 // drive continuous batched inference while a new model version is
-// deployed mid-flight. It asserts zero failed inferences, zero dropped
-// collection events, that post-swap predictions come from the new
+// deployed mid-flight. It asserts zero failed inferences, one recorded
+// decision per inference, that post-swap predictions come from the new
 // version, and that no reader ever travels backwards in versions.
 func TestHotSwapUnderLoad(t *testing.T) {
 	reg, err := OpenRegistry(t.TempDir())
@@ -166,7 +149,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	if _, err := reg.Put(KindDTree, "const-1", constTreeBytes(t, 1, 4)); err != nil {
 		t.Fatalf("put v1: %v", err)
 	}
-	s, sock := startServer(t, Config{Registry: reg, CollectCapacity: 1 << 15})
+	s, sock := startServer(t, Config{Registry: reg})
 
 	const (
 		workers = 4
@@ -254,11 +237,11 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		t.Fatalf("%d failed inferences during hot swap; first: %v", n, firstFail.Load())
 	}
 
-	// The swap must not have cost a single collection event.
+	// The swap must not have cost a single decision record.
 	cl := dial(t, sock)
-	st := waitDrained(t, cl)
-	if st.Dropped != 0 {
-		t.Fatalf("swap dropped %d collection events", st.Dropped)
+	st, err := cl.Stats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
 	}
 	if st.ActiveVersion != 2 {
 		t.Fatalf("active version %d after swap", st.ActiveVersion)
@@ -272,8 +255,8 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	if served[1] == 0 || served[2] == 0 {
 		t.Fatalf("flight recorder missing a version: %v", served)
 	}
-	if st.Collected != st.Processed || st.Collected == 0 {
-		t.Fatalf("collection pipeline lost events: %+v", st)
+	if st.Collected != st.Inferences || st.Collected == 0 {
+		t.Fatalf("decisions %d, want one per inference (%d)", st.Collected, st.Inferences)
 	}
 }
 
@@ -323,14 +306,13 @@ func TestServerArenaAdmission(t *testing.T) {
 		t.Fatalf("put: %v", err)
 	}
 	arena := memutil.NewArena("mserve-test")
-	// Room for the collection ring (1024×16 B) plus exactly one
-	// connection charge: the second connection must be refused.
-	arena.Reserve(1024*16 + 1024)
+	// Room for exactly one connection charge: the second connection
+	// must be refused.
+	arena.Reserve(1024)
 	_, sock := startServer(t, Config{
-		Registry:        reg,
-		Arena:           arena,
-		ConnBytes:       1024,
-		CollectCapacity: 1024,
+		Registry:  reg,
+		Arena:     arena,
+		ConnBytes: 1024,
 	})
 
 	c1 := dial(t, sock)

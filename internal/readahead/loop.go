@@ -31,7 +31,7 @@ func newLoop(window time.Duration, capacity int, consume core.Handler[features.R
 		capacity = 1 << 16
 	}
 	p, err := core.NewPipeline[features.Record](
-		core.Config{BufferCapacity: capacity, SampleBytes: 32}, consume)
+		core.Config{BufferCapacity: capacity}, consume)
 	if err != nil {
 		return loop{}, err
 	}

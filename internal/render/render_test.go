@@ -110,8 +110,8 @@ func TestStatsGolden(t *testing.T) {
 	var sb strings.Builder
 	Stats(&sb, mserve.Stats{
 		ActiveVersion: 2, Deploys: 3, Rollbacks: 1, Inferences: 40, Rows: 90, Errors: 5,
-		Conns: 1, MaxConns: 64, ConnRejects: 6, ArenaRejects: 7, Collected: 40, Processed: 39,
-		Dropped: 1, BufferLen: 2, BufferCap: 4096, ArenaLive: 1024, ArenaPeak: 2048,
+		Conns: 1, MaxConns: 64, ConnRejects: 6, ArenaRejects: 7, Collected: 40,
+		ArenaLive: 1024, ArenaPeak: 2048,
 		CoalesceWindowNS: 100_000, CoalesceMaxRows: 64, CoalesceBatches: 4, CoalesceRows: 10,
 	})
 	golden(t, "Stats", sb.String(), `active_version      2
@@ -123,10 +123,7 @@ errors              5
 conns               1/64
 conn_rejects        6
 arena_rejects       7
-collected           40
-processed           39
-dropped             1
-buffer              2/4096
+decisions           40
 arena_live_bytes    1024
 arena_peak_bytes    2048
 coalesce_window_ns  100000

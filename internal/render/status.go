@@ -55,10 +55,7 @@ func Stats(w io.Writer, st mserve.Stats) {
 		{"conns", fmt.Sprintf("%d/%d", st.Conns, st.MaxConns)},
 		{"conn_rejects", st.ConnRejects},
 		{"arena_rejects", st.ArenaRejects},
-		{"collected", st.Collected},
-		{"processed", st.Processed},
-		{"dropped", st.Dropped},
-		{"buffer", fmt.Sprintf("%d/%d", st.BufferLen, st.BufferCap)},
+		{"decisions", st.Collected},
 		{"arena_live_bytes", st.ArenaLive},
 		{"arena_peak_bytes", st.ArenaPeak},
 		{"coalesce_window_ns", st.CoalesceWindowNS},

@@ -1,6 +1,6 @@
 #!/bin/sh
-# nofma.sh — do the portable float32 kernels compile without fused
-# multiply-add on arm64?
+# nofma.sh — do the portable float32 kernels, and the exp they are
+# tabulated from, compile without fused multiply-add on arm64?
 #
 #   sh scripts/nofma.sh
 #
@@ -8,11 +8,12 @@
 # portable float32 loops must round every product on its own, as amd64's
 # MULPS/ADDPS do. The Go spec lets a compiler fuse x*y + z into one
 # instruction unless an explicit conversion rounds x*y, and the arm64
-# backend does. This builds the arm64 test binaries of internal/matrix
-# and internal/nn with inlining off (so every function keeps its own
-# symbol), disassembles MulBiasInto, sigmoid32, sigmoidRows and tanh32,
-# and fails if one of them is missing or contains FMADD, FMSUB, FNMADD or
-# FNMSUB. It needs only the installed toolchain.
+# backend does. This builds the arm64 test binaries of internal/matrix,
+# internal/nn and internal/kmath with inlining off (so every function
+# keeps its own symbol), disassembles MulBiasInto, sigmoid32,
+# sigmoidRows, tanh32 and kmath.Exp (nn builds its sigmoid table from
+# it), and fails if one of them is missing or contains FMADD, FMSUB,
+# FNMADD or FNMSUB. It needs only the installed toolchain.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -41,5 +42,6 @@ check() {
 
 check matrix MulBiasInto
 check nn sigmoid32 sigmoidRows tanh32
-[ "$status" -eq 0 ] && echo "nofma.sh: no fused multiply-add in the portable float32 kernels"
+check kmath Exp
+[ "$status" -eq 0 ] && echo "nofma.sh: no fused multiply-add in the portable float32 kernels or kmath.Exp"
 exit "$status"

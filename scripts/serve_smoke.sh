@@ -53,12 +53,15 @@ awk -v a="$ACHIEVED" 'BEGIN { exit !(a > 0) }' || {
 }
 
 echo "== status"
-# The flight recorder fills on the server's asynchronous collection
-# thread; give it a beat to drain the load.
-sleep 0.3
 "$TMP/kml-ctl" status -addr "$SOCK" | tee "$TMP/status.out"
 grep -q "^active_version      1$" "$TMP/status.out"
-grep -q "^dropped             0$" "$TMP/status.out"
+# Every served request recorded its decision before it replied.
+INFERENCES=$(awk '$1 == "inferences" { print $2 }' "$TMP/status.out")
+DECISIONS=$(awk '$1 == "decisions" { print $2 }' "$TMP/status.out")
+if [ -z "$INFERENCES" ] || [ "$DECISIONS" != "$INFERENCES" ]; then
+    echo "decisions=$DECISIONS, want inferences=$INFERENCES" >&2
+    exit 1
+fi
 # Telemetry surface: batched-inference latency percentiles and the last
 # served decisions, each stamped with the model version that made it.
 grep -q "^mserve_batch_infer_ns count=" "$TMP/status.out"

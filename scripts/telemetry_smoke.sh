@@ -54,7 +54,6 @@ echo "debug url: $DEBUG_URL"
 echo "== traffic (singles and batches)"
 "$TMP/kml-loadgen" -addr "$SOCK" -conns 1 -batch 1 -rate 1000 -duration 200ms -warmup 0 -dist fixed >/dev/null
 "$TMP/kml-loadgen" -addr "$SOCK" -conns 2 -batch 50 -rate 100 -duration 200ms -warmup 0 -dist fixed >/dev/null
-sleep 0.3 # let the async collection thread fill the flight recorder
 
 echo "== /metrics"
 curl -fsS "$DEBUG_URL/metrics" >"$TMP/metrics.out"
@@ -67,8 +66,8 @@ case "$BATCH" in ''|0) echo "mserve_batch_infer_ns never observed ($BATCH)" >&2;
 # Percentiles and cumulative buckets render.
 grep -q "^mserve_infer_ns_p99 " "$TMP/metrics.out"
 grep -q "^mserve_infer_ns_bucket_le_" "$TMP/metrics.out"
-# The pipeline and server gauges are exposed.
-grep -q "^mserve_pipeline_collected " "$TMP/metrics.out"
+# The decision and server gauges are exposed.
+grep -q "^mserve_decisions " "$TMP/metrics.out"
 grep -q "^mserve_active_version 1$" "$TMP/metrics.out"
 
 echo "== expvar and pprof"
