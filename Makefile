@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet kml-vet vet-strict test race purego arm64-check fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress serve-stress top-smoke loadgen-smoke postmortem-smoke overhead-check bench-storage benchmark benchmark-quick bench-pair ci clean
+.PHONY: all build vet kml-vet vet-strict test race purego arm64-check fuzz examples serve-smoke telemetry-smoke trace-smoke online-smoke online-stress serve-stress top-smoke loadgen-smoke postmortem-smoke overhead-check bench-storage benchmark benchmark-quick bench-pair ci clean
 
 all: build
 
@@ -42,6 +42,16 @@ purego:
 arm64-check:
 	GOARCH=arm64 $(GO) vet ./...
 	sh scripts/nofma.sh
+
+# Run every example end to end; each must exit 0. About a minute on two
+# cores, most of it readahead-tuning and workload-classify.
+EXAMPLES = quickstart workload-classify readahead-tuning online-training io-admission
+
+examples:
+	@for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; \
+		$(GO) run ./examples/$$e || exit 1; \
+	done
 
 # Run every fuzz target briefly. Go's fuzzer allows one -fuzz pattern per
 # package invocation, so targets run sequentially.
@@ -162,7 +172,7 @@ PAIRS ?= 5
 bench-pair:
 	sh scripts/paired.sh $(REV) $(WORKLOAD) $(PAIRS)
 
-ci: build vet race purego arm64-check fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress serve-stress top-smoke loadgen-smoke postmortem-smoke overhead-check vet-strict benchmark-quick
+ci: build vet race purego arm64-check examples fuzz serve-smoke telemetry-smoke trace-smoke online-smoke online-stress serve-stress top-smoke loadgen-smoke postmortem-smoke overhead-check vet-strict benchmark-quick
 
 clean:
 	$(GO) clean ./...

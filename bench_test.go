@@ -25,10 +25,10 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/blockdev"
-	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/nn"
 	"repro/internal/readahead"
+	"repro/internal/ringbuf"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -275,26 +275,22 @@ func BenchmarkE5_TrainingIteration(b *testing.B) {
 // (paper: 49 ns including normalization; here the ring push alone, with
 // aggregation measured separately by BenchmarkE5_FeatureAggregation).
 func BenchmarkE5_DataCollection(b *testing.B) {
-	pipe, err := core.NewPipeline[features.Record](core.Config{BufferCapacity: 1 << 16},
-		func([]features.Record, core.Mode) {})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pipe.SetMode(core.ModeInference)
+	ring := ringbuf.New[features.Record](1 << 16)
+	drained := make([]features.Record, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pipe.Collect(features.Record{Inode: 1, Offset: int64(i)})
+		ring.TryPush(features.Record{Inode: 1, Offset: int64(i)})
 		if i&4095 == 4095 {
 			b.StopTimer()
-			pipe.Flush()
+			ring.PopBatch(drained)
 			b.StartTimer()
 		}
 	}
 }
 
 // BenchmarkE5_FeatureAggregation measures the per-event normalization/
-// aggregation work on the training thread.
+// aggregation work the tuner's tick does for each drained record.
 func BenchmarkE5_FeatureAggregation(b *testing.B) {
 	ext := features.NewExtractor()
 	b.ReportAllocs()
@@ -370,25 +366,21 @@ func BenchmarkAblation_ClassifyVsOracle(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_AsyncVsSyncCollection compares pushing samples through
-// the lock-free pipeline (the paper's design) against calling the feature
+// BenchmarkAblation_AsyncVsSyncCollection compares pushing samples onto
+// the lock-free ring (the paper's design) against calling the feature
 // extractor inline on the I/O path — the latency the ring buffer keeps off
 // the hot path.
 func BenchmarkAblation_AsyncVsSyncCollection(b *testing.B) {
 	b.Run("async-ring", func(b *testing.B) {
-		pipe, err := core.NewPipeline[features.Record](core.Config{BufferCapacity: 1 << 16},
-			func([]features.Record, core.Mode) {})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pipe.SetMode(core.ModeTraining)
+		ring := ringbuf.New[features.Record](1 << 16)
+		drained := make([]features.Record, 4096)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pipe.Collect(features.Record{Inode: 1, Offset: int64(i)})
+			ring.TryPush(features.Record{Inode: 1, Offset: int64(i)})
 			if i&4095 == 4095 {
 				b.StopTimer()
-				pipe.Flush()
+				ring.PopBatch(drained)
 				b.StartTimer()
 			}
 		}

@@ -12,10 +12,10 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/nn"
 	"repro/internal/readahead"
+	"repro/internal/ringbuf"
 	"repro/internal/workload"
 )
 
@@ -37,16 +37,13 @@ func main() {
 	}
 
 	// 1. Data collection: one lock-free ring push per tracepoint.
-	pipe, err := core.NewPipeline[features.Record](core.Config{BufferCapacity: 1 << 20}, func([]features.Record, core.Mode) {})
-	if err != nil {
-		panic(err)
-	}
-	pipe.SetMode(core.ModeInference)
+	ring := ringbuf.New[features.Record](1 << 20)
+	drained := make([]features.Record, 1024)
 	start := time.Now()
 	for i := 0; i < *iters; i++ {
-		pipe.Collect(features.Record{Inode: 1, Offset: int64(i), Time: time.Duration(i)})
+		ring.TryPush(features.Record{Inode: 1, Offset: int64(i), Time: time.Duration(i)})
 		if i%1024 == 1023 {
-			pipe.Flush()
+			ring.PopBatch(drained)
 		}
 	}
 	collectNs := float64(time.Since(start).Nanoseconds()) / float64(*iters)

@@ -6,8 +6,8 @@
 // The library half (internal/kmath, matrix, fixed, stats, ringbuf, memutil,
 // nn, dtree, core) implements KML itself: from-scratch math, multi-precision
 // matrices, layers/losses/backprop/SGD, decision trees, a lock-free
-// collection ring feeding an asynchronous training thread, model
-// serialization, and memory accounting. The substrate half (internal/clock,
+// collection ring, the model interfaces, model serialization, and memory
+// accounting; internal/olearn retrains on a background goroutine. The substrate half (internal/clock,
 // blockdev, pagecache, vfs, trace, sstable, kvstore, workload, sim)
 // simulates the storage stack the paper evaluates on: NVMe/SATA device
 // models on a virtual clock, a Linux-style page cache with on-demand

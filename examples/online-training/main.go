@@ -7,10 +7,10 @@
 //	go run ./examples/online-training
 //
 // This example reproduces that mode: tracepoints stream through the KML
-// pipeline's asynchronous training thread (a real goroutine here, fed by
-// the lock-free ring), which aggregates windows, normalizes them with
+// lock-free ring, which is drained between short chunks of the running
+// workload into a trainer that aggregates windows, normalizes them with
 // running statistics, and performs one SGD iteration per window — all
-// while the workload keeps running. The pipeline is then switched from
+// while the workload keeps running. The trainer is then switched from
 // training to inference mode (§3.3: "one can switch between training and
 // inference modes as needed") and evaluated on fresh windows from every
 // workload.
@@ -20,31 +20,31 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/nn"
 	"repro/internal/readahead"
+	"repro/internal/ringbuf"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// onlineTrainer lives on the pipeline's training thread: it owns the
-// extractor, running normalization statistics, and the network.
+// onlineTrainer consumes the drained ring: it owns the extractor, running
+// normalization statistics, and the network.
 type onlineTrainer struct {
 	ext         *features.Extractor
 	norm        [features.NumCandidates]stats.Running
-	calibrating atomic.Bool // phase 0: gather normalization stats only
+	calibrating bool // phase 0: gather normalization stats only
+	training    bool // train on each window; otherwise evaluate it
 	net         *nn.Network
 	loss        *nn.CrossEntropy
 	opt         *nn.SGD
 	batch       *nn.Mat
-	label       atomic.Int32 // set by the harness: the phase's ground truth
+	label       int // set by the harness: the phase's ground truth
 	windowSize  uint64
 	iterations  int
 	correct     int
@@ -75,15 +75,15 @@ func newOnlineTrainer(seed int64, windowSize uint64) *onlineTrainer {
 	}
 }
 
-// handle consumes drained samples on the training thread.
-func (o *onlineTrainer) handle(batch []features.Record, mode core.Mode) {
+// handle consumes one drained batch of samples.
+func (o *onlineTrainer) handle(batch []features.Record) {
 	for _, r := range batch {
 		o.ext.Add(r)
 		if o.ext.Events() < o.windowSize {
 			continue
 		}
 		raw := o.ext.Emit(256)
-		if o.calibrating.Load() {
+		if o.calibrating {
 			// Phase 0: fit the Z-score statistics, as the paper fits its
 			// normalizer before training.
 			for i := range raw {
@@ -93,19 +93,17 @@ func (o *onlineTrainer) handle(batch []features.Record, mode core.Mode) {
 		}
 		normed := o.normalize(raw)
 		features.SelectInto(o.batch.Row(0), normed)
-		label := int(o.label.Load())
-		switch mode {
-		case core.ModeTraining:
-			o.trainReplay(normed, label)
+		if o.training {
+			o.trainReplay(normed, o.label)
 			o.iterations++
-		case core.ModeInference:
-			o.predicted++
-			var buf nn.PredictBuffer
-			got := o.net.Predict(o.batch.Row(0), &buf)
-			o.confusion[label][got]++
-			if got == label {
-				o.correct++
-			}
+			continue
+		}
+		o.predicted++
+		var buf nn.PredictBuffer
+		got := o.net.Predict(o.batch.Row(0), &buf)
+		o.confusion[o.label][got]++
+		if got == o.label {
+			o.correct++
 		}
 	}
 }
@@ -123,9 +121,9 @@ func (o *onlineTrainer) trainReplay(normed features.Vector, label int) {
 		o.replayX[j] = normed
 		o.replayY[j] = label
 	}
-	// Several replay-heavy updates per window: the asynchronous training
-	// thread has idle budget between windows, and single-pass online SGD
-	// underfits the noisy real stream.
+	// Several replay-heavy updates per window: training runs between
+	// workload chunks, where it costs no virtual time, and single-pass
+	// online SGD underfits the noisy real stream.
 	const (
 		mix     = 8
 		updates = 4
@@ -163,18 +161,14 @@ func (o *onlineTrainer) normalize(raw features.Vector) features.Vector {
 func main() {
 	cfg := sim.Config{Profile: blockdev.NVMe(), Keys: 6000, CachePages: 480, Seed: 21}
 	trainer := newOnlineTrainer(21, 4096)
-	pipe, err := core.NewPipeline[features.Record](
-		core.Config{BufferCapacity: 1 << 16},
-		trainer.handle,
-	)
-	if err != nil {
-		log.Fatal(err)
+	trainer.training = true
+	ring := ringbuf.New[features.Record](1 << 16)
+	drained := make([]features.Record, 256)
+	drain := func() {
+		for n := ring.PopBatch(drained); n > 0; n = ring.PopBatch(drained) {
+			trainer.handle(drained[:n])
+		}
 	}
-	pipe.SetMode(core.ModeTraining)
-	if err := pipe.Start(); err != nil {
-		log.Fatal(err)
-	}
-	defer pipe.Stop()
 
 	// Online training sees samples in workload order, so phases rotate
 	// quickly: long single-class stretches with momentum 0.99 would make
@@ -188,38 +182,42 @@ func main() {
 					log.Fatal(err)
 				}
 				env.Tracer.Register(func(ev trace.Event) {
-					pipe.Collect(features.Record{
+					ring.TryPush(features.Record{
 						Inode:  ev.Inode,
 						Offset: ev.Offset,
 						Time:   ev.Time,
 						Write:  ev.Point == trace.WritebackDirtyPage,
 					})
 				})
-				trainer.label.Store(int32(kind.Class()))
+				trainer.label = kind.Class()
 				runner := env.NewRunner(kind)
-				if err := runner.RunFor(phase); err != nil {
-					log.Fatal(err)
-				}
-				// Let the asynchronous thread drain before switching labels.
-				for pipe.BufferLen() > 0 {
-					time.Sleep(time.Millisecond)
+				// Run the phase in chunks of at most 10 ms of virtual time
+				// and drain the ring after each one. The last chunk ends at
+				// the phase's deadline, so the phase runs exactly the
+				// operations of one RunFor(phase).
+				deadline := env.Clk.Now() + phase
+				for now := env.Clk.Now(); now < deadline; now = env.Clk.Now() {
+					if err := runner.RunFor(min(10*time.Millisecond, deadline-now)); err != nil {
+						log.Fatal(err)
+					}
+					drain()
 				}
 			}
 		}
 		fmt.Printf("%s: %d online training iterations, %d samples dropped\n",
-			label, trainer.iterations, pipe.Dropped())
+			label, trainer.iterations, ring.Dropped())
 	}
 
 	fmt.Println("phase 0: calibrating normalization statistics...")
-	trainer.calibrating.Store(true)
+	trainer.calibrating = true
 	runPhases("calibration", 1, 2*time.Second)
-	trainer.calibrating.Store(false)
+	trainer.calibrating = false
 
-	fmt.Println("phase 1: online training while workloads run (async thread)...")
+	fmt.Println("phase 1: online training while workloads run...")
 	runPhases("training", 16, 300*time.Millisecond)
 
-	fmt.Println("phase 2: switch pipeline to inference mode and evaluate...")
-	pipe.SetMode(core.ModeInference)
+	fmt.Println("phase 2: switch to inference mode and evaluate...")
+	trainer.training = false
 	runPhases("inference", 1, 2*time.Second)
 
 	if trainer.predicted == 0 {

@@ -152,8 +152,10 @@ type outcomeSample struct {
 // The controller is the co-located tuner's online learner.
 var _ readahead.Learner = (*Controller)(nil)
 
-// retrainResult is what the background goroutine hands back to Step.
+// retrainResult is what the background goroutine hands back to Step: it
+// fills the fields, then closes done.
 type retrainResult struct {
+	done     chan struct{}
 	model    []byte
 	examples int
 	dur      time.Duration
@@ -179,7 +181,7 @@ type Controller struct {
 	trigger      *Trigger
 	fireShiftMZ  int64 // signal captured at the last fire
 	fireChurnPM  int64
-	pending      chan retrainResult
+	pending      *retrainResult
 	poisonSeq    uint64 // 1-based retrain cycle to poison; 0 = none
 	canaryVer    uint64 // the last deployed version
 	baselinePM   int64
@@ -377,16 +379,16 @@ func (c *Controller) stepCollecting() {
 	c.cRetrains.Inc()
 	seq := c.cRetrains.Load()
 	poisoned := c.poisonSeq != 0 && seq == c.poisonSeq
-	c.pending = make(chan retrainResult, 1)
+	c.pending = &retrainResult{done: make(chan struct{})}
 	c.state = StateRetraining
 	go c.retrain(c.pending, append([]example(nil), c.scratch[:n]...), seq, poisoned)
 }
 
 // retrain is the background training goroutine: label, normalize with
 // the frozen normalizer, fit a fresh network, serialize. It never
-// touches controller state; the result goes back through the channel
-// Step harvests.
-func (c *Controller) retrain(done chan<- retrainResult, snap []example, seq uint64, poisoned bool) {
+// touches controller state; it fills res and closes res.done, which
+// Step polls and Settle waits on.
+func (c *Controller) retrain(res *retrainResult, snap []example, seq uint64, poisoned bool) {
 	start := time.Now()
 	xs := make([]features.Vector, len(snap))
 	ys := make([]int, len(snap))
@@ -412,22 +414,20 @@ func (c *Controller) retrain(done chan<- retrainResult, snap []example, seq uint
 	net := readahead.NewModel(cfg.Seed)
 	readahead.TrainModel(net, xs, ys, cfg)
 	var buf bytes.Buffer
-	err := net.Save(&buf)
-	done <- retrainResult{
-		model:    buf.Bytes(),
-		examples: len(snap),
-		dur:      time.Since(start),
-		poisoned: poisoned,
-		err:      err,
-	}
+	res.err = net.Save(&buf)
+	res.model = buf.Bytes()
+	res.examples = len(snap)
+	res.dur = time.Since(start)
+	res.poisoned = poisoned
+	close(res.done)
 }
 
 // stepRetraining harvests a finished background retrain and deploys it,
 // opening the canary.
 func (c *Controller) stepRetraining() {
-	var res retrainResult
+	res := c.pending
 	select {
-	case res = <-c.pending:
+	case <-res.done:
 	default:
 		return // still training; never block
 	}
@@ -469,7 +469,7 @@ func (c *Controller) stepRetraining() {
 }
 
 // failRetrainLocked records a cycle that produced nothing deployable.
-func (c *Controller) failRetrainLocked(res retrainResult, err error) {
+func (c *Controller) failRetrainLocked(res *retrainResult, err error) {
 	c.cFailures.Inc()
 	c.lastEventIdx = -1
 	c.recordEventLocked(mserve.RetrainEvent{
@@ -573,22 +573,32 @@ func (c *Controller) Status() mserve.LearnStatus {
 	}
 }
 
-// Settle drives Step until the controller leaves StateRetraining (the
-// only state whose exit depends on a background goroutine), or the
-// timeout elapses. The simulation driver calls it after each decision
-// window: on the virtual clock, real milliseconds spent waiting for the
-// trainer are invisible to measured results, so the loop stays
-// deterministic while training stays off the decision path.
+// Settle steps the controller and, if that leaves it in StateRetraining
+// (the only state whose exit depends on a background goroutine), waits
+// up to timeout for the retrain to finish and steps once more to harvest
+// it. It reports whether the controller left StateRetraining. The
+// simulation driver calls it after each decision window: on the virtual
+// clock, real milliseconds spent waiting for the trainer are invisible to
+// measured results, so the loop stays deterministic while training stays
+// off the decision path.
 func (c *Controller) Settle(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		c.Step()
-		if c.State() != StateRetraining {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
+	c.Step()
+	c.mu.Lock()
+	var done chan struct{}
+	if c.state == StateRetraining {
+		done = c.pending.done
 	}
+	c.mu.Unlock()
+	if done == nil {
+		return true
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case <-done:
+	case <-timer.C:
+		return false
+	}
+	c.Step()
+	return c.State() != StateRetraining
 }

@@ -58,8 +58,6 @@ type FileDecision struct {
 type FileTunerConfig struct {
 	// Window is the decision interval; 0 means 1 second.
 	Window time.Duration
-	// BufferCapacity sizes the collection ring; 0 means 1<<16 records.
-	BufferCapacity int
 	// Policy maps classes to sectors; zero means DefaultPolicy.
 	Policy Policy
 	// MinEvents gates per-file decisions; 0 means 64.
@@ -99,15 +97,12 @@ func NewFileTuner(cache *pagecache.Cache, dev *blockdev.Device, model core.Class
 		minEvents: cfg.MinEvents,
 		maxFiles:  cfg.MaxFiles,
 	}
-	var err error
-	if t.loop, err = newLoop(cfg.Window, cfg.BufferCapacity, t.consume); err != nil {
-		return nil, err
-	}
+	t.init(cfg.Window, t.consume)
 	return t, nil
 }
 
 // consume routes drained records into per-inode windows.
-func (t *FileTuner) consume(batch []features.Record, _ core.Mode) {
+func (t *FileTuner) consume(batch []features.Record) {
 	for _, r := range batch {
 		fw, ok := t.files[r.Inode]
 		if !ok {
@@ -135,8 +130,8 @@ func (t *FileTuner) evictIdle() {
 	delete(t.files, victim)
 }
 
-// MaybeTick drains the pipeline and, once per window, classifies every
-// active file, in ascending inode order, and updates its ra_pages.
+// MaybeTick drains the collection ring and, once per window, classifies
+// every active file, in ascending inode order, and updates its ra_pages.
 func (t *FileTuner) MaybeTick(now time.Duration) {
 	if !t.due(now) {
 		return

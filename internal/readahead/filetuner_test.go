@@ -163,7 +163,7 @@ func TestFileTunerEndToEnd(t *testing.T) {
 	if len(tuner.Decisions()) == 0 {
 		t.Fatal("no per-file decisions")
 	}
-	if tuner.Dropped() > tuner.pipeline.Collected()/10 {
+	if tuner.Dropped() > tuner.Collected()/10 {
 		t.Errorf("excessive drops: %d", tuner.Dropped())
 	}
 }

@@ -302,6 +302,59 @@ func TestDecisionTickAllocFree(t *testing.T) {
 	}
 }
 
+// TestLoopRingFull overfills the collection ring within one window: the
+// hook accepts exactly the ring's capacity and counts the rest as
+// dropped, the gauges report both and the full ring, and the window's
+// tick drains every accepted record into the decision.
+func TestLoopRingFull(t *testing.T) {
+	clk := clock.New()
+	dev := blockdev.New(blockdev.NVMe(), clk)
+	tuner, err := NewTuner(dev, fixedClassifier(1), features.Normalizer{}, TunerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	tuner.Instrument(reg)
+	gauges := func() map[string]int64 {
+		vals := map[string]int64{}
+		for _, s := range reg.Snapshot() {
+			vals[s.Name] = s.Value
+		}
+		return vals
+	}
+
+	tuner.MaybeTick(0) // arms the first window
+	hook := tuner.Hook()
+	for i := 0; i < ringCapacity+10; i++ {
+		hook(trace.Event{Point: trace.AddToPageCache, Inode: 1, Offset: int64(i)})
+	}
+	if c, d := tuner.Collected(), tuner.Dropped(); c != ringCapacity || d != 10 {
+		t.Fatalf("Collected %d, Dropped %d; want %d, 10", c, d, ringCapacity)
+	}
+	vals := gauges()
+	for name, want := range map[string]int64{
+		"readahead_pipeline_collected":  ringCapacity,
+		"readahead_pipeline_dropped":    10,
+		"readahead_pipeline_buffer_len": ringCapacity,
+		"readahead_pipeline_buffer_cap": ringCapacity,
+	} {
+		if got, ok := vals[name]; !ok || got != want {
+			t.Errorf("%s = %d (registered %v), want %d", name, got, ok, want)
+		}
+	}
+	if _, ok := vals["readahead_pipeline_processed"]; ok {
+		t.Error("readahead_pipeline_processed is registered")
+	}
+
+	tuner.MaybeTick(time.Second)
+	if got := gauges()["readahead_pipeline_buffer_len"]; got != 0 {
+		t.Errorf("buffer_len %d after the tick, want 0", got)
+	}
+	if d := tuner.Decisions(); len(d) != 1 || d[0].Events != ringCapacity {
+		t.Fatalf("decisions %+v, want one over %d events", d, ringCapacity)
+	}
+}
+
 // TestFileTunerDecisionOrder feeds one stream through two per-file
 // tuners and requires the same decision list: a window's files are
 // decided in ascending inode order, not map order.

@@ -54,8 +54,6 @@ type TunerConfig struct {
 	// Window is the decision interval; 0 means 1 second (the paper runs
 	// inference "in a different thread context once a second").
 	Window time.Duration
-	// BufferCapacity sizes the collection ring; 0 means 1<<16 records.
-	BufferCapacity int
 	// Policy maps classes to sectors; the zero Policy is replaced by
 	// DefaultPolicy for the tuned device.
 	Policy Policy
@@ -67,7 +65,7 @@ type TunerConfig struct {
 }
 
 // Tuner is the deployed KML readahead application: it collects tracepoint
-// records through a lock-free pipeline, extracts one feature window per
+// records through a lock-free ring, extracts one feature window per
 // second, classifies the running workload, and drives the device readahead
 // setting (the block-layer ioctl path of Figure 1).
 type Tuner struct {
@@ -154,21 +152,18 @@ func NewDeployedTuner(dev *blockdev.Device, deploy *mserve.Deployment[core.Class
 		driftFeats: make([]float64, features.Count),
 		prevRatePM: -1,
 	}
-	var err error
-	t.loop, err = newLoop(cfg.Window, cfg.BufferCapacity, func(batch []features.Record, _ core.Mode) {
+	t.init(cfg.Window, func(batch []features.Record) {
 		for _, r := range batch {
 			t.ext.Add(r)
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
 	return t, nil
 }
 
-// MaybeTick drains the pipeline and, once per window, runs inference and
-// applies the policy. The simulation loop calls it between operations; in
-// a live deployment the pipeline's asynchronous thread plays this role.
+// MaybeTick drains the collection ring into the feature window and, once
+// per window, runs inference and applies the policy. The simulation loop
+// calls it between operations, so the goroutine that runs the workload is
+// the ring's one consumer.
 func (t *Tuner) MaybeTick(now time.Duration) {
 	if !t.due(now) {
 		return
@@ -285,15 +280,16 @@ func (t *Tuner) closePending() {
 // each model.Predict (the paper's 21 µs per-inference figure, measured
 // live), readahead_decisions counts decision windows (the tuner's
 // throughput series in MsgTimeSeries), readahead_decision_class_<i>
-// counts decisions per predicted class, and the pipeline's counters
-// become gauges under readahead_pipeline. Call before the tuner runs.
+// counts decisions per predicted class, and the collection ring's
+// counters become gauges under readahead_pipeline. Call before the tuner
+// runs.
 func (t *Tuner) Instrument(reg *telemetry.Registry) {
 	t.inferNanos = reg.Histogram("readahead_infer_ns")
 	t.decCount = reg.Counter("readahead_decisions")
 	for i := range t.classCount {
 		t.classCount[i] = reg.Counter(fmt.Sprintf("readahead_decision_class_%d", i))
 	}
-	t.pipeline.RegisterMetrics(reg, "readahead_pipeline")
+	t.registerMetrics(reg)
 }
 
 // EnableTracing attaches a dtrace arena: every subsequent decision

@@ -1,6 +1,7 @@
 // Package ringbuf implements the lock-free single-producer/single-consumer
-// circular buffer KML uses to decouple data collection from asynchronous
-// training (§3.1–3.2 of the paper).
+// circular buffer KML uses to decouple data collection from the work that
+// consumes it (§3.1–3.2 of the paper): the tracepoint hook pushes, and the
+// readahead loop's tick drains the ring into feature windows.
 //
 // The producer side runs on the I/O path, so it must never block, never
 // allocate, and never take a lock; when the buffer is full the sample is
@@ -15,7 +16,7 @@ import "sync/atomic"
 
 // Ring is a bounded SPSC queue. Exactly one goroutine may call TryPush and
 // exactly one may call PopBatch; this is the same contract as the in-kernel
-// original (I/O path produces, the training thread consumes).
+// original (the I/O path produces, the tuner's tick consumes).
 type Ring[T any] struct {
 	// head is the next slot to pop; written only by the consumer.
 	head atomic.Uint64
@@ -79,7 +80,7 @@ func (r *Ring[T]) TryPush(v T) bool {
 }
 
 // PopBatch pops up to len(dst) elements into dst and returns the count.
-// Batching amortizes the atomic operations on the training-thread side.
+// Batching amortizes the atomic operations on the consumer side.
 //
 //kml:hotpath
 func (r *Ring[T]) PopBatch(dst []T) int {
