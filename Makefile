@@ -31,8 +31,11 @@ race:
 
 # Non-amd64 hosts serve with the portable kernel; mserve pins one hash of
 # the served classes that this build and the asm build must both produce.
+# The experiments decide with the same served Instance, so Table 2 runs
+# on the portable kernel too.
 purego:
 	$(GO) test -tags purego ./internal/matrix ./internal/nn ./internal/mserve
+	$(GO) test -tags purego -run 'TestTable2ParallelDeterminism' ./internal/bench
 
 # Other architectures build without the amd64 kernels: every package must
 # vet for arm64 (an _amd64.s kernel with no generic stub breaks only

@@ -26,6 +26,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/blockdev"
 	"repro/internal/features"
+	"repro/internal/mserve"
 	"repro/internal/nn"
 	"repro/internal/readahead"
 	"repro/internal/ringbuf"
@@ -69,6 +70,16 @@ func bundles(b *testing.B) (bench.Bundle, bench.Bundle) {
 		b.Fatal(bundleErr)
 	}
 	return nnBundle, treeBundle
+}
+
+// instance returns a private Instance of the bundle's artifact.
+func instance(b *testing.B, bundle bench.Bundle) *mserve.Instance {
+	b.Helper()
+	inst, err := bundle.Artifact.Instantiate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return inst
 }
 
 // BenchmarkE1_Sweep regenerates the "studying the problem" study: the
@@ -181,7 +192,7 @@ func BenchmarkE5_Inference(b *testing.B) {
 // (E7: the quantized variant).
 func BenchmarkE5_FixedInference(b *testing.B) {
 	net := readahead.NewModel(1)
-	cls, err := readahead.NewFixedClassifier(net)
+	cls, err := nn.CompileFixed(net)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -236,17 +247,17 @@ func BenchmarkE5_InferenceBatched(b *testing.B) {
 func BenchmarkE5_FixedInferenceBatched(b *testing.B) {
 	const rows = 64
 	net := readahead.NewModel(1)
-	cls, err := readahead.NewFixedClassifier(net)
+	cls, err := nn.CompileFixed(net)
 	if err != nil {
 		b.Fatal(err)
 	}
 	in := batchFeatures(rows)
 	classes := make([]int, rows)
-	cls.PredictBatch(in, rows, classes)
+	cls.InferBatch(in, rows, classes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cls.PredictBatch(in, rows, classes)
+		cls.InferBatch(in, rows, classes)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/sample")
 }
@@ -327,7 +338,7 @@ func BenchmarkAblation_InferencePrecision(b *testing.B) {
 		}
 	})
 	b.Run("fixed-q16", func(b *testing.B) {
-		cls, err := readahead.NewFixedClassifier(net)
+		cls, err := nn.CompileFixed(net)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -437,14 +448,14 @@ func BenchmarkAblation_PerFileVsDevice(b *testing.B) {
 		}
 		var tick func(time.Duration)
 		if perFile {
-			ft, err := readahead.NewFileTuner(env.Cache, env.Dev, nnB.Model, nnB.Norm, readahead.FileTunerConfig{})
+			ft, err := readahead.NewFileTuner(env.Cache, env.Dev, instance(b, nnB), nnB.Norm, readahead.FileTunerConfig{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			env.Tracer.Register(ft.Hook())
 			tick = ft.MaybeTick
 		} else {
-			dt, err := readahead.NewTuner(env.Dev, nnB.Model, nnB.Norm, readahead.TunerConfig{})
+			dt, err := readahead.NewTuner(env.Dev, instance(b, nnB), nnB.Norm, readahead.TunerConfig{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -480,7 +491,7 @@ func BenchmarkAblation_WindowLength(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				tuner, err := readahead.NewTuner(env.Dev, nnB.Model, nnB.Norm,
+				tuner, err := readahead.NewTuner(env.Dev, instance(b, nnB), nnB.Norm,
 					readahead.TunerConfig{Window: window})
 				if err != nil {
 					b.Fatal(err)

@@ -66,7 +66,7 @@ func main() {
 	inferUs := float64(time.Since(start).Microseconds()) / float64(*iters)
 
 	// 4. Inference: fixed-point (FPU-less) network.
-	fcls, err := readahead.NewFixedClassifier(net)
+	fcls, err := nn.CompileFixed(net)
 	if err != nil {
 		panic(err)
 	}

@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/blackbox"
 	"repro/internal/blockdev"
-	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/memutil"
 	"repro/internal/mserve"
@@ -78,6 +77,9 @@ func main() {
 	reg, err := mserve.OpenRegistry(*registry)
 	if err != nil {
 		fatal(err)
+	}
+	if n := reg.TornTail(); n > 0 {
+		fmt.Printf("registry %s: dropped a torn MANIFEST tail (%d bytes of a deploy that never returned)\n", *registry, n)
 	}
 	cfg := mserve.Config{
 		Registry: reg, MaxConns: *maxConns, DriftWindow: *driftWin,
@@ -296,7 +298,7 @@ func runSim(srv *mserve.Server, reg *mserve.Registry, opts simOptions) error {
 	if err != nil {
 		return err
 	}
-	dep := mserve.NewDeployment[core.Classifier](inst, active.Number)
+	dep := mserve.NewDeployment[readahead.Classifier](inst, active.Number)
 	tuner, err := readahead.NewDeployedTuner(env.Dev, dep, norm, readahead.TunerConfig{Policy: policy, Outcome: env.Cache.HitMissCounts})
 	if err != nil {
 		return err

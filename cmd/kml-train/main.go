@@ -96,7 +96,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := tree.Tree().Save(tf); err != nil {
+	if err := tree.Save(tf); err != nil {
 		fatal(err)
 	}
 	tf.Close()

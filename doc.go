@@ -4,10 +4,12 @@
 // inside an OS, demonstrated on the problem of tuning readahead values.
 //
 // The library half (internal/kmath, matrix, fixed, stats, ringbuf, memutil,
-// nn, dtree, core) implements KML itself: from-scratch math, multi-precision
+// nn, dtree) implements KML itself: from-scratch math, multi-precision
 // matrices, layers/losses/backprop/SGD, decision trees, a lock-free
-// collection ring, the model interfaces, model serialization, and memory
-// accounting; internal/olearn retrains on a background goroutine. The substrate half (internal/clock,
+// collection ring, model serialization, and memory accounting;
+// internal/mserve turns a saved model file into the artifact that the
+// daemon serves and the experiments decide with, and internal/olearn
+// retrains on a background goroutine. The substrate half (internal/clock,
 // blockdev, pagecache, vfs, trace, sstable, kvstore, workload, sim)
 // simulates the storage stack the paper evaluates on: NVMe/SATA device
 // models on a virtual clock, a Linux-style page cache with on-demand

@@ -14,9 +14,9 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/bench"
 	"repro/internal/blockdev"
 	"repro/internal/features"
+	"repro/internal/nn"
 	"repro/internal/readahead"
 	"repro/internal/sim"
 )
@@ -72,7 +72,7 @@ func main() {
 	}
 	treeAcc := readahead.Evaluate(tree, normed, labels)
 
-	fixed, err := readahead.NewFixedClassifier(net)
+	fixed, err := nn.CompileFixed(net)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +81,6 @@ func main() {
 	fmt.Println("\ntraining-set accuracy by model family:")
 	fmt.Printf("  neural network            %.1f%%\n", nnAcc*100)
 	fmt.Printf("  decision tree             %.1f%% (%d nodes, depth %d)\n",
-		treeAcc*100, tree.Tree().Nodes(), tree.Tree().Depth())
+		treeAcc*100, tree.Nodes(), tree.Depth())
 	fmt.Printf("  quantized NN (Q16.16)     %.1f%%\n", fixedAcc*100)
-	_ = bench.Bundle{} // examples share the bench types for further runs
 }

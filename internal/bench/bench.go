@@ -16,12 +16,14 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/mserve"
 	"repro/internal/readahead"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -61,11 +63,33 @@ func RunVanilla(simCfg sim.Config, kind workload.Kind, seconds int) (Result, err
 	return RunFixedRA(simCfg, kind, seconds, blockdev.DefaultReadaheadSectors)
 }
 
-// Bundle is a deployable model: classifier plus its fitted normalizer —
-// what the paper's KML model file plus normalization parameters amount to.
+// Bundle is a deployable model: the model file plus its fitted
+// normalizer, the unit the paper moves from training to deployment. The
+// artifact is the one kml-served serves; every experiment cell decides
+// with its own Instance of it.
 type Bundle struct {
-	Model core.Classifier
-	Norm  features.Normalizer
+	Artifact *mserve.Artifact
+	Norm     features.Normalizer
+}
+
+// newBundle wraps a saved model as an unregistered artifact of kind.
+func newBundle(kind mserve.ModelKind, name string, save func(io.Writer) error, norm features.Normalizer) (Bundle, error) {
+	var buf bytes.Buffer
+	if err := save(&buf); err != nil {
+		return Bundle{}, err
+	}
+	art := &mserve.Artifact{Version: mserve.Version{Kind: kind, Name: name}, Data: buf.Bytes()}
+	return Bundle{Artifact: art, Norm: norm}, nil
+}
+
+// newTuner instantiates the bundle's model for one cell and wraps it in a
+// readahead tuner over dev.
+func (b *Bundle) newTuner(dev *blockdev.Device) (*readahead.Tuner, error) {
+	inst, err := b.Artifact.Instantiate()
+	if err != nil {
+		return nil, err
+	}
+	return readahead.NewTuner(dev, inst, b.Norm, readahead.TunerConfig{})
 }
 
 // RunKML runs a workload with the KML tuner in the loop and returns the
@@ -85,7 +109,7 @@ func run(simCfg sim.Config, kind workload.Kind, seconds, raSectors int, b *Bundl
 	env.Dev.SetReadahead(raSectors)
 	var tuner *readahead.Tuner
 	if b != nil {
-		if tuner, err = readahead.NewTuner(env.Dev, b.Model, b.Norm, readahead.TunerConfig{}); err != nil {
+		if tuner, err = b.newTuner(env.Dev); err != nil {
 			return Result{}, nil, err
 		}
 		env.Tracer.Register(tuner.Hook())
@@ -120,8 +144,9 @@ func run(simCfg sim.Config, kind workload.Kind, seconds, raSectors int, b *Bundl
 
 // TrainNNBundle executes the full paper workflow: collect labeled windows
 // from the four training workloads on the training device, fit the
-// normalizer, and train the neural network. It returns the bundle plus the
-// raw dataset for reuse (cross-validation, decision tree, Pearson report).
+// normalizer, train the neural network and save it as a KindNN artifact
+// named readahead-nn. It returns the bundle plus the raw dataset for reuse
+// (cross-validation, decision tree, Pearson report).
 func TrainNNBundle(trainCfg sim.Config, dcfg readahead.DatasetConfig, tcfg readahead.TrainConfig) (Bundle, []features.Vector, []int, error) {
 	raw, labels, err := readahead.CollectDataset(trainCfg, dcfg)
 	if err != nil {
@@ -137,11 +162,12 @@ func TrainNNBundle(trainCfg sim.Config, dcfg readahead.DatasetConfig, tcfg reada
 	}
 	net := readahead.NewModel(tcfg.Seed)
 	readahead.TrainModel(net, normed, labels, tcfg)
-	return Bundle{Model: readahead.NewNNClassifier(net), Norm: norm}, raw, labels, nil
+	b, err := newBundle(mserve.KindNN, "readahead-nn", net.Save, norm)
+	return b, raw, labels, err
 }
 
 // TrainTreeBundle trains the decision-tree variant on an already-collected
-// dataset.
+// dataset and saves it as a KindDTree artifact named readahead-dtree.
 func TrainTreeBundle(raw []features.Vector, labels []int) (Bundle, error) {
 	norm := features.FitNormalizer(raw)
 	normed := make([]features.Vector, len(raw))
@@ -152,5 +178,5 @@ func TrainTreeBundle(raw []features.Vector, labels []int) (Bundle, error) {
 	if err != nil {
 		return Bundle{}, err
 	}
-	return Bundle{Model: tree, Norm: norm}, nil
+	return newBundle(mserve.KindDTree, "readahead-dtree", tree.Save, norm)
 }

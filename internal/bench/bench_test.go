@@ -1,11 +1,15 @@
 package bench
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"repro/internal/blockdev"
+	"repro/internal/dtree"
 	"repro/internal/features"
+	"repro/internal/mserve"
+	"repro/internal/nn"
 	"repro/internal/readahead"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -97,17 +101,27 @@ func TestReadSeqInsensitiveToTuning(t *testing.T) {
 	}
 }
 
-// stubClassifier always answers the same class.
-type stubClassifier int
-
-func (s stubClassifier) Predict([]float64) int { return int(s) }
-func (s stubClassifier) Name() string          { return "stub" }
+// constBundle is a KindDTree artifact whose one leaf always answers class.
+func constBundle(t *testing.T, class int) Bundle {
+	t.Helper()
+	x := [][]float64{make([]float64, features.Count), make([]float64, features.Count)}
+	x[1][0] = 1
+	tree, err := dtree.Train(x, []int{class, class}, workload.NumClasses, dtree.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := newBundle(mserve.KindDTree, "const", tree.Save, features.Normalizer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 func TestRunKMLRecordsDecisions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	b := Bundle{Model: stubClassifier(1)} // always "readrandom"
+	b := constBundle(t, 1) // always "readrandom"
 	res, decs, err := RunKML(microSSD(), workload.ReadRandom, 3, b)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +173,7 @@ func TestRunFigure2Timeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	b := Bundle{Model: stubClassifier(1)}
+	b := constBundle(t, 1)
 	res, err := RunFigure2(microNVMe(), 3, b)
 	if err != nil {
 		t.Fatal(err)
@@ -197,12 +211,35 @@ func TestTrainNNBundleEndToEnd(t *testing.T) {
 	if len(raw) != len(labels) || len(raw) == 0 {
 		t.Fatalf("dataset %d/%d", len(raw), len(labels))
 	}
-	// The bundle must classify its own training windows well.
-	correct := 0
+	if v := bundle.Artifact.Version; v.Kind != mserve.KindNN || v.Name != "readahead-nn" {
+		t.Errorf("nn bundle artifact %+v", v)
+	}
+	inst, err := bundle.Artifact.Instantiate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The served float32 kernel the experiments decide with must give the
+	// float64 graph's class on every collected window (the bound
+	// mserve's TestServedPrecisionAgreesWithFloat64 holds), and classify
+	// its own training windows well.
+	net, err := nn.Load(bytes.NewReader(bundle.Artifact.Data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph := readahead.NewNNClassifier(net)
+	correct, disagree := 0, 0
 	for i, v := range raw {
-		if bundle.Model.Predict(features.Select(bundle.Norm.Apply(v))) == labels[i] {
+		sel := features.Select(bundle.Norm.Apply(v))
+		class := inst.Predict(sel)
+		if class != graph.Predict(sel) {
+			disagree++
+		}
+		if class == labels[i] {
 			correct++
 		}
+	}
+	if disagree != 0 {
+		t.Errorf("served float32 and float64 graph disagree on %d of %d windows, want 0", disagree, len(raw))
 	}
 	if acc := float64(correct) / float64(len(raw)); acc < 0.85 {
 		t.Errorf("bundle training accuracy %.2f", acc)
@@ -212,8 +249,11 @@ func TestTrainNNBundleEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Model.Name() != "readahead-dtree" {
-		t.Error("tree bundle name")
+	if v := tb.Artifact.Version; v.Kind != mserve.KindDTree || v.Name != "readahead-dtree" {
+		t.Errorf("tree bundle artifact %+v", v)
+	}
+	if _, err := tb.Artifact.Instantiate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -142,8 +142,7 @@ func perSecondOps(simCfg sim.Config, seconds int, b *Bundle) (*timeline, error) 
 	}
 	var tuner *readahead.Tuner
 	if b != nil {
-		tuner, err = readahead.NewTuner(env.Dev, b.Model, b.Norm, readahead.TunerConfig{})
-		if err != nil {
+		if tuner, err = b.newTuner(env.Dev); err != nil {
 			return nil, err
 		}
 		env.Tracer.Register(tuner.Hook())

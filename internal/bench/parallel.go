@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -21,16 +20,6 @@ import (
 // common random numbers pair the workload streams across readahead values
 // and across vanilla/tuned runs, which reduces the variance of every
 // relative comparison the paper's tables report.
-
-// cloneBundle returns a bundle safe for one concurrent worker. Stateful
-// models (networks carrying forward scratch) implement core.Cloneable and
-// are deep-copied; anything else must already be safe for concurrent use.
-func cloneBundle(b Bundle) Bundle {
-	if cl, ok := b.Model.(core.Cloneable); ok {
-		return Bundle{Model: cl.CloneClassifier(), Norm: b.Norm}
-	}
-	return b
-}
 
 // RunSweepParallel executes the readahead sweep for the given workloads
 // across workers goroutines (0 means GOMAXPROCS, 1 runs inline). Output is
@@ -76,21 +65,20 @@ func RunSweepParallel(simCfg sim.Config, kinds []workload.Kind, raValues []int, 
 // RunTable2Parallel measures vanilla vs KML-tuned throughput for every
 // Table-2 workload on both device profiles with the given model bundle,
 // every (workload, device) pair an independent cell across workers
-// goroutines (0 means GOMAXPROCS, 1 runs inline). Each cell gets a private
-// clone of the model bundle; output is byte-identical whatever the worker
-// count.
+// goroutines (0 means GOMAXPROCS, 1 runs inline). Each cell decides with
+// its own Instance of the bundle's artifact; output is byte-identical
+// whatever the worker count.
 func RunTable2Parallel(nvmeCfg, ssdCfg sim.Config, seconds int, b Bundle, workers int) (*Table2Result, error) {
 	kinds := workload.AllKinds()
 	cfgs := []sim.Config{nvmeCfg, ssdCfg}
 	ratios := make([]float64, len(kinds)*2)
 	err := parallel.For(len(ratios), parallel.Workers(workers), func(i int) error {
 		w, d := i/2, i%2
-		wb := cloneBundle(b)
 		base, err := RunVanilla(cfgs[d], kinds[w], seconds)
 		if err != nil {
 			return err
 		}
-		tuned, _, err := RunKML(cfgs[d], kinds[w], seconds, wb)
+		tuned, _, err := RunKML(cfgs[d], kinds[w], seconds, b)
 		if err != nil {
 			return err
 		}
@@ -102,7 +90,7 @@ func RunTable2Parallel(nvmeCfg, ssdCfg sim.Config, seconds int, b Bundle, worker
 	if err != nil {
 		return nil, err
 	}
-	res := &Table2Result{ModelName: b.Model.Name()}
+	res := &Table2Result{ModelName: b.Artifact.Version.Name}
 	var sumNVMe, sumSSD float64
 	for w, kind := range kinds {
 		row := Table2Row{Workload: kind, NVMe: ratios[w*2], SSD: ratios[w*2+1]}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/features"
+	"repro/internal/mserve"
 	"repro/internal/parallel"
 	"repro/internal/readahead"
 	"repro/internal/workload"
@@ -14,7 +15,8 @@ import (
 // These are the satellite determinism regression tests: every experiment
 // grid must render byte-identical output at workers=1 (inline, no
 // goroutines) and workers=8. They run under -race in CI, which also makes
-// them the data-race canary for the worker pool and classifier cloning.
+// them the data-race canary for the worker pool and the per-cell
+// instances that share one artifact's parsed model.
 
 func TestParallelFor(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
@@ -82,22 +84,57 @@ func TestTable2ParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
+	// Both models read the raw window features (an identity normalizer).
 	// An untrained network still predicts deterministically, and its
-	// statefulness exercises the per-worker classifier cloning.
-	b := Bundle{Model: readahead.NewNNClassifier(readahead.NewModel(1))}
-	serial, err := RunTable2Parallel(microNVMe(), microSSD(), 1, b, 1)
+	// forward scratch exercises the per-cell Instance. The tree, which
+	// every cell shares parsed, splits on the Δ-offset sign: scans keep a
+	// large readahead, random reads get the minimum. Its cells run two
+	// virtual seconds, so the decision made at the first window boundary
+	// sets the readahead of the second and reaches the printed ratios.
+	var identity features.Normalizer
+	for i := range identity.Z {
+		identity.Z[i].StdDev = 1
+	}
+	net, err := newBundle(mserve.KindNN, "untrained-nn", readahead.NewModel(1).Save, identity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunTable2Parallel(microNVMe(), microSSD(), 1, b, 8)
+	var windows []features.Vector
+	var classes []int
+	for i := 0; i < 30; i++ {
+		var v features.Vector
+		v[features.FeatDeltaSign] = float64(i%3 - 1)
+		windows = append(windows, v)
+		classes = append(classes, []int{2, 1, 0}[i%3]) // reverse, random, sequential
+	}
+	tree, err := readahead.TrainTree(windows, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sa, sb strings.Builder
-	serial.Write(&sa)
-	par.Write(&sb)
-	if sa.String() != sb.String() {
-		t.Errorf("table2 output differs between workers=1 and workers=8:\n--- serial\n%s--- parallel\n%s", sa.String(), sb.String())
+	dt, err := newBundle(mserve.KindDTree, "sign-dtree", tree.Save, identity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		b       Bundle
+		seconds int
+	}{{net, 1}, {dt, 2}} {
+		b := c.b
+		serial, err := RunTable2Parallel(microNVMe(), microSSD(), c.seconds, b, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := RunTable2Parallel(microNVMe(), microSSD(), c.seconds, b, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sa, sb strings.Builder
+		serial.Write(&sa)
+		par.Write(&sb)
+		if sa.String() != sb.String() {
+			t.Errorf("%s: table2 output differs between workers=1 and workers=8:\n--- serial\n%s--- parallel\n%s",
+				b.Artifact.Version.Name, sa.String(), sb.String())
+		}
 	}
 }
 

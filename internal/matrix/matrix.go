@@ -77,13 +77,6 @@ func (m *Dense[T]) Data() []T { return m.data }
 //kml:hotpath
 func (m *Dense[T]) Row(i int) []T { return m.data[i*m.cols : (i+1)*m.cols] }
 
-// Clone returns a deep copy of m.
-func (m *Dense[T]) Clone() *Dense[T] {
-	c := New[T](m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
-
 // SliceRows returns a view of the first rows rows of m, sharing m's
 // storage. The view is returned by value so callers can keep it in a
 // reusable field (or on the stack) and re-slice per call without

@@ -184,15 +184,6 @@ func TestApplyArgMax(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	a := fromSlice(1, 2, []float64{1, 2})
-	b := a.Clone()
-	b.Set(0, 0, 99)
-	if a.At(0, 0) != 1 || b.At(0, 1) != 2 {
-		t.Error("Clone must deep copy")
-	}
-}
-
 func TestFloat32Matrices(t *testing.T) {
 	a := fromSlice[float32](2, 2, []float32{1, 2, 3, 4})
 	b := fromSlice[float32](2, 2, []float32{5, 6, 7, 8})

@@ -21,8 +21,8 @@ type Snapshot[T any] struct {
 // Deployment[T] is an atomic hot-swap handle. The zero value is an empty
 // deployment: Load returns nil until the first Swap. T is whatever the
 // reader dereferences per request — *Artifact on the server (each
-// connection instantiates its own inference state), core.Classifier in a
-// single-goroutine reader like readahead.Tuner.
+// connection instantiates its own inference state), readahead.Classifier
+// in a single-goroutine reader like readahead.Tuner.
 type Deployment[T any] struct {
 	ptr atomic.Pointer[Snapshot[T]]
 }

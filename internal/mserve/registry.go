@@ -15,7 +15,6 @@
 package mserve
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -29,7 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dtree"
 	"repro/internal/nn"
 )
@@ -108,6 +106,8 @@ type Registry struct {
 	stack     []uint64 // activation history; last entry is active
 	deploys   uint64
 	rollbacks uint64
+	clean     int64 // MANIFEST bytes up to its last newline
+	torn      int   // bytes of a torn final MANIFEST line, dropped at open
 }
 
 // OpenRegistry opens (creating if needed) the registry rooted at dir and
@@ -126,18 +126,22 @@ func OpenRegistry(dir string) (*Registry, error) {
 	return r, nil
 }
 
+// loadManifest replays MANIFEST. Put fsyncs a version's line before it
+// activates the version, so a final line without its newline is a Put
+// that crashed before it was acknowledged: it is dropped and counted in
+// torn, as blackbox.Scan counts a torn record, and the next append
+// truncates it away. A corrupt complete line still fails the open.
 func (r *Registry) loadManifest() error {
-	f, err := os.Open(filepath.Join(r.dir, manifestName))
+	data, err := os.ReadFile(filepath.Join(r.dir, manifestName))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil
 		}
 		return err
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
+	clean := bytes.LastIndexByte(data, '\n') + 1
+	r.clean, r.torn = int64(clean), len(data)-clean
+	for _, line := range strings.Split(string(data[:clean]), "\n") {
 		if line == "" {
 			continue
 		}
@@ -150,7 +154,7 @@ func (r *Registry) loadManifest() error {
 			r.last = v.Number
 		}
 	}
-	return sc.Err()
+	return nil
 }
 
 func parseManifestLine(line string) (Version, error) {
@@ -278,6 +282,15 @@ func (r *Registry) Deploys() uint64 {
 	return r.deploys
 }
 
+// TornTail returns the byte length of the torn final MANIFEST line that
+// OpenRegistry dropped — a Put that never returned — or 0 once none is
+// left: the next Put truncates the torn bytes away.
+func (r *Registry) TornTail() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.torn
+}
+
 // Rollbacks returns the number of rollbacks since open.
 func (r *Registry) Rollbacks() uint64 {
 	r.mu.Lock()
@@ -353,6 +366,13 @@ func (r *Registry) appendManifest(v Version) error {
 	if err != nil {
 		return err
 	}
+	if r.torn > 0 {
+		// Start on a clean line: cut the torn tail loadManifest dropped.
+		if err := f.Truncate(r.clean); err != nil {
+			_ = f.Close()
+			return err
+		}
+	}
 	line := fmt.Sprintf("%d\t%d\t%s\t%d\t%d\t%d\t%s\n",
 		v.Number, uint8(v.Kind), v.Hash, v.CRC, v.Size, v.Created, v.Name)
 	if _, err := f.WriteString(line); err != nil {
@@ -363,7 +383,12 @@ func (r *Registry) appendManifest(v Version) error {
 		_ = f.Close()
 		return err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return err
+	}
+	r.clean += int64(len(line))
+	r.torn = 0
+	return nil
 }
 
 func (r *Registry) pushActive(number uint64) error {
@@ -463,10 +488,7 @@ func (a *Artifact) Instantiate() (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst := &Instance{
-		version: a.Version.Number, name: a.Version.Name,
-		inDim: m.inDim, outDim: m.outDim, tree: m.tree,
-	}
+	inst := &Instance{version: a.Version.Number, inDim: m.inDim, outDim: m.outDim, tree: m.tree}
 	if m.net != nil {
 		inst.net = m.net.Fork()
 	}
@@ -478,26 +500,22 @@ func (a *Artifact) Instantiate() (*Instance, error) {
 // compiled float32 kernel — the float64 graph they were trained in stays
 // on the training side — and Predict and PredictBatch run that one kernel,
 // so a row classifies identically alone, in a batch, or gathered into a
-// coalesced batch. Instance implements core.Classifier, so a registry
-// version can be dropped anywhere the framework deploys models
-// (readahead.Tuner, the Table-2 harness).
+// coalesced batch. Instance satisfies readahead.Classifier, so one
+// artifact is the deploy unit everywhere: the daemon serves it,
+// readahead.Tuner decides with it, and each Table 2 and Figure 2 cell
+// runs its own Instance.
 type Instance struct {
 	version uint64
-	name    string
 	inDim   int
 	outDim  int
 	net     *nn.Float32Network
 	tree    *dtree.Tree
 }
 
-var (
-	_ core.Classifier      = (*Instance)(nil)
-	_ core.BatchClassifier = (*Instance)(nil)
-)
-
-// Predict implements core.Classifier. It must not be called concurrently
-// on one Instance; give each goroutine its own via Artifact.Instantiate.
-// Both model kinds panic on a feature count other than InDim.
+// Predict returns the class of one feature vector. It must not be called
+// concurrently on one Instance; give each goroutine its own via
+// Artifact.Instantiate. Both model kinds panic on a feature count other
+// than InDim.
 //
 //kml:hotpath
 func (m *Instance) Predict(features []float64) int {
@@ -507,13 +525,14 @@ func (m *Instance) Predict(features []float64) int {
 	return m.tree.Predict(features)
 }
 
-// PredictBatch implements core.BatchClassifier: networks take the fused
-// batched forward pass (one matrix-multiply chain for all rows instead of
-// rows separate ones — where the batch-endpoint speedup comes from); tree
-// traversal is already cheap and pure, so it loops. Like Predict, it must
-// not be called concurrently on one Instance. After the scratch high-water
-// mark is reached it allocates nothing. It panics, before writing any
-// class, unless len(features) == rows*InDim and len(classes) >= rows.
+// PredictBatch classifies rows feature vectors in one call: networks take
+// the fused batched forward pass (one matrix-multiply chain for all rows
+// instead of rows separate ones — where the batch-endpoint speedup comes
+// from); tree traversal is already cheap and pure, so it loops. Like
+// Predict, it must not be called concurrently on one Instance. After the
+// scratch high-water mark is reached it allocates nothing. It panics,
+// before writing any class, unless len(features) == rows*InDim and
+// len(classes) >= rows.
 //
 //kml:hotpath
 func (m *Instance) PredictBatch(features []float64, rows int, classes []int) {
@@ -531,9 +550,6 @@ func (m *Instance) PredictBatch(features []float64, rows int, classes []int) {
 		classes[r] = m.tree.Predict(features[r*m.inDim : (r+1)*m.inDim])
 	}
 }
-
-// Name implements core.Classifier.
-func (m *Instance) Name() string { return m.name }
 
 // Version returns the registry version this instance serves.
 func (m *Instance) Version() uint64 { return m.version }

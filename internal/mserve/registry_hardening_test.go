@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/wire/wiretest"
 )
 
 // TestRegistryRollbackPastBottom walks the activation stack all the way
@@ -216,5 +218,100 @@ func TestRegistryCorruptManifestRecovery(t *testing.T) {
 	}
 	if _, err := r2.Put(KindNN, "fresh", nnModelBytes(t, 6, 4)); err != nil {
 		t.Fatalf("put after recovery: %v", err)
+	}
+}
+
+// TestRegistryTornManifestTail cuts the MANIFEST line of an unreturned
+// Put at every byte. Put fsyncs that line before it pushes ACTIVE, so
+// each cut is a crash before the deploy was acknowledged: OpenRegistry
+// must drop the torn tail and come back with every acknowledged version
+// and the same active one, and the next Put must start on a clean line
+// that a further reopen reads back.
+func TestRegistryTornManifestTail(t *testing.T) {
+	tmpl := t.TempDir()
+	r, err := OpenRegistry(tmpl)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	for i := int64(1); i <= 2; i++ {
+		if _, err := r.Put(KindNN, fmt.Sprintf("m%d", i), nnModelBytes(t, i, 4)); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	read := func(dir, name string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	acked, active := read(tmpl, manifestName), read(tmpl, activeName)
+	if _, err := r.Put(KindNN, "m3", nnModelBytes(t, 3, 4)); err != nil {
+		t.Fatalf("put 3: %v", err)
+	}
+	tail := read(tmpl, manifestName)[len(acked):]
+	objects, err := os.ReadDir(filepath.Join(tmpl, objectsName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cuts := 0
+	wiretest.Each(tail, func(m wiretest.Mutation) {
+		if !m.Cut {
+			return
+		}
+		cuts++
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, objectsName), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range objects {
+			name := filepath.Join(objectsName, o.Name())
+			if err := os.WriteFile(filepath.Join(dir, name), read(tmpl, name), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		manifest := append(append([]byte(nil), acked...), m.Data...)
+		if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, activeName), active, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		r, err := OpenRegistry(dir)
+		if err != nil {
+			t.Errorf("cut at %d: OpenRegistry: %v", m.At, err)
+			return
+		}
+		if got := r.TornTail(); got != m.At {
+			t.Errorf("cut at %d: TornTail = %d", m.At, got)
+		}
+		for n := uint64(1); n <= 2; n++ {
+			if _, err := r.Artifact(n); err != nil {
+				t.Errorf("cut at %d: acknowledged version %d: %v", m.At, n, err)
+			}
+		}
+		if a, ok := r.Active(); !ok || a.Number != 2 {
+			t.Errorf("cut at %d: active %+v ok=%v, want 2", m.At, a, ok)
+		}
+		v, err := r.Put(KindNN, "after", nnModelBytes(t, 4, 4))
+		if err != nil || v.Number != 3 {
+			t.Errorf("cut at %d: put after reopen: %+v, %v", m.At, v, err)
+			return
+		}
+		r2, err := OpenRegistry(dir)
+		if err != nil {
+			t.Errorf("cut at %d: reopen after put: %v", m.At, err)
+			return
+		}
+		if a, ok := r2.Active(); !ok || a.Number != 3 || a.Name != "after" || r2.TornTail() != 0 {
+			t.Errorf("cut at %d: reopened active %+v ok=%v torn=%d, want version 3 \"after\" and no torn tail",
+				m.At, a, ok, r2.TornTail())
+		}
+	})
+	if cuts != len(tail) {
+		t.Fatalf("%d cuts of a %d-byte line", cuts, len(tail))
 	}
 }

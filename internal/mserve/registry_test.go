@@ -114,8 +114,8 @@ func TestRegistryPutActivateRollback(t *testing.T) {
 	if got := inst.Predict([]float64{0.3, 0.3, 0.3, 0.3}); got != 2 {
 		t.Fatalf("const tree predicts %d, want 2", got)
 	}
-	if inst.InDim() != 4 || inst.Name() != "readahead-dtree" {
-		t.Fatalf("instance metadata: indim=%d name=%q", inst.InDim(), inst.Name())
+	if inst.InDim() != 4 {
+		t.Fatalf("instance indim=%d, want 4", inst.InDim())
 	}
 
 	back, err := r.Rollback()

@@ -216,38 +216,6 @@ func padLabels(labels []int, classes int) []int {
 	return out
 }
 
-// TestNetworkClone checks that a clone predicts identically and is fully
-// detached: training the clone must not perturb the original. The parallel
-// sweep harness depends on this to give each worker a private model.
-func TestNetworkClone(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	net := NewNetwork(
-		NewLinear(5, 15, rng), NewSigmoid(),
-		NewLinear(15, 15, rng), NewTanh(),
-		NewLinear(15, 4, rng),
-	)
-	clone := net.Clone()
-	var b1, b2 PredictBuffer
-	feats := randFeatures(rng, 20, net.InDim())
-	for r := 0; r < 20; r++ {
-		s := feats[r*net.InDim() : (r+1)*net.InDim()]
-		if net.Predict(s, &b1) != clone.Predict(s, &b2) {
-			t.Fatal("clone disagrees with original before training")
-		}
-	}
-	before := append([]float64(nil), net.Params()[0].Data()...)
-	loss := NewCrossEntropy()
-	opt := NewSGD(0.5, 0)
-	batch := fromSlice(20, net.InDim(), feats)
-	labels := make([]int, 20)
-	clone.TrainBatch(batch, ClassTarget(labels), loss, opt)
-	for i, v := range net.Params()[0].Data() {
-		if before[i] != v {
-			t.Fatal("training the clone mutated the original network")
-		}
-	}
-}
-
 // FuzzInferBatchEquivalence builds random network shapes and checks that
 // batched inference matches per-sample inference bitwise (float32) and
 // exactly (Q16.16) across random batch sizes — the fuzz half of the

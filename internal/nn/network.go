@@ -54,39 +54,6 @@ func NewNetwork(layers ...Layer) *Network {
 	return n
 }
 
-// Clone returns an independent deep copy of the network: parameters are
-// copied, gradient and activation scratch is fresh. Forward and Backward
-// mutate layer-owned buffers, so a Network must not be shared across
-// goroutines — the parallel experiment harness gives each worker a clone
-// instead.
-func (n *Network) Clone() *Network {
-	layers := make([]Layer, len(n.layers))
-	for i, l := range n.layers {
-		layers[i] = cloneLayer(l)
-	}
-	return NewNetwork(layers...)
-}
-
-func cloneLayer(l Layer) Layer {
-	switch t := l.(type) {
-	case *Linear:
-		c := &Linear{
-			in: t.in, out: t.out,
-			w:  t.w.Clone(),
-			b:  t.b.Clone(),
-			dw: matrix.New[float64](t.in, t.out),
-			db: matrix.New[float64](1, t.out),
-		}
-		return c
-	case *activation:
-		return &activation{name: t.name, fn: t.fn, dfn: t.dfn}
-	case *Softmax:
-		return NewSoftmax()
-	default:
-		panic(fmt.Sprintf("nn: cannot clone layer %q", l.Name()))
-	}
-}
-
 // InDim returns the input feature dimension (from the first sizing layer).
 func (n *Network) InDim() int {
 	for _, l := range n.layers {

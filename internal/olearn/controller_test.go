@@ -256,3 +256,44 @@ func TestMetricsReadWhileLearning(t *testing.T) {
 	}
 	b.checkMetrics(t)
 }
+
+// TestExamplesMissedCounter records more examples between two retrain
+// reads than the keep-latest ring holds: olearn_examples_missed must
+// count exactly the ones the ring overwrote before the second read.
+func TestExamplesMissedCounter(t *testing.T) {
+	b := newBench(t)
+	missed := b.reg.Counter("olearn_examples_missed")
+	for i := 0; i < 4; i++ {
+		b.ctl.AddOutcome(1, 900)
+	}
+	b.fire(t) // first read: the 8 examples fire buffers, none missed
+	if st := b.ctl.Status(); st.Retrains != 1 || missed.Load() != 0 {
+		t.Fatalf("first read: retrains %d, missed %d; want 1, 0", st.Retrains, missed.Load())
+	}
+	for i := 0; i < benchCanaryN; i++ {
+		b.ctl.AddOutcome(2, 900)
+	}
+	b.ctl.Step() // canary verdict: commit, and the drift monitor rebaselines
+	b.ctl.Step() // back to collecting
+	if b.ctl.State() != StateCollecting {
+		t.Fatalf("state = %d, want collecting", b.ctl.State())
+	}
+	// One quiet window refits the drift baseline and re-arms the trigger.
+	for i := 0; i < benchDriftWindow; i++ {
+		b.drift.Observe([]float64{float64(i % 2), float64(i % 2)}, 0)
+	}
+	b.ctl.Step()
+	capacity := len(b.ctl.scratch)
+	const extra = 13
+	for i := 0; i < capacity+extra-8; i++ {
+		b.ctl.AddSample(vec(1), 0, 100)
+	}
+	b.fire(t) // adds 8 more: capacity+extra examples since the first read
+	if st := b.ctl.Status(); st.Retrains != 2 {
+		t.Fatalf("second fire did not retrain: %+v", st)
+	}
+	if got := missed.Load(); got != extra {
+		t.Errorf("olearn_examples_missed = %d, want %d", got, extra)
+	}
+	b.checkMetrics(t)
+}

@@ -50,7 +50,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dtrace"
 	"repro/internal/features"
 	"repro/internal/mserve"
@@ -87,7 +86,7 @@ type Config struct {
 	// TunerDeploy, when set, is a co-located tuner's hot-swap handle the
 	// controller keeps in lockstep with the server: every deploy and
 	// rollback swaps a freshly instantiated classifier into it.
-	TunerDeploy *mserve.Deployment[core.Classifier]
+	TunerDeploy *mserve.Deployment[readahead.Classifier]
 	// Trigger tunes the drift→retrain decision rule.
 	Trigger TriggerConfig
 	// Train tunes the background retraining run (paper defaults).
@@ -193,8 +192,10 @@ type Controller struct {
 
 	// The lifecycle counters, in the server's registry. cRetrains also
 	// numbers the cycles: the Nth retrain deploys "<ModelName>-rN".
-	cRetrains, cDeploys, cRollbacks, cCommits, cFires, cFailures *telemetry.Counter
-	hRetrainNs                                                   *telemetry.Histogram
+	// cMissed counts the examples the keep-latest ring overwrote before a
+	// retrain read them.
+	cRetrains, cDeploys, cRollbacks, cCommits, cFires, cFailures, cMissed *telemetry.Counter
+	hRetrainNs                                                            *telemetry.Histogram
 }
 
 // New builds a controller. It starts in StateIdle; the first Step moves
@@ -221,6 +222,7 @@ func New(cfg Config) (*Controller, error) {
 	c.cCommits = reg.Counter("olearn_commits")
 	c.cFires = reg.Counter("olearn_trigger_fires")
 	c.cFailures = reg.Counter("olearn_retrain_failures")
+	c.cMissed = reg.Counter("olearn_examples_missed")
 	c.hRetrainNs = reg.Histogram("olearn_retrain_ns")
 	for name, read := range map[string]func() int64{
 		"olearn_state":        func() int64 { return int64(c.state) },
@@ -374,8 +376,9 @@ func (c *Controller) stepCollecting() {
 	c.fireShiftMZ, c.fireChurnPM = int64(r.MaxShift*1000), r.ChurnPM
 	// One read drains everything retained (scratch holds the ring's
 	// capacity); the next cycle trains on what arrives after it.
-	n, next, _ := c.examples.ReadNewer(c.consumed, c.scratch)
+	n, next, missed := c.examples.ReadNewer(c.consumed, c.scratch)
 	c.consumed = next
+	c.cMissed.Add(missed)
 	c.cRetrains.Inc()
 	seq := c.cRetrains.Load()
 	poisoned := c.poisonSeq != 0 && seq == c.poisonSeq

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/mserve"
 	"repro/internal/readahead"
@@ -69,7 +68,7 @@ func trainModelBytes(t *testing.T, norm features.Normalizer, x []features.Vector
 type loop struct {
 	env   *sim.Env
 	srv   *mserve.Server
-	dep   *mserve.Deployment[core.Classifier]
+	dep   *mserve.Deployment[readahead.Classifier]
 	tuner *readahead.Tuner
 	ctl   *Controller
 }
@@ -112,7 +111,7 @@ func newLoop(t *testing.T, norm features.Normalizer, initialModel []byte, trig T
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep := mserve.NewDeployment[core.Classifier](inst, 1)
+	dep := mserve.NewDeployment[readahead.Classifier](inst, 1)
 	tuner, err := readahead.NewDeployedTuner(env.Dev, dep, norm,
 		readahead.TunerConfig{Policy: contrastPolicy, Outcome: env.Cache.HitMissCounts})
 	if err != nil {

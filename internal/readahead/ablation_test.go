@@ -26,8 +26,6 @@ func (m *maskedClassifier) Predict(f []float64) int {
 	return m.inner.Predict(m.buf)
 }
 
-func (m *maskedClassifier) Name() string { return "masked-nn" }
-
 // trainMasked trains a model with some selected features zeroed out in
 // every sample (equivalent to removing them, since a constant-zero input
 // contributes nothing the bias cannot).
@@ -127,7 +125,7 @@ func TestQuantizedAccuracy(t *testing.T) {
 	net := NewModel(6)
 	TrainModel(net, normed, labels, TrainConfig{Seed: 6})
 	floatAcc := Evaluate(NewNNClassifier(net), normed, labels)
-	fixed, err := NewFixedClassifier(net)
+	fixed, err := nn.CompileFixed(net)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,15 +6,15 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/mserve"
+	"repro/internal/nn"
 	"repro/internal/trace"
 )
 
 // deployedModel returns the tuner's deployed classifier, or nil before the
 // first swap.
-func deployedModel(t *Tuner) core.Classifier {
+func deployedModel(t *Tuner) Classifier {
 	if snap := t.deploy.Load(); snap != nil {
 		return snap.Model
 	}
@@ -29,7 +29,7 @@ func TestDeployedTunerHotSwap(t *testing.T) {
 	clk := clock.New()
 	dev := blockdev.New(blockdev.NVMe(), clk)
 	policy := Policy{0: 1024, 1: 8, 2: 16, 3: 32}
-	var deploy mserve.Deployment[core.Classifier]
+	var deploy mserve.Deployment[Classifier]
 	tuner, err := NewDeployedTuner(dev, &deploy, features.Normalizer{}, TunerConfig{Policy: policy})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestDeployedTunerHotSwap(t *testing.T) {
 	if dev.ReadaheadSectors() != 8 {
 		t.Errorf("final readahead = %d, want 8", dev.ReadaheadSectors())
 	}
-	if m := deployedModel(tuner); m == nil || m.Name() != "fixed" {
+	if m := deployedModel(tuner); m != Classifier(fixedClassifier(1)) {
 		t.Errorf("deployed model after swaps: %v", m)
 	}
 }
@@ -97,11 +97,11 @@ func TestDeployedTunerHotSwap(t *testing.T) {
 func TestDeployedTunerFixedPointModel(t *testing.T) {
 	clk := clock.New()
 	dev := blockdev.New(blockdev.NVMe(), clk)
-	fixed, err := NewFixedClassifier(NewModel(11))
+	fixed, err := nn.CompileFixed(NewModel(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var deploy mserve.Deployment[core.Classifier]
+	var deploy mserve.Deployment[Classifier]
 	deploy.Swap(fixed, 7)
 	tuner, err := NewDeployedTuner(dev, &deploy, features.Normalizer{}, TunerConfig{})
 	if err != nil {
@@ -125,7 +125,7 @@ func TestDeployedTunerFixedPointModel(t *testing.T) {
 	if ds[0].Class < 0 || ds[0].Class >= 4 {
 		t.Errorf("fixed-point class out of range: %d", ds[0].Class)
 	}
-	if deployedModel(tuner) != core.Classifier(fixed) {
+	if deployedModel(tuner) != Classifier(fixed) {
 		t.Error("deployed model is not the deployed fixed-point classifier")
 	}
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/pagecache"
 )
@@ -24,7 +23,7 @@ type FileTuner struct {
 	loop
 	cache   *pagecache.Cache
 	dev     *blockdev.Device
-	model   core.Classifier
+	model   Classifier
 	norm    features.Normalizer
 	policy  Policy
 	files   map[uint64]*fileWindow
@@ -73,7 +72,7 @@ type FileTunerConfig struct {
 // feature and the policy default).
 //
 //kml:api constructs the per-file control surface; see FileTuner
-func NewFileTuner(cache *pagecache.Cache, dev *blockdev.Device, model core.Classifier, norm features.Normalizer, cfg FileTunerConfig) (*FileTuner, error) {
+func NewFileTuner(cache *pagecache.Cache, dev *blockdev.Device, model Classifier, norm features.Normalizer, cfg FileTunerConfig) (*FileTuner, error) {
 	if cache == nil || dev == nil || model == nil {
 		return nil, errors.New("readahead: nil cache, device or model")
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/pagecache"
 	"repro/internal/sim"
@@ -14,7 +13,7 @@ import (
 	"repro/internal/workload"
 )
 
-func newFileTunerFixture(t *testing.T, model core.Classifier) (*FileTuner, *pagecache.Cache, *blockdev.Device, *clock.Virtual) {
+func newFileTunerFixture(t *testing.T, model Classifier) (*FileTuner, *pagecache.Cache, *blockdev.Device, *clock.Virtual) {
 	t.Helper()
 	clk := clock.New()
 	dev := blockdev.New(blockdev.NVMe(), clk)
@@ -37,7 +36,6 @@ func newFileTunerFixture(t *testing.T, model core.Classifier) (*FileTuner, *page
 // perInodeClassifier lets the test give each inode its own class.
 type perInodeClassifier struct{}
 
-func (perInodeClassifier) Name() string { return "per-inode" }
 func (perInodeClassifier) Predict(f []float64) int {
 	// Use the sign feature (selected position 1) to separate streams:
 	// ascending inode-1 traffic (sign>0) is "seq", the rest "random".

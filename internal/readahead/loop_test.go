@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/dtrace"
 	"repro/internal/features"
 	"repro/internal/mserve"
@@ -21,7 +20,6 @@ import (
 // → 0, descending → 2, anything else → 1.
 type patternClassifier struct{}
 
-func (patternClassifier) Name() string { return "pattern" }
 func (patternClassifier) Predict(f []float64) int {
 	switch {
 	case f[2] > 0.5:
@@ -162,7 +160,7 @@ func TestDecisionPathGolden(t *testing.T) {
 		t.Errorf("static decision path:\n%s\nwant:\n%s", static, goldenStatic)
 	}
 
-	var deploy mserve.Deployment[core.Classifier]
+	var deploy mserve.Deployment[Classifier]
 	deployed := runDecisionPath(t, func(dev *blockdev.Device, cfg TunerConfig) (*Tuner, error) {
 		return NewDeployedTuner(dev, &deploy, identityNorm(), cfg)
 	}, func(w int) {

@@ -4,9 +4,11 @@
 //
 // The package contains the three pieces of the paper's workflow (§3.3, §4):
 //
-//   - model.go — the neural-network architecture (three linear layers with
-//     sigmoid activations, cross-entropy loss, SGD lr=0.01 momentum=0.99),
-//     training, k-fold cross-validation, and the decision-tree alternative;
+//   - model.go — the model interfaces the tuners consume (Classifier,
+//     BatchClassifier), the neural-network architecture (three linear
+//     layers with sigmoid activations, cross-entropy loss, SGD lr=0.01
+//     momentum=0.99), training, k-fold cross-validation, and the
+//     decision-tree alternative;
 //   - dataset.go — training-data collection by running the four training
 //     workloads on NVMe and labeling one-second feature windows;
 //   - tuner.go — the deployed closed loop: tracepoint hook → lock-free
@@ -16,7 +18,6 @@ package readahead
 import (
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/dtree"
 	"repro/internal/features"
 	"repro/internal/nn"
@@ -105,16 +106,35 @@ func TrainModel(net *nn.Network, x []features.Vector, y []int, cfg TrainConfig) 
 	return losses
 }
 
+// Classifier is a deployable KML model: anything that maps a feature vector
+// to a class. Both model families the paper supports satisfy it as they
+// stand (*dtree.Tree, and a network compiled to *nn.Float32Network or
+// *nn.FixedNetwork), and so does a served *mserve.Instance.
+type Classifier interface {
+	// Predict returns the class index for one feature vector.
+	Predict(features []float64) int
+}
+
+// BatchClassifier is implemented by classifiers with a fused batched
+// inference path: PredictBatch classifies rows samples (row-major
+// rows×features) in one pass, writing class indices to classes[:rows].
+// Implementations must produce exactly the same class per sample as rows
+// individual Predict calls.
+type BatchClassifier interface {
+	Classifier
+	PredictBatch(features []float64, rows int, classes []int)
+}
+
 // Evaluate returns classification accuracy on normalized vectors. When the
-// classifier has a fused batched path (core.BatchClassifier) the whole set
+// classifier has a fused batched path (BatchClassifier) the whole set
 // is classified in one call; per-sample classes are identical either way,
 // so the accuracy is too.
-func Evaluate(c core.Classifier, x []features.Vector, y []int) float64 {
+func Evaluate(c Classifier, x []features.Vector, y []int) float64 {
 	if len(x) == 0 {
 		return 0
 	}
 	correct := 0
-	if bc, ok := c.(core.BatchClassifier); ok {
+	if bc, ok := c.(BatchClassifier); ok {
 		flat := make([]float64, len(x)*features.Count)
 		for i, v := range x {
 			features.SelectInto(flat[i*features.Count:(i+1)*features.Count], v)
@@ -204,7 +224,9 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// NNClassifier adapts a neural network to core.Classifier.
+// NNClassifier adapts the float64 training graph to Classifier: training,
+// Evaluate and k-fold run the network they train. Deployed models are
+// served from an mserve.Artifact instead.
 type NNClassifier struct {
 	net *nn.Network
 	buf nn.PredictBuffer
@@ -213,102 +235,22 @@ type NNClassifier struct {
 // NewNNClassifier wraps a trained network.
 func NewNNClassifier(net *nn.Network) *NNClassifier { return &NNClassifier{net: net} }
 
-// Predict implements core.Classifier.
+// Predict implements Classifier.
 func (c *NNClassifier) Predict(f []float64) int { return c.net.Predict(f, &c.buf) }
 
-// PredictBatch implements core.BatchClassifier via the network's fused
+// PredictBatch implements BatchClassifier via the network's fused
 // batched forward pass.
 func (c *NNClassifier) PredictBatch(f []float64, rows int, classes []int) {
 	c.net.PredictBatch(f, rows, classes, &c.buf)
 }
 
-// CloneClassifier implements core.Cloneable with a deep copy: the network's
-// forward scratch is mutable, so parallel workers each get their own.
-func (c *NNClassifier) CloneClassifier() core.Classifier {
-	return NewNNClassifier(c.net.Clone())
-}
-
-// Name implements core.Classifier.
-func (c *NNClassifier) Name() string { return "readahead-nn" }
-
-// FixedClassifier adapts a quantized network to core.Classifier, for
-// FPU-less inference.
-type FixedClassifier struct {
-	fnet *nn.FixedNetwork
-	src  *nn.Network // retained for CloneClassifier recompilation
-}
-
-// NewFixedClassifier compiles net to Q16.16 inference.
-func NewFixedClassifier(net *nn.Network) (*FixedClassifier, error) {
-	fnet, err := nn.CompileFixed(net)
-	if err != nil {
-		return nil, err
-	}
-	return &FixedClassifier{fnet: fnet, src: net}, nil
-}
-
-// Predict implements core.Classifier.
-func (c *FixedClassifier) Predict(f []float64) int { return c.fnet.Predict(f) }
-
-// PredictBatch implements core.BatchClassifier via the fused integer path.
-func (c *FixedClassifier) PredictBatch(f []float64, rows int, classes []int) {
-	c.fnet.InferBatch(f, rows, classes)
-}
-
-// CloneClassifier implements core.Cloneable by recompiling the retained
-// source network; compilation is deterministic, so the clone predicts
-// identically.
-func (c *FixedClassifier) CloneClassifier() core.Classifier {
-	clone, err := NewFixedClassifier(c.src)
-	if err != nil {
-		// The source compiled once already; recompilation cannot fail.
-		panic(err)
-	}
-	return clone
-}
-
-// Name implements core.Classifier.
-func (c *FixedClassifier) Name() string { return "readahead-nn-fixed" }
-
-// TreeClassifier adapts the decision-tree model family (§4: "We have also
-// implemented a decision tree for the readahead use-case").
-type TreeClassifier struct {
-	tree *dtree.Tree
-}
-
-// TrainTree fits the readahead decision tree on normalized vectors.
-func TrainTree(x []features.Vector, y []int) (*TreeClassifier, error) {
+// TrainTree fits the readahead decision tree on normalized vectors — the
+// paper's second model family (§4: "We have also implemented a decision
+// tree for the readahead use-case").
+func TrainTree(x []features.Vector, y []int) (*dtree.Tree, error) {
 	rows := make([][]float64, len(x))
 	for i, v := range x {
 		rows[i] = features.Select(v)
 	}
-	t, err := dtree.Train(rows, y, workload.NumClasses, dtree.Options{MaxDepth: 10, MinLeaf: 3})
-	if err != nil {
-		return nil, err
-	}
-	return &TreeClassifier{tree: t}, nil
+	return dtree.Train(rows, y, workload.NumClasses, dtree.Options{MaxDepth: 10, MinLeaf: 3})
 }
-
-// Predict implements core.Classifier.
-func (c *TreeClassifier) Predict(f []float64) int { return c.tree.Predict(f) }
-
-// PredictBatch implements core.BatchClassifier; tree traversal has no
-// batched kernel, so this is a plain loop over the pure Predict.
-func (c *TreeClassifier) PredictBatch(f []float64, rows int, classes []int) {
-	d := len(f) / rows
-	for r := 0; r < rows; r++ {
-		classes[r] = c.tree.Predict(f[r*d : (r+1)*d])
-	}
-}
-
-// CloneClassifier implements core.Cloneable. Tree traversal is pure, so
-// clones share the immutable tree.
-func (c *TreeClassifier) CloneClassifier() core.Classifier {
-	return &TreeClassifier{tree: c.tree}
-}
-
-// Name implements core.Classifier.
-func (c *TreeClassifier) Name() string { return "readahead-dtree" }
-
-// Tree returns the wrapped tree (for saving).
-func (c *TreeClassifier) Tree() *dtree.Tree { return c.tree }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/clock"
 	"repro/internal/features"
+	"repro/internal/nn"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -100,7 +101,7 @@ func TestKFoldCVPanicsOnBadK(t *testing.T) {
 	KFoldCV(raw, labels, 1, TrainConfig{})
 }
 
-func TestTreeClassifierMatchesNNOnSeparableData(t *testing.T) {
+func TestTreeMatchesNNOnSeparableData(t *testing.T) {
 	raw, labels := syntheticDataset(200, 5)
 	norm := features.FitNormalizer(raw)
 	normed := make([]features.Vector, len(raw))
@@ -114,12 +115,9 @@ func TestTreeClassifierMatchesNNOnSeparableData(t *testing.T) {
 	if acc := Evaluate(tree, normed, labels); acc < 0.95 {
 		t.Errorf("tree accuracy %.2f", acc)
 	}
-	if tree.Name() != "readahead-dtree" {
-		t.Error("tree name")
-	}
 }
 
-func TestFixedClassifierAgreesWithFloat(t *testing.T) {
+func TestFixedNetworkAgreesWithFloat(t *testing.T) {
 	raw, labels := syntheticDataset(200, 6)
 	norm := features.FitNormalizer(raw)
 	normed := make([]features.Vector, len(raw))
@@ -129,7 +127,7 @@ func TestFixedClassifierAgreesWithFloat(t *testing.T) {
 	net := NewModel(6)
 	TrainModel(net, normed, labels, TrainConfig{Epochs: 60, Seed: 6})
 	nnc := NewNNClassifier(net)
-	fc, err := NewFixedClassifier(net)
+	fc, err := nn.CompileFixed(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +140,6 @@ func TestFixedClassifierAgreesWithFloat(t *testing.T) {
 	}
 	if frac := float64(agree) / float64(len(normed)); frac < 0.95 {
 		t.Errorf("fixed agreement %.2f", frac)
-	}
-	if fc.Name() != "readahead-nn-fixed" || nnc.Name() != "readahead-nn" {
-		t.Error("classifier names")
 	}
 }
 
@@ -168,7 +163,6 @@ func TestDefaultPolicyShape(t *testing.T) {
 type fixedClassifier int
 
 func (f fixedClassifier) Predict([]float64) int { return int(f) }
-func (f fixedClassifier) Name() string          { return "fixed" }
 
 func TestTunerAppliesPolicy(t *testing.T) {
 	clk := clock.New()

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/core"
 	"repro/internal/dtrace"
 	"repro/internal/features"
 	"repro/internal/mserve"
@@ -71,7 +70,7 @@ type TunerConfig struct {
 type Tuner struct {
 	loop
 	dev       *blockdev.Device
-	deploy    *mserve.Deployment[core.Classifier]
+	deploy    *mserve.Deployment[Classifier]
 	norm      features.Normalizer
 	policy    Policy
 	ext       features.Extractor
@@ -122,7 +121,7 @@ type Learner interface {
 
 // NewTuner builds a tuner around a trained classifier and its fitted
 // normalizer: a deployment that serves the one model as version 0.
-func NewTuner(dev *blockdev.Device, model core.Classifier, norm features.Normalizer, cfg TunerConfig) (*Tuner, error) {
+func NewTuner(dev *blockdev.Device, model Classifier, norm features.Normalizer, cfg TunerConfig) (*Tuner, error) {
 	if model == nil {
 		return nil, errors.New("readahead: nil device or model")
 	}
@@ -135,7 +134,7 @@ func NewTuner(dev *blockdev.Device, model core.Classifier, norm features.Normali
 // tick without pausing collection. The deployment may be empty at
 // construction time; ticks before the first Swap keep the device's
 // current readahead untouched.
-func NewDeployedTuner(dev *blockdev.Device, deploy *mserve.Deployment[core.Classifier], norm features.Normalizer, cfg TunerConfig) (*Tuner, error) {
+func NewDeployedTuner(dev *blockdev.Device, deploy *mserve.Deployment[Classifier], norm features.Normalizer, cfg TunerConfig) (*Tuner, error) {
 	if dev == nil || deploy == nil {
 		return nil, errors.New("readahead: nil device or deployment")
 	}
