@@ -146,7 +146,7 @@ overhead-check:
 	$(GO) test -run TestTraceOverheadBudget -count=1 -v ./internal/dtrace/
 	$(GO) test -run TestTimeSeriesOverheadBudget -count=1 -v ./internal/telemetry/tsrec/
 	$(GO) test -run TestBlackboxOverheadBudget -count=1 -v ./internal/blackbox/
-	$(GO) test -run TestServedKernelOverheadBudget -count=1 -v ./internal/mserve/
+	$(GO) test -run 'TestServed(Kernel|Batch)OverheadBudget' -count=1 -v ./internal/mserve/
 
 # The repo benchmark (BENCHMARK.json, benchmark/README.md): every workload
 # as the driver runs it, end-to-end metrics only. Any failed output check

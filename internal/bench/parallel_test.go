@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -86,11 +87,14 @@ func TestTable2ParallelDeterminism(t *testing.T) {
 	}
 	// Both models read the raw window features (an identity normalizer).
 	// An untrained network still predicts deterministically, and its
-	// forward scratch exercises the per-cell Instance. The tree, which
-	// every cell shares parsed, splits on the Δ-offset sign: scans keep a
-	// large readahead, random reads get the minimum. Its cells run two
-	// virtual seconds, so the decision made at the first window boundary
-	// sets the readahead of the second and reaches the printed ratios.
+	// forward scratch exercises the per-cell Instance, argmax included.
+	// The tree, which every cell shares parsed, splits on the Δ-offset
+	// sign: scans keep a large readahead, random reads get the minimum.
+	// The cells run two virtual seconds, so the decision made at the
+	// first window boundary sets the readahead of the second and reaches
+	// the printed ratios: each table must print a cell other than 1.00x,
+	// or it would show only that the cells ran, not that they decided
+	// alike.
 	var identity features.Normalizer
 	for i := range identity.Z {
 		identity.Z[i].StdDev = 1
@@ -115,16 +119,12 @@ func TestTable2ParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		b       Bundle
-		seconds int
-	}{{net, 1}, {dt, 2}} {
-		b := c.b
-		serial, err := RunTable2Parallel(microNVMe(), microSSD(), c.seconds, b, 1)
+	for _, b := range []Bundle{net, dt} {
+		serial, err := RunTable2Parallel(microNVMe(), microSSD(), 2, b, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := RunTable2Parallel(microNVMe(), microSSD(), c.seconds, b, 8)
+		par, err := RunTable2Parallel(microNVMe(), microSSD(), 2, b, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,6 +134,13 @@ func TestTable2ParallelDeterminism(t *testing.T) {
 		if sa.String() != sb.String() {
 			t.Errorf("%s: table2 output differs between workers=1 and workers=8:\n--- serial\n%s--- parallel\n%s",
 				b.Artifact.Version.Name, sa.String(), sb.String())
+		}
+		decided := false
+		for _, r := range serial.Rows {
+			decided = decided || fmt.Sprintf("%.2f %.2f", r.NVMe, r.SSD) != "1.00 1.00"
+		}
+		if !decided {
+			t.Errorf("%s: every cell prints 1.00x, so no decision reached the table:\n%s", b.Artifact.Version.Name, sa.String())
 		}
 	}
 }

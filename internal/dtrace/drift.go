@@ -161,45 +161,73 @@ func NewDriftMonitor(cfg DriftConfig) *DriftMonitor {
 // configured width (extra monitor features stay at zero); extra feats
 // are ignored. Does not allocate.
 func (m *DriftMonitor) Observe(feats []float64, class int) {
+	classes := [1]int{class}
 	m.mu.Lock()
-	m.observeLocked(feats, class)
+	m.observeLocked(feats, len(feats), classes[:])
 	m.mu.Unlock()
 }
 
 // ObserveBatch records rows decisions in one lock acquisition: feats is
 // row-major rows×nfeat, classes holds one prediction per row. Used by
 // the batched serving path. Does not allocate.
+//
+// It accounts the batch in chunks cut at window boundaries, so each chunk
+// rolls the window at exactly the row where a run of Observe calls would,
+// and leaves the monitor exactly as that run would: every per-feature sum
+// and baseline fit takes its rows in row order.
 func (m *DriftMonitor) ObserveBatch(feats []float64, rows, nfeat int, classes []int) {
 	if rows <= 0 || nfeat <= 0 || len(classes) < rows {
 		return
 	}
 	m.mu.Lock()
-	for r := 0; r < rows; r++ {
-		m.observeLocked(feats[r*nfeat:(r+1)*nfeat], classes[r])
+	for r := 0; r < rows; {
+		k := min(rows-r, int(m.window-m.winN))
+		m.observeLocked(feats[r*nfeat:(r+k)*nfeat], nfeat, classes[r:r+k])
+		r += k
 	}
 	m.mu.Unlock()
 }
 
-func (m *DriftMonitor) observeLocked(feats []float64, class int) {
-	m.decisions++
-	n := len(feats)
-	if n > m.features {
-		n = m.features
-	}
+// observeLocked accounts len(classes) decisions whose features are the
+// rows of feats, nfeat wide, and which complete the window at most at
+// their last row. Each feature's sum runs down its column in a register;
+// churn and the class counts take one straight-line pass, with no branch
+// on whether a decision changed class.
+func (m *DriftMonitor) observeLocked(feats []float64, nfeat int, classes []int) {
+	n := min(nfeat, m.features)
 	for i := 0; i < n; i++ {
-		m.winSum[i] += feats[i]
+		sum := m.winSum[i]
+		for r := i; r < len(feats); r += nfeat {
+			sum += feats[r]
+		}
+		m.winSum[i] = sum
 		if !m.baseReady {
-			m.fit[i].Add(feats[i])
+			fit := &m.fit[i]
+			for r := i; r < len(feats); r += nfeat {
+				fit.Add(feats[r])
+			}
 		}
 	}
-	if m.haveCls && class != m.lastCls {
-		m.churn++
+	last, churn := m.lastCls, uint64(0)
+	if !m.haveCls {
+		last = classes[0] // the first decision ever changes nothing
 	}
-	m.lastCls, m.haveCls = class, true
-	if class >= 0 && class < m.classes {
-		m.winClass[class]++
+	counts := m.winClass
+	for _, c := range classes {
+		changed := uint64(0)
+		if c != last {
+			changed = 1
+		}
+		churn += changed
+		last = c
+		if uint(c) < uint(len(counts)) {
+			counts[c]++
+		}
 	}
-	m.winN++
+	m.lastCls, m.haveCls = last, true
+	m.churn += churn
+	m.decisions += uint64(len(classes))
+	m.winN += uint64(len(classes))
 	if m.winN >= m.window {
 		m.rollLocked()
 	}

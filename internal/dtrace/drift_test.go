@@ -1,6 +1,8 @@
 package dtrace
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -136,6 +138,61 @@ func TestDriftObserveBatch(t *testing.T) {
 	m.ObserveBatch(feats, 4, 2, []int{0})
 	if m.Report().Decisions != 4 {
 		t.Fatal("degenerate batches should be ignored")
+	}
+}
+
+// TestObserveBatchMatchesObserve feeds the same rows to one monitor in
+// batches that start and end anywhere relative to the window and to
+// another one row at a time: reports, gauges and the open window's
+// accounting must be equal bit for bit after every batch. The features
+// mix magnitudes, so a sum that took its rows in another order would
+// differ in its low bits, and some classes are out of range.
+func TestObserveBatchMatchesObserve(t *testing.T) {
+	const features, classes, window = 3, 4, 16
+	for _, tc := range []struct {
+		name string
+		cfg  DriftConfig
+	}{
+		{"self-baselined", DriftConfig{Features: features, Classes: classes, Window: window}},
+		{"training stats", DriftConfig{Features: features, Classes: classes, Window: window,
+			TrainMeans: []float64{0, 1e6, -3}, TrainStds: []float64{1, 2e5, 1e-3}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			batchReg, rowReg := telemetry.NewRegistry(), telemetry.NewRegistry()
+			batch, row := NewDriftMonitor(tc.cfg), NewDriftMonitor(tc.cfg)
+			batch.RegisterMetrics(batchReg, "drift")
+			row.RegisterMetrics(rowReg, "drift")
+			for step := 0; step < 200; step++ {
+				rows := 1 + rng.Intn(3*window)
+				feats := make([]float64, rows*features)
+				for i := range feats {
+					feats[i] = rng.NormFloat64() * []float64{1e-3, 1, 1e9}[rng.Intn(3)]
+				}
+				cls := make([]int, rows)
+				for i := range cls {
+					cls[i] = rng.Intn(classes+2) - 1
+				}
+				batch.ObserveBatch(feats, rows, features, cls)
+				for r := 0; r < rows; r++ {
+					row.Observe(feats[r*features:(r+1)*features], cls[r])
+				}
+				if b, r := batch.Report(), row.Report(); !reflect.DeepEqual(b, r) {
+					t.Fatalf("step %d: ObserveBatch report %+v, Observe report %+v", step, b, r)
+				}
+				if b, r := batchReg.Snapshot(), rowReg.Snapshot(); !reflect.DeepEqual(b, r) {
+					t.Fatalf("step %d: ObserveBatch gauges %v, Observe gauges %v", step, b, r)
+				}
+				if !reflect.DeepEqual(batch.winSum, row.winSum) || !reflect.DeepEqual(batch.fit, row.fit) ||
+					!reflect.DeepEqual(batch.winClass, row.winClass) || batch.winN != row.winN ||
+					batch.churn != row.churn || batch.lastCls != row.lastCls || batch.haveCls != row.haveCls {
+					t.Fatalf("step %d: open windows differ", step)
+				}
+			}
+			if r := batch.Report(); r.Windows < 100 || !r.BaselineReady {
+				t.Fatalf("only %d windows completed (baseline ready %v)", r.Windows, r.BaselineReady)
+			}
+		})
 	}
 }
 

@@ -103,16 +103,23 @@ func (f *Fixed) Apply(fn func(fixed.Q16) fixed.Q16) {
 	}
 }
 
-// ArgMaxRow returns the column index of the largest element in row i.
+// ArgMaxRow returns the column index of the largest element in row i;
+// the compare is strict, so the first of equal maxima wins. As in
+// Dense.ArgMaxRow, the loop carries the best value and its index in
+// registers and updates both by integer select, not by a jump on the
+// compare.
 //
 //kml:hotpath
 func (f *Fixed) ArgMaxRow(i int) int {
 	row := f.Row(i)
-	best := 0
+	best, bv := 0, row[0]
 	for j := 1; j < len(row); j++ {
-		if row[j] > row[best] {
-			best = j
+		v := row[j]
+		nv, nj := bv, best
+		if v > bv {
+			nv, nj = v, j
 		}
+		bv, best = nv, nj
 	}
 	return best
 }

@@ -17,6 +17,7 @@ package matrix
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/fixed"
 )
@@ -260,16 +261,30 @@ func (m *Dense[T]) SumRowsInto(dst *Dense[T]) {
 	}
 }
 
-// ArgMaxRow returns the column index of the largest element in row i.
+// ArgMaxRow returns the column index of the largest element in row i,
+// which must have a column. The compare is strict, so the first of equal
+// maxima wins; a NaN is never chosen, and a NaN in column 0 makes every
+// compare false, so the row reads as class 0.
+//
+// The loop carries the best value as the bits of its exact float64
+// widening, and both it and the index change by integer select (CMOV on
+// amd64), not by a jump on the compare: a served row's classes are close
+// to random, and a mispredicted jump per column cost more than the
+// compare itself. The candidate's bits are taken before the compare;
+// taken inside the branch, they keep the compiler from selecting.
 //
 //kml:hotpath
 func (m *Dense[T]) ArgMaxRow(i int) int {
 	row := m.Row(i)
-	best := 0
+	best, bits := 0, math.Float64bits(float64(row[0]))
 	for j := 1; j < len(row); j++ {
-		if row[j] > row[best] {
-			best = j
+		v := float64(row[j])
+		vb := math.Float64bits(v)
+		nb, nj := bits, best
+		if v > math.Float64frombits(bits) {
+			nb, nj = vb, j
 		}
+		bits, best = nb, nj
 	}
 	return best
 }

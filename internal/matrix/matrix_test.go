@@ -3,6 +3,10 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"os/exec"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -181,6 +185,102 @@ func TestApplyArgMax(t *testing.T) {
 	}
 	if m.ArgMaxRow(1) != 1 {
 		t.Error("ArgMaxRow row 1")
+	}
+}
+
+// TestArgMaxRowRule pins the served tie and NaN rule on every element
+// type: the first of equal maxima wins, a NaN is never chosen, and a NaN
+// in column 0 makes the row class 0.
+func TestArgMaxRowRule(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		row  []float64
+		want int
+	}{
+		{[]float64{1, 3, 3, 2}, 1},
+		{[]float64{0, math.Copysign(0, -1)}, 0},
+		{[]float64{math.Copysign(0, -1), 0}, 0},
+		{[]float64{1, nan, 2, nan}, 2},
+		{[]float64{nan, 5, inf, 7}, 0},
+		{[]float64{-inf, -inf, -1e30}, 2},
+		{[]float64{nan, nan}, 0},
+		{[]float64{-inf, inf, inf}, 1},
+		{[]float64{4}, 0},
+	} {
+		row32 := make([]float32, len(c.row))
+		for i, v := range c.row {
+			row32[i] = float32(v)
+		}
+		if got := fromSlice(1, len(c.row), c.row).ArgMaxRow(0); got != c.want {
+			t.Errorf("float64 %v: ArgMaxRow = %d, want %d", c.row, got, c.want)
+		}
+		if got := fromSlice(1, len(row32), row32).ArgMaxRow(0); got != c.want {
+			t.Errorf("float32 %v: ArgMaxRow = %d, want %d", row32, got, c.want)
+		}
+	}
+	f := NewFixed(1, 4)
+	copy(f.Row(0), []fixed.Q16{fixed.Min, 7, 7, fixed.Max})
+	if got := f.ArgMaxRow(0); got != 3 {
+		t.Errorf("Fixed.ArgMaxRow = %d, want 3", got)
+	}
+	copy(f.Row(0), []fixed.Q16{-2, 7, 7, -1})
+	if got := f.ArgMaxRow(0); got != 1 {
+		t.Errorf("Fixed.ArgMaxRow with a tie = %d, want 1", got)
+	}
+}
+
+// TestArgMaxRowBranchFree builds this package's tests, disassembles them
+// and checks that every ArgMaxRow's value compare feeds a conditional
+// move, not a jump: a served row's class is close to random, so a jump
+// there mispredicts on most rows. It needs the go command and runs on
+// amd64 only.
+func TestArgMaxRowBranchFree(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("checks amd64 code")
+	}
+	if testing.Short() {
+		t.Skip("builds and disassembles a test binary")
+	}
+	// Calls through method values keep each ArgMaxRow a symbol of its own,
+	// even where the compiler would inline it.
+	argmax := []func(int) int{New[float32](1, 2).ArgMaxRow, New[float64](1, 2).ArgMaxRow, NewFixed(1, 2).ArgMaxRow}
+	for _, f := range argmax {
+		f(0)
+	}
+	// go test strips the binary it runs, so build one that keeps symbols.
+	bin := filepath.Join(t.TempDir(), "matrix.test")
+	if out, err := exec.Command("go", "test", "-c", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Skipf("go test -c: %v: %s", err, out)
+	}
+	out, err := exec.Command("go", "tool", "objdump", "-s", `\.ArgMaxRow(-fm)?$`, bin).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go tool objdump: %v: %s", err, out)
+	}
+	funcs, compares := 0, 0
+	var prev string
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "TEXT ") {
+			funcs++
+			prev = ""
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) < 4 {
+			continue
+		}
+		op := fields[3]
+		// The value compare: UCOMISS/UCOMISD on floats, a 32-bit CMPL on
+		// Q16.16 (index and bounds compares are 64-bit).
+		if prev == "UCOMISS" || prev == "UCOMISD" || prev == "CMPL" {
+			compares++
+			if !strings.HasPrefix(op, "CMOV") {
+				t.Errorf("%s is followed by %s, not a conditional move:\n%s", prev, op, line)
+			}
+		}
+		prev = op
+	}
+	if funcs < len(argmax) || compares < len(argmax) {
+		t.Fatalf("found %d ArgMaxRow functions with %d value compares, want at least %d of each:\n%s", funcs, compares, len(argmax), out)
 	}
 }
 

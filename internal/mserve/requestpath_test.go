@@ -17,6 +17,7 @@ import (
 // (MsgInfer) or -1 (MsgBatchInfer), and record root → queue → parse → infer → encode with
 // the request's shape on the root, the served version and the forward
 // pass's rows on the infer span, under the client's ID when it sent one.
+// Inline, the four stage spans tile the root span with no gap.
 func TestRequestPathMatrix(t *testing.T) {
 	const nfeat = 4
 	shapes := []struct {
@@ -133,6 +134,23 @@ func TestRequestPathMatrix(t *testing.T) {
 					version, batchRows := dtrace.UnpackInferAux(infer.Aux)
 					if version != 1 || batchRows < sh.rows {
 						t.Fatalf("infer aux v%d batch %d, want v1 batch >= %d", version, batchRows, sh.rows)
+					}
+					if coalesce {
+						return
+					}
+					// Inline, each stage starts at the clock read that ended
+					// the one before: the stages tile the root, so their
+					// durations sum to its duration exactly.
+					var sum int64
+					end := root.Start
+					for i, sp := range tr.Used()[1:] {
+						if sp.Start != end {
+							t.Fatalf("%v span starts at %d, %d ns after the previous boundary", stages[i+1], sp.Start, sp.Start-end)
+						}
+						sum, end = sum+sp.Duration(), sp.End
+					}
+					if sum != root.Duration() || end != root.End {
+						t.Fatalf("stage spans sum to %d ns and end at %d; the root lasts %d ns and ends at %d", sum, end, root.Duration(), root.End)
 					}
 				})
 			}

@@ -536,6 +536,7 @@ type srvConn struct {
 	tb         dtrace.Builder // per-connection span builder (alloc-free)
 	arrivalNS  int64          // stamp of the read that completed the current request
 	queueEndNS int64          // handler start, or the coalesced batch's start
+	done       time.Time      // an inference's encode end; zero for other requests
 	cw         coalWaiter     // the current inference request's classes and stamps
 }
 
@@ -553,7 +554,8 @@ func (s *Server) armDeadlines(c net.Conn, now time.Time) error {
 //
 // Deadlines are armed when the connection starts and re-armed only when a
 // request finishes at least rearm after the last arming, which takes no
-// clock read of its own: the check reuses the latency stamp. A request
+// clock read of its own: the check reuses the latency stamp, which for an
+// inference is its encode end (see infer). A request
 // therefore finishes less than rearm after the deadlines were armed, so
 // the connection closes between ReadTimeout/2 and ReadTimeout after the
 // last request finished (or after it opened), and every write has at
@@ -601,13 +603,17 @@ func (s *Server) handle(c net.Conn) {
 		sc.arrivalNS = sc.fr.readNS
 		start := time.Now()
 		sc.queueEndNS = start.UnixNano()
+		sc.done = time.Time{}
 		known := int(h.Type) < numMsgTypes && s.reqNanos[h.Type] != nil
 		if known {
 			s.rxBytes[h.Type].Add(uint64(HeaderSize + len(payload)))
 		}
 		typ, resp := s.dispatch(sc, h.Type, payload)
 		s.queueNanos.Observe(sc.queueEndNS - sc.arrivalNS)
-		end := time.Now()
+		end := sc.done
+		if end.IsZero() {
+			end = time.Now()
+		}
 		if known {
 			s.reqNanos[h.Type].Observe(end.Sub(start).Nanoseconds())
 		}
@@ -705,13 +711,22 @@ func (s *Server) classify(inst *Instance, feats []float64, rows, nfeat int, clas
 // from the stamps taken on the way. Only successful requests reach the
 // trace arena. The steady state allocates nothing
 // (TestBatchInferAllocFree, TestCoalesceAllocFree).
+//
+// Each stage boundary is one clock read, shared by the stage it ends and
+// the one it starts: the handler start begins parsing, the parse end
+// begins inference, the inference end begins encoding, and the encode end
+// is the handler's latency stamp (sc.done). An inline request so takes
+// five reads with the frame's arrival, and its stage spans tile its root.
+// A coalesced request ends its inference span with the batch's end, taken
+// by the executor, and starts encoding at its own wake-up read, so the
+// encode span does not absorb the gather wake-up.
 func (s *Server) infer(sc *srvConn, typ MsgType, p []byte) (MsgType, []byte) {
 	snap := s.dep.Load()
 	if snap == nil {
 		return s.errorResp(sc, "no model deployed")
 	}
 	inDim := snap.Model.InDim
-	parseStart := time.Now().UnixNano()
+	parseStart := sc.queueEndNS // the handler start
 	rows, nfeat, tid, err := sc.parse(typ, p, inDim)
 	parseEnd := time.Now().UnixNano()
 	if err != nil && typ == MsgInfer {
@@ -729,12 +744,14 @@ func (s *Server) infer(sc *srvConn, typ MsgType, p []byte) (MsgType, []byte) {
 	}
 	w.classes = w.classes[:rows]
 	feats := sc.feats[:rows*nfeat]
+	var encStart int64
 	if s.coal != nil && rows < s.coal.maxRows {
 		s.coal.submit(s, w, feats, rows, nfeat)
 		if w.failed {
 			return s.errorResp(sc, "model replaced during gather; retry")
 		}
 		sc.queueEndNS = w.startNS
+		encStart = time.Now().UnixNano()
 	} else {
 		inst, err := instanceFor(sc.inst, snap)
 		if err != nil {
@@ -744,9 +761,10 @@ func (s *Server) infer(sc *srvConn, typ MsgType, p []byte) (MsgType, []byte) {
 		if len(sc.rowClasses) < rows {
 			sc.rowClasses = make([]int, rows)
 		}
-		w.startNS = time.Now().UnixNano()
+		w.startNS = parseEnd
 		s.classify(inst, feats, rows, nfeat, sc.rowClasses[:rows])
 		w.endNS = time.Now().UnixNano()
+		encStart = w.endNS
 		demuxClasses(w.classes, sc.rowClasses[:rows])
 		w.version, w.batchRows = inst.Version(), rows
 	}
@@ -756,13 +774,13 @@ func (s *Server) infer(sc *srvConn, typ MsgType, p []byte) (MsgType, []byte) {
 	}
 	s.inferences.Add(1)
 	s.rows.Add(uint64(rows))
-	encStart := time.Now().UnixNano()
 	if typ == MsgInfer {
 		sc.resp = AppendInferResp(sc.resp[:0], w.classes[0], w.version)
 	} else {
 		sc.resp = AppendBatchInferResp(sc.resp[:0], w.classes, w.version)
 	}
-	encEnd := time.Now().UnixNano()
+	sc.done = time.Now()
+	encEnd := sc.done.UnixNano()
 	d := MetricsDecision{TimeNanos: uint64(encEnd), Version: w.version, Class: int32(class), Rows: uint32(rows)}
 	s.flight.Record(&d)
 

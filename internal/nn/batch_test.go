@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -216,10 +218,26 @@ func padLabels(labels []int, classes int) []int {
 	return out
 }
 
+// argmaxRef is the argmax every network ran before the branch-free one,
+// kept as its reference: strict >, so the first maximum wins, a NaN is
+// never chosen and a NaN in column 0 wins.
+func argmaxRef[T cmp.Ordered](row []T) int {
+	best := 0
+	for j := 1; j < len(row); j++ {
+		if row[j] > row[best] {
+			best = j
+		}
+	}
+	return best
+}
+
 // FuzzInferBatchEquivalence builds random network shapes and checks that
 // batched inference matches per-sample inference bitwise (float32) and
 // exactly (Q16.16) across random batch sizes — the fuzz half of the
-// satellite equivalence suite.
+// satellite equivalence suite. A quarter of the rows carry a NaN, ±Inf or
+// a feature large enough to saturate, and an even seed copies output 0
+// into output 1, so every row ties; each network kind's classes must
+// equal argmaxRef over its logits.
 func FuzzInferBatchEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2))
 	f.Add(int64(7), uint8(17), uint8(64))
@@ -234,6 +252,10 @@ func FuzzInferBatchEquivalence(f *testing.F) {
 		}
 		f.Add(int64(38+i), shape, rows-1)
 	}
+	// A NaN row on which the vector sigmoid and its scalar tail return
+	// different NaN bits.
+	f.Add(int64(71), uint8(3), uint8(6))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e30}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, batch uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		inDim := 1 + int(shape%8)
@@ -241,9 +263,16 @@ func FuzzInferBatchEquivalence(f *testing.F) {
 		outDim := 2 + int(shape/4)%5
 		rows := 1 + int(batch%80)
 		acts := []func() Layer{func() Layer { return NewSigmoid() }, func() Layer { return NewReLU() }, func() Layer { return NewTanh() }}
+		out := NewLinear(hidden, outDim, rng)
+		if seed%2 == 0 {
+			for i := 0; i < hidden; i++ {
+				out.w.Set(i, 1, out.w.At(i, 0))
+			}
+			out.b.Set(0, 1, out.b.At(0, 0))
+		}
 		net := NewNetwork(
 			NewLinear(inDim, hidden, rng), acts[int(shape)%3](),
-			NewLinear(hidden, outDim, rng), NewSoftmax(),
+			out, NewSoftmax(),
 		)
 		f32, err := CompileFloat32(net)
 		if err != nil {
@@ -254,19 +283,30 @@ func FuzzInferBatchEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		feats := randFeatures(rng, rows, inDim)
+		for r := 0; r < rows; r++ {
+			if rng.Intn(4) == 0 {
+				feats[r*inDim+rng.Intn(inDim)] = specials[rng.Intn(len(specials))]
+			}
+		}
 		classes := make([]int, rows)
 		f32.InferBatch(feats, rows, classes)
 		batchLogits := make([][]float32, rows)
 		for r := 0; r < rows; r++ {
 			batchLogits[r] = append([]float32(nil), outputRow32(f32, r)...)
+			if want := argmaxRef(batchLogits[r]); classes[r] != want {
+				t.Fatalf("f32 sample %d: class %d, reference argmax %d over %v", r, classes[r], want, batchLogits[r])
+			}
 		}
 		for r := 0; r < rows; r++ {
 			sample := feats[r*inDim : (r+1)*inDim]
 			if got := f32.Predict(sample); got != classes[r] {
 				t.Fatalf("f32 sample %d: batch class %d, single class %d", r, classes[r], got)
 			}
+			// Bitwise, except that any NaN matches any NaN: for a NaN the
+			// vector sigmoid promises a NaN, not the scalar tail's bits.
 			for j, v := range outputRow32(f32, 0) {
-				if batchLogits[r][j] != v {
+				b := batchLogits[r][j]
+				if math.Float32bits(b) != math.Float32bits(v) && !(b != b && v != v) {
 					t.Fatalf("f32 sample %d logit %d: batch %v != single %v", r, j, batchLogits[r][j], v)
 				}
 			}
@@ -274,9 +314,22 @@ func FuzzInferBatchEquivalence(f *testing.F) {
 		fxClasses := make([]int, rows)
 		fx.InferBatch(feats, rows, fxClasses)
 		for r := 0; r < rows; r++ {
+			if want := argmaxRef(outputRowQ(fx, r)); fxClasses[r] != want {
+				t.Fatalf("fixed sample %d: class %d, reference argmax %d over %v", r, fxClasses[r], want, outputRowQ(fx, r))
+			}
+		}
+		for r := 0; r < rows; r++ {
 			sample := feats[r*inDim : (r+1)*inDim]
 			if got := fx.Predict(sample); got != fxClasses[r] {
 				t.Fatalf("fixed sample %d: batch class %d, single class %d", r, fxClasses[r], got)
+			}
+		}
+		f64Classes := make([]int, rows)
+		net.PredictBatch(feats, rows, f64Classes, &PredictBuffer{})
+		logits := net.Forward(fromSlice(rows, inDim, feats))
+		for r := 0; r < rows; r++ {
+			if want := argmaxRef(logits.Row(r)); f64Classes[r] != want {
+				t.Fatalf("float64 sample %d: class %d, reference argmax %d over %v", r, f64Classes[r], want, logits.Row(r))
 			}
 		}
 	})

@@ -91,7 +91,7 @@ func (fn *FixedNetwork) InferBatch(features []float64, rows int, classes []int) 
 		panic("nn: fixed InferBatch feature length mismatch")
 	}
 	fn.EnsureBatch(rows)
-	buf := fn.qBuf[:rows*fn.inDim]
+	buf := fn.qBuf[:len(features)] // lets the loop drop its bounds check
 	for i, f := range features {
 		buf[i] = fixed.FromFloat(f)
 	}

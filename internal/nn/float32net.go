@@ -253,7 +253,7 @@ func (fn *Float32Network) Predict(features []float64) int {
 		panic(fmt.Sprintf("nn: float32 predict got %d features, want %d", len(features), fn.inDim))
 	}
 	fn.inView = fn.inBuf.SliceRows(1)
-	buf := fn.inView.Row(0)
+	buf := fn.inView.Row(0)[:len(features)] // lets the loop drop its bounds check
 	for i, f := range features {
 		buf[i] = float32(f)
 	}
@@ -279,7 +279,7 @@ func (fn *Float32Network) InferBatch(features []float64, rows int, classes []int
 		fn.EnsureBatch(rows)
 	}
 	fn.inView = fn.inBuf.SliceRows(rows)
-	buf := fn.inView.Data()
+	buf := fn.inView.Data()[:len(features)] // lets the loop drop its bounds check
 	for i, f := range features {
 		buf[i] = float32(f)
 	}

@@ -470,13 +470,14 @@ func TestTableGetAllocFree(t *testing.T) {
 // values, ~55 MB, far larger than a core's own caches.
 const coldEntries = 120000
 
-// coldTable builds the table BenchmarkScan and BenchmarkGetCold read.
-func coldTable(b *testing.B) *Table {
+// coldTable builds the table BenchmarkScan, BenchmarkGetCold and
+// BenchmarkBlockFor read, under the keys keyOf gives.
+func coldTable(b *testing.B, keyOf func(int) []byte) *Table {
 	f, _ := newFS().Create("t")
 	bld := NewBuilder(f, 0)
 	value := bytes.Repeat([]byte("v"), 400)
 	for i := 0; i < coldEntries; i++ {
-		if err := bld.Add(key(i), value); err != nil {
+		if err := bld.Add(keyOf(i), value); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -493,7 +494,7 @@ func coldTable(b *testing.B) *Table {
 // BenchmarkScan steps an iterator through coldTable, wrapping around, so
 // nearly every block it loads is cold: the case readBlock's warm is for.
 func BenchmarkScan(b *testing.B) {
-	it := coldTable(b).NewIterator()
+	it := coldTable(b, key).NewIterator()
 	it.SeekToFirst()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -510,7 +511,7 @@ func BenchmarkScan(b *testing.B) {
 // misses a point read costs. BenchmarkGet's 10 000-entry table stays
 // cached.
 func BenchmarkGetCold(b *testing.B) {
-	tbl := coldTable(b)
+	tbl := coldTable(b, key)
 	keys := make([][]byte, coldEntries)
 	for i := range keys {
 		keys[i] = key(i)
@@ -523,6 +524,28 @@ func BenchmarkGetCold(b *testing.B) {
 			b.Fatalf("Get: %v, %v", ok, err)
 		}
 	}
+}
+
+// BenchmarkBlockFor times the index search alone, over coldTable with
+// 15-byte keys looked up in random order: a binary search over the
+// index entries (the blocks metric), whose lastKeys alias the table's
+// index section.
+func BenchmarkBlockFor(b *testing.B) {
+	key15 := func(i int) []byte { return []byte(fmt.Sprintf("key%012d", i)) }
+	tbl := coldTable(b, key15)
+	keys := make([][]byte, coldEntries)
+	for i := range keys {
+		keys[i] = key15(i)
+	}
+	order := rand.New(rand.NewSource(1)).Perm(coldEntries)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if bi := tbl.blockFor(keys[order[i%coldEntries]]); bi >= len(tbl.index) {
+			b.Fatalf("blockFor put a stored key past the last of %d blocks", len(tbl.index))
+		}
+	}
+	b.ReportMetric(float64(len(tbl.index)), "blocks")
 }
 
 func BenchmarkGet(b *testing.B) {
