@@ -129,12 +129,13 @@ postmortem-smoke:
 	sh scripts/postmortem_smoke.sh
 
 # The storage data plane's Go benchmarks: table point lookups, puts, a scan
-# of a cold table, and one pair compaction (merge, table build, reopen),
-# with allocations.
+# of a cold table, one pair compaction (merge, table build, reopen), and a
+# full-scale environment build, cold (the fill) and warm (a copy of the
+# filled template), with allocations.
 # BENCHTIME=1x only checks that they still compile and run.
 BENCHTIME ?= 1s
 bench-storage:
-	$(GO) test -run '^$$' -bench 'Get|Put|Scan|CompactPair' -benchmem -benchtime=$(BENCHTIME) ./internal/sstable ./internal/kvstore
+	$(GO) test -run '^$$' -bench 'Get|Put|Scan|CompactPair|NewEnv' -benchmem -benchtime=$(BENCHTIME) ./internal/sstable ./internal/kvstore ./internal/sim
 
 # The telemetry overhead self-checks in isolation: one counter add plus
 # one histogram observation (internal/telemetry/overhead_test.go), one

@@ -112,6 +112,18 @@ func New(prof Profile, clk *clock.Virtual) *Device {
 	return &Device{prof: prof, clk: clk, raSectors: DefaultReadaheadSectors}
 }
 
+// Clone returns a copy of d on clk: the same profile, readahead setting,
+// statistics and occupancy (busyUntil), so the copy's next command queues
+// exactly as d's would have.
+func (d *Device) Clone(clk *clock.Virtual) *Device {
+	if clk == nil {
+		panic("blockdev: nil clock")
+	}
+	c := *d
+	c.clk = clk
+	return &c
+}
+
 // Profile returns the device's occupancy model.
 func (d *Device) Profile() Profile { return d.prof }
 

@@ -43,8 +43,9 @@ const (
 	// StageEncode covers response encoding in the serving path.
 	StageEncode
 	// StageQueue covers the time a request spent between arriving on the
-	// wire (the read that completed its frame) and its handler starting —
-	// the queueing delay a batch coalescer would add, measured per request.
+	// wire (the read that completed its frame) and its handler starting.
+	// A coalesced request has a second one after its parse: the gather
+	// wait, from the parse end to the start of its batch's forward pass.
 	StageQueue
 	// StageClient is the root span of a CLIENT-side request trace: one
 	// whole Infer/BatchInfer call as the caller experienced it. When the
@@ -77,9 +78,10 @@ func (s Stage) String() string {
 
 // MaxTraceSpans is the fixed span capacity of a Trace. The tuner path
 // uses six (root + feature/normalize/infer/apply/outcome), the serving
-// path five (root + queue/parse/infer/encode) and the client path four
-// (root + encode/wire/parse), so eight leaves headroom without bloating
-// the arena slots.
+// path five (root + queue/parse/infer/encode) or, coalesced, six (a
+// second queue span, the gather wait, after parse) and the client path
+// four (root + encode/wire/parse), so eight leaves headroom without
+// bloating the arena slots.
 const MaxTraceSpans = 8
 
 // Span is one timed stage of a decision. Start/End are wall-clock

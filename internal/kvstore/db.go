@@ -117,6 +117,34 @@ func Open(fs *vfs.FS, opts Options) (*DB, error) {
 	return db, nil
 }
 
+// Clone returns a copy of db over fs, a copy of db's filesystem (see
+// vfs.FS.Clone): the same options, sequence number and statistics, the
+// log reattached, every table cloned onto fs's file of the same name, and
+// an empty memtable with the same seed. It reads nothing through the page
+// cache — Open would, and so would move the copy's simulated state — and
+// it copies no memtable entry, so the memtable must be empty (as a Flush
+// leaves it).
+func (db *DB) Clone(fs *vfs.FS) (*DB, error) {
+	if db.mem.len() != 0 {
+		return nil, fmt.Errorf("kvstore: Clone with %d memtable entries", db.mem.len())
+	}
+	out := &DB{fs: fs, opts: db.opts, mem: newMemtable(db.mem.seed), seq: db.seq, stats: db.stats}
+	walFile, err := fs.Open(db.wal.f.Name())
+	if err != nil {
+		return nil, err
+	}
+	out.wal = newWAL(walFile, db.opts.WALSync)
+	out.tables = make([]*sstable.Table, len(db.tables))
+	for i, t := range db.tables {
+		f, err := fs.Open(t.File().Name())
+		if err != nil {
+			return nil, err
+		}
+		out.tables[i] = t.Clone(f)
+	}
+	return out, nil
+}
+
 // tableName names the file of the table with sequence number seq.
 func tableName(seq int) string { return fmt.Sprintf("kml-%06d.sst", seq) }
 
@@ -245,9 +273,9 @@ func (db *DB) Flush() error {
 	return nil
 }
 
-// record encodes a table value, its tag byte then the value, into the one
-// scratch buffer every table build shares: Builder.Add copies what it is
-// given, so the buffer is free again as soon as Add returns.
+// record encodes a memtable entry as a table record, its tag byte then the
+// value, into one scratch buffer every flush shares: Builder.Add copies
+// what it is given, so the buffer is free again as soon as Add returns.
 func (db *DB) record(value []byte, tombstone bool) []byte {
 	tag := tagValue
 	if tombstone {
@@ -266,6 +294,26 @@ func (db *DB) record(value []byte, tombstone bool) []byte {
 // A short hint only costs the doubling it was meant to avoid.
 func reserveTable(f *vfs.File, inputBytes int64) {
 	f.Reserve(inputBytes + inputBytes/8)
+}
+
+// addRecords adds every entry of it, a merge of tables, to b: each input
+// record as its table stores it, tag byte and value, so a compaction
+// copies a record once and never re-encodes it. Tombstones are dropped
+// when dropTombstones is set. An empty record is an error, as in Get.
+func addRecords(b *sstable.Builder, it *mergeIterator, dropTombstones bool) error {
+	for ; it.valid(); it.next() {
+		rec := it.record()
+		if len(rec) == 0 {
+			return fmt.Errorf("kvstore: empty table record for %q", it.key())
+		}
+		if dropTombstones && rec[0] == tagTombstone {
+			continue
+		}
+		if err := b.Add(it.key(), rec); err != nil {
+			return err
+		}
+	}
+	return it.err()
 }
 
 // compactPair merges the adjacent pair of runs with the smallest combined
@@ -298,15 +346,7 @@ func (db *DB) compactPair() error {
 	}
 	reserveTable(f, pair[0].File().Size()+pair[1].File().Size())
 	b := sstable.NewBuilder(f, db.opts.BlockSize)
-	for it.valid() {
-		if !(it.tombstone() && includesOldest) {
-			if err := b.Add(it.key(), db.record(it.value(), it.tombstone())); err != nil {
-				return err
-			}
-		}
-		it.next()
-	}
-	if err := it.err(); err != nil {
+	if err := addRecords(b, it, includesOldest); err != nil {
 		return err
 	}
 	var merged []*sstable.Table
@@ -370,15 +410,7 @@ func (db *DB) Compact() error {
 	}
 	reserveTable(f, inputBytes)
 	b := sstable.NewBuilder(f, db.opts.BlockSize)
-	for it.valid() {
-		if !it.tombstone() {
-			if err := b.Add(it.key(), db.record(it.value(), false)); err != nil {
-				return err
-			}
-		}
-		it.next()
-	}
-	if err := it.err(); err != nil {
+	if err := addRecords(b, it, true); err != nil {
 		return err
 	}
 	if b.Entries() == 0 {

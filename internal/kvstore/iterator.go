@@ -197,6 +197,11 @@ func (m *mergeIterator) prev() {
 	m.pick()
 }
 
+// record returns the current entry's table record, its tag byte then its
+// value, as the table stores it. Only a merge of tables alone, as a
+// compaction's is, has records.
+func (m *mergeIterator) record() []byte { return m.sources[m.cur].(*tableSource).it.Value() }
+
 func (m *mergeIterator) key() []byte     { return m.sources[m.cur].key() }
 func (m *mergeIterator) value() []byte   { return m.sources[m.cur].value() }
 func (m *mergeIterator) tombstone() bool { return m.sources[m.cur].tombstone() }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -760,4 +761,85 @@ func TestMergeIteratorOverReusedBlocks(t *testing.T) {
 	fwd = db.NewIterator()
 	fwd.SeekToFirst()
 	check("after compaction", fwd, keys)
+}
+
+// TestCompactionRejectsEmptyRecord: a table record is a tag byte then the
+// value, so an empty one is corrupt. Get reports it, and both compactions,
+// which copy records as they find them, must report it too rather than
+// write it on as a live value.
+func TestCompactionRejectsEmptyRecord(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		compact func(*DB) error
+	}{{"pair", (*DB).compactPair}, {"full", (*DB).Compact}} {
+		t.Run(c.name, func(t *testing.T) {
+			fs := newFS()
+			for seq, rec := range map[int][]byte{1: {tagValue, 'x'}, 2: {}} {
+				f, err := fs.Create(tableName(seq))
+				if err != nil {
+					t.Fatal(err)
+				}
+				b := sstable.NewBuilder(f, 0)
+				if err := b.Add(k(seq), rec); err != nil {
+					t.Fatal(err)
+				}
+				if err := b.Finish(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db := openDB(t, fs, Options{})
+			if _, _, err := db.Get(k(2)); err == nil || !strings.Contains(err.Error(), "empty table record") {
+				t.Fatalf("Get of the empty record: %v", err)
+			}
+			if err := c.compact(db); err == nil || !strings.Contains(err.Error(), "empty table record") {
+				t.Fatalf("compaction over the empty record: %v, want an empty table record error", err)
+			}
+		})
+	}
+}
+
+// TestCloneNeedsEmptyMemtable: Clone copies no memtable entry, so it
+// refuses a DB with unflushed writes; after a flush the copy reads what
+// the original holds, and neither sees the other's later writes.
+func TestCloneNeedsEmptyMemtable(t *testing.T) {
+	fs := newFS()
+	db := openDB(t, fs, Options{Seed: 3})
+	for i := 0; i < 100; i++ {
+		if err := db.Put(k(i), v(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copyFS := func() *vfs.FS {
+		clk := clock.New()
+		return fs.Clone(pagecache.New(pagecache.Config{CapacityPages: 64}, clk, blockdev.New(blockdev.NVMe(), clk), nil))
+	}
+	if _, err := db.Clone(copyFS()); err == nil {
+		t.Fatal("Clone with 100 memtable entries succeeded")
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := db.Clone(copyFS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Stats() != db.Stats() || cp.Tables() != db.Tables() || cp.seq != db.seq || cp.mem.seed != db.mem.seed {
+		t.Fatalf("copy %+v %d tables seq %d seed %d; original %+v %d tables seq %d seed %d",
+			cp.Stats(), cp.Tables(), cp.seq, cp.mem.seed, db.Stats(), db.Tables(), db.seq, db.mem.seed)
+	}
+	if err := cp.Put(k(0), []byte("copy")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := db.Get(k(0)); err != nil || !bytes.Equal(got, v(0)) {
+		t.Fatalf("original reads %q, %v after the copy's write", got, err)
+	}
+	if got, _, err := cp.Get(k(0)); err != nil || string(got) != "copy" {
+		t.Fatalf("copy reads %q, %v after its own write", got, err)
+	}
+	if _, err := fs.Open(tableName(cp.seq)); err == nil {
+		t.Fatal("the copy's flush created a table in the original's filesystem")
+	}
 }

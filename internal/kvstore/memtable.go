@@ -27,8 +27,14 @@ type mnode struct {
 // memtable is a skiplist keyed by byte slices, storing the newest write per
 // key (a tombstone for deletes).
 type memtable struct {
-	head   *mnode
-	rng    *rand.Rand
+	head *mnode
+	rng  *rand.Rand
+	// seed is rng's seed. A *rand.Rand cannot be copied, but an empty
+	// memtable has drawn nothing from it, so newMemtable(seed) is an
+	// exact copy of an empty memtable (see DB.Clone). Skiplist heights
+	// never reach the simulation, so no simulated count would show a
+	// wrong seed; it is kept right by construction instead.
+	seed   int64
 	height int
 	bytes  int
 	count  int
@@ -38,6 +44,7 @@ func newMemtable(seed int64) *memtable {
 	return &memtable{
 		head:   &mnode{},
 		rng:    rand.New(rand.NewSource(seed)),
+		seed:   seed,
 		height: 1,
 	}
 }

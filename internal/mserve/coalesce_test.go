@@ -299,12 +299,12 @@ func TestCoalesceTraceAttribution(t *testing.T) {
 		}
 		wantStages := []dtrace.Stage{
 			dtrace.StageDecision, dtrace.StageQueue, dtrace.StageParse,
-			dtrace.StageInfer, dtrace.StageEncode,
+			dtrace.StageQueue, dtrace.StageInfer, dtrace.StageEncode,
 		}
 		if int(tr.N) != len(wantStages) {
 			t.Fatalf("client %d trace has %d spans, want %d", i, tr.N, len(wantStages))
 		}
-		var infer, queue *dtrace.Span
+		var infer, parse, queue *dtrace.Span
 		for si := range tr.Used() {
 			sp := &tr.Spans[si]
 			if sp.Stage != wantStages[si] {
@@ -313,8 +313,10 @@ func TestCoalesceTraceAttribution(t *testing.T) {
 			switch sp.Stage {
 			case dtrace.StageInfer:
 				infer = sp
+			case dtrace.StageParse:
+				parse = sp
 			case dtrace.StageQueue:
-				queue = sp
+				queue = sp // the last one: the gather wait
 			}
 		}
 		version, batchRows := dtrace.UnpackInferAux(infer.Aux)
@@ -324,11 +326,11 @@ func TestCoalesceTraceAttribution(t *testing.T) {
 		if version != 1 {
 			t.Fatalf("client %d infer span version %d, want 1", i, version)
 		}
-		// The gather wait is the request's queue span: it starts at
-		// arrival and ends where the infer span starts.
-		if queue.End != infer.Start {
-			t.Fatalf("client %d queue span ends %d, infer starts %d; gather wait not attributed to queue",
-				i, queue.End, infer.Start)
+		// The gather wait is the request's second queue span: it starts
+		// where the parse ended and ends where the infer span starts.
+		if queue.Start != parse.End || queue.End != infer.Start {
+			t.Fatalf("client %d gather span %d..%d, parse ends %d, infer starts %d; gather wait not attributed to queue",
+				i, queue.Start, queue.End, parse.End, infer.Start)
 		}
 		if queue.Value != queue.End-queue.Start {
 			t.Fatalf("client %d queue span value %d != duration %d", i, queue.Value, queue.End-queue.Start)

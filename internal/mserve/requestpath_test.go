@@ -114,10 +114,11 @@ func TestRequestPathMatrix(t *testing.T) {
 					if !traced && uint64(tr.ID)&ClientTraceIDBit != 0 {
 						t.Fatalf("untraced request recorded under client-style ID %#x", tr.ID)
 					}
-					stages := []dtrace.Stage{
-						dtrace.StageDecision, dtrace.StageQueue, dtrace.StageParse,
-						dtrace.StageInfer, dtrace.StageEncode,
+					stages := []dtrace.Stage{dtrace.StageDecision, dtrace.StageQueue, dtrace.StageParse}
+					if coalesce {
+						stages = append(stages, dtrace.StageQueue) // the gather wait
 					}
+					stages = append(stages, dtrace.StageInfer, dtrace.StageEncode)
 					if !tr.Complete() || int(tr.N) != len(stages) {
 						t.Fatalf("trace %+v: want %d complete spans", tr, len(stages))
 					}
@@ -126,7 +127,7 @@ func TestRequestPathMatrix(t *testing.T) {
 							t.Fatalf("span %d = %v under %d, want %v under the root", i, sp.Stage, sp.Parent, stages[i])
 						}
 					}
-					root, infer := tr.Root(), &tr.Spans[3]
+					root, infer := tr.Root(), &tr.Spans[len(stages)-2]
 					if root.Value != wantClass || root.Aux != int64(sh.rows) || infer.Value != wantClass {
 						t.Fatalf("root value/aux %d/%d, infer value %d; want %d/%d, %d",
 							root.Value, root.Aux, infer.Value, wantClass, sh.rows, wantClass)
@@ -135,21 +136,24 @@ func TestRequestPathMatrix(t *testing.T) {
 					if version != 1 || batchRows < sh.rows {
 						t.Fatalf("infer aux v%d batch %d, want v1 batch >= %d", version, batchRows, sh.rows)
 					}
-					if coalesce {
-						return
-					}
-					// Inline, each stage starts at the clock read that ended
-					// the one before: the stages tile the root, so their
-					// durations sum to its duration exactly.
+					// Each stage starts at the clock read that ended the one
+					// before, so the stages tile the root and their durations
+					// sum to its duration exactly. Coalesced, the encode
+					// starts when the waiter wakes, after the batch ended:
+					// no two stages overlap, and they sum to at most the root.
 					var sum int64
 					end := root.Start
 					for i, sp := range tr.Used()[1:] {
-						if sp.Start != end {
+						tiled := !coalesce || stages[i+1] != dtrace.StageEncode
+						if sp.Start < end || (tiled && sp.Start != end) {
 							t.Fatalf("%v span starts at %d, %d ns after the previous boundary", stages[i+1], sp.Start, sp.Start-end)
+						}
+						if sp.Stage == dtrace.StageQueue && sp.Value != sp.Duration() {
+							t.Fatalf("queue span value %d, duration %d", sp.Value, sp.Duration())
 						}
 						sum, end = sum+sp.Duration(), sp.End
 					}
-					if sum != root.Duration() || end != root.End {
+					if end != root.End || sum > root.Duration() || (!coalesce && sum != root.Duration()) {
 						t.Fatalf("stage spans sum to %d ns and end at %d; the root lasts %d ns and ends at %d", sum, end, root.Duration(), root.End)
 					}
 				})

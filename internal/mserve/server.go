@@ -535,7 +535,8 @@ type srvConn struct {
 	inst       *Instance
 	tb         dtrace.Builder // per-connection span builder (alloc-free)
 	arrivalNS  int64          // stamp of the read that completed the current request
-	queueEndNS int64          // handler start, or the coalesced batch's start
+	queueEndNS int64          // handler start
+	gatherNS   int64          // a coalesced inference's gather wait: parse end to batch start
 	done       time.Time      // an inference's encode end; zero for other requests
 	cw         coalWaiter     // the current inference request's classes and stamps
 }
@@ -599,17 +600,18 @@ func (s *Server) handle(c net.Conn) {
 		// Arrival is the read that completed the frame: everything between
 		// there and dispatch (CRC, the frames ahead of it in the same read,
 		// scheduling) is attributed queueing delay, and so is a coalesced
-		// inference's gather wait, which moves queueEndNS to the batch start.
+		// inference's gather wait (gatherNS), which follows its parse.
 		sc.arrivalNS = sc.fr.readNS
 		start := time.Now()
 		sc.queueEndNS = start.UnixNano()
+		sc.gatherNS = 0
 		sc.done = time.Time{}
 		known := int(h.Type) < numMsgTypes && s.reqNanos[h.Type] != nil
 		if known {
 			s.rxBytes[h.Type].Add(uint64(HeaderSize + len(payload)))
 		}
 		typ, resp := s.dispatch(sc, h.Type, payload)
-		s.queueNanos.Observe(sc.queueEndNS - sc.arrivalNS)
+		s.queueNanos.Observe(sc.queueEndNS - sc.arrivalNS + sc.gatherNS)
 		end := sc.done
 		if end.IsZero() {
 			end = time.Now()
@@ -745,12 +747,13 @@ func (s *Server) infer(sc *srvConn, typ MsgType, p []byte) (MsgType, []byte) {
 	w.classes = w.classes[:rows]
 	feats := sc.feats[:rows*nfeat]
 	var encStart int64
-	if s.coal != nil && rows < s.coal.maxRows {
+	coalesced := s.coal != nil && rows < s.coal.maxRows
+	if coalesced {
 		s.coal.submit(s, w, feats, rows, nfeat)
+		sc.gatherNS = w.startNS - parseEnd
 		if w.failed {
 			return s.errorResp(sc, "model replaced during gather; retry")
 		}
-		sc.queueEndNS = w.startNS
 		encStart = time.Now().UnixNano()
 	} else {
 		inst, err := instanceFor(sc.inst, snap)
@@ -796,6 +799,12 @@ func (s *Server) infer(sc *srvConn, typ MsgType, p []byte) (MsgType, []byte) {
 	sc.tb.SetAux(0, int64(rows))
 	sc.span(dtrace.StageQueue, sc.arrivalNS, sc.queueEndNS, sc.queueEndNS-sc.arrivalNS, 0)
 	sc.span(dtrace.StageParse, parseStart, parseEnd, int64(len(p)), 0)
+	if coalesced {
+		// Waiting for the batch is queueing too: a second queue span,
+		// between the parse and the batch's infer span, so that no two
+		// stage spans overlap.
+		sc.span(dtrace.StageQueue, parseEnd, w.startNS, sc.gatherNS, 0)
+	}
 	sc.span(dtrace.StageInfer, w.startNS, w.endNS, class, dtrace.PackInferAux(w.version, w.batchRows))
 	sc.span(dtrace.StageEncode, encStart, encEnd, int64(len(sc.resp)), 0)
 	s.traces.Record(sc.tb.Finish(encEnd))

@@ -150,6 +150,22 @@ func New(cfg Config, clk *clock.Virtual, dev *blockdev.Device, tracer *trace.Tra
 	}
 }
 
+// Clone returns an empty copy of c on clk, dev and tracer: every file's
+// size, readahead override and readahead state, and the statistics. It
+// copies no page, so c must hold none — no resident page and no dirty
+// bookkeeping, as DropAll leaves it — and Clone panics otherwise.
+func (c *Cache) Clone(clk *clock.Virtual, dev *blockdev.Device, tracer *trace.Tracer) *Cache {
+	if c.resident != 0 || c.dirtyCount != 0 || len(c.dirtyFIFO) != 0 {
+		panic(fmt.Sprintf("pagecache: Clone of a cache holding %d pages (%d dirty)", c.resident, c.dirtyCount))
+	}
+	out := New(c.cfg, clk, dev, tracer)
+	for id, fs := range c.files {
+		out.files[id] = &fileState{id: id, ra: fs.ra, raSec: fs.raSec, size: fs.size}
+	}
+	out.stats = c.stats
+	return out
+}
+
 // file returns f's state, creating it on first use.
 func (c *Cache) file(f FileID) *fileState {
 	fs, ok := c.files[f]

@@ -459,3 +459,37 @@ func BenchmarkReadPagesRandom(b *testing.B) {
 		c.ReadPages(1, offs[i&(len(offs)-1)], 1)
 	}
 }
+
+// TestCloneNeedsEmptyCache: Clone copies no page, so it refuses a cache
+// that holds one, and from an emptied cache it carries every file's size
+// and readahead override, so the copy clamps and sizes windows as the
+// original would.
+func TestCloneNeedsEmptyCache(t *testing.T) {
+	c, dev, clk, tr := newCache(64)
+	c.SetFilePages(1, 10)
+	c.SetFileReadahead(2, 64)
+	c.ReadPages(1, 0, 1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Clone of a cache holding pages did not panic")
+			}
+		}()
+		c.Clone(clk, dev, tr)
+	}()
+	c.DropAll()
+	cp := c.Clone(clk, dev, tr)
+	if cp.resident != 0 || cp.Stats() != c.Stats() {
+		t.Fatalf("copy holds %d pages, stats %+v; original stats %+v", cp.resident, cp.Stats(), c.Stats())
+	}
+	if got := cp.files[1]; got.size != 10 || len(got.pages) != 0 {
+		t.Fatalf("file 1: size %d, %d page slots; want 10 and none", got.size, len(got.pages))
+	}
+	if got := cp.files[2]; got.raSec != 64 {
+		t.Fatalf("file 2: readahead %d sectors, want 64", got.raSec)
+	}
+	cp.ReadPages(1, 0, 1)
+	if contains(c, 1, 0) || !contains(cp, 1, 0) {
+		t.Fatal("a read of the copy must fill the copy's page table only")
+	}
+}

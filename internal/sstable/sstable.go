@@ -295,6 +295,19 @@ func Open(f *vfs.File) (*Table, error) {
 	return t, nil
 }
 
+// Clone returns t over f, a copy of t's file (same bytes, other
+// filesystem), without reading f: the parsed index, bloom filter and
+// first and last keys are shared with t, read-only. That is safe because
+// a table file is write-once — neither t's file nor f changes after
+// Finish — and nothing writes to a parsed index or filter. Opening f
+// instead would read its footer, index, bloom and block 0 through the
+// page cache, and so move the copy's clock and cache state away from t's.
+func (t *Table) Clone(f *vfs.File) *Table {
+	c := *t
+	c.f = f
+	return &c
+}
+
 // Entries returns the number of keys in the table.
 func (t *Table) Entries() uint64 { return t.entries }
 

@@ -41,6 +41,22 @@ func New(cache *pagecache.Cache) *FS {
 	return &FS{cache: cache, nextIno: 1, byName: make(map[string]*File)}
 }
 
+// Clone returns a copy of fs over cache: the same names, inode numbers and
+// contents, each file's bytes copied so neither filesystem's writes reach
+// the other, and the same next inode number. The page-cache side of every
+// file (its size in pages, its readahead state) is cache's to carry; see
+// pagecache.Cache.Clone.
+func (fs *FS) Clone(cache *pagecache.Cache) *FS {
+	out := New(cache)
+	out.nextIno = fs.nextIno
+	for name, f := range fs.byName {
+		data := make([]byte, len(f.data))
+		copy(data, f.data)
+		out.byName[name] = &File{fs: out, name: name, ino: f.ino, data: data, dirty: int64(len(data))}
+	}
+	return out
+}
+
 // File is an open simulated file. All opens of a name share one File (and
 // therefore one inode, size, and readahead state), like an inode cache.
 type File struct {

@@ -156,29 +156,27 @@ func Key(i int) []byte { return appendKey(make([]byte, 0, 15), i) }
 // appendKey appends key i's bytes to dst.
 func appendKey(dst []byte, i int) []byte { return appendPadded(append(dst, "key"...), i, 12) }
 
-// Value builds a deterministic value of the configured size: the pattern
-// "v%011d-" repeated. The returned slice is fresh; callers may retain it.
-func Value(cfg Config, i int) []byte {
-	v := make([]byte, cfg.ValueSize)
-	fillValue(v, i)
-	return v
-}
-
-// fillValue overwrites v with value i's bytes.
+// fillValue overwrites v with value i's bytes, the pattern "v%011d-"
+// repeated: the pattern once, then doubled in place until v is full.
 func fillValue(v []byte, i int) {
 	var buf [24]byte
-	pattern := append(appendPadded(append(buf[:0], 'v'), i, 11), '-')
-	for off := 0; off < len(v); off += len(pattern) {
-		copy(v[off:], pattern)
+	n := copy(v, append(appendPadded(append(buf[:0], 'v'), i, 11), '-'))
+	for n < len(v) {
+		n += copy(v[n:], v[:n])
 	}
 }
 
 // Fill loads the key space sequentially (db_bench fillseq) and compacts to
-// a steady initial state.
+// a steady initial state. One key and one value buffer serve every Put,
+// since Put copies what it keeps.
 func Fill(db *kvstore.DB, cfg Config) error {
 	cfg = cfg.withDefaults()
+	var key []byte
+	value := make([]byte, cfg.ValueSize)
 	for i := 0; i < cfg.Keys; i++ {
-		if err := db.Put(Key(i), Value(cfg, i)); err != nil {
+		key = appendKey(key[:0], i)
+		fillValue(value, i)
+		if err := db.Put(key, value); err != nil {
 			return err
 		}
 	}

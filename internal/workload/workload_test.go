@@ -235,9 +235,10 @@ func TestKeyValueHelpers(t *testing.T) {
 	if string(Key(42)) != "key000000000042" {
 		t.Errorf("Key = %q", Key(42))
 	}
-	v := Value(Config{ValueSize: 64}.withDefaults(), 7)
-	if len(v) != 64 {
-		t.Errorf("value len %d", len(v))
+	v := make([]byte, 30)
+	fillValue(v, 7)
+	if string(v) != "v00000000007-v00000000007-v000" {
+		t.Errorf("value %q", v)
 	}
 }
 
@@ -260,21 +261,43 @@ func TestKeyValueMatchSprintf(t *testing.T) {
 			t.Fatalf("Key(%d) = %q, want %q", i, got, want)
 		}
 		for _, size := range []int{0, 5, 13, 64, 400} {
-			want := make([]byte, size)
-			pattern := fmt.Sprintf("v%011d-", i)
-			for off := 0; off < size; off += len(pattern) {
-				copy(want[off:], pattern)
-			}
-			if got := Value(Config{ValueSize: size}, i); !bytes.Equal(got, want) {
-				t.Fatalf("Value(size %d, %d) = %q, want %q", size, i, got, want)
+			got, pattern := make([]byte, size), fmt.Sprintf("v%011d-", i)
+			if fillValue(got, i); !bytes.Equal(got, loopValue(size, pattern)) {
+				t.Fatalf("value(size %d, %d) = %q, want %q repeated", size, i, got, pattern)
 			}
 		}
 	}
 	if a := testing.AllocsPerRun(100, func() { sink = Key(123456) }); a != 1 {
 		t.Errorf("Key allocates %.0f times, want 1", a)
 	}
-	if a := testing.AllocsPerRun(100, func() { sink = Value(cfg, 123456) }); a != 1 {
-		t.Errorf("Value allocates %.0f times, want 1", a)
+	v := make([]byte, cfg.ValueSize)
+	if a := testing.AllocsPerRun(100, func() { fillValue(v, 123456) }); a != 0 {
+		t.Errorf("fillValue allocates %.0f times, want 0", a)
+	}
+}
+
+// loopValue is the reference fillValue replaced: pattern copied at every
+// multiple of its length.
+func loopValue(size int, pattern string) []byte {
+	v := make([]byte, size)
+	for off := 0; off < size; off += len(pattern) {
+		copy(v[off:], pattern)
+	}
+	return v
+}
+
+// TestFillValueMatchesLoop pins the doubling fillValue against the
+// copy-per-pattern loop it replaced, on sizes around the 13-byte pattern
+// and the block size, over a buffer that held another value before.
+func TestFillValueMatchesLoop(t *testing.T) {
+	for _, size := range []int{0, 1, 12, 13, 14, 400, 4097} {
+		v := make([]byte, size)
+		for _, i := range []int{0, 7, 99_999, 119_999, 123_456_789_012} {
+			fillValue(v, i)
+			if want := loopValue(size, fmt.Sprintf("v%011d-", i)); !bytes.Equal(v, want) {
+				t.Fatalf("fillValue(size %d, %d) = %q, want %q", size, i, v, want)
+			}
+		}
 	}
 }
 
