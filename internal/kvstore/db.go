@@ -38,12 +38,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Table-value tags: SSTables store either a live value or a tombstone.
-const (
-	tagValue     byte = 0
-	tagTombstone byte = 1
-)
-
 // DB is the LSM store.
 type DB struct {
 	fs   *vfs.FS
@@ -53,7 +47,6 @@ type DB struct {
 	wal    *wal
 	tables []*sstable.Table // newest first
 	seq    int
-	rec    []byte // the tagged record a table build is adding; see record
 
 	stats DBStats
 }
@@ -183,7 +176,7 @@ func (db *DB) Put(key, value []byte) error {
 
 // Delete removes key (writes a tombstone).
 //
-//kml:api the only writer of the tombstone tag that the WAL and table formats carry
+//kml:api the only writer of the tombstones that the WAL and table formats carry
 func (db *DB) Delete(key []byte) error {
 	if len(key) == 0 {
 		return errors.New("kvstore: empty key")
@@ -208,20 +201,15 @@ func (db *DB) Get(key []byte) (value []byte, ok bool, err error) {
 		return v, true, nil
 	}
 	for _, t := range db.tables {
-		raw, found, err := t.Get(key)
-		if err != nil {
+		v, tomb, found, err := t.Get(key)
+		switch {
+		case err != nil:
 			return nil, false, err
-		}
-		if !found {
-			continue
-		}
-		if len(raw) == 0 {
-			return nil, false, fmt.Errorf("kvstore: empty table record for %q", key)
-		}
-		if raw[0] == tagTombstone {
+		case found && tomb:
 			return nil, false, nil
+		case found:
+			return v, true, nil
 		}
-		return raw[1:], true, nil
 	}
 	return nil, false, nil
 }
@@ -250,7 +238,7 @@ func (db *DB) Flush() error {
 	reserveTable(f, int64(db.mem.sizeBytes()))
 	b := sstable.NewBuilder(f, db.opts.BlockSize)
 	for _, e := range db.mem.entries() {
-		if err := b.Add(e.key, db.record(e.value, e.tombstone)); err != nil {
+		if err := b.Add(e.key, e.value, e.tombstone); err != nil {
 			return err
 		}
 	}
@@ -273,18 +261,6 @@ func (db *DB) Flush() error {
 	return nil
 }
 
-// record encodes a memtable entry as a table record, its tag byte then the
-// value, into one scratch buffer every flush shares: Builder.Add copies
-// what it is given, so the buffer is free again as soon as Add returns.
-func (db *DB) record(value []byte, tombstone bool) []byte {
-	tag := tagValue
-	if tombstone {
-		tag = tagTombstone
-	}
-	db.rec = append(append(db.rec[:0], tag), value...)
-	return db.rec
-}
-
 // reserveTable hints the size of the table about to be built in f from the
 // bytes going into it (memtable size, or the input tables' file sizes), so
 // the build does not double-and-copy its way up from nothing. The eighth of
@@ -296,20 +272,17 @@ func reserveTable(f *vfs.File, inputBytes int64) {
 	f.Reserve(inputBytes + inputBytes/8)
 }
 
-// addRecords adds every entry of it, a merge of tables, to b: each input
-// record as its table stores it, tag byte and value, so a compaction
-// copies a record once and never re-encodes it. Tombstones are dropped
-// when dropTombstones is set. An empty record is an error, as in Get.
-func addRecords(b *sstable.Builder, it *mergeIterator, dropTombstones bool) error {
+// addEntries adds every entry of it, a merge of tables, to b: each key,
+// value and kind as its input table stores it, so a compaction copies an
+// entry once and never re-encodes it. Tombstones are dropped when
+// dropTombstones is set.
+func addEntries(b *sstable.Builder, it *mergeIterator, dropTombstones bool) error {
 	for ; it.valid(); it.next() {
-		rec := it.record()
-		if len(rec) == 0 {
-			return fmt.Errorf("kvstore: empty table record for %q", it.key())
-		}
-		if dropTombstones && rec[0] == tagTombstone {
+		tomb := it.tombstone()
+		if dropTombstones && tomb {
 			continue
 		}
-		if err := b.Add(it.key(), rec); err != nil {
+		if err := b.Add(it.key(), it.value(), tomb); err != nil {
 			return err
 		}
 	}
@@ -346,7 +319,7 @@ func (db *DB) compactPair() error {
 	}
 	reserveTable(f, pair[0].File().Size()+pair[1].File().Size())
 	b := sstable.NewBuilder(f, db.opts.BlockSize)
-	if err := addRecords(b, it, includesOldest); err != nil {
+	if err := addEntries(b, it, includesOldest); err != nil {
 		return err
 	}
 	var merged []*sstable.Table
@@ -410,7 +383,7 @@ func (db *DB) Compact() error {
 	}
 	reserveTable(f, inputBytes)
 	b := sstable.NewBuilder(f, db.opts.BlockSize)
-	if err := addRecords(b, it, true); err != nil {
+	if err := addEntries(b, it, true); err != nil {
 		return err
 	}
 	if b.Entries() == 0 {

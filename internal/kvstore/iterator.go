@@ -24,7 +24,7 @@ type source interface {
 	next()
 	prev()
 	key() []byte
-	value() []byte // raw: tag byte + user value for tables
+	value() []byte
 	tombstone() bool
 	err() error
 }
@@ -57,7 +57,7 @@ func (s *memSource) value() []byte   { return s.entries[s.pos].value }
 func (s *memSource) tombstone() bool { return s.entries[s.pos].tombstone }
 func (s *memSource) err() error      { return nil }
 
-// tableSource iterates one SSTable, decoding the value tag.
+// tableSource iterates one SSTable.
 type tableSource struct {
 	it *sstable.Iterator
 }
@@ -69,18 +69,9 @@ func (s *tableSource) valid() bool     { return s.it.Valid() }
 func (s *tableSource) next()           { s.it.Next() }
 func (s *tableSource) prev()           { s.it.Prev() }
 func (s *tableSource) key() []byte     { return s.it.Key() }
-func (s *tableSource) value() []byte {
-	raw := s.it.Value()
-	if len(raw) == 0 {
-		return nil
-	}
-	return raw[1:]
-}
-func (s *tableSource) tombstone() bool {
-	raw := s.it.Value()
-	return len(raw) > 0 && raw[0] == tagTombstone
-}
-func (s *tableSource) err() error { return s.it.Err() }
+func (s *tableSource) value() []byte   { return s.it.Value() }
+func (s *tableSource) tombstone() bool { return s.it.Tombstone() }
+func (s *tableSource) err() error      { return s.it.Err() }
 
 // mergeIterator merges sources by key; on duplicate keys the lowest source
 // index (newest run) wins and older entries are skipped.
@@ -196,11 +187,6 @@ func (m *mergeIterator) prev() {
 	m.sources[m.cur].prev()
 	m.pick()
 }
-
-// record returns the current entry's table record, its tag byte then its
-// value, as the table stores it. Only a merge of tables alone, as a
-// compaction's is, has records.
-func (m *mergeIterator) record() []byte { return m.sources[m.cur].(*tableSource).it.Value() }
 
 func (m *mergeIterator) key() []byte     { return m.sources[m.cur].key() }
 func (m *mergeIterator) value() []byte   { return m.sources[m.cur].value() }

@@ -74,10 +74,12 @@ type Env struct {
 // Config once per process and hands out a deep copy of the filled
 // template on every call (see Env.clone): the copy's simulation is
 // bit-identical to a fresh fill's, for a fraction of the cost. The
-// template is never run or returned. Templates live as long as the
-// process — about 55 MB for the full-scale Config, mostly table bytes —
-// and goroutines asking for the same Config at once fill it once. A fill
-// error is returned to every caller of that Config.
+// template is never run or returned, and its filesystem is frozen, so
+// the copies share its file bytes until they write them (vfs.FS.Clone).
+// Templates live as long as the process — about 55 MB for the full-scale
+// Config, mostly table bytes — and goroutines asking for the same Config
+// at once fill it once. A fill error is returned to every caller of that
+// Config.
 func NewEnv(cfg Config) (*Env, error) {
 	cfg = cfg.WithDefaults()
 	templates.Lock()
@@ -87,7 +89,11 @@ func NewEnv(cfg Config) (*Env, error) {
 		templates.m[cfg] = t
 	}
 	templates.Unlock()
-	t.once.Do(func() { t.env, t.err = fill(cfg) })
+	t.once.Do(func() {
+		if t.env, t.err = fill(cfg); t.err == nil {
+			t.env.FS.Freeze()
+		}
+	})
 	if t.err != nil {
 		return nil, t.err
 	}

@@ -15,7 +15,8 @@ import (
 // bounds check, it wraps negative and passes it.
 var hostileVarint = []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
 
-// smallTable builds a two-block table and returns its bytes.
+// smallTable builds a two-block table, every seventh entry a tombstone,
+// and returns its bytes.
 func smallTable(tb testing.TB) []byte {
 	tb.Helper()
 	f, err := newFS().Create("small")
@@ -24,7 +25,11 @@ func smallTable(tb testing.TB) []byte {
 	}
 	b := NewBuilder(f, 0)
 	for i := 0; i < 120; i++ {
-		if err := b.Add(key(i), val(i)); err != nil {
+		v, tomb := val(i), i%7 == 3
+		if tomb {
+			v = nil
+		}
+		if err := b.Add(key(i), v, tomb); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -83,19 +88,19 @@ func describeEntries(es []entry, err error) string {
 	}
 	var b bytes.Buffer
 	for _, e := range es {
-		fmt.Fprintf(&b, "%q=%q ", e.key, e.value)
+		fmt.Fprintf(&b, "%q=%q/%v ", e.key, e.value, e.tombstone)
 	}
 	return b.String()
 }
 
-func describeGet(v []byte, ok bool, err error) string {
-	return fmt.Sprintf("%q %v %v", v, ok, err != nil)
+func describeGet(v []byte, tomb, ok bool, err error) string {
+	return fmt.Sprintf("%q %v %v %v", v, tomb, ok, err != nil)
 }
 
 // decodeWith opens data with open and reads every block with read and
 // the first, last and a middle key with get.
 func decodeWith(tb testing.TB, data []byte, open func(*vfs.File) (*Table, error),
-	read func(*Table, int) ([]entry, error), get func(*Table, []byte) ([]byte, bool, error)) outcome {
+	read func(*Table, int) ([]entry, error), get func(*Table, []byte) ([]byte, bool, bool, error)) outcome {
 	t, err := open(fileOf(tb, newFS(), "t", data))
 	if err != nil {
 		return outcome{open: err}
@@ -104,7 +109,7 @@ func decodeWith(tb testing.TB, data []byte, open func(*vfs.File) (*Table, error)
 	for i := range t.index {
 		o.reads = append(o.reads, describeEntries(read(t, i)))
 	}
-	for _, k := range [][]byte{t.first, t.last, key(60)} {
+	for _, k := range [][]byte{t.first, t.last, key(60), key(59)} {
 		o.reads = append(o.reads, describeGet(get(t, k)))
 	}
 	return o
@@ -156,19 +161,42 @@ func TestTableMatchesReference(t *testing.T) {
 
 // TestTableMutationsNeverPanic: whatever a truncation or byte flip does to
 // a table, Open, a full scan and Get return errors that wrap ErrBadTable.
+// A kind byte set to anything but 0 or 1 is always an error: Open's, or
+// the scan's.
 func TestTableMutationsNeverPanic(t *testing.T) {
-	wiretest.Each(smallTable(t), func(m wiretest.Mutation) { probeTable(t, m.String(), m.Data) })
+	img := smallTable(t)
+	wiretest.Each(img, func(m wiretest.Mutation) { probeTable(t, m.String(), m.Data) })
+	for _, data := range kindFlips(t, img) {
+		if !probeTable(t, "kind flip", data) {
+			t.Fatal("a table with a bad kind byte opened and scanned clean")
+		}
+	}
+}
+
+// kindFlips returns a copy of the table image img for every entry's kind
+// byte and each of the values 2, 0x80 and 0xFF written over it.
+func kindFlips(tb testing.TB, img []byte) [][]byte {
+	var out [][]byte
+	for _, off := range kindOffsets(tb, img) {
+		for _, bad := range []byte{2, 0x80, 0xFF} {
+			data := append([]byte(nil), img...)
+			data[off] = bad
+			out = append(out, data)
+		}
+	}
+	return out
 }
 
 // probeTable opens data and, if that succeeds, scans it and looks up its
-// first and last keys; every error must wrap ErrBadTable.
-func probeTable(t *testing.T, what string, data []byte) {
+// first and last keys; every error must wrap ErrBadTable. It reports
+// whether Open or the scan failed.
+func probeTable(t *testing.T, what string, data []byte) (rejected bool) {
 	tbl, err := Open(fileOf(t, newFS(), "t", data))
 	if err != nil {
 		if !errors.Is(err, ErrBadTable) {
 			t.Fatalf("%s: Open err = %v, want ErrBadTable", what, err)
 		}
-		return
+		return true
 	}
 	it := tbl.NewIterator()
 	for it.SeekToFirst(); it.Valid(); it.Next() {
@@ -177,10 +205,11 @@ func probeTable(t *testing.T, what string, data []byte) {
 		t.Fatalf("%s: scan err = %v, want ErrBadTable", what, err)
 	}
 	for _, k := range [][]byte{tbl.first, tbl.last} {
-		if _, _, err := tbl.Get(k); err != nil && !errors.Is(err, ErrBadTable) {
+		if _, _, _, err := tbl.Get(k); err != nil && !errors.Is(err, ErrBadTable) {
 			t.Fatalf("%s: Get(%q) err = %v, want ErrBadTable", what, k, err)
 		}
 	}
+	return it.Err() != nil
 }
 
 // hostileTables returns the small table with a 2^63 uvarint length
@@ -220,7 +249,7 @@ func TestTableRejectsHostileVarint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Open: %v", name, err)
 		}
-		if _, _, err := tbl.Get(tbl.last); !errors.Is(err, ErrBadTable) {
+		if _, _, _, err := tbl.Get(tbl.last); !errors.Is(err, ErrBadTable) {
 			t.Errorf("%s: Get err = %v, want ErrBadTable", name, err)
 		}
 	}
@@ -228,12 +257,19 @@ func TestTableRejectsHostileVarint(t *testing.T) {
 
 // FuzzTableOpen feeds arbitrary bytes to Open; an opened table is scanned
 // forward and its first and last keys are looked up. None of that may
-// panic, and every error must wrap ErrBadTable.
+// panic, and every error must wrap ErrBadTable. The seeds include the
+// table with its first and its last kind byte flipped (a seed per kind
+// byte would spend a short fuzz run on the seeds alone;
+// TestTableMutationsNeverPanic runs every one).
 func FuzzTableOpen(f *testing.F) {
 	img := smallTable(f)
 	f.Add(img)
 	f.Add(img[len(img)-footerSize:])
 	for _, data := range hostileTables(f) {
+		f.Add(data)
+	}
+	flips := kindFlips(f, img)
+	for _, data := range [][]byte{flips[0], flips[2], flips[len(flips)-1]} {
 		f.Add(data)
 	}
 	f.Add([]byte{})

@@ -18,10 +18,11 @@ import (
 //	uvarint(len(keys)) | keys: per entry, entryLayout | values, in entry order
 //
 // so a point lookup scans one short, contiguous key section (9 entries of
-// a 15-byte key and a 401-byte record fill a 4 KB block with ~170 bytes of
-// keys) and touches only the value it returns. The head and the key
-// section are one length-prefixed byte string; the values fill the rest
-// of the block, whose length the index records. Keys are strictly
+// a 15-byte key, its kind and a 400-byte value fill a 4 KB block with ~170
+// bytes of keys) and touches only the value it returns, and a scan, which
+// learns each entry's kind from the key section, touches none. The head
+// and the key section are one length-prefixed byte string; the values fill
+// the rest of the block, whose length the index records. Keys are strictly
 // ascending across the whole table. The index is one indexLayout entry
 // per block, the bloom filter is bloomLayout, and the footer is
 // footerLayout, the file's last footerSize bytes.
@@ -49,12 +50,14 @@ var (
 )
 
 // entryLayout is a key-section entry: the key as length-prefixed bytes,
-// then the length of its value as a uvarint. The Builder writes it;
-// readBlock and Get decode an entry, with its value, with
-// wire.CutSplitKeyValue, its decoder over plain slices, so their loops
-// keep the block in registers.
-func entryLayout(c *wire.Codec, key *[]byte, vlen *uint64) {
+// its kind as a Bool (0 a value, 1 a tombstone; any other byte is a bad
+// table), then the length of its value as a uvarint. The Builder writes
+// it; readBlock and Get decode an entry, with its value, with
+// wire.CutSplitEntry, its decoder over plain slices, so their loops keep
+// the block in registers and load no value byte.
+func entryLayout(c *wire.Codec, key *[]byte, tombstone *bool, vlen *uint64) {
 	c.VarBytes(key)
+	c.Bool(tombstone)
 	c.Uvarint(vlen)
 }
 
@@ -124,9 +127,10 @@ func NewBuilder(f *vfs.File, blockSize int) *Builder {
 	return &Builder{f: f, blockSize: blockSize}
 }
 
-// Add appends a key/value pair; keys must arrive in strictly ascending
-// order.
-func (b *Builder) Add(key, value []byte) error {
+// Add appends an entry: key and value, or with tombstone set a deletion
+// marker, whose value is normally empty. Keys must arrive in strictly
+// ascending order.
+func (b *Builder) Add(key, value []byte, tombstone bool) error {
 	if b.finished {
 		return errors.New("sstable: Add after Finish")
 	}
@@ -138,10 +142,10 @@ func (b *Builder) Add(key, value []byte) error {
 	}
 	// Flush first if this entry would overflow the block, keeping blocks
 	// within one aligned unit (an oversized single entry still gets its
-	// own block). The keys and values together are what one key/value
-	// record per entry took, so the uvarint key-section length is all a
-	// block adds to that.
-	entrySize := 2*wire.MaxUvarintLen + len(key) + len(value)
+	// own block). The keys, kinds and values together are what one
+	// key/value record per entry took, so the uvarint key-section length
+	// is all a block adds to that.
+	entrySize := 2*wire.MaxUvarintLen + len(key) + 1 + len(value)
 	if size := len(b.keys) + len(b.values); size > 0 && size+entrySize > b.blockSize {
 		if err := b.flushBlock(); err != nil {
 			return err
@@ -149,7 +153,7 @@ func (b *Builder) Add(key, value []byte) error {
 	}
 	vlen := uint64(len(value))
 	c := wire.Encoder(b.keys)
-	entryLayout(&c, &key, &vlen)
+	entryLayout(&c, &key, &tombstone, &vlen)
 	b.keys = c.Bytes()
 	b.values = append(b.values, value...)
 	b.lastKey = append(b.lastKey[:0], key...)
@@ -316,6 +320,7 @@ func (t *Table) File() *vfs.File { return t.f }
 
 type entry struct {
 	key, value []byte
+	tombstone  bool
 }
 
 // block is one decoded data block: entries slicing the table file's own
@@ -323,7 +328,6 @@ type entry struct {
 // it crosses, so a scan allocates O(1), not per block.
 type block struct {
 	entries []entry
-	warmed  byte // see warm
 }
 
 // view reads data block i through the page cache and returns the file's
@@ -349,7 +353,6 @@ func (t *Table) readBlock(i int, b *block) error {
 	if err != nil {
 		return err
 	}
-	b.warmed = warm(values)
 	out := b.entries[:0]
 	if out == nil {
 		// First block: size for the table's mean entries per block so a
@@ -365,7 +368,7 @@ func (t *Table) readBlock(i int, b *block) error {
 	var e entry
 	var ok bool
 	for len(keys) > 0 {
-		if e.key, e.value, keys, values, ok = wire.CutSplitKeyValue(keys, values); !ok {
+		if e.key, e.value, e.tombstone, keys, values, ok = wire.CutSplitEntry(keys, values); !ok {
 			return entryErr(e.key, i)
 		}
 		out = append(out, e)
@@ -381,27 +384,9 @@ func (t *Table) readBlock(i int, b *block) error {
 // key, did not decode.
 func entryErr(key []byte, i int) error {
 	if key != nil {
-		return fmt.Errorf("%w: block %d value", ErrBadTable, i)
+		return fmt.Errorf("%w: block %d kind or value", ErrBadTable, i)
 	}
 	return fmt.Errorf("%w: block %d entry", ErrBadTable, i)
-}
-
-// cacheLine is the line size warm steps by: 64 bytes on the hosts this
-// runs on; a larger line only makes some of its loads redundant.
-const cacheLine = 64
-
-// warm loads one byte from every cache line of p and returns their sum.
-// A scan reads every value of a block it crosses, and on a block not yet
-// in the core's own caches each of those lines is a miss. These loads
-// depend on nothing, so the CPU overlaps them, and the scan that follows
-// hits L1 — the streaming a copy into a buffer used to do. Get skips it:
-// its caller reads one value. The caller stores the sum only so the loads
-// are not optimized away.
-func warm(p []byte) (sum byte) {
-	for i := 0; i < len(p); i += cacheLine {
-		sum += p[i]
-	}
-	return sum
 }
 
 // blockFor returns the index of the first block whose lastKey ≥ key, or
@@ -419,38 +404,40 @@ func (t *Table) blockFor(key []byte) int {
 	return lo
 }
 
-// Get returns the value stored under key. The bloom filter short-circuits
-// most misses without touching data blocks; the hit path scans one
-// block's key section in place over the file's own bytes and slices the
-// value it returns without loading any, so Get does not allocate and the
-// one value line a lookup loads is the one its caller reads.
+// Get looks up key: ok reports whether the table holds an entry for it,
+// and tombstone whether that entry is a deletion marker rather than the
+// value returned. The bloom filter short-circuits most misses without
+// touching data blocks; the hit path scans one block's key section in
+// place over the file's own bytes, learns the entry's kind there and
+// slices the value without loading any, so Get does not allocate and
+// loads no value byte: the caller loads what it reads.
 // The returned value aliases the table file: it stays valid for the
 // table's life, and the caller must not modify it.
-func (t *Table) Get(key []byte) (value []byte, ok bool, err error) {
+func (t *Table) Get(key []byte) (value []byte, tombstone, ok bool, err error) {
 	if !t.bloom.MayContain(key) {
-		return nil, false, nil
+		return nil, false, false, nil
 	}
 	bi := t.blockFor(key)
 	if bi >= len(t.index) {
-		return nil, false, nil
+		return nil, false, false, nil
 	}
 	keys, values, err := t.view(bi)
 	if err != nil {
-		return nil, false, err
+		return nil, false, false, err
 	}
 	var k, v []byte
 	for len(keys) > 0 {
-		if k, v, keys, values, ok = wire.CutSplitKeyValue(keys, values); !ok {
-			return nil, false, entryErr(k, bi)
+		if k, v, tombstone, keys, values, ok = wire.CutSplitEntry(keys, values); !ok {
+			return nil, false, false, entryErr(k, bi)
 		}
 		switch bytes.Compare(k, key) {
 		case 0:
-			return v, true, nil
+			return v, tombstone, true, nil
 		case 1:
-			return nil, false, nil // sorted: passed the key
+			return nil, false, false, nil // sorted: passed the key
 		}
 	}
-	return nil, false, nil
+	return nil, false, false, nil
 }
 
 // Iterator walks a table forward or backward. The zero position is
@@ -573,6 +560,10 @@ func (it *Iterator) Key() []byte { return it.entries[it.pos].key }
 // Value returns the current value (valid only while Valid, and only until
 // the iterator next moves).
 func (it *Iterator) Value() []byte { return it.entries[it.pos].value }
+
+// Tombstone reports whether the current entry is a deletion marker (valid
+// only while Valid).
+func (it *Iterator) Tombstone() bool { return it.entries[it.pos].tombstone }
 
 // Err returns the first I/O or decode error the iterator hit.
 func (it *Iterator) Err() error { return it.err }

@@ -87,20 +87,21 @@ func refOpen(f *vfs.File) (*Table, error) {
 }
 
 // refGet is not the pre-codec lookup: that one decoded the old
-// one-record-per-entry blocks. It scans the keys-first layout with
-// refBlockEntries, stopping at the first key ≥ key as Get does.
-func refGet(t *Table, key []byte) (value []byte, ok bool, err error) {
+// one-record-per-entry blocks. It scans the keys-first layout, kind byte
+// beside the key, with refBlockEntries, stopping at the first key ≥ key
+// as Get does.
+func refGet(t *Table, key []byte) (value []byte, tombstone, ok bool, err error) {
 	if !t.bloom.MayContain(key) {
-		return nil, false, nil
+		return nil, false, false, nil
 	}
 	bi := t.blockFor(key)
 	if bi >= len(t.index) {
-		return nil, false, nil
+		return nil, false, false, nil
 	}
 	e := t.index[bi]
 	raw, err := t.f.View(e.off, int(e.length))
 	if err != nil {
-		return nil, false, fmt.Errorf("%w: block %d: %v", ErrBadTable, bi, err)
+		return nil, false, false, fmt.Errorf("%w: block %d: %v", ErrBadTable, bi, err)
 	}
 	var last entry
 	_, stopped, err := refBlockEntries(raw, bi, func(e entry) bool {
@@ -108,9 +109,9 @@ func refGet(t *Table, key []byte) (value []byte, ok bool, err error) {
 		return bytes.Compare(e.key, key) >= 0
 	})
 	if err != nil || !stopped || !bytes.Equal(last.key, key) {
-		return nil, false, err
+		return nil, false, false, err
 	}
-	return last.value, true, nil
+	return last.value, last.tombstone, true, nil
 }
 
 func refUnmarshalBloom(data []byte) (*Bloom, error) {

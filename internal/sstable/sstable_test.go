@@ -40,7 +40,7 @@ func buildTable(t testing.TB, fs *vfs.FS, name string, n int) *Table {
 	}
 	b := NewBuilder(f, 0)
 	for i := 0; i < n; i++ {
-		if err := b.Add(key(i), val(i)); err != nil {
+		if err := b.Add(key(i), val(i), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,9 +64,9 @@ func TestBuildOpenGet(t *testing.T) {
 		t.Errorf("blocks = %d; expected multiple blocks", len(tbl.index))
 	}
 	for _, i := range []int{0, 1, 499, 500, 998, 999} {
-		v, ok, err := tbl.Get(key(i))
-		if err != nil || !ok {
-			t.Fatalf("Get(%d): ok=%v err=%v", i, ok, err)
+		v, tomb, ok, err := tbl.Get(key(i))
+		if err != nil || !ok || tomb {
+			t.Fatalf("Get(%d): ok=%v tombstone=%v err=%v", i, ok, tomb, err)
 		}
 		if !bytes.Equal(v, val(i)) {
 			t.Errorf("Get(%d) = %q", i, v)
@@ -78,7 +78,7 @@ func TestGetMissing(t *testing.T) {
 	fs := newFS()
 	tbl := buildTable(t, fs, "t1", 100)
 	for _, k := range [][]byte{[]byte("aaa"), []byte("key00000500"), []byte("zzz")} {
-		if _, ok, err := tbl.Get(k); ok || err != nil {
+		if _, _, ok, err := tbl.Get(k); ok || err != nil {
 			t.Errorf("Get(%q): ok=%v err=%v", k, ok, err)
 		}
 	}
@@ -91,7 +91,7 @@ func TestBloomSkipsMostMisses(t *testing.T) {
 	cache.ResetStats()
 	misses := 0
 	for i := 0; i < 1000; i++ {
-		if _, ok, _ := tbl.Get([]byte(fmt.Sprintf("absent%08d", i))); ok {
+		if _, _, ok, _ := tbl.Get([]byte(fmt.Sprintf("absent%08d", i))); ok {
 			t.Fatal("found absent key")
 		}
 	}
@@ -117,16 +117,16 @@ func TestBuilderRejectsDisorder(t *testing.T) {
 	fs := newFS()
 	f, _ := fs.Create("t")
 	b := NewBuilder(f, 0)
-	if err := b.Add([]byte("b"), nil); err != nil {
+	if err := b.Add([]byte("b"), nil, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Add([]byte("a"), nil); err == nil {
+	if err := b.Add([]byte("a"), nil, false); err == nil {
 		t.Error("descending key must error")
 	}
-	if err := b.Add([]byte("b"), nil); err == nil {
+	if err := b.Add([]byte("b"), nil, false); err == nil {
 		t.Error("duplicate key must error")
 	}
-	if err := b.Add(nil, nil); err == nil {
+	if err := b.Add(nil, nil, false); err == nil {
 		t.Error("empty key must error")
 	}
 }
@@ -144,14 +144,14 @@ func TestBuilderDoubleFinish(t *testing.T) {
 	fs := newFS()
 	f, _ := fs.Create("t")
 	b := NewBuilder(f, 0)
-	b.Add([]byte("a"), []byte("1"))
+	b.Add([]byte("a"), []byte("1"), false)
 	if err := b.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Finish(); err == nil {
 		t.Error("double Finish must error")
 	}
-	if err := b.Add([]byte("b"), nil); err == nil {
+	if err := b.Add([]byte("b"), nil, false); err == nil {
 		t.Error("Add after Finish must error")
 	}
 }
@@ -267,9 +267,10 @@ func TestValuesSurviveRoundTrip(t *testing.T) {
 	fs := newFS()
 	f, _ := fs.Create("t")
 	b := NewBuilder(f, 0)
-	// Empty values and binary values.
-	b.Add([]byte("a"), nil)
-	b.Add([]byte("b"), []byte{0, 1, 2, 255})
+	// Empty values, binary values and a tombstone.
+	b.Add([]byte("a"), nil, false)
+	b.Add([]byte("b"), []byte{0, 1, 2, 255}, false)
+	b.Add([]byte("c"), nil, true)
 	if err := b.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -277,13 +278,17 @@ func TestValuesSurviveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok, _ := tbl.Get([]byte("a"))
-	if !ok || len(v) != 0 {
+	v, tomb, ok, _ := tbl.Get([]byte("a"))
+	if !ok || tomb || len(v) != 0 {
 		t.Error("empty value")
 	}
-	v, ok, _ = tbl.Get([]byte("b"))
-	if !ok || !bytes.Equal(v, []byte{0, 1, 2, 255}) {
+	v, tomb, ok, _ = tbl.Get([]byte("b"))
+	if !ok || tomb || !bytes.Equal(v, []byte{0, 1, 2, 255}) {
 		t.Error("binary value")
+	}
+	v, tomb, ok, _ = tbl.Get([]byte("c"))
+	if !ok || !tomb || len(v) != 0 {
+		t.Error("tombstone")
 	}
 }
 
@@ -365,7 +370,11 @@ func seededTable(t testing.TB, fs *vfs.FS, name string) *vfs.File {
 	for _, k := range keys {
 		v := make([]byte, rng.Intn(120))
 		rng.Read(v)
-		if err := b.Add([]byte(k), v); err != nil {
+		tomb := rng.Intn(10) == 0
+		if tomb {
+			v = nil
+		}
+		if err := b.Add([]byte(k), v, tomb); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -385,11 +394,13 @@ func fileSHA256(t testing.TB, f *vfs.File) string {
 }
 
 // TestTableBytesGolden pins the bytes of a table built from a seeded key
-// set. It was re-pinned once, when data blocks became keys first; that
-// change kept every block's entries, offset and pages. Anything else that
-// moves a byte here changes the format.
+// set, one entry in ten a tombstone. It was re-pinned twice: when data
+// blocks became keys first, which kept every block's entries, offset and
+// pages, and when each entry's kind byte moved from the head of its value
+// into the key section, when the set also gained its tombstones. Anything
+// else that moves a byte here changes the format.
 func TestTableBytesGolden(t *testing.T) {
-	const want = "e1a708011ee1395825ad311316f6bb13b809ce3eeec2a633b177b89d851fcdb5"
+	const want = "b7738c90be98e45b2620439c373d41f8f3f6a012ab439fbdfd95c1c0fffa86ec"
 	f := seededTable(t, newFS(), "golden")
 	if got := fileSHA256(t, f); got != want {
 		t.Errorf("table sha256 %s, want %s", got, want)
@@ -412,7 +423,7 @@ func TestBuilderAllocsIndependentOfEntries(t *testing.T) {
 			}
 			b := NewBuilder(f, 0)
 			for i := range keys {
-				if err := b.Add(keys[i], vals[i]); err != nil {
+				if err := b.Add(keys[i], vals[i], false); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -456,7 +467,7 @@ func TestTableGetAllocFree(t *testing.T) {
 		{"miss in block", passes, false},
 	} {
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, ok, err := tbl.Get(c.key); ok != c.ok || err != nil {
+			if _, _, ok, err := tbl.Get(c.key); ok != c.ok || err != nil {
 				t.Fatalf("%s: Get = %v, %v", c.name, ok, err)
 			}
 		})
@@ -477,7 +488,7 @@ func coldTable(b *testing.B, keyOf func(int) []byte) *Table {
 	bld := NewBuilder(f, 0)
 	value := bytes.Repeat([]byte("v"), 400)
 	for i := 0; i < coldEntries; i++ {
-		if err := bld.Add(keyOf(i), value); err != nil {
+		if err := bld.Add(keyOf(i), value, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -492,7 +503,8 @@ func coldTable(b *testing.B, keyOf func(int) []byte) *Table {
 }
 
 // BenchmarkScan steps an iterator through coldTable, wrapping around, so
-// nearly every block it loads is cold: the case readBlock's warm is for.
+// nearly every block it loads is cold. A step reads the key section only:
+// each entry's kind sits beside its key, so no value line is loaded.
 func BenchmarkScan(b *testing.B) {
 	it := coldTable(b, key).NewIterator()
 	it.SeekToFirst()
@@ -520,7 +532,7 @@ func BenchmarkGetCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok, err := tbl.Get(keys[order[i%coldEntries]]); !ok || err != nil {
+		if _, _, ok, err := tbl.Get(keys[order[i%coldEntries]]); !ok || err != nil {
 			b.Fatalf("Get: %v, %v", ok, err)
 		}
 	}
@@ -573,11 +585,11 @@ func refReadBlock(t *Table, i int) ([]entry, error) {
 }
 
 // refBlockEntries decodes block i from raw: a uvarint key-section length,
-// that many bytes of (uvarint klen, key, uvarint vlen) entries, then the
-// values back to back, which must fill the rest of the block. If stop is
-// not nil it is called after each entry and ends the decode, without the
-// check that the values fill the block, when it returns true; done then
-// reports that it did.
+// that many bytes of (uvarint klen, key, kind byte 0 or 1, uvarint vlen)
+// entries, then the values back to back, which must fill the rest of the
+// block. If stop is not nil it is called after each entry and ends the
+// decode, without the check that the values fill the block, when it
+// returns true; done then reports that it did.
 func refBlockEntries(raw []byte, i int, stop func(entry) bool) (out []entry, done bool, err error) {
 	klen, n := binary.Uvarint(raw)
 	if n <= 0 || klen > uint64(len(raw)-n) {
@@ -594,14 +606,19 @@ func refBlockEntries(raw []byte, i int, stop func(entry) bool) (out []entry, don
 		pos += n
 		key := keys[pos : pos+int(kl) : pos+int(kl)]
 		pos += int(kl)
+		if pos == len(keys) || keys[pos] > 1 {
+			return nil, false, fmt.Errorf("%w: block %d kind or value", ErrBadTable, i)
+		}
+		tomb := keys[pos] == 1
+		pos++
 		vl, n := binary.Uvarint(keys[pos:])
 		if n <= 0 || vl > uint64(len(vals)-voff) {
-			return nil, false, fmt.Errorf("%w: block %d value", ErrBadTable, i)
+			return nil, false, fmt.Errorf("%w: block %d kind or value", ErrBadTable, i)
 		}
 		pos += n
 		val := vals[voff : voff+int(vl) : voff+int(vl)]
 		voff += int(vl)
-		out = append(out, entry{key: key, value: val})
+		out = append(out, entry{key: key, value: val, tombstone: tomb})
 		if stop != nil && stop(out[len(out)-1]) {
 			return out, true, nil
 		}
@@ -612,12 +629,37 @@ func refBlockEntries(raw []byte, i int, stop func(entry) bool) (out []entry, don
 	return out, false, nil
 }
 
+// kindOffsets returns the file offset of every entry's kind byte in the
+// table image img, found by walking each block's key section with
+// binary.Uvarint.
+func kindOffsets(tb testing.TB, img []byte) []int64 {
+	tb.Helper()
+	tbl, err := Open(fileOf(tb, newFS(), "t", img))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out []int64
+	for _, e := range tbl.index {
+		raw := img[e.off : e.off+e.length]
+		klen, n := binary.Uvarint(raw)
+		keys := raw[n : n+int(klen)]
+		for pos := 0; pos < len(keys); {
+			kl, m := binary.Uvarint(keys[pos:])
+			pos += m + int(kl)
+			out = append(out, e.off+int64(n+pos))
+			_, m = binary.Uvarint(keys[pos+1:])
+			pos += 1 + m
+		}
+	}
+	return out
+}
+
 func sameEntries(a, b []entry) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if !bytes.Equal(a[i].key, b[i].key) || !bytes.Equal(a[i].value, b[i].value) {
+		if !bytes.Equal(a[i].key, b[i].key) || !bytes.Equal(a[i].value, b[i].value) || a[i].tombstone != b[i].tombstone {
 			return false
 		}
 	}
@@ -676,8 +718,9 @@ func TestIteratorReusesBlockStorage(t *testing.T) {
 		var got []entry
 		for ; it.Valid(); step() {
 			got = append(got, entry{
-				key:   append([]byte(nil), it.Key()...),
-				value: append([]byte(nil), it.Value()...),
+				key:       append([]byte(nil), it.Key()...),
+				value:     append([]byte(nil), it.Value()...),
+				tombstone: it.Tombstone(),
 			})
 		}
 		if err := it.Err(); err != nil {
@@ -708,16 +751,28 @@ func TestIteratorReusesBlockStorage(t *testing.T) {
 }
 
 // TestReadBlockRejectsWhatTheReferenceRejects flips bytes through the head
-// of a data block and checks the in-place decoder against the allocating
-// one: same error or same entries, with the block storage reused (and so
-// dirty) from one mutation to the next.
+// of a data block, and every entry's kind byte in it, and checks the
+// in-place decoder against the allocating one: same error or same entries,
+// with the block storage reused (and so dirty) from one mutation to the
+// next. A kind byte other than 0 or 1 must be rejected.
 func TestReadBlockRejectsWhatTheReferenceRejects(t *testing.T) {
 	tbl := buildTable(t, newFS(), "t", 500)
 	f := tbl.File()
 	e := tbl.index[0]
-	var b block
-	rejected := 0
+	var positions []int64
 	for pos := int64(0); pos < 256 && pos < e.length; pos++ {
+		positions = append(positions, pos)
+	}
+	kinds := make(map[int64]bool)
+	for _, off := range kindOffsets(t, fileBytes(t, f)) {
+		if off < e.off+e.length {
+			kinds[off-e.off] = true
+			positions = append(positions, off-e.off)
+		}
+	}
+	var b block
+	rejected, badKinds := 0, 0
+	for _, pos := range positions {
 		var orig [1]byte
 		if _, err := f.ReadAt(orig[:], e.off+pos); err != nil {
 			t.Fatal(err)
@@ -739,13 +794,83 @@ func TestReadBlockRejectsWhatTheReferenceRejects(t *testing.T) {
 			case !sameEntries(b.entries, want):
 				t.Fatalf("byte %d = %#x: decoded entries differ from the reference", pos, mut)
 			}
+			if kinds[pos] && mut > 1 {
+				if gotErr == nil {
+					t.Fatalf("kind byte %d = %#x: readBlock accepted it", pos, mut)
+				}
+				badKinds++
+			}
 		}
 		if _, err := f.WriteAt(orig[:], e.off+pos); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if rejected == 0 {
-		t.Error("no mutation was rejected; the test corrupts nothing that matters")
+	if rejected == 0 || len(kinds) < 2 || badKinds < 3*len(kinds) {
+		t.Errorf("%d mutations rejected, %d of them bad kinds over %d entries; the test corrupts too little", rejected, badKinds, len(kinds))
+	}
+}
+
+// TestValueBytesDecideNoKind overwrites every values-section byte of a
+// table that holds both kinds with 0xFF: what Get finds (ok and
+// tombstone) for every key and for absent ones, and every scanned key
+// and kind, must not change, since the kind lives in the key section.
+func TestValueBytesDecideNoKind(t *testing.T) {
+	f := seededTable(t, newFS(), "t")
+	tbl, err := Open(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type found struct{ tomb, ok bool }
+	lookups := func() (gets []found, scan []entry) {
+		it := tbl.NewIterator()
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			scan = append(scan, entry{key: append([]byte(nil), it.Key()...), tombstone: it.Tombstone()})
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range append(scan, entry{key: []byte("k")}, entry{key: []byte("k~")}) {
+			_, tomb, ok, err := tbl.Get(e.key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gets = append(gets, found{tomb, ok})
+		}
+		return gets, scan
+	}
+	wantGets, wantScan := lookups()
+	tombs := 0
+	for _, e := range wantScan {
+		if e.tombstone {
+			tombs++
+		}
+	}
+	if tombs == 0 || tombs == len(wantScan) {
+		t.Fatalf("%d of %d entries are tombstones; the table needs both kinds", tombs, len(wantScan))
+	}
+	overwritten := 0
+	for i, e := range tbl.index {
+		_, values, err := tbl.view(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := e.off + e.length - int64(len(values))
+		if _, err := f.WriteAt(bytes.Repeat([]byte{0xFF}, len(values)), at); err != nil {
+			t.Fatal(err)
+		}
+		overwritten += len(values)
+	}
+	if overwritten == 0 {
+		t.Fatal("the table has no value bytes")
+	}
+	gotGets, gotScan := lookups()
+	if fmt.Sprint(gotGets) != fmt.Sprint(wantGets) || !sameEntries(gotScan, wantScan) {
+		t.Fatalf("after overwriting %d value bytes: lookups %v, want %v; or the scan's keys and kinds moved", overwritten, gotGets, wantGets)
+	}
+	for _, e := range wantScan {
+		if v, _, _, _ := tbl.Get(e.key); bytes.Count(v, []byte{0xFF}) != len(v) {
+			t.Fatalf("Get(%q) = %x after the overwrite, want only 0xFF bytes", e.key, v)
+		}
 	}
 }
 

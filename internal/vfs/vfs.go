@@ -31,6 +31,7 @@ type FS struct {
 	cache   *pagecache.Cache
 	nextIno pagecache.FileID
 	byName  map[string]*File
+	frozen  bool // see Freeze
 }
 
 // New returns an empty filesystem over cache.
@@ -42,20 +43,31 @@ func New(cache *pagecache.Cache) *FS {
 }
 
 // Clone returns a copy of fs over cache: the same names, inode numbers and
-// contents, each file's bytes copied so neither filesystem's writes reach
-// the other, and the same next inode number. The page-cache side of every
-// file (its size in pages, its readahead state) is cache's to carry; see
-// pagecache.Cache.Clone.
+// contents, and the same next inode number. A copied file shares its
+// source's bytes, capacity-clipped, until one of the two is first written
+// (WriteAt, Append, Truncate, Reserve): that one then takes a private
+// copy, so neither filesystem's writes reach the other. Unless fs is
+// frozen, Clone marks fs's files as sharing too; a frozen fs is never
+// written, so Clone only reads it and goroutines may clone it at once.
+// The page-cache side of every file (its size in pages, its readahead
+// state) is cache's to carry; see pagecache.Cache.Clone.
 func (fs *FS) Clone(cache *pagecache.Cache) *FS {
 	out := New(cache)
 	out.nextIno = fs.nextIno
 	for name, f := range fs.byName {
-		data := make([]byte, len(f.data))
-		copy(data, f.data)
-		out.byName[name] = &File{fs: out, name: name, ino: f.ino, data: data, dirty: int64(len(data))}
+		if !fs.frozen {
+			f.shared = true
+		}
+		n := len(f.data)
+		out.byName[name] = &File{fs: out, name: name, ino: f.ino, data: f.data[:n:n], dirty: int64(n), shared: true}
 	}
 	return out
 }
+
+// Freeze makes fs read-only for good: a later Create, Remove, or write to
+// one of its files panics. A template that is only ever cloned is frozen,
+// so its bytes cannot change under the clones that share them.
+func (fs *FS) Freeze() { fs.frozen = true }
 
 // File is an open simulated file. All opens of a name share one File (and
 // therefore one inode, size, and readahead state), like an inode cache.
@@ -68,10 +80,16 @@ type File struct {
 	// in [len(data), dirty) may be stale from before a Truncate, bytes at
 	// or beyond dirty are still zero from the allocation.
 	dirty int64
+	// shared reports that data's array may be another file's too, a
+	// clone's or the file a clone was made from; see writable.
+	shared bool
 }
 
 // Create makes a new empty file.
 func (fs *FS) Create(name string) (*File, error) {
+	if fs.frozen {
+		panic("vfs: Create in a frozen filesystem")
+	}
 	if _, ok := fs.byName[name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrExist, name)
 	}
@@ -92,6 +110,9 @@ func (fs *FS) Open(name string) (*File, error) {
 
 // Remove deletes a file and drops its cached pages.
 func (fs *FS) Remove(name string) error {
+	if fs.frozen {
+		panic("vfs: Remove in a frozen filesystem")
+	}
 	f, ok := fs.byName[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotExist, name)
@@ -143,9 +164,12 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // append to it cannot reach the file.
 //
 // The view is read-only: the caller must not write through it. It stays
-// valid as long as the caller holds it, and it shows later writes to the
-// range it covers, so it is meant for files that are write-once, such as
-// an SSTable after Finish; a copy is what ReadAt is for.
+// valid as long as the caller holds it. Whether it shows a later write to
+// the range it covers is unspecified: a write to a file that shares its
+// bytes with a clone (see FS.Clone) moves the file onto a private copy
+// and leaves the view on the old bytes. So it is meant for files that are
+// write-once, such as an SSTable after Finish; a copy is what ReadAt is
+// for.
 func (f *File) View(off int64, n int) ([]byte, error) {
 	if off < 0 {
 		return nil, fmt.Errorf("vfs: negative offset %d", off)
@@ -187,6 +211,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
+	f.writable()
 	end := off + int64(len(p))
 	if end > int64(len(f.data)) {
 		f.grow(end)
@@ -197,6 +222,20 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	lastPage := (end - 1) / blockdev.PageSize
 	f.fs.cache.WritePages(f.ino, firstPage, int(lastPage-firstPage)+1)
 	return len(p), nil
+}
+
+// writable readies f for a write: it panics if f's filesystem is frozen,
+// and first gives a file that shares its bytes (see FS.Clone) a private
+// copy of them, so the write reaches no other file.
+func (f *File) writable() {
+	if f.fs.frozen {
+		panic("vfs: write to " + f.name + " in a frozen filesystem")
+	}
+	if f.shared {
+		data := make([]byte, len(f.data))
+		copy(data, f.data)
+		f.data, f.dirty, f.shared = data, int64(len(data)), false
+	}
 }
 
 // grow extends the file to size bytes, zero-filling the new region and
@@ -230,6 +269,7 @@ func (f *File) grow(size int64) {
 // host-memory bookkeeping only — Size, the page cache and virtual time are
 // untouched — and a hint that turns out short just falls back to grow.
 func (f *File) Reserve(n int64) {
+	f.writable()
 	if n <= int64(cap(f.data)) {
 		return
 	}
@@ -257,6 +297,7 @@ func (f *File) Truncate(size int64) error {
 	if size < 0 {
 		return fmt.Errorf("vfs: negative size %d", size)
 	}
+	f.writable()
 	switch {
 	case size < f.Size():
 		f.data = f.data[:size]

@@ -365,3 +365,129 @@ func TestViewChargesLikeReadAt(t *testing.T) {
 		t.Error("a rejected View charged the cache or clock")
 	}
 }
+
+// cowOps are the writes that must move a file sharing its bytes with a
+// clone onto a private copy. Truncate shrinks and regrows inside the
+// capacity, which clears the bytes between; Reserve is followed by a
+// write inside the reservation.
+var cowOps = []struct {
+	name string
+	op   func(*File)
+}{
+	{"write", func(f *File) { f.WriteAt([]byte("written"), 10) }},
+	{"truncate", func(f *File) { f.Truncate(50); f.Truncate(300) }},
+	{"append", func(f *File) { f.Append([]byte("appended")) }},
+	{"reserve", func(f *File) { f.Reserve(1 << 16); f.WriteAt([]byte("reserved"), f.Size()) }},
+}
+
+// contents returns every file of fs by name, read with ReadAt.
+func contents(t *testing.T, fs *FS) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	for _, name := range fs.Names() {
+		f, _ := fs.Open(name)
+		p := make([]byte, f.Size())
+		if _, err := f.ReadAt(p, 0); err != nil && len(p) > 0 {
+			t.Fatal(err)
+		}
+		out[name] = string(p)
+	}
+	return out
+}
+
+// TestCloneCopiesOnWrite: a clone shares its source's bytes until a write
+// (WriteAt, Truncate, Append, Reserve) to either side, and no write on one
+// side reaches the other: not from a clone to its frozen source or to a
+// sibling clone, not from an unfrozen source to its clone, and not back.
+// Each written file ends as the same write leaves a file that was never
+// cloned. A frozen filesystem refuses every write.
+func TestCloneCopiesOnWrite(t *testing.T) {
+	content := make([]byte, 3*blockdev.PageSize+100)
+	for i := range content {
+		content[i] = byte(i*13 + 1)
+	}
+	filled := func() *FS {
+		fs, _, _ := newFS(1024)
+		for _, c := range cowOps {
+			f, _ := fs.Create(c.name)
+			f.WriteAt(content, 0)
+		}
+		return fs
+	}
+	// want is what each op leaves in a file that was never cloned.
+	plain := filled()
+	for _, c := range cowOps {
+		f, _ := plain.Open(c.name)
+		c.op(f)
+	}
+	want := contents(t, plain)
+	untouched := contents(t, filled())
+	clone := func(src *FS) *FS {
+		clk := clock.New()
+		return src.Clone(pagecache.New(pagecache.Config{CapacityPages: 1024}, clk, blockdev.New(blockdev.NVMe(), clk), nil))
+	}
+	writeAll := func(fs *FS) {
+		for _, c := range cowOps {
+			f, _ := fs.Open(c.name)
+			c.op(f)
+		}
+	}
+	same := func(what string, got, want map[string]string) {
+		t.Helper()
+		for name := range want {
+			if got[name] != want[name] {
+				t.Fatalf("%s: file %q holds %d bytes, not the %d expected", what, name, len(got[name]), len(want[name]))
+			}
+		}
+	}
+
+	template := filled()
+	template.Freeze()
+	a, b := clone(template), clone(template)
+	for _, c := range cowOps {
+		src, _ := template.Open(c.name)
+		fa, _ := a.Open(c.name)
+		if &fa.data[0] != &src.data[0] || cap(fa.data) != len(fa.data) {
+			t.Fatalf("%s: a clone's file does not share its source's bytes, capacity-clipped", c.name)
+		}
+	}
+	writeAll(a)
+	same("clone a after its writes", contents(t, a), want)
+	same("template after clone a's writes", contents(t, template), untouched)
+	same("sibling b after clone a's writes", contents(t, b), untouched)
+	writeAll(b)
+	same("sibling b after its writes", contents(t, b), want)
+	same("clone a after sibling b's writes", contents(t, a), want)
+	same("template after both clones' writes", contents(t, template), untouched)
+
+	source := filled()
+	c := clone(source)
+	writeAll(source)
+	same("unfrozen source after its writes", contents(t, source), want)
+	same("its clone after the source's writes", contents(t, c), untouched)
+	writeAll(c)
+	same("the clone after its writes", contents(t, c), want)
+	same("the source after the clone's writes", contents(t, source), want)
+
+	for _, w := range []struct {
+		name string
+		do   func()
+	}{
+		{"WriteAt", func() { f, _ := template.Open("write"); f.WriteAt([]byte("x"), 0) }},
+		{"Truncate", func() { f, _ := template.Open("truncate"); f.Truncate(0) }},
+		{"Append", func() { f, _ := template.Open("append"); f.Append([]byte("x")) }},
+		{"Reserve", func() { f, _ := template.Open("reserve"); f.Reserve(1 << 20) }},
+		{"Create", func() { template.Create("new") }},
+		{"Remove", func() { template.Remove("write") }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a frozen filesystem did not panic", w.name)
+				}
+			}()
+			w.do()
+		}()
+	}
+	same("template after the refused writes", contents(t, template), untouched)
+}

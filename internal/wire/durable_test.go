@@ -110,9 +110,10 @@ func TestKeyValueIsTwoVarBytes(t *testing.T) {
 }
 
 // TestCutPrimitives: CutVarBytes splits what VarBytes writes off the front
-// of its input, and CutSplitKeyValue what VarBytes and Uvarint write plus
-// that many value bytes off the front of a second slice; on every
-// truncation they report failure, with the key when it fit.
+// of its input, and CutSplitEntry what VarBytes, Bool and Uvarint write
+// plus that many value bytes off the front of a second slice; on every
+// truncation, and on a flag byte other than 0 or 1, they report failure,
+// with the key when it fit.
 func TestCutPrimitives(t *testing.T) {
 	key, value := bytes.Repeat([]byte("k"), 200), bytes.Repeat([]byte("v"), 300)
 	in := append(appendVarBytes(nil, key), 'x')
@@ -127,22 +128,31 @@ func TestCutPrimitives(t *testing.T) {
 			t.Fatalf("CutVarBytes cut at %d: %d bytes, cap %d, %d left, %v", cut, len(b), cap(b), len(rest), ok)
 		}
 	}
-	e := Encoder(nil)
-	vlen := uint64(len(value))
-	e.VarBytes(&key)
-	e.Uvarint(&vlen)
-	keys := append(e.Bytes(), 'x')
 	values := append(append([]byte(nil), value...), 'y')
-	for cut := 0; cut <= len(keys); cut++ {
-		for _, vcut := range []int{len(value) - 1, len(value), len(values)} {
-			k, v, rk, rv, ok := CutSplitKeyValue(keys[:cut], values[:vcut])
-			whole := cut >= len(keys)-1 && vcut >= len(value)
-			if ok != whole || (k != nil) != (cut >= 2+len(key)) {
-				t.Fatalf("CutSplitKeyValue cut at %d/%d: key %d bytes, ok %v", cut, vcut, len(k), ok)
+	for _, flag := range []bool{false, true} {
+		e := Encoder(nil)
+		vlen := uint64(len(value))
+		e.VarBytes(&key)
+		e.Bool(&flag)
+		e.Uvarint(&vlen)
+		keys := append(e.Bytes(), 'x')
+		for cut := 0; cut <= len(keys); cut++ {
+			for _, vcut := range []int{len(value) - 1, len(value), len(values)} {
+				k, v, f, rk, rv, ok := CutSplitEntry(keys[:cut], values[:vcut])
+				whole := cut >= len(keys)-1 && vcut >= len(value)
+				if ok != whole || (k != nil) != (cut >= 2+len(key)) {
+					t.Fatalf("CutSplitEntry cut at %d/%d: key %d bytes, ok %v", cut, vcut, len(k), ok)
+				}
+				if ok && (!bytes.Equal(k, key) || !bytes.Equal(v, value) || f != flag || cap(k) != len(key) ||
+					cap(v) != len(value) || len(rk) != cut-len(keys)+1 || len(rv) != vcut-len(value)) {
+					t.Fatalf("CutSplitEntry cut at %d/%d: %d, %d bytes, flag %v, %d and %d left", cut, vcut, len(k), len(v), f, len(rk), len(rv))
+				}
 			}
-			if ok && (!bytes.Equal(k, key) || !bytes.Equal(v, value) || cap(k) != len(key) || cap(v) != len(value) ||
-				len(rk) != cut-len(keys)+1 || len(rv) != vcut-len(value)) {
-				t.Fatalf("CutSplitKeyValue cut at %d/%d: %d, %d bytes, %d and %d left", cut, vcut, len(k), len(v), len(rk), len(rv))
+		}
+		for _, bad := range []byte{2, 0x7f, 0x80, 0xff} {
+			keys[2+len(key)] = bad
+			if k, v, f, _, _, ok := CutSplitEntry(keys, values); ok || !bytes.Equal(k, key) || v != nil || f {
+				t.Fatalf("CutSplitEntry with flag byte %#x: key %d bytes, value %d bytes, flag %v, ok %v", bad, len(k), len(v), f, ok)
 			}
 		}
 	}

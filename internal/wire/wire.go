@@ -302,23 +302,28 @@ func CutVarBytes(p []byte) (b, rest []byte, ok bool) {
 	return p[k:end:end], p[end:], true
 }
 
-// CutSplitKeyValue splits a key/value record stored keys first off the
-// front of two slices: from keys, length-prefixed key bytes and a uvarint
-// value length (what VarBytes and then Uvarint write); from values, that
-// many bytes. ok is false unless all of it fits; key is then the decoded
-// key if that part did, else nil. It is one call per record, with both
-// varint decodes inline, because a table's block scan runs it per entry.
-func CutSplitKeyValue(keys, values []byte) (key, value, restKeys, restValues []byte, ok bool) {
+// CutSplitEntry splits an entry stored keys first off the front of two
+// slices: from keys, length-prefixed key bytes, a Bool byte and a uvarint
+// value length (what VarBytes, Bool and Uvarint write); from values, that
+// many bytes, sliced and never read. ok is false unless all of it fits
+// and the Bool byte is 0 or 1; key is then the decoded key if that part
+// did, else nil. It is one call per entry, with both varint decodes
+// inline, because a table's block scan runs it per entry.
+func CutSplitEntry(keys, values []byte) (key, value []byte, flag bool, restKeys, restValues []byte, ok bool) {
 	n, k := binary.Uvarint(keys)
 	if k <= 0 || n > uint64(len(keys)-k) {
-		return nil, nil, keys, values, false
+		return nil, nil, false, keys, values, false
 	}
 	end := k + int(n)
 	key, keys = keys[k:end:end], keys[end:]
-	if n, k = binary.Uvarint(keys); k <= 0 || n > uint64(len(values)) {
-		return key, nil, keys, values, false
+	if len(keys) == 0 || keys[0] > 1 {
+		return key, nil, false, keys, values, false
 	}
-	return key, values[:n:n], keys[k:], values[n:], true
+	flag = keys[0] == 1
+	if n, k = binary.Uvarint(keys[1:]); k <= 0 || n > uint64(len(values)) {
+		return key, nil, false, keys, values, false
+	}
+	return key, values[:n:n], flag, keys[1+k:], values[n:], true
 }
 
 func appendVarBytes(dst, b []byte) []byte {
