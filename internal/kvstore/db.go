@@ -17,8 +17,9 @@ type Options struct {
 	// MemtableBytes triggers a flush when the memtable grows past it;
 	// 0 means 4 MB.
 	MemtableBytes int
-	// CompactionRuns triggers a full compaction when the number of sorted
-	// runs reaches it; 0 means 4.
+	// CompactionRuns triggers a pair compaction (the adjacent pair of runs
+	// with the fewest entries merges) when a flush brings the number of
+	// sorted runs to it; 0 means 4.
 	CompactionRuns int
 	// BlockSize is the SSTable data-block size; 0 uses the sstable default.
 	BlockSize int
@@ -162,31 +163,33 @@ func tableSeq(name string) (int, bool) {
 }
 
 // Put stores value under key.
-func (db *DB) Put(key, value []byte) error {
-	if len(key) == 0 {
-		return errors.New("kvstore: empty key")
-	}
-	db.stats.Puts++
-	if err := db.wal.append(walPut, key, value); err != nil {
-		return err
-	}
-	db.mem.put(key, value, false)
-	return db.maybeFlush()
-}
+func (db *DB) Put(key, value []byte) error { return db.write(walPut, key, value) }
 
 // Delete removes key (writes a tombstone).
 //
 //kml:api the only writer of the tombstones that the WAL and table formats carry
-func (db *DB) Delete(key []byte) error {
+func (db *DB) Delete(key []byte) error { return db.write(walDelete, key, nil) }
+
+// write logs one mutation of the given WAL kind, applies it to the
+// memtable, and flushes a memtable that has grown to MemtableBytes.
+func (db *DB) write(kind byte, key, value []byte) error {
 	if len(key) == 0 {
 		return errors.New("kvstore: empty key")
 	}
-	db.stats.Deletes++
-	if err := db.wal.append(walDelete, key, nil); err != nil {
+	tombstone := kind == walDelete
+	if tombstone {
+		db.stats.Deletes++
+	} else {
+		db.stats.Puts++
+	}
+	if err := db.wal.append(kind, key, value); err != nil {
 		return err
 	}
-	db.mem.put(key, nil, true)
-	return db.maybeFlush()
+	db.mem.put(key, value, tombstone)
+	if db.mem.sizeBytes() < db.opts.MemtableBytes {
+		return nil
+	}
+	return db.Flush()
 }
 
 // Get returns the newest value stored under key. The value aliases the
@@ -214,42 +217,28 @@ func (db *DB) Get(key []byte) (value []byte, ok bool, err error) {
 	return nil, false, nil
 }
 
-func (db *DB) maybeFlush() error {
-	if db.mem.sizeBytes() < db.opts.MemtableBytes {
-		return nil
-	}
-	return db.Flush()
-}
-
-// Flush writes the memtable to a new SSTable and resets the WAL. A flush
-// that pushes the run count to the compaction threshold triggers a full
+// Flush writes the memtable to a new newest run and resets the WAL. A
+// flush that brings the run count to CompactionRuns triggers a pair
 // compaction.
 func (db *DB) Flush() error {
 	if db.mem.len() == 0 {
 		return nil
 	}
 	db.stats.Flushes++
-	db.seq++
-	name := tableName(db.seq)
-	f, err := db.fs.Create(name)
-	if err != nil {
-		return err
-	}
-	reserveTable(f, int64(db.mem.sizeBytes()))
-	b := sstable.NewBuilder(f, db.opts.BlockSize)
-	for _, e := range db.mem.entries() {
-		if err := b.Add(e.key, e.value, e.tombstone); err != nil {
-			return err
+	t, err := db.writeRun(int64(db.mem.sizeBytes()), func(b *sstable.Builder) error {
+		for _, e := range db.mem.entries() {
+			if err := b.Add(e.key, e.value, e.tombstone); err != nil {
+				return err
+			}
 		}
-	}
-	if err := b.Finish(); err != nil {
-		return err
-	}
-	t, err := sstable.Open(f)
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	db.tables = append([]*sstable.Table{t}, db.tables...)
+	if err := db.replaceRuns(0, 0, t); err != nil {
+		return err
+	}
 	// Reset the memtable and WAL (mutations are durable in the table now).
 	db.mem = newMemtable(db.opts.Seed + int64(db.seq))
 	if err := db.resetWAL(); err != nil {
@@ -261,39 +250,64 @@ func (db *DB) Flush() error {
 	return nil
 }
 
-// reserveTable hints the size of the table about to be built in f from the
-// bytes going into it (memtable size, or the input tables' file sizes), so
-// the build does not double-and-copy its way up from nothing. The eighth of
-// headroom covers what the inputs understate — entry framing, block
-// padding, index and bloom on a flush; index offsets that encode longer in
-// a larger file on a compaction — for the entry sizes the workloads write.
-// A short hint only costs the doubling it was meant to avoid.
-func reserveTable(f *vfs.File, inputBytes int64) {
+// writeRun builds a new run's table in a file named with the next
+// sequence number: add fills the builder, and the finished table is
+// opened. The file reserves inputBytes (the memtable's size, or the input
+// tables' file sizes) plus an eighth, which covers what the inputs
+// understate — entry framing, block padding, index and bloom on a flush;
+// index offsets that encode longer on a compaction — so the build does not
+// double-and-copy its way up; a short hint only costs that doubling. A
+// failed or empty build leaves no file: writeRun removes it and returns
+// the build's error, or for an empty build a nil table.
+func (db *DB) writeRun(inputBytes int64, add func(*sstable.Builder) error) (*sstable.Table, error) {
+	db.seq++
+	name := tableName(db.seq)
+	f, err := db.fs.Create(name)
+	if err != nil {
+		return nil, err
+	}
 	f.Reserve(inputBytes + inputBytes/8)
+	b := sstable.NewBuilder(f, db.opts.BlockSize)
+	err = add(b)
+	if err == nil && b.Entries() == 0 {
+		return nil, db.fs.Remove(name)
+	}
+	var t *sstable.Table
+	if err == nil {
+		err = b.Finish()
+	}
+	if err == nil {
+		t, err = sstable.Open(f)
+	}
+	if err != nil {
+		return nil, errors.Join(err, db.fs.Remove(name))
+	}
+	return t, nil
 }
 
-// addEntries adds every entry of it, a merge of tables, to b: each key,
-// value and kind as its input table stores it, so a compaction copies an
-// entry once and never re-encodes it. Tombstones are dropped when
-// dropTombstones is set.
-func addEntries(b *sstable.Builder, it *mergeIterator, dropTombstones bool) error {
-	for ; it.valid(); it.next() {
-		tomb := it.tombstone()
-		if dropTombstones && tomb {
-			continue
-		}
-		if err := b.Add(it.key(), it.value(), tomb); err != nil {
+// replaceRuns is the one edit of the run list: runs [lo, hi) leave it and
+// t, if not nil, takes their place. A flush is replaceRuns(0, 0, t). The
+// list changes first, then the files of the runs that left are removed,
+// so a failed Remove leaves a stray file, never a listed run without one.
+func (db *DB) replaceRuns(lo, hi int, t *sstable.Table) error {
+	gone := db.tables[lo:hi]
+	runs := make([]*sstable.Table, 0, len(db.tables)-len(gone)+1)
+	runs = append(runs, db.tables[:lo]...)
+	if t != nil {
+		runs = append(runs, t)
+	}
+	db.tables = append(runs, db.tables[hi:]...)
+	for _, g := range gone {
+		if err := db.fs.Remove(g.File().Name()); err != nil {
 			return err
 		}
 	}
-	return it.err()
+	return nil
 }
 
 // compactPair merges the adjacent pair of runs with the smallest combined
 // entry count — incremental, RocksDB-like compaction that keeps write
-// amplification bounded instead of rewriting the whole store. Adjacency in
-// the recency list preserves shadowing; tombstones are dropped only when
-// the pair includes the oldest run (nothing older could be resurrected).
+// amplification bounded instead of rewriting the whole store.
 func (db *DB) compactPair() error {
 	if len(db.tables) < 2 {
 		return nil
@@ -306,48 +320,49 @@ func (db *DB) compactPair() error {
 			best, bestSize = i, size
 		}
 	}
-	pair := db.tables[best : best+2]
-	includesOldest := best+2 == len(db.tables)
+	return db.compact(best, best+2)
+}
+
+// Compact merges every run into one, dropping shadowed values and
+// tombstones (full compaction: nothing older survives to resurrect them).
+func (db *DB) Compact() error {
+	if len(db.tables) <= 1 {
+		return nil
+	}
+	return db.compact(0, len(db.tables))
+}
+
+// compact merges the adjacent runs [lo, hi) into one. Adjacency in the
+// recency list preserves shadowing. Each entry is copied as its input
+// table stores it, never re-encoded; tombstones are dropped only when hi
+// is the oldest run, since nothing older could be resurrected. The inputs
+// are seeked before the output is created, the order the page cache sees.
+func (db *DB) compact(lo, hi int) error {
 	db.stats.Compactions++
-	it := newMergeIterator(nil, pair, forward)
+	in := db.tables[lo:hi]
+	it := newMergeIterator(nil, in, forward)
 	it.SeekToFirst()
-	db.seq++
-	name := tableName(db.seq)
-	f, err := db.fs.Create(name)
+	var inputBytes int64
+	for _, t := range in {
+		inputBytes += t.File().Size()
+	}
+	dropTombstones := hi == len(db.tables)
+	t, err := db.writeRun(inputBytes, func(b *sstable.Builder) error {
+		for ; it.valid(); it.next() {
+			tomb := it.tombstone()
+			if dropTombstones && tomb {
+				continue
+			}
+			if err := b.Add(it.key(), it.value(), tomb); err != nil {
+				return err
+			}
+		}
+		return it.err()
+	})
 	if err != nil {
 		return err
 	}
-	reserveTable(f, pair[0].File().Size()+pair[1].File().Size())
-	b := sstable.NewBuilder(f, db.opts.BlockSize)
-	if err := addEntries(b, it, includesOldest); err != nil {
-		return err
-	}
-	var merged []*sstable.Table
-	if b.Entries() > 0 {
-		if err := b.Finish(); err != nil {
-			return err
-		}
-		t, err := sstable.Open(f)
-		if err != nil {
-			return err
-		}
-		merged = []*sstable.Table{t}
-	} else {
-		if err := db.fs.Remove(name); err != nil {
-			return err
-		}
-	}
-	for _, t := range pair {
-		if err := db.fs.Remove(t.File().Name()); err != nil {
-			return err
-		}
-	}
-	rest := make([]*sstable.Table, 0, len(db.tables)-2+len(merged))
-	rest = append(rest, db.tables[:best]...)
-	rest = append(rest, merged...)
-	rest = append(rest, db.tables[best+2:]...)
-	db.tables = rest
-	return nil
+	return db.replaceRuns(lo, hi, t)
 }
 
 func (db *DB) resetWAL() error {
@@ -359,55 +374,6 @@ func (db *DB) resetWAL() error {
 		return err
 	}
 	db.wal = newWAL(walFile, db.opts.WALSync)
-	return nil
-}
-
-// Compact merges every table into one, dropping shadowed values and
-// tombstones (full compaction: nothing older survives to resurrect them).
-func (db *DB) Compact() error {
-	if len(db.tables) <= 1 {
-		return nil
-	}
-	db.stats.Compactions++
-	it := newMergeIterator(nil, db.tables, forward)
-	it.SeekToFirst()
-	db.seq++
-	name := tableName(db.seq)
-	f, err := db.fs.Create(name)
-	if err != nil {
-		return err
-	}
-	var inputBytes int64
-	for _, t := range db.tables {
-		inputBytes += t.File().Size()
-	}
-	reserveTable(f, inputBytes)
-	b := sstable.NewBuilder(f, db.opts.BlockSize)
-	if err := addEntries(b, it, true); err != nil {
-		return err
-	}
-	if b.Entries() == 0 {
-		// Everything was deleted; remove the empty output and all inputs.
-		db.fs.Remove(name)
-		return db.dropTables(nil)
-	}
-	if err := b.Finish(); err != nil {
-		return err
-	}
-	t, err := sstable.Open(f)
-	if err != nil {
-		return err
-	}
-	return db.dropTables([]*sstable.Table{t})
-}
-
-func (db *DB) dropTables(replacement []*sstable.Table) error {
-	for _, t := range db.tables {
-		if err := db.fs.Remove(t.File().Name()); err != nil {
-			return err
-		}
-	}
-	db.tables = replacement
 	return nil
 }
 

@@ -805,7 +805,9 @@ func TestMergeIteratorOverReusedBlocks(t *testing.T) {
 // an empty value is legal now, see TestEmptyValueRoundTrip.) Get reports
 // a bad kind, and both compactions, which copy entries as they find them,
 // must report it too rather than write the entry on. The bad entry sits
-// in a table's last block, which Open does not decode.
+// in a table's last block, which Open does not decode. A failed
+// compaction leaves no output file behind: the store's tables are still
+// the two inputs, and it reopens with the intact entries readable.
 func TestCompactionRejectsEmptyRecord(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -849,6 +851,23 @@ func TestCompactionRejectsEmptyRecord(t *testing.T) {
 			}
 			if err := c.compact(db); !errors.Is(err, sstable.ErrBadTable) {
 				t.Fatalf("compaction over the entry with kind 2: %v, want ErrBadTable", err)
+			}
+			var tables []string
+			for _, name := range fs.Names() {
+				if _, ok := tableSeq(name); ok {
+					tables = append(tables, name)
+				}
+			}
+			sort.Strings(tables)
+			if want := []string{tableName(1), tableName(2)}; fmt.Sprint(tables) != fmt.Sprint(want) {
+				t.Fatalf("tables after the failed compaction: %q, want the inputs %q", tables, want)
+			}
+			reopened, err := Open(fs, Options{})
+			if err != nil {
+				t.Fatalf("reopen after the failed compaction: %v", err)
+			}
+			if got, ok, err := reopened.Get(k(100)); err != nil || !ok || !bytes.Equal(got, v(100)) {
+				t.Fatalf("Get after the reopen: %q, %v, %v", got, ok, err)
 			}
 		})
 	}

@@ -2,8 +2,10 @@
 // RocksDB in the paper's evaluation (§4 tests RocksDB under db_bench
 // workloads). It has the structures that shape RocksDB's I/O: a skiplist
 // memtable, a write-ahead log, immutable sorted tables (internal/sstable)
-// read through the simulated page cache, background flush on memtable
-// fill, and full compaction when the run count grows. Point lookups probe
+// read through the simulated page cache, an inline flush when the
+// memtable fills, and a pair compaction when a flush brings the run count
+// to Options.CompactionRuns (the full compaction, DB.Compact, runs only
+// when called: workload.Fill calls it once). Point lookups probe
 // newest-to-oldest with bloom filters; iterators merge all runs and
 // support forward and reverse scans — producing the readseq / readrandom /
 // readreverse / mixed page-cache access patterns the KML readahead
