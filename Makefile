@@ -59,6 +59,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTreeLoad -fuzztime=$(FUZZTIME) ./internal/dtree/
 	$(GO) test -run='^$$' -fuzz=FuzzRingPushPop -fuzztime=$(FUZZTIME) ./internal/ringbuf/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/kvstore/
+	$(GO) test -run='^$$' -fuzz=FuzzIteratorAgainstMap -fuzztime=$(FUZZTIME) ./internal/kvstore/
 	$(GO) test -run='^$$' -fuzz=FuzzTableOpen -fuzztime=$(FUZZTIME) ./internal/sstable/
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/mserve/
 	$(GO) test -run='^$$' -fuzz=FuzzFrameStream -fuzztime=$(FUZZTIME) ./internal/mserve/

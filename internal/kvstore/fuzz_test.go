@@ -72,3 +72,60 @@ func FuzzWALReplay(f *testing.F) {
 		}
 	})
 }
+
+// FuzzIteratorAgainstMap runs the input as a script of puts, deletes,
+// flushes and full compactions on a store that flushes every few dozen
+// puts and compacts at three runs, keeping a map oracle beside it. The
+// merge's scans and seeks, in both directions, must give the oracle's
+// sequence. Each op is two bytes: the op, then the key (64 keys, so runs
+// shadow each other often).
+func FuzzIteratorAgainstMap(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 1, 2, 2, 2, 3, 1, 2, 0, 0})                   // puts, a delete, a flush
+	f.Add([]byte{2, 5, 0, 0, 1, 5, 0, 0, 2, 5, 8, 0, 1, 5, 0, 0}) // shadowed, deleted, compacted
+	// Every key, many times over: flushes and pair compactions on their
+	// own, a delete every ninth op and a full compaction every 97th.
+	var script []byte
+	for j := 1; j <= 600; j++ {
+		op := byte(2 + j%6)
+		switch {
+		case j%97 == 0:
+			op = 8
+		case j%9 == 0:
+			op = 1
+		}
+		script = append(script, op, byte(j*7))
+	}
+	f.Add(script)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 8192 {
+			data = data[:8192]
+		}
+		db, err := Open(newFS(), Options{MemtableBytes: 1 << 12, CompactionRuns: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := make(map[string]string)
+		for i := 0; i+1 < len(data); i += 2 {
+			op, key := data[i], k(int(data[i+1])%64)
+			switch {
+			case op%8 == 0 && op&8 == 0:
+				err = db.Flush()
+			case op%8 == 0:
+				err = db.Compact()
+			case op%8 == 1:
+				err = db.Delete(key)
+				delete(oracle, string(key))
+			default:
+				val := v(i<<8 | int(op))
+				err = db.Put(key, val)
+				oracle[string(key)] = string(val)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		seeks := [][]byte{k(-1), k(0), k(13), k(31), k(32), k(50), k(63), k(64)}
+		checkAgainstOracle(t, db, oracle, seeks)
+	})
+}

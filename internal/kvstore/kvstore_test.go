@@ -404,25 +404,242 @@ func TestRandomizedAgainstMap(t *testing.T) {
 			t.Fatalf("key %d: %q != %q", i, got, want)
 		}
 	}
-	// Full scan must match the oracle exactly, in order.
-	it := db.NewIterator()
-	it.SeekToFirst()
-	var prev []byte
-	scanCount := 0
-	for it.Valid() {
-		if prev != nil && bytes.Compare(it.m.key(), prev) <= 0 {
-			t.Fatal("scan out of order")
-		}
-		want, exists := oracle[string(it.m.key())]
-		if !exists || want != string(it.m.value()) {
-			t.Fatalf("scan key %q mismatch", it.m.key())
-		}
-		prev = append(prev[:0], it.m.key()...)
-		scanCount++
-		it.Next()
+	// Scans and seeks in both directions must match the oracle exactly.
+	seeks := make([][]byte, 100)
+	for i := range seeks {
+		seeks[i] = k(rng.Intn(310) - 5) // some before the first key, some past the last
 	}
-	if scanCount != len(oracle) {
-		t.Fatalf("scan saw %d keys, oracle has %d", scanCount, len(oracle))
+	checkAgainstOracle(t, db, oracle, seeks)
+}
+
+// checkScan steps it to its end and requires exactly the keys want, in
+// order, with the oracle's values, and no error.
+func checkScan(t testing.TB, name string, it *Iterator, want []string, oracle map[string]string) {
+	t.Helper()
+	i := 0
+	for ; it.Valid(); it.Next() {
+		if i >= len(want) {
+			t.Fatalf("%s: extra key %q", name, it.m.key())
+		}
+		if string(it.m.key()) != want[i] || string(it.m.value()) != oracle[want[i]] {
+			t.Fatalf("%s: entry %d is %q=%q, want %q=%q", name, i, it.m.key(), it.m.value(), want[i], oracle[want[i]])
+		}
+		i++
+	}
+	if err := it.Err(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if i != len(want) {
+		t.Fatalf("%s: saw %d keys, want %d", name, i, len(want))
+	}
+}
+
+// reversed returns keys in reverse order.
+func reversed(keys []string) []string {
+	out := make([]string, len(keys))
+	for i, key := range keys {
+		out[len(keys)-1-i] = key
+	}
+	return out
+}
+
+// checkAgainstOracle requires db's full scans in both directions, and a
+// forward and a reverse Seek to each of seeks, to give the sorted oracle's
+// sequences with its values.
+func checkAgainstOracle(t testing.TB, db *DB, oracle map[string]string, seeks [][]byte) {
+	t.Helper()
+	keys := make([]string, 0, len(oracle))
+	for key := range oracle {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	fwd := db.NewIterator()
+	fwd.SeekToFirst()
+	checkScan(t, "forward", fwd, keys, oracle)
+	rev := db.NewReverseIterator()
+	rev.SeekToLast()
+	checkScan(t, "reverse", rev, reversed(keys), oracle)
+	for _, s := range seeks {
+		ge := sort.SearchStrings(keys, string(s))                                     // first key ≥ s
+		gt := sort.Search(len(keys), func(i int) bool { return keys[i] > string(s) }) // first key > s
+		it := db.NewIterator()
+		it.Seek(s)
+		checkScan(t, fmt.Sprintf("forward seek %q", s), it, keys[ge:], oracle)
+		it = db.NewReverseIterator()
+		it.Seek(s)
+		checkScan(t, fmt.Sprintf("reverse seek %q", s), it, reversed(keys[:gt]), oracle)
+	}
+}
+
+// TestIteratorEdgeSources iterates DBs whose merge has no source, only a
+// memtable, or only tables whose every entry is deleted: each scan and
+// seek, in both directions, gives the oracle's sequence or none, and no
+// error.
+func TestIteratorEdgeSources(t *testing.T) {
+	const n = 40
+	seeks := [][]byte{k(-1), k(0), k(n / 2), k(n - 1), k(n + 1)}
+	putAll := func(t *testing.T, db *DB, oracle map[string]string) {
+		for i := 0; i < n; i++ {
+			if err := db.Put(k(i), v(i)); err != nil {
+				t.Fatal(err)
+			}
+			oracle[string(k(i))] = string(v(i))
+		}
+	}
+	deleteAll := func(t *testing.T, db *DB, oracle map[string]string) {
+		for i := 0; i < n; i++ {
+			if err := db.Delete(k(i)); err != nil {
+				t.Fatal(err)
+			}
+			delete(oracle, string(k(i)))
+		}
+	}
+	flush := func(t *testing.T, db *DB) {
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name   string
+		tables int
+		build  func(t *testing.T, db *DB, oracle map[string]string)
+	}{
+		{"empty", 0, func(*testing.T, *DB, map[string]string) {}},
+		{"memtable only", 0, putAll},
+		{"deleted, one tombstone run", 1, func(t *testing.T, db *DB, o map[string]string) {
+			putAll(t, db, o)
+			deleteAll(t, db, o)
+			flush(t, db)
+		}},
+		{"deleted, two runs", 2, func(t *testing.T, db *DB, o map[string]string) {
+			putAll(t, db, o)
+			flush(t, db)
+			deleteAll(t, db, o)
+			flush(t, db)
+		}},
+		{"deleted, compacted", 0, func(t *testing.T, db *DB, o map[string]string) {
+			putAll(t, db, o)
+			flush(t, db)
+			deleteAll(t, db, o)
+			flush(t, db)
+			if err := db.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db := openDB(t, newFS(), Options{})
+			oracle := make(map[string]string)
+			c.build(t, db, oracle)
+			if db.Tables() != c.tables {
+				t.Fatalf("%d tables, want %d", db.Tables(), c.tables)
+			}
+			// An empty memtable adds no source, and one table alone is
+			// stepped directly.
+			m := db.NewIterator().m
+			sources := db.Tables()
+			if db.mem.len() > 0 {
+				sources++
+			}
+			if len(m.sources) != sources || (m.one != nil) != (sources == 1 && db.Tables() == 1) {
+				t.Fatalf("merge of %d sources (direct %v), want %d", len(m.sources), m.one != nil, sources)
+			}
+			checkAgainstOracle(t, db, oracle, seeks)
+			if len(oracle) > 0 {
+				return
+			}
+			// Nothing is live: every positioning call finds nothing.
+			for _, it := range []*Iterator{db.NewIterator(), db.NewReverseIterator()} {
+				for _, seek := range []func(){it.SeekToFirst, it.SeekToLast, func() { it.Seek(k(n / 2)) }} {
+					seek()
+					if it.Valid() || it.Err() != nil {
+						t.Fatalf("valid=%v err=%v on a DB with no live key", it.Valid(), it.Err())
+					}
+				}
+			}
+		})
+	}
+}
+
+// countingSource is a memtable source that counts the calls a merge makes
+// into it: reads of its key and moves (next, prev).
+type countingSource struct {
+	memSource
+	reads, moves int
+}
+
+func (s *countingSource) key() []byte  { s.reads++; return s.memSource.key() }
+func (s *countingSource) next() []byte { s.moves++; return s.memSource.next() }
+func (s *countingSource) prev() []byte { s.moves++; return s.memSource.prev() }
+
+// TestMergeStepTouchesOnlyMovedSources: a merge step reads only the
+// sources it moves, the current one and any it steps past a shadowed
+// duplicate; every other source's key is cached. Over four disjoint runs
+// a step moves, and so reads, exactly one source.
+func TestMergeStepTouchesOnlyMovedSources(t *testing.T) {
+	const n = 400
+	for _, c := range []struct {
+		name     string
+		holds    func(run, i int) bool
+		disjoint bool
+	}{
+		{"disjoint", func(run, i int) bool { return i%4 == run }, true},
+		{"overlapping", func(run, i int) bool { return i%(run+2) == 0 }, false},
+	} {
+		for _, dir := range []direction{forward, reverse} {
+			name := fmt.Sprintf("%s, reverse=%v", c.name, dir == reverse)
+			srcs := make([]*countingSource, 4)
+			m := &mergeIterator{keys: make([][]byte, len(srcs)), dir: dir, cur: -1}
+			for run := range srcs {
+				srcs[run] = &countingSource{}
+				m.sources = append(m.sources, srcs[run])
+			}
+			var want []string
+			for i := 0; i < n; i++ {
+				held := false
+				for run, s := range srcs {
+					if c.holds(run, i) {
+						s.entries = append(s.entries, mentry{key: k(i)})
+						held = true
+					}
+				}
+				if held {
+					want = append(want, string(k(i)))
+				}
+			}
+			if dir == forward {
+				m.SeekToFirst()
+			} else {
+				m.SeekToLast()
+				want = reversed(want)
+			}
+			for step := 0; ; step++ {
+				if !m.valid() {
+					if step != len(want) {
+						t.Fatalf("%s: %d keys, want %d", name, step, len(want))
+					}
+					break
+				}
+				if string(m.key()) != want[step] {
+					t.Fatalf("%s: key %d is %q, want %q", name, step, m.key(), want[step])
+				}
+				for _, s := range srcs {
+					s.reads, s.moves = 0, 0
+				}
+				m.next()
+				moved := 0
+				for i, s := range srcs {
+					if s.reads > 0 && s.moves == 0 {
+						t.Fatalf("%s, step %d: read source %d, which did not move", name, step, i)
+					}
+					moved += s.moves
+				}
+				if c.disjoint && moved != 1 {
+					t.Fatalf("%s, step %d: moved %d sources, want 1", name, step, moved)
+				}
+			}
+		}
 	}
 }
 
@@ -515,36 +732,42 @@ func BenchmarkGetCold(b *testing.B) {
 	}
 }
 
-// BenchmarkScan steps a DB iterator, wrapping around, over four flushed
-// runs of 30 000 entries with 400-byte values, written in key order as a
-// fill writes them: the readseq path, a merge of table iterators whose
-// blocks, ~48 MB in all, are mostly cold in the core's own caches.
+// BenchmarkScan steps a DB iterator, wrapping around, over 120 000 entries
+// with 400-byte values, written in key order as a fill writes them and
+// flushed into runs equal runs: runs=1 is the readseq path after a fill's
+// full compaction, one table stepped directly, and runs=4 a merge of four
+// table iterators. Their blocks, ~48 MB in all, are mostly cold in the
+// core's own caches.
 func BenchmarkScan(b *testing.B) {
-	const runs, perRun = 4, 30000
-	db := openDB(b, newFS(), Options{MemtableBytes: 1 << 30, CompactionRuns: 1 << 30})
-	value := bytes.Repeat([]byte("v"), 400)
-	for i := 0; i < runs*perRun; i++ {
-		if err := db.Put(k(i), value); err != nil {
-			b.Fatal(err)
-		}
-		if (i+1)%perRun == 0 {
-			if err := db.Flush(); err != nil {
+	for _, runs := range []int{1, 4} {
+		b.Run(fmt.Sprintf("runs=%d", runs), func(b *testing.B) {
+			const entries = 120000
+			db := openDB(b, newFS(), Options{MemtableBytes: 1 << 30, CompactionRuns: 1 << 30})
+			value := bytes.Repeat([]byte("v"), 400)
+			for i := 0; i < entries; i++ {
+				if err := db.Put(k(i), value); err != nil {
+					b.Fatal(err)
+				}
+				if (i+1)%(entries/runs) == 0 {
+					if err := db.Flush(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			it := db.NewIterator()
+			it.SeekToFirst()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !it.Valid() {
+					it.SeekToFirst()
+				}
+				it.Next()
+			}
+			if err := it.Err(); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-	it := db.NewIterator()
-	it.SeekToFirst()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !it.Valid() {
-			it.SeekToFirst()
-		}
-		it.Next()
-	}
-	if err := it.Err(); err != nil {
-		b.Fatal(err)
+		})
 	}
 }
 
@@ -697,8 +920,9 @@ func TestDBFilesGolden(t *testing.T) {
 // multi-block tables and a memtable — every table source now hands out
 // keys and values that alias a buffer it overwrites at its next block —
 // and checks both scan directions against a map oracle built from copies.
-// pick holds one source's key while it advances the others; that is safe
-// only because each source owns its storage.
+// The merge caches every source's key while it advances the others; that
+// is safe only because each source owns its storage and a cached key is
+// refreshed whenever its own source moves.
 func TestMergeIteratorOverReusedBlocks(t *testing.T) {
 	db := openDB(t, newFS(), Options{MemtableBytes: 1 << 30, CompactionRuns: 1 << 30})
 	oracle := make(map[string]string)
@@ -754,41 +978,17 @@ func TestMergeIteratorOverReusedBlocks(t *testing.T) {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
-
-	check := func(name string, it *Iterator, want []string) {
-		t.Helper()
-		i := 0
-		for ; it.Valid(); it.Next() {
-			if i >= len(want) {
-				t.Fatalf("%s: extra key %q", name, it.m.key())
-			}
-			if string(it.m.key()) != want[i] || string(it.m.value()) != oracle[want[i]] {
-				t.Fatalf("%s: entry %d is %q=%q, want %q=%q", name, i, it.m.key(), it.m.value(), want[i], oracle[want[i]])
-			}
-			i++
-		}
-		if err := it.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if i != len(want) {
-			t.Fatalf("%s: saw %d keys, want %d", name, i, len(want))
-		}
-	}
 	fwd := db.NewIterator()
 	fwd.SeekToFirst()
-	check("forward", fwd, keys)
+	checkScan(t, "forward", fwd, keys, oracle)
 	fwd.Seek([]byte(keys[len(keys)/2]))
-	check("forward from seek", fwd, keys[len(keys)/2:])
+	checkScan(t, "forward from seek", fwd, keys[len(keys)/2:], oracle)
 
-	reversed := make([]string, len(keys))
-	for i, key := range keys {
-		reversed[len(keys)-1-i] = key
-	}
 	rev := db.NewReverseIterator()
 	rev.SeekToLast()
-	check("reverse", rev, reversed)
-	rev.Seek([]byte(reversed[len(keys)/3]))
-	check("reverse from seek", rev, reversed[len(keys)/3:])
+	checkScan(t, "reverse", rev, reversed(keys), oracle)
+	rev.Seek([]byte(keys[len(keys)-1-len(keys)/3]))
+	checkScan(t, "reverse from seek", rev, reversed(keys)[len(keys)/3:], oracle)
 
 	// Compaction consumes the same merge; its output must hold the same data.
 	if err := db.Compact(); err != nil {
@@ -796,7 +996,7 @@ func TestMergeIteratorOverReusedBlocks(t *testing.T) {
 	}
 	fwd = db.NewIterator()
 	fwd.SeekToFirst()
-	check("after compaction", fwd, keys)
+	checkScan(t, "after compaction", fwd, keys, oracle)
 }
 
 // TestCompactionRejectsEmptyRecord: an entry's kind byte is 0 (a value)
@@ -815,33 +1015,8 @@ func TestCompactionRejectsEmptyRecord(t *testing.T) {
 	}{{"pair", (*DB).compactPair}, {"full", (*DB).Compact}} {
 		t.Run(c.name, func(t *testing.T) {
 			fs := newFS()
-			for seq, keys := range map[int][2]int{1: {0, 1}, 2: {100, 300}} {
-				f, err := fs.Create(tableName(seq))
-				if err != nil {
-					t.Fatal(err)
-				}
-				b := sstable.NewBuilder(f, 0)
-				for i := keys[0]; i < keys[1]; i++ {
-					if err := b.Add(k(i), v(i), false); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := b.Finish(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			f, _ := fs.Open(tableName(2))
-			data := make([]byte, f.Size())
-			if _, err := f.ReadAt(data, 0); err != nil {
-				t.Fatal(err)
-			}
-			at := bytes.Index(data, k(299)) + len(k(299)) // the kind byte follows the key
-			if at < 2*sstable.DefaultBlockSize || data[at] != 0 {
-				t.Fatalf("kind byte of the last key at %d reads %d; want a value's kind past block 1", at, data[at])
-			}
-			if _, err := f.WriteAt([]byte{2}, int64(at)); err != nil {
-				t.Fatal(err)
-			}
+			writeTable(t, fs, 1, 0, 1)
+			writeBadLastKind(t, fs, 2, 100, 300)
 			db := openDB(t, fs, Options{})
 			if got, ok, err := db.Get(k(100)); err != nil || !ok || !bytes.Equal(got, v(100)) {
 				t.Fatalf("Get of an entry in an intact block: %q, %v, %v", got, ok, err)
@@ -870,6 +1045,84 @@ func TestCompactionRejectsEmptyRecord(t *testing.T) {
 				t.Fatalf("Get after the reopen: %q, %v, %v", got, ok, err)
 			}
 		})
+	}
+}
+
+// writeTable writes table seq holding keys [lo, hi) with their values.
+func writeTable(t *testing.T, fs *vfs.FS, seq, lo, hi int) {
+	t.Helper()
+	f, err := fs.Create(tableName(seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sstable.NewBuilder(f, 0)
+	for i := lo; i < hi; i++ {
+		if err := b.Add(k(i), v(i), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeBadLastKind writes table seq as writeTable does, then sets the kind
+// byte of its last key, k(hi-1), to 2, which makes the table corrupt in
+// its last block, one that Open does not decode.
+func writeBadLastKind(t *testing.T, fs *vfs.FS, seq, lo, hi int) {
+	t.Helper()
+	writeTable(t, fs, seq, lo, hi)
+	f, _ := fs.Open(tableName(seq))
+	data := make([]byte, f.Size())
+	if _, err := f.ReadAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	last := k(hi - 1)
+	at := bytes.Index(data, last) + len(last) // the kind byte follows the key
+	if at < 2*sstable.DefaultBlockSize || data[at] != 0 {
+		t.Fatalf("kind byte of the last key at %d reads %d; want a value's kind past block 1", at, data[at])
+	}
+	if _, err := f.WriteAt([]byte{2}, int64(at)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIteratorReportsBadTable scans a table whose last block is corrupt,
+// alone (the merge steps it directly) and under a memtable entry (the
+// merge picks between them), in both directions: the scan ends on the
+// corrupt block, keeps its order up to there, and Err reports the table's
+// error.
+func TestIteratorReportsBadTable(t *testing.T) {
+	for _, withMem := range []bool{false, true} {
+		fs := newFS()
+		writeBadLastKind(t, fs, 1, 100, 300)
+		db := openDB(t, fs, Options{})
+		if withMem {
+			if err := db.Put(k(50), v(50)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, it := range []*Iterator{db.NewIterator(), db.NewReverseIterator()} {
+			name := fmt.Sprintf("memtable %v, reverse %v", withMem, it.m.dir == reverse)
+			if (it.m.one != nil) == withMem {
+				t.Fatalf("%s: direct step %v", name, it.m.one != nil)
+			}
+			if it.m.dir == forward {
+				it.SeekToFirst()
+			} else {
+				it.SeekToLast()
+			}
+			var prev []byte
+			for ; it.Valid(); it.Next() {
+				if c := bytes.Compare(it.m.key(), prev); prev != nil && (c > 0) != (it.m.dir == forward) {
+					t.Fatalf("%s: %q after %q", name, it.m.key(), prev)
+				}
+				prev = append(prev[:0], it.m.key()...)
+			}
+			if err := it.Err(); !errors.Is(err, sstable.ErrBadTable) {
+				t.Fatalf("%s: Err %v, want ErrBadTable", name, err)
+			}
+		}
 	}
 }
 
