@@ -434,52 +434,6 @@ func BenchmarkAblation_Baselines(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_PerFileVsDevice compares the two tuning surfaces of
-// the paper's Figure 1: one device-wide readahead setting (the Tuner)
-// versus per-file ra_pages updates (the FileTuner). Per-file tuning can
-// give the random-access table file a minimal window while compaction
-// streams keep large ones.
-func BenchmarkAblation_PerFileVsDevice(b *testing.B) {
-	nnB, _ := bundles(b)
-	run := func(b *testing.B, perFile bool) float64 {
-		env, err := sim.NewEnv(benchSSD())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var tick func(time.Duration)
-		if perFile {
-			ft, err := readahead.NewFileTuner(env.Cache, env.Dev, instance(b, nnB), nnB.Norm, readahead.FileTunerConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			env.Tracer.Register(ft.Hook())
-			tick = ft.MaybeTick
-		} else {
-			dt, err := readahead.NewTuner(env.Dev, instance(b, nnB), nnB.Norm, readahead.TunerConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			env.Tracer.Register(dt.Hook())
-			tick = dt.MaybeTick
-		}
-		runner := env.NewRunner(workload.MixGraph)
-		for env.Clk.Now() < 3*time.Second {
-			if err := runner.Step(); err != nil {
-				b.Fatal(err)
-			}
-			tick(env.Clk.Now())
-		}
-		return float64(runner.Ops()) / env.Clk.Now().Seconds()
-	}
-	for i := 0; i < b.N; i++ {
-		device := run(b, false)
-		file := run(b, true)
-		b.ReportMetric(device, "device_ops/vsec")
-		b.ReportMetric(file, "perfile_ops/vsec")
-		b.ReportMetric(file/device, "perfile_vs_device")
-	}
-}
-
 // BenchmarkAblation_WindowLength varies the tuner's decision interval
 // around the paper's one-second choice.
 func BenchmarkAblation_WindowLength(b *testing.B) {

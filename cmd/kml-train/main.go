@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -60,10 +61,7 @@ func main() {
 	}
 
 	norm := features.FitNormalizer(raw)
-	normed := make([]features.Vector, len(raw))
-	for i, v := range raw {
-		normed[i] = norm.Apply(v)
-	}
+	normed := norm.ApplyAll(raw)
 	net := readahead.NewModel(*seed)
 	losses := readahead.TrainModel(net, normed, labels, tcfg)
 	fmt.Printf("final model training: %d epochs, loss %.4f -> %.4f\n",
@@ -79,28 +77,32 @@ func main() {
 		readahead.Evaluate(tree, normed, labels)*100)
 
 	modelPath := filepath.Join(*out, "readahead.kml")
-	if err := net.SaveFile(modelPath); err != nil {
-		fatal(err)
-	}
 	normPath := filepath.Join(*out, "readahead.norm")
-	nf, err := os.Create(normPath)
-	if err != nil {
-		fatal(err)
-	}
-	if err := norm.Save(nf); err != nil {
-		fatal(err)
-	}
-	nf.Close()
 	treePath := filepath.Join(*out, "readahead.dtree")
-	tf, err := os.Create(treePath)
-	if err != nil {
-		fatal(err)
+	for _, a := range []struct {
+		path string
+		save func(io.Writer) error
+	}{{modelPath, net.Save}, {normPath, norm.Save}, {treePath, tree.Save}} {
+		if err := saveFile(a.path, a.save); err != nil {
+			fatal(err)
+		}
 	}
-	if err := tree.Save(tf); err != nil {
-		fatal(err)
-	}
-	tf.Close()
 	fmt.Printf("saved %s, %s, %s\n", modelPath, normPath, treePath)
+}
+
+// saveFile writes one artifact to path. A failed Close is an error too:
+// the data may reach the disk only then.
+func saveFile(path string, save func(io.Writer) error) (err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	return save(f)
 }
 
 func fatal(err error) {

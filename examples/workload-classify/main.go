@@ -58,10 +58,7 @@ func main() {
 
 	// Train the final models on the full dataset and compare families.
 	norm := features.FitNormalizer(raw)
-	normed := make([]features.Vector, len(raw))
-	for i, v := range raw {
-		normed[i] = norm.Apply(v)
-	}
+	normed := norm.ApplyAll(raw)
 	net := readahead.NewModel(7)
 	readahead.TrainModel(net, normed, labels, readahead.TrainConfig{Seed: 7})
 	nnAcc := readahead.Evaluate(readahead.NewNNClassifier(net), normed, labels)

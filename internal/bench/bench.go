@@ -156,10 +156,7 @@ func TrainNNBundle(trainCfg sim.Config, dcfg readahead.DatasetConfig, tcfg reada
 		return Bundle{}, nil, nil, fmt.Errorf("bench: empty dataset")
 	}
 	norm := features.FitNormalizer(raw)
-	normed := make([]features.Vector, len(raw))
-	for i, v := range raw {
-		normed[i] = norm.Apply(v)
-	}
+	normed := norm.ApplyAll(raw)
 	net := readahead.NewModel(tcfg.Seed)
 	readahead.TrainModel(net, normed, labels, tcfg)
 	b, err := newBundle(mserve.KindNN, "readahead-nn", net.Save, norm)
@@ -170,11 +167,7 @@ func TrainNNBundle(trainCfg sim.Config, dcfg readahead.DatasetConfig, tcfg reada
 // dataset and saves it as a KindDTree artifact named readahead-dtree.
 func TrainTreeBundle(raw []features.Vector, labels []int) (Bundle, error) {
 	norm := features.FitNormalizer(raw)
-	normed := make([]features.Vector, len(raw))
-	for i, v := range raw {
-		normed[i] = norm.Apply(v)
-	}
-	tree, err := readahead.TrainTree(normed, labels)
+	tree, err := readahead.TrainTree(norm.ApplyAll(raw), labels)
 	if err != nil {
 		return Bundle{}, err
 	}

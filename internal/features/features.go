@@ -214,6 +214,16 @@ func (n Normalizer) Apply(raw Vector) Vector {
 	return out
 }
 
+// ApplyAll standardizes every raw vector (Apply on each) into a new slice:
+// the training-side pass over a dataset.
+func (n Normalizer) ApplyAll(raw []Vector) []Vector {
+	out := make([]Vector, len(raw))
+	for i, v := range raw {
+		out[i] = n.Apply(v)
+	}
+	return out
+}
+
 //
 //kml:hotpath
 func clip(x float64) float64 {

@@ -105,8 +105,7 @@ func TestNormalizerRoundTrip(t *testing.T) {
 	n := FitNormalizer(raw)
 	// Mean of normalized features must be ~0, stddev ~1.
 	var sums [NumCandidates]float64
-	for _, v := range raw {
-		nv := n.Apply(v)
+	for _, nv := range n.ApplyAll(raw) {
 		for i, x := range nv {
 			sums[i] += x
 		}

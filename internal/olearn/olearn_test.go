@@ -49,10 +49,7 @@ func dataset(t *testing.T) ([]features.Vector, []int, features.Normalizer) {
 // trainModelBytes fits the readahead network on (x, y) and serializes it.
 func trainModelBytes(t *testing.T, norm features.Normalizer, x []features.Vector, y []int, seed int64) []byte {
 	t.Helper()
-	nx := make([]features.Vector, len(x))
-	for i, v := range x {
-		nx[i] = norm.Apply(v)
-	}
+	nx := norm.ApplyAll(x)
 	net := readahead.NewModel(seed)
 	readahead.TrainModel(net, nx, y, readahead.TrainConfig{Epochs: 80, Seed: seed})
 	var buf bytes.Buffer

@@ -19,7 +19,7 @@ func TestRandomizedInvariants(t *testing.T) {
 	for _, tc := range []struct {
 		seed     int64
 		capacity int
-		ra       []int // per-file ra overrides to pick from, in sectors
+		ra       []int // device readahead settings to pick from, in sectors
 		seqPct   int   // share of reads that continue the file's last one
 	}{
 		{1, 64, []int{0, 8, 64, 256, 1024}, 0},
@@ -52,12 +52,12 @@ func TestRandomizedInvariants(t *testing.T) {
 			case 7:
 				c.SyncFile(f)
 			case 8:
-				c.SetFileReadahead(f, tc.ra[rng.Intn(len(tc.ra))])
+				dev.SetReadahead(tc.ra[rng.Intn(len(tc.ra))])
 			case 9:
 				if rng.Intn(10) == 0 {
 					c.DropFile(f)
 				} else {
-					c.SetFileReadahead(f, 0) // back to the device default
+					dev.SetReadahead(blockdev.DefaultReadaheadSectors)
 				}
 			}
 			if clk.Now() < last {

@@ -2,8 +2,8 @@
 // paper's KML application instruments and controls: a page cache with LRU
 // reclaim, dirty-page writeback, and — most importantly — a Linux-flavored
 // on-demand readahead engine with per-file readahead state, sequential
-// window ramp-up, asynchronous readahead markers and per-file ra_pages
-// overrides.
+// window ramp-up and asynchronous readahead markers, sized by the device
+// readahead setting.
 //
 // # Readahead model
 //
@@ -106,12 +106,11 @@ type raState struct {
 // fileState is everything the cache keeps for one file (the inode's
 // address_space plus its file_ra_state): a page table indexed by page
 // number, so a lookup is one bounds check and one load, the readahead
-// state, and the settings that DropAll keeps.
+// state, and the size that DropAll keeps.
 type fileState struct {
 	id    FileID
 	pages []*page // pages[i] is page i when cached, else nil
 	ra    raState
-	raSec int   // per-file ra override in sectors (ra_pages); 0 = device default
 	size  int64 // file size in pages, -1 until set; readahead never crosses EOF
 }
 
@@ -151,16 +150,16 @@ func New(cfg Config, clk *clock.Virtual, dev *blockdev.Device, tracer *trace.Tra
 }
 
 // Clone returns an empty copy of c on clk, dev and tracer: every file's
-// size, readahead override and readahead state, and the statistics. It
-// copies no page, so c must hold none — no resident page and no dirty
-// bookkeeping, as DropAll leaves it — and Clone panics otherwise.
+// size and readahead state, and the statistics. It copies no page, so c
+// must hold none — no resident page and no dirty bookkeeping, as DropAll
+// leaves it — and Clone panics otherwise.
 func (c *Cache) Clone(clk *clock.Virtual, dev *blockdev.Device, tracer *trace.Tracer) *Cache {
 	if c.resident != 0 || c.dirtyCount != 0 || len(c.dirtyFIFO) != 0 {
 		panic(fmt.Sprintf("pagecache: Clone of a cache holding %d pages (%d dirty)", c.resident, c.dirtyCount))
 	}
 	out := New(c.cfg, clk, dev, tracer)
 	for id, fs := range c.files {
-		out.files[id] = &fileState{id: id, ra: fs.ra, raSec: fs.raSec, size: fs.size}
+		out.files[id] = &fileState{id: id, ra: fs.ra, size: fs.size}
 	}
 	out.stats = c.stats
 	return out
@@ -310,14 +309,9 @@ func nextWindow(cur, max int) int {
 	return size
 }
 
-// raPagesFor resolves the effective readahead maximum for a file:
-// per-file override, else device setting.
-func (c *Cache) raPagesFor(fs *fileState) int {
-	sectors := fs.raSec
-	if sectors == 0 {
-		sectors = c.dev.ReadaheadSectors()
-	}
-	return sectors / blockdev.SectorsPerPage
+// raPages is the readahead maximum in pages: the device setting.
+func (c *Cache) raPages() int {
+	return c.dev.ReadaheadSectors() / blockdev.SectorsPerPage
 }
 
 // ReadPages simulates a buffered read of pages [off, off+n) of file f,
@@ -347,7 +341,7 @@ func (c *Cache) ReadPages(f FileID, off int64, n int) {
 // asynchronously), and place the async marker for sequential streams.
 func (c *Cache) missFetch(fs *fileState, start int64, need int, seq bool) {
 	st := &fs.ra
-	max := c.raPagesFor(fs)
+	max := c.raPages()
 	switch {
 	case seq && max > 0:
 		st.size = nextWindow(st.size, max)
@@ -479,7 +473,7 @@ func (c *Cache) hit(pg *page, fs *fileState) {
 // background and move the marker forward.
 func (c *Cache) asyncAhead(fs *fileState) {
 	st := &fs.ra
-	max := c.raPagesFor(fs)
+	max := c.raPages()
 	if max <= 0 {
 		return
 	}
@@ -662,19 +656,9 @@ func (c *Cache) SetFilePages(f FileID, pages int64) {
 	c.file(f).size = pages
 }
 
-// SetFileReadahead overrides ra_pages for one file, in sectors (0 restores
-// the device default). This is the "updating ra_pages for open files" path
-// of the paper's Figure 1.
-func (c *Cache) SetFileReadahead(f FileID, sectors int) {
-	if sectors != 0 && sectors < blockdev.SectorsPerPage {
-		sectors = blockdev.SectorsPerPage
-	}
-	c.file(f).raSec = sectors
-}
-
 // DropAll empties the cache (the "clear the cache after every run" step in
 // the paper's evaluation), writing back dirty pages first. Every file's
-// readahead state goes with its pages; its ra override and size stay.
+// readahead state goes with its pages; its size stays.
 func (c *Cache) DropAll() {
 	batch := 0
 	for _, fs := range c.files {

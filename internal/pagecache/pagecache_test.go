@@ -263,23 +263,6 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	}
 }
 
-func TestPerFileReadaheadOverride(t *testing.T) {
-	c, dev, _, _ := newCache(4096)
-	dev.SetReadahead(256)
-	c.SetFileReadahead(1, blockdev.SectorsPerPage) // file 1 tuned down
-	c.ReadPages(1, 100, 2)                         // no speculation
-	c.ReadPages(2, 100, 2)                         // device default: window 4
-	s := c.Stats()
-	if s.SpecInserted != 2 {
-		t.Errorf("spec inserts = %d, want 2 (only file 2)", s.SpecInserted)
-	}
-	c.SetFileReadahead(1, 0) // restore default
-	c.ReadPages(1, 500, 2)
-	if c.Stats().SpecInserted != 4 {
-		t.Error("restored file should speculate again")
-	}
-}
-
 func TestWaitHitsOnInFlightReadahead(t *testing.T) {
 	c, dev, clk, _ := newCache(8192)
 	dev.SetReadahead(1024) // 128 pages: large async windows
@@ -461,13 +444,11 @@ func BenchmarkReadPagesRandom(b *testing.B) {
 }
 
 // TestCloneNeedsEmptyCache: Clone copies no page, so it refuses a cache
-// that holds one, and from an emptied cache it carries every file's size
-// and readahead override, so the copy clamps and sizes windows as the
-// original would.
+// that holds one, and from an emptied cache it carries every file's size,
+// so the copy clamps windows as the original would.
 func TestCloneNeedsEmptyCache(t *testing.T) {
 	c, dev, clk, tr := newCache(64)
 	c.SetFilePages(1, 10)
-	c.SetFileReadahead(2, 64)
 	c.ReadPages(1, 0, 1)
 	func() {
 		defer func() {
@@ -484,9 +465,6 @@ func TestCloneNeedsEmptyCache(t *testing.T) {
 	}
 	if got := cp.files[1]; got.size != 10 || len(got.pages) != 0 {
 		t.Fatalf("file 1: size %d, %d page slots; want 10 and none", got.size, len(got.pages))
-	}
-	if got := cp.files[2]; got.raSec != 64 {
-		t.Fatalf("file 2: readahead %d sectors, want 64", got.raSec)
 	}
 	cp.ReadPages(1, 0, 1)
 	if contains(c, 1, 0) || !contains(cp, 1, 0) {

@@ -118,10 +118,7 @@ func TestQuantizedAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	norm := features.FitNormalizer(raw)
-	normed := make([]features.Vector, len(raw))
-	for i, v := range raw {
-		normed[i] = norm.Apply(v)
-	}
+	normed := norm.ApplyAll(raw)
 	net := NewModel(6)
 	TrainModel(net, normed, labels, TrainConfig{Seed: 6})
 	floatAcc := Evaluate(NewNNClassifier(net), normed, labels)
@@ -140,10 +137,7 @@ func TestQuantizedAccuracy(t *testing.T) {
 func TestSavedModelDeploysIdentically(t *testing.T) {
 	raw, labels := syntheticDataset(120, 9)
 	norm := features.FitNormalizer(raw)
-	normed := make([]features.Vector, len(raw))
-	for i, v := range raw {
-		normed[i] = norm.Apply(v)
-	}
+	normed := norm.ApplyAll(raw)
 	net := NewModel(9)
 	TrainModel(net, normed, labels, TrainConfig{Epochs: 40, Seed: 9})
 

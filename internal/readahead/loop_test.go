@@ -352,40 +352,3 @@ func TestLoopRingFull(t *testing.T) {
 		t.Fatalf("decisions %+v, want one over %d events", d, ringCapacity)
 	}
 }
-
-// TestFileTunerDecisionOrder feeds one stream through two per-file
-// tuners and requires the same decision list: a window's files are
-// decided in ascending inode order, not map order.
-func TestFileTunerDecisionOrder(t *testing.T) {
-	run := func() []FileDecision {
-		tuner, _, _, clk := newFileTunerFixture(t, perInodeClassifier{})
-		hook := tuner.Hook()
-		tuner.MaybeTick(clk.Now())
-		for w := 0; w < 10; w++ {
-			for i := 0; i < 40; i++ {
-				for ino := uint64(1); ino <= 4; ino++ {
-					off := int64(i)
-					if ino%2 == 0 {
-						off = int64(1000 - i)
-					}
-					hook(trace.Event{Point: trace.AddToPageCache, Inode: ino, Offset: off, Time: clk.Now()})
-				}
-			}
-			clk.Advance(1100 * time.Millisecond)
-			tuner.MaybeTick(clk.Now())
-		}
-		return tuner.Decisions()
-	}
-	a, b := run(), run()
-	if len(a) != 40 || len(b) != 40 {
-		t.Fatalf("%d and %d decisions, want 40 each", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("decision %d differs between identical runs: %+v vs %+v", i, a[i], b[i])
-		}
-		if want := uint64(1 + i%4); a[i].Inode != want {
-			t.Fatalf("decision %d is inode %d, want %d (ascending inode order)", i, a[i].Inode, want)
-		}
-	}
-}

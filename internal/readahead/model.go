@@ -4,7 +4,7 @@
 //
 // The package contains the three pieces of the paper's workflow (§3.3, §4):
 //
-//   - model.go — the model interfaces the tuners consume (Classifier,
+//   - model.go — the model interfaces the tuner consumes (Classifier,
 //     BatchClassifier), the neural-network architecture (three linear
 //     layers with sigmoid activations, cross-entropy loss, SGD lr=0.01
 //     momentum=0.99), training, k-fold cross-validation, and the
@@ -196,17 +196,9 @@ func KFoldCVParallel(raw []features.Vector, labels []int, k int, cfg TrainConfig
 			}
 		}
 		norm := features.FitNormalizer(trainX)
-		normed := make([]features.Vector, len(trainX))
-		for i, v := range trainX {
-			normed[i] = norm.Apply(v)
-		}
 		net := NewModel(cfg.Seed + int64(fold))
-		TrainModel(net, normed, trainY, cfg)
-		testNormed := make([]features.Vector, len(testX))
-		for i, v := range testX {
-			testNormed[i] = norm.Apply(v)
-		}
-		accs[fold] = Evaluate(NewNNClassifier(net), testNormed, testY)
+		TrainModel(net, norm.ApplyAll(trainX), trainY, cfg)
+		accs[fold] = Evaluate(NewNNClassifier(net), norm.ApplyAll(testX), testY)
 		return nil
 	})
 	return accs

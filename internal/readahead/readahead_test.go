@@ -63,10 +63,7 @@ func syntheticDataset(n int, seed int64) ([]features.Vector, []int) {
 func TestTrainModelConverges(t *testing.T) {
 	raw, labels := syntheticDataset(200, 1)
 	norm := features.FitNormalizer(raw)
-	normed := make([]features.Vector, len(raw))
-	for i, v := range raw {
-		normed[i] = norm.Apply(v)
-	}
+	normed := norm.ApplyAll(raw)
 	net := NewModel(2)
 	losses := TrainModel(net, normed, labels, TrainConfig{Epochs: 80, Seed: 2})
 	if len(losses) != 80 {
@@ -104,10 +101,7 @@ func TestKFoldCVPanicsOnBadK(t *testing.T) {
 func TestTreeMatchesNNOnSeparableData(t *testing.T) {
 	raw, labels := syntheticDataset(200, 5)
 	norm := features.FitNormalizer(raw)
-	normed := make([]features.Vector, len(raw))
-	for i, v := range raw {
-		normed[i] = norm.Apply(v)
-	}
+	normed := norm.ApplyAll(raw)
 	tree, err := TrainTree(normed, labels)
 	if err != nil {
 		t.Fatal(err)
@@ -120,10 +114,7 @@ func TestTreeMatchesNNOnSeparableData(t *testing.T) {
 func TestFixedNetworkAgreesWithFloat(t *testing.T) {
 	raw, labels := syntheticDataset(200, 6)
 	norm := features.FitNormalizer(raw)
-	normed := make([]features.Vector, len(raw))
-	for i, v := range raw {
-		normed[i] = norm.Apply(v)
-	}
+	normed := norm.ApplyAll(raw)
 	net := NewModel(6)
 	TrainModel(net, normed, labels, TrainConfig{Epochs: 60, Seed: 6})
 	nnc := NewNNClassifier(net)
@@ -265,10 +256,7 @@ func TestEndToEndClassifierOnLiveWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	norm := features.FitNormalizer(raw)
-	normed := make([]features.Vector, len(raw))
-	for i, v := range raw {
-		normed[i] = norm.Apply(v)
-	}
+	normed := norm.ApplyAll(raw)
 	net := NewModel(2)
 	TrainModel(net, normed, labels, TrainConfig{Seed: 2})
 	acc := Evaluate(NewNNClassifier(net), normed, labels)
@@ -356,31 +344,21 @@ func TestIdleTickAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fileTuner, _, _, fclk := newFileTunerFixture(t, fixedClassifier(0))
 	ev := trace.Event{Point: trace.AddToPageCache, Inode: 1}
-	for _, tc := range []struct {
-		name string
-		hook trace.Hook
-		tick func()
-	}{
-		{"Tuner", tuner.Hook(), func() { tuner.MaybeTick(clk.Now()) }},
-		{"FileTuner", fileTuner.Hook(), func() { fileTuner.MaybeTick(fclk.Now()) }},
-	} {
-		tc.tick() // arms the first window
-		tc.hook(ev)
-		tc.tick() // the file tuner's per-inode window exists from here on
-		if a := testing.AllocsPerRun(1000, tc.tick); a != 0 {
-			t.Errorf("%s: idle MaybeTick allocates %.1f/run, want 0", tc.name, a)
-		}
-		if a := testing.AllocsPerRun(1000, func() {
-			ev.Offset++
-			tc.hook(ev)
-			tc.tick()
-		}); a != 0 {
-			t.Errorf("%s: collect + MaybeTick allocates %.1f/run, want 0", tc.name, a)
-		}
+	hook := tuner.Hook()
+	tick := func() { tuner.MaybeTick(clk.Now()) }
+	tick() // arms the first window
+	if a := testing.AllocsPerRun(1000, tick); a != 0 {
+		t.Errorf("idle MaybeTick allocates %.1f/run, want 0", a)
 	}
-	if n := len(tuner.Decisions()) + len(fileTuner.Decisions()); n != 0 {
+	if a := testing.AllocsPerRun(1000, func() {
+		ev.Offset++
+		hook(ev)
+		tick()
+	}); a != 0 {
+		t.Errorf("collect + MaybeTick allocates %.1f/run, want 0", a)
+	}
+	if n := len(tuner.Decisions()); n != 0 {
 		t.Errorf("%d decisions mid-window", n)
 	}
 }

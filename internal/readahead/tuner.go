@@ -3,15 +3,25 @@ package readahead
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/blockdev"
 	"repro/internal/dtrace"
 	"repro/internal/features"
 	"repro/internal/mserve"
+	"repro/internal/ringbuf"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
+
+// ringCapacity is the collection ring's size in records.
+const ringCapacity = 1 << 16
+
+// drainBatch is the drain scratch's size in records: the most one pop
+// moves into the feature window.
+const drainBatch = 256
 
 // Policy maps a predicted workload class to the readahead value (sectors)
 // that maximized throughput for that class in the sweep study — the
@@ -68,7 +78,16 @@ type TunerConfig struct {
 // second, classifies the running workload, and drives the device readahead
 // setting (the block-layer ioctl path of Figure 1).
 type Tuner struct {
-	loop
+	// Collection: the inline tracepoint hook pushes records onto ring,
+	// and every MaybeTick drains the ring through batch (the one drain
+	// scratch) into ext and asks whether a decision window has elapsed.
+	ring      *ringbuf.Ring[features.Record]
+	batch     []features.Record
+	collected atomic.Uint64
+	window    time.Duration
+	nextTick  time.Duration
+	started   bool
+
 	dev       *blockdev.Device
 	deploy    *mserve.Deployment[Classifier]
 	norm      features.Normalizer
@@ -141,7 +160,13 @@ func NewDeployedTuner(dev *blockdev.Device, deploy *mserve.Deployment[Classifier
 	if cfg.Policy == (Policy{}) {
 		cfg.Policy = DefaultPolicy(dev.Profile())
 	}
+	if cfg.Window == 0 {
+		cfg.Window = time.Second
+	}
 	t := &Tuner{
+		ring:       ringbuf.New[features.Record](ringCapacity),
+		batch:      make([]features.Record, drainBatch),
+		window:     cfg.Window,
 		dev:        dev,
 		deploy:     deploy,
 		norm:       norm,
@@ -151,12 +176,64 @@ func NewDeployedTuner(dev *blockdev.Device, deploy *mserve.Deployment[Classifier
 		driftFeats: make([]float64, features.Count),
 		prevRatePM: -1,
 	}
-	t.init(cfg.Window, func(batch []features.Record) {
-		for _, r := range batch {
+	return t, nil
+}
+
+// recordOf is the tracepoint → feature-record mapping of the paper's data
+// collection hooks (inode, page offset, time, and which tracepoint fired).
+//
+//kml:hotpath
+func recordOf(ev trace.Event) features.Record {
+	return features.Record{
+		Inode:  ev.Inode,
+		Offset: ev.Offset,
+		Time:   ev.Time,
+		Write:  ev.Point == trace.WritebackDirtyPage,
+	}
+}
+
+// Hook returns the inline data-collection function to register on the
+// tracer. It costs one lock-free ring push per event.
+func (t *Tuner) Hook() trace.Hook {
+	return t.collect
+}
+
+// collect is the paper's inline data-collection function (§4): it runs on
+// every tracepoint firing, so it is a single struct copy and a lock-free
+// ring push. A full ring drops the record (counted by the ring); an
+// accepted one is counted in collected.
+//
+//kml:hotpath
+func (t *Tuner) collect(ev trace.Event) {
+	if t.ring.TryPush(recordOf(ev)) {
+		t.collected.Add(1)
+	}
+}
+
+// due drains the ring into the feature window and reports whether a
+// decision window ended at now. The first call arms the window;
+// mid-window it is the drain (two atomic loads on an empty ring) and one
+// compare.
+func (t *Tuner) due(now time.Duration) bool {
+	for {
+		n := t.ring.PopBatch(t.batch)
+		if n == 0 {
+			break
+		}
+		for _, r := range t.batch[:n] {
 			t.ext.Add(r)
 		}
-	})
-	return t, nil
+	}
+	if !t.started {
+		t.started = true
+		t.nextTick = now + t.window
+		return false
+	}
+	if now < t.nextTick {
+		return false
+	}
+	t.nextTick = now + t.window
+	return true
 }
 
 // MaybeTick drains the collection ring into the feature window and, once
@@ -279,16 +356,22 @@ func (t *Tuner) closePending() {
 // each model.Predict (the paper's 21 µs per-inference figure, measured
 // live), readahead_decisions counts decision windows (the tuner's
 // throughput series in MsgTimeSeries), readahead_decision_class_<i>
-// counts decisions per predicted class, and the collection ring's
-// counters become gauges under readahead_pipeline. Call before the tuner
-// runs.
+// counts decisions per predicted class, and the collection counters and
+// ring state become the snapshot-time gauges readahead_pipeline_collected,
+// _dropped (ring backpressure), _buffer_len (occupancy) and _buffer_cap.
+// The gauges read what the hook already maintains, so exposure adds no
+// cost per event. Call before the tuner runs.
 func (t *Tuner) Instrument(reg *telemetry.Registry) {
 	t.inferNanos = reg.Histogram("readahead_infer_ns")
 	t.decCount = reg.Counter("readahead_decisions")
 	for i := range t.classCount {
 		t.classCount[i] = reg.Counter(fmt.Sprintf("readahead_decision_class_%d", i))
 	}
-	t.registerMetrics(reg)
+	const prefix = "readahead_pipeline"
+	reg.Func(prefix+"_collected", func() int64 { return int64(t.collected.Load()) })
+	reg.Func(prefix+"_dropped", func() int64 { return int64(t.ring.Dropped()) })
+	reg.Func(prefix+"_buffer_len", func() int64 { return int64(t.ring.Len()) })
+	reg.Func(prefix+"_buffer_cap", func() int64 { return int64(t.ring.Cap()) })
 }
 
 // EnableTracing attaches a dtrace arena: every subsequent decision
@@ -334,3 +417,9 @@ func (t *Tuner) InstrumentDrift(reg *telemetry.Registry, window int) *dtrace.Dri
 
 // Decisions returns the tuning history (the Figure-2 readahead series).
 func (t *Tuner) Decisions() []Decision { return t.decisions }
+
+// Dropped returns how many samples the collection ring discarded.
+func (t *Tuner) Dropped() uint64 { return t.ring.Dropped() }
+
+// Collected returns how many samples the hook accepted.
+func (t *Tuner) Collected() uint64 { return t.collected.Load() }

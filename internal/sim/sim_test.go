@@ -194,8 +194,7 @@ func (p pass) run(t *testing.T, env *Env) outcome {
 }
 
 // clonePasses are the runs a clone must reproduce: every workload with the
-// device readahead lowered half-way, every workload with a per-file
-// override on every file half-way, and a readseq at the largest device
+// device readahead lowered half-way, and a readseq at the largest device
 // readahead, whose windows run past the end of the table so that they
 // clamp at EOF.
 func clonePasses() []pass {
@@ -203,13 +202,7 @@ func clonePasses() []pass {
 	for _, kind := range workload.AllKinds() {
 		passes = append(passes,
 			pass{name: kind.String() + "/device-ra", kind: kind, ops: 20_000,
-				midway: func(env *Env) { env.Dev.SetReadahead(32) }},
-			pass{name: kind.String() + "/file-ra", kind: kind, ops: 20_000,
-				midway: func(env *Env) {
-					for ino := pagecache.FileID(1); ino <= 64; ino++ {
-						env.Cache.SetFileReadahead(ino, 64)
-					}
-				}})
+				midway: func(env *Env) { env.Dev.SetReadahead(32) }})
 	}
 	return append(passes, pass{name: "readseq/eof", kind: workload.ReadSeq, ops: 40_000,
 		before: func(env *Env) { env.Dev.SetReadahead(16384) }})

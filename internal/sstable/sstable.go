@@ -315,7 +315,7 @@ func (t *Table) Clone(f *vfs.File) *Table {
 // Entries returns the number of keys in the table.
 func (t *Table) Entries() uint64 { return t.entries }
 
-// File returns the backing file (experiment plumbing: per-file readahead).
+// File returns the backing file (the store clones, removes and sizes it).
 func (t *Table) File() *vfs.File { return t.f }
 
 type entry struct {

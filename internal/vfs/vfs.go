@@ -7,8 +7,8 @@
 //     (and thus the readahead engine and block device), so each read costs
 //     what it would cost on the modeled hardware.
 //
-// The per-file control surface the paper's KML application drives,
-// readahead (ra_pages), lives in the page cache, keyed by the file's inode.
+// A file's page-cache state is keyed by its inode; the readahead window
+// its reads get is the device setting the paper's KML application drives.
 package vfs
 
 import (

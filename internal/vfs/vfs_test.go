@@ -185,18 +185,20 @@ func TestTruncate(t *testing.T) {
 	}
 }
 
-func TestPerFileReadaheadPlumbing(t *testing.T) {
+// TestDeviceReadaheadPlumbing: a file read goes through the page cache's
+// readahead engine, so a device setting of one page fetches nothing
+// speculative.
+func TestDeviceReadaheadPlumbing(t *testing.T) {
 	fs, dev, _ := newFS(4096)
-	dev.SetReadahead(256)
 	f, _ := fs.Create("data")
 	f.WriteAt(make([]byte, 1<<20), 0)
 	f.Sync()
 	fs.cache.DropAll()
-	fs.cache.SetFileReadahead(f.ino, blockdev.SectorsPerPage)
+	dev.SetReadahead(blockdev.SectorsPerPage)
 	buf := make([]byte, 8192)
 	f.ReadAt(buf, 500*4096)
 	if fs.cache.Stats().SpecInserted != 0 {
-		t.Error("per-file readahead override not honored")
+		t.Error("device readahead setting not honored")
 	}
 }
 
